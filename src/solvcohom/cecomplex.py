@@ -20,7 +20,12 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .errors import NilshadowError, ValidationFailure
+from .errors import (
+    CertificateError,
+    NilshadowError,
+    SelectionClosureError,
+    ValidationFailure,
+)
 from .liealg import LieAlgebraData, RepresentationData, lower_central_series_dims, validate_algebra
 from .linalg import ExactMatrix, SpanTracker, Vector, rank_and_kernel
 from .scalars import ONE, ZERO, GaussianRational
@@ -273,15 +278,16 @@ def cohomology(
         if representatives:
             tracker = SpanTracker(complex_.dims[p])
             if p > 0:
-                d_prev = complex_.differentials[p - 1]
-                for col in range(d_prev.ncols):
-                    image_vec = tuple(d_prev.rows[r][col] for r in range(d_prev.nrows))
+                for image_vec in complex_.differentials[p - 1].transpose().row_maps:
                     tracker.add(image_vec)
             chosen = []
             for vec in kernels[p]:
                 if tracker.add(vec):
                     chosen.append(vec)
-            assert len(chosen) == betti[p]
+            if len(chosen) != betti[p]:
+                raise CertificateError(
+                    f"{len(chosen)} representatives for betti {betti[p]} at degree {p}"
+                )
             reps.append(tuple(chosen))
     return CohomologyResult(
         betti,
@@ -364,31 +370,39 @@ def restrict_complex(
     a dropped row raises SelectionClosureError; selections made through
     weight-tag predicates are block-closed so this never fires for them.
     """
-    from .errors import SelectionClosureError
-
     keep_t = [tuple(ks) for ks in keep]
     if len(keep_t) != len(fc.dims):
         raise ValidationFailure("keep list must cover every degree")
+    for p, ks in enumerate(keep_t):
+        if len(set(ks)) != len(ks) or not all(0 <= i < fc.dims[p] for i in ks):
+            raise ValidationFailure(
+                f"keep list at degree {p} must hold distinct indices below {fc.dims[p]}"
+            )
     dims = [len(ks) for ks in keep_t]
     differentials = []
     for p, d in enumerate(fc.differentials):
-        kept_rows = set(keep_t[p + 1])
-        if check_closure:
-            for col in keep_t[p]:
-                for r in range(d.nrows):
-                    if d.rows[r][col] and r not in kept_rows:
-                        raise SelectionClosureError(
-                            f"selection not closed under d at degree {p}: "
-                            f"column {fc.labels[p][col]} hits dropped row "
-                            f"{fc.labels[p + 1][r]}"
-                        )
-        differentials.append(
-            ExactMatrix(
-                dims[p + 1],
-                dims[p],
-                [[d.rows[r][c] for c in keep_t[p]] for r in keep_t[p + 1]],
+        col_pos = {c: pos for pos, c in enumerate(keep_t[p])}
+        row_pos = {r: pos for pos, r in enumerate(keep_t[p + 1])}
+        entries: dict[tuple[int, int], GaussianRational] = {}
+        # The witness is the first offence in (kept column order, row) order.
+        witness: Optional[tuple[int, int]] = None
+        for r, row in enumerate(d.row_maps):
+            rpos = row_pos.get(r)
+            for c, a in row.items():
+                cpos = col_pos.get(c)
+                if cpos is None:
+                    continue
+                if rpos is not None:
+                    entries[(rpos, cpos)] = a
+                elif check_closure and (witness is None or (cpos, r) < witness):
+                    witness = (cpos, r)
+        if witness is not None:
+            raise SelectionClosureError(
+                f"selection not closed under d at degree {p}: "
+                f"column {fc.labels[p][keep_t[p][witness[0]]]} hits dropped row "
+                f"{fc.labels[p + 1][witness[1]]}"
             )
-        )
+        differentials.append(ExactMatrix.from_entries(dims[p + 1], dims[p], entries))
     labels = [
         tuple(fc.labels[p][i] for i in keep_t[p]) for p in range(len(keep_t))
     ]

@@ -51,3 +51,7 @@ class NilshadowError(SolvcohomError):
 
 class ModeMismatchError(SolvcohomError):
     """An operation was applied to an instance of the wrong ground mode."""
+
+
+class CertificateError(SolvcohomError):
+    """A computed result failed the check that certifies it."""

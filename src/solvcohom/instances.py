@@ -75,6 +75,18 @@ def _expect(mapping, key, context):
     return mapping[key]
 
 
+def _expect_list(value, what):
+    if not isinstance(value, list):
+        raise InstanceParseError(f"{what} must be a list")
+    return value
+
+
+def _expect_object(value, what):
+    if not isinstance(value, dict):
+        raise InstanceParseError(f"{what} must be an object")
+    return value
+
+
 def _name_index(basis: tuple[str, ...], name, context) -> int:
     if name not in basis:
         raise InstanceParseError(f"unknown basis name {name!r} in {context}")
@@ -107,11 +119,13 @@ def parse_instance(data: dict) -> InstanceFile:
 
     alg = _expect(data, "algebra", "instance")
     dim = _expect(alg, "dim", "algebra")
-    basis = tuple(str(b) for b in _expect(alg, "basis", "algebra"))
+    basis = tuple(
+        str(b) for b in _expect_list(_expect(alg, "basis", "algebra"), "algebra basis")
+    )
     if not isinstance(dim, int) or len(basis) != dim:
         raise InstanceParseError("algebra dim and basis list disagree")
     brackets = []
-    for entry in alg.get("brackets", ()):
+    for entry in _expect_list(alg.get("brackets", []), "algebra brackets"):
         if not isinstance(entry, (list, tuple)) or len(entry) != 4:
             raise InstanceParseError(f"bad bracket entry {entry!r}")
         i = _name_index(basis, entry[0], "brackets")
@@ -119,10 +133,12 @@ def parse_instance(data: dict) -> InstanceFile:
         k = _name_index(basis, entry[2], "brackets")
         brackets.append((i, j, k, parse_gaussian(str(entry[3]))))
     nilradical = [
-        _name_index(basis, b, "nilradical") for b in _expect(alg, "nilradical", "algebra")
+        _name_index(basis, b, "nilradical")
+        for b in _expect_list(_expect(alg, "nilradical", "algebra"), "nilradical")
     ]
     complement = [
-        _name_index(basis, b, "complement") for b in _expect(alg, "complement", "algebra")
+        _name_index(basis, b, "complement")
+        for b in _expect_list(_expect(alg, "complement", "algebra"), "complement")
     ]
     conjugation = None
     if "conjugation" in alg:
@@ -167,14 +183,18 @@ def _parse_representation(data, g: LieAlgebraData) -> RepresentationSpec:
     m = _expect(data, "dim", "representation")
     if not isinstance(m, int) or m < 1:
         raise InstanceParseError("representation dim must be a positive integer")
-    raw = data.get("matrices", {})
+    raw = _expect_object(data.get("matrices", {}), "representation matrices")
     matrices = []
     for j in range(g.dim):
         rows = raw.get(g.basis[j])
         if rows is None:
             matrices.append(ExactMatrix.zero(m, m))
             continue
-        if len(rows) != m or any(len(r) != m for r in rows):
+        if not (
+            isinstance(rows, list)
+            and len(rows) == m
+            and all(isinstance(r, list) and len(r) == m for r in rows)
+        ):
             raise InstanceParseError(
                 f"matrix for {g.basis[j]} must be {m}x{m}"
             )
@@ -187,7 +207,7 @@ def _parse_representation(data, g: LieAlgebraData) -> RepresentationSpec:
     if "weights" in data:
         weights = tuple(
             _parse_weight(wd, g.complement, g.basis, "representation weights")
-            for wd in data["weights"]
+            for wd in _expect_list(data["weights"], "representation weights")
         )
         if len(weights) != m:
             raise InstanceParseError("need one representation weight per basis vector")
@@ -199,7 +219,7 @@ def _parse_weights(data, g: LieAlgebraData) -> WeightsSpec:
         raise InstanceParseError("weights block must be an object")
     if data.get("infer"):
         return WeightsSpec(infer=True)
-    alg_raw = _expect(data, "algebra", "weights")
+    alg_raw = _expect_object(_expect(data, "algebra", "weights"), "weights algebra")
     weights = []
     for i in range(g.dim):
         weights.append(
@@ -211,7 +231,7 @@ def _parse_weights(data, g: LieAlgebraData) -> WeightsSpec:
     if "representation" in data:
         rep_weights = tuple(
             _parse_weight(wd, g.complement, g.basis, "representation weights")
-            for wd in data["representation"]
+            for wd in _expect_list(data["representation"], "weights representation")
         )
     return WeightsSpec(False, tuple(weights), rep_weights)
 
@@ -225,13 +245,13 @@ def _parse_lattice(data, g: LieAlgebraData) -> LatticeData:
                 str(_expect(sd, "name", "symbol declaration")),
                 str(_expect(sd, "parity", "symbol declaration")),
             )
-            for sd in data.get("symbols", ())
+            for sd in _expect_list(data.get("symbols", []), "lattice symbols")
         ]
         table = SymbolTable.from_declarations(decls)
     except ValidationFailure as exc:
         raise InstanceParseError(str(exc)) from exc
     generators = []
-    for gen in data.get("generators", ()):
+    for gen in _expect_list(data.get("generators", []), "lattice generators"):
         if not isinstance(gen, dict):
             raise InstanceParseError("each generator must be an object")
         coords = []

@@ -352,12 +352,8 @@ def lower_central_series_dims(g: LieAlgebraData, indices: frozenset[int]) -> lis
         for i in sorted(indices):
             for vec in current:
                 out = g.bracket_vectors(i, vec)
-                if out:
-                    dense = [ZERO] * g.dim
-                    for k, c in out.items():
-                        dense[k] = c
-                    if tracker.add(dense):
-                        basis_next.append(out)
+                if out and tracker.add(out):
+                    basis_next.append(out)
         dims.append(len(basis_next))
         current = basis_next
     return dims

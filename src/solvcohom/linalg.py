@@ -1,35 +1,64 @@
-"""Exact matrices over Q(i) and kernel computation.
+"""Exact sparse matrices over Q(i) and kernel computation.
 
-Rank and kernel are computed by exact Gauss-Jordan elimination on sparse
-rows. The default pivot choice is sparsity-first (fewest nonzeros, ties
-by index) which keeps fill-in low on the very sparse differentials this
-package produces; a sequential strategy exists so tests can confirm the
-rank is pivot-order independent.
+An ExactMatrix stores each row as a {column: value} dict holding the
+nonzero entries only, so every operation costs time proportional to the
+number of nonzeros and zero entries are never tested. The differentials
+this package builds are very sparse (about 1.5% nonzero on the shipped
+oracle sectors), which is what makes that pay.
+
+Rank and kernel are computed by exact Gauss-Jordan elimination on the
+sparse rows. The default pivot choice is sparsity-first (fewest nonzeros,
+ties by index) which keeps fill-in low; a sequential strategy exists so
+tests can confirm the rank is pivot-order independent.
 """
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
+from .errors import CertificateError
 from .scalars import ONE, ZERO, GaussianRational
 
 Vector = tuple[GaussianRational, ...]
+SparseRow = dict[int, GaussianRational]
 
 
 class ExactMatrix:
-    """Immutable dense matrix over Q(i); may have zero rows or columns."""
+    """Immutable sparse matrix over Q(i); may have zero rows or columns.
 
-    __slots__ = ("nrows", "ncols", "rows")
+    `row_maps[i]` is row i as a {column: value} dict of its nonzero
+    entries. It is the only storage and must not be mutated. Because no
+    zero is ever stored, == and hash compare canonical forms. `rows` is a
+    dense tuple-of-tuples view built on demand, for output and tests.
+    """
+
+    __slots__ = ("nrows", "ncols", "row_maps")
 
     def __init__(self, nrows: int, ncols: int, rows: Iterable[Iterable[GaussianRational]]):
-        rows_t = tuple(tuple(r) for r in rows)
+        rows_t = [tuple(r) for r in rows]
         if len(rows_t) != nrows or any(len(r) != ncols for r in rows_t):
             raise ValueError("row data does not match the declared shape")
+        self._fill(nrows, ncols, tuple({j: a for j, a in enumerate(r) if a} for r in rows_t))
+
+    def _fill(self, nrows: int, ncols: int, row_maps: tuple[SparseRow, ...]):
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "rows", rows_t)
+        object.__setattr__(self, "row_maps", row_maps)
+
+    @classmethod
+    def _of(cls, nrows: int, ncols: int, row_maps: Iterable[SparseRow]) -> "ExactMatrix":
+        """Wrap rows that already hold nonzeros only, in range."""
+        out = cls.__new__(cls)
+        out._fill(nrows, ncols, tuple(row_maps))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
+
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        return tuple(
+            tuple(r.get(j, ZERO) for j in range(self.ncols)) for r in self.row_maps
+        )
 
     # -- constructors --------------------------------------------------
 
@@ -41,22 +70,23 @@ class ExactMatrix:
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        return cls(nrows, ncols, [[ZERO] * ncols for _ in range(nrows)])
+        return cls._of(nrows, ncols, ({} for _ in range(nrows)))
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(
-            n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
+        return cls._of(n, n, ({i: ONE} for i in range(n)))
 
     @classmethod
     def from_entries(
         cls, nrows: int, ncols: int, entries: Mapping[tuple[int, int], GaussianRational]
     ) -> "ExactMatrix":
-        data = [[ZERO] * ncols for _ in range(nrows)]
+        data: list[SparseRow] = [{} for _ in range(nrows)]
         for (i, j), v in entries.items():
-            data[i][j] = v
-        return cls(nrows, ncols, data)
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise ValueError(f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
+            if v:
+                data[i][j] = v
+        return cls._of(nrows, ncols, data)
 
     # -- algebra --------------------------------------------------------
 
@@ -66,61 +96,51 @@ class ExactMatrix:
         return (
             self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.row_maps == other.row_maps
         )
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, self.rows))
+        return hash(
+            (self.nrows, self.ncols, tuple(frozenset(r.items()) for r in self.row_maps))
+        )
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._shape_check(other)
-        return ExactMatrix(
+        return ExactMatrix._of(
             self.nrows,
             self.ncols,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
+            (_row_axpy(ra, rb, ONE) for ra, rb in zip(self.row_maps, other.row_maps)),
         )
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._shape_check(other)
-        return ExactMatrix(
-            self.nrows,
-            self.ncols,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        return self + (-other)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.nrows, self.ncols, [[-a for a in r] for r in self.rows]
+        return ExactMatrix._of(
+            self.nrows, self.ncols, ({j: -a for j, a in r.items()} for r in self.row_maps)
         )
 
     def scale(self, scalar: GaussianRational) -> "ExactMatrix":
-        return ExactMatrix(
-            self.nrows, self.ncols, [[scalar * a for a in r] for r in self.rows]
+        if not scalar:
+            return ExactMatrix.zero(self.nrows, self.ncols)
+        # Q(i) is a field: a nonzero multiple of a nonzero stays nonzero.
+        return ExactMatrix._of(
+            self.nrows,
+            self.ncols,
+            ({j: scalar * a for j, a in r.items()} for r in self.row_maps),
         )
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions disagree")
-        cols = other.ncols
         out = []
-        for row in self.rows:
-            acc = [ZERO] * cols
-            for k, a in enumerate(row):
-                if not a:
-                    continue
-                orow = other.rows[k]
-                for j in range(cols):
-                    b = orow[j]
-                    if b:
-                        acc[j] = acc[j] + a * b
-            out.append(acc)
-        return ExactMatrix(self.nrows, cols, out)
+        for row in self.row_maps:
+            acc: SparseRow = {}
+            for k, a in row.items():
+                for j, b in other.row_maps[k].items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append({j: v for j, v in acc.items() if v})
+        return ExactMatrix._of(self.nrows, other.ncols, out)
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
@@ -128,39 +148,40 @@ class ExactMatrix:
         return NotImplemented
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.ncols,
-            self.nrows,
-            [
-                [self.rows[i][j] for i in range(self.nrows)]
-                for j in range(self.ncols)
-            ],
-        )
+        cols: list[SparseRow] = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.row_maps):
+            for j, a in row.items():
+                cols[j][i] = a
+        return ExactMatrix._of(self.ncols, self.nrows, cols)
 
     def apply(self, vec: Sequence[GaussianRational]) -> Vector:
         if len(vec) != self.ncols:
             raise ValueError("vector length does not match column count")
         out = []
-        for row in self.rows:
+        for row in self.row_maps:
             acc = ZERO
-            for a, x in zip(row, vec):
-                if a and x:
+            for j, a in row.items():
+                x = vec[j]
+                if x:
                     acc = acc + a * x
             out.append(acc)
         return tuple(out)
 
     def entry(self, i: int, j: int) -> GaussianRational:
-        return self.rows[i][j]
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise IndexError(f"entry ({i}, {j}) outside a {self.nrows}x{self.ncols} matrix")
+        return self.row_maps[i].get(j, ZERO)
 
     def is_zero(self) -> bool:
-        return all(not a for row in self.rows for a in row)
+        return not any(self.row_maps)
 
     def trace(self) -> GaussianRational:
         if self.nrows != self.ncols:
             raise ValueError("trace of a non-square matrix")
         t = ZERO
-        for i in range(self.nrows):
-            t = t + self.rows[i][i]
+        for i, row in enumerate(self.row_maps):
+            if i in row:
+                t = t + row[i]
         return t
 
     def power(self, k: int) -> "ExactMatrix":
@@ -188,22 +209,16 @@ class ExactMatrix:
         return f"ExactMatrix({self.nrows}x{self.ncols})"
 
 
-def _sparse_rows(matrix: ExactMatrix) -> list[dict[int, GaussianRational]]:
-    return [
-        {j: a for j, a in enumerate(row) if a} for row in matrix.rows
-    ]
-
-
 def _eliminate(
     matrix: ExactMatrix, pivot_strategy: str
-) -> tuple[list[tuple[int, dict[int, GaussianRational]]], list[int]]:
+) -> tuple[list[tuple[int, SparseRow]], list[int]]:
     """Gauss-Jordan elimination; returns (pivot rows, pivot columns).
 
     Each returned row is fully reduced: its pivot column occurs in no
-    other returned row.
+    other returned row. The matrix's own rows are read, never mutated.
     """
-    rows = [r for r in _sparse_rows(matrix) if r]
-    done: list[tuple[int, dict[int, GaussianRational]]] = []
+    rows = [r for r in matrix.row_maps if r]
+    done: list[tuple[int, SparseRow]] = []
     while rows:
         if pivot_strategy == "sparsity":
             # Fewest nonzeros first; break ties on the smallest column index.
@@ -226,65 +241,68 @@ def _eliminate(
         # pivot column survives in exactly one row (Jordan form rows).
         new_rows = []
         for r in rows:
-            coeff = r.get(pivot_col)
-            if coeff:
-                r = _row_axpy(r, row, -coeff)
+            if pivot_col in r:
+                r = _row_axpy(r, row, -r[pivot_col])
             if r:
                 new_rows.append(r)
         rows = new_rows
-        new_done = []
-        for pc, r in done:
-            coeff = r.get(pivot_col)
-            if coeff:
-                r = _row_axpy(r, row, -coeff)
-            new_done.append((pc, r))
-        done = new_done
+        done = [
+            (pc, _row_axpy(r, row, -r[pivot_col]) if pivot_col in r else r)
+            for pc, r in done
+        ]
         done.append((pivot_col, row))
     pivot_cols = [pc for pc, _ in done]
     return done, pivot_cols
 
 
-def _row_axpy(
-    target: dict[int, GaussianRational],
-    source: dict[int, GaussianRational],
-    factor: GaussianRational,
-) -> dict[int, GaussianRational]:
+def _row_axpy(target: SparseRow, source: SparseRow, factor: GaussianRational) -> SparseRow:
+    """target + factor * source as a new row; factor must be nonzero."""
     out = dict(target)
     for c, a in source.items():
-        v = out.get(c, ZERO) + factor * a
-        if v:
-            out[c] = v
+        if c in out:
+            v = out[c] + factor * a
+            if v:
+                out[c] = v
+            else:
+                del out[c]
         else:
-            out.pop(c, None)
+            out[c] = factor * a
     return out
 
 
 def rank_and_kernel(
     matrix: ExactMatrix, pivot_strategy: str = "sparsity"
 ) -> tuple[int, tuple[Vector, ...]]:
-    """Exact rank and a kernel basis.
+    """Exact rank and a kernel basis, as dense vectors.
 
-    Postconditions asserted here: rank + nullity == ncols, and the matrix
-    annihilates every returned kernel vector.
+    Certified here, raising CertificateError otherwise: rank + nullity ==
+    ncols, and the matrix annihilates every returned kernel vector.
     """
     done, pivot_cols = _eliminate(matrix, pivot_strategy)
     rank = len(done)
     pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(matrix.ncols) if c not in pivot_set]
-    kernel: list[Vector] = []
-    for f in free_cols:
-        vec = [ZERO] * matrix.ncols
-        vec[f] = ONE
-        for pc, row in done:
-            coeff = row.get(f)
-            if coeff:
-                vec[pc] = -coeff
-        kernel.append(tuple(vec))
-    assert rank + len(kernel) == matrix.ncols
-    for vec in kernel:
-        image = matrix.apply(vec)
-        assert all(not a for a in image), "kernel vector not annihilated"
-    return rank, tuple(kernel)
+    kernel: dict[int, SparseRow] = {
+        f: {f: ONE} for f in range(matrix.ncols) if f not in pivot_set
+    }
+    for pc, row in done:
+        for c, a in row.items():
+            if c in kernel:
+                kernel[c][pc] = -a
+    if rank + len(kernel) != matrix.ncols:
+        raise CertificateError(
+            f"rank {rank} + nullity {len(kernel)} != {matrix.ncols} columns"
+        )
+    columns = matrix.transpose().row_maps
+    for f, vec in kernel.items():
+        image: SparseRow = {}
+        for j, x in vec.items():
+            for i, a in columns[j].items():
+                image[i] = image[i] + a * x if i in image else a * x
+        if any(image.values()):
+            raise CertificateError(f"kernel vector for free column {f} not annihilated")
+    return rank, tuple(
+        tuple(vec.get(j, ZERO) for j in range(matrix.ncols)) for vec in kernel.values()
+    )
 
 
 def rank(matrix: ExactMatrix, pivot_strategy: str = "sparsity") -> int:
@@ -296,8 +314,8 @@ def matrix_inverse(matrix: ExactMatrix) -> ExactMatrix:
     if matrix.nrows != matrix.ncols:
         raise ValueError("inverse of a non-square matrix")
     n = matrix.nrows
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-           for i, row in enumerate(matrix.rows)]
+    aug = [[row.get(j, ZERO) for j in range(n)] + [ONE if i == j else ZERO for j in range(n)]
+           for i, row in enumerate(matrix.row_maps)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
@@ -315,23 +333,26 @@ def matrix_inverse(matrix: ExactMatrix) -> ExactMatrix:
 class SpanTracker:
     """Incremental row-space membership with exact reduction.
 
-    add() returns True when the vector enlarges the span; the reduced
-    nonzero remainder is kept in fully reduced form.
+    Vectors are dense sequences or {index: value} mappings. add() returns
+    True when the vector enlarges the span; the reduced nonzero remainder
+    is kept in fully reduced form.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: list[tuple[int, dict[int, GaussianRational]]] = []
+        self.rows: list[tuple[int, SparseRow]] = []
 
-    def reduce(self, vec: Sequence[GaussianRational]) -> dict[int, GaussianRational]:
-        current = {j: a for j, a in enumerate(vec) if a}
+    def reduce(
+        self, vec: Sequence[GaussianRational] | Mapping[int, GaussianRational]
+    ) -> SparseRow:
+        items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
+        current = {j: a for j, a in items if a}
         for pc, row in self.rows:
-            coeff = current.get(pc)
-            if coeff:
-                current = _row_axpy(current, row, -coeff)
+            if pc in current:
+                current = _row_axpy(current, row, -current[pc])
         return current
 
-    def add(self, vec: Sequence[GaussianRational]) -> bool:
+    def add(self, vec: Sequence[GaussianRational] | Mapping[int, GaussianRational]) -> bool:
         current = self.reduce(vec)
         if not current:
             return False
@@ -340,15 +361,14 @@ class SpanTracker:
         current = {c: inv * a for c, a in current.items()}
         new_rows = []
         for pc, row in self.rows:
-            coeff = row.get(pivot_col)
-            if coeff:
-                row = _row_axpy(row, current, -coeff)
+            if pivot_col in row:
+                row = _row_axpy(row, current, -row[pivot_col])
             new_rows.append((pc, row))
         new_rows.append((pivot_col, current))
         self.rows = new_rows
         return True
 
-    def contains(self, vec: Sequence[GaussianRational]) -> bool:
+    def contains(self, vec: Sequence[GaussianRational] | Mapping[int, GaussianRational]) -> bool:
         return not self.reduce(vec)
 
     @property

@@ -10,6 +10,7 @@ from solvcohom import (
     restrict_complex,
     trivial_representation,
 )
+from solvcohom import cecomplex
 from solvcohom.cecomplex import (
     ModuleAction,
     ce_differential,
@@ -20,7 +21,12 @@ from solvcohom.cecomplex import (
     subset_position,
     wedge_insert_sign,
 )
-from solvcohom.errors import NilshadowError, SelectionClosureError, ValidationFailure
+from solvcohom.errors import (
+    CertificateError,
+    NilshadowError,
+    SelectionClosureError,
+    ValidationFailure,
+)
 from solvcohom.linalg import ExactMatrix
 from solvcohom.scalars import MINUS_ONE, ONE, ZERO, gauss
 
@@ -93,6 +99,18 @@ def test_heisenberg_representatives(heisenberg):
         assert vec[2] == ZERO
 
 
+def test_representative_count_is_certified(heisenberg, monkeypatch):
+    class NeverGrows(cecomplex.SpanTracker):
+        def add(self, vec):
+            return False
+
+    monkeypatch.setattr(cecomplex, "SpanTracker", NeverGrows)
+    rep = trivial_representation(heisenberg)
+    ic = build_invariant_complex(heisenberg, rep, infer_weights(heisenberg, rep))
+    with pytest.raises(CertificateError, match="representatives for betti"):
+        cohomology(ic.complex, representatives=True)
+
+
 def plain_ce_complex(g):
     """Untwisted Chevalley-Eilenberg complex with trivial coefficients."""
     action = plain_action(g)
@@ -152,6 +170,9 @@ def test_restrict_complex_closure(split_3d):
     sub = restrict_complex(fc, good_keep)
     assert sub.dims == (1, 1, 1, 1)
     assert cohomology(sub).betti == (1, 1, 1, 1)
+    for bad_indices in ([(0,), (0, 0), (), ()], [(0,), (3,), (), ()]):
+        with pytest.raises(ValidationFailure, match="distinct indices below 3"):
+            restrict_complex(fc, bad_indices)
 
 
 def test_labels(heisenberg):
@@ -204,3 +225,18 @@ def test_cohomology_of_zero_complex():
     fc = FiniteComplex((2,), ())
     res = cohomology(fc)
     assert res.betti == (2,)
+
+
+def test_restrict_complex_reports_first_witness_in_keep_order():
+    # Two offences: column a0 hits dropped row b1, column a2 hits dropped
+    # row b2. Kept columns are scanned in keep order (a2 before a0), then
+    # rows ascending, so a2 -> b2 is the witness.
+    d = ExactMatrix.from_entries(
+        3, 3, {(1, 0): ONE, (0, 2): ONE, (2, 2): MINUS_ONE}
+    )
+    fc = FiniteComplex((3, 3), (d,), labels=[("a0", "a1", "a2"), ("b0", "b1", "b2")])
+    with pytest.raises(SelectionClosureError) as info:
+        restrict_complex(fc, [(2, 0), (0,)])
+    assert str(info.value) == (
+        "selection not closed under d at degree 0: column a2 hits dropped row b2"
+    )

@@ -87,6 +87,50 @@ def test_unreadable_inputs_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _set(path, value):
+    def mutate(doc):
+        *outer, last = path
+        for key in outer:
+            doc = doc[key]
+        doc[last] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _set(("algebra", "basis"), 3),
+        _set(("algebra", "basis"), "xyz"),
+        _set(("algebra", "brackets"), 5),
+        _set(("representation",), {"dim": 1, "matrices": []}),
+        _set(("representation",), {"dim": 1, "matrices": {"x": 5}}),
+        _set(("weights",), {"algebra": []}),
+    ],
+    ids=[
+        "basis-int",
+        "basis-string",
+        "brackets-int",
+        "matrices-list",
+        "matrix-not-rows",
+        "weights-algebra-list",
+    ],
+)
+def test_malformed_instance_exits_two_without_traceback(mutate, tmp_path):
+    doc = json.loads((INSTANCE_DIR / "heisenberg3.json").read_text())
+    mutate(doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "solvcohom.cli", "validate", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
 def test_oracle_mismatch_exits_three(monkeypatch, capsys):
     fake = QuasiIsoReport(
         (SectorComparison((ZERO,), (1, 1), (1, 0)),)

@@ -1,0 +1,154 @@
+"""ExactMatrix against a plain list-of-lists reference.
+
+The matrix stores only its nonzero entries; every operation here is
+compared with the same operation on dense Python lists, on sparse random
+matrices that include empty shapes.
+"""
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from solvcohom.linalg import ExactMatrix, rank_and_kernel
+from solvcohom.scalars import ONE, ZERO, gauss
+
+small = st.integers(min_value=-3, max_value=3)
+# Mostly zeros, so rows are sparse and sums cancel often.
+scalars = st.one_of(st.just(ZERO), st.just(ZERO), st.builds(gauss, small, small))
+dims = st.integers(min_value=0, max_value=4)
+
+
+def dense(nrows, ncols):
+    return st.lists(
+        st.lists(scalars, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows
+    )
+
+
+@st.composite
+def shaped(draw, count=1):
+    """(nrows, ncols, rows_1, ..., rows_count) with all matrices one shape."""
+    nrows, ncols = draw(dims), draw(dims)
+    return (nrows, ncols, *(draw(dense(nrows, ncols)) for _ in range(count)))
+
+
+def ref_matmul(a, b, inner, ncols):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(inner)), ZERO) for j in range(ncols)]
+        for i in range(len(a))
+    ]
+
+
+def ref_identity(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+@given(shaped())
+def test_rows_view_round_trips_through_the_dense_constructor(case):
+    nrows, ncols, rows = case
+    m = ExactMatrix(nrows, ncols, rows)
+    assert [list(r) for r in m.rows] == rows
+    assert ExactMatrix(m.nrows, m.ncols, m.rows) == m
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            assert m.entry(i, j) == value
+
+
+@given(shaped())
+def test_from_entries_matches_the_dense_constructor(case):
+    nrows, ncols, rows = case
+    with_zeros = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
+    without_zeros = {key: v for key, v in with_zeros.items() if v}
+    a = ExactMatrix.from_entries(nrows, ncols, with_zeros)
+    b = ExactMatrix.from_entries(nrows, ncols, without_zeros)
+    assert a == b == ExactMatrix(nrows, ncols, rows)
+    assert hash(a) == hash(b) == hash(ExactMatrix(nrows, ncols, rows))
+    assert all(v for r in a.row_maps for v in r.values())
+
+
+@given(shaped(count=2))
+def test_sum_difference_and_negation(case):
+    nrows, ncols, a, b = case
+    ma, mb = ExactMatrix(nrows, ncols, a), ExactMatrix(nrows, ncols, b)
+    add = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    sub = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    assert ma + mb == ExactMatrix(nrows, ncols, add)
+    assert ma - mb == ExactMatrix(nrows, ncols, sub)
+    assert -ma == ExactMatrix(nrows, ncols, [[-x for x in r] for r in a])
+    # Cancellation leaves the canonical zero matrix, hash included.
+    assert ma - ma == ExactMatrix.zero(nrows, ncols)
+    assert hash(ma + (-ma)) == hash(ExactMatrix.zero(nrows, ncols))
+
+
+@given(shaped(), scalars)
+def test_scale(case, c):
+    nrows, ncols, rows = case
+    scaled = [[c * x for x in r] for r in rows]
+    assert ExactMatrix(nrows, ncols, rows).scale(c) == ExactMatrix(nrows, ncols, scaled)
+
+
+@given(st.data())
+def test_matmul(data):
+    nrows, inner, ncols = data.draw(dims), data.draw(dims), data.draw(dims)
+    a = data.draw(dense(nrows, inner))
+    b = data.draw(dense(inner, ncols))
+    product = ExactMatrix(nrows, inner, a) @ ExactMatrix(inner, ncols, b)
+    assert product == ExactMatrix(nrows, ncols, ref_matmul(a, b, inner, ncols))
+
+
+@given(shaped())
+def test_transpose(case):
+    nrows, ncols, rows = case
+    t = ExactMatrix(nrows, ncols, rows).transpose()
+    assert (t.nrows, t.ncols) == (ncols, nrows)
+    flipped = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
+    assert t == ExactMatrix(ncols, nrows, flipped)
+
+
+@given(st.data())
+def test_apply(data):
+    nrows, ncols, rows = data.draw(shaped())
+    vec = data.draw(st.lists(scalars, min_size=ncols, max_size=ncols))
+    expected = tuple(sum((a * x for a, x in zip(r, vec)), ZERO) for r in rows)
+    assert ExactMatrix(nrows, ncols, rows).apply(vec) == expected
+
+
+@given(shaped())
+def test_is_zero(case):
+    nrows, ncols, rows = case
+    assert ExactMatrix(nrows, ncols, rows).is_zero() == all(not x for r in rows for x in r)
+
+
+@given(st.data())
+def test_trace_and_power(data):
+    n = data.draw(dims)
+    rows = data.draw(dense(n, n))
+    m = ExactMatrix(n, n, rows)
+    assert m.trace() == sum((rows[i][i] for i in range(n)), ZERO)
+    k = data.draw(st.integers(min_value=0, max_value=4))
+    expected = ref_identity(n)
+    for _ in range(k):
+        expected = ref_matmul(expected, rows, n, n)
+    assert m.power(k) == ExactMatrix(n, n, expected)
+
+
+@given(st.integers(0, 4))
+def test_zero_and_identity(n):
+    assert ExactMatrix.zero(n, n + 1) == ExactMatrix(n, n + 1, [[ZERO] * (n + 1)] * n)
+    assert ExactMatrix.identity(n) == ExactMatrix(n, n, ref_identity(n))
+
+
+@pytest.mark.parametrize("key", [(-1, 0), (2, 0), (0, -1), (0, 3)])
+def test_out_of_shape_indices_are_rejected(key):
+    with pytest.raises(ValueError, match="outside"):
+        ExactMatrix.from_entries(2, 3, {key: ONE})
+    with pytest.raises(IndexError):
+        ExactMatrix.zero(2, 3).entry(*key)
+
+
+@given(shaped())
+def test_rank_agrees_between_pivot_strategies(case):
+    nrows, ncols, rows = case
+    m = ExactMatrix(nrows, ncols, rows)
+    r1, k1 = rank_and_kernel(m, pivot_strategy="sparsity")
+    r2, k2 = rank_and_kernel(m, pivot_strategy="sequential")
+    assert r1 == r2
+    assert r1 + len(k1) == r2 + len(k2) == m.ncols

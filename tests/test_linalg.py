@@ -1,7 +1,13 @@
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from solvcohom import linalg
+from solvcohom.errors import CertificateError
 from solvcohom.linalg import (
     ExactMatrix,
     SpanTracker,
@@ -133,3 +139,57 @@ def test_rank_nullity_and_strategy_agreement(m):
     assert r1 + len(kern) == m.ncols
     for v in kern:
         assert all(c == ZERO for c in m.apply(v))
+
+
+def _drop_last_pivot_row(eliminate):
+    def sabotaged(matrix, pivot_strategy):
+        done, pivot_cols = eliminate(matrix, pivot_strategy)
+        return done[:-1], pivot_cols[:-1]
+
+    return sabotaged
+
+
+def _repeat_first_pivot_row(eliminate):
+    def sabotaged(matrix, pivot_strategy):
+        done, pivot_cols = eliminate(matrix, pivot_strategy)
+        return done + done[:1], pivot_cols + pivot_cols[:1]
+
+    return sabotaged
+
+
+@pytest.mark.parametrize(
+    "sabotage,message",
+    [
+        (_drop_last_pivot_row, "not annihilated"),
+        (_repeat_first_pivot_row, "nullity"),
+    ],
+)
+def test_sabotaged_elimination_fails_its_certificate(monkeypatch, sabotage, message):
+    monkeypatch.setattr(linalg, "_eliminate", sabotage(linalg._eliminate))
+    with pytest.raises(CertificateError, match=message):
+        rank_and_kernel(mat([[1, 2, 0], [0, 1, 1]]))
+
+
+def test_kernel_certificate_survives_optimize_flag():
+    script = textwrap.dedent(
+        """
+        from solvcohom import linalg
+        from solvcohom.errors import CertificateError
+        from solvcohom.linalg import ExactMatrix
+        from solvcohom.scalars import gauss
+
+        assert False, "asserts must be stripped under -O"
+        eliminate = linalg._eliminate
+        linalg._eliminate = lambda m, s: tuple(x[:-1] for x in eliminate(m, s))
+        m = ExactMatrix.from_rows([[gauss(1), gauss(2)], [gauss(0), gauss(1)]])
+        try:
+            linalg.rank_and_kernel(m)
+        except CertificateError:
+            print("certified")
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "certified"
