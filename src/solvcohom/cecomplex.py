@@ -57,7 +57,7 @@ class ModuleAction:
     expands it to a per-basis-index evaluation (zero off the complement).
     """
 
-    __slots__ = ("m", "matrices", "mu_at")
+    __slots__ = ("m", "matrices", "mu_at", "_columns")
 
     def __init__(self, g: LieAlgebraData, rep: RepresentationData, mu: Optional[Weight]):
         mu_at = [ZERO] * g.dim
@@ -69,6 +69,7 @@ class ModuleAction:
         object.__setattr__(self, "m", rep.m)
         object.__setattr__(self, "matrices", rep.matrices)
         object.__setattr__(self, "mu_at", tuple(mu_at))
+        object.__setattr__(self, "_columns", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ModuleAction is immutable")
@@ -79,6 +80,18 @@ class ModuleAction:
         if l == k and self.mu_at[j]:
             value = value + self.mu_at[j]
         return value
+
+    def column(self, j: int, k: int) -> list[tuple[int, GaussianRational]]:
+        """Nonzero entries (l, value) of rho_mu(X_j) e_k, computed once."""
+        col = self._columns.get((j, k))
+        if col is None:
+            col = []
+            for l in range(self.m):
+                value = self.apply_entry(j, l, k)
+                if value:
+                    col.append((l, value))
+            self._columns[(j, k)] = col
+        return col
 
 
 def _one_form_differentials(
@@ -108,26 +121,30 @@ def ce_image(
     out: dict[tuple[tuple[int, ...], int], GaussianRational] = {}
 
     def put(J: tuple[int, ...], l: int, coeff: GaussianRational):
-        if not coeff:
-            return
+        # Every coeff passed here is nonzero.
         key = (J, l)
-        acc = out.get(key, ZERO) + coeff
+        prev = out.get(key)
+        if prev is None:
+            out[key] = coeff
+            return
+        acc = prev + coeff
         if acc:
             out[key] = acc
         else:
-            out.pop(key, None)
+            del out[key]
 
     members = set(I)
     # Action term: insert x_j, apply rho(X_j) to the module slot.
     for j in range(g.dim):
         if j in members:
             continue
+        column = action.column(j, k)
+        if not column:
+            continue
         J = tuple(sorted(I + (j,)))
         sign = wedge_insert_sign(j, I)
-        for l in range(action.m):
-            coeff = action.apply_entry(j, l, k)
-            if coeff:
-                put(J, l, coeff if sign > 0 else -coeff)
+        for l, coeff in column:
+            put(J, l, coeff if sign > 0 else -coeff)
 
     # Bracket term: d(x_I) = sum_t (-1)^{pos(t, I)} dx_t ^ x_{I - t}.
     for pos_t, t in enumerate(I):

@@ -92,19 +92,17 @@ def _class_text(vec, labels) -> str:
 
 
 def _tag_summary(sel) -> list[dict]:
-    seen: dict[str, dict] = {}
-    for per_degree in sel.verdicts:
-        for v in per_degree:
-            key = format_weight(v.tag)
-            if key not in seen:
-                seen[key] = {
-                    "tag": key,
-                    "trivial_on_g": v.trivial_on_g,
-                    "trivial_on_lattice": v.trivial_on_lattice,
-                    "ratio_trivial": v.ratio_trivial,
-                    "unitary": v.unitary,
-                }
-    return [seen[k] for k in sorted(seen)]
+    rows = [
+        {
+            "tag": format_weight(v.tag),
+            "trivial_on_g": v.trivial_on_g,
+            "trivial_on_lattice": v.trivial_on_lattice,
+            "ratio_trivial": v.ratio_trivial,
+            "unitary": v.unitary,
+        }
+        for v in sel.verdicts
+    ]
+    return sorted(rows, key=lambda row: row["tag"])
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,7 @@ from .liealg import (
 )
 from .periods import PeriodValue, SymbolTable, zero_period
 from .scalars import GaussianRational
-from .weights import (
-    InvariantComplex,
-    format_weight,
-    weight_is_zero,
-    weight_sort_key,
-)
+from .weights import InvariantComplex, format_weight, weight_is_zero
 
 
 class LatticeData:
@@ -139,9 +134,7 @@ def char_unitary(mu: Weight, g: LieAlgebraData) -> Optional[bool]:
 
 
 @dataclass(frozen=True)
-class ElementVerdict:
-    degree: int
-    label: str
+class TagVerdict:
     tag: Weight
     trivial_on_g: bool
     trivial_on_lattice: bool
@@ -154,54 +147,35 @@ class SelectionResult:
     kind: str  # "derham" or "dolbeault"
     complex: FiniteComplex
     kept_indices: tuple[tuple[int, ...], ...]
-    verdicts: tuple[tuple[ElementVerdict, ...], ...]
+    verdicts: tuple[TagVerdict, ...]  # indexed by the complex's tag ids
 
     def kept_dims(self) -> tuple[int, ...]:
         return tuple(len(ks) for ks in self.kept_indices)
 
 
-def _verdicts(ic: InvariantComplex, lat: LatticeData) -> tuple[tuple[ElementVerdict, ...], ...]:
-    cache: dict[tuple, tuple[bool, bool, bool, Optional[bool]]] = {}
-
-    def flags(tag: Weight):
-        key = weight_sort_key(tag)
-        if key not in cache:
-            cache[key] = (
-                weight_is_zero(tag),
-                char_trivial_on_lattice(tag, lat),
-                ratio_char_trivial_on_lattice(tag, lat),
-                char_unitary(tag, ic.algebra),
-            )
-        return cache[key]
-
-    out = []
-    for p, per_degree in enumerate(ic.element_tags):
-        row = []
-        for idx, tag in enumerate(per_degree):
-            zero, trivial, ratio, unitary = flags(tag)
-            row.append(
-                ElementVerdict(
-                    degree=p,
-                    label=ic.complex.labels[p][idx],
-                    tag=tag,
-                    trivial_on_g=zero,
-                    trivial_on_lattice=trivial,
-                    ratio_trivial=ratio,
-                    unitary=unitary,
-                )
-            )
-        out.append(tuple(row))
-    return tuple(out)
+def _verdicts(ic: InvariantComplex, lat: LatticeData) -> tuple[TagVerdict, ...]:
+    return tuple(
+        TagVerdict(
+            tag=tag,
+            trivial_on_g=weight_is_zero(tag),
+            trivial_on_lattice=char_trivial_on_lattice(tag, lat),
+            ratio_trivial=ratio_char_trivial_on_lattice(tag, lat),
+            unitary=char_unitary(tag, ic.algebra),
+        )
+        for tag in ic.tag_table
+    )
 
 
 def _select(ic: InvariantComplex, lat: LatticeData, kind: str) -> SelectionResult:
     verdicts = _verdicts(ic, lat)
-    keep = []
-    for per_degree in verdicts:
-        if kind == "derham":
-            keep.append(tuple(i for i, v in enumerate(per_degree) if v.trivial_on_lattice))
-        else:
-            keep.append(tuple(i for i, v in enumerate(per_degree) if v.ratio_trivial))
+    if kind == "derham":
+        kept_tag = [v.trivial_on_lattice for v in verdicts]
+    else:
+        kept_tag = [v.ratio_trivial for v in verdicts]
+    keep = [
+        tuple(i for i, t in enumerate(per_degree) if kept_tag[t])
+        for per_degree in ic.tag_ids
+    ]
     sub = restrict_complex(ic.complex, keep, check_closure=True)
     return SelectionResult(kind, sub, tuple(keep), verdicts)
 
@@ -253,34 +227,33 @@ class ConditionReport:
 
 def check_conditions(ic: InvariantComplex, lat: LatticeData) -> ConditionReport:
     verdicts = _verdicts(ic, lat)
+    # Each tag is witnessed by its first basis element in (degree, index) order.
+    first: dict[int, tuple[int, int]] = {}
+    for p, per_degree in enumerate(ic.tag_ids):
+        for idx, t in enumerate(per_degree):
+            if t not in first:
+                first[t] = (p, idx)
     witnesses: list[ConditionWitness] = []
-    seen: set[tuple[str, str]] = set()
-
-    def witness(condition: str, degree: int, label: str, tag_text: str):
-        # One witness per (condition, tag) keeps reports readable.
-        if (condition, tag_text) not in seen:
-            seen.add((condition, tag_text))
-            witnesses.append(ConditionWitness(condition, degree, label, tag_text))
-
     diamond1 = True
     star = True
     diamond2: Optional[bool] = True
-    for per_degree in verdicts:
-        for v in per_degree:
-            tag_text = format_weight(v.tag)
-            if v.trivial_on_g != v.trivial_on_lattice:
-                diamond1 = False
-                witness("diamond1", v.degree, v.label, tag_text)
-            if v.trivial_on_g != v.ratio_trivial:
-                star = False
-                witness("star", v.degree, v.label, tag_text)
-            if not v.trivial_on_g:
-                if v.unitary is None:
-                    if diamond2 is True:
-                        diamond2 = None
-                elif v.unitary:
-                    diamond2 = False
-                    witness("diamond2", v.degree, v.label, tag_text)
+    for t, (p, idx) in first.items():
+        v = verdicts[t]
+        label = ic.complex.labels[p][idx]
+        tag_text = format_weight(v.tag)
+        if v.trivial_on_g != v.trivial_on_lattice:
+            diamond1 = False
+            witnesses.append(ConditionWitness("diamond1", p, label, tag_text))
+        if v.trivial_on_g != v.ratio_trivial:
+            star = False
+            witnesses.append(ConditionWitness("star", p, label, tag_text))
+        if not v.trivial_on_g:
+            if v.unitary is None:
+                if diamond2 is True:
+                    diamond2 = None
+            elif v.unitary:
+                diamond2 = False
+                witnesses.append(ConditionWitness("diamond2", p, label, tag_text))
     box = True
     for i, lam in enumerate(ic.weights.algebra_weights):
         if not ratio_char_trivial_on_lattice(lam, lat):

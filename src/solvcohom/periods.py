@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import ScalarParseError, ValidationFailure
-from .scalars import GaussianRational
+from .scalars import GaussianRational, parse_rational
 
 REAL = "real"
 IMAGINARY = "imaginary"
@@ -279,12 +279,12 @@ def parse_period(text: str, table: SymbolTable) -> PeriodValue:
         if table.has(body):
             put(body, sign)
         elif _RAT.match(body):
-            put("1", sign * Fraction(body))
+            put("1", sign * parse_rational(body))
         elif "*" in body:
             head, _, tail = body.partition("*")
             if not _RAT.match(head) or not table.has(tail):
                 raise ScalarParseError(f"bad period term {term!r} in {text!r}")
-            put(tail, sign * Fraction(head))
+            put(tail, sign * parse_rational(head))
         else:
             raise ScalarParseError(f"bad period term {term!r} in {text!r}")
     return PeriodValue(table, coords)

@@ -108,10 +108,14 @@ def gauss(re=0, im=0) -> GaussianRational:
     return GaussianRational(Fraction(re), Fraction(im))
 
 
-def _parse_rational(text: str) -> Fraction:
+def parse_rational(text: str) -> Fraction:
+    """A signed literal `p` or `p/q`; a zero denominator is a parse error."""
     if not _RAT.match(text):
         raise ScalarParseError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ScalarParseError(f"zero denominator in {text!r}") from None
 
 
 def parse_gaussian(text: str) -> GaussianRational:
@@ -135,9 +139,9 @@ def parse_gaussian(text: str) -> GaussianRational:
         if body == "i":
             im_part += sign
         elif body.endswith("*i"):
-            im_part += sign * _parse_rational(body[:-2])
+            im_part += sign * parse_rational(body[:-2])
         else:
-            re_part += sign * _parse_rational(body)
+            re_part += sign * parse_rational(body)
     return GaussianRational(re_part, im_part)
 
 

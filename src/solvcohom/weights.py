@@ -11,6 +11,11 @@ applies the Chevalley-Eilenberg formula in the module twisted by the
 column's own tag. That the result never crosses between distinct tags is
 verified entry by entry and is exactly weight additivity of the input
 data; a violation raises WeightGradingError.
+
+Distinct tags are few next to basis elements, so the complex interns
+them: a sorted tag table plus one small integer id per basis element.
+Each distinct partial sum is formed once, and the grading check, the
+twisted actions and the lattice selection all work on ids.
 """
 from __future__ import annotations
 
@@ -401,27 +406,49 @@ def validate_weight_assignment(
 
 @dataclass(frozen=True)
 class InvariantComplex:
-    """Finite complex on basis labels (I, k) with one weight tag each."""
+    """Finite complex on basis labels (I, k) with one weight tag each.
+
+    Tags are interned: tag_table lists the distinct tags in weight_sort_key
+    order, and tag_ids[p][i] is the position in it of the tag of the
+    degree-p basis element i. Consumers compare and cache by these ids.
+    """
 
     complex: FiniteComplex
     element_labels: tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
-    element_tags: tuple[tuple[Weight, ...], ...]
+    tag_table: tuple[Weight, ...]
+    tag_ids: tuple[tuple[int, ...], ...]
     algebra: LieAlgebraData
     representation: RepresentationData
     weights: WeightAssignment
 
+    @property
+    def element_tags(self) -> tuple[tuple[Weight, ...], ...]:
+        table = self.tag_table
+        return tuple(tuple(table[t] for t in per) for per in self.tag_ids)
+
     def distinct_tags(self) -> tuple[Weight, ...]:
-        seen: dict[tuple, Weight] = {}
-        for per_degree in self.element_tags:
-            for tag in per_degree:
-                seen.setdefault(weight_sort_key(tag), tag)
-        return tuple(seen[k] for k in sorted(seen))
+        return self.tag_table
 
     def indices_with_tag(self, tag: Weight) -> tuple[tuple[int, ...], ...]:
+        tid = self.tag_table.index(tag) if tag in self.tag_table else -1
         return tuple(
-            tuple(i for i, t in enumerate(per_degree) if t == tag)
-            for per_degree in self.element_tags
+            tuple(i for i, t in enumerate(per) if t == tid) for per in self.tag_ids
         )
+
+
+def _interner():
+    """A growing table of distinct weights and the function assigning ids."""
+    table: list[Weight] = []
+    index: dict[Weight, int] = {}
+
+    def intern(weight: Weight) -> int:
+        tid = index.get(weight)
+        if tid is None:
+            tid = index[weight] = len(table)
+            table.append(weight)
+        return tid
+
+    return table, intern
 
 
 def build_invariant_complex(
@@ -432,52 +459,80 @@ def build_invariant_complex(
     Each column (I, k) is differentiated in the module twisted by its own
     tag mu_{I,k}; any nonzero coefficient reaching a basis element with a
     different tag is a weight-grading violation and raises.
+
+    Tags are summed once per distinct partial sum: the algebra part of I
+    extends that of I[:-1] by lambda_{I[-1]}, and both the extension and
+    the subtraction of lambda'_k are memoised on interned ids.
     """
     n, m = g.dim, rep.m
     names = module_basis_names(g, rep)
     dx_table = _one_form_differentials(g)
 
+    alg_table, intern_alg = _interner()
+    raw_table, intern_tag = _interner()
+    plus: dict[tuple[int, int], int] = {}
+    minus: dict[tuple[int, int], int] = {}
+
+    alg_of = {(): intern_alg(w.zero())}
     labels: list[tuple[tuple[tuple[int, ...], int], ...]] = []
-    tags: list[tuple[Weight, ...]] = []
+    raw_ids: list[list[int]] = []
     label_strings: list[tuple[str, ...]] = []
     for p in range(n + 1):
         per = []
-        per_tags = []
+        per_ids = []
         per_str = []
         for I in degree_basis(n, p):
+            if p:
+                key = (alg_of[I[:-1]], I[-1])
+                a = plus.get(key)
+                if a is None:
+                    base, lam = alg_table[key[0]], w.algebra_weights[key[1]]
+                    a = plus[key] = intern_alg(
+                        tuple(x + y for x, y in zip(base, lam))
+                    )
+                alg_of[I] = a
+            a = alg_of[I]
             for k in range(m):
+                tid = minus.get((a, k))
+                if tid is None:
+                    alg, lam = alg_table[a], w.rep_weights[k]
+                    tid = minus[(a, k)] = intern_tag(
+                        tuple(x - y for x, y in zip(alg, lam))
+                    )
                 per.append((I, k))
-                per_tags.append(w.tag(I, k))
+                per_ids.append(tid)
                 per_str.append(monomial_label(g, I, k, names))
         labels.append(tuple(per))
-        tags.append(tuple(per_tags))
+        raw_ids.append(per_ids)
         label_strings.append(tuple(per_str))
 
-    actions: dict[tuple, ModuleAction] = {}
+    # Renumber so that ids follow weight_sort_key order.
+    order = sorted(range(len(raw_table)), key=lambda t: weight_sort_key(raw_table[t]))
+    tag_table = tuple(raw_table[t] for t in order)
+    renumber = {old: new for new, old in enumerate(order)}
+    tag_ids = tuple(tuple(renumber[t] for t in per) for per in raw_ids)
 
-    def action_for(tag: Weight) -> ModuleAction:
-        key = weight_sort_key(tag)
-        if key not in actions:
-            actions[key] = ModuleAction(g, rep, tag)
-        return actions[key]
-
+    actions: list[Optional[ModuleAction]] = [None] * len(tag_table)
     differentials = []
     dims = [len(per) for per in labels]
     for p in range(n):
         target_pos = subset_position(n, p + 1)
-        tag_lookup = tags[p + 1]
+        source_ids = tag_ids[p]
+        target_ids = tag_ids[p + 1]
         entries: dict[tuple[int, int], GaussianRational] = {}
         for col, (I, k) in enumerate(labels[p]):
-            tag = tags[p][col]
-            image = ce_image(g, action_for(tag), I, k, dx_table)
-            for (J, l), coeff in image.items():
+            tid = source_ids[col]
+            action = actions[tid]
+            if action is None:
+                action = actions[tid] = ModuleAction(g, rep, tag_table[tid])
+            for (J, l), coeff in ce_image(g, action, I, k, dx_table).items():
                 row = target_pos[J] * m + l
-                if tag_lookup[row] != tag:
+                if target_ids[row] != tid:
                     raise WeightGradingError(
                         "weight grading violated: d("
                         f"{label_strings[p][col]}) hits {label_strings[p+1][row]} "
-                        f"across tags {format_weight(tag)} -> "
-                        f"{format_weight(tag_lookup[row])}; invalid weight data"
+                        f"across tags {format_weight(tag_table[tid])} -> "
+                        f"{format_weight(tag_table[target_ids[row]])}; invalid weight data"
                     )
                 entries[(row, col)] = coeff
         differentials.append(
@@ -485,4 +540,4 @@ def build_invariant_complex(
         )
 
     fc = FiniteComplex(dims, differentials, label_strings)
-    return InvariantComplex(fc, tuple(labels), tuple(tags), g, rep, w)
+    return InvariantComplex(fc, tuple(labels), tag_table, tag_ids, g, rep, w)

@@ -1,9 +1,16 @@
+import contextlib
+import copy
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from conftest import EXPECTED_DIR, INSTANCE_DIR
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from solvcohom import cli
 from solvcohom.oracle import QuasiIsoReport, SectorComparison
@@ -97,15 +104,24 @@ def _set(path, value):
     return mutate
 
 
+BRACKET_COEFFICIENT = ("algebra", "brackets", 0, 3)
+PERIOD = ("lattice", "generators", 0, "e1")  # in example-7-2-pi
+
+
 @pytest.mark.parametrize(
-    "mutate",
+    "name,mutate",
     [
-        _set(("algebra", "basis"), 3),
-        _set(("algebra", "basis"), "xyz"),
-        _set(("algebra", "brackets"), 5),
-        _set(("representation",), {"dim": 1, "matrices": []}),
-        _set(("representation",), {"dim": 1, "matrices": {"x": 5}}),
-        _set(("weights",), {"algebra": []}),
+        ("heisenberg3", _set(("algebra", "basis"), 3)),
+        ("heisenberg3", _set(("algebra", "basis"), "xyz")),
+        ("heisenberg3", _set(("algebra", "brackets"), 5)),
+        ("heisenberg3", _set(("representation",), {"dim": 1, "matrices": []})),
+        ("heisenberg3", _set(("representation",), {"dim": 1, "matrices": {"x": 5}})),
+        ("heisenberg3", _set(("weights",), {"algebra": []})),
+        ("heisenberg3", _set(BRACKET_COEFFICIENT, "1/0")),
+        ("heisenberg3", _set(BRACKET_COEFFICIENT, "0/0")),
+        ("heisenberg3", _set(BRACKET_COEFFICIENT, "1/0*i")),
+        ("example-7-2-pi", _set(PERIOD, "1/0*i*pi + a")),
+        ("example-7-2-pi", _set(PERIOD, "1/0 + a")),
     ],
     ids=[
         "basis-int",
@@ -114,10 +130,15 @@ def _set(path, value):
         "matrices-list",
         "matrix-not-rows",
         "weights-algebra-list",
+        "scalar-zero-denominator",
+        "scalar-zero-over-zero",
+        "scalar-imaginary-zero-denominator",
+        "period-coefficient-zero-denominator",
+        "period-constant-zero-denominator",
     ],
 )
-def test_malformed_instance_exits_two_without_traceback(mutate, tmp_path):
-    doc = json.loads((INSTANCE_DIR / "heisenberg3.json").read_text())
+def test_malformed_instance_exits_two_without_traceback(name, mutate, tmp_path):
+    doc = json.loads((INSTANCE_DIR / f"{name}.json").read_text())
     mutate(doc)
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))
@@ -129,6 +150,56 @@ def test_malformed_instance_exits_two_without_traceback(mutate, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def _fields(node, prefix=()):
+    """Every key path into a JSON document, outermost first."""
+    children = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list)
+        else ()
+    )
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _fields(child, prefix + (key,))
+
+
+SHIPPED_DOCS = {
+    name: json.loads((INSTANCE_DIR / f"{name}.json").read_text())
+    for name, _ in SHIPPED_COMMANDS
+}
+FIELDS = [(name, path) for name, doc in SHIPPED_DOCS.items() for path in _fields(doc)]
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+    | st.sampled_from(["1/0", "0", "-1", "i", "x", "pi", "1/2*i*pi"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@example(field=("heisenberg3", BRACKET_COEFFICIENT), value="1/0")
+@example(field=("example-7-2-pi", PERIOD), value="1/0*i*pi")
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(FIELDS), value=json_values)
+def test_any_json_field_exits_cleanly(field, value):
+    # Replacing one field with any JSON value exits 0, 1 or 2; nothing raises.
+    name, path = field
+    doc = copy.deepcopy(SHIPPED_DOCS[name])
+    _set(path, value)(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        instance = os.path.join(tmp, "fuzzed.json")
+        with open(instance, "w") as fh:
+            json.dump(doc, fh)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            for command in ("validate", SHIPPED_DOCS[name]["kind"]):
+                assert cli.main([command, instance]) in (0, 1, 2), sink.getvalue()
 
 
 def test_oracle_mismatch_exits_three(monkeypatch, capsys):

@@ -8,7 +8,7 @@ blocks are subcomplexes, and the zero tag passes every triviality test.
 from fractions import Fraction
 
 import pytest
-from conftest import make_heisenberg, make_split_3d, make_split_6d
+from conftest import INSTANCE_DIR, make_heisenberg, make_split_3d, make_split_6d
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,8 +28,14 @@ from solvcohom import (
     select_dolbeault,
     trivial_representation,
 )
+from solvcohom.instances import (
+    build_representation,
+    build_weight_assignment,
+    load_instance,
+)
 from solvcohom.periods import PeriodValue, SymbolTable
-from solvcohom.scalars import GaussianRational
+from solvcohom.scalars import ONE, GaussianRational
+from solvcohom.weights import WeightAssignment, weight_sort_key
 
 small_fractions = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=6
@@ -173,3 +179,57 @@ def test_abelian_nonzero_twist_has_no_cohomology(n, data):
         from math import comb
 
         assert betti == tuple(comb(n, p) for p in range(n + 1))
+
+
+def check_tag_table(ic):
+    """The interned tag table against WeightAssignment.tag, label by label."""
+    w = ic.weights
+    reference = [[w.tag(I, k) for I, k in per] for per in ic.element_labels]
+    assert [list(per) for per in ic.element_tags] == reference
+    distinct = {t for per in reference for t in per}
+    assert ic.distinct_tags() == tuple(sorted(distinct, key=weight_sort_key))
+    absent = tuple(c + ONE for c in ic.distinct_tags()[-1])
+    for tag in ic.distinct_tags() + (absent,):
+        scan = tuple(
+            tuple(i for i, t in enumerate(per) if t == tag) for per in reference
+        )
+        assert ic.indices_with_tag(tag) == scan
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.stem for p in INSTANCE_DIR.glob("*.json"))
+)
+def test_tag_table_matches_weights_on_shipped_instances(name):
+    inst = load_instance(INSTANCE_DIR / f"{name}.json")
+    rep = build_representation(inst)
+    w = build_weight_assignment(inst, rep)
+    check_tag_table(build_invariant_complex(inst.algebra, rep, w))
+
+
+@pytest.mark.parametrize("name", ["split_3d", "split_6d"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_tag_table_matches_weights_on_drawn_weights(name, data):
+    # Any linear image A*lambda of the inferred weights, with the module
+    # weights shifted by a common covector s, is still additive, so the
+    # build succeeds; a singular A merges tags.
+    g = ALGEBRAS[name]
+    rep = adjoint_representation(g)
+    inferred = infer_weights(g, rep)
+    width = len(g.complement)
+    A = [[data.draw(scalars) for _ in range(width)] for _ in range(width)]
+    s = [data.draw(scalars) for _ in range(width)]
+
+    def image(lam, shift):
+        return tuple(
+            sum((A[r][c] * lam[c] for c in range(width)), shift[r])
+            for r in range(width)
+        )
+
+    zero = [GaussianRational(0)] * width
+    w = WeightAssignment(
+        [image(lam, zero) for lam in inferred.algebra_weights],
+        [image(lam, s) for lam in inferred.rep_weights],
+        g.complement,
+    )
+    check_tag_table(build_invariant_complex(g, rep, w))

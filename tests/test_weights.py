@@ -175,5 +175,10 @@ def test_weight_grading_violation_raises(split_3d):
         ((ZERO,), (ONE,)),
         split_3d.complement,
     )
-    with pytest.raises(WeightGradingError, match="tags"):
+    with pytest.raises(WeightGradingError) as excinfo:
         build_invariant_complex(split_3d, rep, w)
+    # The witness is the first offending coefficient in column order.
+    assert str(excinfo.value) == (
+        "weight grading violated: d(1 (x) u2) hits e1* (x) u1 "
+        "across tags (-1) -> (0); invalid weight data"
+    )
