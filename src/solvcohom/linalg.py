@@ -56,9 +56,7 @@ class ExactMatrix:
 
     @property
     def rows(self) -> tuple[Vector, ...]:
-        return tuple(
-            tuple(r.get(j, ZERO) for j in range(self.ncols)) for r in self.row_maps
-        )
+        return tuple(_dense(r, self.ncols) for r in self.row_maps)
 
     # -- constructors --------------------------------------------------
 
@@ -255,6 +253,13 @@ def _eliminate(
     return done, pivot_cols
 
 
+def _dense(row: SparseRow, width: int) -> Vector:
+    out = [ZERO] * width
+    for j, a in row.items():
+        out[j] = a
+    return tuple(out)
+
+
 def _row_axpy(target: SparseRow, source: SparseRow, factor: GaussianRational) -> SparseRow:
     """target + factor * source as a new row; factor must be nonzero."""
     out = dict(target)
@@ -300,9 +305,7 @@ def rank_and_kernel(
                 image[i] = image[i] + a * x if i in image else a * x
         if any(image.values()):
             raise CertificateError(f"kernel vector for free column {f} not annihilated")
-    return rank, tuple(
-        tuple(vec.get(j, ZERO) for j in range(matrix.ncols)) for vec in kernel.values()
-    )
+    return rank, tuple(_dense(vec, matrix.ncols) for vec in kernel.values())
 
 
 def rank(matrix: ExactMatrix, pivot_strategy: str = "sparsity") -> int:

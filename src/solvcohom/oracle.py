@@ -11,6 +11,11 @@ entry by entry, with no code shared with the insertion-formula builder
 (only the matrix type is common). Its Betti numbers must agree degree by
 degree with the mu-block of the invariant complex; this is the finite
 certificate that the invariant complex computes the right cohomology.
+
+Only rho_mu(X_j) depends on the sector. Everything else in the formula
+(which (J, I) blocks meet, the evaluation signs, the bracket scalars) is
+evaluated once per instance and degree as a skeleton, and each sector
+reads rho_mu through ModuleAction.apply_entry once per (j, l, k).
 """
 from __future__ import annotations
 
@@ -32,6 +37,11 @@ from .linalg import ExactMatrix
 from .scalars import ZERO, GaussianRational
 from .weights import InvariantComplex, format_weight, weight_sort_key
 
+# (action terms, bracket terms) of one degree; see _degree_skeleton.
+DegreeSkeleton = tuple[
+    list[tuple[int, int, int, int]], dict[tuple[int, int], GaussianRational]
+]
+
 
 def _alternating_evaluation(
     I: tuple[int, ...], arguments: tuple[int, ...]
@@ -51,24 +61,18 @@ def _alternating_evaluation(
     return sign
 
 
-def _sector_differential(
-    g: LieAlgebraData, action: ModuleAction, p: int
-) -> ExactMatrix:
-    """Degree-p differential by direct evaluation of the convention."""
-    n, m = g.dim, action.m
+def _degree_skeleton(g: LieAlgebraData, p: int) -> DegreeSkeleton:
+    """The mu-independent part of the degree-p differential, by raw evaluation.
+
+    Action terms (jpos, ipos, j, s) stand for s * rho(X_j) in the block of
+    target J = targets[jpos] and source I = sources[ipos]; bracket terms
+    {(jpos, ipos): c} stand for c * id in that block.
+    """
+    n = g.dim
     sources = degree_basis(n, p)
     targets = degree_basis(n, p + 1)
-    entries: dict[tuple[int, int], GaussianRational] = {}
-
-    def add(row: int, col: int, value: GaussianRational):
-        if not value:
-            return
-        acc = entries.get((row, col), ZERO) + value
-        if acc:
-            entries[(row, col)] = acc
-        else:
-            entries.pop((row, col), None)
-
+    action_terms: list[tuple[int, int, int, int]] = []
+    bracket_terms: dict[tuple[int, int], GaussianRational] = {}
     for jpos, J in enumerate(targets):
         J_set = set(J)
         for ipos, I in enumerate(sources):
@@ -76,50 +80,93 @@ def _sector_differential(
                 continue
             # Action term: sum_a (-1)^a rho(X_{j_a}) (x_I (x) v)(..drop a..).
             for a in range(p + 1):
-                dropped = J[:a] + J[a + 1 :]
-                sign = _alternating_evaluation(I, dropped)
-                if not sign:
-                    continue
-                parity = -1 if a % 2 else 1
-                total_sign = parity * sign
-                j = J[a]
-                for l in range(m):
-                    for k in range(m):
-                        value = action.apply_entry(j, l, k)
-                        if value:
-                            add(
-                                jpos * m + l,
-                                ipos * m + k,
-                                value if total_sign > 0 else -value,
-                            )
+                sign = _alternating_evaluation(I, J[:a] + J[a + 1 :])
+                if sign:
+                    action_terms.append((jpos, ipos, J[a], -sign if a % 2 else sign))
             # Bracket term: sum_{a<b} (-1)^{a+b} (x_I)( [X_a,X_b], ..drop.. ).
+            scalar = ZERO
             for a in range(p + 1):
                 for b in range(a + 1, p + 1):
                     rest = tuple(
                         J[c] for c in range(p + 1) if c != a and c != b
                     )
-                    scalar = ZERO
+                    parity = -1 if (a + b) % 2 else 1
                     for t, c in g.bracket(J[a], J[b]).items():
-                        sign = _alternating_evaluation(I, (t,) + rest)
+                        sign = parity * _alternating_evaluation(I, (t,) + rest)
                         if sign:
                             scalar = scalar + (c if sign > 0 else -c)
-                    if scalar:
-                        parity = -1 if (a + b) % 2 else 1
-                        if parity < 0:
-                            scalar = -scalar
-                        for k in range(m):
-                            add(jpos * m + k, ipos * m + k, scalar)
+            if scalar:
+                bracket_terms[(jpos, ipos)] = scalar
+    return action_terms, bracket_terms
 
-    return ExactMatrix.from_entries(len(targets) * m, len(sources) * m, entries)
+
+def sector_skeleton(g: LieAlgebraData) -> list[DegreeSkeleton]:
+    """The mu-independent part of every degree, shared by all sectors of g."""
+    return [_degree_skeleton(g, p) for p in range(g.dim)]
+
+
+def _action_table(
+    g: LieAlgebraData, action: ModuleAction
+) -> list[list[tuple[int, int, GaussianRational]]]:
+    """The nonzero entries (l, k, value) of rho_mu(X_j), one list per j."""
+    m = action.m
+    table = []
+    for j in range(g.dim):
+        entries = []
+        for l in range(m):
+            for k in range(m):
+                value = action.apply_entry(j, l, k)
+                if value:
+                    entries.append((l, k, value))
+        table.append(entries)
+    return table
+
+
+def _sector_differential(
+    g: LieAlgebraData,
+    action: ModuleAction,
+    p: int,
+    skeleton: DegreeSkeleton,
+    rho: list[list[tuple[int, int, GaussianRational]]],
+) -> ExactMatrix:
+    """Degree-p differential: the skeleton with rho = _action_table(g, action)."""
+    n, m = g.dim, action.m
+    action_terms, bracket_terms = skeleton
+    entries: dict[tuple[int, int], GaussianRational] = {}
+    for (jpos, ipos), scalar in bracket_terms.items():
+        for k in range(m):
+            entries[(jpos * m + k, ipos * m + k)] = scalar
+    for jpos, ipos, j, sign in action_terms:
+        for l, k, value in rho[j]:
+            key = (jpos * m + l, ipos * m + k)
+            value = value if sign > 0 else -value
+            if key in entries:
+                value = entries[key] + value
+                if not value:
+                    del entries[key]
+                    continue
+            entries[key] = value
+    nrows = len(degree_basis(n, p + 1)) * m
+    return ExactMatrix.from_entries(nrows, len(degree_basis(n, p)) * m, entries)
 
 
 def sector_cohomology_full(
-    g: LieAlgebraData, rep: RepresentationData, mu: Optional[Weight]
+    g: LieAlgebraData,
+    rep: RepresentationData,
+    mu: Optional[Weight],
+    skeletons: Optional[list[DegreeSkeleton]] = None,
 ) -> CohomologyResult:
-    """Betti numbers of the full twisted complex for one weight covector."""
+    """Betti numbers of the full twisted complex for one weight covector.
+
+    `skeletons`, from sector_skeleton(g), saves rebuilding the
+    mu-independent part when many sectors of one algebra are computed.
+    """
     action = ModuleAction(g, rep, mu)
     n, m = g.dim, rep.m
-    diffs = [_sector_differential(g, action, p) for p in range(n)]
+    if skeletons is None:
+        skeletons = sector_skeleton(g)
+    rho = _action_table(g, action)
+    diffs = [_sector_differential(g, action, p, skeletons[p], rho) for p in range(n)]
     dims = [len(degree_basis(n, p)) * m for p in range(n + 1)]
     fc = FiniteComplex(dims, diffs)
     return cohomology(fc)
@@ -158,11 +205,12 @@ class QuasiIsoReport:
 def verify_quasi_iso(ic: InvariantComplex) -> QuasiIsoReport:
     """Compare every weight-tag block with its full sector, degree-wise."""
     g, rep = ic.algebra, ic.representation
+    skeletons = sector_skeleton(g)
     comparisons = []
     for tag in sorted(ic.distinct_tags(), key=weight_sort_key):
         keep = ic.indices_with_tag(tag)
         block = restrict_complex(ic.complex, keep, check_closure=True)
         block_betti = cohomology(block).betti
-        full_betti = sector_cohomology_full(g, rep, tag).betti
+        full_betti = sector_cohomology_full(g, rep, tag, skeletons).betti
         comparisons.append(SectorComparison(tag, block_betti, full_betti))
     return QuasiIsoReport(tuple(comparisons))

@@ -1,8 +1,12 @@
 """Gaussian rationals: the field Q(i) with exact arithmetic.
 
-Every scalar in the package lives here. There are no floats anywhere;
-real and imaginary parts are `fractions.Fraction`. Values whose
-computation would leave Q(i) must be rejected upstream, never coerced.
+Every scalar in the package lives here. There are no floats anywhere.
+A value is stored as three integers (a, b, d) meaning (a + b*i)/d, with
+d > 0 and gcd(a, b, d) = 1, so each value has exactly one stored form and
+arithmetic runs on Python integers with at most one gcd per result. The
+parts are read as `fractions.Fraction` through `.re` and `.im`. Values
+whose computation would leave Q(i) must be rejected upstream, never
+coerced.
 
 Text grammar (used by instance files and reports): a signed sum of terms,
 each term a rational `p` or `p/q`, the literal `i`, or `p*i` / `p/q*i`.
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import ScalarParseError
 
@@ -20,48 +25,73 @@ _TERM_SPLIT = re.compile(r"(?=[+-])")
 
 
 class GaussianRational:
-    """An element of Q(i), immutable and hashable."""
+    """An element of Q(i), immutable and hashable.
 
-    __slots__ = ("re", "im")
+    `_abd` is the canonical triple (a, b, d) described in the module
+    docstring. No method calls another arithmetic method, except that
+    `inverse()` is `ONE / self`.
+    """
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("_abd",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        re = re if type(re) is Fraction else Fraction(re)
+        im = im if type(im) is Fraction else Fraction(im)
+        p, q = re.denominator, im.denominator
+        # Both parts are reduced, so over d = lcm(p, q) the triple is too.
+        d = p * q // gcd(p, q)
+        _set_abd(self, (re.numerator * (d // p), im.numerator * (d // q), d))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self._abd
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self._abd
+        return Fraction(b, d)
+
     # -- arithmetic -------------------------------------------------
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        a, b, d = self._abd
+        c, e, f = other._abd
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        a, b, d = self._abd
+        c, e, f = other._abd
+        if d == f:
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        a, b, d = self._abd
+        return _make(-a, -b, d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, d = self._abd
+        c, e, f = other._abd
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
+        # (a + bi)/d divided by (c + ei)/f is (a + bi)(c - ei) f / (d (c^2 + e^2)).
+        a, b, d = self._abd
+        c, e, f = other._abd
+        norm = c * c + e * e
+        if not norm:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * norm)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        a, b, d = self._abd
+        return _make(a, -b, d)
 
     def inverse(self) -> "GaussianRational":
         return ONE / self
@@ -69,18 +99,22 @@ class GaussianRational:
     # -- structure --------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        a, b, _ = self._abd
+        return not a and not b
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        a, b, _ = self._abd
+        return a != 0 or b != 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._abd == other._abd
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # Equal to hash((self.re, self.im)); an integer hashes like its Fraction.
+        a, b, d = self._abd
+        return hash((a, b)) if d == 1 else hash((Fraction(a, d), Fraction(b, d)))
 
     def sort_key(self):
         """Total order used only for deterministic output, not algebra."""
@@ -91,6 +125,26 @@ class GaussianRational:
 
     def __str__(self):
         return format_gaussian(self)
+
+
+_set_abd = GaussianRational._abd.__set__
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """Wrap a triple that is already canonical."""
+    out = _new(GaussianRational)
+    _set_abd(out, (a, b, d))
+    return out
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """Wrap (a + b*i)/d for any d > 0, dividing out gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _make(a, b, d)
 
 
 ZERO = GaussianRational(0)

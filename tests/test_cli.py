@@ -12,7 +12,7 @@ from conftest import EXPECTED_DIR, INSTANCE_DIR
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from solvcohom import cli
+from solvcohom import cli, weights
 from solvcohom.oracle import QuasiIsoReport, SectorComparison
 from solvcohom.scalars import ZERO
 
@@ -209,6 +209,21 @@ def test_oracle_mismatch_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_quasi_iso", lambda ic: fake)
     assert run(["oracle", path_of("example-7-2-pi")]) == 3
     out = capsys.readouterr().out
+    assert "result: MISMATCH" in out
+
+
+def test_oracle_catches_a_broken_builder(monkeypatch, capsys):
+    # A builder that forgets d on 1-forms still yields a complex (d.d = 0
+    # holds trivially there), so only the full-sector oracle can catch it.
+    ce_image = weights.ce_image
+
+    def broken(g, action, I, k, dx_table=None):
+        return {} if len(I) == 1 else ce_image(g, action, I, k, dx_table)
+
+    monkeypatch.setattr(weights, "ce_image", broken)
+    assert run(["oracle", path_of("heisenberg3")]) == 3
+    out = capsys.readouterr().out
+    assert "tag (): block [1, 3, 3, 1] vs full [1, 2, 2, 1] [MISMATCH]" in out
     assert "result: MISMATCH" in out
 
 

@@ -119,3 +119,122 @@ def test_sort_key_orders_lexicographically():
 
 def test_hashable():
     assert len({gauss(1, 2), gauss(1, 2), gauss(2, 1)}) == 2
+
+
+# -- the integer kernel against a plain (Fraction, Fraction) reference ----
+
+big_rationals = st.builds(
+    Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**70)
+)
+parts = st.one_of(rationals, big_rationals)
+pairs = st.tuples(parts, parts)
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+def ref_str(x):
+    re_f, im_f = x
+    if not re_f and not im_f:
+        return "0"
+    text = str(re_f) if re_f else ""
+    if im_f:
+        imag = {1: "i", -1: "-i"}.get(im_f, f"{im_f}*i")
+        text += imag if not text or imag.startswith("-") else "+" + imag
+    return text
+
+
+def as_pair(v):
+    return (v.re, v.im)
+
+
+@given(pairs, pairs)
+def test_arithmetic_matches_fraction_reference(x, y):
+    a, b = GaussianRational(*x), GaussianRational(*y)
+    assert as_pair(a) == x
+    assert as_pair(a + b) == (x[0] + y[0], x[1] + y[1])
+    assert as_pair(a - b) == (x[0] - y[0], x[1] - y[1])
+    assert as_pair(a * b) == ref_mul(x, y)
+    assert as_pair(-a) == (-x[0], -x[1])
+    assert as_pair(a.conjugate()) == (x[0], -x[1])
+    if any(y):
+        assert as_pair(a / b) == ref_div(x, y)
+        assert as_pair(b.inverse()) == ref_div((Fraction(1), Fraction(0)), y)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+    assert bool(a) == any(x)
+    assert a.is_zero() == (not any(x))
+    assert (a == b) == (x == y)
+    assert (a.sort_key() < b.sort_key()) == (x < y)
+    assert str(a) == ref_str(x)
+    assert parse_gaussian(str(a)) == a
+
+
+@given(pairs)
+def test_parts_are_read_only_fractions(x):
+    v = GaussianRational(*x)
+    assert type(v.re) is Fraction and type(v.im) is Fraction
+    for name in ("re", "im", "_abd"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, Fraction(1))
+    assert as_pair(v) == x
+
+
+@given(pairs)
+def test_hash_is_the_hash_of_the_parts(x):
+    # Set iteration order follows the hash, and reports iterate sets of
+    # scalars, so the hash must not change with the storage.
+    v = GaussianRational(*x)
+    assert hash(v) == hash((v.re, v.im)) == hash(x)
+
+
+def test_unreduced_and_mixed_inputs_are_canonical():
+    half = GaussianRational(Fraction(2, 4), 0)
+    assert half == GaussianRational(Fraction(1, 2)) == gauss("1/2")
+    assert hash(half) == hash(gauss("1/2"))
+    assert GaussianRational(Fraction(3, 6), Fraction(-5, 10)) == gauss("1/2-1/2*i")
+    assert GaussianRational(Fraction(1, 6), Fraction(1, 4)) * gauss(12) == gauss(2, 3)
+    assert gauss(Fraction(1, 3), 1) - gauss(Fraction(1, 3), 1) == ZERO
+    assert hash(gauss(Fraction(1, 3), 1) - gauss(Fraction(1, 3), 1)) == hash(ZERO)
+    huge = gauss(Fraction(2**70 + 1, 3), -(2**65))
+    assert (huge / huge) == ONE
+    assert huge * huge.inverse() == ONE
+
+
+def test_each_operation_is_one_counted_call(monkeypatch):
+    # Benchmark traces count scalar work by wrapping these methods, so
+    # no method may reach another one (inverse() is counted as its `/`).
+    counts = {}
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__bool__", "__neg__"):
+        method = getattr(GaussianRational, name)
+
+        def wrapper(*args, _name=name, _method=method):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _method(*args)
+
+        monkeypatch.setattr(GaussianRational, name, wrapper)
+    a, b = gauss(Fraction(1, 2), 3), gauss(-2, Fraction(1, 3))
+    for expr, name in [
+        (lambda: a + b, "__add__"),
+        (lambda: a - b, "__sub__"),
+        (lambda: a * b, "__mul__"),
+        (lambda: a / b, "__truediv__"),
+        (lambda: a.inverse(), "__truediv__"),
+        (lambda: bool(a), "__bool__"),
+        (lambda: -a, "__neg__"),
+    ]:
+        counts.clear()
+        expr()
+        assert counts == {name: 1}
+    counts.clear()
+    a.conjugate(), a.is_zero(), a == b, hash(a), a.sort_key(), str(a)
+    assert counts == {}
