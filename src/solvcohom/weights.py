@@ -30,11 +30,11 @@ from .cecomplex import (
     ce_image,
     degree_basis,
     module_basis_names,
-    monomial_label,
     subset_position,
     _one_form_differentials,
 )
 from .errors import (
+    CertificateError,
     ExtendScalarsError,
     ValidationFailure,
     WeightGradingError,
@@ -181,7 +181,8 @@ def jordan_chevalley_additive(M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]
 
     S is found twice, by Newton iteration on the squarefree part of the
     characteristic polynomial and by summing generalized eigenprojections,
-    and the two answers are asserted equal. Both are polynomials in M.
+    and the two answers are required to agree. Both are polynomials in M.
+    Every certificate raises CertificateError, so they hold under -O.
     """
     if M.nrows != M.ncols:
         raise ValidationFailure("Jordan splitting needs a square matrix")
@@ -190,7 +191,7 @@ def jordan_chevalley_additive(M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]
         return M, M
     p = char_poly(M)
     roots = _factor_linear_over_q_i(p)
-    assert sum(m for _, m in roots) == n
+    _certify(sum(m for _, m in roots) == n, "root multiplicities do not sum to the size")
 
     # Route 1: Newton iteration A <- A - q(A) q'(A)^{-1} on the squarefree q.
     q: Poly = (ONE,)
@@ -203,7 +204,7 @@ def jordan_chevalley_additive(M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]
         if qA.is_zero():
             break
         A = A - qA @ matrix_inverse(poly_eval_matrix(dq, A))
-    assert poly_eval_matrix(q, A).is_zero(), "Newton iteration did not converge"
+    _certify(poly_eval_matrix(q, A).is_zero(), "Newton iteration did not converge")
 
     # Route 2: generalized eigenprojections P_i = (u_i g_i)(M) with
     # u_i g_i = 1 mod (x - root_i)^{mult_i}.
@@ -221,20 +222,25 @@ def jordan_chevalley_additive(M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]
         S2 = S2 + P.scale(root)
     total = ExactMatrix.zero(n, n)
     for P in projections:
-        assert (P @ P) == P, "eigenprojection is not idempotent"
+        _certify((P @ P) == P, "eigenprojection is not idempotent")
         total = total + P
-    assert total == identity, "eigenprojections do not sum to the identity"
-    assert A == S2, "Newton route and projection route disagree"
+    _certify(total == identity, "eigenprojections do not sum to the identity")
+    _certify(A == S2, "Newton route and projection route disagree")
 
     S = S2
     N = M - S
-    assert (S @ N) == (N @ S)
-    assert N.is_nilpotent()
+    _certify((S @ N) == (N @ S), "semisimple and nilpotent parts do not commute")
+    _certify(N.is_nilpotent(), "nilpotent part is not nilpotent")
     check = identity
     for root, _ in roots:
         check = check @ (S - identity.scale(root))
-    assert check.is_zero(), "semisimple part is not diagonalizable over Q(i)"
+    _certify(check.is_zero(), "semisimple part is not diagonalizable over Q(i)")
     return S, N
+
+
+def _certify(holds: bool, message: str) -> None:
+    if not holds:
+        raise CertificateError(message)
 
 
 def _inverse_mod(a: Poly, modulus: Poly) -> Poly:
@@ -465,7 +471,8 @@ def build_invariant_complex(
     the subtraction of lambda'_k are memoised on interned ids.
     """
     n, m = g.dim, rep.m
-    names = module_basis_names(g, rep)
+    starred = tuple(name + "*" for name in g.basis)
+    tails = tuple(f" (x) {name}" for name in module_basis_names(g, rep))
     dx_table = _one_form_differentials(g)
 
     alg_table, intern_alg = _interner()
@@ -492,6 +499,7 @@ def build_invariant_complex(
                     )
                 alg_of[I] = a
             a = alg_of[I]
+            form = "^".join([starred[i] for i in I]) or "1"
             for k in range(m):
                 tid = minus.get((a, k))
                 if tid is None:
@@ -501,7 +509,7 @@ def build_invariant_complex(
                     )
                 per.append((I, k))
                 per_ids.append(tid)
-                per_str.append(monomial_label(g, I, k, names))
+                per_str.append(form + tails[k])
         labels.append(tuple(per))
         raw_ids.append(per_ids)
         label_strings.append(tuple(per_str))

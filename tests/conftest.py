@@ -51,6 +51,27 @@ def make_split_6d():
     )
 
 
+def make_split_6d_plus_heisenberg():
+    # The direct sum with block-diagonal brackets, Heisenberg on indices
+    # 0-2 and split_6d on 3-8. Its complement is 7, 8 and its brackets
+    # reach bit 8, so wedge signs count members at positions 6 and above,
+    # which no shipped instance (n <= 6) has.
+    heis, split = make_heisenberg(), make_split_6d()
+    s = heis.dim
+    return LieAlgebraData(
+        dim=s + split.dim,
+        basis=heis.basis + split.basis,
+        brackets=list(heis.raw_brackets)
+        + [(i + s, j + s, k + s, c) for i, j, k, c in split.raw_brackets],
+        nilradical=sorted(heis.nilradical) + [i + s for i in sorted(split.nilradical)],
+        complement=[i + s for i in split.complement],
+        conjugation={
+            **heis.conjugation,
+            **{a + s: b + s for a, b in split.conjugation.items()},
+        },
+    )
+
+
 @pytest.fixture
 def heisenberg():
     return make_heisenberg()

@@ -1,4 +1,5 @@
 import pytest
+from ce_reference import wedge_insert_sign
 
 from solvcohom import (
     FiniteComplex,
@@ -19,7 +20,6 @@ from solvcohom.cecomplex import (
     module_basis_names,
     monomial_label,
     subset_position,
-    wedge_insert_sign,
 )
 from solvcohom.errors import (
     CertificateError,
@@ -181,8 +181,15 @@ def test_labels(heisenberg):
     assert names == ("1",)
     assert monomial_label(heisenberg, (0, 2), 0, names) == "x*^z* (x) 1"
     assert monomial_label(heisenberg, (), 0, names) == "1 (x) 1"
-    ad_names = module_basis_names(heisenberg, adjoint_representation(heisenberg))
+    ad = adjoint_representation(heisenberg)
+    ad_names = module_basis_names(heisenberg, ad)
     assert ad_names == ("x", "y", "z")
+    # The builder forms its label strings itself; they must be these.
+    ic = build_invariant_complex(heisenberg, ad, infer_weights(heisenberg, ad))
+    assert ic.complex.labels == tuple(
+        tuple(monomial_label(heisenberg, I, k, ad_names) for I, k in per)
+        for per in ic.element_labels
+    )
 
 
 def test_nilshadow_flattens_split_algebras(split_3d, split_6d):

@@ -1,5 +1,5 @@
 import pytest
-from conftest import INSTANCE_DIR
+from conftest import INSTANCE_DIR, make_split_6d_plus_heisenberg
 
 from solvcohom import (
     ModuleAction,
@@ -97,17 +97,28 @@ def test_quasi_iso_split_6d_adjoint(split_6d):
     assert len(report.sectors) == 21
 
 
+def _insertion_inputs(name):
+    """(algebra, module, weights) of a shipped instance, or of the n = 9 sum."""
+    if name == "split_6d+heisenberg":
+        g = make_split_6d_plus_heisenberg()
+        rep = trivial_representation(g)
+        return g, rep, infer_weights(g, rep)
+    inst = load_instance(str(INSTANCE_DIR / f"{name}.json"))
+    rep = build_representation(inst)
+    return inst.algebra, rep, build_weight_assignment(inst, rep)
+
+
 @pytest.mark.parametrize(
-    "name", sorted(p.stem for p in INSTANCE_DIR.glob("*.json"))
+    "name",
+    sorted(p.stem for p in INSTANCE_DIR.glob("*.json"))
+    + [pytest.param("split_6d+heisenberg", marks=pytest.mark.slow)],
 )
 def test_sector_differential_equals_insertion_formula(name):
     # Entry by entry, not only Betti numbers: the raw-evaluation oracle
     # and the insertion-formula builder must produce the same matrices,
     # with the shared skeleton and without it.
-    inst = load_instance(str(INSTANCE_DIR / f"{name}.json"))
-    g = inst.algebra
-    rep = build_representation(inst)
-    ic = build_invariant_complex(g, rep, build_weight_assignment(inst, rep))
+    g, rep, w = _insertion_inputs(name)
+    ic = build_invariant_complex(g, rep, w)
     skeletons = sector_skeleton(g)
     for tag in ic.distinct_tags():
         action = ModuleAction(g, rep, tag)

@@ -8,7 +8,14 @@ blocks are subcomplexes, and the zero tag passes every triviality test.
 from fractions import Fraction
 
 import pytest
-from conftest import INSTANCE_DIR, make_heisenberg, make_split_3d, make_split_6d
+from ce_reference import reference_ce_image
+from conftest import (
+    INSTANCE_DIR,
+    make_heisenberg,
+    make_split_3d,
+    make_split_6d,
+    make_split_6d_plus_heisenberg,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +35,7 @@ from solvcohom import (
     select_dolbeault,
     trivial_representation,
 )
+from solvcohom.cecomplex import ce_image
 from solvcohom.instances import (
     build_representation,
     build_weight_assignment,
@@ -46,6 +54,7 @@ ALGEBRAS = {
     "heisenberg": make_heisenberg(),
     "split_3d": make_split_3d(),
     "split_6d": make_split_6d(),
+    "split_6d+heisenberg": make_split_6d_plus_heisenberg(),
 }
 
 # Built once; hypothesis draws only the cheap random part per example.
@@ -115,6 +124,24 @@ def test_euler_characteristic_matches_dimensions(name, data):
     result = cohomology(fc)
     by_dims = sum((-1) ** p * d for p, d in enumerate(fc.dims))
     assert result.euler_characteristic() == by_dims
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ce_image_equals_reference_formula(name, data):
+    # The bitmask kernel against the tuple-sorting insertion formula, for
+    # a drawn twist, subset and module index, with the trivial or the
+    # adjoint module.
+    g = ALGEBRAS[name]
+    rep = data.draw(st.sampled_from([trivial_representation, adjoint_representation]))(g)
+    mu = tuple(
+        data.draw(scalars, label=f"mu_{i}") for i in range(len(g.complement))
+    )
+    I = tuple(sorted(data.draw(st.sets(st.integers(0, g.dim - 1)), label="I")))
+    k = data.draw(st.integers(0, rep.m - 1), label="k")
+    action = ModuleAction(g, rep, mu)
+    assert ce_image(g, action, I, k) == reference_ce_image(g, action, I, k)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from solvcohom import (
@@ -95,6 +99,34 @@ def test_extend_scalars_error_names_factor():
         jordan_chevalley_additive(mat([[0, 1], [2, 0]]))
     assert "x**2 - 2" in str(err.value)
     assert "extend scalars" in str(err.value)
+
+
+def test_jordan_certificate_survives_optimize_flag():
+    # A wrong modular inverse gives non-idempotent eigenprojections; the
+    # certificate must still fire with asserts stripped. The roots of
+    # diag(1, 2) are given directly, so the subprocess skips sympy.
+    script = textwrap.dedent(
+        """
+        from solvcohom import weights
+        from solvcohom.errors import CertificateError
+        from solvcohom.linalg import ExactMatrix
+        from solvcohom.scalars import ONE, gauss
+
+        assert False, "asserts must be stripped under -O"
+        weights._factor_linear_over_q_i = lambda p: [(gauss(1), 1), (gauss(2), 1)]
+        weights._inverse_mod = lambda a, modulus: (ONE,)
+        m = ExactMatrix.from_rows([[gauss(1), gauss(0)], [gauss(0), gauss(2)]])
+        try:
+            weights.jordan_chevalley_additive(m)
+        except CertificateError as err:
+            print(err)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "eigenprojection is not idempotent"
 
 
 def test_weight_assignment_tag(split_6d):
