@@ -7,12 +7,15 @@ this package builds are very sparse (about 1.5% nonzero on the shipped
 oracle sectors), which is what makes that pay.
 
 Rank and kernel are computed by exact Gauss-Jordan elimination on the
-sparse rows. The default pivot choice is sparsity-first (fewest nonzeros,
-ties by index) which keeps fill-in low; a sequential strategy exists so
-tests can confirm the rank is pivot-order independent.
+sparse rows. The default pivot is sparsity-first, which keeps fill-in low:
+least (row length, row id), then least (open-row count, column); a heap and
+column indexes only find it faster. A sequential strategy exists so tests
+can confirm the rank is pivot-order independent.
 """
 from __future__ import annotations
 
+import heapq
+from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CertificateError
@@ -214,43 +217,64 @@ def _eliminate(
 
     Each returned row is fully reduced: its pivot column occurs in no
     other returned row. The matrix's own rows are read, never mutated.
+
+    Pivot: the open row of least (row length, row id), then its column of
+    least (open-row count, column); "sequential" uses (0, row id) and the
+    least column. A heap of (key, row id) entries, stale ones skipped, and
+    column -> row id indexes only find that pivot and its rows faster.
     """
-    rows = [r for r in matrix.row_maps if r]
-    done: list[tuple[int, SparseRow]] = []
-    while rows:
-        if pivot_strategy == "sparsity":
-            # Fewest nonzeros first; break ties on the smallest column index.
-            ridx = min(range(len(rows)), key=lambda i: (len(rows[i]), i))
-            row = rows.pop(ridx)
-            col_count: dict[int, int] = {}
-            for r in rows:
-                for c in r:
-                    if c in row:
-                        col_count[c] = col_count.get(c, 0) + 1
-            pivot_col = min(row, key=lambda c: (col_count.get(c, 0), c))
-        elif pivot_strategy == "sequential":
-            row = rows.pop(0)
-            pivot_col = min(row)
-        else:
-            raise ValueError(f"unknown pivot strategy {pivot_strategy!r}")
+    sparse = pivot_strategy == "sparsity"
+    if not sparse and pivot_strategy != "sequential":
+        raise ValueError(f"unknown pivot strategy {pivot_strategy!r}")
+    open_rows = {rid: r for rid, r in enumerate(matrix.row_maps) if r}
+    holders = defaultdict(set)  # column -> ids of the open rows holding it
+    for rid, r in open_rows.items():
+        for c in r:
+            holders[c].add(rid)
+    heap = [(len(r) if sparse else 0, rid) for rid, r in open_rows.items()]
+    heapq.heapify(heap)
+    done: dict[int, SparseRow] = {}  # pivot column -> row, in pivot order
+    done_holders = defaultdict(set)  # column -> pivot columns of done rows
+    while heap:
+        length, rid = heapq.heappop(heap)
+        row = open_rows.get(rid)
+        if not row or (sparse and len(row) != length):
+            continue  # stale: the row is done, zeroed or of a new length
+        del open_rows[rid]
+        for c in row:
+            holders[c].discard(rid)
+        pivot_col = min(row, key=(lambda c: (len(holders[c]), c)) if sparse else None)
         inv = row[pivot_col].inverse()
         row = {c: inv * a for c, a in row.items()}
-        # Reduce both the remaining rows and the finished ones, so every
-        # pivot column survives in exactly one row (Jordan form rows).
-        new_rows = []
-        for r in rows:
-            if pivot_col in r:
-                r = _row_axpy(r, row, -r[pivot_col])
-            if r:
-                new_rows.append(r)
-        rows = new_rows
-        done = [
-            (pc, _row_axpy(r, row, -r[pivot_col]) if pivot_col in r else r)
-            for pc, r in done
-        ]
-        done.append((pivot_col, row))
-    pivot_cols = [pc for pc, _ in done]
-    return done, pivot_cols
+        # Reduce the open rows and the finished ones that hold the pivot
+        # column, so it survives in exactly one row (Jordan form rows).
+        for rid in _reduce(open_rows, holders, pivot_col, row):
+            if sparse and open_rows[rid]:
+                heapq.heappush(heap, (len(open_rows[rid]), rid))
+        _reduce(done, done_holders, pivot_col, row)
+        done[pivot_col] = row
+        for c in row:
+            done_holders[c].add(pivot_col)
+    return list(done.items()), list(done)
+
+
+def _reduce(rows: dict, holders: dict, col: int, pivot: SparseRow) -> list[int]:
+    """Clear col, with pivot[col] == 1, from the rows in holders[col].
+
+    Keeps holders (column -> row ids) up to date; returns the ids of the
+    rows whose length changed.
+    """
+    changed = []
+    for rid in list(holders[col]):
+        old = rows[rid]
+        rows[rid] = new = _row_axpy(old, pivot, -old[col])
+        for c in pivot.keys() - new.keys():  # cancelled
+            holders[c].discard(rid)
+        for c in pivot.keys() - old.keys():  # filled in
+            holders[c].add(rid)
+        if len(new) != len(old):
+            changed.append(rid)
+    return changed
 
 
 def _dense(row: SparseRow, width: int) -> Vector:

@@ -15,7 +15,9 @@ certificate that the invariant complex computes the right cohomology.
 Only rho_mu(X_j) depends on the sector. Everything else in the formula
 (which (J, I) blocks meet, the evaluation signs, the bracket scalars) is
 evaluated once per instance and degree as a skeleton, and each sector
-reads rho_mu through ModuleAction.apply_entry once per (j, l, k).
+reads rho_mu through ModuleAction.apply_entry once per (j, l, k). The
+skeleton enumerates sources from the argument tuples of the formula, not
+from all (J, I) pairs; each x_I is still evaluated raw on its tuple.
 """
 from __future__ import annotations
 
@@ -65,38 +67,40 @@ def _degree_skeleton(g: LieAlgebraData, p: int) -> DegreeSkeleton:
     """The mu-independent part of the degree-p differential, by raw evaluation.
 
     Action terms (jpos, ipos, j, s) stand for s * rho(X_j) in the block of
-    target J = targets[jpos] and source I = sources[ipos]; bracket terms
-    {(jpos, ipos): c} stand for c * id in that block.
+    target J and source I, the jpos-th (p+1)-subset and the ipos-th
+    p-subset in degree_basis order; bracket terms {(jpos, ipos): c} stand
+    for c * id in that block. x_I vanishes off the permutations of I, so
+    each argument tuple of the formula has at most one source I, its
+    sorted form; x_I is still evaluated on the tuple.
     """
-    n = g.dim
-    sources = degree_basis(n, p)
-    targets = degree_basis(n, p + 1)
+    position = subset_position(g.dim, p)
     action_terms: list[tuple[int, int, int, int]] = []
     bracket_terms: dict[tuple[int, int], GaussianRational] = {}
-    for jpos, J in enumerate(targets):
-        J_set = set(J)
-        for ipos, I in enumerate(sources):
-            if len(J_set & set(I)) < p - 1:
-                continue
-            # Action term: sum_a (-1)^a rho(X_{j_a}) (x_I (x) v)(..drop a..).
-            for a in range(p + 1):
-                sign = _alternating_evaluation(I, J[:a] + J[a + 1 :])
-                if sign:
-                    action_terms.append((jpos, ipos, J[a], -sign if a % 2 else sign))
-            # Bracket term: sum_{a<b} (-1)^{a+b} (x_I)( [X_a,X_b], ..drop.. ).
-            scalar = ZERO
-            for a in range(p + 1):
-                for b in range(a + 1, p + 1):
-                    rest = tuple(
-                        J[c] for c in range(p + 1) if c != a and c != b
-                    )
-                    parity = -1 if (a + b) % 2 else 1
-                    for t, c in g.bracket(J[a], J[b]).items():
-                        sign = parity * _alternating_evaluation(I, (t,) + rest)
-                        if sign:
-                            scalar = scalar + (c if sign > 0 else -c)
-            if scalar:
-                bracket_terms[(jpos, ipos)] = scalar
+    for jpos, J in enumerate(degree_basis(g.dim, p + 1)):
+        # Action term: sum_a (-1)^a rho(X_{j_a}) (x_I (x) v)(..drop a..).
+        for a in range(p + 1):
+            arguments = J[:a] + J[a + 1 :]
+            I = tuple(sorted(arguments))
+            sign = _alternating_evaluation(I, arguments)
+            action_terms.append((jpos, position[I], J[a], -sign if a % 2 else sign))
+        # Bracket term: sum_{a<b} (-1)^{a+b} (x_I)( [X_a,X_b], ..drop.. ).
+        scalars: dict[int, GaussianRational] = {}
+        for a in range(p + 1):
+            for b in range(a + 1, p + 1):
+                rest = J[:a] + J[a + 1 : b] + J[b + 1 :]
+                parity = -1 if (a + b) % 2 else 1
+                for t, c in g.bracket(J[a], J[b]).items():
+                    if t in rest:
+                        continue
+                    arguments = (t,) + rest
+                    I = tuple(sorted(arguments))
+                    sign = parity * _alternating_evaluation(I, arguments)
+                    ipos = position[I]
+                    scalars[ipos] = scalars.get(ipos, ZERO) + (c if sign > 0 else -c)
+        for ipos in sorted(scalars):
+            if scalars[ipos]:
+                bracket_terms[(jpos, ipos)] = scalars[ipos]
+    action_terms.sort()
     return action_terms, bracket_terms
 
 

@@ -72,6 +72,19 @@ def make_split_6d_plus_heisenberg():
     )
 
 
+def make_heisenberg_power(k):
+    # The direct sum of k Heisenberg algebras, copy c on indices 3c..3c+2,
+    # so n = 3k; its Betti numbers are the k-fold convolution of (1, 2, 2, 1).
+    return LieAlgebraData(
+        dim=3 * k,
+        basis=tuple(f"{name}{c}" for c in range(k) for name in "xyz"),
+        brackets=[(3 * c, 3 * c + 1, 3 * c + 2, ONE) for c in range(k)],
+        nilradical=range(3 * k),
+        complement=[],
+        conjugation={i: i for i in range(3 * k)},
+    )
+
+
 @pytest.fixture
 def heisenberg():
     return make_heisenberg()

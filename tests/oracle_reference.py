@@ -1,0 +1,87 @@
+"""Rescanning references for linalg._eliminate and oracle._degree_skeleton.
+
+Both are written without indexes: the elimination rescans every open
+row and every finished row at each pivot, and the skeleton scans every
+(J, I) pair of a degree. The package versions find the same pivots and
+the same sources through indexes; tests require the two to agree
+exactly, down to list and dict order.
+"""
+from __future__ import annotations
+
+from solvcohom.cecomplex import degree_basis
+from solvcohom.liealg import LieAlgebraData
+from solvcohom.linalg import ExactMatrix, SparseRow, _row_axpy
+from solvcohom.oracle import DegreeSkeleton, _alternating_evaluation
+from solvcohom.scalars import ZERO, GaussianRational
+
+
+def reference_eliminate(
+    matrix: ExactMatrix, pivot_strategy: str
+) -> tuple[list[tuple[int, SparseRow]], list[int]]:
+    """Gauss-Jordan elimination; returns (pivot rows, pivot columns)."""
+    rows = [r for r in matrix.row_maps if r]
+    done: list[tuple[int, SparseRow]] = []
+    while rows:
+        if pivot_strategy == "sparsity":
+            # Fewest nonzeros first; break ties on the smallest column index.
+            ridx = min(range(len(rows)), key=lambda i: (len(rows[i]), i))
+            row = rows.pop(ridx)
+            col_count: dict[int, int] = {}
+            for r in rows:
+                for c in r:
+                    if c in row:
+                        col_count[c] = col_count.get(c, 0) + 1
+            pivot_col = min(row, key=lambda c: (col_count.get(c, 0), c))
+        elif pivot_strategy == "sequential":
+            row = rows.pop(0)
+            pivot_col = min(row)
+        else:
+            raise ValueError(f"unknown pivot strategy {pivot_strategy!r}")
+        inv = row[pivot_col].inverse()
+        row = {c: inv * a for c, a in row.items()}
+        new_rows = []
+        for r in rows:
+            if pivot_col in r:
+                r = _row_axpy(r, row, -r[pivot_col])
+            if r:
+                new_rows.append(r)
+        rows = new_rows
+        done = [
+            (pc, _row_axpy(r, row, -r[pivot_col]) if pivot_col in r else r)
+            for pc, r in done
+        ]
+        done.append((pivot_col, row))
+    pivot_cols = [pc for pc, _ in done]
+    return done, pivot_cols
+
+
+def reference_degree_skeleton(g: LieAlgebraData, p: int) -> DegreeSkeleton:
+    """The mu-independent part of the degree-p differential, pair by pair."""
+    n = g.dim
+    sources = degree_basis(n, p)
+    targets = degree_basis(n, p + 1)
+    action_terms: list[tuple[int, int, int, int]] = []
+    bracket_terms: dict[tuple[int, int], GaussianRational] = {}
+    for jpos, J in enumerate(targets):
+        J_set = set(J)
+        for ipos, I in enumerate(sources):
+            if len(J_set & set(I)) < p - 1:
+                continue
+            for a in range(p + 1):
+                sign = _alternating_evaluation(I, J[:a] + J[a + 1 :])
+                if sign:
+                    action_terms.append((jpos, ipos, J[a], -sign if a % 2 else sign))
+            scalar = ZERO
+            for a in range(p + 1):
+                for b in range(a + 1, p + 1):
+                    rest = tuple(
+                        J[c] for c in range(p + 1) if c != a and c != b
+                    )
+                    parity = -1 if (a + b) % 2 else 1
+                    for t, c in g.bracket(J[a], J[b]).items():
+                        sign = parity * _alternating_evaluation(I, (t,) + rest)
+                        if sign:
+                            scalar = scalar + (c if sign > 0 else -c)
+            if scalar:
+                bracket_terms[(jpos, ipos)] = scalar
+    return action_terms, bracket_terms

@@ -5,6 +5,7 @@ import textwrap
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracle_reference import reference_eliminate
 
 from solvcohom import linalg
 from solvcohom.errors import CertificateError
@@ -139,6 +140,43 @@ def test_rank_nullity_and_strategy_agreement(m):
     assert r1 + len(kern) == m.ncols
     for v in kern:
         assert all(c == ZERO for c in m.apply(v))
+
+
+nonzero_entries = st.builds(
+    gauss, st.integers(-2, 2).filter(bool), st.sampled_from([0, 0, 1, -1])
+)
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    """Sparse matrices whose rows are drawn from a small pool, so rows repeat,
+    and whose pool rows mostly share one length, so pivot choices tie."""
+    ncols = draw(st.integers(1, 8))
+    width = draw(st.integers(1, min(3, ncols)))
+    lengths = st.one_of(st.just(width), st.just(width), st.integers(0, ncols))
+
+    @st.composite
+    def pool_row(draw):
+        length = draw(lengths)
+        cols = draw(st.lists(st.integers(0, ncols - 1), unique=True,
+                             min_size=length, max_size=length))
+        return [draw(nonzero_entries) if j in cols else ZERO for j in range(ncols)]
+
+    pool = draw(st.lists(pool_row(), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool)), max_size=14))
+    zero_row = [ZERO] * ncols
+    return ExactMatrix(len(picks), ncols, [pool[k] if k < len(pool) else zero_row for k in picks])
+
+
+@given(tie_heavy_matrices(), st.sampled_from(["sparsity", "sequential"]))
+def test_eliminate_equals_rescanning_reference(m, strategy):
+    # Same pivots in the same order, and the same fully reduced rows,
+    # down to the key order of each row.
+    done, pivot_cols = linalg._eliminate(m, strategy)
+    ref_done, ref_pivot_cols = reference_eliminate(m, strategy)
+    assert pivot_cols == ref_pivot_cols
+    assert done == ref_done
+    assert [list(row) for _, row in done] == [list(row) for _, row in ref_done]
 
 
 def _drop_last_pivot_row(eliminate):

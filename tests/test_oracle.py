@@ -1,5 +1,6 @@
 import pytest
-from conftest import INSTANCE_DIR, make_split_6d_plus_heisenberg
+from conftest import INSTANCE_DIR, make_heisenberg_power, make_split_6d_plus_heisenberg
+from oracle_reference import reference_degree_skeleton
 
 from solvcohom import (
     ModuleAction,
@@ -17,6 +18,7 @@ from solvcohom import (
 from solvcohom.oracle import (
     _action_table,
     _alternating_evaluation,
+    _degree_skeleton,
     _sector_differential,
     sector_skeleton,
 )
@@ -88,13 +90,30 @@ def test_quasi_iso_heisenberg(heisenberg):
     assert report.sectors[0].block_betti == (1, 2, 2, 1)
 
 
-@pytest.mark.slow
 def test_quasi_iso_split_6d_adjoint(split_6d):
     rep = adjoint_representation(split_6d)
     ic = build_invariant_complex(split_6d, rep, infer_weights(split_6d, rep))
     report = verify_quasi_iso(ic)
     assert report.ok
     assert len(report.sectors) == 21
+
+
+def test_quasi_iso_heisenberg_power_n12():
+    # n = 12: the oracle rebuilds the full 4096-cochain complex. The Betti
+    # numbers of a direct sum are the convolution of its summands'.
+    g = make_heisenberg_power(4)
+    rep = trivial_representation(g)
+    report = verify_quasi_iso(build_invariant_complex(g, rep, infer_weights(g, rep)))
+    assert report.ok
+    expected = [1]
+    for _ in range(4):
+        product = [0] * (len(expected) + 3)
+        for i, a in enumerate(expected):
+            for j, b in enumerate((1, 2, 2, 1)):
+                product[i + j] += a * b
+        expected = product
+    assert len(report.sectors) == 1
+    assert report.sectors[0].full_betti == tuple(expected)
 
 
 def _insertion_inputs(name):
@@ -110,8 +129,7 @@ def _insertion_inputs(name):
 
 @pytest.mark.parametrize(
     "name",
-    sorted(p.stem for p in INSTANCE_DIR.glob("*.json"))
-    + [pytest.param("split_6d+heisenberg", marks=pytest.mark.slow)],
+    sorted(p.stem for p in INSTANCE_DIR.glob("*.json")) + ["split_6d+heisenberg"],
 )
 def test_sector_differential_equals_insertion_formula(name):
     # Entry by entry, not only Betti numbers: the raw-evaluation oracle
@@ -129,3 +147,20 @@ def test_sector_differential_equals_insertion_formula(name):
         shared = sector_cohomology_full(g, rep, tag, skeletons)
         alone = sector_cohomology_full(g, rep, tag)
         assert (shared.betti, shared.labels) == (alone.betti, alone.labels)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.stem for p in INSTANCE_DIR.glob("*.json")) + ["split_6d+heisenberg"]
+)
+def test_skeleton_equals_pair_scanning_reference(name):
+    # Sources enumerated from the argument tuples must give what scanning
+    # every (J, I) pair gives, with the same list and dict order.
+    if name == "split_6d+heisenberg":
+        g = make_split_6d_plus_heisenberg()
+    else:
+        g = load_instance(str(INSTANCE_DIR / f"{name}.json")).algebra
+    for p in range(g.dim):
+        action_terms, bracket_terms = _degree_skeleton(g, p)
+        ref_action_terms, ref_bracket_terms = reference_degree_skeleton(g, p)
+        assert action_terms == ref_action_terms
+        assert list(bracket_terms.items()) == list(ref_bracket_terms.items())
