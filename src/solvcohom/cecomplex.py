@@ -6,21 +6,22 @@ Sign convention, fixed once for the whole package: for a p-cochain w,
                    + sum_{i<j} (-1)^{i+j} w([X_i,X_j], ..no X_i, X_j..)
 
 On basis monomials x_I (x) v this unfolds to the insertion formula used
-by ce_differential below; the oracle module re-derives the same matrices
+by ce_kernel below; the oracle module re-derives the same matrices
 by raw evaluation of the convention instead, so the two never share a
 differential code path.
 
 Degree-p basis order: p-subsets I of the index set in lexicographic
 order, each followed by the module index k (so column (I, k) sits at
-subset_position(I) * m + k). Inside ce_image a subset is an integer
-bitmask and wedge signs are popcounts; the lex order and the
-{(J, l): coeff} images it returns are unchanged.
+subset_position(I) * m + k). ce_kernel assembles a whole degree at
+once: a subset is an integer bitmask, wedge signs are popcounts, the
+bracket part of d(x_I) is formed once for all m columns (I, k), and
+only rho's diagonal depends on the column's twist.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     CertificateError,
@@ -46,6 +47,17 @@ def subset_position(n: int, p: int) -> dict[tuple[int, ...], int]:
     return {I: pos for pos, I in enumerate(degree_basis(n, p))}
 
 
+@lru_cache(maxsize=None)
+def degree_masks(n: int, p: int) -> tuple[int, ...]:
+    """degree_basis(n, p) as bitmasks (bit i for x_i), in the same order."""
+    return tuple(sum(1 << i for i in I) for I in degree_basis(n, p))
+
+
+@lru_cache(maxsize=None)
+def mask_position(n: int, p: int) -> dict[int, int]:
+    return {mask: pos for pos, mask in enumerate(degree_masks(n, p))}
+
+
 class ModuleAction:
     """The twisted action rho_mu(X_j) = mu(X_j) * id + R_j.
 
@@ -53,7 +65,7 @@ class ModuleAction:
     expands it to a per-basis-index evaluation (zero off the complement).
     """
 
-    __slots__ = ("m", "matrices", "mu_at", "_columns")
+    __slots__ = ("m", "matrices", "mu_at")
 
     def __init__(self, g: LieAlgebraData, rep: RepresentationData, mu: Optional[Weight]):
         mu_at = [ZERO] * g.dim
@@ -65,7 +77,6 @@ class ModuleAction:
         object.__setattr__(self, "m", rep.m)
         object.__setattr__(self, "matrices", rep.matrices)
         object.__setattr__(self, "mu_at", tuple(mu_at))
-        object.__setattr__(self, "_columns", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ModuleAction is immutable")
@@ -76,17 +87,6 @@ class ModuleAction:
         if l == k and self.mu_at[j]:
             value = value + self.mu_at[j]
         return value
-
-    def columns(self, k: int) -> list[tuple[int, list[tuple[int, GaussianRational]]]]:
-        """(j, nonzero (l, value) of rho_mu(X_j) e_k) for each j that has any."""
-        cols = self._columns.get(k)
-        if cols is None:
-            cols = self._columns[k] = []
-            for j in range(len(self.mu_at)):
-                col = [(l, v) for l in range(self.m) if (v := self.apply_entry(j, l, k))]
-                if col:
-                    cols.append((j, col))
-        return cols
 
 
 def _one_form_differentials(
@@ -103,65 +103,92 @@ def _one_form_differentials(
     return table
 
 
-def ce_image(
-    g: LieAlgebraData,
-    action: ModuleAction,
-    I: tuple[int, ...],
-    k: int,
-    dx_table=None,
-) -> dict[tuple[tuple[int, ...], int], GaussianRational]:
-    """d(x_I (x) v_k) as a sparse combination of (J, l) basis elements.
+def ce_kernel(
+    g: LieAlgebraData, actions: Sequence[ModuleAction]
+) -> Callable[[Sequence[int], int], dict[tuple[int, int], GaussianRational]]:
+    """d with coefficients in twisted modules sharing one representation.
 
-    Inside, subsets are bitmasks (bit i for x_i), wedge signs are
-    popcounts, and terms accumulate under (J mask, l). Only the keys that
-    survive cancellation become increasing J tuples, so the output is the
-    same {(J, l): coeff} as from sorting tuples term by term.
+    kernel(column_action, p) gives the nonzero entries {(row, col): coeff}
+    of d from degree p to p+1, column (I, k) taken in the module
+    actions[column_action[col]]. Entries come column by column, each in
+    term order: action terms (j, then l), then bracket terms (t, a, b).
     """
-    if dx_table is None:
-        dx_table = _one_form_differentials(g)
-    mask = 0
-    for i in I:
-        mask |= 1 << i
-    acc: dict[tuple[int, int], GaussianRational] = {}
-
-    def put(key: tuple[int, int], coeff: GaussianRational, odd: int):
-        # Every coeff passed here is nonzero; odd flips its sign.
-        prev = acc.get(key)
-        if prev is None:
-            acc[key] = -coeff if odd else coeff
-            return
-        total = prev - coeff if odd else prev + coeff
-        if total:
-            acc[key] = total
-        else:
-            del acc[key]
-
-    # Action term: insert x_j (sign: members below j), apply rho(X_j).
-    for j, column in action.columns(k):
-        bit = 1 << j
-        if mask & bit:
-            continue
-        odd = (mask & (bit - 1)).bit_count() & 1
-        for l, coeff in column:
-            put((mask | bit, l), coeff, odd)
-
-    # Bracket term: d(x_I) = sum_t (-1)^{pos(t, I)} dx_t ^ x_{I - t}.
+    n = g.dim
+    m = actions[0].m if actions else 0
+    # Per t: (bits of a and b, bits below a, bits below b, coeff, -coeff).
     # Inserting b then a into rest passes the members of rest below each;
-    # b never counts against a because a < b (_one_form_differentials).
-    for pos_t, t in enumerate(I):
-        rest = mask ^ (1 << t)
-        for a, b, coeff in dx_table[t]:
-            bit_a, bit_b = 1 << a, 1 << b
-            if rest & (bit_a | bit_b):
-                continue
-            below = (rest & (bit_b - 1)).bit_count() + (rest & (bit_a - 1)).bit_count()
-            put((rest | bit_a | bit_b, k), coeff, (pos_t + below) & 1)
-    # A list, not a generator, inside tuple(): a generator per survivor
-    # raised peak RSS on the pipeline benchmarks by about 0.5 MiB.
-    return {
-        (tuple([i for i in range(g.dim) if J >> i & 1]), l): coeff
-        for (J, l), coeff in acc.items()
-    }
+    # b never counts against a because a < b.
+    dx = [
+        [(1 << a | 1 << b, (1 << a) - 1, (1 << b) - 1, c, -c) for a, b, c in terms]
+        for terms in _one_form_differentials(g).values()
+    ]
+    # R_j e_k off the diagonal and R_j[k, k], read from the sparse rows.
+    off = [[[] for _ in range(m)] for _ in range(n)]
+    diag: list[list[Optional[GaussianRational]]] = [[None] * m for _ in range(n)]
+    for j, R in enumerate(actions[0].matrices if actions else ()):
+        for l, row in enumerate(R.row_maps):
+            for k, v in row.items():
+                if k == l:
+                    diag[j][k] = v
+                else:
+                    off[j][k].append((l, v))
+    tables: dict[tuple[int, int], list] = {}
+
+    def action_table(aid: int, k: int) -> list:
+        # (bit j, bits below j, terms, negated terms) for each j with
+        # rho_mu(X_j) e_k != 0; only the diagonal depends on mu.
+        table = tables[(aid, k)] = []
+        for j, mu in enumerate(actions[aid].mu_at):
+            d = diag[j][k]
+            if mu:
+                d = mu if d is None else (d + mu) or None
+            column = off[j][k] if d is None else sorted(off[j][k] + [(k, d)])
+            if column:
+                table.append((1 << j, (1 << j) - 1, column, [(l, -v) for l, v in column]))
+        return table
+
+    def kernel(column_action: Sequence[int], p: int) -> dict[tuple[int, int], GaussianRational]:
+        target = mask_position(n, p + 1)
+        entries: dict[tuple[int, int], GaussianRational] = {}
+        col = 0
+        for I, mask in zip(degree_basis(n, p), degree_masks(n, p)):
+            # d(x_I) = sum_t (-1)^{pos(t, I)} dx_t ^ x_{I - t}, for every k.
+            brackets = []
+            for pos_t, t in enumerate(I):
+                rest = mask ^ 1 << t
+                for ab, below_a, below_b, c, neg in dx[t]:
+                    if not rest & ab:
+                        odd = pos_t + (rest & below_b).bit_count() + (rest & below_a).bit_count()
+                        brackets.append(((rest | ab) * m, neg if odd & 1 else c))
+            for k in range(m):
+                aid = column_action[col]
+                table = tables.get((aid, k))
+                if table is None:
+                    table = action_table(aid, k)
+                # Action terms: insert x_j (sign: members below j), apply
+                # rho(X_j). Their keys are distinct, so none cancels yet.
+                acc: dict[int, GaussianRational] = {}
+                for bit, below, terms, negated in table:
+                    if not mask & bit:
+                        base = (mask | bit) * m
+                        for l, v in negated if (mask & below).bit_count() & 1 else terms:
+                            acc[base + l] = v
+                # Bracket terms, keyed mask * m + k; a sum that cancels is deleted.
+                for base, v in brackets:
+                    prev = acc.get(base + k)
+                    if prev is None:
+                        acc[base + k] = v
+                    elif total := prev + v:
+                        acc[base + k] = total
+                    else:
+                        del acc[base + k]
+                for key, v in acc.items():
+                    J, l = divmod(key, m)
+                    entries[(target[J] * m + l, col)] = v
+                col += 1
+        return entries
+
+    return kernel
 
 
 def ce_differential(
@@ -169,17 +196,9 @@ def ce_differential(
 ) -> ExactMatrix:
     """Matrix of d from degree p to degree p+1 in the lex basis order."""
     n, m = g.dim, action.m
-    source = degree_basis(n, p)
-    target_pos = subset_position(n, p + 1)
-    dx_table = _one_form_differentials(g)
-    entries: dict[tuple[int, int], GaussianRational] = {}
-    for ipos, I in enumerate(source):
-        for k in range(m):
-            col = ipos * m + k
-            for (J, l), coeff in ce_image(g, action, I, k, dx_table).items():
-                entries[(target_pos[J] * m + l, col)] = coeff
-    nrows = len(degree_basis(n, p + 1)) * m
-    return ExactMatrix.from_entries(nrows, len(source) * m, entries)
+    ncols = len(degree_basis(n, p)) * m
+    entries = ce_kernel(g, [action])([0] * ncols, p)
+    return ExactMatrix.from_entries(len(degree_basis(n, p + 1)) * m, ncols, entries)
 
 
 class FiniteComplex:

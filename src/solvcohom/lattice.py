@@ -26,7 +26,7 @@ from .liealg import (
     ValidationIssue,
     ValidationReport,
 )
-from .periods import PeriodValue, SymbolTable, zero_period
+from .periods import PeriodValue, SymbolTable
 from .scalars import GaussianRational
 from .weights import InvariantComplex, format_weight, weight_is_zero
 
@@ -98,11 +98,14 @@ def validate_lattice(g: LieAlgebraData, lat: LatticeData) -> ValidationReport:
 def evaluate_weight_on_generator(
     mu: Weight, generator: Sequence[PeriodValue], table: SymbolTable
 ) -> PeriodValue:
-    total = zero_period(table)
+    """sum_j mu_j * delta_j, accumulated in one coordinate dict."""
+    acc: dict = {}
     for coeff, coord in zip(mu, generator):
         if coeff:
-            total = total + coord.scale(coeff)
-    return total
+            if coord.table != table:
+                raise ValidationFailure("period values from different symbol tables")
+            coord.add_scaled_into(acc, coeff)
+    return PeriodValue(table, acc)
 
 
 def char_trivial_on_lattice(mu: Weight, lat: LatticeData) -> bool:

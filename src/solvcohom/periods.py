@@ -170,16 +170,21 @@ class PeriodValue:
     def scale(self, scalar: GaussianRational) -> "PeriodValue":
         """Multiply by an element of Q(i); the span is closed under this."""
         out: dict[str, Fraction] = {}
+        self.add_scaled_into(out, scalar)
+        return PeriodValue(self.table, out)
+
+    def add_scaled_into(self, out: dict[str, Fraction], scalar: GaussianRational):
+        """Add the coordinates of scalar * self into out, keyed by symbol."""
         tab = self.table
+        re, im = scalar.re, scalar.im
         for name, coeff in self.coords.items():
-            if scalar.re:
-                out[name] = out.get(name, Fraction(0)) + scalar.re * coeff
-            if scalar.im:
+            if re:
+                out[name] = out.get(name, Fraction(0)) + re * coeff
+            if im:
                 # i * symbol: companion with a sign flip on imaginary inputs.
                 comp = tab.companion(name)
                 sign = 1 if tab.parity(name) == REAL else -1
-                out[comp] = out.get(comp, Fraction(0)) + sign * scalar.im * coeff
-        return PeriodValue(tab, out)
+                out[comp] = out.get(comp, Fraction(0)) + sign * im * coeff
 
     def conjugate(self) -> "PeriodValue":
         tab = self.table

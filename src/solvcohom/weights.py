@@ -8,9 +8,10 @@ carries lambda'_k. The weight tag of a basis monomial x_I (x) v_k is
 
 The invariant complex has one basis element per (I, k); its differential
 applies the Chevalley-Eilenberg formula in the module twisted by the
-column's own tag. That the result never crosses between distinct tags is
-verified entry by entry and is exactly weight additivity of the input
-data; a violation raises WeightGradingError.
+column's own tag, a degree at a time through cecomplex.ce_kernel. That
+the result never crosses between distinct tags is verified entry by entry
+and is exactly weight additivity of the input data; a violation raises
+WeightGradingError.
 
 Distinct tags are few next to basis elements, so the complex interns
 them: a sorted tag table plus one small integer id per basis element.
@@ -21,17 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cecomplex import (
     FiniteComplex,
     ModuleAction,
     Weight,
-    ce_image,
+    ce_kernel,
     degree_basis,
     module_basis_names,
-    subset_position,
-    _one_form_differentials,
 )
 from .errors import (
     CertificateError,
@@ -463,8 +462,10 @@ def build_invariant_complex(
     """Assemble the invariant complex and verify its weight grading.
 
     Each column (I, k) is differentiated in the module twisted by its own
-    tag mu_{I,k}; any nonzero coefficient reaching a basis element with a
-    different tag is a weight-grading violation and raises.
+    tag mu_{I,k}, one ModuleAction per distinct tag, a degree per kernel
+    call. Every surviving coefficient of every column is then checked in
+    column and term order; one reaching a basis element with a different
+    tag is a weight-grading violation and raises.
 
     Tags are summed once per distinct partial sum: the algebra part of I
     extends that of I[:-1] by lambda_{I[-1]}, and both the extension and
@@ -473,7 +474,6 @@ def build_invariant_complex(
     n, m = g.dim, rep.m
     starred = tuple(name + "*" for name in g.basis)
     tails = tuple(f" (x) {name}" for name in module_basis_names(g, rep))
-    dx_table = _one_form_differentials(g)
 
     alg_table, intern_alg = _interner()
     raw_table, intern_tag = _interner()
@@ -520,32 +520,22 @@ def build_invariant_complex(
     renumber = {old: new for new, old in enumerate(order)}
     tag_ids = tuple(tuple(renumber[t] for t in per) for per in raw_ids)
 
-    actions: list[Optional[ModuleAction]] = [None] * len(tag_table)
+    kernel = ce_kernel(g, [ModuleAction(g, rep, tag) for tag in tag_table])
     differentials = []
     dims = [len(per) for per in labels]
     for p in range(n):
-        target_pos = subset_position(n, p + 1)
-        source_ids = tag_ids[p]
-        target_ids = tag_ids[p + 1]
-        entries: dict[tuple[int, int], GaussianRational] = {}
-        for col, (I, k) in enumerate(labels[p]):
+        source_ids, target_ids = tag_ids[p], tag_ids[p + 1]
+        entries = kernel(source_ids, p)
+        for row, col in entries:
             tid = source_ids[col]
-            action = actions[tid]
-            if action is None:
-                action = actions[tid] = ModuleAction(g, rep, tag_table[tid])
-            for (J, l), coeff in ce_image(g, action, I, k, dx_table).items():
-                row = target_pos[J] * m + l
-                if target_ids[row] != tid:
-                    raise WeightGradingError(
-                        "weight grading violated: d("
-                        f"{label_strings[p][col]}) hits {label_strings[p+1][row]} "
-                        f"across tags {format_weight(tag_table[tid])} -> "
-                        f"{format_weight(tag_table[target_ids[row]])}; invalid weight data"
-                    )
-                entries[(row, col)] = coeff
-        differentials.append(
-            ExactMatrix.from_entries(dims[p + 1], dims[p], entries)
-        )
+            if target_ids[row] != tid:
+                raise WeightGradingError(
+                    "weight grading violated: d("
+                    f"{label_strings[p][col]}) hits {label_strings[p+1][row]} "
+                    f"across tags {format_weight(tag_table[tid])} -> "
+                    f"{format_weight(tag_table[target_ids[row]])}; invalid weight data"
+                )
+        differentials.append(ExactMatrix.from_entries(dims[p + 1], dims[p], entries))
 
     fc = FiniteComplex(dims, differentials, label_strings)
     return InvariantComplex(fc, tuple(labels), tag_table, tag_ids, g, rep, w)

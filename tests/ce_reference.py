@@ -1,14 +1,24 @@
-"""Tuple-sorting reference for cecomplex.ce_image.
+"""Tuple-sorting reference for the differential kernel cecomplex.ce_kernel.
 
 This is the insertion formula written directly on sorted index tuples,
-one term at a time, with wedge signs counted by comparison. The package
-kernel works on bitmasks; tests require the two to agree exactly.
+one column and one term at a time, with wedge signs counted by
+comparison and rho read through ModuleAction.apply_entry. The package
+kernel works on bitmasks, a whole degree at once; tests require the two
+to agree exactly.
 """
 from __future__ import annotations
 
-from solvcohom.cecomplex import ModuleAction, _one_form_differentials
-from solvcohom.liealg import LieAlgebraData
+from solvcohom.cecomplex import (
+    ModuleAction,
+    _one_form_differentials,
+    ce_differential,
+    degree_basis,
+    subset_position,
+)
+from solvcohom.liealg import LieAlgebraData, RepresentationData
+from solvcohom.linalg import ExactMatrix
 from solvcohom.scalars import GaussianRational
+from solvcohom.weights import WeightAssignment
 
 
 def wedge_insert_sign(element: int, others: tuple[int, ...]) -> int:
@@ -58,4 +68,51 @@ def reference_ce_image(
             sign = wedge_insert_sign(b, rest) * wedge_insert_sign(a, tuple(sorted(rest + (b,))))
             J = tuple(sorted(rest + (a, b)))
             put(J, k, coeff if outer_sign * sign > 0 else -coeff)
+    return out
+
+
+def kernel_columns(
+    g: LieAlgebraData, action: ModuleAction, p: int
+) -> list[dict[tuple[tuple[int, ...], int], GaussianRational]]:
+    """The columns of ce_differential at degree p, as reference_ce_image gives them."""
+    m = action.m
+    d = ce_differential(g, action, p)
+    rows = degree_basis(g.dim, p + 1)
+    columns: list[dict] = [{} for _ in range(d.ncols)]
+    for r, row in enumerate(d.row_maps):
+        for col, c in row.items():
+            columns[col][(rows[r // m], r % m)] = c
+    return columns
+
+
+def kernel_column(
+    g: LieAlgebraData, action: ModuleAction, I: tuple[int, ...], k: int
+) -> dict[tuple[tuple[int, ...], int], GaussianRational]:
+    """Column (I, k) of ce_differential."""
+    return kernel_columns(g, action, len(I))[subset_position(g.dim, len(I))[I] * action.m + k]
+
+
+def reference_invariant_differentials(
+    g: LieAlgebraData, rep: RepresentationData, w: WeightAssignment
+) -> list[ExactMatrix]:
+    """The invariant complex's differentials, column by column.
+
+    Column (I, k) is reference_ce_image in the module twisted by its own
+    tag, summed directly by WeightAssignment.tag.
+    """
+    n, m = g.dim, rep.m
+    actions: dict = {}
+    out = []
+    for p in range(n):
+        sources = degree_basis(n, p)
+        rows = subset_position(n, p + 1)
+        entries = {}
+        for ipos, I in enumerate(sources):
+            for k in range(m):
+                tag = w.tag(I, k)
+                if tag not in actions:
+                    actions[tag] = ModuleAction(g, rep, tag)
+                for (J, l), c in reference_ce_image(g, actions[tag], I, k).items():
+                    entries[(rows[J] * m + l, ipos * m + k)] = c
+        out.append(ExactMatrix.from_entries(len(rows) * m, len(sources) * m, entries))
     return out

@@ -15,7 +15,6 @@ from solvcohom import cecomplex
 from solvcohom.cecomplex import (
     ModuleAction,
     ce_differential,
-    ce_image,
     degree_basis,
     module_basis_names,
     monomial_label,
@@ -74,8 +73,8 @@ def test_split_3d_one_form_signs(split_3d):
 def test_ce_image_action_term(split_3d):
     # Twist by mu = (1): d(1 (x) v) gains a mu(e1) e1* term.
     action = ModuleAction(split_3d, trivial_representation(split_3d), (ONE,))
-    image = ce_image(split_3d, action, (), 0)
-    assert image[((0,), 0)] == ONE
+    # Row 0 of degree 1 is e1* (x) v, column 0 of degree 0 is 1 (x) v.
+    assert ce_differential(split_3d, action, 0).entry(0, 0) == ONE
 
 
 def test_heisenberg_ce_betti(heisenberg):

@@ -215,12 +215,13 @@ def test_oracle_mismatch_exits_three(monkeypatch, capsys):
 def test_oracle_catches_a_broken_builder(monkeypatch, capsys):
     # A builder that forgets d on 1-forms still yields a complex (d.d = 0
     # holds trivially there), so only the full-sector oracle can catch it.
-    ce_image = weights.ce_image
+    ce_kernel = weights.ce_kernel
 
-    def broken(g, action, I, k, dx_table=None):
-        return {} if len(I) == 1 else ce_image(g, action, I, k, dx_table)
+    def broken(g, actions):
+        kernel = ce_kernel(g, actions)
+        return lambda column_action, p: {} if p == 1 else kernel(column_action, p)
 
-    monkeypatch.setattr(weights, "ce_image", broken)
+    monkeypatch.setattr(weights, "ce_kernel", broken)
     assert run(["oracle", path_of("heisenberg3")]) == 3
     out = capsys.readouterr().out
     assert "tag (): block [1, 3, 3, 1] vs full [1, 2, 2, 1] [MISMATCH]" in out

@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from solvcohom import (
     LatticeData,
@@ -17,9 +21,15 @@ from solvcohom import (
     trivial_representation,
     validate_lattice,
 )
-from solvcohom.errors import ModeMismatchError
-from solvcohom.periods import SymbolTable, format_period, parse_period
-from solvcohom.scalars import MINUS_ONE, ONE, ZERO, gauss
+from solvcohom.errors import ModeMismatchError, ValidationFailure
+from solvcohom.periods import (
+    PeriodValue,
+    SymbolTable,
+    format_period,
+    parse_period,
+    zero_period,
+)
+from solvcohom.scalars import MINUS_ONE, ONE, ZERO, GaussianRational, gauss
 
 
 def make_lattice(table, rows):
@@ -57,6 +67,43 @@ def test_evaluate_weight_on_generator():
     assert format_period(value) == "2*i*pi"
     doubled = evaluate_weight_on_generator((gauss(2), ZERO), gen, table)
     assert format_period(doubled) == "2*i*pi + 2*a"
+
+
+_TABLE = SymbolTable(["a", "b"])
+_fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+_periods = st.builds(
+    lambda cs: PeriodValue(_TABLE, dict(zip(_TABLE.names(), cs))),
+    st.lists(_fractions, min_size=len(_TABLE.names()), max_size=len(_TABLE.names())),
+)
+_scalars = st.builds(GaussianRational, _fractions, _fractions)
+
+
+@given(data=st.data(), width=st.integers(0, 4))
+def test_evaluate_weight_equals_scale_and_add_fold(data, width):
+    # One accumulated dict must give exactly the value of summing
+    # PeriodValue.scale(mu_j) terms with +, zero coefficients skipped.
+    mu = data.draw(st.lists(_scalars, min_size=width, max_size=width))
+    gen = data.draw(st.lists(_periods, min_size=width, max_size=width))
+    fold = zero_period(_TABLE)
+    for coeff, coord in zip(mu, gen):
+        if coeff:
+            fold = fold + coord.scale(coeff)
+    value = evaluate_weight_on_generator(tuple(mu), gen, _TABLE)
+    assert value == fold
+    assert value.coords == fold.coords
+    assert format_period(value) == format_period(fold)
+
+
+def test_evaluate_weight_rejects_a_foreign_symbol_table():
+    other = SymbolTable(["c"])
+    gen = [parse_period("pi", other), parse_period("c", other)]
+    with pytest.raises(ValidationFailure, match="different symbol tables"):
+        evaluate_weight_on_generator((ONE, ZERO), gen, _TABLE)
+    # A zero coefficient never reads its coordinate, as before.
+    assert evaluate_weight_on_generator((ZERO, ZERO), gen, _TABLE).is_zero()
 
 
 def test_character_triviality_predicates():

@@ -8,7 +8,7 @@ blocks are subcomplexes, and the zero tag passes every triviality test.
 from fractions import Fraction
 
 import pytest
-from ce_reference import reference_ce_image
+from ce_reference import kernel_column, kernel_columns, reference_ce_image
 from conftest import (
     INSTANCE_DIR,
     make_heisenberg,
@@ -35,7 +35,6 @@ from solvcohom import (
     select_dolbeault,
     trivial_representation,
 )
-from solvcohom.cecomplex import ce_image
 from solvcohom.instances import (
     build_representation,
     build_weight_assignment,
@@ -130,9 +129,9 @@ def test_euler_characteristic_matches_dimensions(name, data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_ce_image_equals_reference_formula(name, data):
-    # The bitmask kernel against the tuple-sorting insertion formula, for
-    # a drawn twist, subset and module index, with the trivial or the
-    # adjoint module.
+    # Column (I, k) of the bitmask kernel against the tuple-sorting
+    # insertion formula, for a drawn twist, subset and module index, with
+    # the trivial or the adjoint module.
     g = ALGEBRAS[name]
     rep = data.draw(st.sampled_from([trivial_representation, adjoint_representation]))(g)
     mu = tuple(
@@ -141,7 +140,28 @@ def test_ce_image_equals_reference_formula(name, data):
     I = tuple(sorted(data.draw(st.sets(st.integers(0, g.dim - 1)), label="I")))
     k = data.draw(st.integers(0, rep.m - 1), label="k")
     action = ModuleAction(g, rep, mu)
-    assert ce_image(g, action, I, k) == reference_ce_image(g, action, I, k)
+    assert kernel_column(g, action, I, k) == reference_ce_image(g, action, I, k)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_ce_differential_columns_equal_reference(name, data):
+    # Every column of a drawn degree, so that the columns (I, k) with
+    # k >= 1 reuse the bracket terms formed for (I, 0).
+    g = ALGEBRAS[name]
+    rep = data.draw(st.sampled_from([trivial_representation, adjoint_representation]))(g)
+    mu = tuple(
+        data.draw(scalars, label=f"mu_{i}") for i in range(len(g.complement))
+    )
+    p = data.draw(st.integers(0, g.dim), label="p")
+    action = ModuleAction(g, rep, mu)
+    expected = [
+        reference_ce_image(g, action, I, k)
+        for I in degree_basis(g.dim, p)
+        for k in range(rep.m)
+    ]
+    assert kernel_columns(g, action, p) == expected
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,12 +3,17 @@ import sys
 import textwrap
 
 import pytest
+from ce_reference import reference_invariant_differentials
+from conftest import INSTANCE_DIR, make_heisenberg_power, make_split_6d_plus_heisenberg
 
 from solvcohom import (
     adjoint_representation,
     build_invariant_complex,
+    build_representation,
+    build_weight_assignment,
     infer_weights,
     jordan_chevalley_additive,
+    load_instance,
     trivial_representation,
     validate_weight_assignment,
 )
@@ -214,3 +219,57 @@ def test_weight_grading_violation_raises(split_3d):
         "weight grading violated: d(1 (x) u2) hits e1* (x) u1 "
         "across tags (-1) -> (0); invalid weight data"
     )
+
+
+def test_weight_grading_witness_is_a_bracket_term(split_3d):
+    # The declared weight of e1 is 1, so d(e2*) = -e1*^e2* crosses tags
+    # on a module with m = 2. Nothing twists that column: mu(e1) = 0 and
+    # R(e1) vanishes at v1, so the witness is the bracket term alone.
+    # Column (e2*, u2) holds the same violation, but a bracket term's
+    # tag difference does not depend on k, so it can never be the first.
+    rep = RepresentationData(
+        2,
+        (
+            ExactMatrix.from_entries(2, 2, {(1, 1): ONE}),
+            ExactMatrix.zero(2, 2),
+            ExactMatrix.zero(2, 2),
+        ),
+    )
+    w = WeightAssignment(
+        ((ONE,), (ZERO,), (MINUS_ONE,)),
+        ((ZERO,), (ONE,)),
+        split_3d.complement,
+    )
+    with pytest.raises(WeightGradingError) as excinfo:
+        build_invariant_complex(split_3d, rep, w)
+    assert str(excinfo.value) == (
+        "weight grading violated: d(e2* (x) u1) hits e1*^e2* (x) u1 "
+        "across tags (0) -> (1); invalid weight data"
+    )
+
+
+# The n = 9 sum takes the adjoint module, so m = 9 columns share each I;
+# at n = 12 a bracket's lower index reaches 9, past every other case.
+_GENERATED = {
+    "split_6d+heisenberg": (make_split_6d_plus_heisenberg, adjoint_representation),
+    "heisenberg3^4": (lambda: make_heisenberg_power(4), trivial_representation),
+}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.stem for p in INSTANCE_DIR.glob("*.json")) + sorted(_GENERATED)
+)
+def test_invariant_differentials_equal_column_reference(name):
+    # Every column twisted by its own tag, one column at a time, against
+    # the degree kernel that shares bracket terms and action tables.
+    if name in _GENERATED:
+        make_algebra, make_module = _GENERATED[name]
+        g = make_algebra()
+        rep = make_module(g)
+        w = infer_weights(g, rep)
+    else:
+        inst = load_instance(str(INSTANCE_DIR / f"{name}.json"))
+        g, rep = inst.algebra, build_representation(inst)
+        w = build_weight_assignment(inst, rep)
+    ic = build_invariant_complex(g, rep, w)
+    assert list(ic.complex.differentials) == reference_invariant_differentials(g, rep, w)
