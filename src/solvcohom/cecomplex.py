@@ -398,16 +398,12 @@ def nilshadow(
     return shadow
 
 
-def restrict_complex(
-    fc: FiniteComplex,
-    keep: Sequence[Sequence[int]],
-    check_closure: bool = True,
-) -> FiniteComplex:
+def restrict_complex(fc: FiniteComplex, keep: Sequence[Sequence[int]]) -> FiniteComplex:
     """Subcomplex on the kept basis indices per degree.
 
-    With check_closure, any differential coefficient from a kept column to
-    a dropped row raises SelectionClosureError; selections made through
-    weight-tag predicates are block-closed so this never fires for them.
+    Any differential coefficient from a kept column to a dropped row
+    raises SelectionClosureError; selections made through weight-tag
+    predicates are block-closed so this never fires for them.
     """
     keep_t = [tuple(ks) for ks in keep]
     if len(keep_t) != len(fc.dims):
@@ -433,7 +429,7 @@ def restrict_complex(
                     continue
                 if rpos is not None:
                     entries[(rpos, cpos)] = a
-                elif check_closure and (witness is None or (cpos, r) < witness):
+                elif witness is None or (cpos, r) < witness:
                     witness = (cpos, r)
         if witness is not None:
             raise SelectionClosureError(

@@ -21,18 +21,6 @@ class ValidationFailure(SolvcohomError):
     """Validated input data violates a structural invariant."""
 
 
-class ExtendScalarsError(SolvcohomError):
-    """A characteristic polynomial does not split over Q(i)."""
-
-    def __init__(self, factor_text: str):
-        self.factor_text = factor_text
-        super().__init__(
-            "matrix is not triangularizable over Q(i): "
-            f"irreducible factor {factor_text}; extend scalars or supply an "
-            "adapted basis"
-        )
-
-
 class WeightInferenceError(SolvcohomError):
     """Operator diagonals cannot serve as weights in the supplied basis."""
 

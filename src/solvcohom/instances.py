@@ -93,6 +93,16 @@ def _name_index(basis: tuple[str, ...], name, context) -> int:
     return basis.index(name)
 
 
+def _name_list(basis: tuple[str, ...], alg, key) -> list[int]:
+    indices = []
+    for name in _expect_list(_expect(alg, key, "algebra"), key):
+        i = _name_index(basis, name, key)
+        if i in indices:
+            raise InstanceParseError(f"repeated basis name {name!r} in {key}")
+        indices.append(i)
+    return indices
+
+
 def _parse_weight(
     data, complement: tuple[int, ...], basis: tuple[str, ...], context
 ) -> Weight:
@@ -132,14 +142,8 @@ def parse_instance(data: dict) -> InstanceFile:
         j = _name_index(basis, entry[1], "brackets")
         k = _name_index(basis, entry[2], "brackets")
         brackets.append((i, j, k, parse_gaussian(str(entry[3]))))
-    nilradical = [
-        _name_index(basis, b, "nilradical")
-        for b in _expect_list(_expect(alg, "nilradical", "algebra"), "nilradical")
-    ]
-    complement = [
-        _name_index(basis, b, "complement")
-        for b in _expect_list(_expect(alg, "complement", "algebra"), "complement")
-    ]
+    nilradical = _name_list(basis, alg, "nilradical")
+    complement = _name_list(basis, alg, "complement")
     conjugation = None
     if "conjugation" in alg:
         raw = alg["conjugation"]

@@ -72,14 +72,17 @@ def validate_lattice(g: LieAlgebraData, lat: LatticeData) -> ValidationReport:
                     (gi,),
                 )
             )
+    pos = {j: p for p, j in enumerate(g.complement)}
     if (
         g.mode == MODE_REAL
         and g.conjugation is not None
         and not any(i.code == "lattice-width" for i in issues)
+        # A sigma that leaves the complement is validate_algebra's
+        # conjugation-split issue; there is no coordinate to compare.
+        and all(g.conjugation[j] in pos for j in g.complement)
     ):
         # Real points of the complexified complement: the sigma(j) coordinate
         # must be the conjugate of the j coordinate.
-        pos = {j: p for p, j in enumerate(g.complement)}
         for gi, gen in enumerate(lat.generators):
             for j in g.complement:
                 other = g.conjugation[j]
@@ -179,7 +182,7 @@ def _select(ic: InvariantComplex, lat: LatticeData, kind: str) -> SelectionResul
         tuple(i for i, t in enumerate(per_degree) if kept_tag[t])
         for per_degree in ic.tag_ids
     ]
-    sub = restrict_complex(ic.complex, keep, check_closure=True)
+    sub = restrict_complex(ic.complex, keep)
     return SelectionResult(kind, sub, tuple(keep), verdicts)
 
 

@@ -176,15 +176,6 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return not any(self.row_maps)
 
-    def trace(self) -> GaussianRational:
-        if self.nrows != self.ncols:
-            raise ValueError("trace of a non-square matrix")
-        t = ZERO
-        for i, row in enumerate(self.row_maps):
-            if i in row:
-                t = t + row[i]
-        return t
-
     def power(self, k: int) -> "ExactMatrix":
         if self.nrows != self.ncols:
             raise ValueError("power of a non-square matrix")
@@ -334,27 +325,6 @@ def rank_and_kernel(
 
 def rank(matrix: ExactMatrix, pivot_strategy: str = "sparsity") -> int:
     return rank_and_kernel(matrix, pivot_strategy)[0]
-
-
-def matrix_inverse(matrix: ExactMatrix) -> ExactMatrix:
-    """Exact inverse by Gauss-Jordan on the augmented matrix."""
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("inverse of a non-square matrix")
-    n = matrix.nrows
-    aug = [[row.get(j, ZERO) for j in range(n)] + [ONE if i == j else ZERO for j in range(n)]
-           for i, row in enumerate(matrix.row_maps)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [inv * a for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return ExactMatrix(n, n, [row[n:] for row in aug])
 
 
 class SpanTracker:

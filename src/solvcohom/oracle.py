@@ -213,7 +213,7 @@ def verify_quasi_iso(ic: InvariantComplex) -> QuasiIsoReport:
     comparisons = []
     for tag in sorted(ic.distinct_tags(), key=weight_sort_key):
         keep = ic.indices_with_tag(tag)
-        block = restrict_complex(ic.complex, keep, check_closure=True)
+        block = restrict_complex(ic.complex, keep)
         block_betti = cohomology(block).betti
         full_betti = sector_cohomology_full(g, rep, tag, skeletons).betti
         comparisons.append(SectorComparison(tag, block_betti, full_betti))

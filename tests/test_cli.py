@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 
 import pytest
 from conftest import EXPECTED_DIR, INSTANCE_DIR
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import solvcohom
 from solvcohom import cli, weights
 from solvcohom.oracle import QuasiIsoReport, SectorComparison
 from solvcohom.scalars import ZERO
@@ -49,6 +51,48 @@ def test_shipped_instances_exit_zero(name, cohom, tmp_path, capsys):
 def test_oracle_exit_zero(name, capsys):
     assert run(["oracle", path_of(name)]) == 0
     assert "result: agree" in capsys.readouterr().out
+
+
+def test_conjugation_leaving_the_complement_is_reported(tmp_path, capsys):
+    # sigma swaps v5 with the nilradical vector v1, so the lattice's
+    # conjugation check has no sigma(v5) coordinate to compare.
+    doc = json.loads((INSTANCE_DIR / "example-7-1-generic.json").read_text())
+    doc["algebra"]["conjugation"] = {
+        "v5": "v1", "v1": "v5", "v2": "v6", "v6": "v2", "v3": "v4", "v4": "v3",
+    }
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "derham", "conditions", "oracle", "nilshadow"):
+        assert run([command, str(path)]) == 1
+        assert "[conjugation-split]" in capsys.readouterr().out
+
+
+def test_inferred_weights_off_the_eigenvalues_fail_the_grading_check(tmp_path, capsys):
+    # R(t) minus its diagonal is nilpotent, so validation accepts the
+    # diagonal (1, 2, 3) as weights. But det R(t) = 7, not 1*2*3, so the
+    # diagonal is not the eigenvalue list, and the build's weight-grading
+    # check is what refuses it.
+    doc = {
+        "name": "t-module",
+        "kind": "derham",
+        "algebra": {"dim": 1, "basis": ["t"], "brackets": [], "nilradical": [],
+                    "complement": ["t"]},
+        "representation": {
+            "dim": 3,
+            "matrices": {"t": [["1", "1", "1"], ["-1", "2", "0"], ["1", "0", "3"]]},
+        },
+        "weights": {"infer": True},
+        "lattice": {"symbols": [], "generators": [{"t": "1"}]},
+    }
+    path = tmp_path / "t-module.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert run(["derham", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: weight grading violated: d(1 (x) u1) hits t* (x) u2 "
+        "across tags (-1) -> (-2); invalid weight data\n"
+    )
 
 
 def test_kind_command_mismatch(capsys):
@@ -122,6 +166,8 @@ PERIOD = ("lattice", "generators", 0, "e1")  # in example-7-2-pi
         ("heisenberg3", _set(BRACKET_COEFFICIENT, "1/0*i")),
         ("example-7-2-pi", _set(PERIOD, "1/0*i*pi + a")),
         ("example-7-2-pi", _set(PERIOD, "1/0 + a")),
+        ("example-7-1-generic", _set(("algebra", "nilradical"), ["v1", "v2", "v3", "v4", "v1"])),
+        ("example-7-1-generic", _set(("algebra", "complement"), ["v5", "v5", "v6"])),
     ],
     ids=[
         "basis-int",
@@ -135,6 +181,8 @@ PERIOD = ("lattice", "generators", 0, "e1")  # in example-7-2-pi
         "scalar-imaginary-zero-denominator",
         "period-coefficient-zero-denominator",
         "period-constant-zero-denominator",
+        "nilradical-repeated-name",
+        "complement-repeated-name",
     ],
 )
 def test_malformed_instance_exits_two_without_traceback(name, mutate, tmp_path):
@@ -303,3 +351,51 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "valid" in proc.stdout
+
+
+
+COMMANDS = ("validate", "derham", "dolbeault", "conditions", "oracle", "nilshadow")
+
+REFUSE_SYMPY = textwrap.dedent(
+    """
+    import contextlib
+    import io
+    import sys
+    from importlib.abc import MetaPathFinder
+
+    class RefuseSympy(MetaPathFinder):
+        def find_spec(self, name, path, target=None):
+            if name.split(".")[0] == "sympy":
+                raise ImportError(f"{name} is refused")
+            return None
+
+    sys.meta_path.insert(0, RefuseSympy())
+    from solvcohom import cli
+
+    path, commands = sys.argv[1], sys.argv[2:]
+    for command in commands:
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            print(command, cli.main([command, path]), file=sys.__stdout__)
+    print("sympy loaded:", "sympy" in sys.modules)
+    """
+)
+
+
+@pytest.mark.parametrize(
+    "name,wrong_kind", [("example-7-1-pi", "dolbeault"), ("torus-complex-n3", "derham")]
+)
+def test_commands_run_without_sympy(name, wrong_kind):
+    proc = subprocess.run(
+        [sys.executable, "-c", REFUSE_SYMPY, path_of(name), *COMMANDS],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = [f"{c} {1 if c == wrong_kind else 0}" for c in COMMANDS]
+    assert proc.stdout.splitlines() == expected + ["sympy loaded: False"]
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in solvcohom.__all__ if not hasattr(solvcohom, name)]
+    assert missing == []

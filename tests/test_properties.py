@@ -167,7 +167,7 @@ def test_ce_differential_columns_equal_reference(name, data):
 @settings(max_examples=40, deadline=None)
 @given(lat=lattices(2))
 def test_de_rham_selection_closed_and_keeps_zero_tag(lat):
-    # restrict_complex(check_closure=True) raises if any kept column maps
+    # restrict_complex raises if any kept column maps
     # onto a dropped row, so a successful call is the closure certificate.
     sel = select_de_rham(_IC_6D, lat)
     zero = _IC_6D.weights.zero()

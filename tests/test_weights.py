@@ -1,10 +1,26 @@
+import os
 import subprocess
 import sys
 import textwrap
 
 import pytest
 from ce_reference import reference_invariant_differentials
-from conftest import INSTANCE_DIR, make_heisenberg_power, make_split_6d_plus_heisenberg
+from conftest import (
+    INSTANCE_DIR,
+    make_heisenberg,
+    make_heisenberg_power,
+    make_split_3d,
+    make_split_6d,
+    make_split_6d_plus_heisenberg,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jordan_reference import (
+    ExtendScalarsError,
+    char_poly,
+    jordan_chevalley_additive,
+    matrix_inverse,
+)
 
 from solvcohom import (
     adjoint_representation,
@@ -12,22 +28,16 @@ from solvcohom import (
     build_representation,
     build_weight_assignment,
     infer_weights,
-    jordan_chevalley_additive,
     load_instance,
     trivial_representation,
     validate_weight_assignment,
 )
-from solvcohom.errors import (
-    ExtendScalarsError,
-    WeightGradingError,
-    WeightInferenceError,
-)
+from solvcohom.errors import WeightGradingError, WeightInferenceError
 from solvcohom.liealg import LieAlgebraData, RepresentationData
-from solvcohom.linalg import ExactMatrix, matrix_inverse
+from solvcohom.linalg import ExactMatrix
 from solvcohom.scalars import I, MINUS_ONE, ONE, ZERO, gauss
 from solvcohom.weights import (
     WeightAssignment,
-    char_poly,
     format_weight,
     weight_is_zero,
     weight_sort_key,
@@ -112,26 +122,86 @@ def test_jordan_certificate_survives_optimize_flag():
     # diag(1, 2) are given directly, so the subprocess skips sympy.
     script = textwrap.dedent(
         """
-        from solvcohom import weights
+        import jordan_reference
         from solvcohom.errors import CertificateError
         from solvcohom.linalg import ExactMatrix
         from solvcohom.scalars import ONE, gauss
 
         assert False, "asserts must be stripped under -O"
-        weights._factor_linear_over_q_i = lambda p: [(gauss(1), 1), (gauss(2), 1)]
-        weights._inverse_mod = lambda a, modulus: (ONE,)
+        jordan_reference._factor_linear_over_q_i = lambda p: [(gauss(1), 1), (gauss(2), 1)]
+        jordan_reference._inverse_mod = lambda a, modulus: (ONE,)
         m = ExactMatrix.from_rows([[gauss(1), gauss(0)], [gauss(0), gauss(2)]])
         try:
-            weights.jordan_chevalley_additive(m)
+            jordan_reference.jordan_chevalley_additive(m)
         except CertificateError as err:
             print(err)
         """
     )
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join(filter(None, [tests_dir, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "eigenprojection is not idempotent"
+
+
+_FIXTURES = {
+    "heisenberg": (make_heisenberg, trivial_representation),
+    "heisenberg3^2": (lambda: make_heisenberg_power(2), trivial_representation),
+    "split_3d": (make_split_3d, trivial_representation),
+    "split_6d": (make_split_6d, adjoint_representation),
+    "split_6d+heisenberg": (make_split_6d_plus_heisenberg, adjoint_representation),
+}
+
+
+def _diagonal(column):
+    n = len(column)
+    return ExactMatrix.from_entries(n, n, {(i, i): c for i, c in enumerate(column)})
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.stem for p in INSTANCE_DIR.glob("*.json")) + sorted(_FIXTURES)
+)
+def test_inferred_weights_are_the_semisimple_parts(name):
+    # In an adapted basis the semisimple part of ad(X_j) and of R(X_j) is
+    # diagonal, and its diagonal is the weight column infer_weights reads.
+    if name in _FIXTURES:
+        make_algebra, make_module = _FIXTURES[name]
+        g = make_algebra()
+        rep = make_module(g)
+    else:
+        inst = load_instance(str(INSTANCE_DIR / f"{name}.json"))
+        g, rep = inst.algebra, build_representation(inst)
+    w = infer_weights(g, rep)
+    for pos, j in enumerate(g.complement):
+        S, _ = jordan_chevalley_additive(g.ad_matrix(j))
+        assert S == _diagonal([lam[pos] for lam in w.algebra_weights])
+        S, _ = jordan_chevalley_additive(rep.matrices[j])
+        assert S == _diagonal([lam[pos] for lam in w.rep_weights])
+
+
+gaussian_integers = st.builds(gauss, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def upper_triangular(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    return ExactMatrix.from_entries(
+        n, n, {(i, j): draw(gaussian_integers) for i in range(n) for j in range(i, n)}
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(M=upper_triangular())
+def test_semisimple_part_of_a_triangular_matrix_keeps_its_diagonal(M):
+    S, _ = jordan_chevalley_additive(M)
+    assert [S.entry(i, i) for i in range(S.nrows)] == [
+        M.entry(i, i) for i in range(M.nrows)
+    ]
 
 
 def test_weight_assignment_tag(split_6d):
