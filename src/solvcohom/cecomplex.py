@@ -12,10 +12,10 @@ differential code path.
 
 Degree-p basis order: p-subsets I of the index set in lexicographic
 order, each followed by the module index k (so column (I, k) sits at
-subset_position(I) * m + k). ce_kernel assembles a whole degree at
-once: a subset is an integer bitmask, wedge signs are popcounts, the
-bracket part of d(x_I) is formed once for all m columns (I, k), and
-only rho's diagonal depends on the column's twist.
+subset_position(I) * m + k). ce_kernel assembles the requested columns
+of a degree at once: a subset is an integer bitmask, wedge signs are
+popcounts, the bracket part of d(x_I) is formed once for its columns
+(I, k), and only rho's diagonal depends on the column's twist.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from typing import Callable, Optional, Sequence
 from .errors import (
     CertificateError,
     NilshadowError,
-    SelectionClosureError,
     ValidationFailure,
 )
 from .liealg import LieAlgebraData, RepresentationData, lower_central_series_dims, validate_algebra
@@ -105,13 +104,14 @@ def _one_form_differentials(
 
 def ce_kernel(
     g: LieAlgebraData, actions: Sequence[ModuleAction]
-) -> Callable[[Sequence[int], int], dict[tuple[int, int], GaussianRational]]:
+) -> Callable[[dict[int, int], int], dict[tuple[int, int], GaussianRational]]:
     """d with coefficients in twisted modules sharing one representation.
 
     kernel(column_action, p) gives the nonzero entries {(row, col): coeff}
-    of d from degree p to p+1, column (I, k) taken in the module
-    actions[column_action[col]]. Entries come column by column, each in
-    term order: action terms (j, then l), then bracket terms (t, a, b).
+    of d from degree p to p+1 on the columns in column_action only, column
+    (I, k) taken in the module actions[column_action[col]]. Entries come
+    column by column in the map's order, each in term order: action terms
+    (j, then l), then bracket terms (t, a, b).
     """
     n = g.dim
     m = actions[0].m if actions else 0
@@ -147,45 +147,47 @@ def ce_kernel(
                 table.append((1 << j, (1 << j) - 1, column, [(l, -v) for l, v in column]))
         return table
 
-    def kernel(column_action: Sequence[int], p: int) -> dict[tuple[int, int], GaussianRational]:
+    def kernel(column_action: dict[int, int], p: int) -> dict[tuple[int, int], GaussianRational]:
+        subsets, masks = degree_basis(n, p), degree_masks(n, p)
         target = mask_position(n, p + 1)
         entries: dict[tuple[int, int], GaussianRational] = {}
-        col = 0
-        for I, mask in zip(degree_basis(n, p), degree_masks(n, p)):
-            # d(x_I) = sum_t (-1)^{pos(t, I)} dx_t ^ x_{I - t}, for every k.
-            brackets = []
-            for pos_t, t in enumerate(I):
-                rest = mask ^ 1 << t
-                for ab, below_a, below_b, c, neg in dx[t]:
-                    if not rest & ab:
-                        odd = pos_t + (rest & below_b).bit_count() + (rest & below_a).bit_count()
-                        brackets.append(((rest | ab) * m, neg if odd & 1 else c))
-            for k in range(m):
-                aid = column_action[col]
-                table = tables.get((aid, k))
-                if table is None:
-                    table = action_table(aid, k)
-                # Action terms: insert x_j (sign: members below j), apply
-                # rho(X_j). Their keys are distinct, so none cancels yet.
-                acc: dict[int, GaussianRational] = {}
-                for bit, below, terms, negated in table:
-                    if not mask & bit:
-                        base = (mask | bit) * m
-                        for l, v in negated if (mask & below).bit_count() & 1 else terms:
-                            acc[base + l] = v
-                # Bracket terms, keyed mask * m + k; a sum that cancels is deleted.
-                for base, v in brackets:
-                    prev = acc.get(base + k)
-                    if prev is None:
-                        acc[base + k] = v
-                    elif total := prev + v:
-                        acc[base + k] = total
-                    else:
-                        del acc[base + k]
-                for key, v in acc.items():
-                    J, l = divmod(key, m)
-                    entries[(target[J] * m + l, col)] = v
-                col += 1
+        last = None
+        for col, aid in column_action.items():
+            ipos, k = divmod(col, m)
+            mask = masks[ipos]
+            if ipos != last:
+                # d(x_I) = sum_t (-1)^{pos(t, I)} dx_t ^ x_{I - t}, for every k.
+                last = ipos
+                brackets = []
+                for pos_t, t in enumerate(subsets[ipos]):
+                    rest = mask ^ 1 << t
+                    for ab, below_a, below_b, c, neg in dx[t]:
+                        if not rest & ab:
+                            odd = pos_t + (rest & below_b).bit_count() + (rest & below_a).bit_count()
+                            brackets.append(((rest | ab) * m, neg if odd & 1 else c))
+            table = tables.get((aid, k))
+            if table is None:
+                table = action_table(aid, k)
+            # Action terms: insert x_j (sign: members below j), apply
+            # rho(X_j). Their keys are distinct, so none cancels yet.
+            acc: dict[int, GaussianRational] = {}
+            for bit, below, terms, negated in table:
+                if not mask & bit:
+                    base = (mask | bit) * m
+                    for l, v in negated if (mask & below).bit_count() & 1 else terms:
+                        acc[base + l] = v
+            # Bracket terms, keyed mask * m + k; a sum that cancels is deleted.
+            for base, v in brackets:
+                prev = acc.get(base + k)
+                if prev is None:
+                    acc[base + k] = v
+                elif total := prev + v:
+                    acc[base + k] = total
+                else:
+                    del acc[base + k]
+            for key, v in acc.items():
+                J, l = divmod(key, m)
+                entries[(target[J] * m + l, col)] = v
         return entries
 
     return kernel
@@ -197,7 +199,7 @@ def ce_differential(
     """Matrix of d from degree p to degree p+1 in the lex basis order."""
     n, m = g.dim, action.m
     ncols = len(degree_basis(n, p)) * m
-    entries = ce_kernel(g, [action])([0] * ncols, p)
+    entries = ce_kernel(g, [action])(dict.fromkeys(range(ncols), 0), p)
     return ExactMatrix.from_entries(len(degree_basis(n, p + 1)) * m, ncols, entries)
 
 
@@ -396,52 +398,6 @@ def nilshadow(
             "weight data is inconsistent"
         )
     return shadow
-
-
-def restrict_complex(fc: FiniteComplex, keep: Sequence[Sequence[int]]) -> FiniteComplex:
-    """Subcomplex on the kept basis indices per degree.
-
-    Any differential coefficient from a kept column to a dropped row
-    raises SelectionClosureError; selections made through weight-tag
-    predicates are block-closed so this never fires for them.
-    """
-    keep_t = [tuple(ks) for ks in keep]
-    if len(keep_t) != len(fc.dims):
-        raise ValidationFailure("keep list must cover every degree")
-    for p, ks in enumerate(keep_t):
-        if len(set(ks)) != len(ks) or not all(0 <= i < fc.dims[p] for i in ks):
-            raise ValidationFailure(
-                f"keep list at degree {p} must hold distinct indices below {fc.dims[p]}"
-            )
-    dims = [len(ks) for ks in keep_t]
-    differentials = []
-    for p, d in enumerate(fc.differentials):
-        col_pos = {c: pos for pos, c in enumerate(keep_t[p])}
-        row_pos = {r: pos for pos, r in enumerate(keep_t[p + 1])}
-        entries: dict[tuple[int, int], GaussianRational] = {}
-        # The witness is the first offence in (kept column order, row) order.
-        witness: Optional[tuple[int, int]] = None
-        for r, row in enumerate(d.row_maps):
-            rpos = row_pos.get(r)
-            for c, a in row.items():
-                cpos = col_pos.get(c)
-                if cpos is None:
-                    continue
-                if rpos is not None:
-                    entries[(rpos, cpos)] = a
-                elif witness is None or (cpos, r) < witness:
-                    witness = (cpos, r)
-        if witness is not None:
-            raise SelectionClosureError(
-                f"selection not closed under d at degree {p}: "
-                f"column {fc.labels[p][keep_t[p][witness[0]]]} hits dropped row "
-                f"{fc.labels[p + 1][witness[1]]}"
-            )
-        differentials.append(ExactMatrix.from_entries(dims[p + 1], dims[p], entries))
-    labels = [
-        tuple(fc.labels[p][i] for i in keep_t[p]) for p in range(len(keep_t))
-    ]
-    return FiniteComplex(dims, differentials, labels)
 
 
 def monomial_label(

@@ -25,6 +25,8 @@ from .errors import (
     ModeMismatchError,
     ScalarParseError,
     SolvcohomError,
+    WeightGradingError,
+    WeightInferenceError,
 )
 from .instances import (
     InstanceFile,
@@ -39,7 +41,7 @@ from .lattice import (
     select_de_rham,
     select_dolbeault,
 )
-from .liealg import lower_central_series_dims
+from .liealg import ValidationIssue, lower_central_series_dims
 from .oracle import verify_quasi_iso
 from .scalars import ONE, MINUS_ONE, format_gaussian
 from .weights import build_invariant_complex, format_weight
@@ -111,21 +113,29 @@ def _tag_summary(sel) -> list[dict]:
 
 def cmd_validate(args) -> int:
     inst = load_instance(args.instance)
-    report = validate_instance(inst)
+    found = list(validate_instance(inst).issues)
+    if not found:
+        # Weight data passes only if the build certifies its grading.
+        try:
+            _pipeline(inst)
+        except WeightInferenceError as exc:
+            found.append(ValidationIssue("weight-inference", str(exc)))
+        except WeightGradingError as exc:
+            found.append(ValidationIssue("weight-grading", str(exc)))
     issues = [
         {"code": i.code, "message": i.message, "witness": list(i.witness)}
-        for i in report.issues
+        for i in found
     ]
-    if report.ok:
+    if not found:
         print(f"instance {inst.name!r}: valid")
     else:
         print(f"instance {inst.name!r}: {len(issues)} issue(s)")
-        for issue in report.issues:
+        for issue in found:
             print(f"  [{issue.code}] {issue.message}")
     if args.json:
         _write_json(args.json, {"command": "validate", "instance": inst.name,
-                                "ok": report.ok, "issues": issues})
-    return 0 if report.ok else 1
+                                "ok": not found, "issues": issues})
+    return 1 if found else 0
 
 
 def _cohomology_command(args, kind: str) -> int:
@@ -145,16 +155,15 @@ def _cohomology_command(args, kind: str) -> int:
     title = "twisted de Rham" if kind == "derham" else "Dolbeault"
     print(f"{title} cohomology of {inst.name!r}")
     print("  degree  invariant dim  kept dim  betti")
+    invariant = [len(per) for per in ic.tag_ids]
     for p, b in enumerate(result.betti):
-        print(
-            f"  {p:<6}  {ic.complex.dims[p]:<13}  {sel.complex.dims[p]:<8}  {b}"
-        )
+        print(f"  {p:<6}  {invariant[p]:<13}  {sel.complex.dims[p]:<8}  {b}")
     print(f"Euler characteristic: {result.euler_characteristic()}")
 
     payload: dict = {
         "command": kind,
         "instance": inst.name,
-        "invariant_dimensions": list(ic.complex.dims),
+        "invariant_dimensions": invariant,
         "kept_dimensions": list(sel.complex.dims),
         "betti": list(result.betti),
         "euler_characteristic": result.euler_characteristic(),

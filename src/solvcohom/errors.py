@@ -29,10 +29,6 @@ class WeightGradingError(SolvcohomError):
     """A differential coefficient crosses between distinct weight tags."""
 
 
-class SelectionClosureError(SolvcohomError):
-    """A selected subcomplex is not closed under the differential."""
-
-
 class NilshadowError(SolvcohomError):
     """The nilshadow bracket fails its nilpotency certificate."""
 

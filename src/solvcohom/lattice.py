@@ -10,14 +10,16 @@ on a generator as sum_j mu_j * delta_j; the two membership tests are
 
 The de Rham complex keeps the labels whose tag is trivial; the Dolbeault
 complex keeps the ratio-trivial ones. Both selections are unions of
-weight-tag blocks, so they are closed under the differential (asserted).
+weight-tag blocks, built by weights.restrict_complex from the kept tags'
+columns only; its grading check on every built entry makes them closed
+under the differential by construction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cecomplex import FiniteComplex, Weight, restrict_complex
+from .cecomplex import FiniteComplex, Weight
 from .errors import ModeMismatchError, ValidationFailure
 from .liealg import (
     MODE_COMPLEX,
@@ -28,7 +30,7 @@ from .liealg import (
 )
 from .periods import PeriodValue, SymbolTable
 from .scalars import GaussianRational
-from .weights import InvariantComplex, format_weight, weight_is_zero
+from .weights import InvariantComplex, format_weight, restrict_complex, weight_is_zero
 
 
 class LatticeData:
@@ -174,16 +176,10 @@ def _verdicts(ic: InvariantComplex, lat: LatticeData) -> tuple[TagVerdict, ...]:
 
 def _select(ic: InvariantComplex, lat: LatticeData, kind: str) -> SelectionResult:
     verdicts = _verdicts(ic, lat)
-    if kind == "derham":
-        kept_tag = [v.trivial_on_lattice for v in verdicts]
-    else:
-        kept_tag = [v.ratio_trivial for v in verdicts]
-    keep = [
-        tuple(i for i, t in enumerate(per_degree) if kept_tag[t])
-        for per_degree in ic.tag_ids
-    ]
-    sub = restrict_complex(ic.complex, keep)
-    return SelectionResult(kind, sub, tuple(keep), verdicts)
+    kept = [t for t, v in enumerate(verdicts)
+            if (v.trivial_on_lattice if kind == "derham" else v.ratio_trivial)]
+    sub = restrict_complex(ic, kept)
+    return SelectionResult(kind, sub, ic.indices_with_tag_ids(kept), verdicts)
 
 
 def select_de_rham(ic: InvariantComplex, lat: LatticeData) -> SelectionResult:
@@ -245,7 +241,7 @@ def check_conditions(ic: InvariantComplex, lat: LatticeData) -> ConditionReport:
     diamond2: Optional[bool] = True
     for t, (p, idx) in first.items():
         v = verdicts[t]
-        label = ic.complex.labels[p][idx]
+        label = ic.labels[p][idx]
         tag_text = format_weight(v.tag)
         if v.trivial_on_g != v.trivial_on_lattice:
             diamond1 = False

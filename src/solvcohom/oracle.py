@@ -31,13 +31,12 @@ from .cecomplex import (
     Weight,
     cohomology,
     degree_basis,
-    restrict_complex,
     subset_position,
 )
 from .liealg import LieAlgebraData, RepresentationData
 from .linalg import ExactMatrix
 from .scalars import ZERO, GaussianRational
-from .weights import InvariantComplex, format_weight, weight_sort_key
+from .weights import InvariantComplex, format_weight, restrict_complex
 
 # (action terms, bracket terms) of one degree; see _degree_skeleton.
 DegreeSkeleton = tuple[
@@ -211,10 +210,9 @@ def verify_quasi_iso(ic: InvariantComplex) -> QuasiIsoReport:
     g, rep = ic.algebra, ic.representation
     skeletons = sector_skeleton(g)
     comparisons = []
-    for tag in sorted(ic.distinct_tags(), key=weight_sort_key):
-        keep = ic.indices_with_tag(tag)
-        block = restrict_complex(ic.complex, keep)
-        block_betti = cohomology(block).betti
+    # tag_table is in weight_sort_key order, so ids run through the sorted tags.
+    for tid, tag in enumerate(ic.tag_table):
+        block_betti = cohomology(restrict_complex(ic, (tid,))).betti
         full_betti = sector_cohomology_full(g, rep, tag, skeletons).betti
         comparisons.append(SectorComparison(tag, block_betti, full_betti))
     return QuasiIsoReport(tuple(comparisons))

@@ -8,20 +8,22 @@ carries lambda'_k. The weight tag of a basis monomial x_I (x) v_k is
 
 The invariant complex has one basis element per (I, k); its differential
 applies the Chevalley-Eilenberg formula in the module twisted by the
-column's own tag, a degree at a time through cecomplex.ce_kernel. That
-the result never crosses between distinct tags is verified entry by entry
-and is exactly weight additivity of the input data; a violation raises
-WeightGradingError.
+column's own tag, through cecomplex.ce_kernel. That the result never
+crosses between distinct tags is exactly weight additivity of the input
+data, checked on degrees 0 and 1 (which decide it) and on every entry
+built after; a violation raises WeightGradingError.
 
 Distinct tags are few next to basis elements, so the complex interns
 them: a sorted tag table plus one small integer id per basis element.
 Each distinct partial sum is formed once, and the grading check, the
-twisted actions and the lattice selection all work on ids.
+twisted actions and the lattice selection all work on ids. Above degree
+1 only the blocks of the tags asked for are built (restrict_complex).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 from .cecomplex import (
     FiniteComplex,
@@ -200,20 +202,26 @@ def validate_weight_assignment(
 
 @dataclass(frozen=True)
 class InvariantComplex:
-    """Finite complex on basis labels (I, k) with one weight tag each.
+    """Basis labels (I, k) of the invariant complex, one weight tag each.
 
     Tags are interned: tag_table lists the distinct tags in weight_sort_key
     order, and tag_ids[p][i] is the position in it of the tag of the
-    degree-p basis element i. Consumers compare and cache by these ids.
+    degree-p basis element i, named labels[p][i]. kernel is a ce_kernel
+    whose action ids are tag ids; complex is the block of every tag.
     """
 
-    complex: FiniteComplex
     element_labels: tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
+    labels: tuple[tuple[str, ...], ...]
     tag_table: tuple[Weight, ...]
     tag_ids: tuple[tuple[int, ...], ...]
     algebra: LieAlgebraData
     representation: RepresentationData
     weights: WeightAssignment
+    kernel: Callable[[dict[int, int], int], dict] = field(repr=False, compare=False)
+
+    @cached_property
+    def complex(self) -> FiniteComplex:
+        return restrict_complex(self, range(len(self.tag_table)))
 
     @property
     def element_tags(self) -> tuple[tuple[Weight, ...], ...]:
@@ -223,11 +231,15 @@ class InvariantComplex:
     def distinct_tags(self) -> tuple[Weight, ...]:
         return self.tag_table
 
+    def indices_with_tag_ids(self, tag_ids: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+        wanted = set(tag_ids)
+        return tuple(
+            tuple(i for i, t in enumerate(per) if t in wanted) for per in self.tag_ids
+        )
+
     def indices_with_tag(self, tag: Weight) -> tuple[tuple[int, ...], ...]:
         tid = self.tag_table.index(tag) if tag in self.tag_table else -1
-        return tuple(
-            tuple(i for i, t in enumerate(per) if t == tid) for per in self.tag_ids
-        )
+        return self.indices_with_tag_ids((tid,))
 
 
 def _interner():
@@ -248,13 +260,16 @@ def _interner():
 def build_invariant_complex(
     g: LieAlgebraData, rep: RepresentationData, w: WeightAssignment
 ) -> InvariantComplex:
-    """Assemble the invariant complex and verify its weight grading.
+    """Label and tag the invariant complex and certify its weight grading.
 
-    Each column (I, k) is differentiated in the module twisted by its own
-    tag mu_{I,k}, one ModuleAction per distinct tag, a degree per kernel
-    call. Every surviving coefficient of every column is then checked in
-    column and term order; one reaching a basis element with a different
-    tag is a weight-grading violation and raises.
+    Column (I, k) is differentiated in the module twisted by its own tag,
+    one ModuleAction per distinct tag. Only degrees 0 and 1 are built
+    here, all their columns, for the grading check. The coefficient of
+    d(x_I (x) v_k) at (J, l) is affine in I's indicator (R_j[l, k];
+    R_j[k, k] + mu_{I,k}(X_j) plus c_{jt}^t over t in I; or +-c_{ab}^t,
+    {t} = I - J) and its tag jump depends only on J - I, I - J, k and l,
+    so degrees 0 and 1 pass exactly when all degrees do, and hold the
+    first violation in (degree, column, term) order.
 
     Tags are summed once per distinct partial sum: the algebra part of I
     extends that of I[:-1] by lambda_{I[-1]}, and both the extension and
@@ -310,21 +325,50 @@ def build_invariant_complex(
     tag_ids = tuple(tuple(renumber[t] for t in per) for per in raw_ids)
 
     kernel = ce_kernel(g, [ModuleAction(g, rep, tag) for tag in tag_table])
-    differentials = []
-    dims = [len(per) for per in labels]
-    for p in range(n):
-        source_ids, target_ids = tag_ids[p], tag_ids[p + 1]
-        entries = kernel(source_ids, p)
-        for row, col in entries:
-            tid = source_ids[col]
-            if target_ids[row] != tid:
-                raise WeightGradingError(
-                    "weight grading violated: d("
-                    f"{label_strings[p][col]}) hits {label_strings[p+1][row]} "
-                    f"across tags {format_weight(tag_table[tid])} -> "
-                    f"{format_weight(tag_table[target_ids[row]])}; invalid weight data"
-                )
-        differentials.append(ExactMatrix.from_entries(dims[p + 1], dims[p], entries))
+    ic = InvariantComplex(
+        tuple(labels), tuple(label_strings), tag_table, tag_ids, g, rep, w, kernel
+    )
+    for p in range(min(n, 2)):
+        _graded_entries(ic, dict(enumerate(tag_ids[p])), p)
+    return ic
 
-    fc = FiniteComplex(dims, differentials, label_strings)
-    return InvariantComplex(fc, tuple(labels), tag_table, tag_ids, g, rep, w)
+
+def _graded_entries(
+    ic: InvariantComplex, column_action: dict[int, int], p: int
+) -> dict[tuple[int, int], GaussianRational]:
+    """ic.kernel's entries for the given columns, checked for the grading.
+
+    The first, in column and term order, that reaches a basis element of
+    another tag raises WeightGradingError.
+    """
+    source_ids, target_ids = ic.tag_ids[p], ic.tag_ids[p + 1]
+    entries = ic.kernel(column_action, p)
+    for row, col in entries:
+        tid = source_ids[col]
+        if target_ids[row] != tid:
+            raise WeightGradingError(
+                "weight grading violated: d("
+                f"{ic.labels[p][col]}) hits {ic.labels[p + 1][row]} "
+                f"across tags {format_weight(ic.tag_table[tid])} -> "
+                f"{format_weight(ic.tag_table[target_ids[row]])}; invalid weight data"
+            )
+    return entries
+
+
+def restrict_complex(ic: InvariantComplex, tag_ids: Iterable[int]) -> FiniteComplex:
+    """The block of the given tag ids, its basis in the global order.
+
+    Only those tags' columns are formed, and every entry passes the
+    grading check, so it lands on a row of its column's tag: the block is
+    closed under d by construction.
+    """
+    keep = ic.indices_with_tag_ids(tag_ids)
+    dims = [len(ks) for ks in keep]
+    pos = [{i: at for at, i in enumerate(ks)} for ks in keep]
+    differentials = []
+    for p in range(len(keep) - 1):
+        entries = _graded_entries(ic, {c: ic.tag_ids[p][c] for c in keep[p]}, p)
+        local = {(pos[p + 1][r], pos[p][c]): v for (r, c), v in entries.items()}
+        differentials.append(ExactMatrix.from_entries(dims[p + 1], dims[p], local))
+    labels = [tuple(ic.labels[p][i] for i in ks) for p, ks in enumerate(keep)]
+    return FiniteComplex(dims, differentials, labels)

@@ -13,12 +13,15 @@ from solvcohom.cecomplex import (
     _one_form_differentials,
     ce_differential,
     degree_basis,
+    module_basis_names,
+    monomial_label,
     subset_position,
 )
+from solvcohom.errors import WeightGradingError
 from solvcohom.liealg import LieAlgebraData, RepresentationData
 from solvcohom.linalg import ExactMatrix
 from solvcohom.scalars import GaussianRational
-from solvcohom.weights import WeightAssignment
+from solvcohom.weights import WeightAssignment, format_weight
 
 
 def wedge_insert_sign(element: int, others: tuple[int, ...]) -> int:
@@ -116,3 +119,33 @@ def reference_invariant_differentials(
                     entries[(rows[J] * m + l, ipos * m + k)] = c
         out.append(ExactMatrix.from_entries(len(rows) * m, len(sources) * m, entries))
     return out
+
+
+def reference_grading_check(
+    g: LieAlgebraData, rep: RepresentationData, w: WeightAssignment
+) -> None:
+    """The weight-grading check on every degree, not only degrees 0 and 1.
+
+    Columns are taken in (degree, column) order and the terms of each in
+    reference_ce_image's order, which is the kernel's term order. The
+    first coefficient reaching a basis element with a different tag
+    raises the package's WeightGradingError message.
+    """
+    n, m = g.dim, rep.m
+    names = module_basis_names(g, rep)
+    actions: dict = {}
+    for p in range(n):
+        for I in degree_basis(n, p):
+            for k in range(m):
+                tag = w.tag(I, k)
+                if tag not in actions:
+                    actions[tag] = ModuleAction(g, rep, tag)
+                for (J, l) in reference_ce_image(g, actions[tag], I, k):
+                    if w.tag(J, l) != tag:
+                        raise WeightGradingError(
+                            "weight grading violated: d("
+                            f"{monomial_label(g, I, k, names)}) hits "
+                            f"{monomial_label(g, J, l, names)} across tags "
+                            f"{format_weight(tag)} -> {format_weight(w.tag(J, l))}; "
+                            "invalid weight data"
+                        )

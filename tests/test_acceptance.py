@@ -190,7 +190,7 @@ def test_acceptance_6_structural_properties_on_random_data():
     zero = ic6.weights.zero()
     for _ in range(5):
         lat = LatticeData(table, [[period(), period()] for _ in range(2)])
-        sel = select_de_rham(ic6, lat)  # closure checked inside
+        sel = select_de_rham(ic6, lat)  # grading checked on every built entry
         for p, kept in enumerate(sel.kept_indices):
             assert set(ic6.indices_with_tag(zero)[p]) <= set(kept)
 

@@ -1,0 +1,60 @@
+"""The benchmark's recorders still fit the pipeline they rebind.
+
+bench/spans.py wraps pipeline functions by module attribute (see its
+docstring), so renaming or bypassing one of them breaks
+`bench/run.py --trace 1` without failing any other test. This runs both
+recorders around in-process CLI answers, as the harness does.
+"""
+import importlib.util
+
+from conftest import INSTANCE_DIR
+
+import solvcohom.cli
+
+SPANS = INSTANCE_DIR.parent / "bench" / "spans.py"
+ANSWERS = [
+    ["derham", str(INSTANCE_DIR / "example-7-1-generic.json")],
+    ["oracle", str(INSTANCE_DIR / "heisenberg3.json")],
+]
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _answer_codes():
+    # Looked up per call, so the recorders' wrapper of cli.main applies.
+    return [solvcohom.cli.main(argv) for argv in ANSWERS]
+
+
+def test_span_tracer_and_work_counter_wrap_derham_and_oracle(capsys):
+    spans = _load_spans()
+    originals = [getattr(owner, attr) for owner, attr, _ in spans.SPAN_POINTS]
+
+    tracer = spans.SpanTracer()
+    with tracer:
+        assert _answer_codes() == [0, 0]
+    layers = {span[0] for span in tracer.spans}
+    assert {
+        "cli.main",
+        "weights.build",
+        "lattice.select",
+        "cecomplex.restrict",
+        "cecomplex.cohomology",
+        "oracle.verify",
+        "oracle.sector",
+    } <= layers
+
+    counter = spans.WorkCounter()
+    with counter:
+        assert _answer_codes() == [0, 0]
+    counts = counter.counts
+    assert counts["ic.cochains"] > 0
+    assert counts["ic.tags"] > 0
+    assert counts["select.kept"] > 0
+    capsys.readouterr()
+
+    assert [getattr(owner, attr) for owner, attr, _ in spans.SPAN_POINTS] == originals

@@ -8,7 +8,6 @@ from solvcohom import (
     cohomology,
     infer_weights,
     nilshadow,
-    restrict_complex,
     trivial_representation,
 )
 from solvcohom import cecomplex
@@ -23,7 +22,6 @@ from solvcohom.cecomplex import (
 from solvcohom.errors import (
     CertificateError,
     NilshadowError,
-    SelectionClosureError,
     ValidationFailure,
 )
 from solvcohom.linalg import ExactMatrix
@@ -157,23 +155,6 @@ def test_check_complex_catches_bad_differential():
         fc.check_complex()
 
 
-def test_restrict_complex_closure(split_3d):
-    fc = plain_ce_complex(split_3d)
-    # Keeping e2* in degree 1 but dropping e1*^e2* in degree 2 is not
-    # closed: d(e2*) = -e1*^e2*.
-    bad_keep = [(0,), (1,), (2,), ()]
-    with pytest.raises(SelectionClosureError, match="degree 1"):
-        restrict_complex(fc, bad_keep)
-    # The zero-weight block {1, e1*, e2*^e3*, e1*^e2*^e3*} is closed.
-    good_keep = [(0,), (0,), (2,), (0,)]
-    sub = restrict_complex(fc, good_keep)
-    assert sub.dims == (1, 1, 1, 1)
-    assert cohomology(sub).betti == (1, 1, 1, 1)
-    for bad_indices in ([(0,), (0, 0), (), ()], [(0,), (3,), (), ()]):
-        with pytest.raises(ValidationFailure, match="distinct indices below 3"):
-            restrict_complex(fc, bad_indices)
-
-
 def test_labels(heisenberg):
     rep = trivial_representation(heisenberg)
     names = module_basis_names(heisenberg, rep)
@@ -231,18 +212,3 @@ def test_cohomology_of_zero_complex():
     fc = FiniteComplex((2,), ())
     res = cohomology(fc)
     assert res.betti == (2,)
-
-
-def test_restrict_complex_reports_first_witness_in_keep_order():
-    # Two offences: column a0 hits dropped row b1, column a2 hits dropped
-    # row b2. Kept columns are scanned in keep order (a2 before a0), then
-    # rows ascending, so a2 -> b2 is the witness.
-    d = ExactMatrix.from_entries(
-        3, 3, {(1, 0): ONE, (0, 2): ONE, (2, 2): MINUS_ONE}
-    )
-    fc = FiniteComplex((3, 3), (d,), labels=[("a0", "a1", "a2"), ("b0", "b1", "b2")])
-    with pytest.raises(SelectionClosureError) as info:
-        restrict_complex(fc, [(2, 0), (0,)])
-    assert str(info.value) == (
-        "selection not closed under d at degree 0: column a2 hits dropped row b2"
-    )

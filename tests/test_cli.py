@@ -68,10 +68,10 @@ def test_conjugation_leaving_the_complement_is_reported(tmp_path, capsys):
 
 
 def test_inferred_weights_off_the_eigenvalues_fail_the_grading_check(tmp_path, capsys):
-    # R(t) minus its diagonal is nilpotent, so validation accepts the
+    # R(t) minus its diagonal is nilpotent, so inference accepts the
     # diagonal (1, 2, 3) as weights. But det R(t) = 7, not 1*2*3, so the
     # diagonal is not the eigenvalue list, and the build's weight-grading
-    # check is what refuses it.
+    # check is what refuses it, in validate as in every other command.
     doc = {
         "name": "t-module",
         "kind": "derham",
@@ -86,13 +86,59 @@ def test_inferred_weights_off_the_eigenvalues_fail_the_grading_check(tmp_path, c
     }
     path = tmp_path / "t-module.json"
     path.write_text(json.dumps(doc))
-    assert run(["validate", str(path)]) == 0
-    capsys.readouterr()
+    assert run(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "instance 't-module': 1 issue(s)\n"
+        "  [weight-grading] weight grading violated: d(1 (x) u1) hits t* (x) u2 "
+        "across tags (-1) -> (-2); invalid weight data\n"
+    )
     assert run(["derham", str(path)]) == 1
     assert capsys.readouterr().err == (
         "error: weight grading violated: d(1 (x) u1) hits t* (x) u2 "
         "across tags (-1) -> (-2); invalid weight data\n"
     )
+
+
+@pytest.mark.parametrize(
+    "matrix,code,message",
+    [
+        (
+            [["1", "1", "1"], ["-1", "2", "0"], ["1", "0", "3"]],
+            "weight-grading",
+            "weight grading violated: d(1 (x) u1) hits t* (x) u2 "
+            "across tags (-1) -> (-2); invalid weight data",
+        ),
+        (
+            [["0", "1"], ["1", "0"]],
+            "weight-inference",
+            "R(t) minus its diagonal is not nilpotent; "
+            "supply an adapted basis or explicit weights",
+        ),
+    ],
+)
+def test_validate_reports_weights_the_build_refuses(matrix, code, message, tmp_path, capsys):
+    doc = {
+        "name": "t-module",
+        "kind": "derham",
+        "algebra": {"dim": 1, "basis": ["t"], "brackets": [], "nilradical": [],
+                    "complement": ["t"]},
+        "representation": {"dim": len(matrix), "matrices": {"t": matrix}},
+        "weights": {"infer": True},
+        "lattice": {"symbols": [], "generators": [{"t": "1"}]},
+    }
+    path = tmp_path / "t-module.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "v.json"
+    assert run(["validate", str(path), "--json", str(out)]) == 1
+    assert capsys.readouterr().out == (
+        f"instance 't-module': 1 issue(s)\n  [{code}] {message}\n"
+    )
+    assert json.loads(out.read_text()) == {
+        "command": "validate",
+        "instance": "t-module",
+        "ok": False,
+        "issues": [{"code": code, "message": message, "witness": []}],
+    }
 
 
 def test_kind_command_mismatch(capsys):

@@ -167,8 +167,9 @@ def test_ce_differential_columns_equal_reference(name, data):
 @settings(max_examples=40, deadline=None)
 @given(lat=lattices(2))
 def test_de_rham_selection_closed_and_keeps_zero_tag(lat):
-    # restrict_complex raises if any kept column maps
-    # onto a dropped row, so a successful call is the closure certificate.
+    # restrict_complex builds only the kept tags' columns and checks the
+    # grading of every entry, so each lands on a kept row: closed by
+    # construction.
     sel = select_de_rham(_IC_6D, lat)
     zero = _IC_6D.weights.zero()
     for p, kept in enumerate(sel.kept_indices):

@@ -1,0 +1,200 @@
+import dataclasses
+
+import pytest
+from conftest import (
+    INSTANCE_DIR,
+    make_heisenberg_power,
+    make_split_6d_plus_heisenberg,
+)
+from restrict_reference import SelectionClosureError, reference_restrict_complex
+
+from solvcohom import (
+    MODE_REAL,
+    FiniteComplex,
+    adjoint_representation,
+    build_invariant_complex,
+    build_representation,
+    build_weight_assignment,
+    ce_differential,
+    char_trivial_on_lattice,
+    cli,
+    cohomology,
+    degree_basis,
+    infer_weights,
+    load_instance,
+    restrict_complex,
+    select_de_rham,
+    select_dolbeault,
+    trivial_representation,
+    weights,
+)
+from solvcohom.cecomplex import ModuleAction
+from solvcohom.errors import ValidationFailure, WeightGradingError
+from solvcohom.lattice import ratio_char_trivial_on_lattice
+from solvcohom.linalg import ExactMatrix
+from solvcohom.scalars import MINUS_ONE, ONE
+
+
+def _plain_ce_complex(g):
+    action = ModuleAction(g, trivial_representation(g), None)
+    dims = [len(degree_basis(g.dim, p)) for p in range(g.dim + 1)]
+    return FiniteComplex(dims, [ce_differential(g, action, p) for p in range(g.dim)])
+
+
+def test_restrict_complex_closure(split_3d):
+    fc = _plain_ce_complex(split_3d)
+    # Keeping e2* in degree 1 but dropping e1*^e2* in degree 2 is not
+    # closed: d(e2*) = -e1*^e2*.
+    bad_keep = [(0,), (1,), (2,), ()]
+    with pytest.raises(SelectionClosureError, match="degree 1"):
+        reference_restrict_complex(fc, bad_keep)
+    # The zero-weight block {1, e1*, e2*^e3*, e1*^e2*^e3*} is closed.
+    good_keep = [(0,), (0,), (2,), (0,)]
+    sub = reference_restrict_complex(fc, good_keep)
+    assert sub.dims == (1, 1, 1, 1)
+    assert cohomology(sub).betti == (1, 1, 1, 1)
+    for bad_indices in ([(0,), (0, 0), (), ()], [(0,), (3,), (), ()]):
+        with pytest.raises(ValidationFailure, match="distinct indices below 3"):
+            reference_restrict_complex(fc, bad_indices)
+
+
+def test_restrict_complex_reports_first_witness_in_keep_order():
+    # Two offences: column a0 hits dropped row b1, column a2 hits dropped
+    # row b2. Kept columns are scanned in keep order (a2 before a0), then
+    # rows ascending, so a2 -> b2 is the witness.
+    d = ExactMatrix.from_entries(
+        3, 3, {(1, 0): ONE, (0, 2): ONE, (2, 2): MINUS_ONE}
+    )
+    fc = FiniteComplex((3, 3), (d,), labels=[("a0", "a1", "a2"), ("b0", "b1", "b2")])
+    with pytest.raises(SelectionClosureError) as info:
+        reference_restrict_complex(fc, [(2, 0), (0,)])
+    assert str(info.value) == (
+        "selection not closed under d at degree 0: column a2 hits dropped row b2"
+    )
+
+
+def _shipped(name):
+    inst = load_instance(str(INSTANCE_DIR / f"{name}.json"))
+    rep = build_representation(inst)
+    ic = build_invariant_complex(inst.algebra, rep, build_weight_assignment(inst, rep))
+    return ic, [inst.lattice]
+
+
+def _generated(make_algebra, make_module, lattice_names):
+    g = make_algebra()
+    rep = make_module(g)
+    lattices = [
+        load_instance(str(INSTANCE_DIR / f"{name}.json")).lattice
+        for name in lattice_names
+    ]
+    return build_invariant_complex(g, rep, infer_weights(g, rep)), lattices
+
+
+# The n = 9 sum has the complement width of example-7-1-*, so it takes
+# both of their lattices; heisenberg3^4 (n = 12) has an empty complement.
+_CASES = {
+    **{p.stem: (_shipped, (p.stem,)) for p in INSTANCE_DIR.glob("*.json")},
+    "split_6d+heisenberg": (
+        _generated,
+        (
+            make_split_6d_plus_heisenberg,
+            adjoint_representation,
+            ("example-7-1-pi", "example-7-1-generic"),
+        ),
+    ),
+    "heisenberg3^4": (
+        _generated,
+        (lambda: make_heisenberg_power(4), trivial_representation, ("heisenberg3",)),
+    ),
+}
+
+
+def _assert_same_complex(got, want):
+    assert got.dims == want.dims
+    assert list(got.differentials) == list(want.differentials)
+    assert got.labels == want.labels
+
+
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_restrict_complex_equals_restrict_after_build(name):
+    # Every single tag, and the de Rham and Dolbeault tag sets of each
+    # lattice: building the kept tags' columns only gives the complex
+    # that restricting the full build (with its closure scan) gives.
+    make, args = _CASES[name]
+    ic, lattices = make(*args)
+    full = ic.complex
+
+    def check(tag_ids):
+        keep = [
+            tuple(i for i, t in enumerate(per) if t in tag_ids) for per in ic.tag_ids
+        ]
+        _assert_same_complex(restrict_complex(ic, tag_ids), reference_restrict_complex(full, keep))
+
+    for tid in range(len(ic.tag_table)):
+        check({tid})
+    for lat in lattices:
+        for trivial in (char_trivial_on_lattice, ratio_char_trivial_on_lattice):
+            check({t for t, tag in enumerate(ic.tag_table) if trivial(tag, lat)})
+        # And the selection the algebra's mode allows, through lattice._select.
+        select = select_de_rham if ic.algebra.mode == MODE_REAL else select_dolbeault
+        sel = select(ic, lat)
+        _assert_same_complex(sel.complex, reference_restrict_complex(full, sel.kept_indices))
+
+
+def test_derham_builds_only_the_kept_columns_above_degree_one(monkeypatch, capsys):
+    # The generic lattice keeps 64 of example-7-1-generic's 384 columns.
+    # The build differentiates every column of degrees 0 and 1 for its
+    # grading certificate; after that, the selection asks the kernel for
+    # the kept columns alone.
+    path = str(INSTANCE_DIR / "example-7-1-generic.json")
+    ic, (lat,) = _shipped("example-7-1-generic")
+    kept_tags = {t for t, tag in enumerate(ic.tag_table) if char_trivial_on_lattice(tag, lat)}
+    kept = [[i for i, t in enumerate(per) if t in kept_tags] for per in ic.tag_ids]
+    everything = [list(range(len(per))) for per in ic.tag_ids]
+    assert 0 < sum(map(len, kept[2:])) < sum(map(len, everything[2:]))
+
+    calls = []
+    ce_kernel = weights.ce_kernel
+
+    def recording(g, actions):
+        kernel = ce_kernel(g, actions)
+
+        def record(column_action, p):
+            calls.append((p, list(column_action)))
+            return kernel(column_action, p)
+
+        return record
+
+    monkeypatch.setattr(weights, "ce_kernel", recording)
+    assert cli.main(["derham", path]) == 0
+    capsys.readouterr()
+    n = ic.algebra.dim
+    for p in range(n):
+        received = [cols for q, cols in calls if q == p]
+        if p < 2:
+            assert received == [everything[p], kept[p]]
+        else:
+            assert received == [kept[p]]
+
+
+def test_restrict_complex_checks_every_entry_it_builds(split_3d):
+    # A kernel that sends d(e2*) in degree 1 onto e1*^e3*, a row of
+    # another tag: the block of e2*'s tag is not closed, and
+    # restrict_complex must refuse it rather than build it.
+    rep = trivial_representation(split_3d)
+    ic = build_invariant_complex(split_3d, rep, infer_weights(split_3d, rep))
+
+    def leaky(column_action, p):
+        entries = ic.kernel(column_action, p)
+        if p == 1 and 1 in column_action:
+            entries[(1, 1)] = ONE
+        return entries
+
+    tid = ic.tag_ids[1][1]
+    assert ic.tag_ids[2][1] != tid
+    with pytest.raises(WeightGradingError) as info:
+        restrict_complex(dataclasses.replace(ic, kernel=leaky), [tid])
+    assert str(info.value) == (
+        "weight grading violated: d(e2* (x) 1) hits e1*^e3* (x) 1 "
+        "across tags (1) -> (-1); invalid weight data"
+    )

@@ -4,7 +4,7 @@ import sys
 import textwrap
 
 import pytest
-from ce_reference import reference_invariant_differentials
+from ce_reference import reference_grading_check, reference_invariant_differentials
 from conftest import (
     INSTANCE_DIR,
     make_heisenberg,
@@ -13,7 +13,7 @@ from conftest import (
     make_split_6d,
     make_split_6d_plus_heisenberg,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jordan_reference import (
     ExtendScalarsError,
@@ -315,6 +315,84 @@ def test_weight_grading_witness_is_a_bracket_term(split_3d):
     assert str(excinfo.value) == (
         "weight grading violated: d(e2* (x) u1) hits e1*^e2* (x) u1 "
         "across tags (0) -> (1); invalid weight data"
+    )
+
+
+_WITNESS_REP = RepresentationData(
+    2,
+    (
+        ExactMatrix.from_entries(2, 2, {(1, 1): ONE}),
+        ExactMatrix.zero(2, 2),
+        ExactMatrix.zero(2, 2),
+    ),
+)
+_WITNESS_WEIGHTS = WeightAssignment(
+    ((ONE,), (ZERO,), (MINUS_ONE,)), ((ZERO,), (ONE,)), (0,)
+)
+
+_GRADING_ALGEBRAS = {
+    "split_3d": make_split_3d(),
+    "split_6d": make_split_6d(),
+    "split_6d+heisenberg": make_split_6d_plus_heisenberg(),
+    **{p.stem: load_instance(str(p)).algebra for p in INSTANCE_DIR.glob("*.json")},
+}
+
+_ENTRIES = (ZERO, ZERO, ONE, MINUS_ONE, gauss(2), I)
+
+
+@st.composite
+def grading_cases(draw):
+    """An algebra with unvalidated module matrices (m <= 3) and weights.
+
+    Matrices are zero, diagonal or full; weights start from the operator
+    diagonals and are perturbed at up to two entries, so both verdicts
+    occur, with first witnesses in degree 0 and in degree 1.
+    """
+    name = draw(st.sampled_from(sorted(_GRADING_ALGEBRAS)))
+    g = _GRADING_ALGEBRAS[name]
+    m = draw(st.integers(1, 3))
+    matrices = []
+    for j in range(g.dim):
+        shapes = ("zero", "diagonal", "diagonal", "diagonal", "full")
+        if j not in g.complement:
+            shapes = ("zero",) * 7 + ("full",)
+        shape = draw(st.sampled_from(shapes))
+        entries = {}
+        for l in range(m):
+            for k in range(m):
+                if shape == "full" or (shape == "diagonal" and l == k):
+                    entries[(l, k)] = draw(st.sampled_from(_ENTRIES))
+        matrices.append(ExactMatrix.from_entries(m, m, entries))
+    alg = [[g.ad_matrix(j).entry(i, i) for j in g.complement] for i in range(g.dim)]
+    rw = [[matrices[j].entry(k, k) for j in g.complement] for k in range(m)]
+    for _ in range(draw(st.sampled_from((0, 1, 2, 2)))):
+        if not g.complement:
+            break
+        target = draw(st.sampled_from((alg, alg, rw)))
+        row = draw(st.integers(0, len(target) - 1))
+        pos = draw(st.integers(0, len(g.complement) - 1))
+        target[row][pos] = target[row][pos] + draw(st.sampled_from(_ENTRIES[2:]))
+    return name, RepresentationData(m, matrices), WeightAssignment(alg, rw, g.complement)
+
+
+def _grading_verdict(check, g, rep, w):
+    try:
+        check(g, rep, w)
+    except WeightGradingError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=grading_cases())
+@example(case=("split_3d", _WITNESS_REP, _WITNESS_WEIGHTS))
+def test_degree_zero_and_one_certify_the_grading(case):
+    # The build checks degrees 0 and 1 only; the reference checks every
+    # degree. Same verdict and, on a violation, the same first witness.
+    name, rep, w = case
+    g = _GRADING_ALGEBRAS[name]
+    assert _grading_verdict(build_invariant_complex, g, rep, w) == _grading_verdict(
+        reference_grading_check, g, rep, w
     )
 
 
