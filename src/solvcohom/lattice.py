@@ -3,10 +3,13 @@
 A lattice enters only through the images of its generators in the
 abelianized complement: one vector of PeriodValues per generator, with
 one coordinate per complement index. A weight covector mu is evaluated
-on a generator as sum_j mu_j * delta_j; the two membership tests are
+on a generator as sum_j mu_j * delta_j, a Q(i)-combination of the real
+period symbols; the two membership tests are
 
     trivial on the lattice:       mu(delta) in 2*pi*i*Z  for all generators
     ratio-trivial on the lattice: Im mu(delta) in pi*Z   for all generators
+
+The selections evaluate each (tag, generator) pair once for both tests.
 
 The de Rham complex keeps the labels whose tag is trivial; the Dolbeault
 complex keeps the ratio-trivial ones. Both selections are unions of
@@ -103,14 +106,14 @@ def validate_lattice(g: LieAlgebraData, lat: LatticeData) -> ValidationReport:
 def evaluate_weight_on_generator(
     mu: Weight, generator: Sequence[PeriodValue], table: SymbolTable
 ) -> PeriodValue:
-    """sum_j mu_j * delta_j, accumulated in one coordinate dict."""
-    acc: dict = {}
+    """sum_j mu_j * delta_j, accumulated in one {symbol: Q(i)} dict."""
+    acc: dict[str, GaussianRational] = {}
     for coeff, coord in zip(mu, generator):
         if coeff:
             if coord.table != table:
                 raise ValidationFailure("period values from different symbol tables")
             coord.add_scaled_into(acc, coeff)
-    return PeriodValue(table, acc)
+    return PeriodValue.from_symbols(table, acc)
 
 
 def char_trivial_on_lattice(mu: Weight, lat: LatticeData) -> bool:
@@ -162,16 +165,30 @@ class SelectionResult:
 
 
 def _verdicts(ic: InvariantComplex, lat: LatticeData) -> tuple[TagVerdict, ...]:
-    return tuple(
-        TagVerdict(
-            tag=tag,
-            trivial_on_g=weight_is_zero(tag),
-            trivial_on_lattice=char_trivial_on_lattice(tag, lat),
-            ratio_trivial=ratio_char_trivial_on_lattice(tag, lat),
-            unitary=char_unitary(tag, ic.algebra),
+    """Both lattice tests from one evaluation of each (tag, generator).
+
+    2*pi*i*Z lies inside {Im in pi*Z}, so a generator failing the ratio
+    test fails the trivial one too, and the walk stops there.
+    """
+    out = []
+    for tag in ic.tag_table:
+        trivial = ratio = True
+        for gen in lat.generators:
+            value = evaluate_weight_on_generator(tag, gen, lat.table)
+            if not value.imag_in_pi_integers():
+                trivial = ratio = False
+                break
+            trivial = trivial and value.in_2pi_i_integers()
+        out.append(
+            TagVerdict(
+                tag=tag,
+                trivial_on_g=weight_is_zero(tag),
+                trivial_on_lattice=trivial,
+                ratio_trivial=ratio,
+                unitary=char_unitary(tag, ic.algebra),
+            )
         )
-        for tag in ic.tag_table
-    )
+    return tuple(out)
 
 
 def _select(ic: InvariantComplex, lat: LatticeData, kind: str) -> SelectionResult:

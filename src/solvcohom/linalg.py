@@ -7,10 +7,9 @@ this package builds are very sparse (about 1.5% nonzero on the shipped
 oracle sectors), which is what makes that pay.
 
 Rank and kernel are computed by exact Gauss-Jordan elimination on the
-sparse rows. The default pivot is sparsity-first, which keeps fill-in low:
-least (row length, row id), then least (open-row count, column); a heap and
-column indexes only find it faster. A sequential strategy exists so tests
-can confirm the rank is pivot-order independent.
+sparse rows. The pivot is sparsity-first, which keeps fill-in low: least
+(row length, row id), then least (open-row count, column); a heap and
+column indexes only find it faster.
 """
 from __future__ import annotations
 
@@ -201,46 +200,41 @@ class ExactMatrix:
         return f"ExactMatrix({self.nrows}x{self.ncols})"
 
 
-def _eliminate(
-    matrix: ExactMatrix, pivot_strategy: str
-) -> tuple[list[tuple[int, SparseRow]], list[int]]:
+def _eliminate(matrix: ExactMatrix) -> tuple[list[tuple[int, SparseRow]], list[int]]:
     """Gauss-Jordan elimination; returns (pivot rows, pivot columns).
 
     Each returned row is fully reduced: its pivot column occurs in no
     other returned row. The matrix's own rows are read, never mutated.
 
     Pivot: the open row of least (row length, row id), then its column of
-    least (open-row count, column); "sequential" uses (0, row id) and the
-    least column. A heap of (key, row id) entries, stale ones skipped, and
-    column -> row id indexes only find that pivot and its rows faster.
+    least (open-row count, column). A heap of (row length, row id) entries,
+    stale ones skipped, and column -> row id indexes only find that pivot
+    and its rows faster.
     """
-    sparse = pivot_strategy == "sparsity"
-    if not sparse and pivot_strategy != "sequential":
-        raise ValueError(f"unknown pivot strategy {pivot_strategy!r}")
     open_rows = {rid: r for rid, r in enumerate(matrix.row_maps) if r}
     holders = defaultdict(set)  # column -> ids of the open rows holding it
     for rid, r in open_rows.items():
         for c in r:
             holders[c].add(rid)
-    heap = [(len(r) if sparse else 0, rid) for rid, r in open_rows.items()]
+    heap = [(len(r), rid) for rid, r in open_rows.items()]
     heapq.heapify(heap)
     done: dict[int, SparseRow] = {}  # pivot column -> row, in pivot order
     done_holders = defaultdict(set)  # column -> pivot columns of done rows
     while heap:
         length, rid = heapq.heappop(heap)
         row = open_rows.get(rid)
-        if not row or (sparse and len(row) != length):
+        if not row or len(row) != length:
             continue  # stale: the row is done, zeroed or of a new length
         del open_rows[rid]
         for c in row:
             holders[c].discard(rid)
-        pivot_col = min(row, key=(lambda c: (len(holders[c]), c)) if sparse else None)
+        pivot_col = min(row, key=lambda c: (len(holders[c]), c))
         inv = row[pivot_col].inverse()
         row = {c: inv * a for c, a in row.items()}
         # Reduce the open rows and the finished ones that hold the pivot
         # column, so it survives in exactly one row (Jordan form rows).
         for rid in _reduce(open_rows, holders, pivot_col, row):
-            if sparse and open_rows[rid]:
+            if open_rows[rid]:
                 heapq.heappush(heap, (len(open_rows[rid]), rid))
         _reduce(done, done_holders, pivot_col, row)
         done[pivot_col] = row
@@ -290,15 +284,13 @@ def _row_axpy(target: SparseRow, source: SparseRow, factor: GaussianRational) ->
     return out
 
 
-def rank_and_kernel(
-    matrix: ExactMatrix, pivot_strategy: str = "sparsity"
-) -> tuple[int, tuple[Vector, ...]]:
+def rank_and_kernel(matrix: ExactMatrix) -> tuple[int, tuple[Vector, ...]]:
     """Exact rank and a kernel basis, as dense vectors.
 
     Certified here, raising CertificateError otherwise: rank + nullity ==
     ncols, and the matrix annihilates every returned kernel vector.
     """
-    done, pivot_cols = _eliminate(matrix, pivot_strategy)
+    done, pivot_cols = _eliminate(matrix)
     rank = len(done)
     pivot_set = set(pivot_cols)
     kernel: dict[int, SparseRow] = {
@@ -323,8 +315,8 @@ def rank_and_kernel(
     return rank, tuple(_dense(vec, matrix.ncols) for vec in kernel.values())
 
 
-def rank(matrix: ExactMatrix, pivot_strategy: str = "sparsity") -> int:
-    return rank_and_kernel(matrix, pivot_strategy)[0]
+def rank(matrix: ExactMatrix) -> int:
+    return rank_and_kernel(matrix)[0]
 
 
 class SpanTracker:

@@ -1,16 +1,14 @@
-"""Lattice period values: exact elements of a fixed Q-span.
+"""Lattice period values: Q(i)-combinations of real symbols.
 
-A PeriodValue lives in the Q-vector space spanned by the built-in symbols
-1, i, pi, i*pi together with user-declared symbols. Symbols come in
-real/imaginary companion pairs (s, i*s) so that multiplication by a
-Gaussian rational stays inside the span: i*1 = i, i*i = -1, i*pi = i*pi,
-i*(i*pi) = -pi, and likewise for user pairs. General products of two
+A PeriodValue is a finite sum c_s * s over the real symbols s of one
+table: 1, pi and the user-declared ones, each c_s a nonzero Gaussian
+rational. Multiplication by a scalar of Q(i) and conjugation act on the
+coefficients alone, since every symbol is real. General products of two
 PeriodValues are rejected; nothing in the lattice tests needs them.
 
-Conjugation negates every imaginary-parity coordinate.
-
-Text grammar: a signed sum of terms `rat`, `sym`, or `rat*sym`, e.g.
-"a + 2*i*pi", "1/2 - i".
+Text names each real and imaginary part on its own: "1", "i", "pi",
+"i*pi", and s, "i*s" for a user symbol s. The grammar is a signed sum of
+terms `rat`, `name`, or `rat*name`, e.g. "a + 2*i*pi", "1/2 - i".
 """
 from __future__ import annotations
 
@@ -20,12 +18,11 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import ScalarParseError, ValidationFailure
-from .scalars import GaussianRational, parse_rational
+from .scalars import I, ONE, ZERO, GaussianRational, parse_rational
 
 REAL = "real"
 IMAGINARY = "imaginary"
 
-_BUILTIN_PAIRS = (("1", "i"), ("pi", "i*pi"))
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 
 
@@ -40,40 +37,31 @@ class PeriodBasisSymbol:
 
 
 class SymbolTable:
-    """Immutable registry of period symbols, organised in (s, i*s) pairs.
+    """Immutable registry of period symbols.
 
-    `user_base_names` lists the real member of each user pair in
-    declaration order; the imaginary companion is always named "i*"+s.
+    `user_base_names` lists the user's real symbols in declaration order.
+    Each real symbol s has two names, s and "i*s" ("1" and "i" for the
+    unit); `split(name)` is the (symbol, ONE or I) pair a name stands for.
     """
 
-    __slots__ = ("user_base_names", "_parity", "_pair")
+    __slots__ = ("user_base_names", "_split")
 
     def __init__(self, user_base_names: Iterable[str] = ()):
         names = tuple(user_base_names)
-        parity: dict[str, str] = {}
-        pair: dict[str, str] = {}
-        for real_name, imag_name in _BUILTIN_PAIRS:
-            parity[real_name] = REAL
-            parity[imag_name] = IMAGINARY
-            pair[real_name] = imag_name
-            pair[imag_name] = real_name
+        split = {"1": ("1", ONE), "i": ("1", I), "pi": ("pi", ONE), "i*pi": ("pi", I)}
         for base in names:
             if not _NAME.match(base):
                 raise ValidationFailure(f"bad symbol name {base!r}")
-            if base in parity:
+            if base in split:
                 raise ValidationFailure(f"duplicate symbol {base!r}")
-            companion = "i*" + base
-            parity[base] = REAL
-            parity[companion] = IMAGINARY
-            pair[base] = companion
-            pair[companion] = base
+            split[base] = (base, ONE)
+            split["i*" + base] = (base, I)
         object.__setattr__(self, "user_base_names", names)
-        object.__setattr__(self, "_parity", parity)
-        object.__setattr__(self, "_pair", pair)
+        object.__setattr__(self, "_split", split)
 
     @classmethod
     def from_declarations(cls, decls: Iterable[PeriodBasisSymbol]) -> "SymbolTable":
-        """Build a table from declarations; either member of a pair may appear."""
+        """Build a table from declarations; either name of a symbol may appear."""
         bases = []
         seen = set()
         for d in decls:
@@ -103,62 +91,60 @@ class SymbolTable:
 
     def names(self) -> tuple[str, ...]:
         """All symbol names in canonical display order."""
-        out = ["1", "i", "pi", "i*pi"]
-        for base in self.user_base_names:
-            out.append(base)
-            out.append("i*" + base)
-        return tuple(out)
+        return tuple(self._split)
 
     def has(self, name: str) -> bool:
-        return name in self._parity
+        return name in self._split
 
-    def parity(self, name: str) -> str:
-        return self._parity[name]
-
-    def companion(self, name: str) -> str:
-        return self._pair[name]
-
-    def symbols(self) -> tuple[PeriodBasisSymbol, ...]:
-        return tuple(PeriodBasisSymbol(n, self._parity[n]) for n in self.names())
+    def split(self, name: str) -> tuple[str, GaussianRational]:
+        """The real symbol a name stands for and its unit, ONE or I."""
+        if name not in self._split:
+            raise ValidationFailure(f"symbol {name!r} not declared")
+        return self._split[name]
 
 
 class PeriodValue:
-    """Exact Q-linear combination of the symbols of one table."""
+    """Exact Q(i)-linear combination of the real symbols of one table.
+
+    `coords` maps each real symbol to its nonzero Gaussian rational
+    coefficient. The constructor takes rational coefficients by name.
+    """
 
     __slots__ = ("table", "coords")
 
     def __init__(self, table: SymbolTable, coords: Mapping[str, Fraction] = ()):
-        clean: dict[str, Fraction] = {}
+        acc: dict[str, GaussianRational] = {}
         for name, coeff in dict(coords).items():
-            if not table.has(name):
-                raise ValidationFailure(f"symbol {name!r} not declared")
-            frac = coeff if type(coeff) is Fraction else Fraction(coeff)
-            if frac:
-                clean[name] = frac
+            symbol, unit = table.split(name)
+            acc[symbol] = acc.get(symbol, ZERO) + unit * GaussianRational(coeff)
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "coords", clean)
+        object.__setattr__(self, "coords", {s: c for s, c in acc.items() if c})
+
+    @classmethod
+    def from_symbols(cls, table: SymbolTable, coords: dict) -> "PeriodValue":
+        """Adopt a {real symbol: nonzero coefficient} dict as is."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "table", table)
+        object.__setattr__(out, "coords", coords)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("PeriodValue is immutable")
 
     # -- linear structure -------------------------------------------
 
-    def _check(self, other: "PeriodValue"):
+    def __add__(self, other: "PeriodValue") -> "PeriodValue":
         if self.table != other.table:
             raise ValidationFailure("period values from different symbol tables")
-
-    def __add__(self, other: "PeriodValue") -> "PeriodValue":
-        self._check(other)
         out = dict(self.coords)
-        for name, coeff in other.coords.items():
-            out[name] = out.get(name, Fraction(0)) + coeff
-        return PeriodValue(self.table, out)
+        other.add_scaled_into(out, ONE)
+        return PeriodValue.from_symbols(self.table, out)
 
     def __sub__(self, other: "PeriodValue") -> "PeriodValue":
         return self + (-other)
 
     def __neg__(self) -> "PeriodValue":
-        return PeriodValue(self.table, {n: -c for n, c in self.coords.items()})
+        return PeriodValue.from_symbols(self.table, {s: -c for s, c in self.coords.items()})
 
     def __mul__(self, other):
         raise TypeError(
@@ -168,38 +154,32 @@ class PeriodValue:
     __rmul__ = __mul__
 
     def scale(self, scalar: GaussianRational) -> "PeriodValue":
-        """Multiply by an element of Q(i); the span is closed under this."""
-        out: dict[str, Fraction] = {}
+        """Multiply by an element of Q(i)."""
+        out: dict[str, GaussianRational] = {}
         self.add_scaled_into(out, scalar)
-        return PeriodValue(self.table, out)
+        return PeriodValue.from_symbols(self.table, out)
 
-    def add_scaled_into(self, out: dict[str, Fraction], scalar: GaussianRational):
-        """Add the coordinates of scalar * self into out, keyed by symbol."""
-        tab = self.table
-        re, im = scalar.re, scalar.im
-        for name, coeff in self.coords.items():
-            if re:
-                out[name] = out.get(name, Fraction(0)) + re * coeff
-            if im:
-                # i * symbol: companion with a sign flip on imaginary inputs.
-                comp = tab.companion(name)
-                sign = 1 if tab.parity(name) == REAL else -1
-                out[comp] = out.get(comp, Fraction(0)) + sign * im * coeff
+    def add_scaled_into(self, out: dict[str, GaussianRational], scalar: GaussianRational):
+        """Add scalar * self into out, keyed by symbol; out keeps nonzeros only."""
+        if scalar:
+            for symbol, coeff in self.coords.items():
+                term = scalar * coeff
+                total = out[symbol] + term if symbol in out else term
+                if total:
+                    out[symbol] = total
+                else:
+                    del out[symbol]
 
     def conjugate(self) -> "PeriodValue":
-        tab = self.table
-        return PeriodValue(
-            tab,
-            {
-                n: (-c if tab.parity(n) == IMAGINARY else c)
-                for n, c in self.coords.items()
-            },
+        return PeriodValue.from_symbols(
+            self.table, {s: c.conjugate() for s, c in self.coords.items()}
         )
 
     def coefficient(self, name: str) -> Fraction:
-        if not self.table.has(name):
-            raise ValidationFailure(f"symbol {name!r} not declared")
-        return self.coords.get(name, Fraction(0))
+        """The rational coefficient of one name, e.g. of "i*pi"."""
+        symbol, unit = self.table.split(name)
+        coeff = self.coords.get(symbol, ZERO)
+        return coeff.re if unit is ONE else coeff.im
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -207,33 +187,18 @@ class PeriodValue:
     # -- lattice membership tests ------------------------------------
 
     def in_2pi_i_integers(self) -> bool:
-        """True iff the value lies in 2*pi*i*Z.
-
-        Every coordinate must vanish except the i*pi one, which must be an
-        even integer. Zero qualifies.
-        """
-        for name, coeff in self.coords.items():
-            if name != "i*pi":
-                return False
-            if coeff.denominator != 1 or coeff.numerator % 2 != 0:
+        """True iff the value lies in 2*pi*i*Z: pi times i times an even integer."""
+        for symbol, coeff in self.coords.items():
+            im = coeff.im
+            if symbol != "pi" or coeff.re or im.denominator != 1 or im.numerator % 2:
                 return False
         return True
 
     def imag_in_pi_integers(self) -> bool:
-        """True iff the imaginary part lies in pi*Z.
-
-        Coordinate conditions: the i coordinate vanishes, the i*pi
-        coordinate is an integer, and every imaginary-parity user symbol
-        coordinate vanishes. Real-parity coordinates are unconstrained.
-        """
-        tab = self.table
-        for name, coeff in self.coords.items():
-            if name == "i":
-                return False
-            if name == "i*pi":
-                if coeff.denominator != 1:
-                    return False
-            elif tab.parity(name) == IMAGINARY:
+        """True iff Im lies in pi*Z: integer Im on pi, real coefficients elsewhere."""
+        for symbol, coeff in self.coords.items():
+            im = coeff.im
+            if (im.denominator != 1) if symbol == "pi" else im:
                 return False
         return True
 
@@ -301,7 +266,7 @@ def format_period(value: PeriodValue) -> str:
         return "0"
     chunks: list[str] = []
     for name in value.table.names():
-        coeff = value.coords.get(name)
+        coeff = value.coefficient(name)
         if not coeff:
             continue
         mag = abs(coeff)

@@ -204,13 +204,13 @@ def validate_weight_assignment(
 class InvariantComplex:
     """Basis labels (I, k) of the invariant complex, one weight tag each.
 
-    Tags are interned: tag_table lists the distinct tags in weight_sort_key
-    order, and tag_ids[p][i] is the position in it of the tag of the
-    degree-p basis element i, named labels[p][i]. kernel is a ce_kernel
-    whose action ids are tag ids; complex is the block of every tag.
+    Degree-p element i is (degree_basis(n, p)[i // m], i % m). Tags are
+    interned: tag_table lists the distinct tags in weight_sort_key order,
+    and tag_ids[p][i] is the position in it of the tag of the degree-p
+    basis element i, named labels[p][i]. kernel is a ce_kernel whose
+    action ids are tag ids; complex is the block of every tag.
     """
 
-    element_labels: tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
     labels: tuple[tuple[str, ...], ...]
     tag_table: tuple[Weight, ...]
     tag_ids: tuple[tuple[int, ...], ...]
@@ -285,11 +285,9 @@ def build_invariant_complex(
     minus: dict[tuple[int, int], int] = {}
 
     alg_of = {(): intern_alg(w.zero())}
-    labels: list[tuple[tuple[tuple[int, ...], int], ...]] = []
     raw_ids: list[list[int]] = []
     label_strings: list[tuple[str, ...]] = []
     for p in range(n + 1):
-        per = []
         per_ids = []
         per_str = []
         for I in degree_basis(n, p):
@@ -311,10 +309,8 @@ def build_invariant_complex(
                     tid = minus[(a, k)] = intern_tag(
                         tuple(x - y for x, y in zip(alg, lam))
                     )
-                per.append((I, k))
                 per_ids.append(tid)
                 per_str.append(form + tails[k])
-        labels.append(tuple(per))
         raw_ids.append(per_ids)
         label_strings.append(tuple(per_str))
 
@@ -325,9 +321,7 @@ def build_invariant_complex(
     tag_ids = tuple(tuple(renumber[t] for t in per) for per in raw_ids)
 
     kernel = ce_kernel(g, [ModuleAction(g, rep, tag) for tag in tag_table])
-    ic = InvariantComplex(
-        tuple(labels), tuple(label_strings), tag_table, tag_ids, g, rep, w, kernel
-    )
+    ic = InvariantComplex(tuple(label_strings), tag_table, tag_ids, g, rep, w, kernel)
     for p in range(min(n, 2)):
         _graded_entries(ic, dict(enumerate(tag_ids[p])), p)
     return ic

@@ -4,7 +4,9 @@ Both are written without indexes: the elimination rescans every open
 row and every finished row at each pivot, and the skeleton scans every
 (J, I) pair of a degree. The package versions find the same pivots and
 the same sources through indexes; tests require the two to agree
-exactly, down to list and dict order.
+exactly, down to list and dict order. The elimination's "sequential"
+strategy (rows in order, least column first) has no package counterpart:
+tests compare ranks against it to show they do not depend on pivot order.
 """
 from __future__ import annotations
 

@@ -166,9 +166,13 @@ def test_labels(heisenberg):
     assert ad_names == ("x", "y", "z")
     # The builder forms its label strings itself; they must be these.
     ic = build_invariant_complex(heisenberg, ad, infer_weights(heisenberg, ad))
+    n, m = heisenberg.dim, ad.m
     assert ic.complex.labels == tuple(
-        tuple(monomial_label(heisenberg, I, k, ad_names) for I, k in per)
-        for per in ic.element_labels
+        tuple(
+            monomial_label(heisenberg, degree_basis(n, p)[i // m], i % m, ad_names)
+            for i in range(len(degree_basis(n, p)) * m)
+        )
+        for p in range(n + 1)
     )
 
 

@@ -1,6 +1,8 @@
+import functools
 from fractions import Fraction
 
 import pytest
+from conftest import INSTANCE_DIR, make_split_6d
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -8,6 +10,8 @@ from solvcohom import (
     LatticeData,
     adjoint_representation,
     build_invariant_complex,
+    build_representation,
+    build_weight_assignment,
     char_trivial_on_lattice,
     char_unitary,
     check_conditions,
@@ -15,6 +19,8 @@ from solvcohom import (
     dolbeault_hodge_table,
     evaluate_weight_on_generator,
     infer_weights,
+    lattice,
+    load_instance,
     ratio_char_trivial_on_lattice,
     select_de_rham,
     select_dolbeault,
@@ -263,3 +269,53 @@ def test_hodge_table():
         (1, 3, 3, 1),
     )
     assert dolbeault_hodge_table(1, (1, 1)) == ((1, 1), (1, 1))
+
+
+def _check_verdicts(ic, lat):
+    """Each verdict equals both public predicates, from no more evaluations."""
+    calls = []
+    evaluate = lattice.evaluate_weight_on_generator
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(lattice, "evaluate_weight_on_generator", counted)
+        verdicts = lattice._verdicts(ic, lat)
+        walked = len(calls)
+        assert [v.tag for v in verdicts] == list(ic.tag_table)
+        for v in verdicts:
+            assert v.trivial_on_lattice == char_trivial_on_lattice(v.tag, lat)
+            assert v.ratio_trivial == ratio_char_trivial_on_lattice(v.tag, lat)
+    assert walked <= len(calls) - walked
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in INSTANCE_DIR.glob("*.json")))
+def test_verdicts_equal_both_predicates_on_shipped_instances(name):
+    inst = load_instance(str(INSTANCE_DIR / f"{name}.json"))
+    rep = build_representation(inst)
+    ic = build_invariant_complex(inst.algebra, rep, build_weight_assignment(inst, rep))
+    _check_verdicts(ic, inst.lattice)
+
+
+@functools.cache
+def _split_6d_adjoint_ic():
+    g = make_split_6d()
+    return invariant(g, adjoint_representation(g))
+
+
+_LATTICE_TABLE = SymbolTable(["a"])
+_coordinates = st.builds(
+    lambda coeffs: PeriodValue(_LATTICE_TABLE, coeffs),
+    st.dictionaries(
+        st.sampled_from(["pi", "i*pi", "a", "i*a", "1", "i"]),
+        st.sampled_from([Fraction(k, 2) for k in (-4, -2, -1, 1, 2, 3, 4)]),
+        max_size=3,
+    ),
+)
+
+
+@given(st.lists(st.lists(_coordinates, min_size=2, max_size=2), max_size=3))
+def test_verdicts_equal_both_predicates_on_a_drawn_lattice(generators):
+    _check_verdicts(_split_6d_adjoint_ic(), LatticeData(_LATTICE_TABLE, generators))

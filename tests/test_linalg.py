@@ -86,11 +86,11 @@ def test_rank_with_gaussian_entries():
 
 
 def test_pivot_strategies_agree():
+    # The sparsity-first rank equals the reference's row-order elimination.
     m = mat([[0, 2, 1], [1, 0, 0], [0, 4, 2]])
-    r1, k1 = rank_and_kernel(m, pivot_strategy="sparsity")
-    r2, k2 = rank_and_kernel(m, pivot_strategy="sequential")
-    assert r1 == r2 == 2
-    assert len(k1) == len(k2) == 1
+    r, kern = rank_and_kernel(m)
+    assert r == len(reference_eliminate(m, "sequential")[0]) == 2
+    assert len(kern) == 1
 
 
 def test_matrix_inverse():
@@ -133,9 +133,8 @@ def test_rank_transpose_invariant(m):
 
 @given(small_matrices())
 def test_rank_nullity_and_strategy_agreement(m):
-    r1, kern = rank_and_kernel(m, pivot_strategy="sparsity")
-    r2, _ = rank_and_kernel(m, pivot_strategy="sequential")
-    assert r1 == r2
+    r1, kern = rank_and_kernel(m)
+    assert r1 == len(reference_eliminate(m, "sequential")[0])
     assert r1 + len(kern) == m.ncols
     for v in kern:
         assert all(c == ZERO for c in m.apply(v))
@@ -167,28 +166,28 @@ def tie_heavy_matrices(draw):
     return ExactMatrix(len(picks), ncols, [pool[k] if k < len(pool) else zero_row for k in picks])
 
 
-@given(tie_heavy_matrices(), st.sampled_from(["sparsity", "sequential"]))
-def test_eliminate_equals_rescanning_reference(m, strategy):
+@given(tie_heavy_matrices())
+def test_eliminate_equals_rescanning_reference(m):
     # Same pivots in the same order, and the same fully reduced rows,
     # down to the key order of each row.
-    done, pivot_cols = linalg._eliminate(m, strategy)
-    ref_done, ref_pivot_cols = reference_eliminate(m, strategy)
+    done, pivot_cols = linalg._eliminate(m)
+    ref_done, ref_pivot_cols = reference_eliminate(m, "sparsity")
     assert pivot_cols == ref_pivot_cols
     assert done == ref_done
     assert [list(row) for _, row in done] == [list(row) for _, row in ref_done]
 
 
 def _drop_last_pivot_row(eliminate):
-    def sabotaged(matrix, pivot_strategy):
-        done, pivot_cols = eliminate(matrix, pivot_strategy)
+    def sabotaged(matrix):
+        done, pivot_cols = eliminate(matrix)
         return done[:-1], pivot_cols[:-1]
 
     return sabotaged
 
 
 def _repeat_first_pivot_row(eliminate):
-    def sabotaged(matrix, pivot_strategy):
-        done, pivot_cols = eliminate(matrix, pivot_strategy)
+    def sabotaged(matrix):
+        done, pivot_cols = eliminate(matrix)
         return done + done[:1], pivot_cols + pivot_cols[:1]
 
     return sabotaged
@@ -217,7 +216,7 @@ def test_kernel_certificate_survives_optimize_flag():
 
         assert False, "asserts must be stripped under -O"
         eliminate = linalg._eliminate
-        linalg._eliminate = lambda m, s: tuple(x[:-1] for x in eliminate(m, s))
+        linalg._eliminate = lambda m: tuple(x[:-1] for x in eliminate(m))
         m = ExactMatrix.from_rows([[gauss(1), gauss(2)], [gauss(0), gauss(1)]])
         try:
             linalg.rank_and_kernel(m)

@@ -3,6 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from period_reference import (
+    reference_add,
+    reference_conjugate,
+    reference_format,
+    reference_imag_in_pi_integers,
+    reference_in_2pi_i_integers,
+    reference_scale,
+)
 
 from solvcohom.errors import ScalarParseError, ValidationFailure
 from solvcohom.periods import (
@@ -15,7 +23,7 @@ from solvcohom.periods import (
     parse_period,
     zero_period,
 )
-from solvcohom.scalars import I, MINUS_ONE, gauss
+from solvcohom.scalars import I, MINUS_ONE, GaussianRational, gauss
 
 TABLE = SymbolTable(("a", "c"))
 
@@ -27,16 +35,18 @@ def pv(text):
 def test_builtin_symbols_present():
     t = SymbolTable()
     assert t.names() == ("1", "i", "pi", "i*pi")
-    assert t.parity("pi") == REAL
-    assert t.parity("i*pi") == IMAGINARY
-    assert t.companion("1") == "i"
-    assert t.companion("i*pi") == "pi"
+    assert all(t.has(name) for name in t.names()) and not t.has("a")
+    # i times a real symbol is its imaginary name; i times that is minus it.
+    for real, imag in (("1", "i"), ("pi", "i*pi")):
+        assert parse_period(real, t).scale(I) == parse_period(imag, t)
+        assert parse_period(imag, t).scale(I) == parse_period("-" + real, t)
 
 
 def test_user_symbols_come_in_pairs():
-    assert TABLE.has("a") and TABLE.has("i*a")
-    assert TABLE.parity("i*c") == IMAGINARY
-    assert TABLE.companion("c") == "i*c"
+    assert TABLE.names() == ("1", "i", "pi", "i*pi", "a", "i*a", "c", "i*c")
+    assert TABLE.has("a") and TABLE.has("i*a") and not TABLE.has("i*i*a")
+    assert pv("c").scale(I) == pv("i*c")
+    assert pv("i*c").scale(I) == pv("-c")
 
 
 def test_from_declarations_accepts_either_member():
@@ -183,3 +193,53 @@ def test_2pi_i_lattice_additivity(m, n):
     w = PeriodValue(TABLE, {"i*pi": Fraction(2 * n)})
     assert (v + w).in_2pi_i_integers()
     assert v.scale(MINUS_ONE).in_2pi_i_integers()
+
+
+small_coeffs = st.one_of(
+    st.sampled_from([Fraction(k) for k in (0, 1, -1, 2, -2, 4)]), coeffs
+)
+gaussians = st.builds(GaussianRational, small_coeffs, small_coeffs)
+
+
+@st.composite
+def tables_and_coords(draw):
+    """A table with 0-2 user symbols and two name-keyed rational values.
+
+    Names are sometimes drawn from pi, i*pi and the real user symbols
+    only, so that both membership tests also see values that pass.
+    """
+    bases = draw(st.lists(st.sampled_from(["a", "b", "s"]), unique=True, max_size=2))
+    table = SymbolTable(bases)
+    names = table.names()
+    pool = draw(st.sampled_from([names, ("i*pi",), ("pi", "i*pi") + names[4::2]]))
+    values = st.dictionaries(st.sampled_from(pool), small_coeffs, max_size=4)
+    return table, draw(values), draw(values)
+
+
+def by_name(value):
+    """The rational coefficient of every name, zeros left out."""
+    named = {name: value.coefficient(name) for name in value.table.names()}
+    return {name: c for name, c in named.items() if c}
+
+
+@given(tables_and_coords(), gaussians, gaussians)
+def test_agrees_with_the_name_keyed_reference(case, s, t):
+    table, coords, other = case
+    ref = {name: c for name, c in coords.items() if c}
+    ref_other = {name: c for name, c in other.items() if c}
+    v, w = PeriodValue(table, coords), PeriodValue(table, other)
+    assert by_name(v) == ref
+    assert by_name(v + w) == reference_add(ref, ref_other)
+    scaled = reference_scale(ref, s)
+    assert by_name(v.scale(s)) == scaled
+    acc = {}
+    v.add_scaled_into(acc, s)
+    w.add_scaled_into(acc, t)
+    both = reference_add(reference_scale(ref, s), reference_scale(ref_other, t))
+    assert by_name(PeriodValue.from_symbols(table, acc)) == both
+    assert all(acc.values())
+    assert by_name(v.conjugate()) == reference_conjugate(ref)
+    for value, named in ((v, ref), (v.scale(s), scaled)):
+        assert value.in_2pi_i_integers() == reference_in_2pi_i_integers(named)
+        assert value.imag_in_pi_integers() == reference_imag_in_pi_integers(named)
+        assert format_period(value) == reference_format(named, table)

@@ -232,7 +232,11 @@ def test_abelian_nonzero_twist_has_no_cohomology(n, data):
 def check_tag_table(ic):
     """The interned tag table against WeightAssignment.tag, label by label."""
     w = ic.weights
-    reference = [[w.tag(I, k) for I, k in per] for per in ic.element_labels]
+    n, m = ic.algebra.dim, ic.representation.m
+    reference = [
+        [w.tag(degree_basis(n, p)[i // m], i % m) for i in range(len(degree_basis(n, p)) * m)]
+        for p in range(n + 1)
+    ]
     assert [list(per) for per in ic.element_tags] == reference
     distinct = {t for per in reference for t in per}
     assert ic.distinct_tags() == tuple(sorted(distinct, key=weight_sort_key))
