@@ -10,11 +10,9 @@ from .cecomplex import (
     CohomologyResult,
     FiniteComplex,
     ModuleAction,
-    ce_differential,
     cohomology,
     degree_basis,
     module_basis_names,
-    monomial_label,
     nilshadow,
 )
 from .errors import (
@@ -33,7 +31,6 @@ from .instances import (
     WeightsSpec,
     build_representation,
     build_weight_assignment,
-    emit_instance,
     load_instance,
     parse_instance,
     validate_instance,
@@ -64,7 +61,7 @@ from .liealg import (
     validate_algebra,
     validate_representation,
 )
-from .linalg import ExactMatrix, rank, rank_and_kernel
+from .linalg import ExactMatrix, rank_and_kernel
 from .oracle import QuasiIsoReport, sector_cohomology_full, verify_quasi_iso
 from .periods import PeriodValue, SymbolTable, format_period, parse_period
 from .scalars import GaussianRational, format_gaussian, gauss, parse_gaussian
@@ -114,14 +111,12 @@ __all__ = [
     "build_invariant_complex",
     "build_representation",
     "build_weight_assignment",
-    "ce_differential",
     "char_trivial_on_lattice",
     "char_unitary",
     "check_conditions",
     "cohomology",
     "degree_basis",
     "dolbeault_hodge_table",
-    "emit_instance",
     "evaluate_weight_on_generator",
     "format_gaussian",
     "format_period",
@@ -131,12 +126,11 @@ __all__ = [
     "load_instance",
     "lower_central_series_dims",
     "module_basis_names",
-    "monomial_label",
     "nilshadow",
     "parse_gaussian",
     "parse_instance",
     "parse_period",
-    "rank",
+    "ratio_char_trivial_on_lattice",
     "rank_and_kernel",
     "restrict_complex",
     "sector_cohomology_full",

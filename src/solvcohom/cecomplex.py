@@ -193,16 +193,6 @@ def ce_kernel(
     return kernel
 
 
-def ce_differential(
-    g: LieAlgebraData, action: ModuleAction, p: int
-) -> ExactMatrix:
-    """Matrix of d from degree p to degree p+1 in the lex basis order."""
-    n, m = g.dim, action.m
-    ncols = len(degree_basis(n, p)) * m
-    entries = ce_kernel(g, [action])(dict.fromkeys(range(ncols), 0), p)
-    return ExactMatrix.from_entries(len(degree_basis(n, p + 1)) * m, ncols, entries)
-
-
 class FiniteComplex:
     """A finite cochain complex of exact matrices.
 
@@ -259,13 +249,12 @@ class FiniteComplex:
 class CohomologyResult:
     """Betti numbers plus optional representative cocycles per degree."""
 
-    __slots__ = ("betti", "representatives", "labels")
+    __slots__ = ("betti", "representatives")
 
     def __init__(
         self,
         betti: Sequence[int],
         representatives: Optional[Sequence[Sequence[Vector]]] = None,
-        labels: Optional[Sequence[Sequence[str]]] = None,
     ):
         object.__setattr__(self, "betti", tuple(int(b) for b in betti))
         object.__setattr__(
@@ -274,9 +263,6 @@ class CohomologyResult:
             None
             if representatives is None
             else tuple(tuple(vs) for vs in representatives),
-        )
-        object.__setattr__(
-            self, "labels", None if labels is None else tuple(tuple(ls) for ls in labels)
         )
 
     def __setattr__(self, name, value):
@@ -330,11 +316,7 @@ def cohomology(
                     f"{len(chosen)} representatives for betti {betti[p]} at degree {p}"
                 )
             reps.append(tuple(chosen))
-    return CohomologyResult(
-        betti,
-        representatives=reps if representatives else None,
-        labels=complex_.labels,
-    )
+    return CohomologyResult(betti, reps if representatives else None)
 
 
 def nilshadow(
@@ -398,13 +380,6 @@ def nilshadow(
             "weight data is inconsistent"
         )
     return shadow
-
-
-def monomial_label(
-    g: LieAlgebraData, I: tuple[int, ...], k: int, module_names: Sequence[str]
-) -> str:
-    form = "^".join(g.basis[i] + "*" for i in I) if I else "1"
-    return f"{form} (x) {module_names[k]}"
 
 
 def module_basis_names(g: LieAlgebraData, rep: RepresentationData) -> tuple[str, ...]:

@@ -5,8 +5,12 @@ Every scalar is a string in the exact grammar ("1/2-3*i" for Q(i),
 float. The ground mode is implied by the kind: "derham" instances are
 real-complexified, "dolbeault" instances are complex.
 
-Structural problems raise InstanceParseError (CLI exit code 2);
-mathematical violations are reported by validate_instance (exit code 1).
+Structural problems raise InstanceParseError (CLI exit code 2): among
+them every key that names no basis vector, and a representation weight
+list whose length is not the module dimension. Mathematical violations
+are reported by validate_instance (exit code 1). The package only reads
+instance files; the canonical writer that the shipped files are checked
+against is a test reference (tests/emit_reference.py).
 """
 from __future__ import annotations
 
@@ -31,13 +35,8 @@ from .liealg import (
 )
 from .lattice import LatticeData, validate_lattice
 from .linalg import ExactMatrix
-from .periods import (
-    PeriodBasisSymbol,
-    SymbolTable,
-    format_period,
-    parse_period,
-)
-from .scalars import ZERO, GaussianRational, format_gaussian, parse_gaussian
+from .periods import PeriodBasisSymbol, SymbolTable, parse_period
+from .scalars import ZERO, parse_gaussian
 from .weights import WeightAssignment, infer_weights, validate_weight_assignment
 
 KIND_DERHAM = "derham"
@@ -172,7 +171,9 @@ def parse_instance(data: dict) -> InstanceFile:
     rep_spec = _parse_representation(
         data.get("representation", {"trivial": True}), algebra
     )
-    weights_spec = _parse_weights(data.get("weights", {"infer": True}), algebra)
+    weights_spec = _parse_weights(
+        data.get("weights", {"infer": True}), algebra, rep_spec.m
+    )
     lattice = _parse_lattice(_expect(data, "lattice", "instance"), algebra)
     return InstanceFile(name, kind, algebra, rep_spec, weights_spec, lattice)
 
@@ -188,6 +189,8 @@ def _parse_representation(data, g: LieAlgebraData) -> RepresentationSpec:
     if not isinstance(m, int) or m < 1:
         raise InstanceParseError("representation dim must be a positive integer")
     raw = _expect_object(data.get("matrices", {}), "representation matrices")
+    for name in raw:
+        _name_index(g.basis, name, "representation matrices")
     matrices = []
     for j in range(g.dim):
         rows = raw.get(g.basis[j])
@@ -209,21 +212,29 @@ def _parse_representation(data, g: LieAlgebraData) -> RepresentationSpec:
         )
     weights = None
     if "weights" in data:
-        weights = tuple(
-            _parse_weight(wd, g.complement, g.basis, "representation weights")
-            for wd in _expect_list(data["weights"], "representation weights")
-        )
-        if len(weights) != m:
-            raise InstanceParseError("need one representation weight per basis vector")
+        weights = _parse_rep_weights(data["weights"], g, m, "representation weights")
     return RepresentationSpec("explicit", m, tuple(matrices), weights)
 
 
-def _parse_weights(data, g: LieAlgebraData) -> WeightsSpec:
+def _parse_rep_weights(raw, g: LieAlgebraData, m: int, what: str) -> tuple[Weight, ...]:
+    """One weight covector per module basis vector, m of them."""
+    weights = tuple(
+        _parse_weight(wd, g.complement, g.basis, "representation weights")
+        for wd in _expect_list(raw, what)
+    )
+    if len(weights) != m:
+        raise InstanceParseError("need one representation weight per basis vector")
+    return weights
+
+
+def _parse_weights(data, g: LieAlgebraData, m: int) -> WeightsSpec:
     if not isinstance(data, dict):
         raise InstanceParseError("weights block must be an object")
     if data.get("infer"):
         return WeightsSpec(infer=True)
     alg_raw = _expect_object(_expect(data, "algebra", "weights"), "weights algebra")
+    for name in alg_raw:
+        _name_index(g.basis, name, "weights algebra")
     weights = []
     for i in range(g.dim):
         weights.append(
@@ -233,9 +244,8 @@ def _parse_weights(data, g: LieAlgebraData) -> WeightsSpec:
         )
     rep_weights = None
     if "representation" in data:
-        rep_weights = tuple(
-            _parse_weight(wd, g.complement, g.basis, "representation weights")
-            for wd in _expect_list(data["representation"], "weights representation")
+        rep_weights = _parse_rep_weights(
+            data["representation"], g, m, "weights representation"
         )
     return WeightsSpec(False, tuple(weights), rep_weights)
 
@@ -269,85 +279,6 @@ def _parse_lattice(data, g: LieAlgebraData) -> LatticeData:
                 )
         generators.append(tuple(coords))
     return LatticeData(table, tuple(generators))
-
-
-# ---------------------------------------------------------------------------
-# Emission (canonical form; parse . emit == identity on instances).
-
-
-def emit_instance(inst: InstanceFile) -> dict:
-    g = inst.algebra
-    out: dict = {"name": inst.name, "kind": inst.kind}
-    brackets = []
-    for (i, j), row in sorted(g.bracket_table().items()):
-        for k, c in row:
-            brackets.append([g.basis[i], g.basis[j], g.basis[k], format_gaussian(c)])
-    alg: dict = {
-        "dim": g.dim,
-        "basis": list(g.basis),
-        "brackets": brackets,
-        "nilradical": [g.basis[i] for i in sorted(g.nilradical)],
-        "complement": [g.basis[i] for i in g.complement],
-    }
-    if g.conjugation is not None:
-        alg["conjugation"] = {
-            g.basis[i]: g.basis[g.conjugation[i]] for i in range(g.dim)
-        }
-    out["algebra"] = alg
-
-    rep = inst.representation
-    if rep.kind == "trivial":
-        out["representation"] = {"trivial": True}
-    elif rep.kind == "adjoint":
-        out["representation"] = {"adjoint": True}
-    else:
-        mats = {}
-        for j, mat in enumerate(rep.matrices):
-            if not mat.is_zero():
-                mats[g.basis[j]] = [
-                    [format_gaussian(e) for e in row] for row in mat.rows
-                ]
-        block = {"dim": rep.m, "matrices": mats}
-        if rep.weights is not None:
-            block["weights"] = [_emit_weight(wt, g) for wt in rep.weights]
-        out["representation"] = block
-
-    if inst.weights.infer:
-        out["weights"] = {"infer": True}
-    else:
-        walg = {}
-        for i in range(g.dim):
-            wt = inst.weights.algebra[i]
-            if any(c for c in wt):
-                walg[g.basis[i]] = _emit_weight(wt, g)
-        block = {"algebra": walg}
-        if inst.weights.representation is not None:
-            block["representation"] = [
-                _emit_weight(wt, g) for wt in inst.weights.representation
-            ]
-        out["weights"] = block
-
-    lat = inst.lattice
-    symbols = [
-        {"name": base, "parity": "real"} for base in lat.table.user_base_names
-    ]
-    generators = []
-    for gen in lat.generators:
-        entry = {}
-        for pos, j in enumerate(g.complement):
-            if not gen[pos].is_zero():
-                entry[g.basis[j]] = format_period(gen[pos])
-        generators.append(entry)
-    out["lattice"] = {"symbols": symbols, "generators": generators}
-    return out
-
-
-def _emit_weight(wt: Weight, g: LieAlgebraData) -> dict:
-    return {
-        g.basis[j]: format_gaussian(c)
-        for j, c in zip(g.complement, wt)
-        if c
-    }
 
 
 def load_instance(path: str | Path) -> InstanceFile:

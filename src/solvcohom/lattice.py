@@ -157,11 +157,7 @@ class TagVerdict:
 class SelectionResult:
     kind: str  # "derham" or "dolbeault"
     complex: FiniteComplex
-    kept_indices: tuple[tuple[int, ...], ...]
     verdicts: tuple[TagVerdict, ...]  # indexed by the complex's tag ids
-
-    def kept_dims(self) -> tuple[int, ...]:
-        return tuple(len(ks) for ks in self.kept_indices)
 
 
 def _verdicts(ic: InvariantComplex, lat: LatticeData) -> tuple[TagVerdict, ...]:
@@ -195,8 +191,7 @@ def _select(ic: InvariantComplex, lat: LatticeData, kind: str) -> SelectionResul
     verdicts = _verdicts(ic, lat)
     kept = [t for t, v in enumerate(verdicts)
             if (v.trivial_on_lattice if kind == "derham" else v.ratio_trivial)]
-    sub = restrict_complex(ic, kept)
-    return SelectionResult(kind, sub, ic.indices_with_tag_ids(kept), verdicts)
+    return SelectionResult(kind, restrict_complex(ic, kept), verdicts)
 
 
 def select_de_rham(ic: InvariantComplex, lat: LatticeData) -> SelectionResult:

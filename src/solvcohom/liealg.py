@@ -165,9 +165,6 @@ class LieAlgebraData:
                 entries[(k, i)] = c
         return ExactMatrix.from_entries(self.dim, self.dim, entries)
 
-    def index_of(self, name: str) -> int:
-        return self.basis.index(name)
-
 
 def validate_algebra(g: LieAlgebraData) -> ValidationReport:
     """Check every structural invariant; collect issues, never raise."""

@@ -30,7 +30,8 @@ class ExactMatrix:
     `row_maps[i]` is row i as a {column: value} dict of its nonzero
     entries. It is the only storage and must not be mutated. Because no
     zero is ever stored, == and hash compare canonical forms. `rows` is a
-    dense tuple-of-tuples view built on demand, for output and tests.
+    dense tuple-of-tuples view built on demand; no command reads it, only
+    tests and the benchmark's counters.
     """
 
     __slots__ = ("nrows", "ncols", "row_maps")
@@ -61,12 +62,6 @@ class ExactMatrix:
         return tuple(_dense(r, self.ncols) for r in self.row_maps)
 
     # -- constructors --------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[GaussianRational]]) -> "ExactMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        return cls(nrows, ncols, rows)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "ExactMatrix":
@@ -142,30 +137,12 @@ class ExactMatrix:
             out.append({j: v for j, v in acc.items() if v})
         return ExactMatrix._of(self.nrows, other.ncols, out)
 
-    def __mul__(self, other):
-        if isinstance(other, ExactMatrix):
-            return self @ other
-        return NotImplemented
-
     def transpose(self) -> "ExactMatrix":
         cols: list[SparseRow] = [{} for _ in range(self.ncols)]
         for i, row in enumerate(self.row_maps):
             for j, a in row.items():
                 cols[j][i] = a
         return ExactMatrix._of(self.ncols, self.nrows, cols)
-
-    def apply(self, vec: Sequence[GaussianRational]) -> Vector:
-        if len(vec) != self.ncols:
-            raise ValueError("vector length does not match column count")
-        out = []
-        for row in self.row_maps:
-            acc = ZERO
-            for j, a in row.items():
-                x = vec[j]
-                if x:
-                    acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
 
     def entry(self, i: int, j: int) -> GaussianRational:
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
@@ -315,10 +292,6 @@ def rank_and_kernel(matrix: ExactMatrix) -> tuple[int, tuple[Vector, ...]]:
     return rank, tuple(_dense(vec, matrix.ncols) for vec in kernel.values())
 
 
-def rank(matrix: ExactMatrix) -> int:
-    return rank_and_kernel(matrix)[0]
-
-
 class SpanTracker:
     """Incremental row-space membership with exact reduction.
 
@@ -356,9 +329,6 @@ class SpanTracker:
         new_rows.append((pivot_col, current))
         self.rows = new_rows
         return True
-
-    def contains(self, vec: Sequence[GaussianRational] | Mapping[int, GaussianRational]) -> bool:
-        return not self.reduce(vec)
 
     @property
     def dim(self) -> int:

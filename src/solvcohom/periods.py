@@ -219,10 +219,6 @@ class PeriodValue:
         return format_period(self)
 
 
-def zero_period(table: SymbolTable) -> PeriodValue:
-    return PeriodValue(table, {})
-
-
 _RAT = re.compile(r"^\d+(/\d+)?$")
 
 

@@ -223,11 +223,6 @@ class InvariantComplex:
     def complex(self) -> FiniteComplex:
         return restrict_complex(self, range(len(self.tag_table)))
 
-    @property
-    def element_tags(self) -> tuple[tuple[Weight, ...], ...]:
-        table = self.tag_table
-        return tuple(tuple(table[t] for t in per) for per in self.tag_ids)
-
     def distinct_tags(self) -> tuple[Weight, ...]:
         return self.tag_table
 
@@ -236,10 +231,6 @@ class InvariantComplex:
         return tuple(
             tuple(i for i, t in enumerate(per) if t in wanted) for per in self.tag_ids
         )
-
-    def indices_with_tag(self, tag: Weight) -> tuple[tuple[int, ...], ...]:
-        tid = self.tag_table.index(tag) if tag in self.tag_table else -1
-        return self.indices_with_tag_ids((tid,))
 
 
 def _interner():

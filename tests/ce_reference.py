@@ -4,17 +4,19 @@ This is the insertion formula written directly on sorted index tuples,
 one column and one term at a time, with wedge signs counted by
 comparison and rho read through ModuleAction.apply_entry. The package
 kernel works on bitmasks, a whole degree at once; tests require the two
-to agree exactly.
+to agree exactly. ce_differential is the kernel's whole degree in one
+module, as a matrix, for tests that take plain twisted complexes.
 """
 from __future__ import annotations
+
+from typing import Sequence
 
 from solvcohom.cecomplex import (
     ModuleAction,
     _one_form_differentials,
-    ce_differential,
+    ce_kernel,
     degree_basis,
     module_basis_names,
-    monomial_label,
     subset_position,
 )
 from solvcohom.errors import WeightGradingError
@@ -22,6 +24,21 @@ from solvcohom.liealg import LieAlgebraData, RepresentationData
 from solvcohom.linalg import ExactMatrix
 from solvcohom.scalars import GaussianRational
 from solvcohom.weights import WeightAssignment, format_weight
+
+
+def ce_differential(g: LieAlgebraData, action: ModuleAction, p: int) -> ExactMatrix:
+    """Matrix of d from degree p to degree p+1 in one twisted module, lex order."""
+    ncols = len(degree_basis(g.dim, p)) * action.m
+    entries = ce_kernel(g, [action])(dict.fromkeys(range(ncols), 0), p)
+    return ExactMatrix.from_entries(len(degree_basis(g.dim, p + 1)) * action.m, ncols, entries)
+
+
+def monomial_label(
+    g: LieAlgebraData, I: tuple[int, ...], k: int, module_names: Sequence[str]
+) -> str:
+    """The name of x_I (x) v_k, as the invariant complex labels it."""
+    form = "^".join(g.basis[i] + "*" for i in I) if I else "1"
+    return f"{form} (x) {module_names[k]}"
 
 
 def wedge_insert_sign(element: int, others: tuple[int, ...]) -> int:

@@ -9,6 +9,22 @@ INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 EXPECTED_DIR = INSTANCE_DIR / "expected"
 
 
+def kept_indices(ic, sel):
+    """Per degree, the basis indices of the tags a selection keeps."""
+    keeps = "trivial_on_lattice" if sel.kind == "derham" else "ratio_trivial"
+    return ic.indices_with_tag_ids(
+        t for t, v in enumerate(sel.verdicts) if getattr(v, keeps)
+    )
+
+
+def zero_tag_indices(ic):
+    """Per degree, the basis indices of tag zero."""
+    zero = ic.weights.zero()
+    return ic.indices_with_tag_ids(
+        t for t, tag in enumerate(ic.tag_table) if tag == zero
+    )
+
+
 def make_heisenberg():
     # [x, y] = z; already nilpotent, empty complement.
     return LieAlgebraData(

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -10,11 +11,18 @@ import textwrap
 
 import pytest
 from conftest import EXPECTED_DIR, INSTANCE_DIR
+from emit_reference import emit_instance
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import solvcohom
 from solvcohom import cli, weights
+from solvcohom.instances import (
+    WeightsSpec,
+    build_representation,
+    build_weight_assignment,
+    load_instance,
+)
 from solvcohom.oracle import QuasiIsoReport, SectorComparison
 from solvcohom.scalars import ZERO
 
@@ -207,6 +215,10 @@ PERIOD = ("lattice", "generators", 0, "e1")  # in example-7-2-pi
         ("heisenberg3", _set(("representation",), {"dim": 1, "matrices": []})),
         ("heisenberg3", _set(("representation",), {"dim": 1, "matrices": {"x": 5}})),
         ("heisenberg3", _set(("weights",), {"algebra": []})),
+        ("heisenberg3", _set(("weights",), {"algebra": {}, "representation": []})),
+        ("heisenberg3", _set(("weights",), {"algebra": {}, "representation": [{}, {}]})),
+        ("heisenberg3", _set(("weights",), {"algebra": {"q": {}}})),
+        ("heisenberg3", _set(("representation",), {"dim": 1, "matrices": {"q": [["1"]]}})),
         ("heisenberg3", _set(BRACKET_COEFFICIENT, "1/0")),
         ("heisenberg3", _set(BRACKET_COEFFICIENT, "0/0")),
         ("heisenberg3", _set(BRACKET_COEFFICIENT, "1/0*i")),
@@ -222,6 +234,10 @@ PERIOD = ("lattice", "generators", 0, "e1")  # in example-7-2-pi
         "matrices-list",
         "matrix-not-rows",
         "weights-algebra-list",
+        "weights-representation-short",
+        "weights-representation-long",
+        "weights-algebra-unknown-name",
+        "matrices-unknown-name",
         "scalar-zero-denominator",
         "scalar-zero-over-zero",
         "scalar-imaginary-zero-denominator",
@@ -258,11 +274,32 @@ def _fields(node, prefix=()):
         yield from _fields(child, prefix + (key,))
 
 
-SHIPPED_DOCS = {
+def _explicit_weights_doc(name):
+    """A shipped instance with its inferred weights written out in full."""
+    inst = load_instance(INSTANCE_DIR / f"{name}.json")
+    w = build_weight_assignment(inst, build_representation(inst))
+    explicit = WeightsSpec(False, w.algebra_weights, w.rep_weights)
+    return emit_instance(dataclasses.replace(inst, weights=explicit))
+
+
+EXPLICIT_WEIGHTS = "example-7-1-pi+explicit-weights"
+FUZZ_DOCS = {
     name: json.loads((INSTANCE_DIR / f"{name}.json").read_text())
     for name, _ in SHIPPED_COMMANDS
 }
-FIELDS = [(name, path) for name, doc in SHIPPED_DOCS.items() for path in _fields(doc)]
+FUZZ_DOCS[EXPLICIT_WEIGHTS] = _explicit_weights_doc("example-7-1-pi")
+FIELDS = [(name, path) for name, doc in FUZZ_DOCS.items() for path in _fields(doc)]
+
+
+def test_explicit_weights_document_validates(tmp_path, capsys):
+    # The fuzz pool's explicit-weights document is valid as written and
+    # holds both weight lists, so every nested weight field gets fuzzed.
+    doc = FUZZ_DOCS[EXPLICIT_WEIGHTS]
+    assert doc["weights"]["algebra"] and len(doc["weights"]["representation"]) == 6
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 0
+    assert run(["derham", str(path)]) == 0
 
 json_values = st.recursive(
     st.none()
@@ -279,12 +316,13 @@ json_values = st.recursive(
 
 @example(field=("heisenberg3", BRACKET_COEFFICIENT), value="1/0")
 @example(field=("example-7-2-pi", PERIOD), value="1/0*i*pi")
+@example(field=(EXPLICIT_WEIGHTS, ("weights", "representation")), value=[])
 @settings(max_examples=200, deadline=None)
 @given(field=st.sampled_from(FIELDS), value=json_values)
 def test_any_json_field_exits_cleanly(field, value):
     # Replacing one field with any JSON value exits 0, 1 or 2; nothing raises.
     name, path = field
-    doc = copy.deepcopy(SHIPPED_DOCS[name])
+    doc = copy.deepcopy(FUZZ_DOCS[name])
     _set(path, value)(doc)
     with tempfile.TemporaryDirectory() as tmp:
         instance = os.path.join(tmp, "fuzzed.json")
@@ -292,7 +330,7 @@ def test_any_json_field_exits_cleanly(field, value):
             json.dump(doc, fh)
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            for command in ("validate", SHIPPED_DOCS[name]["kind"]):
+            for command in ("validate", FUZZ_DOCS[name]["kind"]):
                 assert cli.main([command, instance]) in (0, 1, 2), sink.getvalue()
 
 

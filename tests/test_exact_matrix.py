@@ -108,8 +108,9 @@ def test_transpose(case):
 def test_apply(data):
     nrows, ncols, rows = data.draw(shaped())
     vec = data.draw(st.lists(scalars, min_size=ncols, max_size=ncols))
-    expected = tuple(sum((a * x for a, x in zip(r, vec)), ZERO) for r in rows)
-    assert ExactMatrix(nrows, ncols, rows).apply(vec) == expected
+    expected = [[sum((a * x for a, x in zip(r, vec)), ZERO)] for r in rows]
+    product = ExactMatrix(nrows, ncols, rows) @ ExactMatrix(ncols, 1, [[x] for x in vec])
+    assert product == ExactMatrix(nrows, 1, expected)
 
 
 @given(shaped())

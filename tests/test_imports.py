@@ -1,0 +1,40 @@
+"""Every module-level import in the package is used by its module.
+
+A name counts as used when the module reads it anywhere, or lists it in
+__all__ (the package's re-exports).
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "solvcohom"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.append(alias.asname or alias.name.split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_the_check_sees_an_unused_import():
+    source = "from typing import Optional, Sequence\nimport json\nx: Sequence = ()\n"
+    assert unused_imports(source) == ["Optional", "json"]
+    assert unused_imports("from . import a\n__all__ = ['a']\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_module_level_import(path):
+    assert unused_imports(path.read_text()) == []

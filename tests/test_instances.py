@@ -3,11 +3,11 @@ import json
 
 import pytest
 from conftest import INSTANCE_DIR
+from emit_reference import emit_instance
 
 from solvcohom import (
     build_representation,
     build_weight_assignment,
-    emit_instance,
     infer_weights,
     load_instance,
     parse_instance,

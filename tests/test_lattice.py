@@ -2,7 +2,7 @@ import functools
 from fractions import Fraction
 
 import pytest
-from conftest import INSTANCE_DIR, make_split_6d
+from conftest import INSTANCE_DIR, kept_indices, make_split_6d, zero_tag_indices
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -33,9 +33,9 @@ from solvcohom.periods import (
     SymbolTable,
     format_period,
     parse_period,
-    zero_period,
 )
 from solvcohom.scalars import MINUS_ONE, ONE, ZERO, GaussianRational, gauss
+from solvcohom.weights import InvariantComplex
 
 
 def make_lattice(table, rows):
@@ -93,7 +93,7 @@ def test_evaluate_weight_equals_scale_and_add_fold(data, width):
     # PeriodValue.scale(mu_j) terms with +, zero coefficients skipped.
     mu = data.draw(st.lists(_scalars, min_size=width, max_size=width))
     gen = data.draw(st.lists(_periods, min_size=width, max_size=width))
-    fold = zero_period(_TABLE)
+    fold = PeriodValue(_TABLE, {})
     for coeff, coord in zip(mu, gen):
         if coeff:
             fold = fold + coord.scale(coeff)
@@ -157,29 +157,42 @@ def test_validate_lattice_conjugation(split_6d):
 def test_de_rham_selection_pi_lattice(split_6d_ic):
     sel = select_de_rham(split_6d_ic, pi_lattice_6d())
     assert sel.kind == "derham"
-    assert sel.kept_dims() == (2, 12, 26, 32, 26, 12, 2)
+    assert sel.complex.dims == (2, 12, 26, 32, 26, 12, 2)
     assert cohomology(sel.complex).betti == (0, 6, 14, 12, 8, 6, 2)
 
 
 def test_de_rham_selection_generic_lattice(split_6d_ic):
     sel = select_de_rham(split_6d_ic, generic_lattice_6d())
-    assert sel.kept_dims() == (2, 8, 14, 16, 14, 8, 2)
+    assert sel.complex.dims == (2, 8, 14, 16, 14, 8, 2)
     assert cohomology(sel.complex).betti == (0, 2, 6, 8, 8, 6, 2)
 
 
 def test_zero_tags_always_kept(split_6d_ic):
     sel = select_de_rham(split_6d_ic, generic_lattice_6d())
-    zero = split_6d_ic.weights.zero()
-    for p, kept in enumerate(sel.kept_indices):
-        for i in split_6d_ic.indices_with_tag(zero)[p]:
+    zeros = zero_tag_indices(split_6d_ic)
+    for p, kept in enumerate(kept_indices(split_6d_ic, sel)):
+        for i in zeros[p]:
             assert i in kept
+
+
+def test_selection_scans_the_tag_ids_once(split_6d_ic, monkeypatch):
+    # restrict_complex's scan over every cochain is the selection's only one.
+    calls = []
+    scan = InvariantComplex.indices_with_tag_ids
+    monkeypatch.setattr(
+        InvariantComplex,
+        "indices_with_tag_ids",
+        lambda ic, tag_ids: calls.append(1) or scan(ic, tag_ids),
+    )
+    select_de_rham(split_6d_ic, generic_lattice_6d())
+    assert len(calls) == 1
 
 
 def test_dolbeault_selection_pi_lattice(split_3d):
     ic = invariant(split_3d)
     table = SymbolTable(["a"])
     sel = select_dolbeault(ic, make_lattice(table, [["a + i*pi"]]))
-    assert sel.kept_dims() == (1, 3, 3, 1)
+    assert sel.complex.dims == (1, 3, 3, 1)
     assert cohomology(sel.complex).betti == (1, 3, 3, 1)
 
 
@@ -187,7 +200,7 @@ def test_dolbeault_selection_generic_lattice(split_3d):
     ic = invariant(split_3d)
     table = SymbolTable(["c"])
     sel = select_dolbeault(ic, make_lattice(table, [["c + i"]]))
-    assert sel.kept_dims() == (1, 1, 1, 1)
+    assert sel.complex.dims == (1, 1, 1, 1)
     assert cohomology(sel.complex).betti == (1, 1, 1, 1)
 
 

@@ -10,17 +10,16 @@ from oracle_reference import reference_eliminate
 
 from solvcohom import linalg
 from solvcohom.errors import CertificateError
-from solvcohom.linalg import (
-    ExactMatrix,
-    SpanTracker,
-    rank,
-    rank_and_kernel,
-)
+from solvcohom.linalg import ExactMatrix, SpanTracker, rank_and_kernel
 from solvcohom.scalars import I, ONE, ZERO, gauss
 
 
 def mat(rows):
-    return ExactMatrix.from_rows([[gauss(e) for e in row] for row in rows])
+    return ExactMatrix(len(rows), len(rows[0]), [[gauss(e) for e in row] for row in rows])
+
+
+def column(vec):
+    return ExactMatrix(len(vec), 1, [[c] for c in vec])
 
 
 def test_constructors_and_entry():
@@ -54,7 +53,7 @@ def test_arithmetic():
 
 def test_apply():
     a = mat([[1, 2], [3, 4]])
-    assert a.apply((ONE, ZERO)) == (gauss(1), gauss(3))
+    assert a @ column((ONE, ZERO)) == column((gauss(1), gauss(3)))
 
 
 def test_power_and_nilpotence():
@@ -71,18 +70,18 @@ def test_rank_and_kernel_hand_cases():
     assert r == 1
     assert len(kern) == 2
     for v in kern:
-        assert all(c == ZERO for c in m.apply(v))
+        assert (m @ column(v)).is_zero()
 
-    assert rank(ExactMatrix.identity(4)) == 4
-    assert rank(ExactMatrix.zero(3, 5)) == 0
+    assert rank_and_kernel(ExactMatrix.identity(4))[0] == 4
+    assert rank_and_kernel(ExactMatrix.zero(3, 5))[0] == 0
     r, kern = rank_and_kernel(ExactMatrix.zero(3, 5))
     assert r == 0 and len(kern) == 5
 
 
 def test_rank_with_gaussian_entries():
     # Second column is i times the first: rank 1.
-    m = ExactMatrix.from_rows([[ONE, I], [I, gauss(-1)]])
-    assert rank(m) == 1
+    m = ExactMatrix(2, 2, [[ONE, I], [I, gauss(-1)]])
+    assert rank_and_kernel(m)[0] == 1
 
 
 def test_pivot_strategies_agree():
@@ -96,7 +95,7 @@ def test_pivot_strategies_agree():
 def test_matrix_inverse():
     a = mat([[1, 2], [3, 4]])
     assert matrix_inverse(a) @ a == ExactMatrix.identity(2)
-    b = ExactMatrix.from_rows([[I, ZERO], [ONE, ONE]])
+    b = ExactMatrix(2, 2, [[I, ZERO], [ONE, ONE]])
     assert b @ matrix_inverse(b) == ExactMatrix.identity(2)
     with pytest.raises(ZeroDivisionError):
         matrix_inverse(mat([[1, 2], [2, 4]]))
@@ -108,8 +107,8 @@ def test_span_tracker():
     assert not t.add((gauss(2), ZERO, ZERO))  # dependent
     assert t.add((ZERO, ONE, ONE))
     assert t.dim == 2
-    assert t.contains((gauss(3), ONE, ONE))
-    assert not t.contains((ZERO, ZERO, ONE))
+    assert not t.reduce((gauss(3), ONE, ONE))
+    assert t.reduce((ZERO, ZERO, ONE))
 
 
 entries = st.integers(min_value=-9, max_value=9)
@@ -123,12 +122,12 @@ def small_matrices(draw):
         [gauss(draw(entries), draw(entries)) for _ in range(ncols)]
         for _ in range(nrows)
     ]
-    return ExactMatrix.from_rows(rows)
+    return ExactMatrix(nrows, ncols, rows)
 
 
 @given(small_matrices())
 def test_rank_transpose_invariant(m):
-    assert rank(m) == rank(m.transpose())
+    assert rank_and_kernel(m)[0] == rank_and_kernel(m.transpose())[0]
 
 
 @given(small_matrices())
@@ -137,7 +136,7 @@ def test_rank_nullity_and_strategy_agreement(m):
     assert r1 == len(reference_eliminate(m, "sequential")[0])
     assert r1 + len(kern) == m.ncols
     for v in kern:
-        assert all(c == ZERO for c in m.apply(v))
+        assert (m @ column(v)).is_zero()
 
 
 nonzero_entries = st.builds(
@@ -217,7 +216,7 @@ def test_kernel_certificate_survives_optimize_flag():
         assert False, "asserts must be stripped under -O"
         eliminate = linalg._eliminate
         linalg._eliminate = lambda m: tuple(x[:-1] for x in eliminate(m))
-        m = ExactMatrix.from_rows([[gauss(1), gauss(2)], [gauss(0), gauss(1)]])
+        m = ExactMatrix(2, 2, [[gauss(1), gauss(2)], [gauss(0), gauss(1)]])
         try:
             linalg.rank_and_kernel(m)
         except CertificateError:

@@ -21,7 +21,6 @@ from solvcohom.periods import (
     SymbolTable,
     format_period,
     parse_period,
-    zero_period,
 )
 from solvcohom.scalars import I, MINUS_ONE, GaussianRational, gauss
 
@@ -78,7 +77,7 @@ def test_parse_and_format():
     assert v.coefficient("c") == 0
     assert format_period(v) == "2*i*pi + a"
     assert format_period(pv("1/2 - i")) == "1/2 - i"
-    assert format_period(zero_period(TABLE)) == "0"
+    assert format_period(PeriodValue(TABLE, {})) == "0"
     assert parse_period("-i*pi", TABLE).coefficient("i*pi") == -1
 
 

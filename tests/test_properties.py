@@ -8,13 +8,15 @@ blocks are subcomplexes, and the zero tag passes every triviality test.
 from fractions import Fraction
 
 import pytest
-from ce_reference import kernel_column, kernel_columns, reference_ce_image
+from ce_reference import ce_differential, kernel_column, kernel_columns, reference_ce_image
 from conftest import (
     INSTANCE_DIR,
+    kept_indices,
     make_heisenberg,
     make_split_3d,
     make_split_6d,
     make_split_6d_plus_heisenberg,
+    zero_tag_indices,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,6 @@ from solvcohom import (
     ModuleAction,
     adjoint_representation,
     build_invariant_complex,
-    ce_differential,
     cohomology,
     degree_basis,
     infer_weights,
@@ -41,7 +42,7 @@ from solvcohom.instances import (
     load_instance,
 )
 from solvcohom.periods import PeriodValue, SymbolTable
-from solvcohom.scalars import ONE, GaussianRational
+from solvcohom.scalars import GaussianRational
 from solvcohom.weights import WeightAssignment, weight_sort_key
 
 small_fractions = st.fractions(
@@ -171,20 +172,18 @@ def test_de_rham_selection_closed_and_keeps_zero_tag(lat):
     # grading of every entry, so each lands on a kept row: closed by
     # construction.
     sel = select_de_rham(_IC_6D, lat)
-    zero = _IC_6D.weights.zero()
-    for p, kept in enumerate(sel.kept_indices):
-        zeros = _IC_6D.indices_with_tag(zero)[p]
-        assert set(zeros) <= set(kept)
+    zeros = zero_tag_indices(_IC_6D)
+    for p, kept in enumerate(kept_indices(_IC_6D, sel)):
+        assert set(zeros[p]) <= set(kept)
 
 
 @settings(max_examples=40, deadline=None)
 @given(lat=lattices(1))
 def test_dolbeault_selection_closed_and_keeps_zero_tag(lat):
     sel = select_dolbeault(_IC_3D, lat)
-    zero = _IC_3D.weights.zero()
-    for p, kept in enumerate(sel.kept_indices):
-        zeros = _IC_3D.indices_with_tag(zero)[p]
-        assert set(zeros) <= set(kept)
+    zeros = zero_tag_indices(_IC_3D)
+    for p, kept in enumerate(kept_indices(_IC_3D, sel)):
+        assert set(zeros[p]) <= set(kept)
 
 
 @settings(max_examples=40, deadline=None)
@@ -237,15 +236,16 @@ def check_tag_table(ic):
         [w.tag(degree_basis(n, p)[i // m], i % m) for i in range(len(degree_basis(n, p)) * m)]
         for p in range(n + 1)
     ]
-    assert [list(per) for per in ic.element_tags] == reference
+    assert [[ic.tag_table[t] for t in per] for per in ic.tag_ids] == reference
     distinct = {t for per in reference for t in per}
     assert ic.distinct_tags() == tuple(sorted(distinct, key=weight_sort_key))
-    absent = tuple(c + ONE for c in ic.distinct_tags()[-1])
-    for tag in ic.distinct_tags() + (absent,):
+    for tid, tag in enumerate(ic.tag_table):
         scan = tuple(
             tuple(i for i, t in enumerate(per) if t == tag) for per in reference
         )
-        assert ic.indices_with_tag(tag) == scan
+        assert ic.indices_with_tag_ids((tid,)) == scan
+    # An id past the table names no tag and selects nothing.
+    assert ic.indices_with_tag_ids((len(ic.tag_table),)) == tuple(() for _ in reference)
 
 
 @pytest.mark.parametrize(
