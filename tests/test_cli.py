@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -406,6 +407,20 @@ def test_representatives_output(tmp_path, capsys):
     degree_one = payload["representatives"][1]
     labels = {term[0] for cls in degree_one for term in cls}
     assert labels == {"x* (x) 1", "y* (x) 1"}
+
+
+SNAPSHOT_DIR = pathlib.Path(__file__).resolve().parent / "snapshots"
+
+
+@pytest.mark.parametrize("name,cohom", SHIPPED_COMMANDS)
+def test_representatives_match_frozen_snapshot(name, cohom, tmp_path, capsys):
+    # Stdout and the --json report of --representatives, byte for byte.
+    out = tmp_path / "reps.json"
+    code = run([cohom, path_of(name), "--representatives", "--json", str(out)])
+    text = capsys.readouterr().out
+    assert code == 0
+    assert text == (SNAPSHOT_DIR / f"{name}.{cohom}.txt").read_text()
+    assert out.read_bytes() == (SNAPSHOT_DIR / f"{name}.{cohom}.json").read_bytes()
 
 
 def test_dolbeault_prints_hodge_numbers(capsys):
