@@ -29,7 +29,7 @@ from .errors import (
     ValidationFailure,
 )
 from .liealg import LieAlgebraData, RepresentationData, lower_central_series_dims, validate_algebra
-from .linalg import ExactMatrix, SpanTracker, Vector, rank_and_kernel
+from .linalg import ExactMatrix, SpanTracker, SparseRow, rank_and_kernel, row_times
 from .scalars import ONE, ZERO, GaussianRational
 
 Weight = tuple[GaussianRational, ...]
@@ -197,7 +197,8 @@ class FiniteComplex:
     """A finite cochain complex of exact matrices.
 
     dims[p] is the rank of degree p; differentials[p] maps degree p to
-    p+1 (one fewer entry than dims); labels[p] names the degree-p basis.
+    p+1 (one fewer entry than dims); labels[p], when given, names the
+    degree-p basis, and labels is None otherwise.
     """
 
     __slots__ = ("dims", "differentials", "labels")
@@ -215,11 +216,8 @@ class FiniteComplex:
         for p, d in enumerate(diffs_t):
             if d.ncols != dims_t[p] or d.nrows != dims_t[p + 1]:
                 raise ValidationFailure(f"differential at degree {p} has wrong shape")
-        if labels is None:
-            labels_t = tuple(
-                tuple(f"e{p}.{i}" for i in range(dim)) for p, dim in enumerate(dims_t)
-            )
-        else:
+        labels_t = None
+        if labels is not None:
             labels_t = tuple(tuple(ls) for ls in labels)
             if tuple(len(ls) for ls in labels_t) != dims_t:
                 raise ValidationFailure("labels do not match degree dimensions")
@@ -235,26 +233,34 @@ class FiniteComplex:
         return len(self.dims) - 1
 
     def check_complex(self):
-        """Raise naming the first degree where d.d != 0."""
+        """Raise naming the first degree where d.d != 0.
+
+        Multiplies row by row and stops at the first nonzero row.
+        """
         for p in range(len(self.differentials) - 1):
-            if not (self.differentials[p + 1] @ self.differentials[p]).is_zero():
-                raise ValidationFailure(
-                    f"not a complex: d.d != 0 starting at degree {p}"
-                )
+            first = self.differentials[p]
+            for row in self.differentials[p + 1].row_maps:
+                if row_times(row, first):
+                    raise ValidationFailure(
+                        f"not a complex: d.d != 0 starting at degree {p}"
+                    )
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * d for p, d in enumerate(self.dims))
 
 
 class CohomologyResult:
-    """Betti numbers plus optional representative cocycles per degree."""
+    """Betti numbers plus optional representative cocycles per degree.
+
+    A representative is a {basis index: nonzero coefficient} row.
+    """
 
     __slots__ = ("betti", "representatives")
 
     def __init__(
         self,
         betti: Sequence[int],
-        representatives: Optional[Sequence[Sequence[Vector]]] = None,
+        representatives: Optional[Sequence[Sequence[SparseRow]]] = None,
     ):
         object.__setattr__(self, "betti", tuple(int(b) for b in betti))
         object.__setattr__(
@@ -283,22 +289,18 @@ def cohomology(
     """
     complex_.check_complex()
     top = complex_.top_degree
-    kernels: list[tuple[Vector, ...]] = []
+    kernels: list[tuple[SparseRow, ...]] = []
     ranks: list[int] = []
     for p in range(top + 1):
         if p < top:
             r, kern = rank_and_kernel(complex_.differentials[p])
         else:
             # Top differential is the zero map.
-            r = 0
-            kern = tuple(
-                tuple(ONE if i == j else ZERO for i in range(complex_.dims[top]))
-                for j in range(complex_.dims[top])
-            )
+            r, kern = 0, tuple({j: ONE} for j in range(complex_.dims[top]))
         ranks.append(r)
         kernels.append(kern)
     betti = []
-    reps: list[tuple[Vector, ...]] = []
+    reps: list[tuple[SparseRow, ...]] = []
     for p in range(top + 1):
         rank_in = ranks[p - 1] if p > 0 else 0
         betti.append(len(kernels[p]) - rank_in)

@@ -74,16 +74,13 @@ def _flag_text(value) -> str:
 
 
 def _class_terms(vec, labels) -> list[tuple[str, str]]:
-    return [
-        (labels[i], format_gaussian(c)) for i, c in enumerate(vec) if c
-    ]
+    return [(labels[i], format_gaussian(vec[i])) for i in sorted(vec)]
 
 
 def _class_text(vec, labels) -> str:
     chunks = []
-    for i, c in enumerate(vec):
-        if not c:
-            continue
+    for i in sorted(vec):
+        c = vec[i]
         if c == ONE:
             chunks.append(labels[i])
         elif c == MINUS_ONE:

@@ -193,10 +193,10 @@ def _parse_representation(data, g: LieAlgebraData) -> RepresentationSpec:
         _name_index(g.basis, name, "representation matrices")
     matrices = []
     for j in range(g.dim):
-        rows = raw.get(g.basis[j])
-        if rows is None:
+        if g.basis[j] not in raw:
             matrices.append(ExactMatrix.zero(m, m))
             continue
+        rows = raw[g.basis[j]]
         if not (
             isinstance(rows, list)
             and len(rows) == m

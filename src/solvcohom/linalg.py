@@ -9,7 +9,11 @@ oracle sectors), which is what makes that pay.
 Rank and kernel are computed by exact Gauss-Jordan elimination on the
 sparse rows. The pivot is sparsity-first, which keeps fill-in low: least
 (row length, row id), then least (open-row count, column); a heap and
-column indexes only find it faster.
+column indexes only find it faster. Kernel vectors are sparse rows too,
+one per free column. The kernel certificate is checked row by row: every
+row of the matrix, reduced against the pivot rows at its pivot columns,
+must leave nothing at any free column, which are exactly the equations
+"the matrix annihilates each kernel vector".
 """
 from __future__ import annotations
 
@@ -20,7 +24,6 @@ from typing import Iterable, Mapping, Sequence
 from .errors import CertificateError
 from .scalars import ONE, ZERO, GaussianRational
 
-Vector = tuple[GaussianRational, ...]
 SparseRow = dict[int, GaussianRational]
 
 
@@ -58,8 +61,14 @@ class ExactMatrix:
         raise AttributeError("ExactMatrix is immutable")
 
     @property
-    def rows(self) -> tuple[Vector, ...]:
-        return tuple(_dense(r, self.ncols) for r in self.row_maps)
+    def rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        dense = []
+        for r in self.row_maps:
+            out = [ZERO] * self.ncols
+            for j, a in r.items():
+                out[j] = a
+            dense.append(tuple(out))
+        return tuple(dense)
 
     # -- constructors --------------------------------------------------
 
@@ -128,14 +137,9 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions disagree")
-        out = []
-        for row in self.row_maps:
-            acc: SparseRow = {}
-            for k, a in row.items():
-                for j, b in other.row_maps[k].items():
-                    acc[j] = acc[j] + a * b if j in acc else a * b
-            out.append({j: v for j, v in acc.items() if v})
-        return ExactMatrix._of(self.nrows, other.ncols, out)
+        return ExactMatrix._of(
+            self.nrows, other.ncols, (row_times(row, other) for row in self.row_maps)
+        )
 
     def transpose(self) -> "ExactMatrix":
         cols: list[SparseRow] = [{} for _ in range(self.ncols)]
@@ -177,11 +181,21 @@ class ExactMatrix:
         return f"ExactMatrix({self.nrows}x{self.ncols})"
 
 
+def row_times(row: SparseRow, matrix: ExactMatrix) -> SparseRow:
+    """The row vector `row` times `matrix`, zeros dropped."""
+    acc: SparseRow = {}
+    for k, a in row.items():
+        for j, b in matrix.row_maps[k].items():
+            acc[j] = acc[j] + a * b if j in acc else a * b
+    return {j: v for j, v in acc.items() if v}
+
+
 def _eliminate(matrix: ExactMatrix) -> tuple[list[tuple[int, SparseRow]], list[int]]:
     """Gauss-Jordan elimination; returns (pivot rows, pivot columns).
 
     Each returned row is fully reduced: its pivot column occurs in no
-    other returned row. The matrix's own rows are read, never mutated.
+    other returned row. The matrix's own rows are read, never mutated;
+    a returned row may be one of them.
 
     Pivot: the open row of least (row length, row id), then its column of
     least (open-row count, column). A heap of (row length, row id) entries,
@@ -203,17 +217,25 @@ def _eliminate(matrix: ExactMatrix) -> tuple[list[tuple[int, SparseRow]], list[i
         if not row or len(row) != length:
             continue  # stale: the row is done, zeroed or of a new length
         del open_rows[rid]
+        pivot_col, count = -1, 0
         for c in row:
-            holders[c].discard(rid)
-        pivot_col = min(row, key=lambda c: (len(holders[c]), c))
-        inv = row[pivot_col].inverse()
-        row = {c: inv * a for c, a in row.items()}
+            h = holders[c]
+            h.discard(rid)
+            if pivot_col < 0 or len(h) < count or (len(h) == count and c < pivot_col):
+                pivot_col, count = c, len(h)
+        if length == 1:
+            row = {pivot_col: ONE}
+        elif (lead := row[pivot_col]) != ONE:
+            inv = lead.inverse()
+            row = {c: inv * a for c, a in row.items()}
         # Reduce the open rows and the finished ones that hold the pivot
         # column, so it survives in exactly one row (Jordan form rows).
-        for rid in _reduce(open_rows, holders, pivot_col, row):
-            if open_rows[rid]:
-                heapq.heappush(heap, (len(open_rows[rid]), rid))
-        _reduce(done, done_holders, pivot_col, row)
+        if count:
+            for rid in _reduce(open_rows, holders, pivot_col, row):
+                if open_rows[rid]:
+                    heapq.heappush(heap, (len(open_rows[rid]), rid))
+        if done_holders[pivot_col]:
+            _reduce(done, done_holders, pivot_col, row)
         done[pivot_col] = row
         for c in row:
             done_holders[c].add(pivot_col)
@@ -228,22 +250,24 @@ def _reduce(rows: dict, holders: dict, col: int, pivot: SparseRow) -> list[int]:
     """
     changed = []
     for rid in list(holders[col]):
+        # _row_axpy(row, pivot, -row[col]), inlined to index as it goes.
         old = rows[rid]
-        rows[rid] = new = _row_axpy(old, pivot, -old[col])
-        for c in pivot.keys() - new.keys():  # cancelled
-            holders[c].discard(rid)
-        for c in pivot.keys() - old.keys():  # filled in
-            holders[c].add(rid)
+        rows[rid] = new = dict(old)
+        factor = -old[col]
+        for c, a in pivot.items():
+            if c in new:
+                v = new[c] + factor * a
+                if v:
+                    new[c] = v
+                else:
+                    del new[c]
+                    holders[c].discard(rid)
+            else:
+                new[c] = factor * a
+                holders[c].add(rid)
         if len(new) != len(old):
             changed.append(rid)
     return changed
-
-
-def _dense(row: SparseRow, width: int) -> Vector:
-    out = [ZERO] * width
-    for j, a in row.items():
-        out[j] = a
-    return tuple(out)
 
 
 def _row_axpy(target: SparseRow, source: SparseRow, factor: GaussianRational) -> SparseRow:
@@ -261,35 +285,47 @@ def _row_axpy(target: SparseRow, source: SparseRow, factor: GaussianRational) ->
     return out
 
 
-def rank_and_kernel(matrix: ExactMatrix) -> tuple[int, tuple[Vector, ...]]:
-    """Exact rank and a kernel basis, as dense vectors.
+def rank_and_kernel(matrix: ExactMatrix) -> tuple[int, tuple[SparseRow, ...]]:
+    """Exact rank and a kernel basis, as sparse rows.
 
-    Certified here, raising CertificateError otherwise: rank + nullity ==
-    ncols, and the matrix annihilates every returned kernel vector.
+    The kernel vector of free column f is 1 at f and -R_pc[f] at each
+    pivot column pc, where R_pc is the reduced row of pivot pc; vectors
+    come in ascending order of f. Certified here, raising
+    CertificateError otherwise: rank + nullity == ncols, and every row r
+    of the matrix has r[f] - sum_pc r[pc] * R_pc[f] == 0 at every free
+    column f, which is entry (r, f) of the matrix times the kernel.
     """
     done, pivot_cols = _eliminate(matrix)
     rank = len(done)
-    pivot_set = set(pivot_cols)
+    reduced = dict(done)
     kernel: dict[int, SparseRow] = {
-        f: {f: ONE} for f in range(matrix.ncols) if f not in pivot_set
+        f: {f: ONE} for f in range(matrix.ncols) if f not in reduced
     }
-    for pc, row in done:
-        for c, a in row.items():
-            if c in kernel:
-                kernel[c][pc] = -a
     if rank + len(kernel) != matrix.ncols:
         raise CertificateError(
             f"rank {rank} + nullity {len(kernel)} != {matrix.ncols} columns"
         )
-    columns = matrix.transpose().row_maps
-    for f, vec in kernel.items():
+    for row in matrix.row_maps:
+        # Each free entry of the row must equal the sum over its pivot
+        # columns pc of row[pc] * R_pc[f].
         image: SparseRow = {}
-        for j, x in vec.items():
-            for i, a in columns[j].items():
-                image[i] = image[i] + a * x if i in image else a * x
-        if any(image.values()):
-            raise CertificateError(f"kernel vector for free column {f} not annihilated")
-    return rank, tuple(_dense(vec, matrix.ncols) for vec in kernel.values())
+        for c, a in row.items():
+            pivot_row = reduced.get(c)
+            if pivot_row is not None:
+                for f, b in pivot_row.items():
+                    if f in kernel:
+                        image[f] = image[f] + a * b if f in image else a * b
+        for f, a in row.items():
+            if f in kernel and image.pop(f, ZERO) != a:
+                raise CertificateError(f"kernel vector for free column {f} not annihilated")
+        for f, v in image.items():
+            if v:
+                raise CertificateError(f"kernel vector for free column {f} not annihilated")
+    for pc, row in done:
+        for c, a in row.items():
+            if c in kernel:
+                kernel[c][pc] = -a
+    return rank, tuple(kernel.values())
 
 
 class SpanTracker:

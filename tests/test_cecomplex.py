@@ -1,3 +1,7 @@
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from ce_reference import ce_differential, monomial_label, wedge_insert_sign
 
@@ -90,8 +94,10 @@ def test_heisenberg_representatives(heisenberg):
     # z* is not closed, so H^1 is spanned by x* and y*.
     d1 = ic.complex.differentials[1]
     for vec in res.representatives[1]:
-        assert (d1 @ ExactMatrix(len(vec), 1, [[c] for c in vec])).is_zero()
-        assert vec[2] == ZERO
+        column = ExactMatrix.from_entries(d1.ncols, 1, {(i, 0): c for i, c in vec.items()})
+        assert (d1 @ column).is_zero()
+        assert vec.get(2, ZERO) == ZERO
+        assert all(vec.values())  # sparse: no stored zeros
 
 
 def test_representative_count_is_certified(heisenberg, monkeypatch):
@@ -151,6 +157,47 @@ def test_check_complex_catches_bad_differential():
     fc = FiniteComplex((1, 1, 1), (d0, d1))
     with pytest.raises(ValidationFailure, match="degree 0"):
         fc.check_complex()
+
+
+def test_check_complex_stops_at_the_first_nonzero_row(monkeypatch):
+    # Row 0 of d1 @ d0 is nonzero, so row 1 is never multiplied.
+    calls = []
+    row_times = cecomplex.row_times
+
+    def counted(row, matrix):
+        calls.append(row)
+        return row_times(row, matrix)
+
+    d0 = ExactMatrix(2, 1, [[ONE], [ONE]])
+    d1 = ExactMatrix(2, 2, [[ONE, ZERO], [ONE, MINUS_ONE]])
+    fc = FiniteComplex((1, 2, 2), (d0, d1))
+    monkeypatch.setattr(cecomplex, "row_times", counted)
+    with pytest.raises(ValidationFailure, match="not a complex: d.d != 0 starting at degree 0"):
+        fc.check_complex()
+    assert calls == [{0: ONE}]
+
+
+def test_check_complex_survives_optimize_flag():
+    script = textwrap.dedent(
+        """
+        from solvcohom.cecomplex import FiniteComplex
+        from solvcohom.errors import ValidationFailure
+        from solvcohom.linalg import ExactMatrix
+        from solvcohom.scalars import ONE
+
+        assert False, "asserts must be stripped under -O"
+        d = ExactMatrix(1, 1, [[ONE]])
+        try:
+            FiniteComplex((1, 1, 1), (d, d)).check_complex()
+        except ValidationFailure as exc:
+            print(exc)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "not a complex: d.d != 0 starting at degree 0"
 
 
 def test_labels(heisenberg):

@@ -215,6 +215,7 @@ PERIOD = ("lattice", "generators", 0, "e1")  # in example-7-2-pi
         ("heisenberg3", _set(("algebra", "brackets"), 5)),
         ("heisenberg3", _set(("representation",), {"dim": 1, "matrices": []})),
         ("heisenberg3", _set(("representation",), {"dim": 1, "matrices": {"x": 5}})),
+        ("heisenberg3", _set(("representation",), {"dim": 1, "matrices": {"x": None}})),
         ("heisenberg3", _set(("weights",), {"algebra": []})),
         ("heisenberg3", _set(("weights",), {"algebra": {}, "representation": []})),
         ("heisenberg3", _set(("weights",), {"algebra": {}, "representation": [{}, {}]})),
@@ -234,6 +235,7 @@ PERIOD = ("lattice", "generators", 0, "e1")  # in example-7-2-pi
         "brackets-int",
         "matrices-list",
         "matrix-not-rows",
+        "matrix-null",
         "weights-algebra-list",
         "weights-representation-short",
         "weights-representation-long",
@@ -261,6 +263,19 @@ def test_malformed_instance_exits_two_without_traceback(name, mutate, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def test_null_matrix_is_not_an_absent_one(tmp_path, capsys):
+    # An absent matrix is the zero matrix; a null one is malformed.
+    doc = json.loads((INSTANCE_DIR / "heisenberg3.json").read_text())
+    doc["representation"] = {"dim": 1, "matrices": {"x": None}}
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps(doc))
+    assert run(["derham", str(path)]) == 2
+    assert capsys.readouterr().err == "error: matrix for x must be 1x1\n"
+    doc["representation"] = {"dim": 1, "matrices": {}}
+    path.write_text(json.dumps(doc))
+    assert run(["derham", str(path)]) == 0
 
 
 def _fields(node, prefix=()):

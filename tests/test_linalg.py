@@ -22,6 +22,11 @@ def column(vec):
     return ExactMatrix(len(vec), 1, [[c] for c in vec])
 
 
+def sparse_column(vec, width):
+    """A {index: value} kernel vector as a width x 1 matrix."""
+    return ExactMatrix.from_entries(width, 1, {(i, 0): c for i, c in vec.items()})
+
+
 def test_constructors_and_entry():
     m = mat([[1, 2], [3, 4]])
     assert m.nrows == 2 and m.ncols == 2
@@ -70,12 +75,15 @@ def test_rank_and_kernel_hand_cases():
     assert r == 1
     assert len(kern) == 2
     for v in kern:
-        assert (m @ column(v)).is_zero()
+        assert (m @ sparse_column(v, m.ncols)).is_zero()
+    # Pivot column 0; one vector per free column, ascending, zeros absent.
+    assert kern == ({1: ONE, 0: gauss(-2)}, {2: ONE, 0: gauss(-3)})
 
     assert rank_and_kernel(ExactMatrix.identity(4))[0] == 4
     assert rank_and_kernel(ExactMatrix.zero(3, 5))[0] == 0
     r, kern = rank_and_kernel(ExactMatrix.zero(3, 5))
     assert r == 0 and len(kern) == 5
+    assert kern == tuple({j: ONE} for j in range(5))
 
 
 def test_rank_with_gaussian_entries():
@@ -136,7 +144,7 @@ def test_rank_nullity_and_strategy_agreement(m):
     assert r1 == len(reference_eliminate(m, "sequential")[0])
     assert r1 + len(kern) == m.ncols
     for v in kern:
-        assert (m @ column(v)).is_zero()
+        assert (m @ sparse_column(v, m.ncols)).is_zero()
 
 
 nonzero_entries = st.builds(
@@ -176,6 +184,50 @@ def test_eliminate_equals_rescanning_reference(m):
     assert [list(row) for _, row in done] == [list(row) for _, row in ref_done]
 
 
+def reference_kernel(m):
+    """The kernel rank_and_kernel derives, derived from reference_eliminate."""
+    done, pivot_cols = reference_eliminate(m, "sparsity")
+    free = [f for f in range(m.ncols) if f not in pivot_cols]
+    return tuple(
+        {f: ONE, **{pc: -row[f] for pc, row in done if f in row}} for f in free
+    )
+
+
+gaussian_fractions = st.builds(
+    lambda a, b, d: gauss(a, b) / gauss(d),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.integers(1, 4),
+)
+
+
+@st.composite
+def fraction_matrices(draw):
+    """Sparse matrices with non-integer Q(i) entries."""
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 6))
+    rows = [
+        [draw(st.one_of(st.just(ZERO), st.just(ZERO), gaussian_fractions))
+         for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    return ExactMatrix(nrows, ncols, rows)
+
+
+@given(st.one_of(tie_heavy_matrices(), fraction_matrices()))
+def test_sparse_kernel_equals_reference_kernel(m):
+    # Same vectors in the same order, down to each dict's key order, with
+    # no stored zeros; and the matrix annihilates each of them.
+    r, kern = rank_and_kernel(m)
+    want = reference_kernel(m)
+    assert kern == want
+    assert [list(v) for v in kern] == [list(v) for v in want]
+    assert all(all(v.values()) for v in kern)
+    assert r == m.ncols - len(want)
+    for v in kern:
+        assert (m @ sparse_column(v, m.ncols)).is_zero()
+
+
 def _drop_last_pivot_row(eliminate):
     def sabotaged(matrix):
         done, pivot_cols = eliminate(matrix)
@@ -192,11 +244,24 @@ def _repeat_first_pivot_row(eliminate):
     return sabotaged
 
 
+def _perturb_free_entry(eliminate):
+    # Changes one free-column entry of one reduced row: the rank and the
+    # pivots stay, but the derived kernel vector is wrong.
+    def sabotaged(matrix):
+        done, pivot_cols = eliminate(matrix)
+        pc, row = done[0]
+        f = next(c for c in row if c not in pivot_cols)
+        return [(pc, {**row, f: row[f] + ONE})] + done[1:], pivot_cols
+
+    return sabotaged
+
+
 @pytest.mark.parametrize(
     "sabotage,message",
     [
         (_drop_last_pivot_row, "not annihilated"),
         (_repeat_first_pivot_row, "nullity"),
+        (_perturb_free_entry, "not annihilated"),
     ],
 )
 def test_sabotaged_elimination_fails_its_certificate(monkeypatch, sabotage, message):
@@ -205,9 +270,18 @@ def test_sabotaged_elimination_fails_its_certificate(monkeypatch, sabotage, mess
         rank_and_kernel(mat([[1, 2, 0], [0, 1, 1]]))
 
 
+def _run_optimized(script):
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(script)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_kernel_certificate_survives_optimize_flag():
-    script = textwrap.dedent(
-        """
+    script = """
         from solvcohom import linalg
         from solvcohom.errors import CertificateError
         from solvcohom.linalg import ExactMatrix
@@ -222,9 +296,30 @@ def test_kernel_certificate_survives_optimize_flag():
         except CertificateError:
             print("certified")
         """
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "certified"
+    assert _run_optimized(script) == "certified"
+
+
+def test_perturbed_reduced_row_fails_under_optimize_flag():
+    # The reduced row of [1, 2] is {0: 1, 1: 2}; making its free entry 3
+    # keeps rank and pivots but breaks the kernel vector of column 1.
+    script = """
+        from solvcohom import linalg
+        from solvcohom.errors import CertificateError
+        from solvcohom.linalg import ExactMatrix
+        from solvcohom.scalars import ONE, gauss
+
+        assert False, "asserts must be stripped under -O"
+        eliminate = linalg._eliminate
+
+        def perturbed(m):
+            done, pivot_cols = eliminate(m)
+            (pc, row), *rest = done
+            return [(pc, {**row, 1: row[1] + ONE})] + rest, pivot_cols
+
+        linalg._eliminate = perturbed
+        try:
+            linalg.rank_and_kernel(ExactMatrix(1, 2, [[gauss(1), gauss(2)]]))
+        except CertificateError as exc:
+            print(exc)
+        """
+    assert _run_optimized(script) == "kernel vector for free column 1 not annihilated"

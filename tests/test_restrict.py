@@ -1,7 +1,7 @@
 import dataclasses
 
 import pytest
-from ce_reference import ce_differential
+from ce_reference import ce_differential, monomial_label
 from conftest import (
     INSTANCE_DIR,
     kept_indices,
@@ -37,9 +37,15 @@ from solvcohom.scalars import MINUS_ONE, ONE
 
 
 def _plain_ce_complex(g):
+    # Labelled, since the reference names the offending basis elements.
     action = ModuleAction(g, trivial_representation(g), None)
-    dims = [len(degree_basis(g.dim, p)) for p in range(g.dim + 1)]
-    return FiniteComplex(dims, [ce_differential(g, action, p) for p in range(g.dim)])
+    bases = [degree_basis(g.dim, p) for p in range(g.dim + 1)]
+    labels = [[monomial_label(g, I, 0, ("1",)) for I in basis] for basis in bases]
+    return FiniteComplex(
+        [len(basis) for basis in bases],
+        [ce_differential(g, action, p) for p in range(g.dim)],
+        labels,
+    )
 
 
 def test_restrict_complex_closure(split_3d):

@@ -1,0 +1,55 @@
+"""Scaling guard: an n = 15 product whose kernels are wide.
+
+example-7-2-pi^5 is the five-fold Künneth product of a shipped
+Dolbeault instance, built by bench/products.py (loaded by path and only
+read, as test_bench_spans.py loads bench/spans.py). Its selected complex
+has kernels of up to 32,767 vectors over 6,435 columns in one degree, so
+dense kernel vectors would take over a GiB; sparse ones take a few MiB.
+"""
+import importlib.util
+import json
+import subprocess
+import sys
+import textwrap
+
+from conftest import EXPECTED_DIR, INSTANCE_DIR
+
+PRODUCTS = INSTANCE_DIR.parent / "bench" / "products.py"
+PEAK_RSS_LIMIT_MIB = 200
+
+
+def _load_products():
+    spec = importlib.util.spec_from_file_location("bench_products", PRODUCTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_dolbeault_on_example_7_2_pi_to_the_fifth(tmp_path):
+    products = _load_products()
+    factor = products.load_factor(INSTANCE_DIR, "example-7-2-pi")
+    instance = products.product_instance([factor] * 5, 1, "example-7-2-pi^5")
+    path = tmp_path / "product.json"
+    path.write_text(products.dumps(instance))
+    out = tmp_path / "out.json"
+    factor_betti = json.loads(
+        (EXPECTED_DIR / "example-7-2-pi.dolbeault.json").read_text()
+    )["betti"]
+
+    # A process of its own, so its peak RSS is this command's alone.
+    script = textwrap.dedent(
+        f"""
+        import contextlib, io, resource
+        from solvcohom import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["dolbeault", {str(path)!r}, "--json", {str(out)!r}])
+        print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = map(int, proc.stdout.split())
+
+    assert code == 0
+    assert json.loads(out.read_text())["betti"] == products.convolve(*[factor_betti] * 5)
+    assert peak_kib < PEAK_RSS_LIMIT_MIB * 1024, f"peak RSS {peak_kib // 1024} MiB"
