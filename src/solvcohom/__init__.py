@@ -61,7 +61,7 @@ from .liealg import (
     validate_algebra,
     validate_representation,
 )
-from .linalg import ExactMatrix, rank_and_kernel
+from .linalg import ExactMatrix, kernel_basis, rank_and_kernel
 from .oracle import QuasiIsoReport, sector_cohomology_full, verify_quasi_iso
 from .periods import PeriodValue, SymbolTable, format_period, parse_period
 from .scalars import GaussianRational, format_gaussian, gauss, parse_gaussian
@@ -123,6 +123,7 @@ __all__ = [
     "format_weight",
     "gauss",
     "infer_weights",
+    "kernel_basis",
     "load_instance",
     "lower_central_series_dims",
     "module_basis_names",

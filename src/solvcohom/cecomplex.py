@@ -29,8 +29,15 @@ from .errors import (
     ValidationFailure,
 )
 from .liealg import LieAlgebraData, RepresentationData, lower_central_series_dims, validate_algebra
-from .linalg import ExactMatrix, SpanTracker, SparseRow, rank_and_kernel, row_times
-from .scalars import ONE, ZERO, GaussianRational
+from .linalg import (
+    ExactMatrix,
+    SpanTracker,
+    SparseRow,
+    kernel_basis,
+    rank_and_kernel,
+    row_times,
+)
+from .scalars import ZERO, GaussianRational
 
 Weight = tuple[GaussianRational, ...]
 
@@ -79,13 +86,6 @@ class ModuleAction:
 
     def __setattr__(self, name, value):
         raise AttributeError("ModuleAction is immutable")
-
-    def apply_entry(self, j: int, l: int, k: int) -> GaussianRational:
-        """Entry (l, k) of rho_mu(X_j)."""
-        value = self.matrices[j].entry(l, k)
-        if l == k and self.mu_at[j]:
-            value = value + self.mu_at[j]
-        return value
 
 
 def _one_form_differentials(
@@ -283,42 +283,40 @@ def cohomology(
 ) -> CohomologyResult:
     """Exact cohomology of a finite complex.
 
-    Checks d.d = 0 first. Representatives, when requested, are cocycles
-    extending a basis of the image, hence linearly independent modulo
-    coboundaries; both facts are certified by construction here.
+    Checks d.d = 0 first. Degrees are taken from the top down. When only
+    Betti numbers are asked for, the rows of d_p at the pivot columns of
+    d_{p+1} are skipped in elimination (clearing; see linalg), and the
+    certificate still covers them. Representatives, when requested, are
+    cocycles extending a basis of the image, hence linearly independent
+    modulo coboundaries; both facts are certified by construction here.
     """
     complex_.check_complex()
     top = complex_.top_degree
-    kernels: list[tuple[SparseRow, ...]] = []
-    ranks: list[int] = []
-    for p in range(top + 1):
-        if p < top:
-            r, kern = rank_and_kernel(complex_.differentials[p])
-        else:
-            # Top differential is the zero map.
-            r, kern = 0, tuple({j: ONE} for j in range(complex_.dims[top]))
-        ranks.append(r)
-        kernels.append(kern)
-    betti = []
+    dims = complex_.dims
+    ranks = [0] * (top + 1)  # ranks[p] is the rank of d_p; d_top is zero
+    reduced: list[dict[int, SparseRow]] = [{} for _ in range(top + 1)]
+    for p in reversed(range(top)):
+        skip = () if representatives else reduced[p + 1].keys()
+        ranks[p], reduced[p] = rank_and_kernel(complex_.differentials[p], skip)
+    betti = [dims[p] - ranks[p] - (ranks[p - 1] if p > 0 else 0) for p in range(top + 1)]
+    if not representatives:
+        return CohomologyResult(betti)
     reps: list[tuple[SparseRow, ...]] = []
     for p in range(top + 1):
-        rank_in = ranks[p - 1] if p > 0 else 0
-        betti.append(len(kernels[p]) - rank_in)
-        if representatives:
-            tracker = SpanTracker(complex_.dims[p])
-            if p > 0:
-                for image_vec in complex_.differentials[p - 1].transpose().row_maps:
-                    tracker.add(image_vec)
-            chosen = []
-            for vec in kernels[p]:
-                if tracker.add(vec):
-                    chosen.append(vec)
-            if len(chosen) != betti[p]:
-                raise CertificateError(
-                    f"{len(chosen)} representatives for betti {betti[p]} at degree {p}"
-                )
-            reps.append(tuple(chosen))
-    return CohomologyResult(betti, reps if representatives else None)
+        tracker = SpanTracker(dims[p])
+        if p > 0:
+            for image_vec in complex_.differentials[p - 1].transpose().row_maps:
+                tracker.add(image_vec)
+        chosen = []
+        for vec in kernel_basis(dims[p], reduced[p]):
+            if tracker.add(vec):
+                chosen.append(vec)
+        if len(chosen) != betti[p]:
+            raise CertificateError(
+                f"{len(chosen)} representatives for betti {betti[p]} at degree {p}"
+            )
+        reps.append(tuple(chosen))
+    return CohomologyResult(betti, reps)
 
 
 def nilshadow(

@@ -6,8 +6,10 @@ float. The ground mode is implied by the kind: "derham" instances are
 real-complexified, "dolbeault" instances are complex.
 
 Structural problems raise InstanceParseError (CLI exit code 2): among
-them every key that names no basis vector, and a representation weight
-list whose length is not the module dimension. Mathematical violations
+them every key that names no basis vector, a flag ("trivial", "adjoint",
+"infer") that is not a JSON boolean, a bracket entry [x, y, z, c] whose
+(x, y, z) repeats an earlier one, and a representation weight list whose
+length is not the module dimension. Mathematical violations
 are reported by validate_instance (exit code 1). The package only reads
 instance files; the canonical writer that the shipped files are checked
 against is a test reference (tests/emit_reference.py).
@@ -86,6 +88,14 @@ def _expect_object(value, what):
     return value
 
 
+def _flag(block: dict, key: str, what: str) -> bool:
+    """A JSON boolean flag of a block; an absent key is false."""
+    value = block.get(key, False)
+    if not isinstance(value, bool):
+        raise InstanceParseError(f"{what} {key} must be true or false")
+    return value
+
+
 def _name_index(basis: tuple[str, ...], name, context) -> int:
     if name not in basis:
         raise InstanceParseError(f"unknown basis name {name!r} in {context}")
@@ -134,12 +144,18 @@ def parse_instance(data: dict) -> InstanceFile:
     if not isinstance(dim, int) or len(basis) != dim:
         raise InstanceParseError("algebra dim and basis list disagree")
     brackets = []
+    seen = set()
     for entry in _expect_list(alg.get("brackets", []), "algebra brackets"):
         if not isinstance(entry, (list, tuple)) or len(entry) != 4:
             raise InstanceParseError(f"bad bracket entry {entry!r}")
         i = _name_index(basis, entry[0], "brackets")
         j = _name_index(basis, entry[1], "brackets")
         k = _name_index(basis, entry[2], "brackets")
+        if (i, j, k) in seen:
+            raise InstanceParseError(
+                f"repeated bracket entry [{basis[i]}, {basis[j]}, {basis[k]}]"
+            )
+        seen.add((i, j, k))
         brackets.append((i, j, k, parse_gaussian(str(entry[3]))))
     nilradical = _name_list(basis, alg, "nilradical")
     complement = _name_list(basis, alg, "complement")
@@ -181,9 +197,11 @@ def parse_instance(data: dict) -> InstanceFile:
 def _parse_representation(data, g: LieAlgebraData) -> RepresentationSpec:
     if not isinstance(data, dict):
         raise InstanceParseError("representation block must be an object")
-    if data.get("trivial"):
+    trivial = _flag(data, "trivial", "representation")
+    adjoint = _flag(data, "adjoint", "representation")
+    if trivial:
         return RepresentationSpec("trivial")
-    if data.get("adjoint"):
+    if adjoint:
         return RepresentationSpec("adjoint", m=g.dim)
     m = _expect(data, "dim", "representation")
     if not isinstance(m, int) or m < 1:
@@ -230,7 +248,7 @@ def _parse_rep_weights(raw, g: LieAlgebraData, m: int, what: str) -> tuple[Weigh
 def _parse_weights(data, g: LieAlgebraData, m: int) -> WeightsSpec:
     if not isinstance(data, dict):
         raise InstanceParseError("weights block must be an object")
-    if data.get("infer"):
+    if _flag(data, "infer", "weights"):
         return WeightsSpec(infer=True)
     alg_raw = _expect_object(_expect(data, "algebra", "weights"), "weights algebra")
     for name in alg_raw:

@@ -9,17 +9,29 @@ oracle sectors), which is what makes that pay.
 Rank and kernel are computed by exact Gauss-Jordan elimination on the
 sparse rows. The pivot is sparsity-first, which keeps fill-in low: least
 (row length, row id), then least (open-row count, column); a heap and
-column indexes only find it faster. Kernel vectors are sparse rows too,
-one per free column. The kernel certificate is checked row by row: every
-row of the matrix, reduced against the pivot rows at its pivot columns,
-must leave nothing at any free column, which are exactly the equations
-"the matrix annihilates each kernel vector".
+column indexes only find it faster. rank_and_kernel returns the reduced
+rows keyed by pivot column; kernel_basis reads the kernel off them as
+sparse rows, one per free column, for the callers that need vectors.
+The kernel certificate is checked row by row: every row of the matrix,
+reduced against the pivot rows at its pivot columns, must leave nothing
+at any free column, which are exactly the equations "the matrix
+annihilates each kernel vector".
+
+Clearing (Chen & Kerber, "Persistent homology computation with a
+twist", 2011; Bauer, Kerber & Reininghaus, "Clear and compress", 2014):
+a caller may name rows it knows to lie in the span of the others, and
+elimination leaves them out. In a complex, the rows of d_p
+at the pivot columns Q of d_{p+1} are such rows: d_{p+1} d_p = 0 and
+d_{p+1}[:, Q] has full column rank. The skip set is not trusted. The
+certificate still runs over every row, the skipped ones included, so the
+pivot rows must span the whole row space; a wrong skip set raises
+CertificateError and never yields a wrong rank.
 """
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import CertificateError
 from .scalars import ONE, ZERO, GaussianRational
@@ -190,19 +202,24 @@ def row_times(row: SparseRow, matrix: ExactMatrix) -> SparseRow:
     return {j: v for j, v in acc.items() if v}
 
 
-def _eliminate(matrix: ExactMatrix) -> tuple[list[tuple[int, SparseRow]], list[int]]:
+def _eliminate(
+    matrix: ExactMatrix, skip_rows: Container[int] = frozenset()
+) -> tuple[list[tuple[int, SparseRow]], list[int]]:
     """Gauss-Jordan elimination; returns (pivot rows, pivot columns).
 
     Each returned row is fully reduced: its pivot column occurs in no
     other returned row. The matrix's own rows are read, never mutated;
-    a returned row may be one of them.
+    a returned row may be one of them. The rows in skip_rows are left
+    out, as if they were zero.
 
     Pivot: the open row of least (row length, row id), then its column of
     least (open-row count, column). A heap of (row length, row id) entries,
     stale ones skipped, and column -> row id indexes only find that pivot
     and its rows faster.
     """
-    open_rows = {rid: r for rid, r in enumerate(matrix.row_maps) if r}
+    open_rows = {
+        rid: r for rid, r in enumerate(matrix.row_maps) if r and rid not in skip_rows
+    }
     holders = defaultdict(set)  # column -> ids of the open rows holding it
     for rid, r in open_rows.items():
         for c in r:
@@ -285,26 +302,23 @@ def _row_axpy(target: SparseRow, source: SparseRow, factor: GaussianRational) ->
     return out
 
 
-def rank_and_kernel(matrix: ExactMatrix) -> tuple[int, tuple[SparseRow, ...]]:
-    """Exact rank and a kernel basis, as sparse rows.
+def rank_and_kernel(
+    matrix: ExactMatrix, skip_rows: Container[int] = frozenset()
+) -> tuple[int, dict[int, SparseRow]]:
+    """Exact rank and the reduced rows {pivot column: row}, in pivot order.
 
-    The kernel vector of free column f is 1 at f and -R_pc[f] at each
-    pivot column pc, where R_pc is the reduced row of pivot pc; vectors
-    come in ascending order of f. Certified here, raising
-    CertificateError otherwise: rank + nullity == ncols, and every row r
-    of the matrix has r[f] - sum_pc r[pc] * R_pc[f] == 0 at every free
-    column f, which is entry (r, f) of the matrix times the kernel.
+    Rows in skip_rows are left out of the elimination, never out of the
+    certificate. Certified here, raising CertificateError otherwise:
+    rank + nullity == ncols, and every row r of the matrix, skipped or
+    not, has r[f] - sum_pc r[pc] * R_pc[f] == 0 at every free column f,
+    which is entry (r, f) of the matrix times the kernel of kernel_basis.
     """
-    done, pivot_cols = _eliminate(matrix)
+    done, _ = _eliminate(matrix, skip_rows)
     rank = len(done)
     reduced = dict(done)
-    kernel: dict[int, SparseRow] = {
-        f: {f: ONE} for f in range(matrix.ncols) if f not in reduced
-    }
-    if rank + len(kernel) != matrix.ncols:
-        raise CertificateError(
-            f"rank {rank} + nullity {len(kernel)} != {matrix.ncols} columns"
-        )
+    nullity = sum(1 for f in range(matrix.ncols) if f not in reduced)
+    if rank + nullity != matrix.ncols:
+        raise CertificateError(f"rank {rank} + nullity {nullity} != {matrix.ncols} columns")
     for row in matrix.row_maps:
         # Each free entry of the row must equal the sum over its pivot
         # columns pc of row[pc] * R_pc[f].
@@ -313,19 +327,30 @@ def rank_and_kernel(matrix: ExactMatrix) -> tuple[int, tuple[SparseRow, ...]]:
             pivot_row = reduced.get(c)
             if pivot_row is not None:
                 for f, b in pivot_row.items():
-                    if f in kernel:
+                    if f not in reduced:
                         image[f] = image[f] + a * b if f in image else a * b
         for f, a in row.items():
-            if f in kernel and image.pop(f, ZERO) != a:
+            if f not in reduced and image.pop(f, ZERO) != a:
                 raise CertificateError(f"kernel vector for free column {f} not annihilated")
         for f, v in image.items():
             if v:
                 raise CertificateError(f"kernel vector for free column {f} not annihilated")
-    for pc, row in done:
+    return rank, reduced
+
+
+def kernel_basis(ncols: int, reduced: Mapping[int, SparseRow]) -> tuple[SparseRow, ...]:
+    """The kernel that reduced rows from rank_and_kernel certify.
+
+    The vector of free column f is 1 at f and -R_pc[f] at each pivot
+    column pc, where R_pc is the reduced row of pivot pc; vectors come
+    in ascending order of f.
+    """
+    kernel: dict[int, SparseRow] = {f: {f: ONE} for f in range(ncols) if f not in reduced}
+    for pc, row in reduced.items():
         for c, a in row.items():
             if c in kernel:
                 kernel[c][pc] = -a
-    return rank, tuple(kernel.values())
+    return tuple(kernel.values())
 
 
 class SpanTracker:

@@ -15,9 +15,10 @@ certificate that the invariant complex computes the right cohomology.
 Only rho_mu(X_j) depends on the sector. Everything else in the formula
 (which (J, I) blocks meet, the evaluation signs, the bracket scalars) is
 evaluated once per instance and degree as a skeleton, and each sector
-reads rho_mu through ModuleAction.apply_entry once per (j, l, k). The
-skeleton enumerates sources from the argument tuples of the formula, not
-from all (J, I) pairs; each x_I is still evaluated raw on its tuple.
+reads the nonzero entries of rho_mu off the module's sparse rows, with
+mu on the diagonal. The skeleton enumerates sources from the argument
+tuples of the formula, not from all (J, I) pairs; each x_I is still
+evaluated raw on its tuple.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .cecomplex import (
     subset_position,
 )
 from .liealg import LieAlgebraData, RepresentationData
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, SparseRow
 from .scalars import ZERO, GaussianRational
 from .weights import InvariantComplex, format_weight, restrict_complex
 
@@ -108,19 +109,19 @@ def sector_skeleton(g: LieAlgebraData) -> list[DegreeSkeleton]:
     return [_degree_skeleton(g, p) for p in range(g.dim)]
 
 
-def _action_table(
-    g: LieAlgebraData, action: ModuleAction
-) -> list[list[tuple[int, int, GaussianRational]]]:
+def _action_table(action: ModuleAction) -> list[list[tuple[int, int, GaussianRational]]]:
     """The nonzero entries (l, k, value) of rho_mu(X_j), one list per j."""
-    m = action.m
     table = []
-    for j in range(g.dim):
+    for R, mu in zip(action.matrices, action.mu_at):
         entries = []
-        for l in range(m):
-            for k in range(m):
-                value = action.apply_entry(j, l, k)
-                if value:
-                    entries.append((l, k, value))
+        for l, row in enumerate(R.row_maps):
+            if mu:
+                row = dict(row)
+                if value := row.get(l, ZERO) + mu:
+                    row[l] = value
+                else:
+                    del row[l]
+            entries.extend((l, k, row[k]) for k in sorted(row))
         table.append(entries)
     return table
 
@@ -132,25 +133,24 @@ def _sector_differential(
     skeleton: DegreeSkeleton,
     rho: list[list[tuple[int, int, GaussianRational]]],
 ) -> ExactMatrix:
-    """Degree-p differential: the skeleton with rho = _action_table(g, action)."""
+    """Degree-p differential: the skeleton with rho = _action_table(action)."""
     n, m = g.dim, action.m
     action_terms, bracket_terms = skeleton
-    entries: dict[tuple[int, int], GaussianRational] = {}
+    rows: list[SparseRow] = [{} for _ in range(len(degree_basis(n, p + 1)) * m)]
     for (jpos, ipos), scalar in bracket_terms.items():
         for k in range(m):
-            entries[(jpos * m + k, ipos * m + k)] = scalar
+            rows[jpos * m + k][ipos * m + k] = scalar
     for jpos, ipos, j, sign in action_terms:
         for l, k, value in rho[j]:
-            key = (jpos * m + l, ipos * m + k)
+            row, col = rows[jpos * m + l], ipos * m + k
             value = value if sign > 0 else -value
-            if key in entries:
-                value = entries[key] + value
+            if col in row:
+                value = row[col] + value
                 if not value:
-                    del entries[key]
+                    del row[col]
                     continue
-            entries[key] = value
-    nrows = len(degree_basis(n, p + 1)) * m
-    return ExactMatrix.from_entries(nrows, len(degree_basis(n, p)) * m, entries)
+            row[col] = value
+    return ExactMatrix._of(len(rows), len(degree_basis(n, p)) * m, rows)
 
 
 def sector_cohomology_full(
@@ -168,7 +168,7 @@ def sector_cohomology_full(
     n, m = g.dim, rep.m
     if skeletons is None:
         skeletons = sector_skeleton(g)
-    rho = _action_table(g, action)
+    rho = _action_table(action)
     diffs = [_sector_differential(g, action, p, skeletons[p], rho) for p in range(n)]
     dims = [len(degree_basis(n, p)) * m for p in range(n + 1)]
     fc = FiniteComplex(dims, diffs)

@@ -2,7 +2,7 @@
 
 This is the insertion formula written directly on sorted index tuples,
 one column and one term at a time, with wedge signs counted by
-comparison and rho read through ModuleAction.apply_entry. The package
+comparison and rho read entry by entry through apply_entry. The package
 kernel works on bitmasks, a whole degree at once; tests require the two
 to agree exactly. ce_differential is the kernel's whole degree in one
 module, as a matrix, for tests that take plain twisted complexes.
@@ -24,6 +24,14 @@ from solvcohom.liealg import LieAlgebraData, RepresentationData
 from solvcohom.linalg import ExactMatrix
 from solvcohom.scalars import GaussianRational
 from solvcohom.weights import WeightAssignment, format_weight
+
+
+def apply_entry(action: ModuleAction, j: int, l: int, k: int) -> GaussianRational:
+    """Entry (l, k) of rho_mu(X_j)."""
+    value = action.matrices[j].entry(l, k)
+    if l == k and action.mu_at[j]:
+        value = value + action.mu_at[j]
+    return value
 
 
 def ce_differential(g: LieAlgebraData, action: ModuleAction, p: int) -> ExactMatrix:
@@ -73,7 +81,7 @@ def reference_ce_image(
         J = tuple(sorted(I + (j,)))
         sign = wedge_insert_sign(j, I)
         for l in range(action.m):
-            coeff = action.apply_entry(j, l, k)
+            coeff = apply_entry(action, j, l, k)
             if coeff:
                 put(J, l, coeff if sign > 0 else -coeff)
 

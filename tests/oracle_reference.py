@@ -1,16 +1,20 @@
-"""Rescanning references for linalg._eliminate and oracle._degree_skeleton.
+"""Rescanning references for linalg._eliminate and the oracle's builders.
 
-Both are written without indexes: the elimination rescans every open
-row and every finished row at each pivot, and the skeleton scans every
-(J, I) pair of a degree. The package versions find the same pivots and
-the same sources through indexes; tests require the two to agree
+They are written without indexes: the elimination rescans every open
+row and every finished row at each pivot, the skeleton scans every
+(J, I) pair of a degree, the action table reads every entry of every
+rho_mu(X_j), and the sector differential collects (row, column) keyed
+entries before it makes rows. The package versions find the same pivots,
+sources and entries through indexes; tests require the two to agree
 exactly, down to list and dict order. The elimination's "sequential"
 strategy (rows in order, least column first) has no package counterpart:
 tests compare ranks against it to show they do not depend on pivot order.
 """
 from __future__ import annotations
 
-from solvcohom.cecomplex import degree_basis
+from ce_reference import apply_entry
+
+from solvcohom.cecomplex import ModuleAction, degree_basis
 from solvcohom.liealg import LieAlgebraData
 from solvcohom.linalg import ExactMatrix, SparseRow, _row_axpy
 from solvcohom.oracle import DegreeSkeleton, _alternating_evaluation
@@ -87,3 +91,48 @@ def reference_degree_skeleton(g: LieAlgebraData, p: int) -> DegreeSkeleton:
             if scalar:
                 bracket_terms[(jpos, ipos)] = scalar
     return action_terms, bracket_terms
+
+
+def reference_action_table(
+    g: LieAlgebraData, action: ModuleAction
+) -> list[list[tuple[int, int, GaussianRational]]]:
+    """The nonzero entries (l, k, value) of rho_mu(X_j), one list per j."""
+    m = action.m
+    table = []
+    for j in range(g.dim):
+        entries = []
+        for l in range(m):
+            for k in range(m):
+                value = apply_entry(action, j, l, k)
+                if value:
+                    entries.append((l, k, value))
+        table.append(entries)
+    return table
+
+
+def reference_sector_differential(
+    g: LieAlgebraData,
+    action: ModuleAction,
+    p: int,
+    skeleton: DegreeSkeleton,
+    rho: list[list[tuple[int, int, GaussianRational]]],
+) -> ExactMatrix:
+    """Degree-p differential: the skeleton with rho, via (row, column) entries."""
+    n, m = g.dim, action.m
+    action_terms, bracket_terms = skeleton
+    entries: dict[tuple[int, int], GaussianRational] = {}
+    for (jpos, ipos), scalar in bracket_terms.items():
+        for k in range(m):
+            entries[(jpos * m + k, ipos * m + k)] = scalar
+    for jpos, ipos, j, sign in action_terms:
+        for l, k, value in rho[j]:
+            key = (jpos * m + l, ipos * m + k)
+            value = value if sign > 0 else -value
+            if key in entries:
+                value = entries[key] + value
+                if not value:
+                    del entries[key]
+                    continue
+            entries[key] = value
+    nrows = len(degree_basis(n, p + 1)) * m
+    return ExactMatrix.from_entries(nrows, len(degree_basis(n, p)) * m, entries)

@@ -126,6 +126,30 @@ def test_split_3d_plain_ce_betti(split_3d):
     assert res.betti == (1, 1, 1, 1)
 
 
+@pytest.mark.parametrize("representatives", [False, True])
+def test_cohomology_skips_the_next_pivot_columns(split_6d, monkeypatch, representatives):
+    # Top down, one call per differential through the module global. Only
+    # Betti numbers: each skips the pivot columns of the one above it.
+    # Representatives: nothing is skipped.
+    calls = []
+    real = cecomplex.rank_and_kernel
+
+    def recording(matrix, skip_rows):
+        rank, reduced = real(matrix, skip_rows)
+        calls.append((matrix, set(skip_rows), set(reduced)))
+        return rank, reduced
+
+    monkeypatch.setattr(cecomplex, "rank_and_kernel", recording)
+    complex_ = plain_ce_complex(split_6d)
+    res = cohomology(complex_, representatives)
+    assert [m for m, _, _ in calls] == list(reversed(complex_.differentials))
+    assert calls[0][1] == set()
+    for (_, _, pivots), (_, skipped, _) in zip(calls, calls[1:]):
+        assert skipped == (set() if representatives else pivots)
+    assert any(skipped for _, skipped, _ in calls) != representatives
+    assert res.betti == cohomology(complex_, representatives=not representatives).betti
+
+
 def test_split_3d_invariant_complex_betti(split_3d):
     # Per-tag twisting makes every block contribute: (1, 3, 3, 1).
     rep = trivial_representation(split_3d)

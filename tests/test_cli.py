@@ -228,6 +228,14 @@ PERIOD = ("lattice", "generators", 0, "e1")  # in example-7-2-pi
         ("example-7-2-pi", _set(PERIOD, "1/0 + a")),
         ("example-7-1-generic", _set(("algebra", "nilradical"), ["v1", "v2", "v3", "v4", "v1"])),
         ("example-7-1-generic", _set(("algebra", "complement"), ["v5", "v5", "v6"])),
+        ("heisenberg3", _set(("representation",), {"trivial": "no"})),
+        ("heisenberg3", _set(("representation",), {"trivial": False, "adjoint": 1})),
+        ("heisenberg3", _set(("weights",), {"infer": "false"})),
+        ("heisenberg3", _set(("weights",), {"infer": None})),
+        (
+            "heisenberg3",
+            _set(("algebra", "brackets"), [["x", "y", "z", "1"], ["x", "y", "z", "-1"]]),
+        ),
     ],
     ids=[
         "basis-int",
@@ -248,6 +256,11 @@ PERIOD = ("lattice", "generators", 0, "e1")  # in example-7-2-pi
         "period-constant-zero-denominator",
         "nilradical-repeated-name",
         "complement-repeated-name",
+        "trivial-string",
+        "adjoint-integer",
+        "infer-string",
+        "infer-null",
+        "brackets-repeated-entry",
     ],
 )
 def test_malformed_instance_exits_two_without_traceback(name, mutate, tmp_path):
@@ -276,6 +289,58 @@ def test_null_matrix_is_not_an_absent_one(tmp_path, capsys):
     doc["representation"] = {"dim": 1, "matrices": {}}
     path.write_text(json.dumps(doc))
     assert run(["derham", str(path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "block,value,message",
+    [
+        ("representation", {"trivial": "no"}, "representation trivial must be true or false"),
+        ("representation", {"adjoint": 1}, "representation adjoint must be true or false"),
+        ("weights", {"infer": "false"}, "weights infer must be true or false"),
+    ],
+)
+def test_flags_must_be_json_booleans(block, value, message, tmp_path, capsys):
+    doc = json.loads((INSTANCE_DIR / "heisenberg3.json").read_text())
+    doc[block] = value
+    path = tmp_path / "flag.json"
+    path.write_text(json.dumps(doc))
+    assert run(["derham", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "block,flag,message",
+    [
+        ("representation", "trivial", "missing 'dim' in representation"),
+        ("representation", "adjoint", "missing 'dim' in representation"),
+        ("weights", "infer", "missing 'algebra' in weights"),
+    ],
+)
+def test_false_flag_is_an_absent_one(block, flag, message, tmp_path, capsys):
+    # Both fall through to the explicit block, which then lacks its keys.
+    doc = json.loads((INSTANCE_DIR / "heisenberg3.json").read_text())
+    path = tmp_path / "false.json"
+    for value in ({flag: False}, {}):
+        doc[block] = value
+        path.write_text(json.dumps(doc))
+        assert run(["derham", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_repeated_bracket_entry_exits_two(tmp_path, capsys):
+    # Repeating (x, y, z) is refused; listing both orientations is not.
+    doc = json.loads((INSTANCE_DIR / "heisenberg3.json").read_text())
+    path = tmp_path / "brackets.json"
+    doc["algebra"]["brackets"] = [["x", "y", "z", "1"], ["x", "y", "z", "-1"]]
+    path.write_text(json.dumps(doc))
+    assert run(["derham", str(path)]) == 2
+    assert capsys.readouterr().err == "error: repeated bracket entry [x, y, z]\n"
+    doc["algebra"]["brackets"] = [["x", "y", "z", "1"], ["y", "x", "z", "-1"]]
+    path.write_text(json.dumps(doc))
+    assert run(["derham", str(path)]) == 0
+    both = capsys.readouterr().out
+    assert run(["derham", path_of("heisenberg3")]) == 0
+    assert both == capsys.readouterr().out
 
 
 def _fields(node, prefix=()):

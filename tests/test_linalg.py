@@ -9,8 +9,9 @@ from jordan_reference import matrix_inverse
 from oracle_reference import reference_eliminate
 
 from solvcohom import linalg
+from solvcohom.cecomplex import FiniteComplex, cohomology
 from solvcohom.errors import CertificateError
-from solvcohom.linalg import ExactMatrix, SpanTracker, rank_and_kernel
+from solvcohom.linalg import ExactMatrix, SpanTracker, kernel_basis, rank_and_kernel
 from solvcohom.scalars import I, ONE, ZERO, gauss
 
 
@@ -20,6 +21,12 @@ def mat(rows):
 
 def column(vec):
     return ExactMatrix(len(vec), 1, [[c] for c in vec])
+
+
+def rank_kernel(m, skip_rows=frozenset()):
+    """rank_and_kernel's rank and the kernel kernel_basis reads off its rows."""
+    r, reduced = rank_and_kernel(m, skip_rows)
+    return r, kernel_basis(m.ncols, reduced)
 
 
 def sparse_column(vec, width):
@@ -71,7 +78,7 @@ def test_power_and_nilpotence():
 
 def test_rank_and_kernel_hand_cases():
     m = mat([[1, 2, 3], [2, 4, 6]])  # rank 1
-    r, kern = rank_and_kernel(m)
+    r, kern = rank_kernel(m)
     assert r == 1
     assert len(kern) == 2
     for v in kern:
@@ -81,7 +88,7 @@ def test_rank_and_kernel_hand_cases():
 
     assert rank_and_kernel(ExactMatrix.identity(4))[0] == 4
     assert rank_and_kernel(ExactMatrix.zero(3, 5))[0] == 0
-    r, kern = rank_and_kernel(ExactMatrix.zero(3, 5))
+    r, kern = rank_kernel(ExactMatrix.zero(3, 5))
     assert r == 0 and len(kern) == 5
     assert kern == tuple({j: ONE} for j in range(5))
 
@@ -95,7 +102,7 @@ def test_rank_with_gaussian_entries():
 def test_pivot_strategies_agree():
     # The sparsity-first rank equals the reference's row-order elimination.
     m = mat([[0, 2, 1], [1, 0, 0], [0, 4, 2]])
-    r, kern = rank_and_kernel(m)
+    r, kern = rank_kernel(m)
     assert r == len(reference_eliminate(m, "sequential")[0]) == 2
     assert len(kern) == 1
 
@@ -140,7 +147,7 @@ def test_rank_transpose_invariant(m):
 
 @given(small_matrices())
 def test_rank_nullity_and_strategy_agreement(m):
-    r1, kern = rank_and_kernel(m)
+    r1, kern = rank_kernel(m)
     assert r1 == len(reference_eliminate(m, "sequential")[0])
     assert r1 + len(kern) == m.ncols
     for v in kern:
@@ -185,7 +192,7 @@ def test_eliminate_equals_rescanning_reference(m):
 
 
 def reference_kernel(m):
-    """The kernel rank_and_kernel derives, derived from reference_eliminate."""
+    """The kernel kernel_basis reads off, derived from reference_eliminate."""
     done, pivot_cols = reference_eliminate(m, "sparsity")
     free = [f for f in range(m.ncols) if f not in pivot_cols]
     return tuple(
@@ -218,7 +225,7 @@ def fraction_matrices(draw):
 def test_sparse_kernel_equals_reference_kernel(m):
     # Same vectors in the same order, down to each dict's key order, with
     # no stored zeros; and the matrix annihilates each of them.
-    r, kern = rank_and_kernel(m)
+    r, kern = rank_kernel(m)
     want = reference_kernel(m)
     assert kern == want
     assert [list(v) for v in kern] == [list(v) for v in want]
@@ -229,16 +236,16 @@ def test_sparse_kernel_equals_reference_kernel(m):
 
 
 def _drop_last_pivot_row(eliminate):
-    def sabotaged(matrix):
-        done, pivot_cols = eliminate(matrix)
+    def sabotaged(matrix, skip_rows):
+        done, pivot_cols = eliminate(matrix, skip_rows)
         return done[:-1], pivot_cols[:-1]
 
     return sabotaged
 
 
 def _repeat_first_pivot_row(eliminate):
-    def sabotaged(matrix):
-        done, pivot_cols = eliminate(matrix)
+    def sabotaged(matrix, skip_rows):
+        done, pivot_cols = eliminate(matrix, skip_rows)
         return done + done[:1], pivot_cols + pivot_cols[:1]
 
     return sabotaged
@@ -247,8 +254,8 @@ def _repeat_first_pivot_row(eliminate):
 def _perturb_free_entry(eliminate):
     # Changes one free-column entry of one reduced row: the rank and the
     # pivots stay, but the derived kernel vector is wrong.
-    def sabotaged(matrix):
-        done, pivot_cols = eliminate(matrix)
+    def sabotaged(matrix, skip_rows):
+        done, pivot_cols = eliminate(matrix, skip_rows)
         pc, row = done[0]
         f = next(c for c in row if c not in pivot_cols)
         return [(pc, {**row, f: row[f] + ONE})] + done[1:], pivot_cols
@@ -270,6 +277,24 @@ def test_sabotaged_elimination_fails_its_certificate(monkeypatch, sabotage, mess
         rank_and_kernel(mat([[1, 2, 0], [0, 1, 1]]))
 
 
+@pytest.mark.parametrize("skip_rows", [{0}, {2}, {0, 2}, {0, 1, 2}])
+def test_skipping_a_row_outside_the_span_fails_its_certificate(skip_rows):
+    # The identity's rows are independent, so no row may be skipped; the
+    # check over every row, the skipped ones included, catches it.
+    with pytest.raises(CertificateError, match="not annihilated"):
+        rank_and_kernel(ExactMatrix.identity(3), skip_rows)
+
+
+@pytest.mark.parametrize("skip_rows", [set(), {1}, {3}, {1, 3}, {0, 3}])
+def test_skipping_rows_in_the_span_keeps_the_rank(skip_rows):
+    # Row 1 is twice row 0 and row 3 is row 0 plus row 2.
+    m = mat([[1, 2, 0, 1], [2, 4, 0, 2], [0, 1, 1, 0], [1, 3, 1, 1]])
+    r, kern = rank_kernel(m, skip_rows)
+    assert r == 2 and len(kern) == 2
+    for v in kern:
+        assert (m @ sparse_column(v, m.ncols)).is_zero()
+
+
 def _run_optimized(script):
     proc = subprocess.run(
         [sys.executable, "-O", "-c", textwrap.dedent(script)],
@@ -289,7 +314,7 @@ def test_kernel_certificate_survives_optimize_flag():
 
         assert False, "asserts must be stripped under -O"
         eliminate = linalg._eliminate
-        linalg._eliminate = lambda m: tuple(x[:-1] for x in eliminate(m))
+        linalg._eliminate = lambda m, skip: tuple(x[:-1] for x in eliminate(m, skip))
         m = ExactMatrix(2, 2, [[gauss(1), gauss(2)], [gauss(0), gauss(1)]])
         try:
             linalg.rank_and_kernel(m)
@@ -311,8 +336,8 @@ def test_perturbed_reduced_row_fails_under_optimize_flag():
         assert False, "asserts must be stripped under -O"
         eliminate = linalg._eliminate
 
-        def perturbed(m):
-            done, pivot_cols = eliminate(m)
+        def perturbed(m, skip):
+            done, pivot_cols = eliminate(m, skip)
             (pc, row), *rest = done
             return [(pc, {**row, 1: row[1] + ONE})] + rest, pivot_cols
 
@@ -323,3 +348,79 @@ def test_perturbed_reduced_row_fails_under_optimize_flag():
             print(exc)
         """
     assert _run_optimized(script) == "kernel vector for free column 1 not annihilated"
+
+
+def test_wrong_skip_set_fails_under_optimize_flag():
+    script = """
+        from solvcohom.errors import CertificateError
+        from solvcohom.linalg import ExactMatrix, rank_and_kernel
+
+        assert False, "asserts must be stripped under -O"
+        try:
+            rank_and_kernel(ExactMatrix.identity(3), {0, 2})
+        except CertificateError as exc:
+            print(exc)
+        """
+    assert _run_optimized(script) == "kernel vector for free column 0 not annihilated"
+
+
+nonzero_coefficients = st.one_of(nonzero_entries, gaussian_fractions.filter(bool))
+
+
+def _combination(draw, vectors, width):
+    """A dense row: a drawn combination of one or two of the sparse vectors."""
+    row = {}
+    for v in draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=2)):
+        row = linalg._row_axpy(row, v, draw(nonzero_coefficients))
+    return [row.get(j, ZERO) for j in range(width)]
+
+
+@st.composite
+def cochain_complexes(draw):
+    """Differentials d_0, d_1, .. with d_{p+1} d_p = 0, tie-heavy, over Q(i).
+
+    d_0 is a tie-heavy or fraction matrix with combinations of its own
+    rows mixed in, so its rows are dependent. Each later differential
+    draws its rows from a small pool of combinations of a basis of the
+    left kernel of the one before, so rows repeat and pivot choices tie.
+    """
+    base = draw(st.one_of(tie_heavy_matrices(), fraction_matrices()))
+    rows = [list(r) for r in base.rows]
+    nonzero = [r for r in base.row_maps if r]
+    if nonzero:
+        rows += [_combination(draw, nonzero, base.ncols) for _ in range(draw(st.integers(0, 3)))]
+    rows = draw(st.permutations(rows))
+    diffs = [ExactMatrix(len(rows), base.ncols, rows)]
+    for _ in range(draw(st.integers(1, 3))):
+        prev = diffs[-1]
+        left = reference_kernel(prev.transpose())  # rows r with r @ prev == 0
+        zero_row = [ZERO] * prev.nrows
+        pool = []
+        if left:
+            pool = [_combination(draw, left, prev.nrows) for _ in range(draw(st.integers(1, 4)))]
+        picks = draw(st.lists(st.integers(0, len(pool)), max_size=8))
+        rows = [pool[k] if k < len(pool) else zero_row for k in picks]
+        diffs.append(ExactMatrix(len(rows), prev.nrows, rows))
+    return diffs
+
+
+@given(cochain_complexes())
+def test_cleared_betti_numbers_equal_reference_ranks(diffs):
+    dims = [d.ncols for d in diffs] + [diffs[-1].nrows]
+    ranks = [len(reference_eliminate(d, "sparsity")[0]) for d in diffs] + [0]
+    want = tuple(dims[p] - ranks[p] - (ranks[p - 1] if p else 0) for p in range(len(dims)))
+    complex_ = FiniteComplex(dims, diffs)
+    assert cohomology(complex_).betti == want
+    assert cohomology(complex_, representatives=True).betti == want
+    # Clearing by hand, top down: each differential skips the rows at the
+    # pivot columns of the next one and keeps its rank. Uncleared, its
+    # rows give today's kernel, down to each dict's key order.
+    skip = frozenset()
+    for p in reversed(range(len(diffs))):
+        r, reduced = rank_and_kernel(diffs[p], skip)
+        assert r == ranks[p]
+        skip = reduced.keys()
+        kern = kernel_basis(diffs[p].ncols, rank_and_kernel(diffs[p])[1])
+        want_kern = reference_kernel(diffs[p])
+        assert kern == want_kern
+        assert [list(v) for v in kern] == [list(v) for v in want_kern]

@@ -1,7 +1,11 @@
 import pytest
 from ce_reference import ce_differential
 from conftest import INSTANCE_DIR, make_heisenberg_power, make_split_6d_plus_heisenberg
-from oracle_reference import reference_degree_skeleton
+from oracle_reference import (
+    reference_action_table,
+    reference_degree_skeleton,
+    reference_sector_differential,
+)
 
 from solvcohom import (
     ModuleAction,
@@ -15,6 +19,8 @@ from solvcohom import (
     trivial_representation,
     verify_quasi_iso,
 )
+from solvcohom.liealg import RepresentationData
+from solvcohom.linalg import ExactMatrix
 from solvcohom.oracle import (
     _action_table,
     _alternating_evaluation,
@@ -22,7 +28,7 @@ from solvcohom.oracle import (
     _sector_differential,
     sector_skeleton,
 )
-from solvcohom.scalars import MINUS_ONE, ONE, ZERO
+from solvcohom.scalars import MINUS_ONE, ONE, ZERO, gauss
 
 
 def test_alternating_evaluation_signs():
@@ -140,7 +146,7 @@ def test_sector_differential_equals_insertion_formula(name):
     skeletons = sector_skeleton(g)
     for tag in ic.distinct_tags():
         action = ModuleAction(g, rep, tag)
-        rho = _action_table(g, action)
+        rho = _action_table(action)
         for p in range(g.dim):
             expected = ce_differential(g, action, p)
             assert _sector_differential(g, action, p, skeletons[p], rho) == expected
@@ -164,3 +170,35 @@ def test_skeleton_equals_pair_scanning_reference(name):
         ref_action_terms, ref_bracket_terms = reference_degree_skeleton(g, p)
         assert action_terms == ref_action_terms
         assert list(bracket_terms.items()) == list(ref_bracket_terms.items())
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in INSTANCE_DIR.glob("*.json")))
+def test_sector_rows_equal_entry_keyed_reference(name):
+    # On every sector and degree: the same action table, and the same
+    # rows as the (row, column)-keyed reference builds, down to key order.
+    g, rep, w = _insertion_inputs(name)
+    ic = build_invariant_complex(g, rep, w)
+    skeletons = sector_skeleton(g)
+    for tag in ic.tag_table:
+        action = ModuleAction(g, rep, tag)
+        rho = _action_table(action)
+        assert rho == reference_action_table(g, action)
+        for p in range(g.dim):
+            got = _sector_differential(g, action, p, skeletons[p], rho)
+            want = reference_sector_differential(g, action, p, skeletons[p], rho)
+            assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+            assert [list(r.items()) for r in got.row_maps] == [
+                list(r.items()) for r in want.row_maps
+            ]
+
+
+def test_action_table_adds_mu_on_the_diagonal(split_3d):
+    # mu(e1) = 1 cancels R(e1)[0, 0] = -1, and lands on the empty
+    # diagonals of rows 1 and 2; the table lists (l, k) in order and
+    # holds no zero.
+    r = ExactMatrix(3, 3, [[MINUS_ONE, ONE, ZERO], [ZERO, ZERO, gauss(5)], [ZERO] * 3])
+    zero = ExactMatrix.zero(3, 3)
+    action = ModuleAction(split_3d, RepresentationData(3, (r, zero, zero)), (ONE,))
+    rho = _action_table(action)
+    assert rho == reference_action_table(split_3d, action)
+    assert rho[0] == [(0, 1, ONE), (1, 1, ONE), (1, 2, gauss(5)), (2, 2, ONE)]
