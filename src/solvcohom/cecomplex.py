@@ -278,24 +278,56 @@ class CohomologyResult:
         return sum((-1) ** p * b for p, b in enumerate(self.betti))
 
 
+def _in_certified_kernel(d: ExactMatrix, reduced: dict[int, SparseRow]) -> bool:
+    """Whether every column of d lies in the kernel that `reduced` spans.
+
+    `reduced` is rank_and_kernel's {pivot column pc: R_pc} of the next
+    differential, whose kernel vectors K_f = e_f - sum_pc R_pc[f] e_pc,
+    one per free column f, that call has certified. A column v of d is
+    sum_f v[f] K_f exactly when v[pc] + sum_f R_pc[f] v[f] == 0 for every
+    pc: row pc of d plus the R_pc[f]-weighted free rows f of d vanishes.
+    R_pc is not read at pivot columns. Then the next differential
+    annihilates d, and d's rows at the pivot columns lie in the span of
+    its other rows, which is what clearing assumes.
+    """
+    rows = d.row_maps
+    for pc, reduced_row in reduced.items():
+        acc = dict(rows[pc])
+        for f, a in reduced_row.items():
+            if f not in reduced:
+                for c, b in rows[f].items():
+                    acc[c] = acc[c] + a * b if c in acc else a * b
+        if any(acc.values()):
+            return False
+    return True
+
+
 def cohomology(
     complex_: FiniteComplex, representatives: bool = False
 ) -> CohomologyResult:
     """Exact cohomology of a finite complex.
 
-    Checks d.d = 0 first. Degrees are taken from the top down. When only
-    Betti numbers are asked for, the rows of d_p at the pivot columns of
-    d_{p+1} are skipped in elimination (clearing; see linalg), and the
-    certificate still covers them. Representatives, when requested, are
-    cocycles extending a basis of the image, hence linearly independent
-    modulo coboundaries; both facts are certified by construction here.
+    Degrees are taken from the top down. Before d_p is eliminated, d.d = 0
+    is certified against the kernel of d_{p+1} that rank_and_kernel has
+    just certified (see _in_certified_kernel); a failure raises the
+    ValidationFailure of check_complex, which names the lowest failing
+    degree. When only Betti numbers are asked for, the rows of d_p at the
+    pivot columns of d_{p+1} are skipped in elimination (clearing; see
+    linalg), and the certificate still covers them. Representatives, when
+    requested, are cocycles extending a basis of the image, hence
+    linearly independent modulo coboundaries; both facts are certified by
+    construction here.
     """
-    complex_.check_complex()
     top = complex_.top_degree
     dims = complex_.dims
     ranks = [0] * (top + 1)  # ranks[p] is the rank of d_p; d_top is zero
     reduced: list[dict[int, SparseRow]] = [{} for _ in range(top + 1)]
     for p in reversed(range(top)):
+        if not _in_certified_kernel(complex_.differentials[p], reduced[p + 1]):
+            complex_.check_complex()
+            raise CertificateError(
+                f"differential at degree {p} leaves the certified kernel at degree {p + 1}"
+            )
         skip = () if representatives else reduced[p + 1].keys()
         ranks[p], reduced[p] = rank_and_kernel(complex_.differentials[p], skip)
     betti = [dims[p] - ranks[p] - (ranks[p - 1] if p > 0 else 0) for p in range(top + 1)]

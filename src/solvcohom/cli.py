@@ -8,7 +8,8 @@
     solvcohom nilshadow  <instance.json> [--json OUT]
 
 Exit codes: 0 success, 1 validation or consistency failure, 2 unreadable
-input (bad JSON, bad scalar grammar, schema violations), 3 oracle
+input (bad JSON, bad scalar grammar, schema violations) or a --json OUT
+that cannot be written ("error: cannot write OUT: ..."), 3 oracle
 mismatch. JSON written with --json is byte-deterministic (sorted keys,
 two-space indent, trailing newline).
 """
@@ -23,6 +24,7 @@ from .cecomplex import cohomology, nilshadow
 from .errors import (
     InstanceParseError,
     ModeMismatchError,
+    OutputError,
     ScalarParseError,
     SolvcohomError,
     WeightGradingError,
@@ -48,7 +50,10 @@ from .weights import build_invariant_complex, format_weight
 
 
 def _write_json(path: str, payload: dict):
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    try:
+        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
 def _pipeline(inst: InstanceFile):
@@ -339,7 +344,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (InstanceParseError, ScalarParseError) as exc:
+    except (InstanceParseError, OutputError, ScalarParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolvcohomError as exc:

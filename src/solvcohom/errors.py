@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these to exit codes: ScalarParseError / InstanceParseError -> 2,
-everything else raised during a command -> 1, oracle disagreement -> 3.
+The CLI maps these to exit codes: ScalarParseError / InstanceParseError /
+OutputError -> 2, everything else raised during a command -> 1, oracle
+disagreement -> 3.
 """
 
 
@@ -15,6 +16,10 @@ class ScalarParseError(SolvcohomError):
 
 class InstanceParseError(SolvcohomError):
     """An instance file is structurally malformed."""
+
+
+class OutputError(SolvcohomError):
+    """A report file cannot be written."""
 
 
 class ValidationFailure(SolvcohomError):

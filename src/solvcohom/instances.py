@@ -6,13 +6,14 @@ float. The ground mode is implied by the kind: "derham" instances are
 real-complexified, "dolbeault" instances are complex.
 
 Structural problems raise InstanceParseError (CLI exit code 2): among
-them every key that names no basis vector, a flag ("trivial", "adjoint",
-"infer") that is not a JSON boolean, a bracket entry [x, y, z, c] whose
-(x, y, z) repeats an earlier one, and a representation weight list whose
-length is not the module dimension. Mathematical violations
-are reported by validate_instance (exit code 1). The package only reads
-instance files; the canonical writer that the shipped files are checked
-against is a test reference (tests/emit_reference.py).
+them a file that is not UTF-8, JSON nested too deeply to parse, every
+key that names no basis vector, a flag ("trivial", "adjoint", "infer")
+that is not a JSON boolean, a bracket entry [x, y, z, c] whose (x, y, z)
+repeats an earlier one, and a representation weight list whose length
+is not the module dimension. Mathematical violations are reported by
+validate_instance (exit code 1). The package only reads instance files;
+the canonical writer that the shipped files are checked against is a
+test reference (tests/emit_reference.py).
 """
 from __future__ import annotations
 
@@ -301,13 +302,17 @@ def _parse_lattice(data, g: LieAlgebraData) -> LatticeData:
 
 def load_instance(path: str | Path) -> InstanceFile:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InstanceParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InstanceParseError(f"{path} is not UTF-8: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceParseError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InstanceParseError(f"JSON nested too deeply in {path}") from exc
     return parse_instance(data)
 
 

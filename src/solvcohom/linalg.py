@@ -22,7 +22,8 @@ twist", 2011; Bauer, Kerber & Reininghaus, "Clear and compress", 2014):
 a caller may name rows it knows to lie in the span of the others, and
 elimination leaves them out. In a complex, the rows of d_p
 at the pivot columns Q of d_{p+1} are such rows: d_{p+1} d_p = 0 and
-d_{p+1}[:, Q] has full column rank. The skip set is not trusted. The
+d_{p+1}[:, Q] has full column rank; cecomplex.cohomology certifies
+that premise before it passes Q. The skip set is not trusted here. The
 certificate still runs over every row, the skipped ones included, so the
 pivot rows must span the whole row space; a wrong skip set raises
 CertificateError and never yields a wrong rank.

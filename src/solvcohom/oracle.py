@@ -140,10 +140,11 @@ def _sector_differential(
     for (jpos, ipos), scalar in bracket_terms.items():
         for k in range(m):
             rows[jpos * m + k][ipos * m + k] = scalar
+    # (entries, negated entries) per j, so each entry is negated once.
+    signed = [(entries, [(l, k, -v) for l, k, v in entries]) for entries in rho]
     for jpos, ipos, j, sign in action_terms:
-        for l, k, value in rho[j]:
+        for l, k, value in signed[j][sign < 0]:
             row, col = rows[jpos * m + l], ipos * m + k
-            value = value if sign > 0 else -value
             if col in row:
                 value = row[col] + value
                 if not value:

@@ -14,7 +14,7 @@ from solvcohom import (
     nilshadow,
     trivial_representation,
 )
-from solvcohom import cecomplex
+from solvcohom import cecomplex, linalg
 from solvcohom.cecomplex import (
     ModuleAction,
     degree_basis,
@@ -222,6 +222,79 @@ def test_check_complex_survives_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "not a complex: d.d != 0 starting at degree 0"
+
+
+def _fails_at_degrees_0_and_2():
+    # d1 d0 != 0 and d3 d2 != 0, but d2 d1 == 0.
+    d0 = ExactMatrix(1, 1, [[ONE]])
+    d1 = ExactMatrix(2, 1, [[ONE], [ZERO]])
+    d2 = ExactMatrix(1, 2, [[ZERO, ONE]])
+    d3 = ExactMatrix(1, 1, [[ONE]])
+    return FiniteComplex((1, 1, 2, 1, 1), (d0, d1, d2, d3))
+
+
+@pytest.mark.parametrize("representatives", [False, True])
+def test_cohomology_names_the_lowest_failing_degree(representatives):
+    # Top down, degree 2 fails first; the message still names degree 0.
+    with pytest.raises(ValidationFailure) as raised:
+        cohomology(_fails_at_degrees_0_and_2(), representatives)
+    assert str(raised.value) == "not a complex: d.d != 0 starting at degree 0"
+
+
+def test_cohomology_checks_d_d_under_optimize_flag():
+    script = textwrap.dedent(
+        """
+        from solvcohom.cecomplex import FiniteComplex, cohomology
+        from solvcohom.errors import ValidationFailure
+        from solvcohom.linalg import ExactMatrix
+        from solvcohom.scalars import ONE
+
+        assert False, "asserts must be stripped under -O"
+        d = ExactMatrix(1, 1, [[ONE]])
+        for representatives in (False, True):
+            try:
+                cohomology(FiniteComplex((1, 1, 1, 1), (d, d, d)), representatives)
+            except ValidationFailure as exc:
+                print(exc)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["not a complex: d.d != 0 starting at degree 0"] * 2
+
+
+def test_cohomology_of_a_complex_multiplies_no_differentials(split_6d, monkeypatch):
+    # On a complex, d.d = 0 is certified against the certified kernels
+    # alone: check_complex and the row products are never called.
+    def forbidden(*args):
+        raise AssertionError("called on a valid complex")
+
+    complex_ = plain_ce_complex(split_6d)
+    monkeypatch.setattr(FiniteComplex, "check_complex", forbidden)
+    monkeypatch.setattr(cecomplex, "row_times", forbidden)
+    monkeypatch.setattr(linalg, "row_times", forbidden)
+    assert cohomology(complex_).betti == cohomology(complex_, representatives=True).betti
+
+
+def test_a_wrong_certified_kernel_on_a_complex_raises_certificate_error(monkeypatch):
+    # d1 d0 == 0, but a wrong reduced row of d1, returned past its own
+    # certificate, puts d0 outside the kernel it claims.
+    d0 = ExactMatrix(2, 1, [[ONE], [ONE]])
+    d1 = ExactMatrix(1, 2, [[ONE, MINUS_ONE]])
+    real = cecomplex.rank_and_kernel
+
+    def wrong(matrix, skip_rows):
+        rank, reduced = real(matrix, skip_rows)
+        if matrix is d1:
+            assert reduced == {0: {0: ONE, 1: MINUS_ONE}}
+            reduced = {0: {0: ONE, 1: ONE}}
+        return rank, reduced
+
+    monkeypatch.setattr(cecomplex, "rank_and_kernel", wrong)
+    with pytest.raises(CertificateError, match="degree 0 leaves the certified kernel at degree 1"):
+        cohomology(FiniteComplex((1, 2, 1), (d0, d1)))
 
 
 def test_labels(heisenberg):

@@ -278,6 +278,33 @@ def test_malformed_instance_exits_two_without_traceback(name, mutate, tmp_path):
     assert proc.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf-8", "nested-100000-deep"],
+)
+def test_unreadable_bytes_exit_two_without_traceback(raw, tmp_path):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(raw)
+    proc = subprocess.run(
+        [sys.executable, "-m", "solvcohom.cli", "validate", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+def test_unwritable_json_path_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    assert run(["derham", path_of("heisenberg3"), "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_null_matrix_is_not_an_absent_one(tmp_path, capsys):
     # An absent matrix is the zero matrix; a null one is malformed.
     doc = json.loads((INSTANCE_DIR / "heisenberg3.json").read_text())

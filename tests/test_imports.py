@@ -1,7 +1,9 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+the package has no assert statement.
 
 A name counts as used when the module reads it anywhere, or lists it in
-__all__ (the package's re-exports).
+__all__ (the package's re-exports). Certificates must also run under
+python -O, which strips assert statements, so the package raises instead.
 """
 import ast
 from pathlib import Path
@@ -38,3 +40,18 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def assert_lines(source: str) -> list[int]:
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_the_check_sees_an_assert():
+    source = "def f(x):\n    if x:\n        assert x > 0, 'positive'\n    return x\n"
+    assert assert_lines(source) == [3]
+    assert assert_lines("def f(x):\n    if not x > 0:\n        raise ValueError\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    assert assert_lines(path.read_text()) == []

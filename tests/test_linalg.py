@@ -10,7 +10,7 @@ from oracle_reference import reference_eliminate
 
 from solvcohom import linalg
 from solvcohom.cecomplex import FiniteComplex, cohomology
-from solvcohom.errors import CertificateError
+from solvcohom.errors import CertificateError, ValidationFailure
 from solvcohom.linalg import ExactMatrix, SpanTracker, kernel_basis, rank_and_kernel
 from solvcohom.scalars import I, ONE, ZERO, gauss
 
@@ -424,3 +424,38 @@ def test_cleared_betti_numbers_equal_reference_ranks(diffs):
         want_kern = reference_kernel(diffs[p])
         assert kern == want_kern
         assert [list(v) for v in kern] == [list(v) for v in want_kern]
+
+
+@st.composite
+def perturbed_complexes(draw):
+    """A drawn cochain complex with one entry of one differential changed."""
+    diffs = draw(cochain_complexes())
+    p = draw(st.integers(0, len(diffs) - 1))
+    d = diffs[p]
+    if d.nrows and d.ncols:
+        rows = [list(r) for r in d.rows]
+        i, j = draw(st.integers(0, d.nrows - 1)), draw(st.integers(0, d.ncols - 1))
+        rows[i][j] += draw(nonzero_coefficients)
+        diffs[p] = ExactMatrix(d.nrows, d.ncols, rows)
+    return diffs
+
+
+@given(st.one_of(cochain_complexes(), perturbed_complexes()))
+def test_cohomology_fails_exactly_as_check_complex(diffs):
+    # The d.d certificate inside the top-down loop raises check_complex's
+    # own message, with and without representatives, and on a complex
+    # gives the reference Betti numbers.
+    dims = [d.ncols for d in diffs] + [diffs[-1].nrows]
+    complex_ = FiniteComplex(dims, diffs)
+    try:
+        complex_.check_complex()
+    except ValidationFailure as exc:
+        for representatives in (False, True):
+            with pytest.raises(ValidationFailure) as raised:
+                cohomology(complex_, representatives)
+            assert str(raised.value) == str(exc)
+        return
+    ranks = [len(reference_eliminate(d, "sparsity")[0]) for d in diffs] + [0]
+    want = tuple(dims[p] - ranks[p] - (ranks[p - 1] if p else 0) for p in range(len(dims)))
+    assert cohomology(complex_).betti == want
+    assert cohomology(complex_, representatives=True).betti == want
