@@ -6,7 +6,8 @@ float. The ground mode is implied by the kind: "derham" instances are
 real-complexified, "dolbeault" instances are complex.
 
 Structural problems raise InstanceParseError (CLI exit code 2): among
-them a file that is not UTF-8, JSON nested too deeply to parse, every
+them a file that is not UTF-8, JSON nested too deeply to parse, a
+number with more digits than Python converts to an integer, every
 key that names no basis vector, a flag ("trivial", "adjoint", "infer")
 that is not a JSON boolean, a bracket entry [x, y, z, c] whose (x, y, z)
 repeats an earlier one, and a representation weight list whose length
@@ -311,6 +312,9 @@ def load_instance(path: str | Path) -> InstanceFile:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceParseError(f"invalid JSON in {path}: {exc}") from exc
+    except ValueError as exc:
+        # An integer longer than int() converts (sys.get_int_max_str_digits()).
+        raise InstanceParseError(f"unreadable number in {path}: {exc}") from exc
     except RecursionError as exc:
         raise InstanceParseError(f"JSON nested too deeply in {path}") from exc
     return parse_instance(data)

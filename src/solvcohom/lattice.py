@@ -253,7 +253,7 @@ def check_conditions(ic: InvariantComplex, lat: LatticeData) -> ConditionReport:
     diamond2: Optional[bool] = True
     for t, (p, idx) in first.items():
         v = verdicts[t]
-        label = ic.labels[p][idx]
+        label = ic.label(p, idx)
         tag_text = format_weight(v.tag)
         if v.trivial_on_g != v.trivial_on_lattice:
             diamond1 = False

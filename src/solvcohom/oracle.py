@@ -43,6 +43,9 @@ from .weights import InvariantComplex, format_weight, restrict_complex
 DegreeSkeleton = tuple[
     list[tuple[int, int, int, int]], dict[tuple[int, int], GaussianRational]
 ]
+# The nonzero entries (l, k, value) of rho_mu(X_j), one list per j.
+ActionEntries = list[tuple[int, int, GaussianRational]]
+ActionTable = list[ActionEntries]
 
 
 def _alternating_evaluation(
@@ -109,7 +112,7 @@ def sector_skeleton(g: LieAlgebraData) -> list[DegreeSkeleton]:
     return [_degree_skeleton(g, p) for p in range(g.dim)]
 
 
-def _action_table(action: ModuleAction) -> list[list[tuple[int, int, GaussianRational]]]:
+def _action_table(action: ModuleAction) -> ActionTable:
     """The nonzero entries (l, k, value) of rho_mu(X_j), one list per j."""
     table = []
     for R, mu in zip(action.matrices, action.mu_at):
@@ -126,22 +129,25 @@ def _action_table(action: ModuleAction) -> list[list[tuple[int, int, GaussianRat
     return table
 
 
+def _signed(rho: ActionTable) -> list[tuple[ActionEntries, ActionEntries]]:
+    """(entries, negated entries) per j, formed once per sector."""
+    return [(entries, [(l, k, -v) for l, k, v in entries]) for entries in rho]
+
+
 def _sector_differential(
     g: LieAlgebraData,
     action: ModuleAction,
     p: int,
     skeleton: DegreeSkeleton,
-    rho: list[list[tuple[int, int, GaussianRational]]],
+    signed: list[tuple[ActionEntries, ActionEntries]],
 ) -> ExactMatrix:
-    """Degree-p differential: the skeleton with rho = _action_table(action)."""
+    """Degree-p differential: the skeleton with _signed(_action_table(action))."""
     n, m = g.dim, action.m
     action_terms, bracket_terms = skeleton
     rows: list[SparseRow] = [{} for _ in range(len(degree_basis(n, p + 1)) * m)]
     for (jpos, ipos), scalar in bracket_terms.items():
         for k in range(m):
             rows[jpos * m + k][ipos * m + k] = scalar
-    # (entries, negated entries) per j, so each entry is negated once.
-    signed = [(entries, [(l, k, -v) for l, k, v in entries]) for entries in rho]
     for jpos, ipos, j, sign in action_terms:
         for l, k, value in signed[j][sign < 0]:
             row, col = rows[jpos * m + l], ipos * m + k
@@ -169,8 +175,8 @@ def sector_cohomology_full(
     n, m = g.dim, rep.m
     if skeletons is None:
         skeletons = sector_skeleton(g)
-    rho = _action_table(action)
-    diffs = [_sector_differential(g, action, p, skeletons[p], rho) for p in range(n)]
+    signed = _signed(_action_table(action))
+    diffs = [_sector_differential(g, action, p, skeletons[p], signed) for p in range(n)]
     dims = [len(degree_basis(n, p)) * m for p in range(n + 1)]
     fc = FiniteComplex(dims, diffs)
     return cohomology(fc)

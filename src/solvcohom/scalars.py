@@ -117,8 +117,13 @@ class GaussianRational:
         return hash((a, b)) if d == 1 else hash((Fraction(a, d), Fraction(b, d)))
 
     def sort_key(self):
-        """Total order used only for deterministic output, not algebra."""
-        return (self.re, self.im)
+        """Total order used only for deterministic output, not algebra.
+
+        (re, im), as ints for a Gaussian integer: ints and Fractions
+        compare by value, so the order is that of the Fraction pair.
+        """
+        a, b, d = self._abd
+        return (a, b) if d == 1 else (Fraction(a, d), Fraction(b, d))
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -170,6 +175,11 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ScalarParseError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        # The literal matched _RAT, so only the integer digit limit is left.
+        raise ScalarParseError(
+            f"too many digits in a rational literal of length {len(text)}"
+        ) from None
 
 
 def parse_gaussian(text: str) -> GaussianRational:

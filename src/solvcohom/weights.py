@@ -15,14 +15,18 @@ built after; a violation raises WeightGradingError.
 
 Distinct tags are few next to basis elements, so the complex interns
 them: a sorted tag table plus one small integer id per basis element.
-Each distinct partial sum is formed once, and the grading check, the
-twisted actions and the lattice selection all work on ids. Above degree
-1 only the blocks of the tags asked for are built (restrict_complex).
+The algebra part of a tag is formed once per distinct sum, by subset
+bitmask, and the tag once per (algebra part, k); the grading check, the
+twisted actions and the lattice selection all work on ids. A basis
+element's label is formed only when something reads it, and above
+degree 1 only the blocks of the tags asked for are built
+(restrict_complex).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .cecomplex import (
@@ -31,6 +35,7 @@ from .cecomplex import (
     Weight,
     ce_kernel,
     degree_basis,
+    degree_masks,
     module_basis_names,
 )
 from .errors import (
@@ -103,7 +108,7 @@ def weight_is_zero(w: Weight) -> bool:
 
 
 def weight_sort_key(w: Weight):
-    return tuple((c.re, c.im) for c in w)
+    return tuple([c.sort_key() for c in w])
 
 
 def format_weight(w: Weight) -> str:
@@ -202,16 +207,16 @@ def validate_weight_assignment(
 
 @dataclass(frozen=True)
 class InvariantComplex:
-    """Basis labels (I, k) of the invariant complex, one weight tag each.
+    """Basis elements (I, k) of the invariant complex, one weight tag each.
 
-    Degree-p element i is (degree_basis(n, p)[i // m], i % m). Tags are
+    Degree-p element i is (degree_basis(n, p)[i // m], i % m), named
+    label(p, i); names are formed when asked for, not stored. Tags are
     interned: tag_table lists the distinct tags in weight_sort_key order,
-    and tag_ids[p][i] is the position in it of the tag of the degree-p
-    basis element i, named labels[p][i]. kernel is a ce_kernel whose
-    action ids are tag ids; complex is the block of every tag.
+    and tag_ids[p][i] is the position in it of the tag of degree-p element
+    i. kernel is a ce_kernel whose action ids are tag ids; complex is the
+    block of every tag.
     """
 
-    labels: tuple[tuple[str, ...], ...]
     tag_table: tuple[Weight, ...]
     tag_ids: tuple[tuple[int, ...], ...]
     algebra: LieAlgebraData
@@ -223,13 +228,32 @@ class InvariantComplex:
     def complex(self) -> FiniteComplex:
         return restrict_complex(self, range(len(self.tag_table)))
 
+    @cached_property
+    def _label_parts(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        g = self.algebra
+        starred = tuple(name + "*" for name in g.basis)
+        tails = tuple(f" (x) {name}" for name in module_basis_names(g, self.representation))
+        return starred, tails
+
+    def labels(self, p: int, indices: Iterable[int]) -> list[str]:
+        """The names of the given degree-p elements, such as "x*^z* (x) u2"."""
+        starred, tails = self._label_parts
+        m, subsets = len(tails), degree_basis(len(starred), p)
+        return [
+            ("^".join([starred[j] for j in subsets[i // m]]) or "1") + tails[i % m]
+            for i in indices
+        ]
+
+    def label(self, p: int, i: int) -> str:
+        return self.labels(p, (i,))[0]
+
     def distinct_tags(self) -> tuple[Weight, ...]:
         return self.tag_table
 
     def indices_with_tag_ids(self, tag_ids: Iterable[int]) -> tuple[tuple[int, ...], ...]:
         wanted = set(tag_ids)
         return tuple(
-            tuple(i for i, t in enumerate(per) if t in wanted) for per in self.tag_ids
+            tuple([i for i, t in enumerate(per) if t in wanted]) for per in self.tag_ids
         )
 
 
@@ -251,7 +275,7 @@ def _interner():
 def build_invariant_complex(
     g: LieAlgebraData, rep: RepresentationData, w: WeightAssignment
 ) -> InvariantComplex:
-    """Label and tag the invariant complex and certify its weight grading.
+    """Tag the invariant complex and certify its weight grading.
 
     Column (I, k) is differentiated in the module twisted by its own tag,
     one ModuleAction per distinct tag. Only degrees 0 and 1 are built
@@ -262,57 +286,43 @@ def build_invariant_complex(
     so degrees 0 and 1 pass exactly when all degrees do, and hold the
     first violation in (degree, column, term) order.
 
-    Tags are summed once per distinct partial sum: the algebra part of I
-    extends that of I[:-1] by lambda_{I[-1]}, and both the extension and
-    the subtraction of lambda'_k are memoised on interned ids.
+    The algebra part of a tag is interned per subset bitmask: with t the
+    top bit, alg[mask] = alg[mask without t] + lambda_t, each (id, t) sum
+    formed once. The tag table is then (distinct algebra part) x k,
+    sorted and renumbered before the per-degree ids are written out.
     """
-    n, m = g.dim, rep.m
-    starred = tuple(name + "*" for name in g.basis)
-    tails = tuple(f" (x) {name}" for name in module_basis_names(g, rep))
-
+    n = g.dim
     alg_table, intern_alg = _interner()
+    alg = [intern_alg(w.zero())]  # alg[mask]: id of sum_{i in mask} lambda_i
+    for t, lam in enumerate(w.algebra_weights):
+        # alg covers the masks below 1 << t and holds every id interned so
+        # far; the masks with top bit t extend them, so each (id, t) sum is
+        # formed once. alg_table is copied because interning appends to it.
+        step = [
+            intern_alg(tuple([x + y for x, y in zip(base, lam)]))
+            for base in alg_table[:]
+        ]
+        alg += [step[a] for a in alg]
+
     raw_table, intern_tag = _interner()
-    plus: dict[tuple[int, int], int] = {}
-    minus: dict[tuple[int, int], int] = {}
-
-    alg_of = {(): intern_alg(w.zero())}
-    raw_ids: list[list[int]] = []
-    label_strings: list[tuple[str, ...]] = []
-    for p in range(n + 1):
-        per_ids = []
-        per_str = []
-        for I in degree_basis(n, p):
-            if p:
-                key = (alg_of[I[:-1]], I[-1])
-                a = plus.get(key)
-                if a is None:
-                    base, lam = alg_table[key[0]], w.algebra_weights[key[1]]
-                    a = plus[key] = intern_alg(
-                        tuple(x + y for x, y in zip(base, lam))
-                    )
-                alg_of[I] = a
-            a = alg_of[I]
-            form = "^".join([starred[i] for i in I]) or "1"
-            for k in range(m):
-                tid = minus.get((a, k))
-                if tid is None:
-                    alg, lam = alg_table[a], w.rep_weights[k]
-                    tid = minus[(a, k)] = intern_tag(
-                        tuple(x - y for x, y in zip(alg, lam))
-                    )
-                per_ids.append(tid)
-                per_str.append(form + tails[k])
-        raw_ids.append(per_ids)
-        label_strings.append(tuple(per_str))
-
-    # Renumber so that ids follow weight_sort_key order.
+    raw = [
+        [intern_tag(tuple([x - y for x, y in zip(base, lam)])) for lam in w.rep_weights]
+        for base in alg_table
+    ]
     order = sorted(range(len(raw_table)), key=lambda t: weight_sort_key(raw_table[t]))
     tag_table = tuple(raw_table[t] for t in order)
-    renumber = {old: new for new, old in enumerate(order)}
-    tag_ids = tuple(tuple(renumber[t] for t in per) for per in raw_ids)
+    renumber = [0] * len(order)
+    for new, old in enumerate(order):
+        renumber[old] = new
+    ids_of_alg = [[renumber[t] for t in per] for per in raw]
+    by_mask = [ids_of_alg[a] for a in alg]
+    tag_ids = tuple(
+        tuple(chain.from_iterable(map(by_mask.__getitem__, degree_masks(n, p))))
+        for p in range(n + 1)
+    )
 
     kernel = ce_kernel(g, [ModuleAction(g, rep, tag) for tag in tag_table])
-    ic = InvariantComplex(tuple(label_strings), tag_table, tag_ids, g, rep, w, kernel)
+    ic = InvariantComplex(tag_table, tag_ids, g, rep, w, kernel)
     for p in range(min(n, 2)):
         _graded_entries(ic, dict(enumerate(tag_ids[p])), p)
     return ic
@@ -333,7 +343,7 @@ def _graded_entries(
         if target_ids[row] != tid:
             raise WeightGradingError(
                 "weight grading violated: d("
-                f"{ic.labels[p][col]}) hits {ic.labels[p + 1][row]} "
+                f"{ic.label(p, col)}) hits {ic.label(p + 1, row)} "
                 f"across tags {format_weight(ic.tag_table[tid])} -> "
                 f"{format_weight(ic.tag_table[target_ids[row]])}; invalid weight data"
             )
@@ -355,5 +365,5 @@ def restrict_complex(ic: InvariantComplex, tag_ids: Iterable[int]) -> FiniteComp
         entries = _graded_entries(ic, {c: ic.tag_ids[p][c] for c in keep[p]}, p)
         local = {(pos[p + 1][r], pos[p][c]): v for (r, c), v in entries.items()}
         differentials.append(ExactMatrix.from_entries(dims[p + 1], dims[p], local))
-    labels = [tuple(ic.labels[p][i] for i in ks) for p, ks in enumerate(keep)]
+    labels = [ic.labels(p, ks) for p, ks in enumerate(keep)]
     return FiniteComplex(dims, differentials, labels)

@@ -224,6 +224,7 @@ PERIOD = ("lattice", "generators", 0, "e1")  # in example-7-2-pi
         ("heisenberg3", _set(BRACKET_COEFFICIENT, "1/0")),
         ("heisenberg3", _set(BRACKET_COEFFICIENT, "0/0")),
         ("heisenberg3", _set(BRACKET_COEFFICIENT, "1/0*i")),
+        ("heisenberg3", _set(BRACKET_COEFFICIENT, "1" * 5000)),
         ("example-7-2-pi", _set(PERIOD, "1/0*i*pi + a")),
         ("example-7-2-pi", _set(PERIOD, "1/0 + a")),
         ("example-7-1-generic", _set(("algebra", "nilradical"), ["v1", "v2", "v3", "v4", "v1"])),
@@ -252,6 +253,7 @@ PERIOD = ("lattice", "generators", 0, "e1")  # in example-7-2-pi
         "scalar-zero-denominator",
         "scalar-zero-over-zero",
         "scalar-imaginary-zero-denominator",
+        "scalar-5000-digits",
         "period-coefficient-zero-denominator",
         "period-constant-zero-denominator",
         "nilradical-repeated-name",
@@ -280,8 +282,8 @@ def test_malformed_instance_exits_two_without_traceback(name, mutate, tmp_path):
 
 @pytest.mark.parametrize(
     "raw",
-    [b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000],
-    ids=["not-utf-8", "nested-100000-deep"],
+    [b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000, b'{"x": ' + b"1" * 5000 + b"}"],
+    ids=["not-utf-8", "nested-100000-deep", "integer-5000-digits"],
 )
 def test_unreadable_bytes_exit_two_without_traceback(raw, tmp_path):
     path = tmp_path / "unreadable.json"

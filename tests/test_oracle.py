@@ -26,6 +26,7 @@ from solvcohom.oracle import (
     _alternating_evaluation,
     _degree_skeleton,
     _sector_differential,
+    _signed,
     sector_skeleton,
 )
 from solvcohom.scalars import MINUS_ONE, ONE, ZERO, gauss
@@ -149,7 +150,7 @@ def test_sector_differential_equals_insertion_formula(name):
         rho = _action_table(action)
         for p in range(g.dim):
             expected = ce_differential(g, action, p)
-            assert _sector_differential(g, action, p, skeletons[p], rho) == expected
+            assert _sector_differential(g, action, p, skeletons[p], _signed(rho)) == expected
         shared = sector_cohomology_full(g, rep, tag, skeletons)
         alone = sector_cohomology_full(g, rep, tag)
         assert shared.betti == alone.betti
@@ -184,7 +185,7 @@ def test_sector_rows_equal_entry_keyed_reference(name):
         rho = _action_table(action)
         assert rho == reference_action_table(g, action)
         for p in range(g.dim):
-            got = _sector_differential(g, action, p, skeletons[p], rho)
+            got = _sector_differential(g, action, p, skeletons[p], _signed(rho))
             want = reference_sector_differential(g, action, p, skeletons[p], rho)
             assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
             assert [list(r.items()) for r in got.row_maps] == [

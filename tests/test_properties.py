@@ -41,8 +41,10 @@ from solvcohom.instances import (
     build_weight_assignment,
     load_instance,
 )
+from solvcohom.liealg import RepresentationData, validate_representation
+from solvcohom.linalg import ExactMatrix
 from solvcohom.periods import PeriodValue, SymbolTable
-from solvcohom.scalars import GaussianRational
+from solvcohom.scalars import MINUS_ONE, ONE, ZERO, GaussianRational
 from solvcohom.weights import WeightAssignment, weight_sort_key
 
 small_fractions = st.fractions(
@@ -285,3 +287,37 @@ def test_tag_table_matches_weights_on_drawn_weights(name, data):
         g.complement,
     )
     check_tag_table(build_invariant_complex(g, rep, w))
+
+
+def _diagonal_module(g, data):
+    # Drawn diagonals on the complement, zero on the nilradical: diagonal
+    # matrices commute, and every bracket lands in the nilradical, which
+    # acts by zero, so this is a representation. The small pool makes
+    # equal entries, hence merged tags, common.
+    m = data.draw(st.integers(min_value=1, max_value=3))
+    entries = st.one_of(st.sampled_from([ZERO, ONE, MINUS_ONE]), scalars)
+    matrices = []
+    for j in range(g.dim):
+        diagonal = [data.draw(entries) for _ in range(m)] if j in g.complement else []
+        matrices.append(
+            ExactMatrix.from_entries(m, m, {(k, k): v for k, v in enumerate(diagonal) if v})
+        )
+    return RepresentationData(m, matrices)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_tag_table_matches_weights_on_drawn_modules(name, data):
+    # The subset-mask build against WeightAssignment.tag on every (I, k)
+    # of the trivial, the adjoint or a drawn diagonal module.
+    g = ALGEBRAS[name]
+    kind = data.draw(st.sampled_from(["trivial", "adjoint", "diagonal"]))
+    if kind == "trivial":
+        rep = trivial_representation(g)
+    elif kind == "adjoint":
+        rep = adjoint_representation(g)
+    else:
+        rep = _diagonal_module(g, data)
+        assert validate_representation(g, rep).ok
+    check_tag_table(build_invariant_complex(g, rep, infer_weights(g, rep)))

@@ -36,14 +36,17 @@ def test_dolbeault_on_example_7_2_pi_to_the_fifth(tmp_path):
         (EXPECTED_DIR / "example-7-2-pi.dolbeault.json").read_text()
     )["betti"]
 
-    # A process of its own, so its peak RSS is this command's alone.
+    # A process of its own, so its peak RSS is this command's alone. It
+    # reads VmHWM, not ru_maxrss: on Linux a child's ru_maxrss starts from
+    # the high-water mark of the parent it was forked from, here pytest's.
     script = textwrap.dedent(
         f"""
-        import contextlib, io, resource
+        import contextlib, io, re
         from solvcohom import cli
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["dolbeault", {str(path)!r}, "--json", {str(out)!r}])
-        print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        with open("/proc/self/status") as status:
+            print(code, re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
         """
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

@@ -4,7 +4,11 @@ import sys
 import textwrap
 
 import pytest
-from ce_reference import reference_grading_check, reference_invariant_differentials
+from ce_reference import (
+    monomial_label,
+    reference_grading_check,
+    reference_invariant_differentials,
+)
 from conftest import (
     INSTANCE_DIR,
     make_heisenberg,
@@ -32,6 +36,7 @@ from solvcohom import (
     trivial_representation,
     validate_weight_assignment,
 )
+from solvcohom.cecomplex import degree_basis, module_basis_names
 from solvcohom.errors import WeightGradingError, WeightInferenceError
 from solvcohom.liealg import LieAlgebraData, RepresentationData
 from solvcohom.linalg import ExactMatrix
@@ -420,3 +425,43 @@ def test_invariant_differentials_equal_column_reference(name):
         w = build_weight_assignment(inst, rep)
     ic = build_invariant_complex(g, rep, w)
     assert list(ic.complex.differentials) == reference_invariant_differentials(g, rep, w)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in INSTANCE_DIR.glob("*.json")))
+def test_label_equals_monomial_label_on_shipped_instances(name):
+    # Labels are formed on demand from per-complex name tuples; every one
+    # must be the reference name of its (I, k).
+    inst = load_instance(str(INSTANCE_DIR / f"{name}.json"))
+    g, rep = inst.algebra, build_representation(inst)
+    ic = build_invariant_complex(g, rep, build_weight_assignment(inst, rep))
+    names = module_basis_names(g, rep)
+    for p, per in enumerate(ic.tag_ids):
+        subsets = degree_basis(g.dim, p)
+        assert [ic.label(p, i) for i in range(len(per))] == [
+            monomial_label(g, subsets[i // rep.m], i % rep.m, names) for i in range(len(per))
+        ]
+
+
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+mixed_gaussians = st.one_of(
+    gaussian_integers, st.builds(gauss, _fractions, _fractions), st.just(ZERO)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_weight_sort_key_orders_as_the_fraction_pairs(data):
+    # Integer parts are keyed as ints and the others as Fractions; the
+    # order must be exactly that of the (re, im) Fraction pairs.
+    width = data.draw(st.integers(min_value=0, max_value=3))
+    weight = st.lists(mixed_gaussians, min_size=width, max_size=width).map(tuple)
+    weights = data.draw(st.lists(weight, max_size=12))
+
+    def reference(w):
+        return tuple((c.re, c.im) for c in w)
+
+    assert sorted(weights, key=weight_sort_key) == sorted(weights, key=reference)
+    for a in weights:
+        for b in weights:
+            assert (weight_sort_key(a) < weight_sort_key(b)) == (reference(a) < reference(b))
+            assert (weight_sort_key(a) == weight_sort_key(b)) == (a == b)
