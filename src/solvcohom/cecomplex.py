@@ -31,11 +31,11 @@ from .errors import (
 from .liealg import LieAlgebraData, RepresentationData, lower_central_series_dims, validate_algebra
 from .linalg import (
     ExactMatrix,
-    SpanTracker,
     SparseRow,
     kernel_basis,
     rank_and_kernel,
     row_times,
+    trailing_echelon,
 )
 from .scalars import ZERO, GaussianRational
 
@@ -197,18 +197,12 @@ class FiniteComplex:
     """A finite cochain complex of exact matrices.
 
     dims[p] is the rank of degree p; differentials[p] maps degree p to
-    p+1 (one fewer entry than dims); labels[p], when given, names the
-    degree-p basis, and labels is None otherwise.
+    p+1 (one fewer entry than dims).
     """
 
-    __slots__ = ("dims", "differentials", "labels")
+    __slots__ = ("dims", "differentials")
 
-    def __init__(
-        self,
-        dims: Sequence[int],
-        differentials: Sequence[ExactMatrix],
-        labels: Optional[Sequence[Sequence[str]]] = None,
-    ):
+    def __init__(self, dims: Sequence[int], differentials: Sequence[ExactMatrix]):
         dims_t = tuple(int(d) for d in dims)
         diffs_t = tuple(differentials)
         if len(diffs_t) != max(len(dims_t) - 1, 0):
@@ -216,14 +210,8 @@ class FiniteComplex:
         for p, d in enumerate(diffs_t):
             if d.ncols != dims_t[p] or d.nrows != dims_t[p + 1]:
                 raise ValidationFailure(f"differential at degree {p} has wrong shape")
-        labels_t = None
-        if labels is not None:
-            labels_t = tuple(tuple(ls) for ls in labels)
-            if tuple(len(ls) for ls in labels_t) != dims_t:
-                raise ValidationFailure("labels do not match degree dimensions")
         object.__setattr__(self, "dims", dims_t)
         object.__setattr__(self, "differentials", diffs_t)
-        object.__setattr__(self, "labels", labels_t)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteComplex is immutable")
@@ -314,9 +302,15 @@ def cohomology(
     degree. When only Betti numbers are asked for, the rows of d_p at the
     pivot columns of d_{p+1} are skipped in elimination (clearing; see
     linalg), and the certificate still covers them. Representatives, when
-    requested, are cocycles extending a basis of the image, hence
-    linearly independent modulo coboundaries; both facts are certified by
-    construction here.
+    requested, are the kernel vectors K_f of d_p (1 at free column f, 0 at
+    the other free columns) for which no coboundary ends at f among the
+    free columns; a coboundary lies in the certified kernel, so its free
+    coordinates fix it. trailing_echelon over d_{p-1}'s columns names those
+    ends. This is the image's basis extended greedily by K_f in ascending
+    f. The kept K_f and the echelon rows end at distinct free columns, so
+    the K_f are independent modulo coboundaries by construction; their
+    count is certified against betti. Clearing is off then: it can change
+    d_p's pivot columns, hence the free columns and which K_f are output.
     """
     top = complex_.top_degree
     dims = complex_.dims
@@ -335,14 +329,11 @@ def cohomology(
         return CohomologyResult(betti)
     reps: list[tuple[SparseRow, ...]] = []
     for p in range(top + 1):
-        tracker = SpanTracker(dims[p])
-        if p > 0:
-            for image_vec in complex_.differentials[p - 1].transpose().row_maps:
-                tracker.add(image_vec)
-        chosen = []
-        for vec in kernel_basis(dims[p], reduced[p]):
-            if tracker.add(vec):
-                chosen.append(vec)
+        pivots = reduced[p]
+        image = complex_.differentials[p - 1].transpose().row_maps if p > 0 else ()
+        ends = trailing_echelon({j: a for j, a in col.items() if j not in pivots} for col in image)
+        free = [f for f in range(dims[p]) if f not in pivots]
+        chosen = [vec for f, vec in zip(free, kernel_basis(dims[p], pivots)) if f not in ends]
         if len(chosen) != betti[p]:
             raise CertificateError(
                 f"{len(chosen)} representatives for betti {betti[p]} at degree {p}"

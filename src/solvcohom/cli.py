@@ -179,8 +179,9 @@ def _cohomology_command(args, kind: str) -> int:
             print("  " + "  ".join(f"{h:<3}" for h in row))
     if args.representatives:
         reps_out = []
+        kept = ic.indices_with_tag_ids(sel.kept)
         for p, classes in enumerate(result.representatives):
-            labels = sel.complex.labels[p]
+            labels = ic.labels(p, kept[p])
             reps_out.append(
                 [_class_terms(vec, labels) for vec in classes]
             )

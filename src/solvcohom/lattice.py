@@ -158,6 +158,7 @@ class SelectionResult:
     kind: str  # "derham" or "dolbeault"
     complex: FiniteComplex
     verdicts: tuple[TagVerdict, ...]  # indexed by the complex's tag ids
+    kept: tuple[int, ...]  # the tag ids whose blocks make up complex
 
 
 def _verdicts(ic: InvariantComplex, lat: LatticeData) -> tuple[TagVerdict, ...]:
@@ -189,9 +190,9 @@ def _verdicts(ic: InvariantComplex, lat: LatticeData) -> tuple[TagVerdict, ...]:
 
 def _select(ic: InvariantComplex, lat: LatticeData, kind: str) -> SelectionResult:
     verdicts = _verdicts(ic, lat)
-    kept = [t for t, v in enumerate(verdicts)
-            if (v.trivial_on_lattice if kind == "derham" else v.ratio_trivial)]
-    return SelectionResult(kind, restrict_complex(ic, kept), verdicts)
+    kept = tuple(t for t, v in enumerate(verdicts)
+                 if (v.trivial_on_lattice if kind == "derham" else v.ratio_trivial))
+    return SelectionResult(kind, restrict_complex(ic, kept), verdicts, kept)
 
 
 def select_de_rham(ic: InvariantComplex, lat: LatticeData) -> SelectionResult:

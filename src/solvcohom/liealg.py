@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationFailure
-from .linalg import ExactMatrix, SpanTracker
+from .linalg import ExactMatrix, trailing_echelon
 from .scalars import ONE, ZERO, GaussianRational
 
 MODE_REAL = "real-complexified"
@@ -344,15 +344,9 @@ def lower_central_series_dims(g: LieAlgebraData, indices: frozenset[int]) -> lis
     ]
     dims = [len(current)]
     while dims[-1] != 0 and len(dims) <= g.dim:
-        tracker = SpanTracker(g.dim)
-        basis_next: list[dict[int, GaussianRational]] = []
-        for i in sorted(indices):
-            for vec in current:
-                out = g.bracket_vectors(i, vec)
-                if out and tracker.add(out):
-                    basis_next.append(out)
-        dims.append(len(basis_next))
-        current = basis_next
+        brackets = (g.bracket_vectors(i, vec) for i in sorted(indices) for vec in current)
+        current = list(trailing_echelon(brackets).values())
+        dims.append(len(current))
     return dims
 
 

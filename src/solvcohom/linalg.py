@@ -15,7 +15,8 @@ sparse rows, one per free column, for the callers that need vectors.
 The kernel certificate is checked row by row: every row of the matrix,
 reduced against the pivot rows at its pivot columns, must leave nothing
 at any free column, which are exactly the equations "the matrix
-annihilates each kernel vector".
+annihilates each kernel vector". trailing_echelon gives an echelon basis
+of a span, one row per column at which some vector of the span ends.
 
 Clearing (Chen & Kerber, "Persistent homology computation with a
 twist", 2011; Bauer, Kerber & Reininghaus, "Clear and compress", 2014):
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping
 
 from .errors import CertificateError
 from .scalars import ONE, ZERO, GaussianRational
@@ -354,44 +355,23 @@ def kernel_basis(ncols: int, reduced: Mapping[int, SparseRow]) -> tuple[SparseRo
     return tuple(kernel.values())
 
 
-class SpanTracker:
-    """Incremental row-space membership with exact reduction.
+def trailing_echelon(vectors: Iterable[SparseRow]) -> dict[int, SparseRow]:
+    """An echelon basis of the span of vectors, keyed by last column.
 
-    Vectors are dense sequences or {index: value} mappings. add() returns
-    True when the vector enlarges the span; the reduced nonzero remainder
-    is kept in fully reduced form.
+    Each vector is reduced by the kept rows from its largest column down;
+    a nonzero remainder is scaled to 1 at its largest column c and kept
+    as row c. So the keys are exactly the columns at which some vector of
+    the span ends (has its largest nonzero coordinate), in the order the
+    vectors first reach them.
     """
-
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: list[tuple[int, SparseRow]] = []
-
-    def reduce(
-        self, vec: Sequence[GaussianRational] | Mapping[int, GaussianRational]
-    ) -> SparseRow:
-        items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
-        current = {j: a for j, a in items if a}
-        for pc, row in self.rows:
-            if pc in current:
-                current = _row_axpy(current, row, -current[pc])
-        return current
-
-    def add(self, vec: Sequence[GaussianRational] | Mapping[int, GaussianRational]) -> bool:
-        current = self.reduce(vec)
-        if not current:
-            return False
-        pivot_col = min(current)
-        inv = current[pivot_col].inverse()
-        current = {c: inv * a for c, a in current.items()}
-        new_rows = []
-        for pc, row in self.rows:
-            if pivot_col in row:
-                row = _row_axpy(row, current, -row[pivot_col])
-            new_rows.append((pc, row))
-        new_rows.append((pivot_col, current))
-        self.rows = new_rows
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+    rows: dict[int, SparseRow] = {}
+    for vec in vectors:
+        while vec:
+            c = max(vec)
+            row = rows.get(c)
+            if row is None:
+                inv = vec[c].inverse()
+                rows[c] = {j: inv * a for j, a in vec.items()}
+                break
+            vec = _row_axpy(vec, row, -vec[c])
+    return rows

@@ -365,5 +365,4 @@ def restrict_complex(ic: InvariantComplex, tag_ids: Iterable[int]) -> FiniteComp
         entries = _graded_entries(ic, {c: ic.tag_ids[p][c] for c in keep[p]}, p)
         local = {(pos[p + 1][r], pos[p][c]): v for (r, c), v in entries.items()}
         differentials.append(ExactMatrix.from_entries(dims[p + 1], dims[p], local))
-    labels = [ic.labels(p, ks) for p, ks in enumerate(keep)]
-    return FiniteComplex(dims, differentials, labels)
+    return FiniteComplex(dims, differentials)

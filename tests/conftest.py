@@ -11,10 +11,7 @@ EXPECTED_DIR = INSTANCE_DIR / "expected"
 
 def kept_indices(ic, sel):
     """Per degree, the basis indices of the tags a selection keeps."""
-    keeps = "trivial_on_lattice" if sel.kind == "derham" else "ratio_trivial"
-    return ic.indices_with_tag_ids(
-        t for t, v in enumerate(sel.verdicts) if getattr(v, keeps)
-    )
+    return ic.indices_with_tag_ids(sel.kept)
 
 
 def zero_tag_indices(ic):

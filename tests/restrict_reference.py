@@ -21,12 +21,13 @@ class SelectionClosureError(SolvcohomError):
 
 
 def reference_restrict_complex(
-    fc: FiniteComplex, keep: Sequence[Sequence[int]]
+    fc: FiniteComplex, keep: Sequence[Sequence[int]], labels: Sequence[Sequence[str]]
 ) -> FiniteComplex:
     """Subcomplex on the kept basis indices per degree.
 
     Any differential coefficient from a kept column to a dropped row
-    raises SelectionClosureError.
+    raises SelectionClosureError, naming both by labels[p][i], the name
+    of fc's degree-p basis element i.
     """
     keep_t = [tuple(ks) for ks in keep]
     if len(keep_t) != len(fc.dims):
@@ -57,11 +58,8 @@ def reference_restrict_complex(
         if witness is not None:
             raise SelectionClosureError(
                 f"selection not closed under d at degree {p}: "
-                f"column {fc.labels[p][keep_t[p][witness[0]]]} hits dropped row "
-                f"{fc.labels[p + 1][witness[1]]}"
+                f"column {labels[p][keep_t[p][witness[0]]]} hits dropped row "
+                f"{labels[p + 1][witness[1]]}"
             )
         differentials.append(ExactMatrix.from_entries(dims[p + 1], dims[p], entries))
-    labels = [
-        tuple(fc.labels[p][i] for i in keep_t[p]) for p in range(len(keep_t))
-    ]
-    return FiniteComplex(dims, differentials, labels)
+    return FiniteComplex(dims, differentials)

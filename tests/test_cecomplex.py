@@ -4,14 +4,21 @@ import textwrap
 
 import pytest
 from ce_reference import ce_differential, monomial_label, wedge_insert_sign
+from conftest import INSTANCE_DIR
+from span_reference import greedy_lower_central_series_dims, greedy_representatives
 
 from solvcohom import (
     FiniteComplex,
     adjoint_representation,
     build_invariant_complex,
+    build_representation,
+    build_weight_assignment,
     cohomology,
     infer_weights,
+    load_instance,
+    lower_central_series_dims,
     nilshadow,
+    restrict_complex,
     trivial_representation,
 )
 from solvcohom import cecomplex, linalg
@@ -100,16 +107,56 @@ def test_heisenberg_representatives(heisenberg):
         assert all(vec.values())  # sparse: no stored zeros
 
 
-def test_representative_count_is_certified(heisenberg, monkeypatch):
-    class NeverGrows(cecomplex.SpanTracker):
-        def add(self, vec):
-            return False
-
-    monkeypatch.setattr(cecomplex, "SpanTracker", NeverGrows)
+@pytest.mark.parametrize(
+    "wrong_ends, message",
+    [
+        # Dropping the end of d(z*) = -x*^y* leaves one class too many.
+        (lambda ends: dict(list(ends.items())[1:]), "3 representatives for betti 2 at degree 2"),
+        # A spurious end at column 0 leaves one class too few.
+        (lambda ends: {0: {0: ONE}, **ends}, "0 representatives for betti 1 at degree 0"),
+    ],
+    ids=["dropped-end", "spurious-end"],
+)
+def test_representative_count_is_certified(heisenberg, monkeypatch, wrong_ends, message):
+    real = linalg.trailing_echelon
+    monkeypatch.setattr(cecomplex, "trailing_echelon", lambda vecs: wrong_ends(real(vecs)))
     rep = trivial_representation(heisenberg)
     ic = build_invariant_complex(heisenberg, rep, infer_weights(heisenberg, rep))
-    with pytest.raises(CertificateError, match="representatives for betti"):
+    with pytest.raises(CertificateError, match=message):
         cohomology(ic.complex, representatives=True)
+
+
+def _shipped_pipeline(name):
+    inst = load_instance(str(INSTANCE_DIR / f"{name}.json"))
+    rep = build_representation(inst)
+    w = build_weight_assignment(inst, rep)
+    return inst.algebra, w, build_invariant_complex(inst.algebra, rep, w)
+
+
+_SHIPPED = sorted(p.stem for p in INSTANCE_DIR.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", _SHIPPED)
+def test_representatives_equal_the_greedy_reference_on_every_tag_block(name):
+    _, _, ic = _shipped_pipeline(name)
+    for tid in range(len(ic.tag_table)):
+        block = restrict_complex(ic, [tid])
+        got = cohomology(block, representatives=True).representatives
+        want = greedy_representatives(block)
+        assert [[list(v.items()) for v in vs] for vs in got] == [
+            [list(v.items()) for v in vs] for vs in want
+        ]
+
+
+@pytest.mark.parametrize("name", _SHIPPED)
+def test_lower_central_series_equals_the_greedy_reference(name):
+    g, w, _ = _shipped_pipeline(name)
+    shadow = nilshadow(g, w.algebra_weights)
+    for alg in (g, shadow):
+        for indices in (frozenset(alg.nilradical), frozenset(range(alg.dim))):
+            assert lower_central_series_dims(alg, indices) == greedy_lower_central_series_dims(
+                alg, indices
+            )
 
 
 def plain_ce_complex(g):
@@ -170,7 +217,7 @@ def test_finite_complex_shape_checks():
         FiniteComplex((1, 2), ())
     with pytest.raises(ValidationFailure):
         FiniteComplex((1, 2), (ExactMatrix.zero(3, 1),))
-    fc = FiniteComplex((2, 1), (ExactMatrix.zero(1, 2),), labels=[("a", "b"), ("c",)])
+    fc = FiniteComplex((2, 1), (ExactMatrix.zero(1, 2),))
     assert fc.top_degree == 1
     assert fc.euler_characteristic() == 1
 
@@ -309,13 +356,12 @@ def test_labels(heisenberg):
     # The builder forms its label strings itself; they must be these.
     ic = build_invariant_complex(heisenberg, ad, infer_weights(heisenberg, ad))
     n, m = heisenberg.dim, ad.m
-    assert ic.complex.labels == tuple(
-        tuple(
+    for p in range(n + 1):
+        count = len(degree_basis(n, p)) * m
+        assert ic.labels(p, range(count)) == [
             monomial_label(heisenberg, degree_basis(n, p)[i // m], i % m, ad_names)
-            for i in range(len(degree_basis(n, p)) * m)
-        )
-        for p in range(n + 1)
-    )
+            for i in range(count)
+        ]
 
 
 def test_nilshadow_flattens_split_algebras(split_3d, split_6d):

@@ -1,17 +1,19 @@
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from jordan_reference import matrix_inverse
 from oracle_reference import reference_eliminate
+from span_reference import greedy_representatives
 
 from solvcohom import linalg
 from solvcohom.cecomplex import FiniteComplex, cohomology
 from solvcohom.errors import CertificateError, ValidationFailure
-from solvcohom.linalg import ExactMatrix, SpanTracker, kernel_basis, rank_and_kernel
+from solvcohom.linalg import ExactMatrix, kernel_basis, rank_and_kernel, trailing_echelon
 from solvcohom.scalars import I, ONE, ZERO, gauss
 
 
@@ -116,14 +118,22 @@ def test_matrix_inverse():
         matrix_inverse(mat([[1, 2], [2, 4]]))
 
 
-def test_span_tracker():
-    t = SpanTracker(3)
-    assert t.add((ONE, ZERO, ZERO))
-    assert not t.add((gauss(2), ZERO, ZERO))  # dependent
-    assert t.add((ZERO, ONE, ONE))
-    assert t.dim == 2
-    assert not t.reduce((gauss(3), ONE, ONE))
-    assert t.reduce((ZERO, ZERO, ONE))
+def test_trailing_echelon():
+    rows = trailing_echelon(
+        [
+            {0: ONE},
+            {0: gauss(2)},  # dependent
+            {1: gauss(2), 2: gauss(4)},
+            {1: I},
+            {0: ONE, 1: ONE, 2: gauss(2)},  # row 2 leaves {0: 1}: dependent
+        ]
+    )
+    # Keyed by last column, in the order the vectors reach them; each row
+    # is 1 at its key and ends there.
+    assert rows == {0: {0: ONE}, 2: {1: gauss(Fraction(1, 2)), 2: ONE}, 1: {1: ONE}}
+    assert list(rows) == [0, 2, 1]
+    assert all(max(row) == c and row[c] == ONE for c, row in rows.items())
+    assert trailing_echelon([{}, {}]) == {}
 
 
 entries = st.integers(min_value=-9, max_value=9)
@@ -411,7 +421,12 @@ def test_cleared_betti_numbers_equal_reference_ranks(diffs):
     want = tuple(dims[p] - ranks[p] - (ranks[p - 1] if p else 0) for p in range(len(dims)))
     complex_ = FiniteComplex(dims, diffs)
     assert cohomology(complex_).betti == want
-    assert cohomology(complex_, representatives=True).betti == want
+    result = cohomology(complex_, representatives=True)
+    assert result.betti == want
+    # The representatives are the greedy reference's, down to dict order.
+    assert [[list(v.items()) for v in vs] for vs in result.representatives] == [
+        [list(v.items()) for v in vs] for vs in greedy_representatives(complex_)
+    ]
     # Clearing by hand, top down: each differential skips the rows at the
     # pivot columns of the next one and keeps its rank. Uncleared, its
     # rows give today's kernel, down to each dict's key order.

@@ -5,6 +5,7 @@ Dolbeault instance, built by bench/products.py (loaded by path and only
 read, as test_bench_spans.py loads bench/spans.py). Its selected complex
 has kernels of up to 32,767 vectors over 6,435 columns in one degree, so
 dense kernel vectors would take over a GiB; sparse ones take a few MiB.
+The same process then chooses a representative for each of its classes.
 """
 import importlib.util
 import json
@@ -32,27 +33,37 @@ def test_dolbeault_on_example_7_2_pi_to_the_fifth(tmp_path):
     path = tmp_path / "product.json"
     path.write_text(products.dumps(instance))
     out = tmp_path / "out.json"
+    reps_out = tmp_path / "reps.json"
     factor_betti = json.loads(
         (EXPECTED_DIR / "example-7-2-pi.dolbeault.json").read_text()
     )["betti"]
 
-    # A process of its own, so its peak RSS is this command's alone. It
+    # A process of its own, so its peak RSS is these commands' alone. It
     # reads VmHWM, not ru_maxrss: on Linux a child's ru_maxrss starts from
     # the high-water mark of the parent it was forked from, here pytest's.
+    # The second command also names a representative for every class.
     script = textwrap.dedent(
         f"""
         import contextlib, io, re
         from solvcohom import cli
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["dolbeault", {str(path)!r}, "--json", {str(out)!r}])
+            reps_code = cli.main(
+                ["dolbeault", {str(path)!r}, "--representatives", "--json", {str(reps_out)!r}]
+            )
         with open("/proc/self/status") as status:
-            print(code, re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
+            peak = re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1)
+        print(code, reps_code, peak)
         """
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    code, peak_kib = map(int, proc.stdout.split())
+    code, reps_code, peak_kib = map(int, proc.stdout.split())
 
-    assert code == 0
-    assert json.loads(out.read_text())["betti"] == products.convolve(*[factor_betti] * 5)
+    assert code == 0 and reps_code == 0
+    betti = products.convolve(*[factor_betti] * 5)
+    assert json.loads(out.read_text())["betti"] == betti
+    reps = json.loads(reps_out.read_text())
+    assert reps["betti"] == betti
+    assert [len(classes) for classes in reps["representatives"]] == betti
     assert peak_kib < PEAK_RSS_LIMIT_MIB * 1024, f"peak RSS {peak_kib // 1024} MiB"
