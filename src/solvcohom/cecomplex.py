@@ -300,8 +300,10 @@ def cohomology(
     just certified (see _in_certified_kernel); a failure raises the
     ValidationFailure of check_complex, which names the lowest failing
     degree. When only Betti numbers are asked for, the rows of d_p at the
-    pivot columns of d_{p+1} are skipped in elimination (clearing; see
-    linalg), and the certificate still covers them. Representatives, when
+    pivot columns of d_{p+1} are skipped in elimination and in its kernel
+    certificate (clearing; see linalg). The d.d check just made is their
+    certificate: it shows each is a combination of d_p's other rows, so
+    the kernel certified on those rows annihilates it. Representatives, when
     requested, are the kernel vectors K_f of d_p (1 at free column f, 0 at
     the other free columns) for which no coboundary ends at f among the
     free columns; a coboundary lies in the certified kernel, so its free

@@ -225,11 +225,11 @@ def _parse_representation(data, g: LieAlgebraData) -> RepresentationSpec:
             raise InstanceParseError(
                 f"matrix for {g.basis[j]} must be {m}x{m}"
             )
-        matrices.append(
-            ExactMatrix(
-                m, m, [[parse_gaussian(str(e)) for e in row] for row in rows]
-            )
-        )
+        # Zeros skip the parser; the text is compared, as False == 0.
+        entries = [
+            [ZERO if (t := str(e)) == "0" else parse_gaussian(t) for e in row] for row in rows
+        ]
+        matrices.append(ExactMatrix(m, m, entries))
     weights = None
     if "weights" in data:
         weights = _parse_rep_weights(data["weights"], g, m, "representation weights")

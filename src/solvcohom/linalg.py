@@ -12,7 +12,7 @@ sparse rows. The pivot is sparsity-first, which keeps fill-in low: least
 column indexes only find it faster. rank_and_kernel returns the reduced
 rows keyed by pivot column; kernel_basis reads the kernel off them as
 sparse rows, one per free column, for the callers that need vectors.
-The kernel certificate is checked row by row: every row of the matrix,
+The kernel certificate is checked row by row: every row it eliminates,
 reduced against the pivot rows at its pivot columns, must leave nothing
 at any free column, which are exactly the equations "the matrix
 annihilates each kernel vector". trailing_echelon gives an echelon basis
@@ -23,11 +23,11 @@ twist", 2011; Bauer, Kerber & Reininghaus, "Clear and compress", 2014):
 a caller may name rows it knows to lie in the span of the others, and
 elimination leaves them out. In a complex, the rows of d_p
 at the pivot columns Q of d_{p+1} are such rows: d_{p+1} d_p = 0 and
-d_{p+1}[:, Q] has full column rank; cecomplex.cohomology certifies
-that premise before it passes Q. The skip set is not trusted here. The
-certificate still runs over every row, the skipped ones included, so the
-pivot rows must span the whole row space; a wrong skip set raises
-CertificateError and never yields a wrong rank.
+d_{p+1}[:, Q] has full column rank. The caller certifies that premise:
+the certificate here reads no skipped row, so a wrong skip set would give
+too small a rank. cecomplex.cohomology proves each row of d_p at Q a
+combination of the others before it passes Q; the kernel certified on
+those rows then annihilates it too.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from collections import defaultdict
 from typing import Container, Iterable, Mapping
 
 from .errors import CertificateError
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import MINUS_ONE, ONE, ZERO, GaussianRational
 
 SparseRow = dict[int, GaussianRational]
 
@@ -244,9 +244,11 @@ def _eliminate(
                 pivot_col, count = c, len(h)
         if length == 1:
             row = {pivot_col: ONE}
-        elif (lead := row[pivot_col]) != ONE:
+        elif (lead := row[pivot_col]) == MINUS_ONE:
+            row = {c: -a for c, a in row.items()}
+        elif lead != ONE:
             inv = lead.inverse()
-            row = {c: inv * a for c, a in row.items()}
+            row = {c: ONE if c == pivot_col else inv * a for c, a in row.items()}
         # Reduce the open rows and the finished ones that hold the pivot
         # column, so it survives in exactly one row (Jordan form rows).
         if count:
@@ -309,11 +311,11 @@ def rank_and_kernel(
 ) -> tuple[int, dict[int, SparseRow]]:
     """Exact rank and the reduced rows {pivot column: row}, in pivot order.
 
-    Rows in skip_rows are left out of the elimination, never out of the
-    certificate. Certified here, raising CertificateError otherwise:
-    rank + nullity == ncols, and every row r of the matrix, skipped or
-    not, has r[f] - sum_pc r[pc] * R_pc[f] == 0 at every free column f,
-    which is entry (r, f) of the matrix times the kernel of kernel_basis.
+    Rows in skip_rows are never read; the caller certifies that they lie
+    in the span of the others. Certified here, raising CertificateError
+    otherwise: rank + nullity == ncols, and every other row r has
+    r[f] - sum_pc r[pc] * R_pc[f] == 0 at every free column f, which is
+    entry (r, f) of the matrix times the kernel of kernel_basis.
     """
     done, _ = _eliminate(matrix, skip_rows)
     rank = len(done)
@@ -321,7 +323,9 @@ def rank_and_kernel(
     nullity = sum(1 for f in range(matrix.ncols) if f not in reduced)
     if rank + nullity != matrix.ncols:
         raise CertificateError(f"rank {rank} + nullity {nullity} != {matrix.ncols} columns")
-    for row in matrix.row_maps:
+    for rid, row in enumerate(matrix.row_maps):
+        if not row or rid in skip_rows:
+            continue
         # Each free entry of the row must equal the sum over its pivot
         # columns pc of row[pc] * R_pc[f].
         image: SparseRow = {}

@@ -245,12 +245,12 @@ def parse_period(text: str, table: SymbolTable) -> PeriodValue:
         if table.has(body):
             put(body, sign)
         elif _RAT.match(body):
-            put("1", sign * parse_rational(body))
+            put("1", sign * parse_rational(body, text))
         elif "*" in body:
             head, _, tail = body.partition("*")
             if not _RAT.match(head) or not table.has(tail):
                 raise ScalarParseError(f"bad period term {term!r} in {text!r}")
-            put(tail, sign * parse_rational(head))
+            put(tail, sign * parse_rational(head, text))
         else:
             raise ScalarParseError(f"bad period term {term!r} in {text!r}")
     return PeriodValue(table, coords)

@@ -167,14 +167,17 @@ def gauss(re=0, im=0) -> GaussianRational:
     return GaussianRational(Fraction(re), Fraction(im))
 
 
-def parse_rational(text: str) -> Fraction:
-    """A signed literal `p` or `p/q`; a zero denominator is a parse error."""
+def parse_rational(text: str, literal: str = "") -> Fraction:
+    """A signed literal `p` or `p/q`; a zero denominator is a parse error.
+
+    Errors name `literal`, the whole literal that text is a term of, if given.
+    """
     if not _RAT.match(text):
-        raise ScalarParseError(f"not a rational literal: {text!r}")
+        raise ScalarParseError(f"not a rational literal: {literal or text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ScalarParseError(f"zero denominator in {text!r}") from None
+        raise ScalarParseError(f"zero denominator in {literal or text!r}") from None
     except ValueError:
         # The literal matched _RAT, so only the integer digit limit is left.
         raise ScalarParseError(
@@ -203,9 +206,9 @@ def parse_gaussian(text: str) -> GaussianRational:
         if body == "i":
             im_part += sign
         elif body.endswith("*i"):
-            im_part += sign * parse_rational(body[:-2])
+            im_part += sign * parse_rational(body[:-2], text)
         else:
-            re_part += sign * parse_rational(body)
+            re_part += sign * parse_rational(body, text)
     return GaussianRational(re_part, im_part)
 
 

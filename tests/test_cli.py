@@ -225,6 +225,11 @@ PERIOD = ("lattice", "generators", 0, "e1")  # in example-7-2-pi
         ("heisenberg3", _set(BRACKET_COEFFICIENT, "0/0")),
         ("heisenberg3", _set(BRACKET_COEFFICIENT, "1/0*i")),
         ("heisenberg3", _set(BRACKET_COEFFICIENT, "1" * 5000)),
+        ("heisenberg3", _set(("representation",), {"dim": 1, "matrices": {"x": [[False]]}})),
+        ("heisenberg3", _set(("representation",), {"dim": 1, "matrices": {"x": [[True]]}})),
+        ("heisenberg3", _set(("representation",), {"dim": 1, "matrices": {"x": [[None]]}})),
+        ("heisenberg3", _set(("representation",), {"dim": 1, "matrices": {"x": [[""]]}})),
+        ("heisenberg3", _set(("representation",), {"dim": 1, "matrices": {"x": [[1e308]]}})),
         ("example-7-2-pi", _set(PERIOD, "1/0*i*pi + a")),
         ("example-7-2-pi", _set(PERIOD, "1/0 + a")),
         ("example-7-1-generic", _set(("algebra", "nilradical"), ["v1", "v2", "v3", "v4", "v1"])),
@@ -254,6 +259,11 @@ PERIOD = ("lattice", "generators", 0, "e1")  # in example-7-2-pi
         "scalar-zero-over-zero",
         "scalar-imaginary-zero-denominator",
         "scalar-5000-digits",
+        "matrix-entry-false",
+        "matrix-entry-true",
+        "matrix-entry-null",
+        "matrix-entry-empty-string",
+        "matrix-entry-1e308",
         "period-coefficient-zero-denominator",
         "period-constant-zero-denominator",
         "nilradical-repeated-name",
@@ -487,6 +497,20 @@ def test_json_output_matches_frozen_snapshot(expected, tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert out.read_bytes() == (EXPECTED_DIR / expected).read_bytes()
+
+
+@pytest.mark.parametrize("name", [name for name, _ in SHIPPED_COMMANDS])
+def test_oracle_reports_survive_optimize_flag(name, tmp_path):
+    # -O strips asserts; the kernel and d.d certificates are raises, and
+    # the reports stay byte for byte the frozen ones.
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "solvcohom.cli", "oracle", path_of(name), "--json", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (EXPECTED_DIR / f"{name}.oracle.json").read_bytes()
 
 
 def test_json_output_is_byte_deterministic(tmp_path, capsys):

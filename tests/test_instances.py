@@ -168,6 +168,29 @@ def test_omitted_matrices_are_zero():
     assert len(inst.representation.matrices) == 2
 
 
+@pytest.mark.parametrize("zero", [0, "0"])
+def test_zero_matrix_entries_load_as_zero(zero):
+    data = minimal()
+    data["representation"] = {"dim": 2, "matrices": {"x": [[zero, "1"], [zero, "-1/2"]]}}
+    (m, _) = parse_instance(data).representation.matrices
+    assert m.row_maps == ({1: ONE}, {1: gauss(-1) / gauss(2)})
+
+
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        # JSON reads 1e308 as a float; its text "1e+308" splits at the sign.
+        (1e308, r"^not a rational literal: '1e\+308'$"),
+        ("1/0+i", r"^zero denominator in '1/0\+i'$"),
+    ],
+)
+def test_scalar_errors_name_the_whole_literal(entry, message):
+    data = minimal()
+    data["representation"] = {"dim": 1, "matrices": {"x": [[entry]]}}
+    with pytest.raises(ScalarParseError, match=message):
+        parse_instance(data)
+
+
 def test_non_complement_weight_coordinate():
     data = minimal()
     data["weights"] = {"algebra": {"y": {"y": "1"}}}

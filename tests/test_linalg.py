@@ -287,12 +287,46 @@ def test_sabotaged_elimination_fails_its_certificate(monkeypatch, sabotage, mess
         rank_and_kernel(mat([[1, 2, 0], [0, 1, 1]]))
 
 
-@pytest.mark.parametrize("skip_rows", [{0}, {2}, {0, 2}, {0, 1, 2}])
-def test_skipping_a_row_outside_the_span_fails_its_certificate(skip_rows):
-    # The identity's rows are independent, so no row may be skipped; the
-    # check over every row, the skipped ones included, catches it.
-    with pytest.raises(CertificateError, match="not annihilated"):
-        rank_and_kernel(ExactMatrix.identity(3), skip_rows)
+def _cleared_row_complex(cleared_row):
+    """dims 1, 2, 2, 1 with d_2 = [1 1], whose pivot column is 0.
+
+    So row 0 of d_1 is the row clearing skips. It is a complex exactly
+    when that row is minus row 1, [-1, 0]; d_0 is zero.
+    """
+    d1 = mat([cleared_row, [1, 0]])
+    return FiniteComplex([1, 2, 2, 1], [ExactMatrix.zero(2, 1), d1, mat([[1, 1]])])
+
+
+def test_d_d_failing_through_a_cleared_row_raises_in_cohomology():
+    assert cohomology(_cleared_row_complex([-1, 0])).betti == (1, 1, 0, 0)
+    broken = _cleared_row_complex([0, 1])
+    # rank_and_kernel does not read the rows it is told to skip: with the
+    # cleared row left out it sees rank 1, where d_1's rank is 2.
+    assert rank_and_kernel(broken.differentials[1], {0})[0] == 1
+    message = "^not a complex: d.d != 0 starting at degree 1$"
+    for representatives in (False, True):
+        with pytest.raises(ValidationFailure, match=message):
+            cohomology(broken, representatives)
+
+
+class _UnreadableRow(dict):
+    """A row that fails the call the moment anything reads its entries."""
+
+    def items(self):
+        raise RuntimeError("a skipped row was read")
+
+    def __iter__(self):
+        raise RuntimeError("a skipped row was read")
+
+
+def test_skipped_rows_are_never_read():
+    # Row 1 is twice row 0 and row 3 is row 0 plus row 2.
+    m = mat([[1, 2, 0, 1], [2, 4, 0, 2], [0, 1, 1, 0], [1, 3, 1, 1]])
+    rows = [_UnreadableRow(r) if i in (1, 3) else r for i, r in enumerate(m.row_maps)]
+    r, reduced = rank_and_kernel(ExactMatrix._of(4, 4, rows), {1, 3})
+    want_r, want_reduced = rank_and_kernel(ExactMatrix._of(2, 4, [rows[0], rows[2]]))
+    assert r == want_r == 2
+    assert reduced == want_reduced
 
 
 @pytest.mark.parametrize("skip_rows", [set(), {1}, {3}, {1, 3}, {0, 3}])
@@ -360,18 +394,24 @@ def test_perturbed_reduced_row_fails_under_optimize_flag():
     assert _run_optimized(script) == "kernel vector for free column 1 not annihilated"
 
 
-def test_wrong_skip_set_fails_under_optimize_flag():
+def test_d_d_failing_through_a_cleared_row_raises_under_optimize_flag():
+    # _cleared_row_complex([0, 1]): only the row clearing skips breaks d.d.
     script = """
-        from solvcohom.errors import CertificateError
-        from solvcohom.linalg import ExactMatrix, rank_and_kernel
+        from solvcohom.cecomplex import FiniteComplex, cohomology
+        from solvcohom.errors import ValidationFailure
+        from solvcohom.linalg import ExactMatrix
+        from solvcohom.scalars import gauss
 
         assert False, "asserts must be stripped under -O"
+        d1 = ExactMatrix(2, 2, [[gauss(0), gauss(1)], [gauss(1), gauss(0)]])
+        d2 = ExactMatrix(1, 2, [[gauss(1), gauss(1)]])
+        complex_ = FiniteComplex([1, 2, 2, 1], [ExactMatrix.zero(2, 1), d1, d2])
         try:
-            rank_and_kernel(ExactMatrix.identity(3), {0, 2})
-        except CertificateError as exc:
+            cohomology(complex_)
+        except ValidationFailure as exc:
             print(exc)
         """
-    assert _run_optimized(script) == "kernel vector for free column 0 not annihilated"
+    assert _run_optimized(script) == "not a complex: d.d != 0 starting at degree 1"
 
 
 nonzero_coefficients = st.one_of(nonzero_entries, gaussian_fractions.filter(bool))
