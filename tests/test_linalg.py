@@ -309,6 +309,23 @@ def test_d_d_failing_through_a_cleared_row_raises_in_cohomology():
             cohomology(broken, representatives)
 
 
+@pytest.mark.parametrize("skip_rows", [{0}, {2}, {0, 2}, {0, 1, 2}])
+def test_skipping_a_row_outside_the_span_fails_its_certificate(skip_rows):
+    # The identity's rows are independent, so no row may be skipped.
+    # rank_and_kernel does not read skipped rows, so it alone sees a lower
+    # rank; the certificate for them is cohomology's d.d check. Here d_1
+    # holds the identity rows at skip_rows, so its pivot columns are exactly
+    # the skip set clearing hands to d_0 = identity, and d_1 d_0 = d_1 != 0.
+    identity = ExactMatrix.identity(3)
+    assert rank_and_kernel(identity, skip_rows)[0] == 3 - len(skip_rows)
+    d1 = ExactMatrix._of(len(skip_rows), 3, [identity.row_maps[j] for j in sorted(skip_rows)])
+    complex_ = FiniteComplex([3, 3, len(skip_rows)], [identity, d1])
+    message = "^not a complex: d.d != 0 starting at degree 0$"
+    for representatives in (False, True):
+        with pytest.raises(ValidationFailure, match=message):
+            cohomology(complex_, representatives)
+
+
 class _UnreadableRow(dict):
     """A row that fails the call the moment anything reads its entries."""
 
