@@ -13,9 +13,17 @@ differential code path.
 Degree-p basis order: p-subsets I of the index set in lexicographic
 order, each followed by the module index k (so column (I, k) sits at
 subset_position(I) * m + k). ce_kernel assembles the requested columns
-of a degree at once: a subset is an integer bitmask, wedge signs are
-popcounts, the bracket part of d(x_I) is formed once for its columns
-(I, k), and only rho's diagonal depends on the column's twist.
+of a degree at once: a subset is an integer bitmask and wedge signs are
+popcounts. It forms only single terms: R_j[l, k] with l != k, which no
+twist touches, and the bracket terms c_{ab}^t with t not in {a, b},
+once per subset for all its columns (I, k). The diagonal coefficient at
+(I + c, k), where the twist, R_c[k, k] and the c_{ct}^t of t in I meet,
+is read from a table per (twist, k, bracket part), the bracket part
+summed once per subset bitmask. A column twisted by its own weight tag,
+as in the invariant complex, has every such coefficient zero when the
+weights are the diagonals of ad and R: the twist cancels the semisimple
+part of the action. The sum is computed all the same, so explicit
+weights and fixed twists stay exact.
 """
 from __future__ import annotations
 
@@ -111,41 +119,111 @@ def ce_kernel(
     of d from degree p to p+1 on the columns in column_action only, column
     (I, k) taken in the module actions[column_action[col]]. Entries come
     column by column in the map's order, each in term order: action terms
-    (j, then l), then bracket terms (t, a, b).
+    (j, then l), then bracket terms (t, a, b). Only a diagonal entry, at
+    (I + c, k) for c not in I, can sum more than one term: its action term
+    (j = c, l = k) and the bracket terms of t in I with {a, b} = {c, t}.
+    It sits where that running sum last turned nonzero.
+
+    Its coefficient is s * (R_c[k, k] + mu(X_c) - beta_I(c)), with
+    s = (-1)^#{t in I : t < c} and beta_I(c) = sum_{t in I} c_{ct}^t, and
+    is read from a table per (action, k, beta_I), beta_I interned per
+    subset bitmask. Every other entry is a single term, formed directly:
+    R_j[l, k] with l != k, which does not depend on the twist, and the
+    bracket terms with t not in {a, b}.
     """
     n = g.dim
     m = actions[0].m if actions else 0
-    # Per t: (bits of a and b, bits below a, bits below b, coeff, -coeff).
-    # Inserting b then a into rest passes the members of rest below each;
-    # b never counts against a because a < b.
-    dx = [
-        [(1 << a | 1 << b, (1 << a) - 1, (1 << b) - 1, c, -c) for a, b, c in terms]
-        for terms in _one_form_differentials(g).values()
-    ]
-    # R_j e_k off the diagonal and R_j[k, k], read from the sparse rows.
+    # Off the diagonal, per t: (bits of a and b, bits below a, bits below
+    # b, coeff, -coeff, order). Inserting b then a into rest passes the
+    # members of rest below each; b never counts against a because a < b.
+    # On it, lam[t][c] = (c_{ct}^t, order): dx_t holds -c_{ab}^t at a < b.
+    dx: list[list] = [[] for _ in range(n)]
+    lam: list[dict[int, tuple[GaussianRational, tuple]]] = [{} for _ in range(n)]
+    for t, terms in _one_form_differentials(g).items():
+        for index, (a, b, c) in enumerate(terms):
+            order = (1, t, index)
+            if a == t:
+                lam[t][b] = (c, order)
+            elif b == t:
+                lam[t][a] = (-c, order)
+            else:
+                dx[t].append((1 << a | 1 << b, (1 << a) - 1, (1 << b) - 1, c, -c, order))
+    # R_j e_k off the diagonal, per k: (bit j, bits below j, j, terms,
+    # negated terms) for each j with such a term; r_diag[k][j] = R_j[k, k].
     off = [[[] for _ in range(m)] for _ in range(n)]
-    diag: list[list[Optional[GaussianRational]]] = [[None] * m for _ in range(n)]
+    r_diag: list[dict[int, GaussianRational]] = [{} for _ in range(m)]
     for j, R in enumerate(actions[0].matrices if actions else ()):
         for l, row in enumerate(R.row_maps):
             for k, v in row.items():
                 if k == l:
-                    diag[j][k] = v
+                    r_diag[k][j] = v
                 else:
                     off[j][k].append((l, v))
-    tables: dict[tuple[int, int], list] = {}
+    off_table = [
+        [(1 << j, (1 << j) - 1, j, off[j][k], [(l, -v) for l, v in off[j][k]])
+         for j in range(n) if off[j][k]]
+        for k in range(m)
+    ]
+    # The c that can carry a diagonal coefficient in column k: R_c[k, k],
+    # a twist (c in the complement) or some c_{ct}^t.
+    fixed = set(g.complement).union(*lam)
+    diag_cs = [sorted(fixed.union(r_diag[k])) for k in range(m)]
+    # beta of a mask, interned: part_of[mask] is an id into parts. With t
+    # the top bit, beta[mask] = beta[mask without t] + lam[t], each (id, t)
+    # sum formed once. Only the bits t with some lam[t] are kept in a mask.
+    lam_bits = sum(1 << t for t in range(n) if lam[t])
+    parts: list[tuple[GaussianRational, ...]] = [(ZERO,) * n]
+    part_ids = {parts[0]: 0}
+    part_of = {0: 0}
+    steps: dict[tuple[int, int], int] = {}
 
-    def action_table(aid: int, k: int) -> list:
-        # (bit j, bits below j, terms, negated terms) for each j with
-        # rho_mu(X_j) e_k != 0; only the diagonal depends on mu.
-        table = tables[(aid, k)] = []
-        for j, mu in enumerate(actions[aid].mu_at):
-            d = diag[j][k]
-            if mu:
-                d = mu if d is None else (d + mu) or None
-            column = off[j][k] if d is None else sorted(off[j][k] + [(k, d)])
-            if column:
-                table.append((1 << j, (1 << j) - 1, column, [(l, -v) for l, v in column]))
-        return table
+    def part(mask: int) -> int:
+        pid = part_of.get(mask)
+        if pid is None:
+            top = mask.bit_length() - 1
+            base = part(mask ^ 1 << top)
+            pid = steps.get((base, top))
+            if pid is None:
+                vec = list(parts[base])
+                for c, (v, _) in lam[top].items():
+                    vec[c] = vec[c] + v if vec[c] else v
+                pid = steps[(base, top)] = part_ids.setdefault(tuple(vec), len(parts))
+                if pid == len(parts):
+                    parts.append(tuple(vec))
+            part_of[mask] = pid
+        return pid
+
+    shifts: dict[tuple[int, int], list[tuple[int, GaussianRational]]] = {}
+    diagonals: dict[tuple[int, int, int], list] = {}
+
+    def diagonal(aid: int, k: int, pid: int) -> list:
+        # (bit c, bits below c, coeff, -coeff, c, R_c[k, k] + mu(X_c)) for
+        # each c whose diagonal coefficient is nonzero, before the sign s.
+        shift = shifts.get((aid, k))
+        if shift is None:
+            mu_at = actions[aid].mu_at
+            shift = shifts[(aid, k)] = []
+            for c in diag_cs[k]:
+                mu, r = mu_at[c], r_diag[k].get(c)
+                shift.append((c, mu if r is None else r + mu if mu else r))
+        part_c = parts[pid]
+        out = diagonals[(aid, k, pid)] = []
+        for c, a in shift:
+            total = a - part_c[c] if part_c[c] else a
+            if total:
+                out.append((1 << c, (1 << c) - 1, total, -total, c, a))
+        return out
+
+    def place(mask: int, c: int, a: GaussianRational, k: int) -> tuple:
+        # The running sum at (mask + c, k) starts at a, the action part, and
+        # the bracket terms of t in mask subtract lam[t][c] in ascending t.
+        # It last turns nonzero at the largest such t whose partial sum
+        # below t equals a, or else at the action term.
+        for t in reversed(range(n)):
+            if mask >> t & 1 and c in lam[t]:
+                if parts[part(mask & lam_bits & (1 << t) - 1)][c] == a:
+                    return lam[t][c][1]
+        return (0, c, k)
 
     def kernel(column_action: dict[int, int], p: int) -> dict[tuple[int, int], GaussianRational]:
         subsets, masks = degree_basis(n, p), degree_masks(n, p)
@@ -156,38 +234,46 @@ def ce_kernel(
             ipos, k = divmod(col, m)
             mask = masks[ipos]
             if ipos != last:
-                # d(x_I) = sum_t (-1)^{pos(t, I)} dx_t ^ x_{I - t}, for every k.
+                # d(x_I) = sum_t (-1)^{pos(t, I)} dx_t ^ x_{I - t}, for every
+                # k; here only its terms off the diagonal.
                 last = ipos
+                pid = part(mask & lam_bits)
                 brackets = []
                 for pos_t, t in enumerate(subsets[ipos]):
-                    rest = mask ^ 1 << t
-                    for ab, below_a, below_b, c, neg in dx[t]:
-                        if not rest & ab:
-                            odd = pos_t + (rest & below_b).bit_count() + (rest & below_a).bit_count()
-                            brackets.append(((rest | ab) * m, neg if odd & 1 else c))
-            table = tables.get((aid, k))
-            if table is None:
-                table = action_table(aid, k)
-            # Action terms: insert x_j (sign: members below j), apply
-            # rho(X_j). Their keys are distinct, so none cancels yet.
-            acc: dict[int, GaussianRational] = {}
-            for bit, below, terms, negated in table:
+                    if dx[t]:
+                        rest = mask ^ 1 << t
+                        for ab, below_a, below_b, c, neg, order in dx[t]:
+                            if not rest & ab:
+                                odd = pos_t + (rest & below_b).bit_count() + (rest & below_a).bit_count()
+                                brackets.append((target[rest | ab] * m, neg if odd & 1 else c, order))
+            diag = diagonals.get((aid, k, pid))
+            if diag is None:
+                diag = diagonal(aid, k, pid)
+            live = [d for d in diag if not mask & d[0]] if diag else diag
+            if not live:
+                for bit, below, j, column, negated in off_table[k]:
+                    if not mask & bit:
+                        base = target[mask | bit] * m
+                        for l, v in negated if (mask & below).bit_count() & 1 else column:
+                            entries[(base + l, col)] = v
+                for base, v, _ in brackets:
+                    entries[(base + k, col)] = v
+                continue
+            # Action terms: insert x_j (sign: members below j), apply R_j.
+            terms = []
+            for bit, below, j, column, negated in off_table[k]:
                 if not mask & bit:
-                    base = (mask | bit) * m
-                    for l, v in negated if (mask & below).bit_count() & 1 else terms:
-                        acc[base + l] = v
-            # Bracket terms, keyed mask * m + k; a sum that cancels is deleted.
-            for base, v in brackets:
-                prev = acc.get(base + k)
-                if prev is None:
-                    acc[base + k] = v
-                elif total := prev + v:
-                    acc[base + k] = total
-                else:
-                    del acc[base + k]
-            for key, v in acc.items():
-                J, l = divmod(key, m)
-                entries[(target[J] * m + l, col)] = v
+                    base = target[mask | bit] * m
+                    for l, v in negated if (mask & below).bit_count() & 1 else column:
+                        terms.append(((0, j, l), base + l, v))
+            # Diagonal entries, merged into term order.
+            terms += [(order, base + k, v) for base, v, order in brackets]
+            for bit, below, total, neg, c, a in live:
+                v = neg if (mask & below).bit_count() & 1 else total
+                terms.append((place(mask, c, a, k), target[mask | bit] * m + k, v))
+            terms.sort()
+            for _, row, v in terms:
+                entries[(row, col)] = v
         return entries
 
     return kernel

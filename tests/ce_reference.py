@@ -1,21 +1,27 @@
-"""Tuple-sorting reference for the differential kernel cecomplex.ce_kernel.
+"""References for the differential kernel cecomplex.ce_kernel.
 
-This is the insertion formula written directly on sorted index tuples,
-one column and one term at a time, with wedge signs counted by
-comparison and rho read entry by entry through apply_entry. The package
-kernel works on bitmasks, a whole degree at once; tests require the two
-to agree exactly. ce_differential is the kernel's whole degree in one
-module, as a matrix, for tests that take plain twisted complexes.
+reference_ce_kernel is the bitmask kernel that forms every term of
+every column, diagonal ones included, and lets the sums cancel; the
+package kernel forms only the off-diagonal terms and reads each
+column's diagonal coefficients from tables, and tests require the two
+to give the same entries in the same order. reference_ce_image is the
+insertion formula written directly on sorted index tuples, one column
+and one term at a time, with wedge signs counted by comparison and rho
+read entry by entry through apply_entry. ce_differential is the
+kernel's whole degree in one module, as a matrix, for tests that take
+plain twisted complexes.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 from solvcohom.cecomplex import (
     ModuleAction,
     _one_form_differentials,
     ce_kernel,
     degree_basis,
+    degree_masks,
+    mask_position,
     module_basis_names,
     subset_position,
 )
@@ -24,6 +30,97 @@ from solvcohom.liealg import LieAlgebraData, RepresentationData
 from solvcohom.linalg import ExactMatrix
 from solvcohom.scalars import GaussianRational
 from solvcohom.weights import WeightAssignment, format_weight
+
+
+def reference_ce_kernel(
+    g: LieAlgebraData, actions: Sequence[ModuleAction]
+) -> Callable[[dict[int, int], int], dict[tuple[int, int], GaussianRational]]:
+    """d with coefficients in twisted modules sharing one representation.
+
+    kernel(column_action, p) gives the nonzero entries {(row, col): coeff}
+    of d from degree p to p+1 on the columns in column_action only, column
+    (I, k) taken in the module actions[column_action[col]]. Entries come
+    column by column in the map's order, each in term order: action terms
+    (j, then l), then bracket terms (t, a, b).
+    """
+    n = g.dim
+    m = actions[0].m if actions else 0
+    # Per t: (bits of a and b, bits below a, bits below b, coeff, -coeff).
+    # Inserting b then a into rest passes the members of rest below each;
+    # b never counts against a because a < b.
+    dx = [
+        [(1 << a | 1 << b, (1 << a) - 1, (1 << b) - 1, c, -c) for a, b, c in terms]
+        for terms in _one_form_differentials(g).values()
+    ]
+    # R_j e_k off the diagonal and R_j[k, k], read from the sparse rows.
+    off = [[[] for _ in range(m)] for _ in range(n)]
+    diag: list[list[Optional[GaussianRational]]] = [[None] * m for _ in range(n)]
+    for j, R in enumerate(actions[0].matrices if actions else ()):
+        for l, row in enumerate(R.row_maps):
+            for k, v in row.items():
+                if k == l:
+                    diag[j][k] = v
+                else:
+                    off[j][k].append((l, v))
+    tables: dict[tuple[int, int], list] = {}
+
+    def action_table(aid: int, k: int) -> list:
+        # (bit j, bits below j, terms, negated terms) for each j with
+        # rho_mu(X_j) e_k != 0; only the diagonal depends on mu.
+        table = tables[(aid, k)] = []
+        for j, mu in enumerate(actions[aid].mu_at):
+            d = diag[j][k]
+            if mu:
+                d = mu if d is None else (d + mu) or None
+            column = off[j][k] if d is None else sorted(off[j][k] + [(k, d)])
+            if column:
+                table.append((1 << j, (1 << j) - 1, column, [(l, -v) for l, v in column]))
+        return table
+
+    def kernel(column_action: dict[int, int], p: int) -> dict[tuple[int, int], GaussianRational]:
+        subsets, masks = degree_basis(n, p), degree_masks(n, p)
+        target = mask_position(n, p + 1)
+        entries: dict[tuple[int, int], GaussianRational] = {}
+        last = None
+        for col, aid in column_action.items():
+            ipos, k = divmod(col, m)
+            mask = masks[ipos]
+            if ipos != last:
+                # d(x_I) = sum_t (-1)^{pos(t, I)} dx_t ^ x_{I - t}, for every k.
+                last = ipos
+                brackets = []
+                for pos_t, t in enumerate(subsets[ipos]):
+                    rest = mask ^ 1 << t
+                    for ab, below_a, below_b, c, neg in dx[t]:
+                        if not rest & ab:
+                            odd = pos_t + (rest & below_b).bit_count() + (rest & below_a).bit_count()
+                            brackets.append(((rest | ab) * m, neg if odd & 1 else c))
+            table = tables.get((aid, k))
+            if table is None:
+                table = action_table(aid, k)
+            # Action terms: insert x_j (sign: members below j), apply
+            # rho(X_j). Their keys are distinct, so none cancels yet.
+            acc: dict[int, GaussianRational] = {}
+            for bit, below, terms, negated in table:
+                if not mask & bit:
+                    base = (mask | bit) * m
+                    for l, v in negated if (mask & below).bit_count() & 1 else terms:
+                        acc[base + l] = v
+            # Bracket terms, keyed mask * m + k; a sum that cancels is deleted.
+            for base, v in brackets:
+                prev = acc.get(base + k)
+                if prev is None:
+                    acc[base + k] = v
+                elif total := prev + v:
+                    acc[base + k] = total
+                else:
+                    del acc[base + k]
+            for key, v in acc.items():
+                J, l = divmod(key, m)
+                entries[(target[J] * m + l, col)] = v
+        return entries
+
+    return kernel
 
 
 def apply_entry(action: ModuleAction, j: int, l: int, k: int) -> GaussianRational:

@@ -8,7 +8,13 @@ blocks are subcomplexes, and the zero tag passes every triviality test.
 from fractions import Fraction
 
 import pytest
-from ce_reference import ce_differential, kernel_column, kernel_columns, reference_ce_image
+from ce_reference import (
+    ce_differential,
+    kernel_column,
+    kernel_columns,
+    reference_ce_image,
+    reference_ce_kernel,
+)
 from conftest import (
     INSTANCE_DIR,
     kept_indices,
@@ -36,6 +42,7 @@ from solvcohom import (
     select_dolbeault,
     trivial_representation,
 )
+from solvcohom.cecomplex import ce_kernel
 from solvcohom.instances import (
     build_representation,
     build_weight_assignment,
@@ -44,7 +51,7 @@ from solvcohom.instances import (
 from solvcohom.liealg import RepresentationData, validate_representation
 from solvcohom.linalg import ExactMatrix
 from solvcohom.periods import PeriodValue, SymbolTable
-from solvcohom.scalars import MINUS_ONE, ONE, ZERO, GaussianRational
+from solvcohom.scalars import I, MINUS_ONE, ONE, ZERO, GaussianRational, gauss
 from solvcohom.weights import WeightAssignment, weight_sort_key
 
 small_fractions = st.fractions(
@@ -165,6 +172,93 @@ def test_ce_differential_columns_equal_reference(name, data):
         for k in range(rep.m)
     ]
     assert kernel_columns(g, action, p) == expected
+
+
+# Small values, so that a twist often equals a partial sum of c_{ct}^t.
+_TWIST_VALUES = st.sampled_from((ZERO, ONE, MINUS_ONE, gauss(2), gauss(-2), I, gauss(1, 1)))
+
+# split_3d plus a central complement direction e4: a twist at X_e4 is a
+# diagonal coefficient with no R or bracket term beside it.
+# split_5d: e1 acts on e2, e3, e4 by 1, -1, 1 and e5 on e3 by 1. In column
+# e2*^e3*^e4*, the diagonal coefficient at e1*^e2*^e3*^e4* sums three
+# bracket terms, whose partial sums return to the action part more than
+# once when that part is 0 or 1, and the one at e2*^e3*^e4*^e5* can sit
+# between them, at its bracket term t = e3.
+_KERNEL_ALGEBRAS = {
+    **ALGEBRAS,
+    "split_3d+line": LieAlgebraData(
+        dim=4,
+        basis=("e1", "e2", "e3", "e4"),
+        brackets=[(0, 1, 1, ONE), (0, 2, 2, MINUS_ONE)],
+        nilradical=[1, 2],
+        complement=[0, 3],
+    ),
+    "split_5d": LieAlgebraData(
+        dim=5,
+        basis=("e1", "e2", "e3", "e4", "e5"),
+        brackets=[(0, 1, 1, ONE), (0, 2, 2, MINUS_ONE), (0, 3, 3, ONE), (4, 2, 2, ONE)],
+        nilradical=[1, 2, 3],
+        complement=[0, 4],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_ALGEBRAS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_ce_kernel_entries_equal_bitmask_reference(name, data):
+    # The kernel forms only off-diagonal terms and reads each diagonal
+    # coefficient from tables; the reference forms every term and lets
+    # the sums cancel. The entries must agree, dict item order included,
+    # on a drawn subset of a degree's columns in drawn order, twice from
+    # one kernel (the second call reads the filled tables). Twists: one
+    # for every column, as ce_differential uses; one of a few drawn ones
+    # per column; each column's own tag, as build_invariant_complex uses,
+    # whose diagonal coefficients all vanish; or that tag shifted by a
+    # drawn covector, which is not the ad/R diagonal.
+    g = _KERNEL_ALGEBRAS[name]
+    rep = data.draw(st.sampled_from([trivial_representation, adjoint_representation]))(g)
+    p = data.draw(st.integers(0, g.dim - 1), label="p")
+    rng = data.draw(st.randoms(use_true_random=False))
+    columns = list(range(len(degree_basis(g.dim, p)) * rep.m))
+    if data.draw(st.booleans(), label="subset"):
+        columns = rng.sample(columns, rng.randint(0, len(columns)))
+    covector = st.tuples(*[_TWIST_VALUES] * len(g.complement))
+    mode = data.draw(st.sampled_from(("fixed", "drawn", "own tag", "shifted tag")), label="mode")
+    if mode in ("fixed", "drawn"):
+        count = 1 if mode == "fixed" else data.draw(st.integers(2, 3), label="count")
+        twists = [data.draw(covector, label="twist") for _ in range(count)]
+        column_action = {c: rng.randrange(count) for c in columns}
+    else:
+        ic = build_invariant_complex(g, rep, infer_weights(g, rep))
+        shift = data.draw(covector, label="shift") if mode == "shifted tag" else None
+        twists = [
+            tag if shift is None else tuple(x + y for x, y in zip(tag, shift))
+            for tag in ic.tag_table
+        ]
+        column_action = {c: ic.tag_ids[p][c] for c in columns}
+    actions = [ModuleAction(g, rep, twist) for twist in twists]
+    expected = list(reference_ce_kernel(g, actions)(column_action, p).items())
+    kernel = ce_kernel(g, actions)
+    assert list(kernel(column_action, p).items()) == expected
+    assert list(kernel(column_action, p).items()) == expected
+
+
+def test_ce_kernel_places_a_diagonal_where_its_sum_last_turned_nonzero():
+    # Column e2*^e3*^e4* with no twist: at e1*^e2*^e3*^e4* the running sum
+    # of the bracket terms (t = e2, e3, e4) is 0, -1, 0, -1, so the entry
+    # last turns nonzero at t = e4, after the entry at e2*^e3*^e4*^e5*
+    # (its only term is at t = e3), not at its first term.
+    g = _KERNEL_ALGEBRAS["split_5d"]
+    actions = [ModuleAction(g, trivial_representation(g), (ZERO, ZERO))]
+    column_action = {degree_basis(5, 3).index((1, 2, 3)): 0}
+    entries = ce_kernel(g, actions)(column_action, 3)
+    rows = degree_basis(5, 4)
+    assert [(rows[r], v) for (r, _), v in entries.items()] == [
+        ((1, 2, 3, 4), ONE),
+        ((0, 1, 2, 3), MINUS_ONE),
+    ]
+    assert list(entries.items()) == list(reference_ce_kernel(g, actions)(column_action, 3).items())
 
 
 @settings(max_examples=40, deadline=None)

@@ -40,7 +40,7 @@ from solvcohom.cecomplex import degree_basis, module_basis_names
 from solvcohom.errors import WeightGradingError, WeightInferenceError
 from solvcohom.liealg import LieAlgebraData, RepresentationData
 from solvcohom.linalg import ExactMatrix
-from solvcohom.scalars import I, MINUS_ONE, ONE, ZERO, gauss
+from solvcohom.scalars import I, MINUS_ONE, ONE, ZERO, GaussianRational, gauss
 from solvcohom.weights import (
     WeightAssignment,
     format_weight,
@@ -322,6 +322,47 @@ def test_weight_grading_witness_is_a_bracket_term(split_3d):
     )
 
 
+def _split_6d_witness(v1, v5, v6):
+    # split_6d with trivial coefficients and explicit algebra weights: the
+    # given ones for v1, v5 and v6, the ad diagonals for the rest. The
+    # tag of v1* is lambda_{v1}, so column (v1*, 1) has the diagonal
+    # coefficient +-(lambda_{v1}(X_{v5}) - c_{v5,v1}^{v1}) at v1*^v5*,
+    # whose tag moves by lambda_{v5}.
+    g = make_split_6d()
+    rep = trivial_representation(g)
+    alg = [v1, (ZERO, ONE), (MINUS_ONE, ZERO), (ZERO, MINUS_ONE), v5, v6]
+    return g, rep, WeightAssignment(alg, ((ZERO, ZERO),), g.complement)
+
+
+def test_weight_grading_witness_is_a_diagonal_with_an_action_part():
+    # lambda_{v1}(X_{v5}) = 2 against c_{v5,v1}^{v1} = 1: the coefficient
+    # at v1*^v5* is nonzero and sits at its action term (j = v5), ahead
+    # of the violation at v1*^v6* (action part lambda_{v1}(X_{v6}) = 1, no
+    # bracket part), which it would follow from a bracket term's place.
+    g, rep, w = _split_6d_witness((gauss(2), ONE), (ONE, ZERO), (ZERO, ONE))
+    with pytest.raises(WeightGradingError) as excinfo:
+        build_invariant_complex(g, rep, w)
+    assert str(excinfo.value) == (
+        "weight grading violated: d(v1* (x) 1) hits v1*^v5* (x) 1 "
+        "across tags (2, 1) -> (3, 1); invalid weight data"
+    )
+    assert _grading_verdict(reference_grading_check, g, rep, w) == str(excinfo.value)
+
+
+def test_weight_grading_witness_is_a_diagonal_with_no_action_part():
+    # lambda_{v1}(X_{v5}) = 0, so the coefficient at v1*^v5* is the bracket
+    # part -c_{v5,v1}^{v1} alone, placed at its bracket term, after the
+    # action terms of column (v1*, 1); v1*^v6* now holds no coefficient.
+    g, rep, w = _split_6d_witness((ZERO, ZERO), (ONE, ZERO), (ZERO, ONE))
+    with pytest.raises(WeightGradingError) as excinfo:
+        build_invariant_complex(g, rep, w)
+    assert str(excinfo.value) == (
+        "weight grading violated: d(v1* (x) 1) hits v1*^v5* (x) 1 "
+        "across tags (0, 0) -> (1, 0); invalid weight data"
+    )
+    assert _grading_verdict(reference_grading_check, g, rep, w) == str(excinfo.value)
+
+
 _WITNESS_REP = RepresentationData(
     2,
     (
@@ -425,6 +466,29 @@ def test_invariant_differentials_equal_column_reference(name):
         w = build_weight_assignment(inst, rep)
     ic = build_invariant_complex(g, rep, w)
     assert list(ic.complex.differentials) == reference_invariant_differentials(g, rep, w)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in INSTANCE_DIR.glob("*.json")))
+def test_second_kernel_pass_adds_no_scalars(name, monkeypatch):
+    # A work guard that needs no clock. Off the diagonal every entry is a
+    # single term, and each diagonal coefficient comes from tables the
+    # first pass fills, so a second pass over every column of every
+    # degree makes no scalar addition or subtraction.
+    inst = load_instance(str(INSTANCE_DIR / f"{name}.json"))
+    g, rep = inst.algebra, build_representation(inst)
+    ic = build_invariant_complex(g, rep, build_weight_assignment(inst, rep))
+    columns = [dict(enumerate(ids)) for ids in ic.tag_ids[:-1]]
+    first = [ic.kernel(cols, p) for p, cols in enumerate(columns)]
+    calls = []
+    for method in ("__add__", "__sub__"):
+        original = getattr(GaussianRational, method)
+        monkeypatch.setattr(
+            GaussianRational, method, lambda a, b, f=original: calls.append(a) or f(a, b)
+        )
+    second = [ic.kernel(cols, p) for p, cols in enumerate(columns)]
+    monkeypatch.undo()
+    assert len(calls) == 0
+    assert [list(e.items()) for e in second] == [list(e.items()) for e in first]
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in INSTANCE_DIR.glob("*.json")))
