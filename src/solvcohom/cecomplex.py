@@ -250,6 +250,9 @@ def ce_kernel(
             if diag is None:
                 diag = diagonal(aid, k, pid)
             live = [d for d in diag if not mask & d[0]] if diag else diag
+            # Action terms (insert x_j, sign: members below j; apply R_j),
+            # then bracket terms. No two share a key, so with no diagonal
+            # entry they are stored as they come.
             if not live:
                 for bit, below, j, column, negated in off_table[k]:
                     if not mask & bit:
@@ -259,14 +262,13 @@ def ce_kernel(
                 for base, v, _ in brackets:
                     entries[(base + k, col)] = v
                 continue
-            # Action terms: insert x_j (sign: members below j), apply R_j.
+            # Otherwise every term gets its place, and all are sorted.
             terms = []
             for bit, below, j, column, negated in off_table[k]:
                 if not mask & bit:
                     base = target[mask | bit] * m
                     for l, v in negated if (mask & below).bit_count() & 1 else column:
                         terms.append(((0, j, l), base + l, v))
-            # Diagonal entries, merged into term order.
             terms += [(order, base + k, v) for base, v, order in brackets]
             for bit, below, total, neg, c, a in live:
                 v = neg if (mask & below).bit_count() & 1 else total

@@ -181,8 +181,8 @@ _TWIST_VALUES = st.sampled_from((ZERO, ONE, MINUS_ONE, gauss(2), gauss(-2), I, g
 # diagonal coefficient with no R or bracket term beside it.
 # split_5d: e1 acts on e2, e3, e4 by 1, -1, 1 and e5 on e3 by 1. In column
 # e2*^e3*^e4*, the diagonal coefficient at e1*^e2*^e3*^e4* sums three
-# bracket terms, whose partial sums return to the action part more than
-# once when that part is 0 or 1, and the one at e2*^e3*^e4*^e5* can sit
+# bracket terms, whose partial sums return to the action part twice
+# when that part is 0, and the one at e2*^e3*^e4*^e5* can sit
 # between them, at its bracket term t = e3.
 _KERNEL_ALGEBRAS = {
     **ALGEBRAS,
