@@ -108,46 +108,152 @@ def test_inferred_weights_off_the_eigenvalues_fail_the_grading_check(tmp_path, c
     )
 
 
+# The line: one complement direction t, ad(t) = 0.
+LINE = {"dim": 1, "basis": ["t"], "brackets": [], "nilradical": [], "complement": ["t"]}
+# [t, x] = x: ad(t) is diagonal, with x of weight 1.
+AFFINE = {"dim": 2, "basis": ["t", "x"], "brackets": [["t", "x", "x", "1"]],
+          "nilradical": ["x"], "complement": ["t"]}
+# [t, x] = y, [t, y] = -x: ad(t) is a rotation, zero on the diagonal and
+# not nilpotent, so the basis is not adapted.
+ROTATION = {"dim": 3, "basis": ["t", "x", "y"],
+            "brackets": [["t", "x", "y", "1"], ["t", "y", "x", "-1"]],
+            "nilradical": ["x", "y"], "complement": ["t"]}
+# R(t) = [[1, 1], [-1, 0]]: diagonal (1, 0), and R(t) minus it is a rotation.
+TILTED = [["1", "1"], ["-1", "0"]]
+ZERO_WEIGHTS = [{"t": "0"}, {"t": "0"}]
+
+
+def _t_doc(algebra, representation, weights):
+    return {
+        "name": "t-module",
+        "kind": "derham",
+        "algebra": algebra,
+        "representation": representation,
+        "weights": weights,
+        "lattice": {"symbols": [], "generators": [{"t": "1"}]},
+    }
+
+
+def _validate_issues(doc, tmp_path, capsys):
+    """validate's exit code, stdout and --json issue list on doc."""
+    path = tmp_path / "t-module.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "v.json"
+    code = run(["validate", str(path), "--json", str(out)])
+    payload = json.loads(out.read_text())
+    assert {k: payload[k] for k in ("command", "instance", "ok")} == {
+        "command": "validate", "instance": "t-module", "ok": code == 0,
+    }
+    return code, capsys.readouterr().out, payload["issues"]
+
+
 @pytest.mark.parametrize(
-    "matrix,code,message",
+    "algebra,matrix,code,message",
     [
         (
+            LINE,
             [["1", "1", "1"], ["-1", "2", "0"], ["1", "0", "3"]],
             "weight-grading",
             "weight grading violated: d(1 (x) u1) hits t* (x) u2 "
             "across tags (-1) -> (-2); invalid weight data",
         ),
         (
+            LINE,
             [["0", "1"], ["1", "0"]],
             "weight-inference",
             "R(t) minus its diagonal is not nilpotent; "
             "supply an adapted basis or explicit weights",
         ),
+        (
+            ROTATION,
+            [["0"]],
+            "weight-inference",
+            "ad(t) minus its diagonal is not nilpotent; "
+            "supply an adapted basis or explicit weights",
+        ),
     ],
 )
-def test_validate_reports_weights_the_build_refuses(matrix, code, message, tmp_path, capsys):
-    doc = {
-        "name": "t-module",
-        "kind": "derham",
-        "algebra": {"dim": 1, "basis": ["t"], "brackets": [], "nilradical": [],
-                    "complement": ["t"]},
-        "representation": {"dim": len(matrix), "matrices": {"t": matrix}},
-        "weights": {"infer": True},
-        "lattice": {"symbols": [], "generators": [{"t": "1"}]},
-    }
-    path = tmp_path / "t-module.json"
-    path.write_text(json.dumps(doc))
-    out = tmp_path / "v.json"
-    assert run(["validate", str(path), "--json", str(out)]) == 1
-    assert capsys.readouterr().out == (
-        f"instance 't-module': 1 issue(s)\n  [{code}] {message}\n"
+def test_validate_reports_weights_the_build_refuses(
+    algebra, matrix, code, message, tmp_path, capsys
+):
+    doc = _t_doc(
+        algebra, {"dim": len(matrix), "matrices": {"t": matrix}}, {"infer": True}
     )
-    assert json.loads(out.read_text()) == {
-        "command": "validate",
-        "instance": "t-module",
-        "ok": False,
-        "issues": [{"code": code, "message": message, "witness": []}],
-    }
+    assert _validate_issues(doc, tmp_path, capsys) == (
+        1,
+        f"instance 't-module': 1 issue(s)\n  [{code}] {message}\n",
+        [{"code": code, "message": message, "witness": []}],
+    )
+
+
+AD_DIAGONAL = ("weights-ad-diagonal", "algebra weights disagree with the diagonal of ad(t)")
+AD_RESIDUE = ("weights-ad-residue", "ad(t) minus its diagonal is not nilpotent")
+REP_DIAGONAL = ("weights-rep-diagonal", "rep weights disagree with the diagonal of R(t)")
+REP_RESIDUE = ("weights-rep-residue", "R(t) minus its diagonal is not nilpotent")
+
+
+@pytest.mark.parametrize(
+    "doc,issues",
+    [
+        (
+            _t_doc(AFFINE, {"trivial": True}, {"algebra": {"x": {"t": "2"}}}),
+            [AD_DIAGONAL],
+        ),
+        (
+            _t_doc(ROTATION, {"trivial": True}, {"algebra": {}}),
+            [AD_RESIDUE],
+        ),
+        (
+            _t_doc(
+                LINE,
+                {"dim": 2, "matrices": {"t": TILTED}},
+                {"algebra": {}, "representation": ZERO_WEIGHTS},
+            ),
+            [REP_DIAGONAL, REP_RESIDUE],
+        ),
+        (
+            _t_doc(
+                LINE,
+                {"dim": 2, "matrices": {"t": TILTED}, "weights": ZERO_WEIGHTS},
+                {"infer": True},
+            ),
+            [("rep-weight-diagonal", "diagonal of R(t) disagrees with declared weights")],
+        ),
+        (
+            _t_doc(
+                LINE,
+                {"dim": 2, "matrices": {"t": [["0", "1"], ["1", "0"]]},
+                 "weights": ZERO_WEIGHTS},
+                {"infer": True},
+            ),
+            [("rep-weight-residue", "R(t) minus its declared diagonal is not nilpotent")],
+        ),
+        (
+            _t_doc(
+                ROTATION,
+                {"dim": 2, "matrices": {"t": TILTED}},
+                {"algebra": {"x": {"t": "1"}}, "representation": ZERO_WEIGHTS},
+            ),
+            [AD_DIAGONAL, AD_RESIDUE, REP_DIAGONAL, REP_RESIDUE],
+        ),
+    ],
+    ids=[
+        "ad-diagonal",
+        "ad-residue",
+        "rep-diagonal-and-residue",
+        "declared-rep-diagonal",
+        "declared-rep-residue",
+        "four-issues-in-order",
+    ],
+)
+def test_validate_pins_every_weight_issue(doc, issues, tmp_path, capsys):
+    # Every witness is the basis index of t, which is 0.
+    assert _validate_issues(doc, tmp_path, capsys) == (
+        1,
+        f"instance 't-module': {len(issues)} issue(s)\n"
+        + "".join(f"  [{code}] {message}\n" for code, message in issues),
+        [{"code": code, "message": message, "witness": [0]} for code, message in issues],
+    )
 
 
 def test_kind_command_mismatch(capsys):
