@@ -9,12 +9,13 @@ Structural problems raise InstanceParseError (CLI exit code 2): among
 them a file that is not UTF-8, JSON nested too deeply to parse, a
 number with more digits than Python converts to an integer, every
 key that names no basis vector, a flag ("trivial", "adjoint", "infer")
-that is not a JSON boolean, a bracket entry [x, y, z, c] whose (x, y, z)
-repeats an earlier one, and a representation weight list whose length
-is not the module dimension. Mathematical violations are reported by
-validate_instance (exit code 1). The package only reads instance files;
-the canonical writer that the shipped files are checked against is a
-test reference (tests/emit_reference.py).
+that is not a JSON boolean, a dim given as true or false, a
+bracket entry [x, y, z, c] whose (x, y, z) repeats an earlier one, and
+a representation weight list whose length is not the module dimension.
+Mathematical violations are reported by validate_instance (exit code
+1). The package only reads instance files; the canonical writer that
+the shipped files are checked against is a test reference
+(tests/emit_reference.py).
 """
 from __future__ import annotations
 
@@ -143,7 +144,8 @@ def parse_instance(data: dict) -> InstanceFile:
     basis = tuple(
         str(b) for b in _expect_list(_expect(alg, "basis", "algebra"), "algebra basis")
     )
-    if not isinstance(dim, int) or len(basis) != dim:
+    # type(), not isinstance: JSON true is a bool, and bool is an int.
+    if type(dim) is not int or len(basis) != dim:
         raise InstanceParseError("algebra dim and basis list disagree")
     brackets = []
     seen = set()
@@ -206,7 +208,7 @@ def _parse_representation(data, g: LieAlgebraData) -> RepresentationSpec:
     if adjoint:
         return RepresentationSpec("adjoint", m=g.dim)
     m = _expect(data, "dim", "representation")
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise InstanceParseError("representation dim must be a positive integer")
     raw = _expect_object(data.get("matrices", {}), "representation matrices")
     for name in raw:
@@ -344,8 +346,6 @@ def build_weight_assignment(
     if rep_weights is None:
         if inst.representation.kind == "adjoint":
             rep_weights = spec.algebra
-        elif inst.representation.kind == "trivial":
-            rep_weights = (tuple(ZERO for _ in g.complement),)
         elif rep.rep_weights is not None:
             rep_weights = rep.rep_weights
         else:

@@ -53,7 +53,6 @@ class LieAlgebraData:
     __slots__ = (
         "dim",
         "basis",
-        "raw_brackets",
         "nilradical",
         "complement",
         "conjugation",
@@ -76,14 +75,11 @@ class LieAlgebraData:
         basis_t = tuple(basis)
         if len(basis_t) != dim or len(set(basis_t)) != dim:
             raise ValidationFailure("basis names must be distinct and match dim")
-        raw = tuple(
-            (int(i), int(j), int(k), c) for (i, j, k, c) in brackets
-        )
-        for i, j, k, _ in raw:
+        table: dict[tuple[int, int], dict[int, GaussianRational]] = {}
+        for i, j, k, c in brackets:
+            i, j, k = int(i), int(j), int(k)
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValidationFailure(f"bracket index out of range: {(i, j, k)}")
-        table: dict[tuple[int, int], dict[int, GaussianRational]] = {}
-        for i, j, k, c in raw:
             row = table.setdefault((i, j), {})
             acc = row.get(k, ZERO) + c
             if acc:
@@ -92,7 +88,6 @@ class LieAlgebraData:
                 row.pop(k, None)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis", basis_t)
-        object.__setattr__(self, "raw_brackets", raw)
         object.__setattr__(self, "nilradical", frozenset(int(i) for i in nilradical))
         object.__setattr__(self, "complement", tuple(sorted(int(i) for i in complement)))
         object.__setattr__(
@@ -450,9 +445,8 @@ def validate_representation(
     # Declared weights must sit on the matrix diagonals with nilpotent residue.
     if rep.rep_weights is not None:
         for pos, j in enumerate(g.complement):
-            mat = rep.matrices[j]
-            diag = [rep.rep_weights[k][pos] for k in range(rep.m)]
-            if any(mat.entry(k, k) != diag[k] for k in range(rep.m)):
+            diag, nilpotent = rep.matrices[j].split_diagonal()
+            if any(rep.rep_weights[k][pos] != d for k, d in enumerate(diag)):
                 issues.append(
                     ValidationIssue(
                         "rep-weight-diagonal",
@@ -460,9 +454,7 @@ def validate_representation(
                         (j,),
                     )
                 )
-                continue
-            residue = mat - _diagonal(diag)
-            if not residue.is_nilpotent():
+            elif not nilpotent:
                 issues.append(
                     ValidationIssue(
                         "rep-weight-residue",
@@ -472,9 +464,3 @@ def validate_representation(
                 )
     return ValidationReport(tuple(issues))
 
-
-def _diagonal(values: Sequence[GaussianRational]) -> ExactMatrix:
-    n = len(values)
-    return ExactMatrix.from_entries(
-        n, n, {(k, k): v for k, v in enumerate(values) if v}
-    )

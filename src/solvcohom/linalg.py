@@ -170,22 +170,25 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return not any(self.row_maps)
 
-    def power(self, k: int) -> "ExactMatrix":
-        if self.nrows != self.ncols:
-            raise ValueError("power of a non-square matrix")
-        result = ExactMatrix.identity(self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base_needed = k >> 1
-            if base_needed:
-                base = base @ base
-            k = base_needed
-        return result
-
     def is_nilpotent(self) -> bool:
-        return self.power(self.nrows).is_zero() if self.nrows else True
+        """Whether M^n = 0, n = nrows: M^(2^k) for 2^k > n, squared until zero."""
+        m = self
+        for _ in range(self.nrows.bit_length()):
+            if m.is_zero():
+                return True
+            m = m @ m
+        return m.is_zero()
+
+    def split_diagonal(self) -> tuple[list[GaussianRational], bool]:
+        """A square matrix's diagonal, and whether it minus its diagonal
+        is nilpotent: the split that weights are read from."""
+        diag = [row.get(i, ZERO) for i, row in enumerate(self.row_maps)]
+        residue = ExactMatrix._of(
+            self.nrows,
+            self.ncols,
+            ({j: a for j, a in row.items() if j != i} for i, row in enumerate(self.row_maps)),
+        )
+        return diag, residue.is_nilpotent()
 
     def _shape_check(self, other: "ExactMatrix"):
         if self.nrows != other.nrows or self.ncols != other.ncols:

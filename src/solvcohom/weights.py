@@ -115,12 +115,12 @@ def format_weight(w: Weight) -> str:
     return "(" + ", ".join(str(c) for c in w) + ")"
 
 
-def _diagonal_split(mat: ExactMatrix) -> tuple[list[GaussianRational], ExactMatrix]:
-    diag = [mat.entry(i, i) for i in range(mat.nrows)]
-    residue = mat - ExactMatrix.from_entries(
-        mat.nrows, mat.ncols, {(i, i): d for i, d in enumerate(diag) if d}
-    )
-    return diag, residue
+def _diagonal_splits(g: LieAlgebraData, rep: RepresentationData) -> list:
+    """Per complement index j, in order: ad(X_j) and R(X_j) split_diagonal."""
+    return [
+        (g.ad_matrix(j).split_diagonal(), rep.matrices[j].split_diagonal())
+        for j in g.complement
+    ]
 
 
 def infer_weights(g: LieAlgebraData, rep: RepresentationData) -> WeightAssignment:
@@ -131,73 +131,52 @@ def infer_weights(g: LieAlgebraData, rep: RepresentationData) -> WeightAssignmen
     weights. A non-nilpotent residue means the basis does not align the
     generalized eigenspaces and inference is refused.
     """
-    n_alg = [[ZERO] * len(g.complement) for _ in range(g.dim)]
-    n_rep = [[ZERO] * len(g.complement) for _ in range(rep.m)]
-    for pos, j in enumerate(g.complement):
-        diag, residue = _diagonal_split(g.ad_matrix(j))
-        if not residue.is_nilpotent():
-            raise WeightInferenceError(
-                f"ad({g.basis[j]}) minus its diagonal is not nilpotent; "
-                "supply an adapted basis or explicit weights"
-            )
-        for i in range(g.dim):
-            n_alg[i][pos] = diag[i]
-        diag_r, residue_r = _diagonal_split(rep.matrices[j])
-        if not residue_r.is_nilpotent():
-            raise WeightInferenceError(
-                f"R({g.basis[j]}) minus its diagonal is not nilpotent; "
-                "supply an adapted basis or explicit weights"
-            )
-        for k in range(rep.m):
-            n_rep[k][pos] = diag_r[k]
-    return WeightAssignment(n_alg, n_rep, g.complement)
+    splits = _diagonal_splits(g, rep)
+    for j, (ad, r) in zip(g.complement, splits):
+        for op, (_, nilpotent) in (("ad", ad), ("R", r)):
+            if not nilpotent:
+                raise WeightInferenceError(
+                    f"{op}({g.basis[j]}) minus its diagonal is not nilpotent; "
+                    "supply an adapted basis or explicit weights"
+                )
+    return WeightAssignment(
+        [[diag[i] for (diag, _), _ in splits] for i in range(g.dim)],
+        [[diag[k] for _, (diag, _) in splits] for k in range(rep.m)],
+        g.complement,
+    )
 
 
 def validate_weight_assignment(
     g: LieAlgebraData, rep: RepresentationData, w: WeightAssignment
 ) -> ValidationReport:
     """Diagonal match plus nilpotent residues for ad and rep matrices."""
-    issues: list[ValidationIssue] = []
     if w.complement != g.complement:
-        issues.append(
-            ValidationIssue("weights-complement", "weight complement order mismatch")
+        return ValidationReport(
+            (ValidationIssue("weights-complement", "weight complement order mismatch"),)
         )
-        return ValidationReport(tuple(issues))
-    for pos, j in enumerate(g.complement):
-        diag, residue = _diagonal_split(g.ad_matrix(j))
-        if any(w.algebra_weights[i][pos] != diag[i] for i in range(g.dim)):
-            issues.append(
-                ValidationIssue(
-                    "weights-ad-diagonal",
-                    f"algebra weights disagree with the diagonal of ad({g.basis[j]})",
-                    (j,),
+    issues: list[ValidationIssue] = []
+    for pos, (j, (ad, r)) in enumerate(zip(g.complement, _diagonal_splits(g, rep))):
+        name = g.basis[j]
+        for side, owner, op, (diag, nilpotent), declared in (
+            ("ad", "algebra", "ad", ad, w.algebra_weights),
+            ("rep", "rep", "R", r, w.rep_weights),
+        ):
+            if any(declared[i][pos] != d for i, d in enumerate(diag)):
+                issues.append(
+                    ValidationIssue(
+                        f"weights-{side}-diagonal",
+                        f"{owner} weights disagree with the diagonal of {op}({name})",
+                        (j,),
+                    )
                 )
-            )
-        if not residue.is_nilpotent():
-            issues.append(
-                ValidationIssue(
-                    "weights-ad-residue",
-                    f"ad({g.basis[j]}) minus its diagonal is not nilpotent",
-                    (j,),
+            if not nilpotent:
+                issues.append(
+                    ValidationIssue(
+                        f"weights-{side}-residue",
+                        f"{op}({name}) minus its diagonal is not nilpotent",
+                        (j,),
+                    )
                 )
-            )
-        diag_r, residue_r = _diagonal_split(rep.matrices[j])
-        if any(w.rep_weights[k][pos] != diag_r[k] for k in range(rep.m)):
-            issues.append(
-                ValidationIssue(
-                    "weights-rep-diagonal",
-                    f"rep weights disagree with the diagonal of R({g.basis[j]})",
-                    (j,),
-                )
-            )
-        if not residue_r.is_nilpotent():
-            issues.append(
-                ValidationIssue(
-                    "weights-rep-residue",
-                    f"R({g.basis[j]}) minus its diagonal is not nilpotent",
-                    (j,),
-                )
-            )
     return ValidationReport(tuple(issues))
 
 
@@ -363,6 +342,9 @@ def restrict_complex(ic: InvariantComplex, tag_ids: Iterable[int]) -> FiniteComp
     differentials = []
     for p in range(len(keep) - 1):
         entries = _graded_entries(ic, {c: ic.tag_ids[p][c] for c in keep[p]}, p)
-        local = {(pos[p + 1][r], pos[p][c]): v for (r, c), v in entries.items()}
-        differentials.append(ExactMatrix.from_entries(dims[p + 1], dims[p], local))
+        # Kernel entries are nonzero, and graded ones land in the block.
+        rows: list[dict] = [{} for _ in range(dims[p + 1])]
+        for (r, c), v in entries.items():
+            rows[pos[p + 1][r]][pos[p][c]] = v
+        differentials.append(ExactMatrix._of(dims[p + 1], dims[p], rows))
     return FiniteComplex(dims, differentials)

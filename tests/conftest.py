@@ -9,6 +9,11 @@ INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 EXPECTED_DIR = INSTANCE_DIR / "expected"
 
 
+def bracket_entries(g):
+    """g's structure constants as (i, j, k, c) entries with i < j."""
+    return [(i, j, k, c) for (i, j), terms in g.bracket_table().items() for k, c in terms]
+
+
 def kept_indices(ic, sel):
     """Per degree, the basis indices of the tags a selection keeps."""
     return ic.indices_with_tag_ids(sel.kept)
@@ -74,8 +79,8 @@ def make_split_6d_plus_heisenberg():
     return LieAlgebraData(
         dim=s + split.dim,
         basis=heis.basis + split.basis,
-        brackets=list(heis.raw_brackets)
-        + [(i + s, j + s, k + s, c) for i, j, k, c in split.raw_brackets],
+        brackets=bracket_entries(heis)
+        + [(i + s, j + s, k + s, c) for i, j, k, c in bracket_entries(split)],
         nilradical=sorted(heis.nilradical) + [i + s for i in sorted(split.nilradical)],
         complement=[i + s for i in split.complement],
         conjugation={

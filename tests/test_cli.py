@@ -148,33 +148,33 @@ def _validate_issues(doc, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "algebra,matrix,code,message",
+    "matrix,code,message,algebra",
     [
         (
-            LINE,
             [["1", "1", "1"], ["-1", "2", "0"], ["1", "0", "3"]],
             "weight-grading",
             "weight grading violated: d(1 (x) u1) hits t* (x) u2 "
             "across tags (-1) -> (-2); invalid weight data",
+            LINE,
         ),
         (
-            LINE,
             [["0", "1"], ["1", "0"]],
             "weight-inference",
             "R(t) minus its diagonal is not nilpotent; "
             "supply an adapted basis or explicit weights",
+            LINE,
         ),
         (
-            ROTATION,
             [["0"]],
             "weight-inference",
             "ad(t) minus its diagonal is not nilpotent; "
             "supply an adapted basis or explicit weights",
+            ROTATION,
         ),
     ],
 )
 def test_validate_reports_weights_the_build_refuses(
-    algebra, matrix, code, message, tmp_path, capsys
+    matrix, code, message, algebra, tmp_path, capsys
 ):
     doc = _t_doc(
         algebra, {"dim": len(matrix), "matrices": {"t": matrix}}, {"infer": True}
@@ -348,6 +348,12 @@ PERIOD = ("lattice", "generators", 0, "e1")  # in example-7-2-pi
             "heisenberg3",
             _set(("algebra", "brackets"), [["x", "y", "z", "1"], ["x", "y", "z", "-1"]]),
         ),
+        (
+            "heisenberg3",
+            _set(("algebra",), {"dim": True, "basis": ["t"], "brackets": [],
+                                "nilradical": ["t"], "complement": []}),
+        ),
+        ("heisenberg3", _set(("representation",), {"dim": True, "matrices": {}})),
     ],
     ids=[
         "basis-int",
@@ -379,6 +385,8 @@ PERIOD = ("lattice", "generators", 0, "e1")  # in example-7-2-pi
         "infer-string",
         "infer-null",
         "brackets-repeated-entry",
+        "algebra-dim-true",
+        "representation-dim-true",
     ],
 )
 def test_malformed_instance_exits_two_without_traceback(name, mutate, tmp_path):

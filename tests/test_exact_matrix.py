@@ -5,7 +5,7 @@ compared with the same operation on dense Python lists, on sparse random
 matrices that include empty shapes.
 """
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from oracle_reference import reference_eliminate
 
@@ -119,16 +119,42 @@ def test_is_zero(case):
     assert ExactMatrix(nrows, ncols, rows).is_zero() == all(not x for r in rows for x in r)
 
 
-@given(st.data())
-def test_trace_and_power(data):
-    n = data.draw(dims)
-    rows = data.draw(dense(n, n))
-    m = ExactMatrix(n, n, rows)
-    k = data.draw(st.integers(min_value=0, max_value=4))
-    expected = ref_identity(n)
-    for _ in range(k):
-        expected = ref_matmul(expected, rows, n, n)
-    assert m.power(k) == ExactMatrix(n, n, expected)
+@st.composite
+def square(draw):
+    """(n, rows) for an n x n matrix, strictly upper triangular half the time."""
+    n = draw(dims)
+    rows = draw(dense(n, n))
+    if draw(st.booleans()):
+        rows = [[v if j > i else ZERO for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    return n, rows
+
+
+def ref_is_nilpotent(n, rows):
+    power = ref_identity(n)
+    for _ in range(n):
+        power = ref_matmul(power, rows, n, n)
+    return not any(any(row) for row in power)
+
+
+# Shifts of size 3 and 4 need two squarings; [[1, 1], [-1, -1]] is
+# nilpotent without being triangular.
+@example((3, [[ZERO, ONE, ZERO], [ZERO, ZERO, ONE], [ZERO, ZERO, ZERO]]))
+@example((4, [[ONE if j == i + 1 else ZERO for j in range(4)] for i in range(4)]))
+@example((2, [[ONE, ONE], [-ONE, -ONE]]))
+@given(square())
+def test_is_nilpotent_matches_the_dense_power(case):
+    n, rows = case
+    assert ExactMatrix(n, n, rows).is_nilpotent() == ref_is_nilpotent(n, rows)
+
+
+@given(square())
+def test_split_diagonal_matches_the_dense_residue(case):
+    n, rows = case
+    residue = [[ZERO if i == j else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    assert ExactMatrix(n, n, rows).split_diagonal() == (
+        [rows[i][i] for i in range(n)],
+        ref_is_nilpotent(n, residue),
+    )
 
 
 @given(st.integers(0, 4))

@@ -11,7 +11,7 @@ from solvcohom.liealg import lower_central_series_dims
 from solvcohom.linalg import ExactMatrix
 from solvcohom.scalars import MINUS_ONE, ONE, ZERO, gauss
 
-from conftest import make_heisenberg, make_split_3d, make_split_6d
+from conftest import bracket_entries, make_heisenberg, make_split_3d, make_split_6d
 
 
 def test_shipped_algebras_validate(heisenberg, split_3d, split_6d):
@@ -99,7 +99,7 @@ def test_conjugation_checks(split_6d):
     ident = LieAlgebraData(
         split_6d.dim,
         split_6d.basis,
-        split_6d.raw_brackets,
+        bracket_entries(split_6d),
         split_6d.nilradical,
         split_6d.complement,
         conjugation={0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5},
@@ -109,7 +109,7 @@ def test_conjugation_checks(split_6d):
     crossing = LieAlgebraData(
         split_6d.dim,
         split_6d.basis,
-        split_6d.raw_brackets,
+        bracket_entries(split_6d),
         split_6d.nilradical,
         split_6d.complement,
         conjugation={0: 4, 4: 0, 1: 1, 2: 2, 3: 3, 5: 5},
@@ -119,7 +119,7 @@ def test_conjugation_checks(split_6d):
     cycle = LieAlgebraData(
         split_6d.dim,
         split_6d.basis,
-        split_6d.raw_brackets,
+        bracket_entries(split_6d),
         split_6d.nilradical,
         split_6d.complement,
         conjugation={0: 1, 1: 2, 2: 0, 3: 3, 4: 4, 5: 5},
