@@ -19,11 +19,11 @@ twist touches, and the bracket terms c_{ab}^t with t not in {a, b},
 once per subset for all its columns (I, k). The diagonal coefficient at
 (I + c, k), where the twist, R_c[k, k] and the c_{ct}^t of t in I meet,
 is read from a table per (twist, k, bracket part), the bracket part
-summed once per subset bitmask. A column twisted by its own weight tag,
-as in the invariant complex, has every such coefficient zero when the
-weights are the diagonals of ad and R: the twist cancels the semisimple
-part of the action. The sum is computed all the same, so explicit
-weights and fixed twists stay exact.
+interned per subset bitmask by subset_sums. A column twisted by its own
+weight tag, as in the invariant complex, has every such coefficient zero
+when the weights are the diagonals of ad and R: the twist cancels the
+semisimple part of the action. The sum is computed all the same, so
+explicit weights and fixed twists stay exact.
 """
 from __future__ import annotations
 
@@ -70,6 +70,36 @@ def degree_masks(n: int, p: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def mask_position(n: int, p: int) -> dict[int, int]:
     return {mask: pos for pos, mask in enumerate(degree_masks(n, p))}
+
+
+def subset_sums(
+    vectors: Sequence[Sequence[GaussianRational]], width: int
+) -> tuple[list[tuple[GaussianRational, ...]], list[int]]:
+    """Interned subset sums: table[ids[mask]] = sum of vectors[t], t in mask.
+
+    The one interning rule for sums over a subset bitmask: the algebra
+    part of a weight tag, and the bracket part of a diagonal coefficient.
+    Every vector has width entries. table holds each distinct sum once,
+    zero first, and ids has 2**len(vectors) entries. With t the top bit,
+    sum[mask] = sum[mask without t] + vectors[t], each (id, t) sum formed
+    once. An all-zero vectors[t] adds no entry: the masks with bit t reuse
+    the ids of the masks without it. Entry-wise, a zero operand is never
+    added.
+    """
+    index = {(ZERO,) * width: 0}
+    ids = [0]
+    for v in vectors:
+        if any(v):
+            step = [
+                index.setdefault(
+                    tuple([x + y if x and y else x or y for x, y in zip(base, v)]), len(index)
+                )
+                for base in list(index)
+            ]
+            ids += [step[i] for i in ids]
+        else:
+            ids += ids
+    return list(index), ids
 
 
 class ModuleAction:
@@ -126,8 +156,8 @@ def ce_kernel(
 
     Its coefficient is s * (R_c[k, k] + mu(X_c) - beta_I(c)), with
     s = (-1)^#{t in I : t < c} and beta_I(c) = sum_{t in I} c_{ct}^t, and
-    is read from a table per (action, k, beta_I), beta_I interned per
-    subset bitmask. Every other entry is a single term, formed directly:
+    is read from a table per (action, k, beta_I), beta_I interned by
+    subset_sums. Every other entry is a single term, formed directly:
     R_j[l, k] with l != k, which does not depend on the twist, and the
     bracket terms with t not in {a, b}.
     """
@@ -168,30 +198,9 @@ def ce_kernel(
     # a twist (c in the complement) or some c_{ct}^t.
     fixed = set(g.complement).union(*lam)
     diag_cs = [sorted(fixed.union(r_diag[k])) for k in range(m)]
-    # beta of a mask, interned: part_of[mask] is an id into parts. With t
-    # the top bit, beta[mask] = beta[mask without t] + lam[t], each (id, t)
-    # sum formed once. Only the bits t with some lam[t] are kept in a mask.
-    lam_bits = sum(1 << t for t in range(n) if lam[t])
-    parts: list[tuple[GaussianRational, ...]] = [(ZERO,) * n]
-    part_ids = {parts[0]: 0}
-    part_of = {0: 0}
-    steps: dict[tuple[int, int], int] = {}
-
-    def part(mask: int) -> int:
-        pid = part_of.get(mask)
-        if pid is None:
-            top = mask.bit_length() - 1
-            base = part(mask ^ 1 << top)
-            pid = steps.get((base, top))
-            if pid is None:
-                vec = list(parts[base])
-                for c, (v, _) in lam[top].items():
-                    vec[c] = vec[c] + v if vec[c] else v
-                pid = steps[(base, top)] = part_ids.setdefault(tuple(vec), len(parts))
-                if pid == len(parts):
-                    parts.append(tuple(vec))
-            part_of[mask] = pid
-        return pid
+    # beta of a mask, interned by subset_sums: parts[part_of[mask]].
+    dense = [tuple([lam[t][c][0] if c in lam[t] else ZERO for c in range(n)]) for t in range(n)]
+    parts, part_of = subset_sums(dense, n)
 
     shifts: dict[tuple[int, int], list[tuple[int, GaussianRational]]] = {}
     diagonals: dict[tuple[int, int, int], list] = {}
@@ -221,7 +230,7 @@ def ce_kernel(
         # below t equals a, or else at the action term.
         for t in reversed(range(n)):
             if mask >> t & 1 and c in lam[t]:
-                if parts[part(mask & lam_bits & (1 << t) - 1)][c] == a:
+                if parts[part_of[mask & (1 << t) - 1]][c] == a:
                     return lam[t][c][1]
         return (0, c, k)
 
@@ -237,7 +246,7 @@ def ce_kernel(
                 # d(x_I) = sum_t (-1)^{pos(t, I)} dx_t ^ x_{I - t}, for every
                 # k; here only its terms off the diagonal.
                 last = ipos
-                pid = part(mask & lam_bits)
+                pid = part_of[mask]
                 brackets = []
                 for pos_t, t in enumerate(subsets[ipos]):
                     if dx[t]:

@@ -271,7 +271,8 @@ def validate_algebra(g: LieAlgebraData) -> ValidationReport:
             )
         )
 
-    # Conjugation table.
+    # Conjugation table. It may be omitted; unitarity then reads "unknown"
+    # downstream.
     if g.conjugation is not None:
         if g.mode != MODE_REAL:
             issues.append(
@@ -318,9 +319,6 @@ def validate_algebra(g: LieAlgebraData) -> ValidationReport:
                                 (i, j),
                             )
                         )
-    elif g.mode == MODE_REAL:
-        # Allowed, but unitarity checks will report "unknown" downstream.
-        pass
 
     return ValidationReport(tuple(issues))
 

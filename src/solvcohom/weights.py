@@ -15,8 +15,8 @@ built after; a violation raises WeightGradingError.
 
 Distinct tags are few next to basis elements, so the complex interns
 them: a sorted tag table plus one small integer id per basis element.
-The algebra part of a tag is formed once per distinct sum, by subset
-bitmask, and the tag once per (algebra part, k); the grading check, the
+The algebra part of a tag is interned by cecomplex.subset_sums, and
+the tag formed once per (algebra part, k); the grading check, the
 twisted actions and the lattice selection all work on ids. A basis
 element's label is formed only when something reads it, and above
 degree 1 only the blocks of the tags asked for are built
@@ -37,6 +37,7 @@ from .cecomplex import (
     degree_basis,
     degree_masks,
     module_basis_names,
+    subset_sums,
 )
 from .errors import (
     ValidationFailure,
@@ -236,21 +237,6 @@ class InvariantComplex:
         )
 
 
-def _interner():
-    """A growing table of distinct weights and the function assigning ids."""
-    table: list[Weight] = []
-    index: dict[Weight, int] = {}
-
-    def intern(weight: Weight) -> int:
-        tid = index.get(weight)
-        if tid is None:
-            tid = index[weight] = len(table)
-            table.append(weight)
-        return tid
-
-    return table, intern
-
-
 def build_invariant_complex(
     g: LieAlgebraData, rep: RepresentationData, w: WeightAssignment
 ) -> InvariantComplex:
@@ -265,38 +251,23 @@ def build_invariant_complex(
     so degrees 0 and 1 pass exactly when all degrees do, and hold the
     first violation in (degree, column, term) order.
 
-    The algebra part of a tag is interned per subset bitmask: with t the
-    top bit, alg[mask] = alg[mask without t] + lambda_t, each (id, t) sum
-    formed once. The tag table is then (distinct algebra part) x k,
-    sorted and renumbered before the per-degree ids are written out.
+    The algebra part of a tag is interned by subset_sums, and each tag is
+    that part minus lambda'_k, formed once per (algebra part, k) with no
+    zero operand. The distinct tags are sorted by weight_sort_key, and
+    the per-degree ids index that table.
     """
     n = g.dim
-    alg_table, intern_alg = _interner()
-    alg = [intern_alg(w.zero())]  # alg[mask]: id of sum_{i in mask} lambda_i
-    for t, lam in enumerate(w.algebra_weights):
-        # alg covers the masks below 1 << t and holds every id interned so
-        # far; the masks with top bit t extend them, so each (id, t) sum is
-        # formed once. alg_table is copied because interning appends to it.
-        step = [
-            intern_alg(tuple([x + y for x, y in zip(base, lam)]))
-            for base in alg_table[:]
-        ]
-        alg += [step[a] for a in alg]
-
-    raw_table, intern_tag = _interner()
-    raw = [
-        [intern_tag(tuple([x - y for x, y in zip(base, lam)])) for lam in w.rep_weights]
+    alg_table, alg = subset_sums(w.algebra_weights, len(w.complement))
+    tags = [
+        [tuple([x - y if x and y else -y if y else x for x, y in zip(base, lam)])
+         for lam in w.rep_weights]
         for base in alg_table
     ]
-    order = sorted(range(len(raw_table)), key=lambda t: weight_sort_key(raw_table[t]))
-    tag_table = tuple(raw_table[t] for t in order)
-    renumber = [0] * len(order)
-    for new, old in enumerate(order):
-        renumber[old] = new
-    ids_of_alg = [[renumber[t] for t in per] for per in raw]
-    by_mask = [ids_of_alg[a] for a in alg]
+    tag_table = tuple(sorted(set(chain.from_iterable(tags)), key=weight_sort_key))
+    tag_id = {tag: i for i, tag in enumerate(tag_table)}
+    by_alg = [[tag_id[tag] for tag in per] for per in tags]
     tag_ids = tuple(
-        tuple(chain.from_iterable(map(by_mask.__getitem__, degree_masks(n, p))))
+        tuple(chain.from_iterable([by_alg[alg[mask]] for mask in degree_masks(n, p)]))
         for p in range(n + 1)
     )
 

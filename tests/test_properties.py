@@ -42,7 +42,7 @@ from solvcohom import (
     select_dolbeault,
     trivial_representation,
 )
-from solvcohom.cecomplex import ce_kernel
+from solvcohom.cecomplex import ce_kernel, subset_sums
 from solvcohom.instances import (
     build_representation,
     build_weight_assignment,
@@ -201,6 +201,37 @@ _KERNEL_ALGEBRAS = {
         complement=[0, 4],
     ),
 }
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_subset_sums_equal_the_direct_sum_of_every_mask(data):
+    # Vectors come from a small pool holding the zero vector and pairs
+    # (v, -v), so masks share sums, cancel to zero, and skip zero bits.
+    width = data.draw(st.integers(0, 3), label="width")
+    vector = st.tuples(*[scalars] * width)
+    base = data.draw(st.lists(vector, max_size=2), label="base")
+    pool = [(ZERO,) * width] + base + [tuple(-x for x in v) for v in base]
+    vectors = data.draw(st.lists(st.sampled_from(pool), max_size=6), label="vectors")
+    table, ids = subset_sums(vectors, width)
+    assert len(ids) == 2 ** len(vectors)
+    for mask, i in enumerate(ids):
+        direct = (ZERO,) * width
+        for t, v in enumerate(vectors):
+            if mask >> t & 1:
+                direct = tuple(x + y for x, y in zip(direct, v))
+        assert table[i] == direct
+    assert len(set(table)) == len(table)
+    assert subset_sums([v for v in vectors if any(v)], width)[0] == table
+
+
+def test_subset_sums_reuse_ids_across_zero_vectors_and_cancellation():
+    zero, v = (ZERO, ZERO), (ONE, MINUS_ONE)
+    neg = (MINUS_ONE, ONE)
+    assert subset_sums([zero, v, zero], 2) == ([zero, v], [0, 0, 1, 1, 0, 0, 1, 1])
+    assert subset_sums([v, neg], 2) == ([zero, v, neg], [0, 1, 2, 0])
+    assert subset_sums([(), ()], 0) == ([()], [0, 0, 0, 0])
+    assert subset_sums([], 2) == ([zero], [0])
 
 
 @pytest.mark.parametrize("name", sorted(_KERNEL_ALGEBRAS))

@@ -492,6 +492,27 @@ def test_second_kernel_pass_adds_no_scalars(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in INSTANCE_DIR.glob("*.json")))
+def test_build_adds_no_zero_operand(name, monkeypatch):
+    # A work guard that needs no clock. The tags' algebra parts and the
+    # kernel's bracket parts are subset sums that skip zero vectors and
+    # zero entries, and a tag subtracts a module weight only where both
+    # sides are nonzero, so no addition or subtraction in the build has a
+    # zero operand.
+    inst = load_instance(str(INSTANCE_DIR / f"{name}.json"))
+    g, rep = inst.algebra, build_representation(inst)
+    w = build_weight_assignment(inst, rep)
+    calls = []
+    for method in ("__add__", "__sub__"):
+        original = getattr(GaussianRational, method)
+        monkeypatch.setattr(
+            GaussianRational, method, lambda a, b, f=original: calls.append((a, b)) or f(a, b)
+        )
+    build_invariant_complex(g, rep, w)
+    monkeypatch.undo()
+    assert [(a, b) for a, b in calls if not a or not b] == []
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in INSTANCE_DIR.glob("*.json")))
 def test_label_equals_monomial_label_on_shipped_instances(name):
     # Labels are formed on demand from per-complex name tuples; every one
     # must be the reference name of its (I, k).
