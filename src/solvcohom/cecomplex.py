@@ -330,9 +330,6 @@ class FiniteComplex:
                         f"not a complex: d.d != 0 starting at degree {p}"
                     )
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** p * d for p, d in enumerate(self.dims))
-
 
 class CohomologyResult:
     """Betti numbers plus optional representative cocycles per degree.

@@ -116,14 +116,6 @@ def evaluate_weight_on_generator(
     return PeriodValue.from_symbols(table, acc)
 
 
-def char_trivial_on_lattice(mu: Weight, lat: LatticeData) -> bool:
-    """e^mu = 1 on every generator: mu(delta) in 2*pi*i*Z."""
-    return all(
-        evaluate_weight_on_generator(mu, gen, lat.table).in_2pi_i_integers()
-        for gen in lat.generators
-    )
-
-
 def ratio_char_trivial_on_lattice(mu: Weight, lat: LatticeData) -> bool:
     """conj(e^mu)/e^mu = 1 on every generator: Im mu(delta) in pi*Z."""
     return all(

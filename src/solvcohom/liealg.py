@@ -38,9 +38,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.issues
 
-    def codes(self) -> tuple[str, ...]:
-        return tuple(i.code for i in self.issues)
-
 
 class LieAlgebraData:
     """Structure constants plus the nilradical/complement split.

@@ -46,9 +46,10 @@ class ExactMatrix:
 
     `row_maps[i]` is row i as a {column: value} dict of its nonzero
     entries. It is the only storage and must not be mutated. Because no
-    zero is ever stored, == and hash compare canonical forms. `rows` is a
-    dense tuple-of-tuples view built on demand; no command reads it, only
-    tests and the benchmark's counters.
+    zero is ever stored, == compares canonical forms. `rows` is a dense
+    tuple-of-tuples view built on demand. No command reads it: it remains
+    only for the counters of bench/spans.py, until the benchmark counts
+    from `row_maps` (ROADMAP item 5(a)).
     """
 
     __slots__ = ("nrows", "ncols", "row_maps")
@@ -91,10 +92,6 @@ class ExactMatrix:
         return cls._of(nrows, ncols, ({} for _ in range(nrows)))
 
     @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls._of(n, n, ({i: ONE} for i in range(n)))
-
-    @classmethod
     def from_entries(
         cls, nrows: int, ncols: int, entries: Mapping[tuple[int, int], GaussianRational]
     ) -> "ExactMatrix":
@@ -115,11 +112,6 @@ class ExactMatrix:
             self.nrows == other.nrows
             and self.ncols == other.ncols
             and self.row_maps == other.row_maps
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.nrows, self.ncols, tuple(frozenset(r.items()) for r in self.row_maps))
         )
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -161,11 +153,6 @@ class ExactMatrix:
             for j, a in row.items():
                 cols[j][i] = a
         return ExactMatrix._of(self.ncols, self.nrows, cols)
-
-    def entry(self, i: int, j: int) -> GaussianRational:
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError(f"entry ({i}, {j}) outside a {self.nrows}x{self.ncols} matrix")
-        return self.row_maps[i].get(j, ZERO)
 
     def is_zero(self) -> bool:
         return not any(self.row_maps)

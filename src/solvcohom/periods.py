@@ -2,9 +2,10 @@
 
 A PeriodValue is a finite sum c_s * s over the real symbols s of one
 table: 1, pi and the user-declared ones, each c_s a nonzero Gaussian
-rational. Multiplication by a scalar of Q(i) and conjugation act on the
-coefficients alone, since every symbol is real. General products of two
-PeriodValues are rejected; nothing in the lattice tests needs them.
+rational. Scaling by an element of Q(i) (`add_scaled_into`) and
+conjugation act on the coefficients alone, since every symbol is real.
+There is no product of two PeriodValues; nothing in the lattice tests
+needs one.
 
 Text names each real and imaginary part on its own: "1", "i", "pi",
 "i*pi", and s, "i*s" for a user symbol s. The grammar is a signed sum of
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import ScalarParseError, ValidationFailure
-from .scalars import I, ONE, ZERO, GaussianRational, parse_rational
+from .scalars import I, ONE, ZERO, GaussianRational, parse_rational, signed_terms
 
 REAL = "real"
 IMAGINARY = "imaginary"
@@ -83,16 +84,6 @@ class SymbolTable:
             return NotImplemented
         return self.user_base_names == other.user_base_names
 
-    def __hash__(self):
-        return hash(self.user_base_names)
-
-    def __repr__(self):
-        return f"SymbolTable(user_base_names={self.user_base_names!r})"
-
-    def names(self) -> tuple[str, ...]:
-        """All symbol names in canonical display order."""
-        return tuple(self._split)
-
     def has(self, name: str) -> bool:
         return name in self._split
 
@@ -133,32 +124,6 @@ class PeriodValue:
 
     # -- linear structure -------------------------------------------
 
-    def __add__(self, other: "PeriodValue") -> "PeriodValue":
-        if self.table != other.table:
-            raise ValidationFailure("period values from different symbol tables")
-        out = dict(self.coords)
-        other.add_scaled_into(out, ONE)
-        return PeriodValue.from_symbols(self.table, out)
-
-    def __sub__(self, other: "PeriodValue") -> "PeriodValue":
-        return self + (-other)
-
-    def __neg__(self) -> "PeriodValue":
-        return PeriodValue.from_symbols(self.table, {s: -c for s, c in self.coords.items()})
-
-    def __mul__(self, other):
-        raise TypeError(
-            "PeriodValue products are undefined; use scale() with a scalar"
-        )
-
-    __rmul__ = __mul__
-
-    def scale(self, scalar: GaussianRational) -> "PeriodValue":
-        """Multiply by an element of Q(i)."""
-        out: dict[str, GaussianRational] = {}
-        self.add_scaled_into(out, scalar)
-        return PeriodValue.from_symbols(self.table, out)
-
     def add_scaled_into(self, out: dict[str, GaussianRational], scalar: GaussianRational):
         """Add scalar * self into out, keyed by symbol; out keeps nonzeros only."""
         if scalar:
@@ -174,15 +139,6 @@ class PeriodValue:
         return PeriodValue.from_symbols(
             self.table, {s: c.conjugate() for s, c in self.coords.items()}
         )
-
-    def coefficient(self, name: str) -> Fraction:
-        """The rational coefficient of one name, e.g. of "i*pi"."""
-        symbol, unit = self.table.split(name)
-        coeff = self.coords.get(symbol, ZERO)
-        return coeff.re if unit is ONE else coeff.im
-
-    def is_zero(self) -> bool:
-        return not self.coords
 
     # -- lattice membership tests ------------------------------------
 
@@ -209,14 +165,8 @@ class PeriodValue:
             return NotImplemented
         return self.table == other.table and self.coords == other.coords
 
-    def __hash__(self):
-        return hash((self.table, tuple(sorted(self.coords.items()))))
-
     def __repr__(self):
-        return f"PeriodValue({format_period(self)!r})"
-
-    def __str__(self):
-        return format_period(self)
+        return f"PeriodValue({self.coords!r})"
 
 
 _RAT = re.compile(r"^\d+(/\d+)?$")
@@ -224,24 +174,12 @@ _RAT = re.compile(r"^\d+(/\d+)?$")
 
 def parse_period(text: str, table: SymbolTable) -> PeriodValue:
     """Parse the period grammar against a symbol table."""
-    compact = text.replace(" ", "")
-    if not compact:
-        raise ScalarParseError("empty period literal")
     coords: dict[str, Fraction] = {}
 
     def put(name: str, coeff: Fraction):
         coords[name] = coords.get(name, Fraction(0)) + coeff
 
-    for pos, term in enumerate(re.split(r"(?=[+-])", compact)):
-        if not term and pos == 0:
-            continue
-        if not term or term in "+-":
-            raise ScalarParseError(f"malformed period literal: {text!r}")
-        sign = Fraction(1)
-        body = term
-        if body[0] in "+-":
-            sign = Fraction(-1) if body[0] == "-" else Fraction(1)
-            body = body[1:]
+    for sign, body, term in signed_terms(text, "period"):
         if table.has(body):
             put(body, sign)
         elif _RAT.match(body):
@@ -255,25 +193,3 @@ def parse_period(text: str, table: SymbolTable) -> PeriodValue:
             raise ScalarParseError(f"bad period term {term!r} in {text!r}")
     return PeriodValue(table, coords)
 
-
-def format_period(value: PeriodValue) -> str:
-    """Canonical text form; parse_period(format_period(v), t) == v."""
-    if value.is_zero():
-        return "0"
-    chunks: list[str] = []
-    for name in value.table.names():
-        coeff = value.coefficient(name)
-        if not coeff:
-            continue
-        mag = abs(coeff)
-        if name == "1":
-            body = str(mag)
-        elif mag == 1:
-            body = name
-        else:
-            body = f"{mag}*{name}"
-        if not chunks:
-            chunks.append(body if coeff > 0 else "-" + body)
-        else:
-            chunks.append((" + " if coeff > 0 else " - ") + body)
-    return "".join(chunks)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
+from typing import Iterator
 
 from .errors import ScalarParseError
 
@@ -98,10 +99,6 @@ class GaussianRational:
 
     # -- structure --------------------------------------------------
 
-    def is_zero(self) -> bool:
-        a, b, _ = self._abd
-        return not a and not b
-
     def __bool__(self) -> bool:
         a, b, _ = self._abd
         return a != 0 or b != 0
@@ -158,15 +155,6 @@ MINUS_ONE = GaussianRational(-1)
 I = GaussianRational(0, 1)
 
 
-def gauss(re=0, im=0) -> GaussianRational:
-    """Convenience constructor accepting ints, Fractions or strings."""
-    if isinstance(re, str):
-        if im:
-            raise ValueError("string form carries both parts")
-        return parse_gaussian(re)
-    return GaussianRational(Fraction(re), Fraction(im))
-
-
 def parse_rational(text: str, literal: str = "") -> Fraction:
     """A signed literal `p` or `p/q`; a zero denominator is a parse error.
 
@@ -185,24 +173,33 @@ def parse_rational(text: str, literal: str = "") -> Fraction:
         ) from None
 
 
-def parse_gaussian(text: str) -> GaussianRational:
-    """Parse the exact text grammar for Q(i), e.g. "1/2-3*i"."""
+def signed_terms(text: str, noun: str) -> Iterator[tuple[Fraction, str, str]]:
+    """Yield (sign, body, term) for each term of a signed sum, spaces dropped.
+
+    sign is +1 or -1 and body is the term without its sign. An empty text,
+    or a sign with no term after it, is a ScalarParseError that names the
+    literal by `noun`, such as "scalar".
+    """
     compact = text.replace(" ", "")
     if not compact:
-        raise ScalarParseError("empty scalar literal")
-    re_part = Fraction(0)
-    im_part = Fraction(0)
+        raise ScalarParseError(f"empty {noun} literal")
     for pos, term in enumerate(_TERM_SPLIT.split(compact)):
         if not term and pos == 0:
             # A leading sign leaves an empty chunk before the first split.
             continue
         if not term or term in "+-":
-            raise ScalarParseError(f"malformed scalar literal: {text!r}")
-        sign = Fraction(1)
-        body = term
-        if body[0] in "+-":
-            sign = Fraction(-1) if body[0] == "-" else Fraction(1)
-            body = body[1:]
+            raise ScalarParseError(f"malformed {noun} literal: {text!r}")
+        if term[0] in "+-":
+            yield Fraction(-1 if term[0] == "-" else 1), term[1:], term
+        else:
+            yield Fraction(1), term, term
+
+
+def parse_gaussian(text: str) -> GaussianRational:
+    """Parse the exact text grammar for Q(i), e.g. "1/2-3*i"."""
+    re_part = Fraction(0)
+    im_part = Fraction(0)
+    for sign, body, _ in signed_terms(text, "scalar"):
         if body == "i":
             im_part += sign
         elif body.endswith("*i"):
@@ -212,10 +209,6 @@ def parse_gaussian(text: str) -> GaussianRational:
     return GaussianRational(re_part, im_part)
 
 
-def _format_fraction(f: Fraction) -> str:
-    return str(f)
-
-
 def format_gaussian(value: GaussianRational) -> str:
     """Canonical text form; parse_gaussian(format_gaussian(v)) == v."""
     re_f, im_f = value.re, value.im
@@ -223,14 +216,14 @@ def format_gaussian(value: GaussianRational) -> str:
         return "0"
     parts = []
     if re_f:
-        parts.append(_format_fraction(re_f))
+        parts.append(str(re_f))
     if im_f:
         if im_f == 1:
             imag = "i"
         elif im_f == -1:
             imag = "-i"
         else:
-            imag = f"{_format_fraction(im_f)}*i"
+            imag = f"{im_f}*i"
         if parts and not imag.startswith("-"):
             parts.append("+" + imag)
         else:

@@ -51,7 +51,7 @@ from .liealg import (
     ValidationReport,
 )
 from .linalg import ExactMatrix
-from .scalars import ZERO, GaussianRational
+from .scalars import GaussianRational
 
 
 # ---------------------------------------------------------------------------
@@ -90,18 +90,6 @@ class WeightAssignment:
             and self.rep_weights == other.rep_weights
             and self.complement == other.complement
         )
-
-    def zero(self) -> Weight:
-        return tuple(ZERO for _ in self.complement)
-
-    def tag(self, I: Sequence[int], k: int) -> Weight:
-        acc = list(self.zero())
-        for i in I:
-            for pos, c in enumerate(self.algebra_weights[i]):
-                acc[pos] = acc[pos] + c
-        for pos, c in enumerate(self.rep_weights[k]):
-            acc[pos] = acc[pos] - c
-        return tuple(acc)
 
 
 def weight_is_zero(w: Weight) -> bool:
@@ -193,8 +181,10 @@ class InvariantComplex:
     label(p, i); names are formed when asked for, not stored. Tags are
     interned: tag_table lists the distinct tags in weight_sort_key order,
     and tag_ids[p][i] is the position in it of the tag of degree-p element
-    i. kernel is a ce_kernel whose action ids are tag ids; complex is the
-    block of every tag.
+    i. kernel is a ce_kernel whose action ids are tag ids. complex, the
+    block of every tag, and distinct_tags, an alias of tag_table, are read
+    by no command: they remain only for the counters of bench/spans.py,
+    until the benchmark counts from the selected blocks (ROADMAP item 5(a)).
     """
 
     tag_table: tuple[Weight, ...]

@@ -28,8 +28,19 @@ from solvcohom.cecomplex import (
 from solvcohom.errors import WeightGradingError
 from solvcohom.liealg import LieAlgebraData, RepresentationData
 from solvcohom.linalg import ExactMatrix
-from solvcohom.scalars import GaussianRational
+from solvcohom.scalars import ZERO, GaussianRational
 from solvcohom.weights import WeightAssignment, format_weight
+
+
+def reference_tag(w: WeightAssignment, I: Sequence[int], k: int) -> tuple:
+    """The tag of x_I (x) v_k: the algebra weights of I summed, minus rep weight k."""
+    acc = [ZERO] * len(w.complement)
+    for i in I:
+        for pos, c in enumerate(w.algebra_weights[i]):
+            acc[pos] = acc[pos] + c
+    for pos, c in enumerate(w.rep_weights[k]):
+        acc[pos] = acc[pos] - c
+    return tuple(acc)
 
 
 def reference_ce_kernel(
@@ -125,7 +136,7 @@ def reference_ce_kernel(
 
 def apply_entry(action: ModuleAction, j: int, l: int, k: int) -> GaussianRational:
     """Entry (l, k) of rho_mu(X_j)."""
-    value = action.matrices[j].entry(l, k)
+    value = action.matrices[j].row_maps[l].get(k, ZERO)
     if l == k and action.mu_at[j]:
         value = value + action.mu_at[j]
     return value
@@ -223,7 +234,7 @@ def reference_invariant_differentials(
     """The invariant complex's differentials, column by column.
 
     Column (I, k) is reference_ce_image in the module twisted by its own
-    tag, summed directly by WeightAssignment.tag.
+    tag, summed directly by reference_tag.
     """
     n, m = g.dim, rep.m
     actions: dict = {}
@@ -234,7 +245,7 @@ def reference_invariant_differentials(
         entries = {}
         for ipos, I in enumerate(sources):
             for k in range(m):
-                tag = w.tag(I, k)
+                tag = reference_tag(w, I, k)
                 if tag not in actions:
                     actions[tag] = ModuleAction(g, rep, tag)
                 for (J, l), c in reference_ce_image(g, actions[tag], I, k).items():
@@ -259,15 +270,15 @@ def reference_grading_check(
     for p in range(n):
         for I in degree_basis(n, p):
             for k in range(m):
-                tag = w.tag(I, k)
+                tag = reference_tag(w, I, k)
                 if tag not in actions:
                     actions[tag] = ModuleAction(g, rep, tag)
                 for (J, l) in reference_ce_image(g, actions[tag], I, k):
-                    if w.tag(J, l) != tag:
+                    if reference_tag(w, J, l) != tag:
                         raise WeightGradingError(
                             "weight grading violated: d("
                             f"{monomial_label(g, I, k, names)}) hits "
                             f"{monomial_label(g, J, l, names)} across tags "
-                            f"{format_weight(tag)} -> {format_weight(w.tag(J, l))}; "
+                            f"{format_weight(tag)} -> {format_weight(reference_tag(w, J, l))}; "
                             "invalid weight data"
                         )

@@ -2,8 +2,10 @@ import pathlib
 
 import pytest
 
-from solvcohom import MODE_COMPLEX, LieAlgebraData
-from solvcohom.scalars import MINUS_ONE, ONE
+from solvcohom import lattice
+from solvcohom.liealg import MODE_COMPLEX, LieAlgebraData
+from solvcohom.periods import PeriodValue
+from solvcohom.scalars import MINUS_ONE, ONE, ZERO
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 EXPECTED_DIR = INSTANCE_DIR / "expected"
@@ -19,9 +21,25 @@ def kept_indices(ic, sel):
     return ic.indices_with_tag_ids(sel.kept)
 
 
+def char_trivial_on_lattice(mu, lat):
+    """e^mu = 1 on every generator: mu(delta) in 2*pi*i*Z, one generator at a time."""
+    return all(
+        lattice.evaluate_weight_on_generator(mu, gen, lat.table).in_2pi_i_integers()
+        for gen in lat.generators
+    )
+
+
+def combine(*terms):
+    """The period value sum of s * v over (s, v) pairs, by add_scaled_into."""
+    acc = {}
+    for scalar, value in terms:
+        value.add_scaled_into(acc, scalar)
+    return PeriodValue.from_symbols(terms[0][1].table, acc)
+
+
 def zero_tag_indices(ic):
     """Per degree, the basis indices of tag zero."""
-    zero = ic.weights.zero()
+    zero = (ZERO,) * len(ic.weights.complement)
     return ic.indices_with_tag_ids(
         t for t, tag in enumerate(ic.tag_table) if tag == zero
     )

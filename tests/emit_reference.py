@@ -6,10 +6,11 @@ files, so this writer lives with the tests.
 """
 from __future__ import annotations
 
+from period_reference import named_coords, reference_format
+
 from solvcohom.cecomplex import Weight
 from solvcohom.instances import InstanceFile
 from solvcohom.liealg import LieAlgebraData
-from solvcohom.periods import format_period
 from solvcohom.scalars import format_gaussian
 
 
@@ -73,8 +74,8 @@ def emit_instance(inst: InstanceFile) -> dict:
     for gen in lat.generators:
         entry = {}
         for pos, j in enumerate(g.complement):
-            if not gen[pos].is_zero():
-                entry[g.basis[j]] = format_period(gen[pos])
+            if gen[pos].coords:
+                entry[g.basis[j]] = reference_format(named_coords(gen[pos]), lat.table)
         generators.append(entry)
     out["lattice"] = {"symbols": symbols, "generators": generators}
     return out

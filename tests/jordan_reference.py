@@ -97,7 +97,7 @@ def poly_eval_matrix(a: Poly, M: ExactMatrix) -> ExactMatrix:
     for c in reversed(a):
         result = result @ M
         if c:
-            result = result + ExactMatrix.identity(n).scale(c)
+            result = result + ExactMatrix.from_entries(n, n, {(i, i): c for i in range(n)})
     return result
 
 
@@ -113,7 +113,7 @@ def char_poly(M: ExactMatrix) -> Poly:
         ck = trace * GaussianRational(Fraction(-1, k))
         coeffs.append(ck)
         if k < n:
-            Mk = M @ (Mk + ExactMatrix.identity(n).scale(ck))
+            Mk = M @ (Mk + ExactMatrix.from_entries(n, n, {(i, i): ck for i in range(n)}))
     return poly_trim(tuple(reversed(coeffs)))
 
 
@@ -182,7 +182,7 @@ def jordan_chevalley_additive(M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]
     # Route 2: generalized eigenprojections P_i = (u_i g_i)(M) with
     # u_i g_i = 1 mod (x - root_i)^{mult_i}.
     projections = []
-    identity = ExactMatrix.identity(n)
+    identity = ExactMatrix.from_entries(n, n, {(i, i): ONE for i in range(n)})
     S2 = ExactMatrix.zero(n, n)
     for root, mult in roots:
         power: Poly = (ONE,)

@@ -1,20 +1,38 @@
 """Period values in the name-keyed rational encoding, as a test reference.
 
-A value is a {name: nonzero Fraction} dict over SymbolTable.names(): one
-rational coordinate for each real symbol s and one for its imaginary
+A value is a {name: nonzero Fraction} dict over reference_names(table):
+one rational coordinate for each real symbol s and one for its imaginary
 companion i*s ("1" pairs with "i"). Multiplication by i sends a name to
 its companion, negating when the name is imaginary; conjugation negates
 the imaginary names. The package keeps one Q(i) coefficient per real
 symbol instead, and tests require the two encodings to agree.
+reference_format is the canonical text of a value, which the package
+only parses, so the writer of instance files uses it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from solvcohom.periods import SymbolTable
+from solvcohom.periods import PeriodValue, SymbolTable
 from solvcohom.scalars import GaussianRational
 
 Coords = dict[str, Fraction]
+
+
+def reference_names(table: SymbolTable) -> tuple[str, ...]:
+    """Every name of a table in display order: builtins, then each user pair."""
+    pairs = tuple(name for base in table.user_base_names for name in (base, "i*" + base))
+    return ("1", "i", "pi", "i*pi") + pairs
+
+
+def named_coords(value: PeriodValue) -> Coords:
+    """A package value in the name-keyed encoding."""
+    out: Coords = {}
+    for symbol, coeff in value.coords.items():
+        for name, part in ((symbol, coeff.re), (companion(symbol), coeff.im)):
+            if part:
+                out[name] = part
+    return out
 
 
 def is_imaginary(name: str) -> bool:
@@ -72,7 +90,7 @@ def reference_imag_in_pi_integers(coords: Coords) -> bool:
 
 def reference_format(coords: Coords, table: SymbolTable) -> str:
     chunks: list[str] = []
-    for name in table.names():
+    for name in reference_names(table):
         coeff = coords.get(name)
         if not coeff:
             continue

@@ -5,6 +5,7 @@ and fails loudly otherwise. Everything here is exact arithmetic, so
 "tolerance" always means equality; the two timed checks assert wall
 clock under five seconds on top.
 """
+import ast
 import random
 import time
 from dataclasses import replace
@@ -20,29 +21,28 @@ from conftest import (
     make_split_6d,
     zero_tag_indices,
 )
+from period_reference import reference_names
 
-from solvcohom import (
-    FiniteComplex,
-    LatticeData,
-    ModuleAction,
+import solvcohom
+from solvcohom.cecomplex import FiniteComplex, ModuleAction, cohomology, degree_basis, nilshadow
+from solvcohom.instances import (
     RepresentationSpec,
-    build_invariant_complex,
     build_representation,
     build_weight_assignment,
-    cohomology,
-    degree_basis,
+    load_instance,
+)
+from solvcohom.lattice import (
+    LatticeData,
     check_conditions,
     dolbeault_hodge_table,
-    load_instance,
-    lower_central_series_dims,
-    nilshadow,
     select_de_rham,
     select_dolbeault,
-    trivial_representation,
-    verify_quasi_iso,
 )
+from solvcohom.liealg import lower_central_series_dims, trivial_representation
+from solvcohom.oracle import verify_quasi_iso
 from solvcohom.periods import PeriodValue, SymbolTable
 from solvcohom.scalars import GaussianRational
+from solvcohom.weights import build_invariant_complex
 
 SHIPPED = (
     "heisenberg3",
@@ -181,7 +181,7 @@ def test_acceptance_6_structural_properties_on_random_data():
             assert euler == sum((-1) ** p * d for p, d in enumerate(dims))
 
     table = SymbolTable(["a"])
-    names = table.names()
+    names = reference_names(table)
 
     def period():
         return PeriodValue(
@@ -189,7 +189,8 @@ def test_acceptance_6_structural_properties_on_random_data():
             {n: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for n in names},
         )
 
-    from solvcohom import adjoint_representation, infer_weights
+    from solvcohom.liealg import adjoint_representation
+    from solvcohom.weights import infer_weights
 
     g6 = make_split_6d()
     rep6 = adjoint_representation(g6)
@@ -233,3 +234,20 @@ def test_acceptance_7_nilshadow_flattens_and_certifies():
         "nilshadow is abelian of ambient dimension on the split examples, "
         "fixes nilpotent input, and always certifies nilpotency",
     )
+
+
+def test_readme_library_example_runs_on_the_package_root(monkeypatch, capsys):
+    # The package root exports exactly the names this example imports.
+    root = INSTANCE_DIR.parent
+    section = (root / "README.md").read_text().split("## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    imported = [
+        alias.name
+        for node in ast.parse(code).body
+        if isinstance(node, ast.ImportFrom) and node.module == "solvcohom"
+        for alias in node.names
+    ]
+    assert sorted(imported) == sorted(solvcohom.__all__)
+    monkeypatch.chdir(root)
+    exec(code, {})
+    assert capsys.readouterr().out == "(0, 6, 14, 12, 8, 6, 2)\n"

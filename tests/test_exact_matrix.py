@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from oracle_reference import reference_eliminate
 
 from solvcohom.linalg import ExactMatrix, kernel_basis, rank_and_kernel
-from solvcohom.scalars import ONE, ZERO, gauss
+from solvcohom.scalars import ONE, ZERO, GaussianRational
 
 small = st.integers(min_value=-3, max_value=3)
 # Mostly zeros, so rows are sparse and sums cancel often.
-scalars = st.one_of(st.just(ZERO), st.just(ZERO), st.builds(gauss, small, small))
+scalars = st.one_of(st.just(ZERO), st.just(ZERO), st.builds(GaussianRational, small, small))
 dims = st.integers(min_value=0, max_value=4)
 
 
@@ -50,7 +50,7 @@ def test_rows_view_round_trips_through_the_dense_constructor(case):
     assert ExactMatrix(m.nrows, m.ncols, m.rows) == m
     for i, row in enumerate(rows):
         for j, value in enumerate(row):
-            assert m.entry(i, j) == value
+            assert m.row_maps[i].get(j, ZERO) == value
 
 
 @given(shaped())
@@ -61,7 +61,6 @@ def test_from_entries_matches_the_dense_constructor(case):
     a = ExactMatrix.from_entries(nrows, ncols, with_zeros)
     b = ExactMatrix.from_entries(nrows, ncols, without_zeros)
     assert a == b == ExactMatrix(nrows, ncols, rows)
-    assert hash(a) == hash(b) == hash(ExactMatrix(nrows, ncols, rows))
     assert all(v for r in a.row_maps for v in r.values())
 
 
@@ -74,9 +73,8 @@ def test_sum_difference_and_negation(case):
     assert ma + mb == ExactMatrix(nrows, ncols, add)
     assert ma - mb == ExactMatrix(nrows, ncols, sub)
     assert -ma == ExactMatrix(nrows, ncols, [[-x for x in r] for r in a])
-    # Cancellation leaves the canonical zero matrix, hash included.
+    # Cancellation leaves the canonical zero matrix.
     assert ma - ma == ExactMatrix.zero(nrows, ncols)
-    assert hash(ma + (-ma)) == hash(ExactMatrix.zero(nrows, ncols))
 
 
 @given(shaped(), scalars)
@@ -160,15 +158,14 @@ def test_split_diagonal_matches_the_dense_residue(case):
 @given(st.integers(0, 4))
 def test_zero_and_identity(n):
     assert ExactMatrix.zero(n, n + 1) == ExactMatrix(n, n + 1, [[ZERO] * (n + 1)] * n)
-    assert ExactMatrix.identity(n) == ExactMatrix(n, n, ref_identity(n))
+    identity = ExactMatrix.from_entries(n, n, {(i, i): ONE for i in range(n)})
+    assert identity == ExactMatrix(n, n, ref_identity(n))
 
 
 @pytest.mark.parametrize("key", [(-1, 0), (2, 0), (0, -1), (0, 3)])
 def test_out_of_shape_indices_are_rejected(key):
     with pytest.raises(ValueError, match="outside"):
         ExactMatrix.from_entries(2, 3, {key: ONE})
-    with pytest.raises(IndexError):
-        ExactMatrix.zero(2, 3).entry(*key)
 
 
 @given(shaped())

@@ -1,20 +1,27 @@
 """Every module-level import in the package is used by its module, every
-module-level private function or class is read by some package module,
-and the package has no assert statement.
+module-level function or class is read by some package module, and the
+package has no assert statement.
 
 A name counts as used when the module reads it anywhere, or lists it in
-__all__ (the package's re-exports). A private definition (a name starting
-with one underscore) counts as read when some module names it, imports it
-or reads it as an attribute, so a helper left behind by a refactor shows.
+__all__ (the package's re-exports). A definition counts as read when some
+module names it, imports it or reads it as an attribute, so a helper left
+behind by a refactor shows. A public definition must be read by a module
+other than __init__.py, whose re-exports read nothing, or be named in
+README.md, which documents the library's own entry points. Methods are
+out of reach of these checks: attribute names are shared between classes
+(`conjugate` is both a scalar's and a period value's), so a read of one
+cannot be told from a read of another.
 Certificates must also run under python -O, which strips assert
 statements, so the package raises instead.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "solvcohom"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "solvcohom"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,23 +53,38 @@ def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unread_private_definitions(sources: dict[str, str]) -> list[str]:
-    """module.name of each module-level _name def or class no module reads."""
-    defined, read = [], set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
-                if not node.name.startswith("__"):
-                    defined.append((module, node.name))
-        for node in ast.walk(tree):
+def definitions(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of each module-level def or class, dunders left out."""
+    return [
+        (module, node.name)
+        for module, source in sources.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__")
+    ]
+
+
+def read_names(sources: dict[str, str]) -> set[str]:
+    """Every name the sources read, import, or read as an attribute."""
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
-    return [f"{module}.{name}" for module, name in defined if name not in read]
+    return read
+
+
+def unread_private_definitions(sources: dict[str, str]) -> list[str]:
+    """module.name of each module-level _name def or class no module reads."""
+    read = read_names(sources)
+    return [
+        f"{module}.{name}"
+        for module, name in definitions(sources)
+        if name.startswith("_") and name not in read
+    ]
 
 
 def test_the_check_sees_an_unread_private_definition():
@@ -79,6 +101,41 @@ def test_the_check_sees_an_unread_private_definition():
 def test_no_unread_private_definition():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_definitions(sources) == []
+
+
+def unread_public_definitions(sources: dict[str, str], readme: str) -> list[str]:
+    """module.name of each public def or class that only __init__ reads.
+
+    A name README.md mentions counts as read: it is the library's surface.
+    """
+    read = read_names({m: s for m, s in sources.items() if m != "__init__"})
+    return [
+        f"{module}.{name}"
+        for module, name in definitions(sources)
+        if not name.startswith("_")
+        and name not in read
+        and not re.search(rf"\b{name}\b", readme)
+    ]
+
+
+def test_the_check_sees_an_unread_public_definition():
+    sources = {
+        "__init__": "from .a import exported, Documented\n",
+        "a": "def exported():\n    pass\nclass Documented:\n    pass\ndef local():\n    pass\n"
+        "def imported():\n    pass\ndef _private():\n    pass\nx = local()\n",
+        "b": "from .a import imported\n",
+    }
+    assert unread_public_definitions(sources, "") == ["a.exported", "a.Documented"]
+    assert unread_public_definitions(sources, "Use `Documented` or exported().") == []
+    assert unread_public_definitions(sources, "Undocumented, exporter") == [
+        "a.exported", "a.Documented"
+    ]
+
+
+def test_every_public_definition_is_read_or_documented():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    readme = (ROOT / "README.md").read_text()
+    assert unread_public_definitions(sources, readme) == []
 
 
 def assert_lines(source: str) -> list[int]:

@@ -7,19 +7,9 @@ from oracle_reference import (
     reference_sector_differential,
 )
 
-from solvcohom import (
-    ModuleAction,
-    adjoint_representation,
-    build_invariant_complex,
-    build_representation,
-    build_weight_assignment,
-    infer_weights,
-    load_instance,
-    sector_cohomology_full,
-    trivial_representation,
-    verify_quasi_iso,
-)
-from solvcohom.liealg import RepresentationData
+from solvcohom.cecomplex import ModuleAction
+from solvcohom.instances import build_representation, build_weight_assignment, load_instance
+from solvcohom.liealg import RepresentationData, adjoint_representation, trivial_representation
 from solvcohom.linalg import ExactMatrix
 from solvcohom.oracle import (
     _action_table,
@@ -27,9 +17,12 @@ from solvcohom.oracle import (
     _degree_skeleton,
     _sector_differential,
     _signed,
+    sector_cohomology_full,
     sector_skeleton,
+    verify_quasi_iso,
 )
-from solvcohom.scalars import MINUS_ONE, ONE, ZERO, gauss
+from solvcohom.scalars import MINUS_ONE, ONE, ZERO, GaussianRational
+from solvcohom.weights import build_invariant_complex, infer_weights
 
 
 def test_alternating_evaluation_signs():
@@ -197,9 +190,9 @@ def test_action_table_adds_mu_on_the_diagonal(split_3d):
     # mu(e1) = 1 cancels R(e1)[0, 0] = -1, and lands on the empty
     # diagonals of rows 1 and 2; the table lists (l, k) in order and
     # holds no zero.
-    r = ExactMatrix(3, 3, [[MINUS_ONE, ONE, ZERO], [ZERO, ZERO, gauss(5)], [ZERO] * 3])
+    r = ExactMatrix(3, 3, [[MINUS_ONE, ONE, ZERO], [ZERO, ZERO, GaussianRational(5)], [ZERO] * 3])
     zero = ExactMatrix.zero(3, 3)
     action = ModuleAction(split_3d, RepresentationData(3, (r, zero, zero)), (ONE,))
     rho = _action_table(action)
     assert rho == reference_action_table(split_3d, action)
-    assert rho[0] == [(0, 1, ONE), (1, 1, ONE), (1, 2, gauss(5)), (2, 2, ONE)]
+    assert rho[0] == [(0, 1, ONE), (1, 1, ONE), (1, 2, GaussianRational(5)), (2, 2, ONE)]

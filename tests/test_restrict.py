@@ -4,36 +4,22 @@ import pytest
 from ce_reference import ce_differential, monomial_label
 from conftest import (
     INSTANCE_DIR,
+    char_trivial_on_lattice,
     kept_indices,
     make_heisenberg_power,
     make_split_6d_plus_heisenberg,
 )
 from restrict_reference import SelectionClosureError, reference_restrict_complex
 
-from solvcohom import (
-    MODE_REAL,
-    FiniteComplex,
-    adjoint_representation,
-    build_invariant_complex,
-    build_representation,
-    build_weight_assignment,
-    char_trivial_on_lattice,
-    cli,
-    cohomology,
-    degree_basis,
-    infer_weights,
-    load_instance,
-    restrict_complex,
-    select_de_rham,
-    select_dolbeault,
-    trivial_representation,
-    weights,
-)
-from solvcohom.cecomplex import ModuleAction
+from solvcohom import cli, weights
+from solvcohom.cecomplex import FiniteComplex, ModuleAction, cohomology, degree_basis
 from solvcohom.errors import ValidationFailure, WeightGradingError
-from solvcohom.lattice import ratio_char_trivial_on_lattice
+from solvcohom.instances import build_representation, build_weight_assignment, load_instance
+from solvcohom.lattice import ratio_char_trivial_on_lattice, select_de_rham, select_dolbeault
+from solvcohom.liealg import MODE_REAL, adjoint_representation, trivial_representation
 from solvcohom.linalg import ExactMatrix
 from solvcohom.scalars import MINUS_ONE, ONE
+from solvcohom.weights import build_invariant_complex, infer_weights, restrict_complex
 
 
 def _plain_ce_complex(g):
