@@ -13,17 +13,20 @@ differential code path.
 Degree-p basis order: p-subsets I of the index set in lexicographic
 order, each followed by the module index k (so column (I, k) sits at
 subset_position(I) * m + k). ce_kernel assembles the requested columns
-of a degree at once: a subset is an integer bitmask and wedge signs are
-popcounts. It forms only single terms: R_j[l, k] with l != k, which no
-twist touches, and the bracket terms c_{ab}^t with t not in {a, b},
-once per subset for all its columns (I, k). The diagonal coefficient at
-(I + c, k), where the twist, R_c[k, k] and the c_{ct}^t of t in I meet,
-is read from a table per (twist, k, bracket part), the bracket part
-interned per subset bitmask by subset_sums. A column twisted by its own
-weight tag, as in the invariant complex, has every such coefficient zero
-when the weights are the diagonals of ad and R: the twist cancels the
-semisimple part of the action. The sum is computed all the same, so
-explicit weights and fixed twists stay exact.
+of a degree at once, each in one representation twisted by one of a
+list of weight covectors: a subset is an integer bitmask and wedge
+signs are popcounts. It forms only single terms: R_j[l, k] with l != k,
+which no twist touches, and the bracket terms c_{ab}^t with t not in
+{a, b}, once per subset for all its columns (I, k). The diagonal
+coefficient at (I + c, k), where the twist, R_c[k, k] and the c_{ct}^t
+of t in I meet, is read from a table per (twist, k, bracket part), the
+bracket part interned per subset bitmask by subset_sums. A column
+twisted by its own weight tag, as in the invariant complex, has every
+such coefficient zero when the weights are the diagonals of ad and R:
+the twist cancels the semisimple part of the action. The sum is
+computed all the same, so explicit weights and fixed twists stay exact.
+Entry order is promised at degrees 0 and 1 only, where the weight
+grading check reads it.
 """
 from __future__ import annotations
 
@@ -102,28 +105,15 @@ def subset_sums(
     return list(index), ids
 
 
-class ModuleAction:
-    """The twisted action rho_mu(X_j) = mu(X_j) * id + R_j.
-
-    mu is a weight covector over the complement coordinates; mu_at
-    expands it to a per-basis-index evaluation (zero off the complement).
-    """
-
-    __slots__ = ("m", "matrices", "mu_at")
-
-    def __init__(self, g: LieAlgebraData, rep: RepresentationData, mu: Optional[Weight]):
-        mu_at = [ZERO] * g.dim
-        if mu is not None:
-            if len(mu) != len(g.complement):
-                raise ValidationFailure("weight covector length != complement size")
-            for pos, j in enumerate(g.complement):
-                mu_at[j] = mu[pos]
-        object.__setattr__(self, "m", rep.m)
-        object.__setattr__(self, "matrices", rep.matrices)
-        object.__setattr__(self, "mu_at", tuple(mu_at))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModuleAction is immutable")
+def twist_at(g: LieAlgebraData, twist: Optional[Weight]) -> tuple[GaussianRational, ...]:
+    """A twist (a covector over the complement, or None) per basis index."""
+    at = [ZERO] * g.dim
+    if twist is not None:
+        if len(twist) != len(g.complement):
+            raise ValidationFailure("weight covector length != complement size")
+        for j, x in zip(g.complement, twist):
+            at[j] = x
+    return tuple(at)
 
 
 def _one_form_differentials(
@@ -141,48 +131,54 @@ def _one_form_differentials(
 
 
 def ce_kernel(
-    g: LieAlgebraData, actions: Sequence[ModuleAction]
+    g: LieAlgebraData, rep: RepresentationData, twists: Sequence[Optional[Weight]]
 ) -> Callable[[dict[int, int], int], dict[tuple[int, int], GaussianRational]]:
-    """d with coefficients in twisted modules sharing one representation.
+    """d with coefficients in rep twisted by each of the given covectors.
 
-    kernel(column_action, p) gives the nonzero entries {(row, col): coeff}
-    of d from degree p to p+1 on the columns in column_action only, column
-    (I, k) taken in the module actions[column_action[col]]. Entries come
-    column by column in the map's order, each in term order: action terms
-    (j, then l), then bracket terms (t, a, b). Only a diagonal entry, at
-    (I + c, k) for c not in I, can sum more than one term: its action term
-    (j = c, l = k) and the bracket terms of t in I with {a, b} = {c, t}.
-    It sits where that running sum last turned nonzero.
+    kernel(column_twist, p) gives the nonzero entries {(row, col): coeff}
+    of d from degree p to p+1 on the columns in column_twist only, column
+    (I, k) taken in rep twisted by twists[column_twist[col]], a covector
+    over the complement or None (see twist_at). Entries come column by
+    column in the map's order. Within a column their order is promised at
+    degrees 0 and 1 only: term order, action terms (j, then l), then
+    bracket terms (t, a, b).
 
-    Its coefficient is s * (R_c[k, k] + mu(X_c) - beta_I(c)), with
-    s = (-1)^#{t in I : t < c} and beta_I(c) = sum_{t in I} c_{ct}^t, and
-    is read from a table per (action, k, beta_I), beta_I interned by
-    subset_sums. Every other entry is a single term, formed directly:
-    R_j[l, k] with l != k, which does not depend on the twist, and the
-    bracket terms with t not in {a, b}.
+    Only a diagonal entry, at (I + c, k) for c not in I, can sum more
+    than one term: its action term (j = c, l = k) and the bracket terms
+    of t in I with {a, b} = {c, t}. Its coefficient is
+    s * (R_c[k, k] + mu(X_c) - beta_I(c)), with s = (-1)^#{t in I : t < c}
+    and beta_I(c) = sum_{t in I} c_{ct}^t, and is read from a table per
+    (twist, k, beta_I), beta_I interned by subset_sums. Every other entry
+    is a single term, formed directly: R_j[l, k] with l != k, which does
+    not depend on the twist, and the bracket terms with t not in {a, b}.
+
+    A column with a diagonal entry lists its entries by (phase, row):
+    phase 0 holds those with an action term (R_j[l, k], and a diagonal
+    entry whose action part R_c[k, k] + mu(X_c) is nonzero), phase 1 the
+    rest. Degree 0 has no bracket terms, and at degree 1 the one t gives
+    its terms in row order, so this is term order there.
     """
-    n = g.dim
-    m = actions[0].m if actions else 0
+    n, m = g.dim, rep.m
+    twisted = [twist_at(g, twist) for twist in twists]
     # Off the diagonal, per t: (bits of a and b, bits below a, bits below
-    # b, coeff, -coeff, order). Inserting b then a into rest passes the
-    # members of rest below each; b never counts against a because a < b.
-    # On it, lam[t][c] = (c_{ct}^t, order): dx_t holds -c_{ab}^t at a < b.
+    # b, coeff, -coeff). Inserting b then a into rest passes the members
+    # of rest below each; b never counts against a because a < b.
+    # On it, lam[t][c] = c_{ct}^t: dx_t holds -c_{ab}^t at a < b.
     dx: list[list] = [[] for _ in range(n)]
-    lam: list[dict[int, tuple[GaussianRational, tuple]]] = [{} for _ in range(n)]
+    lam: list[dict[int, GaussianRational]] = [{} for _ in range(n)]
     for t, terms in _one_form_differentials(g).items():
-        for index, (a, b, c) in enumerate(terms):
-            order = (1, t, index)
+        for a, b, c in terms:
             if a == t:
-                lam[t][b] = (c, order)
+                lam[t][b] = c
             elif b == t:
-                lam[t][a] = (-c, order)
+                lam[t][a] = -c
             else:
-                dx[t].append((1 << a | 1 << b, (1 << a) - 1, (1 << b) - 1, c, -c, order))
-    # R_j e_k off the diagonal, per k: (bit j, bits below j, j, terms,
+                dx[t].append((1 << a | 1 << b, (1 << a) - 1, (1 << b) - 1, c, -c))
+    # R_j e_k off the diagonal, per k: (bit j, bits below j, terms,
     # negated terms) for each j with such a term; r_diag[k][j] = R_j[k, k].
     off = [[[] for _ in range(m)] for _ in range(n)]
     r_diag: list[dict[int, GaussianRational]] = [{} for _ in range(m)]
-    for j, R in enumerate(actions[0].matrices if actions else ()):
+    for j, R in enumerate(rep.matrices):
         for l, row in enumerate(R.row_maps):
             for k, v in row.items():
                 if k == l:
@@ -190,7 +186,7 @@ def ce_kernel(
                 else:
                     off[j][k].append((l, v))
     off_table = [
-        [(1 << j, (1 << j) - 1, j, off[j][k], [(l, -v) for l, v in off[j][k]])
+        [(1 << j, (1 << j) - 1, off[j][k], [(l, -v) for l, v in off[j][k]])
          for j in range(n) if off[j][k]]
         for k in range(m)
     ]
@@ -199,47 +195,36 @@ def ce_kernel(
     fixed = set(g.complement).union(*lam)
     diag_cs = [sorted(fixed.union(r_diag[k])) for k in range(m)]
     # beta of a mask, interned by subset_sums: parts[part_of[mask]].
-    dense = [tuple([lam[t][c][0] if c in lam[t] else ZERO for c in range(n)]) for t in range(n)]
+    dense = [tuple([lam[t].get(c, ZERO) for c in range(n)]) for t in range(n)]
     parts, part_of = subset_sums(dense, n)
 
     shifts: dict[tuple[int, int], list[tuple[int, GaussianRational]]] = {}
     diagonals: dict[tuple[int, int, int], list] = {}
 
-    def diagonal(aid: int, k: int, pid: int) -> list:
-        # (bit c, bits below c, coeff, -coeff, c, R_c[k, k] + mu(X_c)) for
-        # each c whose diagonal coefficient is nonzero, before the sign s.
-        shift = shifts.get((aid, k))
+    def diagonal(tid: int, k: int, pid: int) -> list:
+        # (bit c, bits below c, coeff, -coeff, phase) for each c whose
+        # diagonal coefficient is nonzero, before the sign s.
+        shift = shifts.get((tid, k))
         if shift is None:
-            mu_at = actions[aid].mu_at
-            shift = shifts[(aid, k)] = []
+            mu_at = twisted[tid]
+            shift = shifts[(tid, k)] = []
             for c in diag_cs[k]:
                 mu, r = mu_at[c], r_diag[k].get(c)
                 shift.append((c, mu if r is None else r + mu if mu else r))
         part_c = parts[pid]
-        out = diagonals[(aid, k, pid)] = []
+        out = diagonals[(tid, k, pid)] = []
         for c, a in shift:
             total = a - part_c[c] if part_c[c] else a
             if total:
-                out.append((1 << c, (1 << c) - 1, total, -total, c, a))
+                out.append((1 << c, (1 << c) - 1, total, -total, 0 if a else 1))
         return out
 
-    def place(mask: int, c: int, a: GaussianRational, k: int) -> tuple:
-        # The running sum at (mask + c, k) starts at a, the action part, and
-        # the bracket terms of t in mask subtract lam[t][c] in ascending t.
-        # It last turns nonzero at the largest such t whose partial sum
-        # below t equals a, or else at the action term.
-        for t in reversed(range(n)):
-            if mask >> t & 1 and c in lam[t]:
-                if parts[part_of[mask & (1 << t) - 1]][c] == a:
-                    return lam[t][c][1]
-        return (0, c, k)
-
-    def kernel(column_action: dict[int, int], p: int) -> dict[tuple[int, int], GaussianRational]:
+    def kernel(column_twist: dict[int, int], p: int) -> dict[tuple[int, int], GaussianRational]:
         subsets, masks = degree_basis(n, p), degree_masks(n, p)
         target = mask_position(n, p + 1)
         entries: dict[tuple[int, int], GaussianRational] = {}
         last = None
-        for col, aid in column_action.items():
+        for col, tid in column_twist.items():
             ipos, k = divmod(col, m)
             mask = masks[ipos]
             if ipos != last:
@@ -251,37 +236,37 @@ def ce_kernel(
                 for pos_t, t in enumerate(subsets[ipos]):
                     if dx[t]:
                         rest = mask ^ 1 << t
-                        for ab, below_a, below_b, c, neg, order in dx[t]:
+                        for ab, below_a, below_b, c, neg in dx[t]:
                             if not rest & ab:
                                 odd = pos_t + (rest & below_b).bit_count() + (rest & below_a).bit_count()
-                                brackets.append((target[rest | ab] * m, neg if odd & 1 else c, order))
-            diag = diagonals.get((aid, k, pid))
+                                brackets.append((target[rest | ab] * m, neg if odd & 1 else c))
+            diag = diagonals.get((tid, k, pid))
             if diag is None:
-                diag = diagonal(aid, k, pid)
+                diag = diagonal(tid, k, pid)
             live = [d for d in diag if not mask & d[0]] if diag else diag
             # Action terms (insert x_j, sign: members below j; apply R_j),
             # then bracket terms. No two share a key, so with no diagonal
             # entry they are stored as they come.
             if not live:
-                for bit, below, j, column, negated in off_table[k]:
+                for bit, below, column, negated in off_table[k]:
                     if not mask & bit:
                         base = target[mask | bit] * m
                         for l, v in negated if (mask & below).bit_count() & 1 else column:
                             entries[(base + l, col)] = v
-                for base, v, _ in brackets:
+                for base, v in brackets:
                     entries[(base + k, col)] = v
                 continue
-            # Otherwise every term gets its place, and all are sorted.
+            # Otherwise all are sorted by (phase, row).
             terms = []
-            for bit, below, j, column, negated in off_table[k]:
+            for bit, below, column, negated in off_table[k]:
                 if not mask & bit:
                     base = target[mask | bit] * m
                     for l, v in negated if (mask & below).bit_count() & 1 else column:
-                        terms.append(((0, j, l), base + l, v))
-            terms += [(order, base + k, v) for base, v, order in brackets]
-            for bit, below, total, neg, c, a in live:
+                        terms.append((0, base + l, v))
+            terms += [(1, base + k, v) for base, v in brackets]
+            for bit, below, total, neg, phase in live:
                 v = neg if (mask & below).bit_count() & 1 else total
-                terms.append((place(mask, c, a, k), target[mask | bit] * m + k, v))
+                terms.append((phase, target[mask | bit] * m + k, v))
             terms.sort()
             for _, row, v in terms:
                 entries[(row, col)] = v

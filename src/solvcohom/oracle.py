@@ -7,10 +7,12 @@ by raw evaluation of the differential convention,
     (dw)(X_0..X_p) = sum_a (-1)^a rho(X_a) w(..drop a..)
                    + sum_{a<b} (-1)^{a+b} w([X_a,X_b], ..drop a,b..),
 
-entry by entry, with no code shared with the insertion-formula builder
-(only the matrix type is common). Its Betti numbers must agree degree by
-degree with the mu-block of the invariant complex; this is the finite
-certificate that the invariant complex computes the right cohomology.
+entry by entry, sharing no differential code with the insertion-formula
+builder: only the matrix type, the subset order and twist_at, which
+places mu on the complement indices, are common. Its Betti numbers must
+agree degree by degree with the mu-block of the invariant complex; this
+is the finite certificate that the invariant complex computes the right
+cohomology.
 
 Only rho_mu(X_j) depends on the sector. Everything else in the formula
 (which (J, I) blocks meet, the evaluation signs, the bracket scalars) is
@@ -23,16 +25,16 @@ evaluated raw on its tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .cecomplex import (
     CohomologyResult,
     FiniteComplex,
-    ModuleAction,
     Weight,
     cohomology,
     degree_basis,
     subset_position,
+    twist_at,
 )
 from .liealg import LieAlgebraData, RepresentationData
 from .linalg import ExactMatrix, SparseRow
@@ -112,10 +114,10 @@ def sector_skeleton(g: LieAlgebraData) -> list[DegreeSkeleton]:
     return [_degree_skeleton(g, p) for p in range(g.dim)]
 
 
-def _action_table(action: ModuleAction) -> ActionTable:
-    """The nonzero entries (l, k, value) of rho_mu(X_j), one list per j."""
+def _action_table(rep: RepresentationData, mu_at: Sequence[GaussianRational]) -> ActionTable:
+    """The nonzero entries (l, k, value) of rho_mu(X_j), one per j; mu_at = twist_at(g, mu)."""
     table = []
-    for R, mu in zip(action.matrices, action.mu_at):
+    for R, mu in zip(rep.matrices, mu_at):
         entries = []
         for l, row in enumerate(R.row_maps):
             if mu:
@@ -136,13 +138,13 @@ def _signed(rho: ActionTable) -> list[tuple[ActionEntries, ActionEntries]]:
 
 def _sector_differential(
     g: LieAlgebraData,
-    action: ModuleAction,
+    m: int,
     p: int,
     skeleton: DegreeSkeleton,
     signed: list[tuple[ActionEntries, ActionEntries]],
 ) -> ExactMatrix:
-    """Degree-p differential: the skeleton with _signed(_action_table(action))."""
-    n, m = g.dim, action.m
+    """Degree-p differential: the skeleton with _signed(_action_table(rep, mu_at)), m = rep.m."""
+    n = g.dim
     action_terms, bracket_terms = skeleton
     rows: list[SparseRow] = [{} for _ in range(len(degree_basis(n, p + 1)) * m)]
     for (jpos, ipos), scalar in bracket_terms.items():
@@ -171,12 +173,11 @@ def sector_cohomology_full(
     `skeletons`, from sector_skeleton(g), saves rebuilding the
     mu-independent part when many sectors of one algebra are computed.
     """
-    action = ModuleAction(g, rep, mu)
     n, m = g.dim, rep.m
+    signed = _signed(_action_table(rep, twist_at(g, mu)))
     if skeletons is None:
         skeletons = sector_skeleton(g)
-    signed = _signed(_action_table(action))
-    diffs = [_sector_differential(g, action, p, skeletons[p], signed) for p in range(n)]
+    diffs = [_sector_differential(g, m, p, skeletons[p], signed) for p in range(n)]
     dims = [len(degree_basis(n, p)) * m for p in range(n + 1)]
     fc = FiniteComplex(dims, diffs)
     return cohomology(fc)

@@ -8,16 +8,17 @@ carries lambda'_k. The weight tag of a basis monomial x_I (x) v_k is
 
 The invariant complex has one basis element per (I, k); its differential
 applies the Chevalley-Eilenberg formula in the module twisted by the
-column's own tag, through cecomplex.ce_kernel. That the result never
-crosses between distinct tags is exactly weight additivity of the input
-data, checked on degrees 0 and 1 (which decide it) and on every entry
-built after; a violation raises WeightGradingError.
+column's own tag, through cecomplex.ce_kernel, whose twists are the tag
+table. That the result never crosses between distinct tags is exactly
+weight additivity of the input data, checked on degrees 0 and 1 (which
+decide it, and whose entry order names the first violation) and on
+every entry built after; a violation raises WeightGradingError.
 
 Distinct tags are few next to basis elements, so the complex interns
 them: a sorted tag table plus one small integer id per basis element.
 The algebra part of a tag is interned by cecomplex.subset_sums, and
 the tag formed once per (algebra part, k); the grading check, the
-twisted actions and the lattice selection all work on ids. A basis
+kernel's twists and the lattice selection all work on ids. A basis
 element's label is formed only when something reads it, and above
 degree 1 only the blocks of the tags asked for are built
 (restrict_complex).
@@ -31,7 +32,6 @@ from typing import Callable, Iterable, Sequence
 
 from .cecomplex import (
     FiniteComplex,
-    ModuleAction,
     Weight,
     ce_kernel,
     degree_basis,
@@ -181,10 +181,11 @@ class InvariantComplex:
     label(p, i); names are formed when asked for, not stored. Tags are
     interned: tag_table lists the distinct tags in weight_sort_key order,
     and tag_ids[p][i] is the position in it of the tag of degree-p element
-    i. kernel is a ce_kernel whose action ids are tag ids. complex, the
-    block of every tag, and distinct_tags, an alias of tag_table, are read
-    by no command: they remain only for the counters of bench/spans.py,
-    until the benchmark counts from the selected blocks (ROADMAP item 5(a)).
+    i. kernel is ce_kernel(algebra, representation, tag_table), so a
+    column's twist id is its tag id. complex, the block of every tag, and
+    distinct_tags, an alias of tag_table, are read by no command: they
+    remain only for the counters of bench/spans.py, until the benchmark
+    counts from the selected blocks (ROADMAP item 5(a)).
     """
 
     tag_table: tuple[Weight, ...]
@@ -232,14 +233,15 @@ def build_invariant_complex(
 ) -> InvariantComplex:
     """Tag the invariant complex and certify its weight grading.
 
-    Column (I, k) is differentiated in the module twisted by its own tag,
-    one ModuleAction per distinct tag. Only degrees 0 and 1 are built
+    Column (I, k) is differentiated in the module twisted by its own tag:
+    the kernel's twists are the tag table. Only degrees 0 and 1 are built
     here, all their columns, for the grading check. The coefficient of
     d(x_I (x) v_k) at (J, l) is affine in I's indicator (R_j[l, k];
     R_j[k, k] + mu_{I,k}(X_j) plus c_{jt}^t over t in I; or +-c_{ab}^t,
     {t} = I - J) and its tag jump depends only on J - I, I - J, k and l,
     so degrees 0 and 1 pass exactly when all degrees do, and hold the
-    first violation in (degree, column, term) order.
+    first violation in (degree, column, term) order; the kernel promises
+    term order there.
 
     The algebra part of a tag is interned by subset_sums, and each tag is
     that part minus lambda'_k, formed once per (algebra part, k) with no
@@ -261,7 +263,7 @@ def build_invariant_complex(
         for p in range(n + 1)
     )
 
-    kernel = ce_kernel(g, [ModuleAction(g, rep, tag) for tag in tag_table])
+    kernel = ce_kernel(g, rep, tag_table)
     ic = InvariantComplex(tag_table, tag_ids, g, rep, w, kernel)
     for p in range(min(n, 2)):
         _graded_entries(ic, dict(enumerate(tag_ids[p])), p)
@@ -269,15 +271,17 @@ def build_invariant_complex(
 
 
 def _graded_entries(
-    ic: InvariantComplex, column_action: dict[int, int], p: int
+    ic: InvariantComplex, column_tag: dict[int, int], p: int
 ) -> dict[tuple[int, int], GaussianRational]:
     """ic.kernel's entries for the given columns, checked for the grading.
 
-    The first, in column and term order, that reaches a basis element of
-    another tag raises WeightGradingError.
+    The first in the kernel's order that reaches a basis element of
+    another tag raises WeightGradingError. Only degrees 0 and 1 can
+    raise on a kernel built by build_invariant_complex, and there that
+    order is column, then term order.
     """
     source_ids, target_ids = ic.tag_ids[p], ic.tag_ids[p + 1]
-    entries = ic.kernel(column_action, p)
+    entries = ic.kernel(column_tag, p)
     for row, col in entries:
         tid = source_ids[col]
         if target_ids[row] != tid:

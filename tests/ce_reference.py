@@ -4,19 +4,21 @@ reference_ce_kernel is the bitmask kernel that forms every term of
 every column, diagonal ones included, and lets the sums cancel; the
 package kernel forms only the off-diagonal terms and reads each
 column's diagonal coefficients from tables, and tests require the two
-to give the same entries in the same order. reference_ce_image is the
+to give the same entries, in the same order at degrees 0 and 1, where
+the package kernel promises it. reference_ce_image is the
 insertion formula written directly on sorted index tuples, one column
 and one term at a time, with wedge signs counted by comparison and rho
 read entry by entry through apply_entry. ce_differential is the
-kernel's whole degree in one module, as a matrix, for tests that take
-plain twisted complexes.
+kernel's whole degree in one twisted module, as a matrix, for tests
+that take plain twisted complexes. Every function takes the
+representation and a twist covector over the complement (None for no
+twist), as ce_kernel does.
 """
 from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
 from solvcohom.cecomplex import (
-    ModuleAction,
     _one_form_differentials,
     ce_kernel,
     degree_basis,
@@ -24,6 +26,7 @@ from solvcohom.cecomplex import (
     mask_position,
     module_basis_names,
     subset_position,
+    twist_at,
 )
 from solvcohom.errors import WeightGradingError
 from solvcohom.liealg import LieAlgebraData, RepresentationData
@@ -44,18 +47,18 @@ def reference_tag(w: WeightAssignment, I: Sequence[int], k: int) -> tuple:
 
 
 def reference_ce_kernel(
-    g: LieAlgebraData, actions: Sequence[ModuleAction]
+    g: LieAlgebraData, rep: RepresentationData, twists: Sequence[Optional[tuple]]
 ) -> Callable[[dict[int, int], int], dict[tuple[int, int], GaussianRational]]:
-    """d with coefficients in twisted modules sharing one representation.
+    """d with coefficients in rep twisted by each of the given covectors.
 
-    kernel(column_action, p) gives the nonzero entries {(row, col): coeff}
-    of d from degree p to p+1 on the columns in column_action only, column
-    (I, k) taken in the module actions[column_action[col]]. Entries come
-    column by column in the map's order, each in term order: action terms
-    (j, then l), then bracket terms (t, a, b).
+    kernel(column_twist, p) gives the nonzero entries {(row, col): coeff}
+    of d from degree p to p+1 on the columns in column_twist only, column
+    (I, k) taken in rep twisted by twists[column_twist[col]]. Entries come
+    column by column in the map's order, each in term order at every
+    degree: action terms (j, then l), then bracket terms (t, a, b).
     """
-    n = g.dim
-    m = actions[0].m if actions else 0
+    n, m = g.dim, rep.m
+    twisted = [twist_at(g, twist) for twist in twists]
     # Per t: (bits of a and b, bits below a, bits below b, coeff, -coeff).
     # Inserting b then a into rest passes the members of rest below each;
     # b never counts against a because a < b.
@@ -66,7 +69,7 @@ def reference_ce_kernel(
     # R_j e_k off the diagonal and R_j[k, k], read from the sparse rows.
     off = [[[] for _ in range(m)] for _ in range(n)]
     diag: list[list[Optional[GaussianRational]]] = [[None] * m for _ in range(n)]
-    for j, R in enumerate(actions[0].matrices if actions else ()):
+    for j, R in enumerate(rep.matrices):
         for l, row in enumerate(R.row_maps):
             for k, v in row.items():
                 if k == l:
@@ -75,11 +78,11 @@ def reference_ce_kernel(
                     off[j][k].append((l, v))
     tables: dict[tuple[int, int], list] = {}
 
-    def action_table(aid: int, k: int) -> list:
+    def action_table(tid: int, k: int) -> list:
         # (bit j, bits below j, terms, negated terms) for each j with
         # rho_mu(X_j) e_k != 0; only the diagonal depends on mu.
-        table = tables[(aid, k)] = []
-        for j, mu in enumerate(actions[aid].mu_at):
+        table = tables[(tid, k)] = []
+        for j, mu in enumerate(twisted[tid]):
             d = diag[j][k]
             if mu:
                 d = mu if d is None else (d + mu) or None
@@ -88,12 +91,12 @@ def reference_ce_kernel(
                 table.append((1 << j, (1 << j) - 1, column, [(l, -v) for l, v in column]))
         return table
 
-    def kernel(column_action: dict[int, int], p: int) -> dict[tuple[int, int], GaussianRational]:
+    def kernel(column_twist: dict[int, int], p: int) -> dict[tuple[int, int], GaussianRational]:
         subsets, masks = degree_basis(n, p), degree_masks(n, p)
         target = mask_position(n, p + 1)
         entries: dict[tuple[int, int], GaussianRational] = {}
         last = None
-        for col, aid in column_action.items():
+        for col, tid in column_twist.items():
             ipos, k = divmod(col, m)
             mask = masks[ipos]
             if ipos != last:
@@ -106,9 +109,9 @@ def reference_ce_kernel(
                         if not rest & ab:
                             odd = pos_t + (rest & below_b).bit_count() + (rest & below_a).bit_count()
                             brackets.append(((rest | ab) * m, neg if odd & 1 else c))
-            table = tables.get((aid, k))
+            table = tables.get((tid, k))
             if table is None:
-                table = action_table(aid, k)
+                table = action_table(tid, k)
             # Action terms: insert x_j (sign: members below j), apply
             # rho(X_j). Their keys are distinct, so none cancels yet.
             acc: dict[int, GaussianRational] = {}
@@ -134,19 +137,23 @@ def reference_ce_kernel(
     return kernel
 
 
-def apply_entry(action: ModuleAction, j: int, l: int, k: int) -> GaussianRational:
-    """Entry (l, k) of rho_mu(X_j)."""
-    value = action.matrices[j].row_maps[l].get(k, ZERO)
-    if l == k and action.mu_at[j]:
-        value = value + action.mu_at[j]
+def apply_entry(
+    rep: RepresentationData, mu_at: Sequence[GaussianRational], j: int, l: int, k: int
+) -> GaussianRational:
+    """Entry (l, k) of rho_mu(X_j), with mu_at = twist_at(g, mu)."""
+    value = rep.matrices[j].row_maps[l].get(k, ZERO)
+    if l == k and mu_at[j]:
+        value = value + mu_at[j]
     return value
 
 
-def ce_differential(g: LieAlgebraData, action: ModuleAction, p: int) -> ExactMatrix:
+def ce_differential(
+    g: LieAlgebraData, rep: RepresentationData, twist: Optional[tuple], p: int
+) -> ExactMatrix:
     """Matrix of d from degree p to degree p+1 in one twisted module, lex order."""
-    ncols = len(degree_basis(g.dim, p)) * action.m
-    entries = ce_kernel(g, [action])(dict.fromkeys(range(ncols), 0), p)
-    return ExactMatrix.from_entries(len(degree_basis(g.dim, p + 1)) * action.m, ncols, entries)
+    ncols = len(degree_basis(g.dim, p)) * rep.m
+    entries = ce_kernel(g, rep, [twist])(dict.fromkeys(range(ncols), 0), p)
+    return ExactMatrix.from_entries(len(degree_basis(g.dim, p + 1)) * rep.m, ncols, entries)
 
 
 def monomial_label(
@@ -165,12 +172,14 @@ def wedge_insert_sign(element: int, others: tuple[int, ...]) -> int:
 
 def reference_ce_image(
     g: LieAlgebraData,
-    action: ModuleAction,
+    rep: RepresentationData,
+    twist: Optional[tuple],
     I: tuple[int, ...],
     k: int,
 ) -> dict[tuple[tuple[int, ...], int], GaussianRational]:
     """d(x_I (x) v_k) as a sparse combination of (J, l) basis elements."""
     dx_table = _one_form_differentials(g)
+    mu_at = twist_at(g, twist)
     out: dict[tuple[tuple[int, ...], int], GaussianRational] = {}
 
     def put(J: tuple[int, ...], l: int, coeff: GaussianRational):
@@ -188,8 +197,8 @@ def reference_ce_image(
             continue
         J = tuple(sorted(I + (j,)))
         sign = wedge_insert_sign(j, I)
-        for l in range(action.m):
-            coeff = apply_entry(action, j, l, k)
+        for l in range(rep.m):
+            coeff = apply_entry(rep, mu_at, j, l, k)
             if coeff:
                 put(J, l, coeff if sign > 0 else -coeff)
 
@@ -208,11 +217,11 @@ def reference_ce_image(
 
 
 def kernel_columns(
-    g: LieAlgebraData, action: ModuleAction, p: int
+    g: LieAlgebraData, rep: RepresentationData, twist: Optional[tuple], p: int
 ) -> list[dict[tuple[tuple[int, ...], int], GaussianRational]]:
     """The columns of ce_differential at degree p, as reference_ce_image gives them."""
-    m = action.m
-    d = ce_differential(g, action, p)
+    m = rep.m
+    d = ce_differential(g, rep, twist, p)
     rows = degree_basis(g.dim, p + 1)
     columns: list[dict] = [{} for _ in range(d.ncols)]
     for r, row in enumerate(d.row_maps):
@@ -222,10 +231,10 @@ def kernel_columns(
 
 
 def kernel_column(
-    g: LieAlgebraData, action: ModuleAction, I: tuple[int, ...], k: int
+    g: LieAlgebraData, rep: RepresentationData, twist: Optional[tuple], I: tuple[int, ...], k: int
 ) -> dict[tuple[tuple[int, ...], int], GaussianRational]:
     """Column (I, k) of ce_differential."""
-    return kernel_columns(g, action, len(I))[subset_position(g.dim, len(I))[I] * action.m + k]
+    return kernel_columns(g, rep, twist, len(I))[subset_position(g.dim, len(I))[I] * rep.m + k]
 
 
 def reference_invariant_differentials(
@@ -237,7 +246,6 @@ def reference_invariant_differentials(
     tag, summed directly by reference_tag.
     """
     n, m = g.dim, rep.m
-    actions: dict = {}
     out = []
     for p in range(n):
         sources = degree_basis(n, p)
@@ -246,9 +254,7 @@ def reference_invariant_differentials(
         for ipos, I in enumerate(sources):
             for k in range(m):
                 tag = reference_tag(w, I, k)
-                if tag not in actions:
-                    actions[tag] = ModuleAction(g, rep, tag)
-                for (J, l), c in reference_ce_image(g, actions[tag], I, k).items():
+                for (J, l), c in reference_ce_image(g, rep, tag, I, k).items():
                     entries[(rows[J] * m + l, ipos * m + k)] = c
         out.append(ExactMatrix.from_entries(len(rows) * m, len(sources) * m, entries))
     return out
@@ -260,20 +266,18 @@ def reference_grading_check(
     """The weight-grading check on every degree, not only degrees 0 and 1.
 
     Columns are taken in (degree, column) order and the terms of each in
-    reference_ce_image's order, which is the kernel's term order. The
-    first coefficient reaching a basis element with a different tag
-    raises the package's WeightGradingError message.
+    reference_ce_image's order, which is term order. At degrees 0 and 1
+    that is the kernel's order, and a violation anywhere shows there, so
+    the first coefficient reaching a basis element with a different tag
+    raises the package's WeightGradingError message, word for word.
     """
     n, m = g.dim, rep.m
     names = module_basis_names(g, rep)
-    actions: dict = {}
     for p in range(n):
         for I in degree_basis(n, p):
             for k in range(m):
                 tag = reference_tag(w, I, k)
-                if tag not in actions:
-                    actions[tag] = ModuleAction(g, rep, tag)
-                for (J, l) in reference_ce_image(g, actions[tag], I, k):
+                for (J, l) in reference_ce_image(g, rep, tag, I, k):
                     if reference_tag(w, J, l) != tag:
                         raise WeightGradingError(
                             "weight grading violated: d("

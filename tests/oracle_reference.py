@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from ce_reference import apply_entry
 
-from solvcohom.cecomplex import ModuleAction, degree_basis
-from solvcohom.liealg import LieAlgebraData
+from solvcohom.cecomplex import degree_basis, twist_at
+from solvcohom.liealg import LieAlgebraData, RepresentationData
 from solvcohom.linalg import ExactMatrix, SparseRow, _row_axpy
 from solvcohom.oracle import DegreeSkeleton, _alternating_evaluation
 from solvcohom.scalars import ZERO, GaussianRational
@@ -94,16 +94,16 @@ def reference_degree_skeleton(g: LieAlgebraData, p: int) -> DegreeSkeleton:
 
 
 def reference_action_table(
-    g: LieAlgebraData, action: ModuleAction
+    g: LieAlgebraData, rep: RepresentationData, mu
 ) -> list[list[tuple[int, int, GaussianRational]]]:
     """The nonzero entries (l, k, value) of rho_mu(X_j), one list per j."""
-    m = action.m
+    m, mu_at = rep.m, twist_at(g, mu)
     table = []
     for j in range(g.dim):
         entries = []
         for l in range(m):
             for k in range(m):
-                value = apply_entry(action, j, l, k)
+                value = apply_entry(rep, mu_at, j, l, k)
                 if value:
                     entries.append((l, k, value))
         table.append(entries)
@@ -112,13 +112,13 @@ def reference_action_table(
 
 def reference_sector_differential(
     g: LieAlgebraData,
-    action: ModuleAction,
+    m: int,
     p: int,
     skeleton: DegreeSkeleton,
     rho: list[list[tuple[int, int, GaussianRational]]],
 ) -> ExactMatrix:
     """Degree-p differential: the skeleton with rho, via (row, column) entries."""
-    n, m = g.dim, action.m
+    n = g.dim
     action_terms, bracket_terms = skeleton
     entries: dict[tuple[int, int], GaussianRational] = {}
     for (jpos, ipos), scalar in bracket_terms.items():

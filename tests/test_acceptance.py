@@ -24,7 +24,7 @@ from conftest import (
 from period_reference import reference_names
 
 import solvcohom
-from solvcohom.cecomplex import FiniteComplex, ModuleAction, cohomology, degree_basis, nilshadow
+from solvcohom.cecomplex import FiniteComplex, cohomology, degree_basis, nilshadow
 from solvcohom.instances import (
     RepresentationSpec,
     build_representation,
@@ -171,10 +171,7 @@ def test_acceptance_6_structural_properties_on_random_data():
         for _ in range(5):
             mu = tuple(scalar() for _ in g.complement)
             dims = [len(degree_basis(g.dim, p)) for p in range(g.dim + 1)]
-            diffs = [
-                ce_differential(g, ModuleAction(g, rep, mu), p)
-                for p in range(g.dim)
-            ]
+            diffs = [ce_differential(g, rep, mu, p) for p in range(g.dim)]
             fc = FiniteComplex(dims, diffs)
             fc.check_complex()
             euler = cohomology(fc).euler_characteristic()

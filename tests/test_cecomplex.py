@@ -10,7 +10,7 @@ from span_reference import greedy_lower_central_series_dims, greedy_representati
 from solvcohom import cecomplex, linalg
 from solvcohom.cecomplex import (
     FiniteComplex,
-    ModuleAction,
+    ce_kernel,
     cohomology,
     degree_basis,
     module_basis_names,
@@ -47,13 +47,9 @@ def test_wedge_insert_sign():
     assert wedge_insert_sign(5, ()) == 1
 
 
-def plain_action(g):
-    return ModuleAction(g, trivial_representation(g), None)
-
-
 def test_heisenberg_one_form_differential(heisenberg):
     # dz* = -x*^y*; dx* = dy* = 0.
-    d1 = ce_differential(heisenberg, plain_action(heisenberg), 1)
+    d1 = ce_differential(heisenberg, trivial_representation(heisenberg), None, 1)
     # Degree-2 rows in lex order: x^y, x^z, y^z.
     assert d1.row_maps[0].get(2, ZERO) == MINUS_ONE
     assert all(
@@ -63,7 +59,7 @@ def test_heisenberg_one_form_differential(heisenberg):
 
 def test_split_3d_one_form_signs(split_3d):
     # de2* = -e1*^e2*, de3* = +e1*^e3*.
-    d1 = ce_differential(split_3d, plain_action(split_3d), 1)
+    d1 = ce_differential(split_3d, trivial_representation(split_3d), None, 1)
     assert d1.row_maps[0].get(1, ZERO) == MINUS_ONE
     assert d1.row_maps[1].get(2, ZERO) == ONE
     assert d1.row_maps[2].get(0, ZERO) == ZERO
@@ -71,9 +67,18 @@ def test_split_3d_one_form_signs(split_3d):
 
 def test_ce_image_action_term(split_3d):
     # Twist by mu = (1): d(1 (x) v) gains a mu(e1) e1* term.
-    action = ModuleAction(split_3d, trivial_representation(split_3d), (ONE,))
+    rep = trivial_representation(split_3d)
     # Row 0 of degree 1 is e1* (x) v, column 0 of degree 0 is 1 (x) v.
-    assert ce_differential(split_3d, action, 0).row_maps[0].get(0, ZERO) == ONE
+    assert ce_differential(split_3d, rep, (ONE,), 0).row_maps[0].get(0, ZERO) == ONE
+
+
+@pytest.mark.parametrize("twist", [(), (ONE, ONE)], ids=["short", "long"])
+def test_ce_kernel_refuses_a_twist_of_the_wrong_width(split_3d, twist):
+    # The complement of split_3d has one direction. A long twist must not
+    # be cut to its first coordinate, which would be a valid twist.
+    rep = trivial_representation(split_3d)
+    with pytest.raises(ValidationFailure, match="^weight covector length != complement size$"):
+        ce_kernel(split_3d, rep, [(ONE,), twist])
 
 
 def test_heisenberg_ce_betti(heisenberg):
@@ -153,9 +158,9 @@ def test_lower_central_series_equals_the_greedy_reference(name):
 
 def plain_ce_complex(g):
     """Untwisted Chevalley-Eilenberg complex with trivial coefficients."""
-    action = plain_action(g)
+    rep = trivial_representation(g)
     dims = [len(degree_basis(g.dim, p)) for p in range(g.dim + 1)]
-    diffs = [ce_differential(g, action, p) for p in range(g.dim)]
+    diffs = [ce_differential(g, rep, None, p) for p in range(g.dim)]
     return FiniteComplex(dims, diffs)
 
 

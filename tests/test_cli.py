@@ -5,25 +5,28 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
 import textwrap
 
 import pytest
-from conftest import EXPECTED_DIR, INSTANCE_DIR
+from conftest import EXPECTED_DIR, INSTANCE_DIR, make_heisenberg, make_split_6d_plus_heisenberg
 from emit_reference import emit_instance
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import solvcohom
 from solvcohom import cli, weights
+from solvcohom.cecomplex import cohomology
 from solvcohom.instances import (
     WeightsSpec,
     build_representation,
     build_weight_assignment,
     load_instance,
 )
+from solvcohom.liealg import adjoint_representation
 from solvcohom.oracle import QuasiIsoReport, SectorComparison
 from solvcohom.scalars import ZERO
 
@@ -583,15 +586,100 @@ def test_oracle_catches_a_broken_builder(monkeypatch, capsys):
     # holds trivially there), so only the full-sector oracle can catch it.
     ce_kernel = weights.ce_kernel
 
-    def broken(g, actions):
-        kernel = ce_kernel(g, actions)
-        return lambda column_action, p: {} if p == 1 else kernel(column_action, p)
+    def broken(g, rep, twists):
+        kernel = ce_kernel(g, rep, twists)
+        return lambda column_twist, p: {} if p == 1 else kernel(column_twist, p)
 
     monkeypatch.setattr(weights, "ce_kernel", broken)
     assert run(["oracle", path_of("heisenberg3")]) == 3
     out = capsys.readouterr().out
     assert "tag (): block [1, 3, 3, 1] vs full [1, 2, 2, 1] [MISMATCH]" in out
     assert "result: MISMATCH" in out
+
+
+ORDER_RUNS = [
+    argv
+    for name, cohom in SHIPPED_COMMANDS
+    for argv in (
+        [cohom, name], [cohom, name, "--representatives"], ["conditions", name], ["oracle", name]
+    )
+]
+
+
+def _run_outputs(tmp_path, capsys):
+    """(exit code, stdout, stderr, --json bytes) of every ORDER_RUNS run."""
+    outputs = []
+    for command, name, *flags in ORDER_RUNS:
+        out = tmp_path / "out.json"
+        code = run([command, path_of(name), *flags, "--json", str(out)])
+        captured = capsys.readouterr()
+        outputs.append((code, captured.out, captured.err, out.read_bytes()))
+    return outputs
+
+
+def _scramble_kernel_entries(monkeypatch, scramble):
+    """Make every ce_kernel call above degree 1 return its entries reversed,
+    or shuffled by a seeded generator. The list returned records, per call,
+    whether the order changed."""
+    ce_kernel = weights.ce_kernel
+    rng = random.Random(20261019)
+    reordered = []
+
+    def scrambled(g, rep, twists):
+        kernel = ce_kernel(g, rep, twists)
+
+        def entries(column_twist, p):
+            out = kernel(column_twist, p)
+            if p < 2:
+                return out
+            items = list(out.items())
+            if scramble == "reversed":
+                items.reverse()
+            else:
+                rng.shuffle(items)
+            reordered.append(items != list(out.items()))
+            return dict(items)
+
+        return entries
+
+    monkeypatch.setattr(weights, "ce_kernel", scrambled)
+    return reordered
+
+
+@pytest.mark.parametrize("scramble", ["reversed", "shuffled"])
+def test_kernel_entry_order_above_degree_one_reaches_no_output(
+    scramble, monkeypatch, tmp_path, capsys
+):
+    # ce_kernel promises entry order only at degrees 0 and 1, whose first
+    # grading violation is reported. Reordering the entries of every call
+    # above degree 1 must leave every output byte-identical.
+    expected = _run_outputs(tmp_path, capsys)
+    reordered = _scramble_kernel_entries(monkeypatch, scramble)
+    assert _run_outputs(tmp_path, capsys) == expected
+    assert any(reordered)
+
+
+@pytest.mark.parametrize("scramble", ["reversed", "shuffled"])
+def test_kernel_entry_order_above_degree_one_leaves_representatives_alone(
+    scramble, monkeypatch
+):
+    # The shipped instances' complexes hold at most one entry per row, so
+    # no output of theirs can show a pivot that follows row order. With
+    # adjoint coefficients rows hold up to three, and the representatives
+    # of the whole complex must not move either.
+    def classes(g):
+        rep = adjoint_representation(g)
+        ic = weights.build_invariant_complex(g, rep, weights.infer_weights(g, rep))
+        result = cohomology(
+            weights.restrict_complex(ic, range(len(ic.tag_table))), representatives=True
+        )
+        return result.betti, [[sorted(v.items()) for v in vs] for vs in result.representatives]
+
+    algebras = [make_heisenberg(), make_split_6d_plus_heisenberg()]
+    expected = [classes(g) for g in algebras]
+    reordered = _scramble_kernel_entries(monkeypatch, scramble)
+    assert [classes(g) for g in algebras] == expected
+    assert any(reordered)
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -1,6 +1,6 @@
-"""Every module-level import in the package is used by its module, every
-module-level function or class is read by some package module, and the
-package has no assert statement.
+"""Every module-level import in the package and in the tests is used by
+its module, every module-level function or class is read by some
+package module, and the package has no assert statement.
 
 A name counts as used when the module reads it anywhere, or lists it in
 __all__ (the package's re-exports). A definition counts as read when some
@@ -48,7 +48,11 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports("from . import a\n__all__ = ['a']\n") == []
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")),
+    ids=lambda p: p.name,
+)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
 

@@ -1,4 +1,3 @@
-from solvcohom.errors import ValidationFailure
 from solvcohom.liealg import (
     LieAlgebraData,
     RepresentationData,

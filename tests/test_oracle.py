@@ -7,7 +7,8 @@ from oracle_reference import (
     reference_sector_differential,
 )
 
-from solvcohom.cecomplex import ModuleAction
+from solvcohom.cecomplex import twist_at
+from solvcohom.errors import ValidationFailure
 from solvcohom.instances import build_representation, build_weight_assignment, load_instance
 from solvcohom.liealg import RepresentationData, adjoint_representation, trivial_representation
 from solvcohom.linalg import ExactMatrix
@@ -50,6 +51,15 @@ def test_full_sector_untwisted_heisenberg(heisenberg):
         2,
         1,
     )
+
+
+@pytest.mark.parametrize("twist", [(), (ONE, ONE)], ids=["short", "long"])
+def test_full_sector_refuses_a_twist_of_the_wrong_width(split_3d, twist):
+    # One coordinate short or long of split_3d's one-direction complement;
+    # the long one must not be cut to the valid twist (1).
+    rep = trivial_representation(split_3d)
+    with pytest.raises(ValidationFailure, match="^weight covector length != complement size$"):
+        sector_cohomology_full(split_3d, rep, twist)
 
 
 def test_full_sector_twisted_split_3d(split_3d):
@@ -139,11 +149,10 @@ def test_sector_differential_equals_insertion_formula(name):
     ic = build_invariant_complex(g, rep, w)
     skeletons = sector_skeleton(g)
     for tag in ic.distinct_tags():
-        action = ModuleAction(g, rep, tag)
-        rho = _action_table(action)
+        rho = _action_table(rep, twist_at(g, tag))
         for p in range(g.dim):
-            expected = ce_differential(g, action, p)
-            assert _sector_differential(g, action, p, skeletons[p], _signed(rho)) == expected
+            expected = ce_differential(g, rep, tag, p)
+            assert _sector_differential(g, rep.m, p, skeletons[p], _signed(rho)) == expected
         shared = sector_cohomology_full(g, rep, tag, skeletons)
         alone = sector_cohomology_full(g, rep, tag)
         assert shared.betti == alone.betti
@@ -174,12 +183,11 @@ def test_sector_rows_equal_entry_keyed_reference(name):
     ic = build_invariant_complex(g, rep, w)
     skeletons = sector_skeleton(g)
     for tag in ic.tag_table:
-        action = ModuleAction(g, rep, tag)
-        rho = _action_table(action)
-        assert rho == reference_action_table(g, action)
+        rho = _action_table(rep, twist_at(g, tag))
+        assert rho == reference_action_table(g, rep, tag)
         for p in range(g.dim):
-            got = _sector_differential(g, action, p, skeletons[p], _signed(rho))
-            want = reference_sector_differential(g, action, p, skeletons[p], rho)
+            got = _sector_differential(g, rep.m, p, skeletons[p], _signed(rho))
+            want = reference_sector_differential(g, rep.m, p, skeletons[p], rho)
             assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
             assert [list(r.items()) for r in got.row_maps] == [
                 list(r.items()) for r in want.row_maps
@@ -192,7 +200,7 @@ def test_action_table_adds_mu_on_the_diagonal(split_3d):
     # holds no zero.
     r = ExactMatrix(3, 3, [[MINUS_ONE, ONE, ZERO], [ZERO, ZERO, GaussianRational(5)], [ZERO] * 3])
     zero = ExactMatrix.zero(3, 3)
-    action = ModuleAction(split_3d, RepresentationData(3, (r, zero, zero)), (ONE,))
-    rho = _action_table(action)
-    assert rho == reference_action_table(split_3d, action)
+    rep = RepresentationData(3, (r, zero, zero))
+    rho = _action_table(rep, twist_at(split_3d, (ONE,)))
+    assert rho == reference_action_table(split_3d, rep, (ONE,))
     assert rho[0] == [(0, 1, ONE), (1, 1, ONE), (1, 2, GaussianRational(5)), (2, 2, ONE)]

@@ -32,7 +32,6 @@ from period_reference import reference_names
 
 from solvcohom.cecomplex import (
     FiniteComplex,
-    ModuleAction,
     ce_kernel,
     cohomology,
     degree_basis,
@@ -107,9 +106,8 @@ def lattices(width: int):
 
 def twisted_complex(g: LieAlgebraData, mu):
     rep = trivial_representation(g)
-    action = ModuleAction(g, rep, mu)
     dims = [len(degree_basis(g.dim, p)) for p in range(g.dim + 1)]
-    diffs = [ce_differential(g, action, p) for p in range(g.dim)]
+    diffs = [ce_differential(g, rep, mu, p) for p in range(g.dim)]
     return FiniteComplex(dims, diffs)
 
 
@@ -153,8 +151,7 @@ def test_ce_image_equals_reference_formula(name, data):
     )
     I = tuple(sorted(data.draw(st.sets(st.integers(0, g.dim - 1)), label="I")))
     k = data.draw(st.integers(0, rep.m - 1), label="k")
-    action = ModuleAction(g, rep, mu)
-    assert kernel_column(g, action, I, k) == reference_ce_image(g, action, I, k)
+    assert kernel_column(g, rep, mu, I, k) == reference_ce_image(g, rep, mu, I, k)
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -169,13 +166,12 @@ def test_ce_differential_columns_equal_reference(name, data):
         data.draw(scalars, label=f"mu_{i}") for i in range(len(g.complement))
     )
     p = data.draw(st.integers(0, g.dim), label="p")
-    action = ModuleAction(g, rep, mu)
     expected = [
-        reference_ce_image(g, action, I, k)
+        reference_ce_image(g, rep, mu, I, k)
         for I in degree_basis(g.dim, p)
         for k in range(rep.m)
     ]
-    assert kernel_columns(g, action, p) == expected
+    assert kernel_columns(g, rep, mu, p) == expected
 
 
 # Small values, so that a twist often equals a partial sum of c_{ct}^t.
@@ -188,8 +184,7 @@ _TWIST_VALUES = st.sampled_from(
 # split_5d: e1 acts on e2, e3, e4 by 1, -1, 1 and e5 on e3 by 1. In column
 # e2*^e3*^e4*, the diagonal coefficient at e1*^e2*^e3*^e4* sums three
 # bracket terms, whose partial sums return to the action part twice
-# when that part is 0, and the one at e2*^e3*^e4*^e5* can sit
-# between them, at its bracket term t = e3.
+# when that part is 0.
 _KERNEL_ALGEBRAS = {
     **ALGEBRAS,
     "split_3d+line": LieAlgebraData(
@@ -246,9 +241,10 @@ def test_subset_sums_reuse_ids_across_zero_vectors_and_cancellation():
 def test_ce_kernel_entries_equal_bitmask_reference(name, data):
     # The kernel forms only off-diagonal terms and reads each diagonal
     # coefficient from tables; the reference forms every term and lets
-    # the sums cancel. The entries must agree, dict item order included,
-    # on a drawn subset of a degree's columns in drawn order, twice from
-    # one kernel (the second call reads the filled tables). Twists: one
+    # the sums cancel. The entries must agree on a drawn subset of a
+    # degree's columns in drawn order, twice from one kernel (the second
+    # call reads the filled tables), dict item order included at degrees
+    # 0 and 1, the only ones where the kernel promises it. Twists: one
     # for every column, as ce_differential uses; one of a few drawn ones
     # per column; each column's own tag, as build_invariant_complex uses,
     # whose diagonal coefficients all vanish; or that tag shifted by a
@@ -265,7 +261,7 @@ def test_ce_kernel_entries_equal_bitmask_reference(name, data):
     if mode in ("fixed", "drawn"):
         count = 1 if mode == "fixed" else data.draw(st.integers(2, 3), label="count")
         twists = [data.draw(covector, label="twist") for _ in range(count)]
-        column_action = {c: rng.randrange(count) for c in columns}
+        column_twist = {c: rng.randrange(count) for c in columns}
     else:
         ic = build_invariant_complex(g, rep, infer_weights(g, rep))
         shift = data.draw(covector, label="shift") if mode == "shifted tag" else None
@@ -273,29 +269,33 @@ def test_ce_kernel_entries_equal_bitmask_reference(name, data):
             tag if shift is None else tuple(x + y for x, y in zip(tag, shift))
             for tag in ic.tag_table
         ]
-        column_action = {c: ic.tag_ids[p][c] for c in columns}
-    actions = [ModuleAction(g, rep, twist) for twist in twists]
-    expected = list(reference_ce_kernel(g, actions)(column_action, p).items())
-    kernel = ce_kernel(g, actions)
-    assert list(kernel(column_action, p).items()) == expected
-    assert list(kernel(column_action, p).items()) == expected
+        column_twist = {c: ic.tag_ids[p][c] for c in columns}
+    expected = reference_ce_kernel(g, rep, twists)(column_twist, p)
+    kernel = ce_kernel(g, rep, twists)
+    for _ in range(2):
+        entries = kernel(column_twist, p)
+        assert entries == expected
+        if p <= 1:
+            assert list(entries.items()) == list(expected.items())
 
 
-def test_ce_kernel_places_a_diagonal_where_its_sum_last_turned_nonzero():
-    # Column e2*^e3*^e4* with no twist: at e1*^e2*^e3*^e4* the running sum
-    # of the bracket terms (t = e2, e3, e4) is 0, -1, 0, -1, so the entry
-    # last turns nonzero at t = e4, after the entry at e2*^e3*^e4*^e5*
-    # (its only term is at t = e3), not at its first term.
-    g = _KERNEL_ALGEBRAS["split_5d"]
-    actions = [ModuleAction(g, trivial_representation(g), (ZERO, ZERO))]
-    column_action = {degree_basis(5, 3).index((1, 2, 3)): 0}
-    entries = ce_kernel(g, actions)(column_action, 3)
-    rows = degree_basis(5, 4)
+def test_ce_kernel_puts_a_diagonal_with_no_action_part_after_the_action_terms():
+    # Column e2* twisted by mu = (0, 1): the diagonal at e1*^e2* has action
+    # part R_{e1}[0, 0] + mu(X_e1) = 0 and bracket part c_{e1,e2}^{e2} = 1,
+    # so it follows the entry at e2*^e4* (action part mu(X_e4) = 1), though
+    # its row comes first. Term order at degree 1, as the reference gives.
+    g = _KERNEL_ALGEBRAS["split_3d+line"]
+    rep = trivial_representation(g)
+    twists = [(ZERO, ONE)]
+    column_twist = {degree_basis(4, 1).index((1,)): 0}
+    entries = ce_kernel(g, rep, twists)(column_twist, 1)
+    rows = degree_basis(4, 2)
     assert [(rows[r], v) for (r, _), v in entries.items()] == [
-        ((1, 2, 3, 4), ONE),
-        ((0, 1, 2, 3), MINUS_ONE),
+        ((1, 3), MINUS_ONE),
+        ((0, 1), MINUS_ONE),
     ]
-    assert list(entries.items()) == list(reference_ce_kernel(g, actions)(column_action, 3).items())
+    expected = reference_ce_kernel(g, rep, twists)(column_twist, 1)
+    assert list(entries.items()) == list(expected.items())
 
 
 @settings(max_examples=40, deadline=None)

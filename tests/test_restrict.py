@@ -12,7 +12,7 @@ from conftest import (
 from restrict_reference import SelectionClosureError, reference_restrict_complex
 
 from solvcohom import cli, weights
-from solvcohom.cecomplex import FiniteComplex, ModuleAction, cohomology, degree_basis
+from solvcohom.cecomplex import FiniteComplex, cohomology, degree_basis
 from solvcohom.errors import ValidationFailure, WeightGradingError
 from solvcohom.instances import build_representation, build_weight_assignment, load_instance
 from solvcohom.lattice import ratio_char_trivial_on_lattice, select_de_rham, select_dolbeault
@@ -24,12 +24,12 @@ from solvcohom.weights import build_invariant_complex, infer_weights, restrict_c
 
 def _plain_ce_complex(g):
     """The plain CE complex and its labels, which the reference's witness names."""
-    action = ModuleAction(g, trivial_representation(g), None)
+    rep = trivial_representation(g)
     bases = [degree_basis(g.dim, p) for p in range(g.dim + 1)]
     labels = [[monomial_label(g, I, 0, ("1",)) for I in basis] for basis in bases]
     fc = FiniteComplex(
         [len(basis) for basis in bases],
-        [ce_differential(g, action, p) for p in range(g.dim)],
+        [ce_differential(g, rep, None, p) for p in range(g.dim)],
     )
     return fc, labels
 
@@ -157,12 +157,12 @@ def test_derham_builds_only_the_kept_columns_above_degree_one(monkeypatch, capsy
     calls = []
     ce_kernel = weights.ce_kernel
 
-    def recording(g, actions):
-        kernel = ce_kernel(g, actions)
+    def recording(g, rep, twists):
+        kernel = ce_kernel(g, rep, twists)
 
-        def record(column_action, p):
-            calls.append((p, list(column_action)))
-            return kernel(column_action, p)
+        def record(column_twist, p):
+            calls.append((p, list(column_twist)))
+            return kernel(column_twist, p)
 
         return record
 
@@ -185,9 +185,9 @@ def test_restrict_complex_checks_every_entry_it_builds(split_3d):
     rep = trivial_representation(split_3d)
     ic = build_invariant_complex(split_3d, rep, infer_weights(split_3d, rep))
 
-    def leaky(column_action, p):
-        entries = ic.kernel(column_action, p)
-        if p == 1 and 1 in column_action:
+    def leaky(column_twist, p):
+        entries = ic.kernel(column_twist, p)
+        if p == 1 and 1 in column_twist:
             entries[(1, 1)] = ONE
         return entries
 

@@ -43,7 +43,6 @@ from solvcohom.weights import (
     format_weight,
     infer_weights,
     validate_weight_assignment,
-    weight_is_zero,
     weight_sort_key,
 )
 
