@@ -11,10 +11,10 @@ by raw evaluation of the convention instead, so the two never share a
 differential code path.
 
 Degree-p basis order: p-subsets I of the index set in lexicographic
-order, each followed by the module index k (so column (I, k) sits at
-subset_position(I) * m + k). ce_kernel assembles the requested columns
-of a degree at once, each in one representation twisted by one of a
-list of weight covectors: a subset is an integer bitmask and wedge
+order, each an integer bitmask (degree_masks) followed by the module
+index k, so column (I, k) sits at mask_position(n, p)[I] * m + k.
+ce_kernel assembles the requested columns of a degree at once, each in
+one representation twisted by one of a list of weight covectors; wedge
 signs are popcounts. It forms only single terms: R_j[l, k] with l != k,
 which no twist touches, and the bracket terms c_{ab}^t with t not in
 {a, b}, once per subset for all its columns (I, k). The diagonal
@@ -54,20 +54,9 @@ Weight = tuple[GaussianRational, ...]
 
 
 @lru_cache(maxsize=None)
-def degree_basis(n: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """Lexicographically ordered p-subsets of range(n)."""
-    return tuple(combinations(range(n), p))
-
-
-@lru_cache(maxsize=None)
-def subset_position(n: int, p: int) -> dict[tuple[int, ...], int]:
-    return {I: pos for pos, I in enumerate(degree_basis(n, p))}
-
-
-@lru_cache(maxsize=None)
 def degree_masks(n: int, p: int) -> tuple[int, ...]:
-    """degree_basis(n, p) as bitmasks (bit i for x_i), in the same order."""
-    return tuple(sum(1 << i for i in I) for I in degree_basis(n, p))
+    """The p-subsets of range(n) in lexicographic order, as bitmasks (bit i for x_i)."""
+    return tuple(map(sum, combinations([1 << i for i in range(n)], p)))
 
 
 @lru_cache(maxsize=None)
@@ -174,6 +163,8 @@ def ce_kernel(
                 lam[t][a] = -c
             else:
                 dx[t].append((1 << a | 1 << b, (1 << a) - 1, (1 << b) - 1, c, -c))
+    # The t with such terms, ascending: (bit t, bits below t, terms).
+    dx_ts = [(1 << t, (1 << t) - 1, terms) for t, terms in enumerate(dx) if terms]
     # R_j e_k off the diagonal, per k: (bit j, bits below j, terms,
     # negated terms) for each j with such a term; r_diag[k][j] = R_j[k, k].
     off = [[[] for _ in range(m)] for _ in range(n)]
@@ -220,7 +211,7 @@ def ce_kernel(
         return out
 
     def kernel(column_twist: dict[int, int], p: int) -> dict[tuple[int, int], GaussianRational]:
-        subsets, masks = degree_basis(n, p), degree_masks(n, p)
+        masks = degree_masks(n, p)
         target = mask_position(n, p + 1)
         entries: dict[tuple[int, int], GaussianRational] = {}
         last = None
@@ -233,10 +224,11 @@ def ce_kernel(
                 last = ipos
                 pid = part_of[mask]
                 brackets = []
-                for pos_t, t in enumerate(subsets[ipos]):
-                    if dx[t]:
-                        rest = mask ^ 1 << t
-                        for ab, below_a, below_b, c, neg in dx[t]:
+                for bit_t, below_t, terms in dx_ts:
+                    if mask & bit_t:
+                        rest = mask ^ bit_t
+                        pos_t = (mask & below_t).bit_count()
+                        for ab, below_a, below_b, c, neg in terms:
                             if not rest & ab:
                                 odd = pos_t + (rest & below_b).bit_count() + (rest & below_a).bit_count()
                                 brackets.append((target[rest | ab] * m, neg if odd & 1 else c))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .cecomplex import cohomology, nilshadow
@@ -313,6 +314,7 @@ def cmd_nilshadow(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="solvcohom",

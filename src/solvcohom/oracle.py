@@ -8,11 +8,11 @@ by raw evaluation of the differential convention,
                    + sum_{a<b} (-1)^{a+b} w([X_a,X_b], ..drop a,b..),
 
 entry by entry, sharing no differential code with the insertion-formula
-builder: only the matrix type, the subset order and twist_at, which
-places mu on the complement indices, are common. Its Betti numbers must
-agree degree by degree with the mu-block of the invariant complex; this
-is the finite certificate that the invariant complex computes the right
-cohomology.
+builder: only the matrix type, the subset order (degree_masks and
+mask_position) and twist_at, which places mu on the complement indices,
+are common. Its Betti numbers must agree degree by degree with the
+mu-block of the invariant complex; this is the finite certificate that
+the invariant complex computes the right cohomology.
 
 Only rho_mu(X_j) depends on the sector. Everything else in the formula
 (which (J, I) blocks meet, the evaluation signs, the bracket scalars) is
@@ -24,6 +24,7 @@ evaluated raw on its tuple.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -32,8 +33,8 @@ from .cecomplex import (
     FiniteComplex,
     Weight,
     cohomology,
-    degree_basis,
-    subset_position,
+    degree_masks,
+    mask_position,
     twist_at,
 )
 from .liealg import LieAlgebraData, RepresentationData
@@ -73,21 +74,22 @@ def _degree_skeleton(g: LieAlgebraData, p: int) -> DegreeSkeleton:
 
     Action terms (jpos, ipos, j, s) stand for s * rho(X_j) in the block of
     target J and source I, the jpos-th (p+1)-subset and the ipos-th
-    p-subset in degree_basis order; bracket terms {(jpos, ipos): c} stand
+    p-subset in degree_masks order; bracket terms {(jpos, ipos): c} stand
     for c * id in that block. x_I vanishes off the permutations of I, so
-    each argument tuple of the formula has at most one source I, its
-    sorted form; x_I is still evaluated on the tuple.
+    each argument tuple of the formula, formed from the bits of J, has at
+    most one source I, its sorted form; x_I is still evaluated on the tuple.
     """
-    position = subset_position(g.dim, p)
+    position = mask_position(g.dim, p)
     action_terms: list[tuple[int, int, int, int]] = []
     bracket_terms: dict[tuple[int, int], GaussianRational] = {}
-    for jpos, J in enumerate(degree_basis(g.dim, p + 1)):
+    for jpos, mask in enumerate(degree_masks(g.dim, p + 1)):
+        J = tuple([j for j in range(g.dim) if mask >> j & 1])
         # Action term: sum_a (-1)^a rho(X_{j_a}) (x_I (x) v)(..drop a..).
         for a in range(p + 1):
             arguments = J[:a] + J[a + 1 :]
             I = tuple(sorted(arguments))
             sign = _alternating_evaluation(I, arguments)
-            action_terms.append((jpos, position[I], J[a], -sign if a % 2 else sign))
+            action_terms.append((jpos, position[mask ^ 1 << J[a]], J[a], -sign if a % 2 else sign))
         # Bracket term: sum_{a<b} (-1)^{a+b} (x_I)( [X_a,X_b], ..drop.. ).
         scalars: dict[int, GaussianRational] = {}
         for a in range(p + 1):
@@ -100,7 +102,7 @@ def _degree_skeleton(g: LieAlgebraData, p: int) -> DegreeSkeleton:
                     arguments = (t,) + rest
                     I = tuple(sorted(arguments))
                     sign = parity * _alternating_evaluation(I, arguments)
-                    ipos = position[I]
+                    ipos = position[sum([1 << i for i in I])]
                     scalars[ipos] = scalars.get(ipos, ZERO) + (c if sign > 0 else -c)
         for ipos in sorted(scalars):
             if scalars[ipos]:
@@ -146,7 +148,7 @@ def _sector_differential(
     """Degree-p differential: the skeleton with _signed(_action_table(rep, mu_at)), m = rep.m."""
     n = g.dim
     action_terms, bracket_terms = skeleton
-    rows: list[SparseRow] = [{} for _ in range(len(degree_basis(n, p + 1)) * m)]
+    rows: list[SparseRow] = [{} for _ in range(math.comb(n, p + 1) * m)]
     for (jpos, ipos), scalar in bracket_terms.items():
         for k in range(m):
             rows[jpos * m + k][ipos * m + k] = scalar
@@ -159,7 +161,7 @@ def _sector_differential(
                     del row[col]
                     continue
             row[col] = value
-    return ExactMatrix._of(len(rows), len(degree_basis(n, p)) * m, rows)
+    return ExactMatrix._of(len(rows), math.comb(n, p) * m, rows)
 
 
 def sector_cohomology_full(
@@ -178,7 +180,7 @@ def sector_cohomology_full(
     if skeletons is None:
         skeletons = sector_skeleton(g)
     diffs = [_sector_differential(g, m, p, skeletons[p], signed) for p in range(n)]
-    dims = [len(degree_basis(n, p)) * m for p in range(n + 1)]
+    dims = [math.comb(n, p) * m for p in range(n + 1)]
     fc = FiniteComplex(dims, diffs)
     return cohomology(fc)
 

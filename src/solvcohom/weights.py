@@ -34,7 +34,6 @@ from .cecomplex import (
     FiniteComplex,
     Weight,
     ce_kernel,
-    degree_basis,
     degree_masks,
     module_basis_names,
     subset_sums,
@@ -177,7 +176,7 @@ def validate_weight_assignment(
 class InvariantComplex:
     """Basis elements (I, k) of the invariant complex, one weight tag each.
 
-    Degree-p element i is (degree_basis(n, p)[i // m], i % m), named
+    Degree-p element i is (degree_masks(n, p)[i // m], i % m), named
     label(p, i); names are formed when asked for, not stored. Tags are
     interned: tag_table lists the distinct tags in weight_sort_key order,
     and tag_ids[p][i] is the position in it of the tag of degree-p element
@@ -209,9 +208,10 @@ class InvariantComplex:
     def labels(self, p: int, indices: Iterable[int]) -> list[str]:
         """The names of the given degree-p elements, such as "x*^z* (x) u2"."""
         starred, tails = self._label_parts
-        m, subsets = len(tails), degree_basis(len(starred), p)
+        m, masks = len(tails), degree_masks(len(starred), p)
         return [
-            ("^".join([starred[j] for j in subsets[i // m]]) or "1") + tails[i % m]
+            ("^".join([name for j, name in enumerate(starred) if masks[i // m] >> j & 1]) or "1")
+            + tails[i % m]
             for i in indices
         ]
 

@@ -12,20 +12,20 @@ read entry by entry through apply_entry. ce_differential is the
 kernel's whole degree in one twisted module, as a matrix, for tests
 that take plain twisted complexes. Every function takes the
 representation and a twist covector over the complement (None for no
-twist), as ce_kernel does.
+twist), as ce_kernel does. Subsets are enumerated in the tests' own
+order (subset_reference), so agreement with the package also checks
+its degree_masks order.
 """
 from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
+from subset_reference import degree_basis, subset_mask, subset_position
+
 from solvcohom.cecomplex import (
     _one_form_differentials,
     ce_kernel,
-    degree_basis,
-    degree_masks,
-    mask_position,
     module_basis_names,
-    subset_position,
     twist_at,
 )
 from solvcohom.errors import WeightGradingError
@@ -92,13 +92,13 @@ def reference_ce_kernel(
         return table
 
     def kernel(column_twist: dict[int, int], p: int) -> dict[tuple[int, int], GaussianRational]:
-        subsets, masks = degree_basis(n, p), degree_masks(n, p)
-        target = mask_position(n, p + 1)
+        subsets = degree_basis(n, p)
+        target = {subset_mask(J): pos for J, pos in subset_position(n, p + 1).items()}
         entries: dict[tuple[int, int], GaussianRational] = {}
         last = None
         for col, tid in column_twist.items():
             ipos, k = divmod(col, m)
-            mask = masks[ipos]
+            mask = subset_mask(subsets[ipos])
             if ipos != last:
                 # d(x_I) = sum_t (-1)^{pos(t, I)} dx_t ^ x_{I - t}, for every k.
                 last = ipos

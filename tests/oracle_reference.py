@@ -13,8 +13,9 @@ tests compare ranks against it to show they do not depend on pivot order.
 from __future__ import annotations
 
 from ce_reference import apply_entry
+from subset_reference import degree_basis
 
-from solvcohom.cecomplex import degree_basis, twist_at
+from solvcohom.cecomplex import twist_at
 from solvcohom.liealg import LieAlgebraData, RepresentationData
 from solvcohom.linalg import ExactMatrix, SparseRow, _row_axpy
 from solvcohom.oracle import DegreeSkeleton, _alternating_evaluation

@@ -22,9 +22,10 @@ from conftest import (
     zero_tag_indices,
 )
 from period_reference import reference_names
+from subset_reference import degree_basis
 
 import solvcohom
-from solvcohom.cecomplex import FiniteComplex, cohomology, degree_basis, nilshadow
+from solvcohom.cecomplex import FiniteComplex, cohomology, nilshadow
 from solvcohom.instances import (
     RepresentationSpec,
     build_representation,

@@ -6,16 +6,17 @@ import pytest
 from ce_reference import ce_differential, monomial_label, wedge_insert_sign
 from conftest import INSTANCE_DIR
 from span_reference import greedy_lower_central_series_dims, greedy_representatives
+from subset_reference import degree_basis, subset_mask
 
 from solvcohom import cecomplex, linalg
 from solvcohom.cecomplex import (
     FiniteComplex,
     ce_kernel,
     cohomology,
-    degree_basis,
+    degree_masks,
+    mask_position,
     module_basis_names,
     nilshadow,
-    subset_position,
 )
 from solvcohom.errors import CertificateError, NilshadowError, ValidationFailure
 from solvcohom.instances import build_representation, build_weight_assignment, load_instance
@@ -30,13 +31,25 @@ from solvcohom.weights import build_invariant_complex, infer_weights, restrict_c
 
 
 def test_degree_basis_lex_order():
-    assert degree_basis(3, 0) == ((),)
-    assert degree_basis(3, 1) == ((0,), (1,), (2,))
-    assert degree_basis(3, 2) == ((0, 1), (0, 2), (1, 2))
-    assert degree_basis(4, 4) == ((0, 1, 2, 3),)
-    pos = subset_position(4, 2)
-    assert pos[(0, 1)] == 0
-    assert pos[(2, 3)] == len(degree_basis(4, 2)) - 1
+    assert degree_masks(3, 0) == (0,)
+    assert degree_masks(3, 1) == (0b001, 0b010, 0b100)
+    assert degree_masks(3, 2) == (0b011, 0b101, 0b110)
+    assert degree_masks(4, 4) == (0b1111,)
+    pos = mask_position(4, 2)
+    assert pos[0b0011] == 0
+    assert pos[0b1100] == len(degree_masks(4, 2)) - 1
+
+
+def test_degree_masks_follow_the_combinations_reference():
+    # Every degree up to n = 12: the package's masks are the reference's
+    # lexicographic tuples, and mask_position inverts them.
+    for n in range(13):
+        for p in range(n + 1):
+            masks = degree_masks(n, p)
+            assert masks == tuple(subset_mask(I) for I in degree_basis(n, p))
+            position = mask_position(n, p)
+            assert len(position) == len(masks)
+            assert all(position[mask] == pos for pos, mask in enumerate(masks))
 
 
 def test_wedge_insert_sign():

@@ -302,6 +302,19 @@ def test_unreadable_inputs_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_the_parser_is_built_once_and_refuses_alike_every_time(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    refusals = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run(["homology", path_of("heisenberg3")])
+        refusals.append((exc.value.code, capsys.readouterr().err))
+    assert refusals[0] == refusals[1]
+    code, err = refusals[0]
+    assert code == 2
+    assert "invalid choice: 'homology'" in err
+
+
 def _set(path, value):
     def mutate(doc):
         *outer, last = path

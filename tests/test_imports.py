@@ -12,7 +12,10 @@ out of reach of these checks: attribute names are shared between classes
 (`conjugate` is both a scalar's and a period value's), so a read of one
 cannot be told from a read of another.
 Certificates must also run under python -O, which strips assert
-statements, so the package raises instead.
+statements, so the package raises instead. The package's only
+process-global caches (functools.cache or lru_cache) are the subset
+tables and the command-line parser: a cache that outlives a command
+makes warm answers in one process cheaper than a real command-line run.
 """
 import ast
 import re
@@ -155,3 +158,36 @@ def test_the_check_sees_an_assert():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_assert_statement(path):
     assert assert_lines(path.read_text()) == []
+
+
+def cached_functions(source: str) -> list[str]:
+    """Each function wrapped by functools.cache or lru_cache, in any form."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("cache", "lru_cache"):
+                    names.append(node.name)
+    return names
+
+
+def test_the_check_sees_a_cached_function():
+    source = (
+        "import functools\nfrom functools import cache, cached_property, lru_cache\n"
+        "@lru_cache(maxsize=None)\ndef a():\n    pass\n@cache\ndef b():\n    pass\n"
+        "@functools.lru_cache\ndef c():\n    pass\nclass K:\n    @functools.cache\n"
+        "    def d(self):\n        pass\n    @cached_property\n    def e(self):\n        pass\n"
+        "def f():\n    pass\n"
+    )
+    assert cached_functions(source) == ["a", "b", "c", "d"]
+
+
+def test_process_global_caches_are_exactly_the_subset_tables_and_the_parser():
+    # A table that outlives one command makes every later answer in the
+    # same process cheaper than a fresh run, so each one is deliberate.
+    cached = {
+        name for path in PACKAGE.glob("*.py") for name in cached_functions(path.read_text())
+    }
+    assert cached == {"degree_masks", "mask_position", "build_parser"}

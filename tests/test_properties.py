@@ -29,12 +29,12 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from period_reference import reference_names
+from subset_reference import degree_basis
 
 from solvcohom.cecomplex import (
     FiniteComplex,
     ce_kernel,
     cohomology,
-    degree_basis,
     subset_sums,
 )
 from solvcohom.instances import build_representation, build_weight_assignment, load_instance

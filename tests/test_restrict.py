@@ -10,9 +10,10 @@ from conftest import (
     make_split_6d_plus_heisenberg,
 )
 from restrict_reference import SelectionClosureError, reference_restrict_complex
+from subset_reference import degree_basis
 
 from solvcohom import cli, weights
-from solvcohom.cecomplex import FiniteComplex, cohomology, degree_basis
+from solvcohom.cecomplex import FiniteComplex, cohomology
 from solvcohom.errors import ValidationFailure, WeightGradingError
 from solvcohom.instances import build_representation, build_weight_assignment, load_instance
 from solvcohom.lattice import ratio_char_trivial_on_lattice, select_de_rham, select_dolbeault

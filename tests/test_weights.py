@@ -25,8 +25,9 @@ from jordan_reference import (
     jordan_chevalley_additive,
     matrix_inverse,
 )
+from subset_reference import degree_basis
 
-from solvcohom.cecomplex import degree_basis, module_basis_names
+from solvcohom.cecomplex import module_basis_names
 from solvcohom.errors import WeightGradingError, WeightInferenceError
 from solvcohom.instances import build_representation, build_weight_assignment, load_instance
 from solvcohom.liealg import (
