@@ -771,6 +771,104 @@ def test_representatives_match_frozen_snapshot(name, cohom, tmp_path, capsys):
     assert out.read_bytes() == (SNAPSHOT_DIR / f"{name}.{cohom}.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "name,command",
+    [
+        (name, command)
+        for name, cohom in SHIPPED_COMMANDS
+        for command in ("validate", cohom, "conditions", "oracle", "nilshadow")
+    ],
+)
+def test_stdout_matches_frozen_snapshot(name, command, capsys):
+    assert run([command, path_of(name)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (SNAPSHOT_DIR / "stdout" / f"{name}.{command}.txt").read_text()
+    assert captured.err == ""
+
+
+def _run_doc(doc, command, tmp_path, capsys):
+    """(exit code, stdout, --json payload) of one command on doc."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    code = run([command, str(path), "--json", str(out)])
+    return code, capsys.readouterr().out, json.loads(out.read_text())
+
+
+# A nilpotent algebra whose shadow is itself, with a two-term bracket.
+TWO_TERM = {
+    "name": "two-term",
+    "kind": "derham",
+    "algebra": {"dim": 4, "basis": ["x", "y", "z", "w"],
+                "brackets": [["x", "y", "z", "1"], ["x", "y", "w", "-1/2+i"]],
+                "nilradical": ["x", "y", "z", "w"], "complement": []},
+    "representation": {"trivial": True},
+    "weights": {"infer": True},
+    "lattice": {"symbols": [], "generators": []},
+}
+
+
+def test_nilshadow_joins_the_terms_of_one_bracket(tmp_path, capsys):
+    assert _run_doc(TWO_TERM, "nilshadow", tmp_path, capsys) == (
+        0,
+        "nilshadow of 'two-term'\n"
+        "  [x, y] = (1)*z + (-1/2+i)*w\n"
+        "  lower central series dims: [4, 1, 0]\n",
+        {
+            "command": "nilshadow",
+            "instance": "two-term",
+            "basis": ["x", "y", "z", "w"],
+            "brackets": [["x", "y", "z", "1"], ["x", "y", "w", "-1/2+i"]],
+            "lower_central_series": [4, 1, 0],
+        },
+    )
+
+
+def test_validate_pins_homomorphism_failures_in_pair_order(tmp_path, capsys):
+    # x -> E12, y -> E23, z -> E13 keeps [x, y] = z; w -> 0 breaks
+    # [x, w] = z and [y, w] = 2z.
+    doc = {
+        **TWO_TERM,
+        "name": "two-pairs",
+        "algebra": {"dim": 4, "basis": ["x", "y", "z", "w"],
+                    "brackets": [["x", "y", "z", "1"], ["x", "w", "z", "1"],
+                                 ["y", "w", "z", "2"]],
+                    "nilradical": ["x", "y", "z", "w"], "complement": []},
+        "representation": {"dim": 3, "matrices": {
+            "x": [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+            "y": [["0", "0", "0"], ["0", "0", "1"], ["0", "0", "0"]],
+            "z": [["0", "0", "1"], ["0", "0", "0"], ["0", "0", "0"]],
+        }},
+    }
+    assert _run_doc(doc, "validate", tmp_path, capsys) == (
+        1,
+        "instance 'two-pairs': 2 issue(s)\n"
+        "  [rep-homomorphism] [R(x),R(w)] != R([x,w])\n"
+        "  [rep-homomorphism] [R(y),R(w)] != R([y,w])\n",
+        {
+            "command": "validate",
+            "instance": "two-pairs",
+            "ok": False,
+            "issues": [
+                {"code": "rep-homomorphism", "message": "[R(x),R(w)] != R([x,w])",
+                 "witness": [0, 3]},
+                {"code": "rep-homomorphism", "message": "[R(y),R(w)] != R([y,w])",
+                 "witness": [1, 3]},
+            ],
+        },
+    )
+    # The commands that need a valid instance print the same issues, with
+    # no header, and write no report.
+    out = tmp_path / "out.json"
+    out.unlink()
+    assert run(["derham", str(tmp_path / "doc.json"), "--json", str(out)]) == 1
+    assert capsys.readouterr().out == (
+        "  [rep-homomorphism] [R(x),R(w)] != R([x,w])\n"
+        "  [rep-homomorphism] [R(y),R(w)] != R([y,w])\n"
+    )
+    assert not out.exists()
+
+
 def test_dolbeault_prints_hodge_numbers(capsys):
     assert run(["dolbeault", path_of("torus-complex-n3")]) == 0
     out = capsys.readouterr().out

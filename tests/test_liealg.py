@@ -1,3 +1,6 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from solvcohom.liealg import (
     LieAlgebraData,
     RepresentationData,
@@ -8,7 +11,7 @@ from solvcohom.liealg import (
     validate_representation,
 )
 from solvcohom.linalg import ExactMatrix
-from solvcohom.scalars import MINUS_ONE, ONE, ZERO, GaussianRational
+from solvcohom.scalars import MINUS_ONE, ONE, ZERO, GaussianRational, I
 
 from conftest import bracket_entries, make_heisenberg, make_split_3d, make_split_6d
 
@@ -181,6 +184,47 @@ def test_homomorphism_violation_detected(heisenberg):
     # Swapping the image of z breaks [R_x, R_y] = R_z.
     rep = RepresentationData(3, (e(0, 1), e(1, 2), e(1, 2)))
     assert "rep-homomorphism" in [i.code for i in validate_representation(heisenberg, rep).issues]
+
+
+def _dense_law_breaks(g, rep):
+    """Pairs (i, j) with [R_i, R_j] != sum_k c_ij^k R_k, by dense arithmetic."""
+    m = rep.m
+    dense = [[[R.row_maps[r].get(c, ZERO) for c in range(m)] for r in range(m)]
+             for R in rep.matrices]
+
+    def entry(i, j, r, c):
+        ab = sum((dense[i][r][t] * dense[j][t][c] for t in range(m)), ZERO)
+        ba = sum((dense[j][r][t] * dense[i][t][c] for t in range(m)), ZERO)
+        return ab - ba - sum((v * dense[k][r][c] for k, v in g.bracket(i, j).items()), ZERO)
+
+    return [
+        (i, j)
+        for i in range(g.dim)
+        for j in range(i + 1, g.dim)
+        if any(entry(i, j, r, c) for r in range(m) for c in range(m))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_homomorphism_check_matches_dense_arithmetic(data):
+    # The adjoint module satisfies the law; each perturbed entry may break
+    # it on some pairs, and validate must name exactly those, in order.
+    g = data.draw(st.sampled_from([make_heisenberg, make_split_3d, make_split_6d]))()
+    matrices = list(adjoint_representation(g).matrices)
+    for _ in range(data.draw(st.integers(0, 2))):
+        j, r, c = (data.draw(st.integers(0, g.dim - 1)) for _ in range(3))
+        entries = {(a, b): v for a, row in enumerate(matrices[j].row_maps) for b, v in row.items()}
+        entries[(r, c)] = entries.get((r, c), ZERO) + data.draw(st.sampled_from([ONE, MINUS_ONE, I]))
+        matrices[j] = ExactMatrix.from_entries(g.dim, g.dim, entries)
+    rep = RepresentationData(g.dim, matrices)
+    issues = [i for i in validate_representation(g, rep).issues if i.code == "rep-homomorphism"]
+    breaks = _dense_law_breaks(g, rep)
+    assert [i.witness for i in issues] == breaks
+    assert [i.message for i in issues] == [
+        f"[R({g.basis[i]}),R({g.basis[j]})] != R([{g.basis[i]},{g.basis[j]}])"
+        for i, j in breaks
+    ]
 
 
 def test_unipotence_violation_detected(heisenberg):
