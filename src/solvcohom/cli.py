@@ -7,6 +7,9 @@
     solvcohom oracle     <instance.json> [--json OUT]
     solvcohom nilshadow  <instance.json> [--json OUT]
 
+Each command builds its --json payload once, as its one report, and
+prints stdout by reading only that payload.
+
 Exit codes: 0 success, 1 validation or consistency failure, 2 unreadable
 input (bad JSON, bad scalar grammar, schema violations) or a --json OUT
 that cannot be written ("error: cannot write OUT: ..."), 3 oracle
@@ -18,7 +21,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from functools import lru_cache
+from itertools import groupby
 from pathlib import Path
 
 from .cecomplex import cohomology, nilshadow
@@ -46,15 +51,18 @@ from .lattice import (
 )
 from .liealg import ValidationIssue, lower_central_series_dims
 from .oracle import verify_quasi_iso
-from .scalars import ONE, MINUS_ONE, format_gaussian
+from .scalars import format_gaussian
 from .weights import build_invariant_complex, format_weight
 
 
-def _write_json(path: str, payload: dict):
-    try:
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from exc
+def _finish(args, payload: dict, code: int = 0) -> int:
+    """Write the command's report to --json OUT, if given, and pass on its exit code."""
+    if args.json:
+        try:
+            Path(args.json).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise OutputError(f"cannot write {args.json}: {exc}") from exc
+    return code
 
 
 def _pipeline(inst: InstanceFile):
@@ -64,13 +72,15 @@ def _pipeline(inst: InstanceFile):
     return rep, w, ic
 
 
+def _print_issues(issues: list[dict]):
+    for issue in issues:
+        print(f"  [{issue['code']}] {issue['message']}")
+
+
 def _require_valid(inst: InstanceFile) -> bool:
     report = validate_instance(inst)
-    if not report.ok:
-        for issue in report.issues:
-            print(f"  [{issue.code}] {issue.message}")
-        return False
-    return True
+    _print_issues([asdict(issue) for issue in report.issues])
+    return report.ok
 
 
 def _flag_text(value) -> str:
@@ -79,21 +89,10 @@ def _flag_text(value) -> str:
     return "true" if value else "false"
 
 
-def _class_terms(vec, labels) -> list[tuple[str, str]]:
-    return [(labels[i], format_gaussian(vec[i])) for i in sorted(vec)]
-
-
-def _class_text(vec, labels) -> str:
-    chunks = []
-    for i in sorted(vec):
-        c = vec[i]
-        if c == ONE:
-            chunks.append(labels[i])
-        elif c == MINUS_ONE:
-            chunks.append("-" + labels[i])
-        else:
-            chunks.append(f"({format_gaussian(c)})*{labels[i]}")
-    return " + ".join(chunks)
+def _term_text(label: str, c: str) -> str:
+    if c == "1":
+        return label
+    return "-" + label if c == "-1" else f"({c})*{label}"
 
 
 def _tag_summary(sel) -> list[dict]:
@@ -125,23 +124,18 @@ def cmd_validate(args) -> int:
             found.append(ValidationIssue("weight-inference", str(exc)))
         except WeightGradingError as exc:
             found.append(ValidationIssue("weight-grading", str(exc)))
-    issues = [
-        {"code": i.code, "message": i.message, "witness": list(i.witness)}
-        for i in found
-    ]
-    if not found:
-        print(f"instance {inst.name!r}: valid")
-    else:
+    issues = [asdict(issue) for issue in found]
+    payload = {"command": "validate", "instance": inst.name, "ok": not issues, "issues": issues}
+    if issues:
         print(f"instance {inst.name!r}: {len(issues)} issue(s)")
-        for issue in found:
-            print(f"  [{issue.code}] {issue.message}")
-    if args.json:
-        _write_json(args.json, {"command": "validate", "instance": inst.name,
-                                "ok": not found, "issues": issues})
-    return 1 if found else 0
+    else:
+        print(f"instance {inst.name!r}: valid")
+    _print_issues(issues)
+    return _finish(args, payload, 1 if issues else 0)
 
 
-def _cohomology_command(args, kind: str) -> int:
+def cmd_cohomology(args) -> int:
+    kind = args.command
     inst = load_instance(args.instance)
     if inst.kind != kind:
         raise ModeMismatchError(
@@ -154,19 +148,10 @@ def _cohomology_command(args, kind: str) -> int:
         ic, inst.lattice
     )
     result = cohomology(sel.complex, representatives=args.representatives)
-
-    title = "twisted de Rham" if kind == "derham" else "Dolbeault"
-    print(f"{title} cohomology of {inst.name!r}")
-    print("  degree  invariant dim  kept dim  betti")
-    invariant = [len(per) for per in ic.tag_ids]
-    for p, b in enumerate(result.betti):
-        print(f"  {p:<6}  {invariant[p]:<13}  {sel.complex.dims[p]:<8}  {b}")
-    print(f"Euler characteristic: {result.euler_characteristic()}")
-
     payload: dict = {
         "command": kind,
         "instance": inst.name,
-        "invariant_dimensions": invariant,
+        "invariant_dimensions": [len(per) for per in ic.tag_ids],
         "kept_dimensions": list(sel.complex.dims),
         "betti": list(result.betti),
         "euler_characteristic": result.euler_characteristic(),
@@ -175,36 +160,32 @@ def _cohomology_command(args, kind: str) -> int:
     if kind == "dolbeault":
         hodge = dolbeault_hodge_table(inst.algebra.dim, result.betti)
         payload["hodge_numbers"] = [list(row) for row in hodge]
-        print("Hodge numbers h^(p,q) (rows p, columns q):")
-        for row in hodge:
-            print("  " + "  ".join(f"{h:<3}" for h in row))
     if args.representatives:
-        reps_out = []
         kept = ic.indices_with_tag_ids(sel.kept)
+        payload["representatives"] = []
         for p, classes in enumerate(result.representatives):
             labels = ic.labels(p, kept[p])
-            reps_out.append(
-                [_class_terms(vec, labels) for vec in classes]
+            payload["representatives"].append(
+                [[(labels[i], format_gaussian(vec[i])) for i in sorted(vec)] for vec in classes]
             )
-            if classes:
-                print(f"H^{p} representatives:")
-                for vec in classes:
-                    print(f"  {_class_text(vec, labels)}")
-        payload["representatives"] = [
-            [[list(term) for term in cls] for cls in degree]
-            for degree in reps_out
-        ]
-    if args.json:
-        _write_json(args.json, payload)
-    return 0
 
-
-def cmd_derham(args) -> int:
-    return _cohomology_command(args, "derham")
-
-
-def cmd_dolbeault(args) -> int:
-    return _cohomology_command(args, "dolbeault")
+    title = "twisted de Rham" if kind == "derham" else "Dolbeault"
+    print(f"{title} cohomology of {inst.name!r}")
+    print("  degree  invariant dim  kept dim  betti")
+    columns = zip(payload["invariant_dimensions"], payload["kept_dimensions"], payload["betti"])
+    for p, (invariant, kept_dim, b) in enumerate(columns):
+        print(f"  {p:<6}  {invariant:<13}  {kept_dim:<8}  {b}")
+    print(f"Euler characteristic: {payload['euler_characteristic']}")
+    if kind == "dolbeault":
+        print("Hodge numbers h^(p,q) (rows p, columns q):")
+        for row in payload["hodge_numbers"]:
+            print("  " + "  ".join(f"{h:<3}" for h in row))
+    for p, classes in enumerate(payload.get("representatives", ())):
+        if classes:
+            print(f"H^{p} representatives:")
+        for terms in classes:
+            print("  " + " + ".join(_term_text(label, c) for label, c in terms))
+    return _finish(args, payload)
 
 
 def cmd_conditions(args) -> int:
@@ -213,36 +194,16 @@ def cmd_conditions(args) -> int:
         return 1
     rep, w, ic = _pipeline(inst)
     report = check_conditions(ic, inst.lattice)
+    payload = {"command": "conditions", "instance": inst.name, **asdict(report)}
     print(f"selection conditions for {inst.name!r}")
-    print(f"  diamond1 (trivial iff trivial on lattice): {_flag_text(report.diamond1)}")
-    print(f"  diamond2 (nonzero tags non-unitary):       {_flag_text(report.diamond2)}")
-    print(f"  star     (trivial iff ratio-trivial):      {_flag_text(report.star)}")
-    print(f"  box      (basis weights ratio-trivial):    {_flag_text(report.box)}")
-    for wtn in report.witnesses:
-        where = "algebra basis" if wtn.degree < 0 else f"degree {wtn.degree}"
-        print(f"  witness [{wtn.condition}] {where}: {wtn.label} with tag {wtn.tag}")
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "command": "conditions",
-                "instance": inst.name,
-                "diamond1": report.diamond1,
-                "diamond2": report.diamond2,
-                "star": report.star,
-                "box": report.box,
-                "witnesses": [
-                    {
-                        "condition": wtn.condition,
-                        "degree": wtn.degree,
-                        "label": wtn.label,
-                        "tag": wtn.tag,
-                    }
-                    for wtn in report.witnesses
-                ],
-            },
-        )
-    return 0
+    print(f"  diamond1 (trivial iff trivial on lattice): {_flag_text(payload['diamond1'])}")
+    print(f"  diamond2 (nonzero tags non-unitary):       {_flag_text(payload['diamond2'])}")
+    print(f"  star     (trivial iff ratio-trivial):      {_flag_text(payload['star'])}")
+    print(f"  box      (basis weights ratio-trivial):    {_flag_text(payload['box'])}")
+    for wtn in payload["witnesses"]:
+        where = "algebra basis" if wtn["degree"] < 0 else f"degree {wtn['degree']}"
+        print(f"  witness [{wtn['condition']}] {where}: {wtn['label']} with tag {wtn['tag']}")
+    return _finish(args, payload)
 
 
 def cmd_oracle(args) -> int:
@@ -251,29 +212,22 @@ def cmd_oracle(args) -> int:
         return 1
     rep, w, ic = _pipeline(inst)
     report = verify_quasi_iso(ic)
+    sectors = [
+        {
+            "tag": format_weight(s.tag),
+            "block": list(s.block_betti),
+            "full": list(s.full_betti),
+            "equal": s.equal,
+        }
+        for s in report.sectors
+    ]
+    payload = {"command": "oracle", "instance": inst.name, "ok": report.ok, "sectors": sectors}
     print(f"sector-by-sector oracle for {inst.name!r}")
-    for line in report.summary_lines():
-        print("  " + line)
-    print("result: " + ("agree" if report.ok else "MISMATCH"))
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "command": "oracle",
-                "instance": inst.name,
-                "ok": report.ok,
-                "sectors": [
-                    {
-                        "tag": format_weight(s.tag),
-                        "block": list(s.block_betti),
-                        "full": list(s.full_betti),
-                        "equal": s.equal,
-                    }
-                    for s in report.sectors
-                ],
-            },
-        )
-    return 0 if report.ok else 3
+    for s in sectors:
+        verdict = "ok" if s["equal"] else "MISMATCH"
+        print(f"  tag {s['tag']}: block {s['block']} vs full {s['full']} [{verdict}]")
+    print("result: " + ("agree" if payload["ok"] else "MISMATCH"))
+    return _finish(args, payload, 0 if payload["ok"] else 3)
 
 
 def cmd_nilshadow(args) -> int:
@@ -283,35 +237,25 @@ def cmd_nilshadow(args) -> int:
     rep, w, _ = _pipeline(inst)
     shadow = nilshadow(inst.algebra, w.algebra_weights)
     series = lower_central_series_dims(shadow, frozenset(range(shadow.dim)))
+    names = shadow.basis
+    payload = {
+        "command": "nilshadow",
+        "instance": inst.name,
+        "basis": list(names),
+        "brackets": [
+            [names[i], names[j], names[k], format_gaussian(c)]
+            for (i, j), row in sorted(shadow.bracket_table().items())
+            for k, c in row
+        ],
+        "lower_central_series": list(series),
+    }
     print(f"nilshadow of {inst.name!r}")
-    table = shadow.bracket_table()
-    if not table:
+    if not payload["brackets"]:
         print("  bracket: abelian")
-    for (i, j), row in sorted(table.items()):
-        terms = " + ".join(
-            f"({format_gaussian(c)})*{shadow.basis[k]}" for k, c in row
-        )
-        print(f"  [{shadow.basis[i]}, {shadow.basis[j]}] = {terms}")
-    print(f"  lower central series dims: {list(series)}")
-    if args.json:
-        brackets = []
-        for (i, j), row in sorted(table.items()):
-            for k, c in row:
-                brackets.append(
-                    [shadow.basis[i], shadow.basis[j], shadow.basis[k],
-                     format_gaussian(c)]
-                )
-        _write_json(
-            args.json,
-            {
-                "command": "nilshadow",
-                "instance": inst.name,
-                "basis": list(shadow.basis),
-                "brackets": brackets,
-                "lower_central_series": list(series),
-            },
-        )
-    return 0
+    for (x, y), terms in groupby(payload["brackets"], key=lambda b: b[:2]):
+        print(f"  [{x}, {y}] = " + " + ".join(f"({c})*{z}" for _, _, z, c in terms))
+    print(f"  lower central series dims: {payload['lower_central_series']}")
+    return _finish(args, payload)
 
 
 @lru_cache(maxsize=None)
@@ -323,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     specs = [
         ("validate", cmd_validate, False),
-        ("derham", cmd_derham, True),
-        ("dolbeault", cmd_dolbeault, True),
+        ("derham", cmd_cohomology, True),
+        ("dolbeault", cmd_cohomology, True),
         ("conditions", cmd_conditions, False),
         ("oracle", cmd_oracle, False),
         ("nilshadow", cmd_nilshadow, False),

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationFailure
-from .linalg import ExactMatrix, trailing_echelon
-from .scalars import ONE, ZERO, GaussianRational
+from .linalg import ExactMatrix, _row_axpy, row_times, trailing_echelon
+from .scalars import MINUS_ONE, ONE, ZERO, GaussianRational
 
 MODE_REAL = "real-complexified"
 MODE_COMPLEX = "complex"
@@ -410,21 +410,25 @@ def validate_representation(
         )
         return ValidationReport(tuple(issues))
 
-    # Homomorphism law: [R_i, R_j] = sum_k c_{ij}^k R_k.
+    # Homomorphism law, row by row: [R_i, R_j] - sum_k c_{ij}^k R_k = 0.
+    R = rep.matrices
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = rep.matrices[i] @ rep.matrices[j] - rep.matrices[j] @ rep.matrices[i]
-            rhs = ExactMatrix.zero(rep.m, rep.m)
-            for k, c in g.bracket(i, j).items():
-                rhs = rhs + rep.matrices[k].scale(c)
-            if lhs != rhs:
-                issues.append(
-                    ValidationIssue(
-                        "rep-homomorphism",
-                        f"[R({g.basis[i]}),R({g.basis[j]})] != R([{g.basis[i]},{g.basis[j]}])",
-                        (i, j),
+            terms = g.bracket(i, j).items()
+            for l in range(rep.m):
+                ij, ji = row_times(R[i].row_maps[l], R[j]), row_times(R[j].row_maps[l], R[i])
+                row = _row_axpy(ij, ji, MINUS_ONE)
+                for k, c in terms:
+                    row = _row_axpy(row, R[k].row_maps[l], -c)
+                if row:
+                    issues.append(
+                        ValidationIssue(
+                            "rep-homomorphism",
+                            f"[R({g.basis[i]}),R({g.basis[j]})] != R([{g.basis[i]},{g.basis[j]}])",
+                            (i, j),
+                        )
                     )
-                )
+                    break
 
     # Unipotence certificate on the nilradical.
     for i in sorted(g.nilradical):

@@ -114,32 +114,6 @@ class ExactMatrix:
             and self.row_maps == other.row_maps
         )
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._shape_check(other)
-        return ExactMatrix._of(
-            self.nrows,
-            self.ncols,
-            (_row_axpy(ra, rb, ONE) for ra, rb in zip(self.row_maps, other.row_maps)),
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix._of(
-            self.nrows, self.ncols, ({j: -a for j, a in r.items()} for r in self.row_maps)
-        )
-
-    def scale(self, scalar: GaussianRational) -> "ExactMatrix":
-        if not scalar:
-            return ExactMatrix.zero(self.nrows, self.ncols)
-        # Q(i) is a field: a nonzero multiple of a nonzero stays nonzero.
-        return ExactMatrix._of(
-            self.nrows,
-            self.ncols,
-            ({j: scalar * a for j, a in r.items()} for r in self.row_maps),
-        )
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions disagree")
@@ -176,10 +150,6 @@ class ExactMatrix:
             ({j: a for j, a in row.items() if j != i} for i, row in enumerate(self.row_maps)),
         )
         return diag, residue.is_nilpotent()
-
-    def _shape_check(self, other: "ExactMatrix"):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("matrix shapes disagree")
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols})"

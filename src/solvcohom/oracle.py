@@ -40,7 +40,7 @@ from .cecomplex import (
 from .liealg import LieAlgebraData, RepresentationData
 from .linalg import ExactMatrix, SparseRow
 from .scalars import ZERO, GaussianRational
-from .weights import InvariantComplex, format_weight, restrict_complex
+from .weights import InvariantComplex, restrict_complex
 
 # (action terms, bracket terms) of one degree; see _degree_skeleton.
 DegreeSkeleton = tuple[
@@ -203,16 +203,6 @@ class QuasiIsoReport:
     @property
     def ok(self) -> bool:
         return all(s.equal for s in self.sectors)
-
-    def summary_lines(self) -> list[str]:
-        lines = []
-        for s in self.sectors:
-            verdict = "ok" if s.equal else "MISMATCH"
-            lines.append(
-                f"tag {format_weight(s.tag)}: block {list(s.block_betti)} "
-                f"vs full {list(s.full_betti)} [{verdict}]"
-            )
-        return lines
 
 
 def verify_quasi_iso(ic: InvariantComplex) -> QuasiIsoReport:

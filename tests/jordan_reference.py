@@ -15,7 +15,7 @@ from typing import Sequence
 
 from solvcohom.errors import CertificateError, SolvcohomError, ValidationFailure
 from solvcohom.linalg import ExactMatrix
-from solvcohom.scalars import ONE, ZERO, GaussianRational
+from solvcohom.scalars import MINUS_ONE, ONE, ZERO, GaussianRational
 
 
 class ExtendScalarsError(SolvcohomError):
@@ -91,13 +91,23 @@ def poly_derivative(a: Poly) -> Poly:
     )
 
 
+def axpy(a: ExactMatrix, b: ExactMatrix, factor: GaussianRational = ONE) -> ExactMatrix:
+    """a + factor * b, for matrices of one shape."""
+    entries: dict[tuple[int, int], GaussianRational] = {}
+    for matrix, f in ((a, ONE), (b, factor)):
+        for i, row in enumerate(matrix.row_maps):
+            for j, v in row.items():
+                entries[(i, j)] = entries.get((i, j), ZERO) + f * v
+    return ExactMatrix.from_entries(a.nrows, a.ncols, entries)
+
+
 def poly_eval_matrix(a: Poly, M: ExactMatrix) -> ExactMatrix:
     n = M.nrows
     result = ExactMatrix.zero(n, n)
     for c in reversed(a):
         result = result @ M
         if c:
-            result = result + ExactMatrix.from_entries(n, n, {(i, i): c for i in range(n)})
+            result = axpy(result, ExactMatrix.from_entries(n, n, {(i, i): c for i in range(n)}))
     return result
 
 
@@ -113,7 +123,7 @@ def char_poly(M: ExactMatrix) -> Poly:
         ck = trace * GaussianRational(Fraction(-1, k))
         coeffs.append(ck)
         if k < n:
-            Mk = M @ (Mk + ExactMatrix.from_entries(n, n, {(i, i): ck for i in range(n)}))
+            Mk = M @ axpy(Mk, ExactMatrix.from_entries(n, n, {(i, i): ck for i in range(n)}))
     return poly_trim(tuple(reversed(coeffs)))
 
 
@@ -176,7 +186,7 @@ def jordan_chevalley_additive(M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]
         qA = poly_eval_matrix(q, A)
         if qA.is_zero():
             break
-        A = A - qA @ matrix_inverse(poly_eval_matrix(dq, A))
+        A = axpy(A, qA @ matrix_inverse(poly_eval_matrix(dq, A)), MINUS_ONE)
     _certify(poly_eval_matrix(q, A).is_zero(), "Newton iteration did not converge")
 
     # Route 2: generalized eigenprojections P_i = (u_i g_i)(M) with
@@ -192,21 +202,21 @@ def jordan_chevalley_additive(M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]
         u_i = _inverse_mod(g_i, power)
         P = poly_eval_matrix(poly_mul(u_i, g_i), M)
         projections.append(P)
-        S2 = S2 + P.scale(root)
+        S2 = axpy(S2, P, root)
     total = ExactMatrix.zero(n, n)
     for P in projections:
         _certify((P @ P) == P, "eigenprojection is not idempotent")
-        total = total + P
+        total = axpy(total, P)
     _certify(total == identity, "eigenprojections do not sum to the identity")
     _certify(A == S2, "Newton route and projection route disagree")
 
     S = S2
-    N = M - S
+    N = axpy(M, S, MINUS_ONE)
     _certify((S @ N) == (N @ S), "semisimple and nilpotent parts do not commute")
     _certify(N.is_nilpotent(), "nilpotent part is not nilpotent")
     check = identity
     for root, _ in roots:
-        check = check @ (S - identity.scale(root))
+        check = check @ axpy(S, identity, -root)
     _certify(check.is_zero(), "semisimple part is not diagonalizable over Q(i)")
     return S, N
 

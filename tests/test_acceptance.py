@@ -149,7 +149,7 @@ def test_acceptance_5_oracle_agrees_on_every_shipped_instance():
     for name in SHIPPED:
         _, _, _, ic = pipeline(name)
         report = verify_quasi_iso(ic)
-        assert report.ok, (name, report.summary_lines())
+        assert report.ok, (name, [s.tag for s in report.sectors if not s.equal])
     verdict(
         5,
         "block and full-sector Betti numbers agree on all six shipped "

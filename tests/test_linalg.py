@@ -49,19 +49,13 @@ def test_constructors_and_entry():
 
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
-        mat([[1, 2], [3, 4]]) + mat([[1], [2]])
-    with pytest.raises(ValueError):
         mat([[1, 2]]) @ mat([[1, 2]])
 
 
 def test_arithmetic():
     a = mat([[1, 2], [3, 4]])
     b = mat([[0, 1], [1, 0]])
-    assert a + b == mat([[1, 3], [4, 4]])
-    assert a - a == ExactMatrix.zero(2, 2)
     assert a @ b == mat([[2, 1], [4, 3]])
-    assert a.scale(GaussianRational(2)) == mat([[2, 4], [6, 8]])
-    assert (-a) + a == ExactMatrix.zero(2, 2)
     assert a.transpose() == mat([[1, 3], [2, 4]])
 
 

@@ -85,8 +85,8 @@ def test_quasi_iso_split_3d(split_3d):
     assert by_tag[(ZERO,)].block_betti == (1, 1, 1, 1)
     assert by_tag[(ONE,)].block_betti == (0, 1, 1, 0)
     assert by_tag[(MINUS_ONE,)].full_betti == (0, 1, 1, 0)
-    assert len(report.summary_lines()) == 3
-    assert all(line.endswith("[ok]") for line in report.summary_lines())
+    assert len(report.sectors) == 3
+    assert all(s.equal for s in report.sectors)
 
 
 def test_quasi_iso_heisenberg(heisenberg):

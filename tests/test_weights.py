@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jordan_reference import (
     ExtendScalarsError,
+    axpy,
     char_poly,
     jordan_chevalley_additive,
     matrix_inverse,
@@ -62,7 +63,7 @@ def test_char_poly():
 
 def jc_checks(M):
     S, N = jordan_chevalley_additive(M)
-    assert S + N == M
+    assert axpy(S, N) == M
     assert S @ N == N @ S
     assert N.is_nilpotent()
     return S, N
