@@ -137,17 +137,22 @@ def _t_doc(algebra, representation, weights):
     }
 
 
+def _run_doc(doc, command, tmp_path, capsys):
+    """(exit code, stdout, --json payload) of one command on doc."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    code = run([command, str(path), "--json", str(out)])
+    return code, capsys.readouterr().out, json.loads(out.read_text())
+
+
 def _validate_issues(doc, tmp_path, capsys):
     """validate's exit code, stdout and --json issue list on doc."""
-    path = tmp_path / "t-module.json"
-    path.write_text(json.dumps(doc))
-    out = tmp_path / "v.json"
-    code = run(["validate", str(path), "--json", str(out)])
-    payload = json.loads(out.read_text())
+    code, out, payload = _run_doc(doc, "validate", tmp_path, capsys)
     assert {k: payload[k] for k in ("command", "instance", "ok")} == {
         "command": "validate", "instance": "t-module", "ok": code == 0,
     }
-    return code, capsys.readouterr().out, payload["issues"]
+    return code, out, payload["issues"]
 
 
 @pytest.mark.parametrize(
@@ -784,15 +789,6 @@ def test_stdout_matches_frozen_snapshot(name, command, capsys):
     captured = capsys.readouterr()
     assert captured.out == (SNAPSHOT_DIR / "stdout" / f"{name}.{command}.txt").read_text()
     assert captured.err == ""
-
-
-def _run_doc(doc, command, tmp_path, capsys):
-    """(exit code, stdout, --json payload) of one command on doc."""
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
-    out = tmp_path / "out.json"
-    code = run([command, str(path), "--json", str(out)])
-    return code, capsys.readouterr().out, json.loads(out.read_text())
 
 
 # A nilpotent algebra whose shadow is itself, with a two-term bracket.
