@@ -223,12 +223,51 @@ def test_adjoint_complex_squares_to_zero(split_6d):
 
 
 def test_finite_complex_shape_checks():
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure) as excinfo:
         FiniteComplex((1, 2), ())
-    with pytest.raises(ValidationFailure):
+    assert str(excinfo.value) == "need exactly one differential per adjacent pair"
+    with pytest.raises(ValidationFailure) as excinfo:
         FiniteComplex((1, 2), (ExactMatrix.zero(3, 1),))
+    assert str(excinfo.value) == "differential at degree 0 has wrong shape"
     fc = FiniteComplex((2, 1), (ExactMatrix.zero(1, 2),))
     assert fc.top_degree == 1
+
+
+def _records():
+    """One of each record a derham answer builds, from heisenberg3."""
+    inst = load_instance(INSTANCE_DIR / "heisenberg3.json")
+    rep = build_representation(inst)
+    w = build_weight_assignment(inst, rep)
+    ic = build_invariant_complex(inst.algebra, rep, w)
+    fc = restrict_complex(ic, range(len(ic.tag_table)))
+    return {
+        "FiniteComplex": fc,
+        "CohomologyResult": cohomology(fc, representatives=True),
+        "RepresentationData": rep,
+        "WeightAssignment": w,
+        "LatticeData": inst.lattice,
+    }
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [
+        ("FiniteComplex", "dims"),
+        ("CohomologyResult", "betti"),
+        ("RepresentationData", "matrices"),
+        ("WeightAssignment", "algebra_weights"),
+        ("LatticeData", "generators"),
+    ],
+)
+def test_records_refuse_assignment(name, field):
+    record = _records()[name]
+    assert type(record).__name__ == name
+    value = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    with pytest.raises(AttributeError):
+        setattr(record, "extra", value)
+    assert getattr(record, field) is value
 
 
 def test_check_complex_catches_bad_differential():

@@ -124,6 +124,14 @@ def test_empty_lattice_accepts_everything():
     assert ratio_char_trivial_on_lattice((ONE,), lat)
 
 
+def test_lattice_coordinates_share_its_symbol_table():
+    table, other = SymbolTable(["a"]), SymbolTable(["b"])
+    assert LatticeData(table, ((parse_period("a", SymbolTable(["a"])),),)).table == table
+    with pytest.raises(ValidationFailure) as excinfo:
+        LatticeData(table, ((parse_period("a + i*pi", table), parse_period("b", other)),))
+    assert str(excinfo.value) == "generator coordinate uses a foreign symbol table"
+
+
 def test_char_unitary(split_6d, split_3d):
     # Conjugation swaps the two complement directions, so (1, -1) pairs
     # with itself while (1, 0) picks up modulus.

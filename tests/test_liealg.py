@@ -1,6 +1,8 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solvcohom.errors import ValidationFailure
 from solvcohom.liealg import (
     LieAlgebraData,
     RepresentationData,
@@ -250,6 +252,15 @@ def test_rep_weight_declaration_checked(split_3d):
         rep_weights=((GaussianRational(2),),),
     )
     assert "rep-weight-diagonal" in [i.code for i in validate_representation(split_3d, rep).issues]
+
+
+def test_representation_shape_checks():
+    with pytest.raises(ValidationFailure) as excinfo:
+        RepresentationData(2, (ExactMatrix.zero(2, 2), ExactMatrix.zero(2, 1)))
+    assert str(excinfo.value) == "representation matrix has wrong shape"
+    with pytest.raises(ValidationFailure) as excinfo:
+        RepresentationData(2, (ExactMatrix.zero(2, 2),), rep_weights=((ZERO,),))
+    assert str(excinfo.value) == "need one rep weight per module basis vector"
 
 
 def test_rep_arity_checked(heisenberg):

@@ -29,7 +29,7 @@ from jordan_reference import (
 from subset_reference import degree_basis
 
 from solvcohom.cecomplex import module_basis_names
-from solvcohom.errors import WeightGradingError, WeightInferenceError
+from solvcohom.errors import ValidationFailure, WeightGradingError, WeightInferenceError
 from solvcohom.instances import build_representation, build_weight_assignment, load_instance
 from solvcohom.liealg import (
     LieAlgebraData,
@@ -255,6 +255,19 @@ def test_validate_weight_assignment_codes(split_3d):
     )
     report = validate_weight_assignment(split_3d, rep, bad)
     assert "weights-ad-diagonal" in [i.code for i in report.issues]
+
+
+@pytest.mark.parametrize(
+    "algebra, rep",
+    [
+        (((ZERO,), (ONE, ZERO), (ONE,)), ((ZERO,),)),
+        (((ZERO,), (ONE,), (ONE,)), ((),)),
+    ],
+)
+def test_weight_assignment_width_check(split_3d, algebra, rep):
+    with pytest.raises(ValidationFailure) as excinfo:
+        WeightAssignment(algebra, rep, split_3d.complement)
+    assert str(excinfo.value) == "weight covector width != complement size"
 
 
 def test_weight_formatting():
