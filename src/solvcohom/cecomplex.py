@@ -30,6 +30,7 @@ grading check reads it.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Optional, Sequence
@@ -267,6 +268,7 @@ def ce_kernel(
     return kernel
 
 
+@dataclass(frozen=True)
 class FiniteComplex:
     """A finite cochain complex of exact matrices.
 
@@ -274,21 +276,15 @@ class FiniteComplex:
     p+1 (one fewer entry than dims).
     """
 
-    __slots__ = ("dims", "differentials")
+    dims: tuple[int, ...]
+    differentials: tuple[ExactMatrix, ...]
 
-    def __init__(self, dims: Sequence[int], differentials: Sequence[ExactMatrix]):
-        dims_t = tuple(int(d) for d in dims)
-        diffs_t = tuple(differentials)
-        if len(diffs_t) != max(len(dims_t) - 1, 0):
+    def __post_init__(self):
+        if len(self.differentials) != max(len(self.dims) - 1, 0):
             raise ValidationFailure("need exactly one differential per adjacent pair")
-        for p, d in enumerate(diffs_t):
-            if d.ncols != dims_t[p] or d.nrows != dims_t[p + 1]:
+        for p, d in enumerate(self.differentials):
+            if d.ncols != self.dims[p] or d.nrows != self.dims[p + 1]:
                 raise ValidationFailure(f"differential at degree {p} has wrong shape")
-        object.__setattr__(self, "dims", dims_t)
-        object.__setattr__(self, "differentials", diffs_t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteComplex is immutable")
 
     @property
     def top_degree(self) -> int:
@@ -308,30 +304,15 @@ class FiniteComplex:
                     )
 
 
+@dataclass(frozen=True)
 class CohomologyResult:
     """Betti numbers plus optional representative cocycles per degree.
 
     A representative is a {basis index: nonzero coefficient} row.
     """
 
-    __slots__ = ("betti", "representatives")
-
-    def __init__(
-        self,
-        betti: Sequence[int],
-        representatives: Optional[Sequence[Sequence[SparseRow]]] = None,
-    ):
-        object.__setattr__(self, "betti", tuple(int(b) for b in betti))
-        object.__setattr__(
-            self,
-            "representatives",
-            None
-            if representatives is None
-            else tuple(tuple(vs) for vs in representatives),
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CohomologyResult is immutable")
+    betti: tuple[int, ...]
+    representatives: Optional[tuple[tuple[SparseRow, ...], ...]] = None
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * b for p, b in enumerate(self.betti))
@@ -397,7 +378,7 @@ def cohomology(
             )
         skip = () if representatives else reduced[p + 1].keys()
         ranks[p], reduced[p] = rank_and_kernel(complex_.differentials[p], skip)
-    betti = [dims[p] - ranks[p] - (ranks[p - 1] if p > 0 else 0) for p in range(top + 1)]
+    betti = tuple([dims[p] - ranks[p] - (ranks[p - 1] if p > 0 else 0) for p in range(top + 1)])
     if not representatives:
         return CohomologyResult(betti)
     reps: list[tuple[SparseRow, ...]] = []
@@ -412,7 +393,7 @@ def cohomology(
                 f"{len(chosen)} representatives for betti {betti[p]} at degree {p}"
             )
         reps.append(tuple(chosen))
-    return CohomologyResult(betti, reps)
+    return CohomologyResult(betti, tuple(reps))
 
 
 def nilshadow(
@@ -463,11 +444,11 @@ def nilshadow(
         conjugation=g.conjugation,
         mode=g.mode,
     )
-    report = validate_algebra(shadow)
-    if not report.ok:
+    issues = validate_algebra(shadow)
+    if issues:
         raise NilshadowError(
             "nilshadow bracket fails validation (inconsistent weight data): "
-            + "; ".join(i.message for i in report.issues)
+            + "; ".join(i.message for i in issues)
         )
     series = lower_central_series_dims(shadow, frozenset(range(g.dim)))
     if series[-1] != 0:

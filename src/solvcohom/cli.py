@@ -8,7 +8,9 @@
     solvcohom nilshadow  <instance.json> [--json OUT]
 
 Each command builds its --json payload once, as its one report, and
-prints stdout by reading only that payload.
+prints stdout by reading only that payload. On an instance that fails
+validate_instance, every command prints and writes validate's report
+under its own command name, with exit code 1.
 
 Exit codes: 0 success, 1 validation or consistency failure, 2 unreadable
 input (bad JSON, bad scalar grammar, schema violations) or a --json OUT
@@ -72,15 +74,17 @@ def _pipeline(inst: InstanceFile):
     return rep, w, ic
 
 
-def _print_issues(issues: list[dict]):
+def _issue_report(args, inst: InstanceFile, found) -> int:
+    """validate's report on the issues found, under this command's name; exit 1 if any."""
+    issues = [asdict(issue) for issue in found]
+    payload = {"command": args.command, "instance": inst.name, "ok": not issues, "issues": issues}
+    if issues:
+        print(f"instance {inst.name!r}: {len(issues)} issue(s)")
+    else:
+        print(f"instance {inst.name!r}: valid")
     for issue in issues:
         print(f"  [{issue['code']}] {issue['message']}")
-
-
-def _require_valid(inst: InstanceFile) -> bool:
-    report = validate_instance(inst)
-    _print_issues([asdict(issue) for issue in report.issues])
-    return report.ok
+    return _finish(args, payload, 1 if issues else 0)
 
 
 def _flag_text(value) -> str:
@@ -115,7 +119,7 @@ def _tag_summary(sel) -> list[dict]:
 
 def cmd_validate(args) -> int:
     inst = load_instance(args.instance)
-    found = list(validate_instance(inst).issues)
+    found = list(validate_instance(inst))
     if not found:
         # Weight data passes only if the build certifies its grading.
         try:
@@ -124,14 +128,7 @@ def cmd_validate(args) -> int:
             found.append(ValidationIssue("weight-inference", str(exc)))
         except WeightGradingError as exc:
             found.append(ValidationIssue("weight-grading", str(exc)))
-    issues = [asdict(issue) for issue in found]
-    payload = {"command": "validate", "instance": inst.name, "ok": not issues, "issues": issues}
-    if issues:
-        print(f"instance {inst.name!r}: {len(issues)} issue(s)")
-    else:
-        print(f"instance {inst.name!r}: valid")
-    _print_issues(issues)
-    return _finish(args, payload, 1 if issues else 0)
+    return _issue_report(args, inst, found)
 
 
 def cmd_cohomology(args) -> int:
@@ -141,8 +138,8 @@ def cmd_cohomology(args) -> int:
         raise ModeMismatchError(
             f"instance kind is {inst.kind!r}; this command needs {kind!r}"
         )
-    if not _require_valid(inst):
-        return 1
+    if issues := validate_instance(inst):
+        return _issue_report(args, inst, issues)
     rep, w, ic = _pipeline(inst)
     sel = select_de_rham(ic, inst.lattice) if kind == "derham" else select_dolbeault(
         ic, inst.lattice
@@ -190,8 +187,8 @@ def cmd_cohomology(args) -> int:
 
 def cmd_conditions(args) -> int:
     inst = load_instance(args.instance)
-    if not _require_valid(inst):
-        return 1
+    if issues := validate_instance(inst):
+        return _issue_report(args, inst, issues)
     rep, w, ic = _pipeline(inst)
     report = check_conditions(ic, inst.lattice)
     payload = {"command": "conditions", "instance": inst.name, **asdict(report)}
@@ -208,8 +205,8 @@ def cmd_conditions(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = load_instance(args.instance)
-    if not _require_valid(inst):
-        return 1
+    if issues := validate_instance(inst):
+        return _issue_report(args, inst, issues)
     rep, w, ic = _pipeline(inst)
     report = verify_quasi_iso(ic)
     sectors = [
@@ -232,8 +229,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_nilshadow(args) -> int:
     inst = load_instance(args.instance)
-    if not _require_valid(inst):
-        return 1
+    if issues := validate_instance(inst):
+        return _issue_report(args, inst, issues)
     rep, w, _ = _pipeline(inst)
     shadow = nilshadow(inst.algebra, w.algebra_weights)
     series = lower_central_series_dims(shadow, frozenset(range(shadow.dim)))

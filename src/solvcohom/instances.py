@@ -32,7 +32,6 @@ from .liealg import (
     LieAlgebraData,
     RepresentationData,
     ValidationIssue,
-    ValidationReport,
     adjoint_representation,
     trivial_representation,
     validate_algebra,
@@ -356,11 +355,9 @@ def build_weight_assignment(
     return WeightAssignment(spec.algebra, rep_weights, g.complement)
 
 
-def validate_instance(inst: InstanceFile) -> ValidationReport:
-    """All structural validators, merged into one report."""
-    issues: list = []
-    report = validate_algebra(inst.algebra)
-    issues.extend(report.issues)
+def validate_instance(inst: InstanceFile) -> tuple[ValidationIssue, ...]:
+    """The issues of all structural validators, in one tuple."""
+    issues = list(validate_algebra(inst.algebra))
     rep_ok = True
     try:
         rep = build_representation(inst)
@@ -368,14 +365,12 @@ def validate_instance(inst: InstanceFile) -> ValidationReport:
         issues.append(ValidationIssue("rep-shape", str(exc)))
         rep_ok = False
     if rep_ok:
-        issues.extend(validate_representation(inst.algebra, rep).issues)
+        issues.extend(validate_representation(inst.algebra, rep))
         if not inst.weights.infer:
             try:
                 w = build_weight_assignment(inst, rep)
-                issues.extend(
-                    validate_weight_assignment(inst.algebra, rep, w).issues
-                )
+                issues.extend(validate_weight_assignment(inst.algebra, rep, w))
             except (ValidationFailure, InstanceParseError) as exc:
                 issues.append(ValidationIssue("weights-shape", str(exc)))
-    issues.extend(validate_lattice(inst.algebra, inst.lattice).issues)
-    return ValidationReport(tuple(issues))
+    issues.extend(validate_lattice(inst.algebra, inst.lattice))
+    return tuple(issues)

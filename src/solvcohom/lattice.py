@@ -29,43 +29,30 @@ from .liealg import (
     MODE_REAL,
     LieAlgebraData,
     ValidationIssue,
-    ValidationReport,
 )
 from .periods import PeriodValue, SymbolTable
 from .scalars import GaussianRational
 from .weights import InvariantComplex, format_weight, restrict_complex, weight_is_zero
 
 
+@dataclass(frozen=True)
 class LatticeData:
     """Generator images in the abelianized complement, as period vectors."""
 
-    __slots__ = ("table", "generators")
+    table: SymbolTable
+    generators: tuple[tuple[PeriodValue, ...], ...]
 
-    def __init__(
-        self,
-        table: SymbolTable,
-        generators: Sequence[Sequence[PeriodValue]],
-    ):
-        gens = tuple(tuple(v) for v in generators)
-        for gen in gens:
+    def __post_init__(self):
+        for gen in self.generators:
             for v in gen:
-                if v.table != table:
+                if v.table != self.table:
                     raise ValidationFailure(
                         "generator coordinate uses a foreign symbol table"
                     )
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "generators", gens)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticeData is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, LatticeData):
-            return NotImplemented
-        return self.table == other.table and self.generators == other.generators
 
 
-def validate_lattice(g: LieAlgebraData, lat: LatticeData) -> ValidationReport:
+def validate_lattice(g: LieAlgebraData, lat: LatticeData) -> tuple[ValidationIssue, ...]:
+    """The lattice's issues: generator widths and, with a conjugation, real points."""
     issues: list[ValidationIssue] = []
     width = len(g.complement)
     for gi, gen in enumerate(lat.generators):
@@ -100,7 +87,7 @@ def validate_lattice(g: LieAlgebraData, lat: LatticeData) -> ValidationReport:
                             (gi, j),
                         )
                     )
-    return ValidationReport(tuple(issues))
+    return tuple(issues)
 
 
 def evaluate_weight_on_generator(

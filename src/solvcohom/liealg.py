@@ -5,7 +5,7 @@ together with a user-declared nilradical/complement split of the index
 set. Validation checks what the later stages assume: antisymmetry,
 Jacobi, the nilradical spanning a nilpotent ideal that contains all
 brackets, and (in real-complexified mode) conjugation compatibility.
-Validation never raises; it returns a report listing every violation
+Validation never raises; it returns a tuple of issues, every violation
 with a witness.
 """
 from __future__ import annotations
@@ -28,15 +28,6 @@ class ValidationIssue:
     code: str
     message: str
     witness: tuple = ()
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple[ValidationIssue, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
 
 
 class LieAlgebraData:
@@ -158,8 +149,8 @@ class LieAlgebraData:
         return ExactMatrix.from_entries(self.dim, self.dim, entries)
 
 
-def validate_algebra(g: LieAlgebraData) -> ValidationReport:
-    """Check every structural invariant; collect issues, never raise."""
+def validate_algebra(g: LieAlgebraData) -> tuple[ValidationIssue, ...]:
+    """Check every structural invariant; return the issues found, never raise."""
     issues: list[ValidationIssue] = []
     n = g.dim
 
@@ -317,7 +308,7 @@ def validate_algebra(g: LieAlgebraData) -> ValidationReport:
                             )
                         )
 
-    return ValidationReport(tuple(issues))
+    return tuple(issues)
 
 
 def lower_central_series_dims(g: LieAlgebraData, indices: frozenset[int]) -> list[int]:
@@ -340,6 +331,7 @@ def lower_central_series_dims(g: LieAlgebraData, indices: frozenset[int]) -> lis
     return dims
 
 
+@dataclass(frozen=True)
 class RepresentationData:
     """A finite-dimensional module given by one matrix per basis vector.
 
@@ -348,39 +340,17 @@ class RepresentationData:
     matrices are the ad matrices of the algebra.
     """
 
-    __slots__ = ("m", "matrices", "rep_weights", "adjoint")
+    m: int
+    matrices: tuple[ExactMatrix, ...]
+    rep_weights: Optional[tuple[tuple[GaussianRational, ...], ...]] = None
+    adjoint: bool = False
 
-    def __init__(
-        self,
-        m: int,
-        matrices: Sequence[ExactMatrix],
-        rep_weights: Optional[Sequence[tuple[GaussianRational, ...]]] = None,
-        adjoint: bool = False,
-    ):
-        mats = tuple(matrices)
-        for mat in mats:
-            if mat.nrows != m or mat.ncols != m:
+    def __post_init__(self):
+        for mat in self.matrices:
+            if mat.nrows != self.m or mat.ncols != self.m:
                 raise ValidationFailure("representation matrix has wrong shape")
-        weights = None if rep_weights is None else tuple(tuple(w) for w in rep_weights)
-        if weights is not None and len(weights) != m:
+        if self.rep_weights is not None and len(self.rep_weights) != self.m:
             raise ValidationFailure("need one rep weight per module basis vector")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "rep_weights", weights)
-        object.__setattr__(self, "adjoint", adjoint)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RepresentationData is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, RepresentationData):
-            return NotImplemented
-        return (
-            self.m == other.m
-            and self.matrices == other.matrices
-            and self.rep_weights == other.rep_weights
-            and self.adjoint == other.adjoint
-        )
 
 
 def trivial_representation(g: LieAlgebraData) -> RepresentationData:
@@ -400,15 +370,11 @@ def adjoint_representation(g: LieAlgebraData) -> RepresentationData:
 
 def validate_representation(
     g: LieAlgebraData, rep: RepresentationData
-) -> ValidationReport:
-    issues: list[ValidationIssue] = []
+) -> tuple[ValidationIssue, ...]:
+    """The module's issues: arity, homomorphism law, unipotence, declared weights."""
     if len(rep.matrices) != g.dim:
-        issues.append(
-            ValidationIssue(
-                "rep-arity", "need one representation matrix per basis vector"
-            )
-        )
-        return ValidationReport(tuple(issues))
+        return (ValidationIssue("rep-arity", "need one representation matrix per basis vector"),)
+    issues: list[ValidationIssue] = []
 
     # Homomorphism law, row by row: [R_i, R_j] - sum_k c_{ij}^k R_k = 0.
     R = rep.matrices
@@ -461,5 +427,5 @@ def validate_representation(
                         (j,),
                     )
                 )
-    return ValidationReport(tuple(issues))
+    return tuple(issues)
 

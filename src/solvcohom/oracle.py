@@ -179,10 +179,9 @@ def sector_cohomology_full(
     signed = _signed(_action_table(rep, twist_at(g, mu)))
     if skeletons is None:
         skeletons = sector_skeleton(g)
-    diffs = [_sector_differential(g, m, p, skeletons[p], signed) for p in range(n)]
-    dims = [math.comb(n, p) * m for p in range(n + 1)]
-    fc = FiniteComplex(dims, diffs)
-    return cohomology(fc)
+    diffs = tuple([_sector_differential(g, m, p, skeletons[p], signed) for p in range(n)])
+    dims = tuple([math.comb(n, p) * m for p in range(n + 1)])
+    return cohomology(FiniteComplex(dims, diffs))
 
 
 @dataclass(frozen=True)

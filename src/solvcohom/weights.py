@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .cecomplex import (
     FiniteComplex,
@@ -47,7 +47,6 @@ from .liealg import (
     LieAlgebraData,
     RepresentationData,
     ValidationIssue,
-    ValidationReport,
 )
 from .linalg import ExactMatrix
 from .scalars import GaussianRational
@@ -57,38 +56,18 @@ from .scalars import GaussianRational
 # Weight assignments.
 
 
+@dataclass(frozen=True)
 class WeightAssignment:
     """One covector per algebra basis vector and per module basis vector."""
 
-    __slots__ = ("algebra_weights", "rep_weights", "complement")
+    algebra_weights: tuple[Weight, ...]
+    rep_weights: tuple[Weight, ...]
+    complement: tuple[int, ...]
 
-    def __init__(
-        self,
-        algebra_weights: Sequence[Weight],
-        rep_weights: Sequence[Weight],
-        complement: Sequence[int],
-    ):
-        comp = tuple(complement)
-        alg = tuple(tuple(w) for w in algebra_weights)
-        rw = tuple(tuple(w) for w in rep_weights)
-        width = len(comp)
-        if any(len(w) != width for w in alg) or any(len(w) != width for w in rw):
+    def __post_init__(self):
+        width = len(self.complement)
+        if any(len(w) != width for w in chain(self.algebra_weights, self.rep_weights)):
             raise ValidationFailure("weight covector width != complement size")
-        object.__setattr__(self, "algebra_weights", alg)
-        object.__setattr__(self, "rep_weights", rw)
-        object.__setattr__(self, "complement", comp)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightAssignment is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightAssignment):
-            return NotImplemented
-        return (
-            self.algebra_weights == other.algebra_weights
-            and self.rep_weights == other.rep_weights
-            and self.complement == other.complement
-        )
 
 
 def weight_is_zero(w: Weight) -> bool:
@@ -128,20 +107,18 @@ def infer_weights(g: LieAlgebraData, rep: RepresentationData) -> WeightAssignmen
                     "supply an adapted basis or explicit weights"
                 )
     return WeightAssignment(
-        [[diag[i] for (diag, _), _ in splits] for i in range(g.dim)],
-        [[diag[k] for _, (diag, _) in splits] for k in range(rep.m)],
+        tuple([tuple([diag[i] for (diag, _), _ in splits]) for i in range(g.dim)]),
+        tuple([tuple([diag[k] for _, (diag, _) in splits]) for k in range(rep.m)]),
         g.complement,
     )
 
 
 def validate_weight_assignment(
     g: LieAlgebraData, rep: RepresentationData, w: WeightAssignment
-) -> ValidationReport:
-    """Diagonal match plus nilpotent residues for ad and rep matrices."""
+) -> tuple[ValidationIssue, ...]:
+    """The issues of diagonal match and nilpotent residues for ad and rep matrices."""
     if w.complement != g.complement:
-        return ValidationReport(
-            (ValidationIssue("weights-complement", "weight complement order mismatch"),)
-        )
+        return (ValidationIssue("weights-complement", "weight complement order mismatch"),)
     issues: list[ValidationIssue] = []
     for pos, (j, (ad, r)) in enumerate(zip(g.complement, _diagonal_splits(g, rep))):
         name = g.basis[j]
@@ -165,7 +142,7 @@ def validate_weight_assignment(
                         (j,),
                     )
                 )
-    return ValidationReport(tuple(issues))
+    return tuple(issues)
 
 
 # ---------------------------------------------------------------------------
@@ -312,4 +289,4 @@ def restrict_complex(ic: InvariantComplex, tag_ids: Iterable[int]) -> FiniteComp
         for (r, c), v in entries.items():
             rows[pos[p + 1][r]][pos[p][c]] = v
         differentials.append(ExactMatrix._of(dims[p + 1], dims[p], rows))
-    return FiniteComplex(dims, differentials)
+    return FiniteComplex(tuple(dims), tuple(differentials))

@@ -62,4 +62,4 @@ def reference_restrict_complex(
                 f"{labels[p + 1][witness[1]]}"
             )
         differentials.append(ExactMatrix.from_entries(dims[p + 1], dims[p], entries))
-    return FiniteComplex(dims, differentials)
+    return FiniteComplex(tuple(dims), tuple(differentials))

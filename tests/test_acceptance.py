@@ -173,7 +173,7 @@ def test_acceptance_6_structural_properties_on_random_data():
             mu = tuple(scalar() for _ in g.complement)
             dims = [len(degree_basis(g.dim, p)) for p in range(g.dim + 1)]
             diffs = [ce_differential(g, rep, mu, p) for p in range(g.dim)]
-            fc = FiniteComplex(dims, diffs)
+            fc = FiniteComplex(tuple(dims), tuple(diffs))
             fc.check_complex()
             euler = cohomology(fc).euler_characteristic()
             assert euler == sum((-1) ** p * d for p, d in enumerate(dims))
@@ -195,7 +195,7 @@ def test_acceptance_6_structural_properties_on_random_data():
     ic6 = build_invariant_complex(g6, rep6, infer_weights(g6, rep6))
     zeros = zero_tag_indices(ic6)
     for _ in range(5):
-        lat = LatticeData(table, [[period(), period()] for _ in range(2)])
+        lat = LatticeData(table, tuple((period(), period()) for _ in range(2)))
         sel = select_de_rham(ic6, lat)  # grading checked on every built entry
         for p, kept in enumerate(kept_indices(ic6, sel)):
             assert set(zeros[p]) <= set(kept)

@@ -174,7 +174,7 @@ def plain_ce_complex(g):
     rep = trivial_representation(g)
     dims = [len(degree_basis(g.dim, p)) for p in range(g.dim + 1)]
     diffs = [ce_differential(g, rep, None, p) for p in range(g.dim)]
-    return FiniteComplex(dims, diffs)
+    return FiniteComplex(tuple(dims), tuple(diffs))
 
 
 def test_split_3d_plain_ce_betti(split_3d):

@@ -16,6 +16,10 @@ statements, so the package raises instead. The package's only
 process-global caches (functools.cache or lru_cache) are the subset
 tables and the command-line parser: a cache that outlives a command
 makes warm answers in one process cheaper than a real command-line run.
+A value type whose constructor only checks and stores its arguments is a
+frozen dataclass; a hand-written __setattr__ is kept only by the types
+that skip __init__ on hot paths (GaussianRational, ExactMatrix) or derive
+their stored state from their input (LieAlgebraData, PeriodValue).
 """
 import ast
 import re
@@ -191,3 +195,29 @@ def test_process_global_caches_are_exactly_the_subset_tables_and_the_parser():
         name for path in PACKAGE.glob("*.py") for name in cached_functions(path.read_text())
     }
     assert cached == {"degree_masks", "mask_position", "build_parser"}
+
+
+def setattr_classes(source: str) -> list[str]:
+    """Each class, at any depth, whose body defines __setattr__."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "__setattr__" for f in node.body)
+    ]
+
+
+def test_the_check_sees_a_hand_written_setattr():
+    source = (
+        "from dataclasses import dataclass\n@dataclass(frozen=True)\nclass A:\n    x: int\n"
+        "class B:\n    __slots__ = ('x',)\n    def __setattr__(self, name, value):\n"
+        "        raise AttributeError('B is immutable')\n"
+        "def f():\n    class C:\n        def __setattr__(self, name, value):\n            pass\n"
+        "    return C\nclass D:\n    def set(self):\n        object.__setattr__(self, 'x', 1)\n"
+    )
+    assert setattr_classes(source) == ["B", "C"]
+
+
+def test_hand_written_setattr_is_exactly_the_four_kept_types():
+    found = {name for path in PACKAGE.glob("*.py") for name in setattr_classes(path.read_text())}
+    assert found == {"GaussianRational", "ExactMatrix", "LieAlgebraData", "PeriodValue"}

@@ -286,7 +286,7 @@ def _cleared_row_complex(cleared_row):
     when that row is minus row 1, [-1, 0]; d_0 is zero.
     """
     d1 = mat([cleared_row, [1, 0]])
-    return FiniteComplex([1, 2, 2, 1], [ExactMatrix.zero(2, 1), d1, mat([[1, 1]])])
+    return FiniteComplex((1, 2, 2, 1), (ExactMatrix.zero(2, 1), d1, mat([[1, 1]])))
 
 
 def test_d_d_failing_through_a_cleared_row_raises_in_cohomology():
@@ -311,7 +311,7 @@ def test_skipping_a_row_outside_the_span_fails_its_certificate(skip_rows):
     identity = ExactMatrix.from_entries(3, 3, {(i, i): ONE for i in range(3)})
     assert rank_and_kernel(identity, skip_rows)[0] == 3 - len(skip_rows)
     d1 = ExactMatrix._of(len(skip_rows), 3, [identity.row_maps[j] for j in sorted(skip_rows)])
-    complex_ = FiniteComplex([3, 3, len(skip_rows)], [identity, d1])
+    complex_ = FiniteComplex((3, 3, len(skip_rows)), (identity, d1))
     message = "^not a complex: d.d != 0 starting at degree 0$"
     for representatives in (False, True):
         with pytest.raises(ValidationFailure, match=message):
@@ -414,7 +414,7 @@ def test_d_d_failing_through_a_cleared_row_raises_under_optimize_flag():
         assert False, "asserts must be stripped under -O"
         d1 = ExactMatrix(2, 2, [[ZERO, ONE], [ONE, ZERO]])
         d2 = ExactMatrix(1, 2, [[ONE, ONE]])
-        complex_ = FiniteComplex([1, 2, 2, 1], [ExactMatrix.zero(2, 1), d1, d2])
+        complex_ = FiniteComplex((1, 2, 2, 1), (ExactMatrix.zero(2, 1), d1, d2))
         try:
             cohomology(complex_)
         except ValidationFailure as exc:
@@ -468,7 +468,7 @@ def test_cleared_betti_numbers_equal_reference_ranks(diffs):
     dims = [d.ncols for d in diffs] + [diffs[-1].nrows]
     ranks = [len(reference_eliminate(d, "sparsity")[0]) for d in diffs] + [0]
     want = tuple(dims[p] - ranks[p] - (ranks[p - 1] if p else 0) for p in range(len(dims)))
-    complex_ = FiniteComplex(dims, diffs)
+    complex_ = FiniteComplex(tuple(dims), tuple(diffs))
     assert cohomology(complex_).betti == want
     result = cohomology(complex_, representatives=True)
     assert result.betti == want
@@ -510,7 +510,7 @@ def test_cohomology_fails_exactly_as_check_complex(diffs):
     # own message, with and without representatives, and on a complex
     # gives the reference Betti numbers.
     dims = [d.ncols for d in diffs] + [diffs[-1].nrows]
-    complex_ = FiniteComplex(dims, diffs)
+    complex_ = FiniteComplex(tuple(dims), tuple(diffs))
     try:
         complex_.check_complex()
     except ValidationFailure as exc:

@@ -99,7 +99,7 @@ def period_values():
 def lattices(width: int):
     gen = st.lists(period_values(), min_size=width, max_size=width)
     return st.builds(
-        lambda gens: LatticeData(_TABLE, gens),
+        lambda gens: LatticeData(_TABLE, tuple(map(tuple, gens))),
         st.lists(gen, min_size=0, max_size=3),
     )
 
@@ -108,7 +108,7 @@ def twisted_complex(g: LieAlgebraData, mu):
     rep = trivial_representation(g)
     dims = [len(degree_basis(g.dim, p)) for p in range(g.dim + 1)]
     diffs = [ce_differential(g, rep, mu, p) for p in range(g.dim)]
-    return FiniteComplex(dims, diffs)
+    return FiniteComplex(tuple(dims), tuple(diffs))
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -416,8 +416,8 @@ def test_tag_table_matches_weights_on_drawn_weights(name, data):
 
     zero = [GaussianRational(0)] * width
     w = WeightAssignment(
-        [image(lam, zero) for lam in inferred.algebra_weights],
-        [image(lam, s) for lam in inferred.rep_weights],
+        tuple(image(lam, zero) for lam in inferred.algebra_weights),
+        tuple(image(lam, s) for lam in inferred.rep_weights),
         g.complement,
     )
     check_tag_table(build_invariant_complex(g, rep, w))
@@ -436,7 +436,7 @@ def _diagonal_module(g, data):
         matrices.append(
             ExactMatrix.from_entries(m, m, {(k, k): v for k, v in enumerate(diagonal) if v})
         )
-    return RepresentationData(m, matrices)
+    return RepresentationData(m, tuple(matrices))
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -453,5 +453,5 @@ def test_tag_table_matches_weights_on_drawn_modules(name, data):
         rep = adjoint_representation(g)
     else:
         rep = _diagonal_module(g, data)
-        assert validate_representation(g, rep).ok
+        assert validate_representation(g, rep) == ()
     check_tag_table(build_invariant_complex(g, rep, infer_weights(g, rep)))

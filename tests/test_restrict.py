@@ -29,8 +29,8 @@ def _plain_ce_complex(g):
     bases = [degree_basis(g.dim, p) for p in range(g.dim + 1)]
     labels = [[monomial_label(g, I, 0, ("1",)) for I in basis] for basis in bases]
     fc = FiniteComplex(
-        [len(basis) for basis in bases],
-        [ce_differential(g, rep, None, p) for p in range(g.dim)],
+        tuple(len(basis) for basis in bases),
+        tuple(ce_differential(g, rep, None, p) for p in range(g.dim)),
     )
     return fc, labels
 

@@ -249,12 +249,12 @@ def test_infer_weights_refuses_unadapted_basis():
 def test_validate_weight_assignment_codes(split_3d):
     rep = trivial_representation(split_3d)
     good = infer_weights(split_3d, rep)
-    assert validate_weight_assignment(split_3d, rep, good).ok
+    assert validate_weight_assignment(split_3d, rep, good) == ()
     bad = WeightAssignment(
         ((ZERO,), (ONE,), (ONE,)), ((ZERO,),), split_3d.complement
     )
-    report = validate_weight_assignment(split_3d, rep, bad)
-    assert "weights-ad-diagonal" in [i.code for i in report.issues]
+    issues = validate_weight_assignment(split_3d, rep, bad)
+    assert "weights-ad-diagonal" in [i.code for i in issues]
 
 
 @pytest.mark.parametrize(
@@ -346,7 +346,7 @@ def _split_6d_witness(v1, v5, v6):
     # whose tag moves by lambda_{v5}.
     g = make_split_6d()
     rep = trivial_representation(g)
-    alg = [v1, (ZERO, ONE), (MINUS_ONE, ZERO), (ZERO, MINUS_ONE), v5, v6]
+    alg = (v1, (ZERO, ONE), (MINUS_ONE, ZERO), (ZERO, MINUS_ONE), v5, v6)
     return g, rep, WeightAssignment(alg, ((ZERO, ZERO),), g.complement)
 
 
@@ -433,7 +433,8 @@ def grading_cases(draw):
         row = draw(st.integers(0, len(target) - 1))
         pos = draw(st.integers(0, len(g.complement) - 1))
         target[row][pos] = target[row][pos] + draw(st.sampled_from(_ENTRIES[2:]))
-    return name, RepresentationData(m, matrices), WeightAssignment(alg, rw, g.complement)
+    rep = RepresentationData(m, tuple(matrices))
+    return name, rep, WeightAssignment(tuple(map(tuple, alg)), tuple(map(tuple, rw)), g.complement)
 
 
 def _grading_verdict(check, g, rep, w):
