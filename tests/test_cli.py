@@ -425,12 +425,35 @@ def test_malformed_instance_exits_two_without_traceback(name, mutate, tmp_path):
     assert proc.stderr.startswith("error: ")
 
 
+def _decode_error(raw):
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return str(exc)
+
+
+def _int_error(digits):
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize(
-    "raw",
-    [b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000, b'{"x": ' + b"1" * 5000 + b"}"],
+    "raw,message",
+    [
+        (b"\xff\xfe{", "{path} is not UTF-8: " + _decode_error(b"\xff\xfe{")),
+        (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply in {path}"),
+        (
+            b'{"x": ' + b"1" * 5000 + b"}",
+            "unreadable number in {path}: " + _int_error("1" * 5000),
+        ),
+    ],
     ids=["not-utf-8", "nested-100000-deep", "integer-5000-digits"],
 )
-def test_unreadable_bytes_exit_two_without_traceback(raw, tmp_path):
+def test_unreadable_bytes_exit_two_without_traceback(raw, message, tmp_path):
+    # The interpreter's own wording of the decode and digit-limit errors
+    # follows the package's text.
     path = tmp_path / "unreadable.json"
     path.write_bytes(raw)
     proc = subprocess.run(
@@ -439,8 +462,155 @@ def test_unreadable_bytes_exit_two_without_traceback(raw, tmp_path):
         text=True,
     )
     assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ")
+    assert proc.stderr == "error: " + message.format(path=path) + "\n"
+
+
+@pytest.mark.parametrize(
+    "name,mutate,message",
+    [
+        ("heisenberg3", _set(("representation",), 5), "representation block must be an object"),
+        ("heisenberg3", _set(("weights",), []), "weights block must be an object"),
+        ("heisenberg3", _set(("algebra", "conjugation"), ["x"]), "conjugation must be an object"),
+        (
+            "example-7-1-generic",
+            _set(("algebra", "nilradical"), ["v1", "v2", "v3", "v4", "v1"]),
+            "repeated basis name 'v1' in nilradical",
+        ),
+        (
+            "heisenberg3",
+            _set(("representation",), {"dim": 0, "matrices": {}}),
+            "representation dim must be a positive integer",
+        ),
+        (
+            "heisenberg3",
+            _set(("representation",), {"dim": -1, "matrices": {}}),
+            "representation dim must be a positive integer",
+        ),
+        (
+            "heisenberg3",
+            _set(BRACKET_COEFFICIENT, "1" * 5000),
+            "too many digits in a rational literal of length 5000",
+        ),
+    ],
+    ids=[
+        "representation-not-object",
+        "weights-not-object",
+        "conjugation-not-object",
+        "nilradical-repeated-name",
+        "representation-dim-0",
+        "representation-dim-minus-1",
+        "scalar-5000-digits",
+    ],
+)
+def test_parse_errors_exit_two_with_their_message(name, mutate, message, tmp_path, capsys):
+    doc = json.loads((INSTANCE_DIR / f"{name}.json").read_text())
+    mutate(doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _symbols(*declarations):
+    return _set(("lattice", "symbols"), list(declarations))
+
+
+IMAGINARY_A = {"name": "a", "parity": "imaginary"}
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (_symbols({"name": "a", "parity": "weird"}), "unknown parity 'weird'"),
+        (_symbols(IMAGINARY_A), "imaginary symbol 'a' must be named i*<base>"),
+        (_symbols({"name": "2a", "parity": "real"}), "bad symbol name '2a'"),
+        (_symbols({"name": 5, "parity": "real"}), "bad symbol name '5'"),
+        (_symbols({"name": "i*", "parity": "imaginary"}), "bad symbol name ''"),
+        (_symbols({"name": "pi", "parity": "real"}), "duplicate symbol 'pi'"),
+        (_symbols({"name": "i", "parity": "real"}), "duplicate symbol 'i'"),
+        (_symbols({"name": "i*i", "parity": "imaginary"}), "duplicate symbol 'i'"),
+        (_symbols({"parity": "real"}), "missing 'name' in symbol declaration"),
+        (_symbols({"name": "a"}), "missing 'parity' in symbol declaration"),
+        (_symbols("a"), "missing 'name' in symbol declaration"),
+        (_set(("lattice", "symbols"), {}), "lattice symbols must be a list"),
+        # Every declaration's own errors come first, in declaration order,
+        # then the i*<base> naming, then the base names themselves.
+        (_symbols(IMAGINARY_A, {"name": "b", "parity": "weird"}), "unknown parity 'weird'"),
+        (
+            _symbols({"name": "a", "parity": "weird"}, {"parity": "real"}),
+            "unknown parity 'weird'",
+        ),
+        (
+            _symbols({"name": "a", "parity": "real"}, {"name": "b"}),
+            "missing 'parity' in symbol declaration",
+        ),
+        (
+            _symbols({"name": "2a", "parity": "real"}, {"name": "b", "parity": "imaginary"}),
+            "imaginary symbol 'b' must be named i*<base>",
+        ),
+        (
+            _symbols({"name": "pi", "parity": "real"}, {"name": "2a", "parity": "real"}),
+            "duplicate symbol 'pi'",
+        ),
+        (_set(PERIOD, "b + i*pi"), "bad period term 'b' in 'b + i*pi'"),
+        (_set(PERIOD, "i*b"), "bad period term 'i*b' in 'i*b'"),
+        (_set(PERIOD, "1/0*a"), "zero denominator in '1/0*a'"),
+        (_set(("lattice",), []), "lattice block must be an object"),
+        (_set(("lattice", "generators", 0), "a"), "each generator must be an object"),
+        (
+            _set(("lattice", "generators", 0, "q"), "1"),
+            "generator coordinate 'q' is not a complement name",
+        ),
+    ],
+    ids=[
+        "unknown-parity",
+        "imaginary-without-i",
+        "bad-name",
+        "bad-name-number",
+        "bad-name-empty-base",
+        "builtin-pi",
+        "builtin-i",
+        "builtin-i-imaginary",
+        "missing-name",
+        "missing-parity",
+        "declaration-not-object",
+        "symbols-not-list",
+        "parity-before-imaginary-naming",
+        "parity-before-later-missing-name",
+        "missing-parity-after-good-declaration",
+        "imaginary-naming-before-bad-name",
+        "builtin-before-bad-name",
+        "undeclared-symbol",
+        "undeclared-imaginary-symbol",
+        "period-zero-denominator",
+        "lattice-not-object",
+        "generator-not-object",
+        "generator-unknown-key",
+    ],
+)
+def test_lattice_block_errors_exit_two_with_their_message(mutate, message, tmp_path, capsys):
+    # example-7-2-pi: heisenberg3's complement is empty, so its generators
+    # carry no coordinates to parse.
+    doc = json.loads((INSTANCE_DIR / "example-7-2-pi.json").read_text())
+    mutate(doc)
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_conjugation_on_a_dolbeault_instance_exits_one(tmp_path, capsys):
+    doc = json.loads((INSTANCE_DIR / "example-7-2-pi.json").read_text())
+    doc["algebra"]["conjugation"] = {"e1": "e1"}
+    path = tmp_path / "conjugated.json"
+    path.write_text(json.dumps(doc))
+    expected = (
+        "instance 'example-7-2-pi': 1 issue(s)\n"
+        "  [conjugation-mode] conjugation table is only meaningful in real-complexified mode\n"
+    )
+    for command in ("validate", "dolbeault"):
+        assert run([command, str(path)]) == 1
+        assert capsys.readouterr().out == expected
 
 
 def test_unwritable_json_path_exits_two(tmp_path, capsys):

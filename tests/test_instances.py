@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -7,13 +8,15 @@ from emit_reference import emit_instance
 
 from solvcohom.errors import InstanceParseError, ScalarParseError
 from solvcohom.instances import (
+    RepresentationSpec,
     build_representation,
     build_weight_assignment,
     load_instance,
     parse_instance,
     validate_instance,
 )
-from solvcohom.liealg import MODE_COMPLEX, MODE_REAL
+from solvcohom.liealg import MODE_COMPLEX, MODE_REAL, ValidationIssue
+from solvcohom.linalg import ExactMatrix
 from solvcohom.scalars import ONE, ZERO, GaussianRational
 from solvcohom.weights import infer_weights
 
@@ -285,6 +288,18 @@ def test_validate_instance_weights_shape_issue():
     data["weights"] = {"algebra": {"y": {"x": "1"}}}
     issues = validate_instance(parse_instance(data))
     assert "weights-shape" in [i.code for i in issues]
+
+
+def test_validate_instance_reports_a_module_it_cannot_build():
+    # The parser makes every matrix m x m, so only a library caller can
+    # hand over a representation that RepresentationData refuses; the
+    # module's own checks are then skipped.
+    inst = parse_instance(minimal())
+    assert validate_instance(inst) == ()
+    spec = RepresentationSpec("explicit", 1, (ExactMatrix.zero(2, 2),) * 2)
+    assert validate_instance(dataclasses.replace(inst, representation=spec)) == (
+        ValidationIssue("rep-shape", "representation matrix has wrong shape"),
+    )
 
 
 def test_emit_omits_zero_coordinates():

@@ -6,6 +6,7 @@ from solvcohom.errors import ValidationFailure
 from solvcohom.liealg import (
     LieAlgebraData,
     RepresentationData,
+    ValidationIssue,
     adjoint_representation,
     lower_central_series_dims,
     trivial_representation,
@@ -64,8 +65,9 @@ def test_antisymmetry_violation_detected():
     assert "antisymmetry" in [i.code for i in validate_algebra(g2)]
 
 
-def test_jacobi_violation_detected():
-    # sl2-like triple but with a wrong sign on one relation.
+def test_sl2_with_a_nilradical_split_fails_only_the_nilradical_checks():
+    # [e,f] = -h is sl2 with f rescaled by -1, so Jacobi holds; [e,f]
+    # leaves span{e,f}, which therefore is neither an ideal nor nilpotent.
     g = LieAlgebraData(
         3,
         ("h", "e", "f"),
@@ -73,8 +75,22 @@ def test_jacobi_violation_detected():
         nilradical=[1, 2],
         complement=[0],
     )
-    codes = [i.code for i in validate_algebra(g)]
-    assert "jacobi" in codes or "nilradical-ideal" in codes
+    assert [i.code for i in validate_algebra(g)] == ["nilradical-ideal", "nilradical-lcs"]
+
+
+def test_jacobi_violation_detected():
+    # Every bracket lies in the nilradical, so only Jacobi can fail: on
+    # (x1, x2, x3) the cyclic sum is [x1,x5] - [x2,x4] + [x3,x3] = -x5.
+    g = LieAlgebraData(
+        5,
+        ("x1", "x2", "x3", "x4", "x5"),
+        [(0, 1, 2, ONE), (0, 2, 3, ONE), (1, 2, 4, ONE), (0, 3, 4, ONE), (1, 3, 4, ONE)],
+        nilradical=range(5),
+        complement=[],
+    )
+    assert validate_algebra(g) == (
+        ValidationIssue("jacobi", "Jacobi identity fails on (x1,x2,x3)", (0, 1, 2)),
+    )
 
 
 def test_nilradical_must_be_ideal():
@@ -127,6 +143,19 @@ def test_conjugation_checks(split_6d):
         conjugation={0: 1, 1: 2, 2: 0, 3: 3, 4: 4, 5: 5},
     )
     assert "conjugation-involution" in [i.code for i in validate_algebra(cycle)]
+    # A table that does not permute every index is refused before the
+    # involution test, which would index outside it.
+    partial = LieAlgebraData(
+        split_6d.dim,
+        split_6d.basis,
+        bracket_entries(split_6d),
+        split_6d.nilradical,
+        split_6d.complement,
+        conjugation={0: 1, 1: 0, 2: 3, 3: 2, 4: 5},
+    )
+    assert validate_algebra(partial) == (
+        ValidationIssue("conjugation-domain", "conjugation must permute all indices"),
+    )
 
 
 def test_conjugation_equivariance():

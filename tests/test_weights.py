@@ -34,6 +34,7 @@ from solvcohom.instances import build_representation, build_weight_assignment, l
 from solvcohom.liealg import (
     LieAlgebraData,
     RepresentationData,
+    ValidationIssue,
     adjoint_representation,
     trivial_representation,
 )
@@ -255,6 +256,16 @@ def test_validate_weight_assignment_codes(split_3d):
     )
     issues = validate_weight_assignment(split_3d, rep, bad)
     assert "weights-ad-diagonal" in [i.code for i in issues]
+
+
+def test_validate_weight_assignment_refuses_a_reordered_complement(split_6d):
+    # Weights over (v6, v5) cannot be compared with the algebra's (v5, v6).
+    rep = trivial_representation(split_6d)
+    w = infer_weights(split_6d, rep)
+    swapped = WeightAssignment(w.algebra_weights, w.rep_weights, (5, 4))
+    assert validate_weight_assignment(split_6d, rep, swapped) == (
+        ValidationIssue("weights-complement", "weight complement order mismatch"),
+    )
 
 
 @pytest.mark.parametrize(
