@@ -37,9 +37,8 @@ from .liealg import (
     validate_algebra,
     validate_representation,
 )
-from .lattice import LatticeData, validate_lattice
+from .lattice import LatticeData, declared_symbols, parse_period, period_names, validate_lattice
 from .linalg import ExactMatrix
-from .periods import PeriodBasisSymbol, SymbolTable, parse_period
 from .scalars import ZERO, parse_gaussian
 from .weights import WeightAssignment, infer_weights, validate_weight_assignment
 
@@ -275,16 +274,17 @@ def _parse_lattice(data, g: LieAlgebraData) -> LatticeData:
     if not isinstance(data, dict):
         raise InstanceParseError("lattice block must be an object")
     try:
-        decls = [
-            PeriodBasisSymbol(
+        # A generator, so each declaration's own errors come in declaration order.
+        symbols = declared_symbols(
+            (
                 str(_expect(sd, "name", "symbol declaration")),
                 str(_expect(sd, "parity", "symbol declaration")),
             )
             for sd in _expect_list(data.get("symbols", []), "lattice symbols")
-        ]
-        table = SymbolTable.from_declarations(decls)
+        )
     except ValidationFailure as exc:
         raise InstanceParseError(str(exc)) from exc
+    names = period_names(symbols)
     generators = []
     for gen in _expect_list(data.get("generators", []), "lattice generators"):
         if not isinstance(gen, dict):
@@ -292,14 +292,14 @@ def _parse_lattice(data, g: LieAlgebraData) -> LatticeData:
         coords = []
         for j in g.complement:
             text = gen.get(g.basis[j], "0")
-            coords.append(parse_period(str(text), table))
+            coords.append(parse_period(str(text), names))
         for key in gen:
             if key not in {g.basis[j] for j in g.complement}:
                 raise InstanceParseError(
                     f"generator coordinate {key!r} is not a complement name"
                 )
         generators.append(tuple(coords))
-    return LatticeData(table, tuple(generators))
+    return LatticeData(symbols, tuple(generators))
 
 
 def load_instance(path: str | Path) -> InstanceFile:

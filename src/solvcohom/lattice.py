@@ -1,15 +1,21 @@
-"""Lattice data, character triviality tests, and subcomplex selection.
+"""Lattice data, period values, character triviality tests, and subcomplex selection.
 
 A lattice enters only through the images of its generators in the
-abelianized complement: one vector of PeriodValues per generator, with
-one coordinate per complement index. A weight covector mu is evaluated
-on a generator as sum_j mu_j * delta_j, a Q(i)-combination of the real
-period symbols; the two membership tests are
+abelianized complement: one period value per generator and complement
+index. A period value is a {real symbol: nonzero Gaussian rational} dict,
+the finite sum c_s * s over the real symbols s: "1", "pi" and the
+declared ones. Every symbol is real, so conjugation acts on the
+coefficients alone. A weight covector mu is evaluated on a generator as
+the period value sum_j mu_j * delta_j; the two membership tests are
 
     trivial on the lattice:       mu(delta) in 2*pi*i*Z  for all generators
     ratio-trivial on the lattice: Im mu(delta) in pi*Z   for all generators
 
 The selections evaluate each (tag, generator) pair once for both tests.
+
+Period text names each real and imaginary part on its own: "1", "i", "pi",
+"i*pi", and s, "i*s" for a declared symbol s. The grammar is a signed sum
+of terms `rat`, `name`, or `rat*name`, e.g. "a + 2*i*pi", "1/2 - i".
 
 The de Rham complex keeps the labels whose tag is trivial; the Dolbeault
 complex keeps the ratio-trivial ones. Both selections are unions of
@@ -19,36 +25,134 @@ under the differential by construction.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .cecomplex import FiniteComplex, Weight
-from .errors import ModeMismatchError, ValidationFailure
+from .errors import ModeMismatchError, ScalarParseError, ValidationFailure
 from .liealg import (
     MODE_COMPLEX,
     MODE_REAL,
     LieAlgebraData,
     ValidationIssue,
 )
-from .periods import PeriodValue, SymbolTable
-from .scalars import GaussianRational
+from .scalars import I, ONE, ZERO, GaussianRational, parse_rational, signed_terms
 from .weights import InvariantComplex, format_weight, restrict_complex, weight_is_zero
+
+Period = dict[str, GaussianRational]
+
+REAL = "real"
+IMAGINARY = "imaginary"
+
+_BUILTIN_NAMES = {"1": ("1", ONE), "i": ("1", I), "pi": ("pi", ONE), "i*pi": ("pi", I)}
+_NAME = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+_RAT = re.compile(r"^\d+(/\d+)?$")
+
+
+def declared_symbols(declarations: Iterable[tuple[str, str]]) -> tuple[str, ...]:
+    """The real symbols that (name, parity) declarations declare, in order.
+
+    A real declaration names its symbol s and an imaginary one names i*s;
+    either declares s. Each parity is checked as its declaration is read,
+    so a caller that yields the declarations lazily reports every
+    declaration's own errors in declaration order. The i*<base> naming is
+    checked next, then each base: an identifier other than i and pi.
+    """
+    checked = []
+    for name, parity in declarations:
+        if parity not in (REAL, IMAGINARY):
+            raise ValidationFailure(f"unknown parity {parity!r}")
+        checked.append((name, parity))
+    bases = []
+    for name, parity in checked:
+        if parity == IMAGINARY:
+            if not name.startswith("i*"):
+                raise ValidationFailure(f"imaginary symbol {name!r} must be named i*<base>")
+            name = name[2:]
+        bases.append(name)
+    symbols = tuple(dict.fromkeys(bases))
+    for base in symbols:
+        if not _NAME.match(base):
+            raise ValidationFailure(f"bad symbol name {base!r}")
+        if base in _BUILTIN_NAMES:
+            raise ValidationFailure(f"duplicate symbol {base!r}")
+    return symbols
+
+
+def period_names(symbols: Iterable[str]) -> dict[str, tuple[str, GaussianRational]]:
+    """Each name period text may use: its real symbol and unit, ONE or I.
+
+    s and "i*s" stand for (s, ONE) and (s, I), as "1" and "i" do for the
+    unit and "pi" and "i*pi" for pi.
+    """
+    names = dict(_BUILTIN_NAMES)
+    for s in symbols:
+        names[s] = (s, ONE)
+        names["i*" + s] = (s, I)
+    return names
+
+
+def parse_period(text: str, names: Mapping[str, tuple[str, GaussianRational]]) -> Period:
+    """Parse period text against the names of period_names."""
+    value: Period = {}
+    for sign, body, term in signed_terms(text, "period"):
+        head, _, tail = body.partition("*")
+        if body in names:
+            name, coeff = body, sign
+        elif _RAT.match(body):
+            name, coeff = "1", sign * parse_rational(body, text)
+        elif _RAT.match(head) and tail in names:
+            name, coeff = tail, sign * parse_rational(head, text)
+        else:
+            raise ScalarParseError(f"bad period term {term!r} in {text!r}")
+        symbol, unit = names[name]
+        value[symbol] = value.get(symbol, ZERO) + unit * GaussianRational(coeff)
+    return {s: c for s, c in value.items() if c}
+
+
+def in_2pi_i_integers(value: Period) -> bool:
+    """True iff the value lies in 2*pi*i*Z: pi times i times an even integer."""
+    for symbol, coeff in value.items():
+        im = coeff.im
+        if symbol != "pi" or coeff.re or im.denominator != 1 or im.numerator % 2:
+            return False
+    return True
+
+
+def imag_in_pi_integers(value: Period) -> bool:
+    """True iff Im lies in pi*Z: integer Im on pi, real coefficients elsewhere."""
+    for symbol, coeff in value.items():
+        im = coeff.im
+        if (im.denominator != 1) if symbol == "pi" else im:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
 class LatticeData:
-    """Generator images in the abelianized complement, as period vectors."""
+    """Generator images in the abelianized complement, as period values.
 
-    table: SymbolTable
-    generators: tuple[tuple[PeriodValue, ...], ...]
+    `symbols` lists the declared real symbols in declaration order; a
+    coordinate may use them, "1" and "pi", each with a nonzero coefficient.
+    """
+
+    symbols: tuple[str, ...]
+    generators: tuple[tuple[Period, ...], ...]
 
     def __post_init__(self):
+        known = {"1", "pi", *self.symbols}
         for gen in self.generators:
-            for v in gen:
-                if v.table != self.table:
-                    raise ValidationFailure(
-                        "generator coordinate uses a foreign symbol table"
-                    )
+            for value in gen:
+                for symbol, coeff in value.items():
+                    if symbol not in known:
+                        raise ValidationFailure(
+                            f"generator coordinate uses undeclared symbol {symbol!r}"
+                        )
+                    if not coeff:
+                        raise ValidationFailure(
+                            f"generator coordinate has a zero coefficient on {symbol!r}"
+                        )
 
 
 def validate_lattice(g: LieAlgebraData, lat: LatticeData) -> tuple[ValidationIssue, ...]:
@@ -78,7 +182,7 @@ def validate_lattice(g: LieAlgebraData, lat: LatticeData) -> tuple[ValidationIss
         for gi, gen in enumerate(lat.generators):
             for j in g.complement:
                 other = g.conjugation[j]
-                if gen[pos[other]] != gen[pos[j]].conjugate():
+                if gen[pos[other]] != {s: c.conjugate() for s, c in gen[pos[j]].items()}:
                     issues.append(
                         ValidationIssue(
                             "lattice-conjugation",
@@ -90,25 +194,30 @@ def validate_lattice(g: LieAlgebraData, lat: LatticeData) -> tuple[ValidationIss
     return tuple(issues)
 
 
-def evaluate_weight_on_generator(
-    mu: Weight, generator: Sequence[PeriodValue], table: SymbolTable
-) -> PeriodValue:
-    """sum_j mu_j * delta_j, accumulated in one {symbol: Q(i)} dict."""
-    acc: dict[str, GaussianRational] = {}
+def evaluate_weight_on_generator(mu: Weight, generator: Sequence[Period]) -> Period:
+    """sum_j mu_j * delta_j as a period value, nonzero coefficients only."""
+    acc: Period = {}
     for coeff, coord in zip(mu, generator):
         if coeff:
-            if coord.table != table:
-                raise ValidationFailure("period values from different symbol tables")
-            coord.add_scaled_into(acc, coeff)
-    return PeriodValue.from_symbols(table, acc)
+            for symbol, c in coord.items():
+                term = coeff * c
+                acc[symbol] = acc[symbol] + term if symbol in acc else term
+    return {s: c for s, c in acc.items() if c}
 
 
-def ratio_char_trivial_on_lattice(mu: Weight, lat: LatticeData) -> bool:
-    """conj(e^mu)/e^mu = 1 on every generator: Im mu(delta) in pi*Z."""
-    return all(
-        evaluate_weight_on_generator(mu, gen, lat.table).imag_in_pi_integers()
-        for gen in lat.generators
-    )
+def _triviality(mu: Weight, lat: LatticeData) -> tuple[bool, bool]:
+    """(trivial, ratio-trivial) on the lattice, one evaluation per generator.
+
+    2*pi*i*Z lies inside {Im in pi*Z}, so a generator failing the ratio
+    test fails the trivial one too, and the walk stops there.
+    """
+    trivial = True
+    for gen in lat.generators:
+        value = evaluate_weight_on_generator(mu, gen)
+        if not imag_in_pi_integers(value):
+            return False, False
+        trivial = trivial and in_2pi_i_integers(value)
+    return trivial, True
 
 
 def char_unitary(mu: Weight, g: LieAlgebraData) -> Optional[bool]:
@@ -141,20 +250,9 @@ class SelectionResult:
 
 
 def _verdicts(ic: InvariantComplex, lat: LatticeData) -> tuple[TagVerdict, ...]:
-    """Both lattice tests from one evaluation of each (tag, generator).
-
-    2*pi*i*Z lies inside {Im in pi*Z}, so a generator failing the ratio
-    test fails the trivial one too, and the walk stops there.
-    """
     out = []
     for tag in ic.tag_table:
-        trivial = ratio = True
-        for gen in lat.generators:
-            value = evaluate_weight_on_generator(tag, gen, lat.table)
-            if not value.imag_in_pi_integers():
-                trivial = ratio = False
-                break
-            trivial = trivial and value.in_2pi_i_integers()
+        trivial, ratio = _triviality(tag, lat)
         out.append(
             TagVerdict(
                 tag=tag,
@@ -250,7 +348,7 @@ def check_conditions(ic: InvariantComplex, lat: LatticeData) -> ConditionReport:
                 witnesses.append(ConditionWitness("diamond2", p, label, tag_text))
     box = True
     for i, lam in enumerate(ic.weights.algebra_weights):
-        if not ratio_char_trivial_on_lattice(lam, lat):
+        if not _triviality(lam, lat)[1]:
             box = False
             witnesses.append(
                 ConditionWitness(

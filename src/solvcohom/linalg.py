@@ -49,7 +49,7 @@ class ExactMatrix:
     zero is ever stored, == compares canonical forms. `rows` is a dense
     tuple-of-tuples view built on demand. No command reads it: it remains
     only for the counters of bench/spans.py, until the benchmark counts
-    from `row_maps` (ROADMAP item 5(a)).
+    from `row_maps` (ROADMAP item 6(a)).
     """
 
     __slots__ = ("nrows", "ncols", "row_maps")

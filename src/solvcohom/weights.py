@@ -161,7 +161,7 @@ class InvariantComplex:
     column's twist id is its tag id. complex, the block of every tag, and
     distinct_tags, an alias of tag_table, are read by no command: they
     remain only for the counters of bench/spans.py, until the benchmark
-    counts from the selected blocks (ROADMAP item 5(a)).
+    counts from the selected blocks (ROADMAP item 6(a)).
     """
 
     tag_table: tuple[Weight, ...]

@@ -67,15 +67,13 @@ def emit_instance(inst: InstanceFile) -> dict:
         out["weights"] = block
 
     lat = inst.lattice
-    symbols = [
-        {"name": base, "parity": "real"} for base in lat.table.user_base_names
-    ]
+    symbols = [{"name": base, "parity": "real"} for base in lat.symbols]
     generators = []
     for gen in lat.generators:
         entry = {}
         for pos, j in enumerate(g.complement):
-            if gen[pos].coords:
-                entry[g.basis[j]] = reference_format(named_coords(gen[pos]), lat.table)
+            if gen[pos]:
+                entry[g.basis[j]] = reference_format(named_coords(gen[pos]), lat.symbols)
         generators.append(entry)
     out["lattice"] = {"symbols": symbols, "generators": generators}
     return out

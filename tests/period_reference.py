@@ -1,6 +1,6 @@
 """Period values in the name-keyed rational encoding, as a test reference.
 
-A value is a {name: nonzero Fraction} dict over reference_names(table):
+A value is a {name: nonzero Fraction} dict over reference_names(symbols):
 one rational coordinate for each real symbol s and one for its imaginary
 companion i*s ("1" pairs with "i"). Multiplication by i sends a name to
 its companion, negating when the name is imaginary; conjugation negates
@@ -13,22 +13,24 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from solvcohom.periods import PeriodValue, SymbolTable
+from typing import Sequence
+
+from solvcohom.lattice import parse_period, period_names
 from solvcohom.scalars import GaussianRational
 
 Coords = dict[str, Fraction]
 
 
-def reference_names(table: SymbolTable) -> tuple[str, ...]:
-    """Every name of a table in display order: builtins, then each user pair."""
-    pairs = tuple(name for base in table.user_base_names for name in (base, "i*" + base))
+def reference_names(symbols: Sequence[str]) -> tuple[str, ...]:
+    """Every name of declared symbols in display order: builtins, then each pair."""
+    pairs = tuple(name for base in symbols for name in (base, "i*" + base))
     return ("1", "i", "pi", "i*pi") + pairs
 
 
-def named_coords(value: PeriodValue) -> Coords:
+def named_coords(value: dict[str, GaussianRational]) -> Coords:
     """A package value in the name-keyed encoding."""
     out: Coords = {}
-    for symbol, coeff in value.coords.items():
+    for symbol, coeff in value.items():
         for name, part in ((symbol, coeff.re), (companion(symbol), coeff.im)):
             if part:
                 out[name] = part
@@ -88,9 +90,9 @@ def reference_imag_in_pi_integers(coords: Coords) -> bool:
     )
 
 
-def reference_format(coords: Coords, table: SymbolTable) -> str:
+def reference_format(coords: Coords, symbols: Sequence[str]) -> str:
     chunks: list[str] = []
-    for name in reference_names(table):
+    for name in reference_names(symbols):
         coeff = coords.get(name)
         if not coeff:
             continue
@@ -106,3 +108,8 @@ def reference_format(coords: Coords, table: SymbolTable) -> str:
         else:
             chunks.append((" + " if coeff > 0 else " - ") + body)
     return "".join(chunks) or "0"
+
+
+def package_value(coords: Coords, symbols: Sequence[str]) -> dict[str, GaussianRational]:
+    """The package's value of name-keyed coords, parsed from their text."""
+    return parse_period(reference_format(coords, symbols), period_names(symbols))

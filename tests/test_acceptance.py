@@ -21,7 +21,7 @@ from conftest import (
     make_split_6d,
     zero_tag_indices,
 )
-from period_reference import reference_names
+from period_reference import named_coords, package_value, reference_conjugate, reference_names
 from subset_reference import degree_basis
 
 import solvcohom
@@ -38,10 +38,10 @@ from solvcohom.lattice import (
     dolbeault_hodge_table,
     select_de_rham,
     select_dolbeault,
+    validate_lattice,
 )
 from solvcohom.liealg import lower_central_series_dims, trivial_representation
 from solvcohom.oracle import verify_quasi_iso
-from solvcohom.periods import PeriodValue, SymbolTable
 from solvcohom.scalars import GaussianRational
 from solvcohom.weights import build_invariant_complex
 
@@ -178,13 +178,13 @@ def test_acceptance_6_structural_properties_on_random_data():
             euler = cohomology(fc).euler_characteristic()
             assert euler == sum((-1) ** p * d for p, d in enumerate(dims))
 
-    table = SymbolTable(["a"])
-    names = reference_names(table)
+    symbols = ("a",)
+    names = reference_names(symbols)
 
     def period():
-        return PeriodValue(
-            table,
+        return package_value(
             {n: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for n in names},
+            symbols,
         )
 
     from solvcohom.liealg import adjoint_representation
@@ -195,19 +195,21 @@ def test_acceptance_6_structural_properties_on_random_data():
     ic6 = build_invariant_complex(g6, rep6, infer_weights(g6, rep6))
     zeros = zero_tag_indices(ic6)
     for _ in range(5):
-        lat = LatticeData(table, tuple((period(), period()) for _ in range(2)))
+        lat = LatticeData(symbols, tuple((period(), period()) for _ in range(2)))
         sel = select_de_rham(ic6, lat)  # grading checked on every built entry
         for p, kept in enumerate(kept_indices(ic6, sel)):
             assert set(zeros[p]) <= set(kept)
 
     for _ in range(10):
+        # g6's conjugation swaps its complement coordinates.
         v = period()
-        assert v.conjugate().conjugate() == v
+        conjugate = package_value(reference_conjugate(named_coords(v)), symbols)
+        assert validate_lattice(g6, LatticeData(symbols, ((v, conjugate),))) == ()
 
     verdict(
         6,
         "d.d = 0, Euler counts, selection closure, zero-tag retention and "
-        "conjugation involution hold on seeded random data",
+        "real lattice points hold on seeded random data",
     )
 
 

@@ -8,9 +8,8 @@ module names it, imports it or reads it as an attribute, so a helper left
 behind by a refactor shows. A public definition must be read by a module
 other than __init__.py, whose re-exports read nothing, or be named in
 README.md, which documents the library's own entry points. Methods are
-out of reach of these checks: attribute names are shared between classes
-(`conjugate` is both a scalar's and a period value's), so a read of one
-cannot be told from a read of another.
+out of reach of these checks: an attribute name can be shared between
+classes, so a read of one cannot be told from a read of another.
 Certificates must also run under python -O, which strips assert
 statements, so the package raises instead. The package's only
 process-global caches (functools.cache or lru_cache) are the subset
@@ -19,7 +18,7 @@ makes warm answers in one process cheaper than a real command-line run.
 A value type whose constructor only checks and stores its arguments is a
 frozen dataclass; a hand-written __setattr__ is kept only by the types
 that skip __init__ on hot paths (GaussianRational, ExactMatrix) or derive
-their stored state from their input (LieAlgebraData, PeriodValue).
+their stored state from their input (LieAlgebraData).
 """
 import ast
 import re
@@ -218,6 +217,6 @@ def test_the_check_sees_a_hand_written_setattr():
     assert setattr_classes(source) == ["B", "C"]
 
 
-def test_hand_written_setattr_is_exactly_the_four_kept_types():
+def test_hand_written_setattr_is_exactly_the_three_kept_types():
     found = {name for path in PACKAGE.glob("*.py") for name in setattr_classes(path.read_text())}
-    assert found == {"GaussianRational", "ExactMatrix", "LieAlgebraData", "PeriodValue"}
+    assert found == {"GaussianRational", "ExactMatrix", "LieAlgebraData"}

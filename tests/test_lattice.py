@@ -7,11 +7,18 @@ from conftest import (
     char_trivial_on_lattice,
     kept_indices,
     make_split_6d,
+    ratio_char_trivial_on_lattice,
     zero_tag_indices,
 )
 from hypothesis import given
 from hypothesis import strategies as st
-from period_reference import named_coords, reference_add, reference_names, reference_scale
+from period_reference import (
+    named_coords,
+    package_value,
+    reference_add,
+    reference_names,
+    reference_scale,
+)
 
 from solvcohom import lattice
 from solvcohom.cecomplex import cohomology
@@ -23,20 +30,21 @@ from solvcohom.lattice import (
     check_conditions,
     dolbeault_hodge_table,
     evaluate_weight_on_generator,
-    ratio_char_trivial_on_lattice,
+    parse_period,
+    period_names,
     select_de_rham,
     select_dolbeault,
     validate_lattice,
 )
 from solvcohom.liealg import adjoint_representation, trivial_representation
-from solvcohom.periods import PeriodValue, SymbolTable, parse_period
 from solvcohom.scalars import MINUS_ONE, ONE, ZERO, GaussianRational, parse_gaussian
 from solvcohom.weights import InvariantComplex, build_invariant_complex, infer_weights
 
 
-def make_lattice(table, rows):
+def make_lattice(symbols, rows):
+    names = period_names(symbols)
     return LatticeData(
-        table, tuple(tuple(parse_period(t, table) for t in row) for row in rows)
+        tuple(symbols), tuple(tuple(parse_period(t, names) for t in row) for row in rows)
     )
 
 
@@ -51,34 +59,34 @@ def split_6d_ic(split_6d):
 
 
 def pi_lattice_6d():
-    table = SymbolTable(["a", "c"])
     return make_lattice(
-        table, [["a + i*pi", "a - i*pi"], ["c + i*pi", "c - i*pi"]]
+        ["a", "c"], [["a + i*pi", "a - i*pi"], ["c + i*pi", "c - i*pi"]]
     )
 
 
 def generic_lattice_6d():
-    table = SymbolTable(["a", "c"])
-    return make_lattice(table, [["a + i", "a - i"], ["c + i", "c - i"]])
+    return make_lattice(["a", "c"], [["a + i", "a - i"], ["c + i", "c - i"]])
 
 
 def test_evaluate_weight_on_generator():
-    table = SymbolTable(["a"])
-    gen = [parse_period("a + i*pi", table), parse_period("a - i*pi", table)]
-    value = evaluate_weight_on_generator((ONE, MINUS_ONE), gen, table)
-    assert value == parse_period("2*i*pi", table)
-    doubled = evaluate_weight_on_generator((GaussianRational(2), ZERO), gen, table)
-    assert doubled == parse_period("2*i*pi + 2*a", table)
+    names = period_names(["a"])
+    gen = [parse_period("a + i*pi", names), parse_period("a - i*pi", names)]
+    value = evaluate_weight_on_generator((ONE, MINUS_ONE), gen)
+    assert value == parse_period("2*i*pi", names)
+    doubled = evaluate_weight_on_generator((GaussianRational(2), ZERO), gen)
+    assert doubled == parse_period("2*i*pi + 2*a", names)
+    # Terms that cancel leave no coefficient behind.
+    assert evaluate_weight_on_generator((ONE, ONE), gen) == parse_period("2*a", names)
 
 
-_TABLE = SymbolTable(["a", "b"])
+_SYMBOLS = ("a", "b")
 _fractions = st.one_of(
     st.just(Fraction(0)),
     st.fractions(min_value=-5, max_value=5, max_denominator=7),
 )
-_NAMES = reference_names(_TABLE)
+_NAMES = reference_names(_SYMBOLS)
 _periods = st.builds(
-    lambda cs: PeriodValue(_TABLE, dict(zip(_NAMES, cs))),
+    lambda cs: package_value(dict(zip(_NAMES, cs)), _SYMBOLS),
     st.lists(_fractions, min_size=len(_NAMES), max_size=len(_NAMES)),
 )
 _scalars = st.builds(GaussianRational, _fractions, _fractions)
@@ -93,23 +101,13 @@ def test_evaluate_weight_equals_scale_and_add_fold(data, width):
     fold = {}
     for coeff, coord in zip(mu, gen):
         fold = reference_add(fold, reference_scale(named_coords(coord), coeff))
-    value = evaluate_weight_on_generator(tuple(mu), gen, _TABLE)
-    assert value == PeriodValue(_TABLE, fold)
+    value = evaluate_weight_on_generator(tuple(mu), gen)
+    assert value == package_value(fold, _SYMBOLS)
     assert named_coords(value) == fold
 
 
-def test_evaluate_weight_rejects_a_foreign_symbol_table():
-    other = SymbolTable(["c"])
-    gen = [parse_period("pi", other), parse_period("c", other)]
-    with pytest.raises(ValidationFailure, match="different symbol tables"):
-        evaluate_weight_on_generator((ONE, ZERO), gen, _TABLE)
-    # A zero coefficient never reads its coordinate, as before.
-    assert evaluate_weight_on_generator((ZERO, ZERO), gen, _TABLE).coords == {}
-
-
 def test_character_triviality_predicates():
-    table = SymbolTable(["a"])
-    lat = make_lattice(table, [["a + i*pi", "a - i*pi"]])
+    lat = make_lattice(["a"], [["a + i*pi", "a - i*pi"]])
     assert char_trivial_on_lattice((ONE, MINUS_ONE), lat)
     assert not char_trivial_on_lattice((ONE, ZERO), lat)
     # Im(a + i*pi) = pi is an integer multiple of pi.
@@ -119,18 +117,23 @@ def test_character_triviality_predicates():
 
 
 def test_empty_lattice_accepts_everything():
-    lat = LatticeData(SymbolTable(), ())
+    lat = LatticeData((), ())
     assert char_trivial_on_lattice((ONE,), lat)
     assert ratio_char_trivial_on_lattice((ONE,), lat)
 
 
 def test_lattice_coordinates_share_its_symbol_table():
-    # Tables compare by their symbols, so an equal table is not foreign.
-    table, other = SymbolTable(["a"]), SymbolTable(["b"])
-    LatticeData(table, ((parse_period("a", SymbolTable(["a"])),),))
+    # A coordinate may use 1, pi and the lattice's declared symbols only.
+    names = period_names(["a", "b"])
+    LatticeData(("a",), ((parse_period("a + i*pi - 1", names),),))
     with pytest.raises(ValidationFailure) as excinfo:
-        LatticeData(table, ((parse_period("a + i*pi", table), parse_period("b", other)),))
-    assert str(excinfo.value) == "generator coordinate uses a foreign symbol table"
+        LatticeData(("a",), ((parse_period("a + i*pi", names), parse_period("b", names)),))
+    assert str(excinfo.value) == "generator coordinate uses undeclared symbol 'b'"
+    # A stored zero would make equal values compare unequal, as in the
+    # real-point check of validate_lattice.
+    with pytest.raises(ValidationFailure) as excinfo:
+        LatticeData(("a",), (({"a": ZERO, "pi": ONE},),))
+    assert str(excinfo.value) == "generator coordinate has a zero coefficient on 'a'"
 
 
 def test_char_unitary(split_6d, split_3d):
@@ -143,15 +146,13 @@ def test_char_unitary(split_6d, split_3d):
 
 
 def test_validate_lattice_width(split_6d):
-    table = SymbolTable(["a"])
-    lat = make_lattice(table, [["a + i*pi"]])
+    lat = make_lattice(["a"], [["a + i*pi"]])
     issues = validate_lattice(split_6d, lat)
     assert "lattice-width" in [i.code for i in issues]
 
 
 def test_validate_lattice_conjugation(split_6d):
-    table = SymbolTable(["a", "c"])
-    lat = make_lattice(table, [["a + i*pi", "c - i*pi"]])
+    lat = make_lattice(["a", "c"], [["a + i*pi", "c - i*pi"]])
     issues = validate_lattice(split_6d, lat)
     assert "lattice-conjugation" in [i.code for i in issues]
     good = pi_lattice_6d()
@@ -194,32 +195,30 @@ def test_selection_scans_the_tag_ids_once(split_6d_ic, monkeypatch):
 
 def test_dolbeault_selection_pi_lattice(split_3d):
     ic = invariant(split_3d)
-    table = SymbolTable(["a"])
-    sel = select_dolbeault(ic, make_lattice(table, [["a + i*pi"]]))
+    sel = select_dolbeault(ic, make_lattice(["a"], [["a + i*pi"]]))
     assert sel.complex.dims == (1, 3, 3, 1)
     assert cohomology(sel.complex).betti == (1, 3, 3, 1)
 
 
 def test_dolbeault_selection_generic_lattice(split_3d):
     ic = invariant(split_3d)
-    table = SymbolTable(["c"])
-    sel = select_dolbeault(ic, make_lattice(table, [["c + i"]]))
+    sel = select_dolbeault(ic, make_lattice(["c"], [["c + i"]]))
     assert sel.complex.dims == (1, 1, 1, 1)
     assert cohomology(sel.complex).betti == (1, 1, 1, 1)
 
 
 def test_selection_mode_mismatch(split_3d, split_6d_ic):
     ic = invariant(split_3d)
-    lat = LatticeData(SymbolTable(), ())
+    lat = LatticeData((), ())
     with pytest.raises(ModeMismatchError):
         select_de_rham(ic, lat)
     with pytest.raises(ModeMismatchError):
-        select_dolbeault(split_6d_ic, LatticeData(SymbolTable(), ()))
+        select_dolbeault(split_6d_ic, lat)
 
 
 def test_conditions_nilpotent(heisenberg):
     ic = invariant(heisenberg)
-    report = check_conditions(ic, LatticeData(SymbolTable(), ()))
+    report = check_conditions(ic, LatticeData((), ()))
     assert report.diamond1 is True
     assert report.diamond2 is True
     assert report.star is True
@@ -229,8 +228,7 @@ def test_conditions_nilpotent(heisenberg):
 
 def test_conditions_split_3d_pi(split_3d):
     ic = invariant(split_3d)
-    table = SymbolTable(["a"])
-    report = check_conditions(ic, make_lattice(table, [["a + i*pi"]]))
+    report = check_conditions(ic, make_lattice(["a"], [["a + i*pi"]]))
     assert report.diamond1 is True
     assert report.diamond2 is None  # no conjugation table
     assert report.star is False
@@ -240,8 +238,7 @@ def test_conditions_split_3d_pi(split_3d):
 
 def test_conditions_split_3d_generic(split_3d):
     ic = invariant(split_3d)
-    table = SymbolTable(["c"])
-    report = check_conditions(ic, make_lattice(table, [["c + i"]]))
+    report = check_conditions(ic, make_lattice(["c"], [["c + i"]]))
     assert report.diamond1 is True
     assert report.diamond2 is None
     assert report.star is True
@@ -322,9 +319,8 @@ def _split_6d_adjoint_ic():
     return invariant(g, adjoint_representation(g))
 
 
-_LATTICE_TABLE = SymbolTable(["a"])
 _coordinates = st.builds(
-    lambda coeffs: PeriodValue(_LATTICE_TABLE, coeffs),
+    lambda coeffs: package_value(coeffs, ("a",)),
     st.dictionaries(
         st.sampled_from(["pi", "i*pi", "a", "i*a", "1", "i"]),
         st.sampled_from([Fraction(k, 2) for k in (-4, -2, -1, 1, 2, 3, 4)]),
@@ -335,5 +331,5 @@ _coordinates = st.builds(
 
 @given(st.lists(st.lists(_coordinates, min_size=2, max_size=2), max_size=3))
 def test_verdicts_equal_both_predicates_on_a_drawn_lattice(generators):
-    lat = LatticeData(_LATTICE_TABLE, tuple(map(tuple, generators)))
+    lat = LatticeData(("a",), tuple(map(tuple, generators)))
     _check_verdicts(_split_6d_adjoint_ic(), lat)

@@ -28,7 +28,7 @@ from conftest import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from period_reference import reference_names
+from period_reference import named_coords, package_value, reference_conjugate, reference_names
 from subset_reference import degree_basis
 
 from solvcohom.cecomplex import (
@@ -38,7 +38,7 @@ from solvcohom.cecomplex import (
     subset_sums,
 )
 from solvcohom.instances import build_representation, build_weight_assignment, load_instance
-from solvcohom.lattice import LatticeData, select_de_rham, select_dolbeault
+from solvcohom.lattice import LatticeData, select_de_rham, select_dolbeault, validate_lattice
 from solvcohom.liealg import (
     LieAlgebraData,
     RepresentationData,
@@ -48,7 +48,6 @@ from solvcohom.liealg import (
 )
 from solvcohom.linalg import ExactMatrix
 from solvcohom.oracle import sector_cohomology_full
-from solvcohom.periods import PeriodValue, SymbolTable
 from solvcohom.scalars import I, MINUS_ONE, ONE, ZERO, GaussianRational
 from solvcohom.weights import (
     WeightAssignment,
@@ -85,13 +84,13 @@ _IC_3D = build_invariant_complex(
     ),
 )
 
-_TABLE = SymbolTable(["a"])
+_SYMBOLS = ("a",)
 
 
 def period_values():
-    names = reference_names(_TABLE)
+    names = reference_names(_SYMBOLS)
     return st.builds(
-        lambda cs: PeriodValue(_TABLE, dict(zip(names, cs))),
+        lambda cs: package_value(dict(zip(names, cs)), _SYMBOLS),
         st.lists(small_fractions, min_size=len(names), max_size=len(names)),
     )
 
@@ -99,7 +98,7 @@ def period_values():
 def lattices(width: int):
     gen = st.lists(period_values(), min_size=width, max_size=width)
     return st.builds(
-        lambda gens: LatticeData(_TABLE, tuple(map(tuple, gens))),
+        lambda gens: LatticeData(_SYMBOLS, tuple(map(tuple, gens))),
         st.lists(gen, min_size=0, max_size=3),
     )
 
@@ -319,16 +318,25 @@ def test_dolbeault_selection_closed_and_keeps_zero_tag(lat):
         assert set(zeros[p]) <= set(kept)
 
 
+def _conjugate(value):
+    return package_value(reference_conjugate(named_coords(value)), _SYMBOLS)
+
+
 @settings(max_examples=40, deadline=None)
 @given(v=period_values())
 def test_period_conjugation_is_an_involution(v):
-    assert v.conjugate().conjugate() == v
+    # A real point of split_6d needs each coordinate of the pair to be the
+    # other's conjugate, so the package conjugates v and back again.
+    lat = LatticeData(_SYMBOLS, ((v, _conjugate(v)),))
+    assert validate_lattice(ALGEBRAS["split_6d"], lat) == ()
 
 
 @settings(max_examples=40, deadline=None)
 @given(v=period_values(), c=scalars)
 def test_period_conjugation_twists_scaling(v, c):
-    assert combine((c, v)).conjugate() == combine((c.conjugate(), v.conjugate()))
+    # conj(c * v) = conj(c) * conj(v), so the pair is a real point.
+    pair = (combine((c, v)), combine((c.conjugate(), _conjugate(v))))
+    assert validate_lattice(ALGEBRAS["split_6d"], LatticeData(_SYMBOLS, (pair,))) == ()
 
 
 def abelian(n: int) -> LieAlgebraData:

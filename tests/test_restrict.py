@@ -8,6 +8,7 @@ from conftest import (
     kept_indices,
     make_heisenberg_power,
     make_split_6d_plus_heisenberg,
+    ratio_char_trivial_on_lattice,
 )
 from restrict_reference import SelectionClosureError, reference_restrict_complex
 from subset_reference import degree_basis
@@ -16,7 +17,7 @@ from solvcohom import cli, weights
 from solvcohom.cecomplex import FiniteComplex, cohomology
 from solvcohom.errors import ValidationFailure, WeightGradingError
 from solvcohom.instances import build_representation, build_weight_assignment, load_instance
-from solvcohom.lattice import ratio_char_trivial_on_lattice, select_de_rham, select_dolbeault
+from solvcohom.lattice import select_de_rham, select_dolbeault
 from solvcohom.liealg import MODE_REAL, adjoint_representation, trivial_representation
 from solvcohom.linalg import ExactMatrix
 from solvcohom.scalars import MINUS_ONE, ONE

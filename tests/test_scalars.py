@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from solvcohom.errors import ScalarParseError
-from solvcohom.periods import SymbolTable, parse_period
+from solvcohom.lattice import parse_period, period_names
 from solvcohom.scalars import (
     I,
     MINUS_ONE,
@@ -112,7 +112,7 @@ def test_both_signed_sum_parsers_word_each_error_alike(text, scalar_error, perio
         parse_gaussian(text)
     assert str(scalar.value) == scalar_error
     with pytest.raises(ScalarParseError) as period:
-        parse_period(text, SymbolTable(["a"]))
+        parse_period(text, period_names(["a"]))
     assert str(period.value) == period_error
 
 
