@@ -442,8 +442,12 @@ def test_nilshadow_idempotent(split_6d):
 def test_nilshadow_rejects_inconsistent_weights(split_3d):
     # Wrong sign on the e3 weight leaves [e1, e3] = -2 e3 in the shadow.
     bad = ((ZERO,), (ONE,), (ONE,))
-    with pytest.raises(NilshadowError):
+    with pytest.raises(NilshadowError) as raised:
         nilshadow(split_3d, bad)
+    assert str(raised.value) == (
+        "nilshadow bracket fails validation (inconsistent weight data): "
+        "ad(e1) is not nilpotent; lower central series of the nilradical does not reach zero"
+    )
     with pytest.raises(ValidationFailure):
         nilshadow(split_3d, ((ZERO,),))  # arity
 

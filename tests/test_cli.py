@@ -990,6 +990,57 @@ def test_nilshadow_joins_the_terms_of_one_bracket(tmp_path, capsys):
     )
 
 
+# heisenberg3 in the basis x, y, y + z: ad(x) is nilpotent but has the
+# diagonal (0, -1, 1), so the coefficients of ce_kernel's diagonal table
+# do not vanish, though x lies in the nilradical and the weights are zero.
+SKEWED_HEISENBERG = {
+    "name": "heisenberg3-skewed",
+    "kind": "derham",
+    "algebra": {"dim": 3, "basis": ["x", "y", "z"],
+                "brackets": [["x", "y", "z", "1"], ["x", "y", "y", "-1"],
+                             ["x", "z", "z", "1"], ["x", "z", "y", "-1"]],
+                "nilradical": ["x", "y", "z"], "complement": []},
+    "representation": {"trivial": True},
+    "weights": {"infer": True},
+    "lattice": {"symbols": [], "generators": []},
+}
+
+
+def test_a_basis_not_adapted_to_the_nilradical_keeps_the_heisenberg_betti_numbers(
+    tmp_path, capsys
+):
+    path = tmp_path / "skewed.json"
+    path.write_text(json.dumps(SKEWED_HEISENBERG))
+    assert run(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "instance 'heisenberg3-skewed': valid\n"
+    assert run(["derham", str(path), "--representatives"]) == 0
+    assert capsys.readouterr().out == (
+        "twisted de Rham cohomology of 'heisenberg3-skewed'\n"
+        "  degree  invariant dim  kept dim  betti\n"
+        "  0       1              1         1\n"
+        "  1       3              3         2\n"
+        "  2       3              3         2\n"
+        "  3       1              1         1\n"
+        "Euler characteristic: 0\n"
+        "H^0 representatives:\n"
+        "  1 (x) 1\n"
+        "H^1 representatives:\n"
+        "  x* (x) 1\n"
+        "  y* (x) 1 + z* (x) 1\n"
+        "H^2 representatives:\n"
+        "  x*^y* (x) 1\n"
+        "  y*^z* (x) 1\n"
+        "H^3 representatives:\n"
+        "  x*^y*^z* (x) 1\n"
+    )
+    assert run(["oracle", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "sector-by-sector oracle for 'heisenberg3-skewed'\n"
+        "  tag (): block [1, 2, 2, 1] vs full [1, 2, 2, 1] [ok]\n"
+        "result: agree\n"
+    )
+
+
 def test_validate_pins_homomorphism_failures_in_pair_order(tmp_path, capsys):
     # x -> E12, y -> E23, z -> E13 keeps [x, y] = z; w -> 0 breaks
     # [x, w] = z and [y, w] = 2z.
