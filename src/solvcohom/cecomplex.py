@@ -46,10 +46,11 @@ from .linalg import (
     SparseRow,
     kernel_basis,
     rank_and_kernel,
+    row_axpy,
     row_times,
     trailing_echelon,
 )
-from .scalars import ZERO, GaussianRational
+from .scalars import ONE, ZERO, GaussianRational
 
 Weight = tuple[GaussianRational, ...]
 
@@ -417,21 +418,11 @@ def nilshadow(
     entries: list[tuple[int, int, int, GaussianRational]] = []
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            acc: dict[int, GaussianRational] = dict(g.bracket(i, j))
-
-            def put(k: int, c: GaussianRational):
-                v = acc.get(k, ZERO) + c
-                if v:
-                    acc[k] = v
-                else:
-                    acc.pop(k, None)
-
-            w_ji = weight_at(j, i)
-            if w_ji:
-                put(j, -w_ji)
-            w_ij = weight_at(i, j)
-            if w_ij:
-                put(i, w_ij)
+            acc = g.bracket(i, j)
+            if w_ji := weight_at(j, i):
+                acc = row_axpy(acc, {j: ONE}, -w_ji)
+            if w_ij := weight_at(i, j):
+                acc = row_axpy(acc, {i: ONE}, w_ij)
             for k, c in acc.items():
                 entries.append((i, j, k, c))
 

@@ -225,11 +225,12 @@ def _parse_representation(data, g: LieAlgebraData) -> RepresentationSpec:
             raise InstanceParseError(
                 f"matrix for {g.basis[j]} must be {m}x{m}"
             )
-        # Zeros skip the parser; the text is compared, as False == 0.
-        entries = [
-            [ZERO if (t := str(e)) == "0" else parse_gaussian(t) for e in row] for row in rows
-        ]
-        matrices.append(ExactMatrix(m, m, entries))
+        # "0" skips the parser; every zero is dropped.
+        row_maps = tuple(
+            {c: v for c, e in enumerate(row) if e != "0" and (v := parse_gaussian(str(e)))}
+            for row in rows
+        )
+        matrices.append(ExactMatrix(m, m, row_maps))
     weights = None
     if "weights" in data:
         weights = _parse_rep_weights(data["weights"], g, m, "representation weights")

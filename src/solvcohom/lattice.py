@@ -37,6 +37,7 @@ from .liealg import (
     LieAlgebraData,
     ValidationIssue,
 )
+from .linalg import row_axpy
 from .scalars import I, ONE, ZERO, GaussianRational, parse_rational, signed_terms
 from .weights import InvariantComplex, format_weight, restrict_complex, weight_is_zero
 
@@ -199,10 +200,8 @@ def evaluate_weight_on_generator(mu: Weight, generator: Sequence[Period]) -> Per
     acc: Period = {}
     for coeff, coord in zip(mu, generator):
         if coeff:
-            for symbol, c in coord.items():
-                term = coeff * c
-                acc[symbol] = acc[symbol] + term if symbol in acc else term
-    return {s: c for s, c in acc.items() if c}
+            acc = row_axpy(acc, coord, coeff)
+    return acc
 
 
 def _triviality(mu: Weight, lat: LatticeData) -> tuple[bool, bool]:

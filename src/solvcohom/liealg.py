@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationFailure
-from .linalg import ExactMatrix, _row_axpy, row_times, trailing_echelon
+from .linalg import ExactMatrix, SparseRow, row_axpy, row_times, trailing_echelon
 from .scalars import MINUS_ONE, ONE, ZERO, GaussianRational
 
 MODE_REAL = "real-complexified"
@@ -127,17 +127,10 @@ class LieAlgebraData:
     def bracket_vectors(
         self, i: int, vec: Mapping[int, GaussianRational]
     ) -> dict[int, GaussianRational]:
-        """[X_i, v] for a sparse vector v."""
-        out: dict[int, GaussianRational] = {}
+        """[X_i, v] for a sparse vector v of nonzero coordinates."""
+        out: SparseRow = {}
         for j, a in vec.items():
-            if not a:
-                continue
-            for k, c in self.bracket(i, j).items():
-                acc = out.get(k, ZERO) + a * c
-                if acc:
-                    out[k] = acc
-                else:
-                    out.pop(k, None)
+            out = row_axpy(out, self.bracket(i, j), a)
         return out
 
     def ad_matrix(self, j: int) -> ExactMatrix:
@@ -383,9 +376,9 @@ def validate_representation(
             terms = g.bracket(i, j).items()
             for l in range(rep.m):
                 ij, ji = row_times(R[i].row_maps[l], R[j]), row_times(R[j].row_maps[l], R[i])
-                row = _row_axpy(ij, ji, MINUS_ONE)
+                row = row_axpy(ij, ji, MINUS_ONE)
                 for k, c in terms:
-                    row = _row_axpy(row, R[k].row_maps[l], -c)
+                    row = row_axpy(row, R[k].row_maps[l], -c)
                 if row:
                     issues.append(
                         ValidationIssue(

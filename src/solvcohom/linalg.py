@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
+from dataclasses import dataclass
 from typing import Container, Iterable, Mapping
 
 from .errors import CertificateError
@@ -41,39 +42,24 @@ from .scalars import MINUS_ONE, ONE, ZERO, GaussianRational
 SparseRow = dict[int, GaussianRational]
 
 
+@dataclass(frozen=True, slots=True)
 class ExactMatrix:
     """Immutable sparse matrix over Q(i); may have zero rows or columns.
 
     `row_maps[i]` is row i as a {column: value} dict of its nonzero
-    entries. It is the only storage and must not be mutated. Because no
-    zero is ever stored, == compares canonical forms. `rows` is a dense
+    entries, at columns in range(ncols). The constructor trusts that and
+    stores the tuple of rows as given; it is the only storage and must not
+    be mutated. from_entries is the checked route for outside data: it
+    checks ranges and drops zeros. Because no zero is ever stored, ==
+    compares canonical forms. `rows` is a dense
     tuple-of-tuples view built on demand. No command reads it: it remains
     only for the counters of bench/spans.py, until the benchmark counts
     from `row_maps` (ROADMAP item 6(a)).
     """
 
-    __slots__ = ("nrows", "ncols", "row_maps")
-
-    def __init__(self, nrows: int, ncols: int, rows: Iterable[Iterable[GaussianRational]]):
-        rows_t = [tuple(r) for r in rows]
-        if len(rows_t) != nrows or any(len(r) != ncols for r in rows_t):
-            raise ValueError("row data does not match the declared shape")
-        self._fill(nrows, ncols, tuple({j: a for j, a in enumerate(r) if a} for r in rows_t))
-
-    def _fill(self, nrows: int, ncols: int, row_maps: tuple[SparseRow, ...]):
-        object.__setattr__(self, "nrows", nrows)
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "row_maps", row_maps)
-
-    @classmethod
-    def _of(cls, nrows: int, ncols: int, row_maps: Iterable[SparseRow]) -> "ExactMatrix":
-        """Wrap rows that already hold nonzeros only, in range."""
-        out = cls.__new__(cls)
-        out._fill(nrows, ncols, tuple(row_maps))
-        return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
+    nrows: int
+    ncols: int
+    row_maps: tuple[SparseRow, ...]
 
     @property
     def rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
@@ -89,7 +75,7 @@ class ExactMatrix:
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        return cls._of(nrows, ncols, ({} for _ in range(nrows)))
+        return cls(nrows, ncols, tuple({} for _ in range(nrows)))
 
     @classmethod
     def from_entries(
@@ -101,24 +87,15 @@ class ExactMatrix:
                 raise ValueError(f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
             if v:
                 data[i][j] = v
-        return cls._of(nrows, ncols, data)
+        return cls(nrows, ncols, tuple(data))
 
     # -- algebra --------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (
-            self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.row_maps == other.row_maps
-        )
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions disagree")
-        return ExactMatrix._of(
-            self.nrows, other.ncols, (row_times(row, other) for row in self.row_maps)
+        return ExactMatrix(
+            self.nrows, other.ncols, tuple([row_times(row, other) for row in self.row_maps])
         )
 
     def transpose(self) -> "ExactMatrix":
@@ -126,7 +103,7 @@ class ExactMatrix:
         for i, row in enumerate(self.row_maps):
             for j, a in row.items():
                 cols[j][i] = a
-        return ExactMatrix._of(self.ncols, self.nrows, cols)
+        return ExactMatrix(self.ncols, self.nrows, tuple(cols))
 
     def is_zero(self) -> bool:
         return not any(self.row_maps)
@@ -144,12 +121,8 @@ class ExactMatrix:
         """A square matrix's diagonal, and whether it minus its diagonal
         is nilpotent: the split that weights are read from."""
         diag = [row.get(i, ZERO) for i, row in enumerate(self.row_maps)]
-        residue = ExactMatrix._of(
-            self.nrows,
-            self.ncols,
-            ({j: a for j, a in row.items() if j != i} for i, row in enumerate(self.row_maps)),
-        )
-        return diag, residue.is_nilpotent()
+        off = [{j: a for j, a in row.items() if j != i} for i, row in enumerate(self.row_maps)]
+        return diag, ExactMatrix(self.nrows, self.ncols, tuple(off)).is_nilpotent()
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols})"
@@ -231,7 +204,7 @@ def _reduce(rows: dict, holders: dict, col: int, pivot: SparseRow) -> list[int]:
     """
     changed = []
     for rid in list(holders[col]):
-        # _row_axpy(row, pivot, -row[col]), inlined to index as it goes.
+        # row_axpy(row, pivot, -row[col]), inlined to index as it goes.
         old = rows[rid]
         rows[rid] = new = dict(old)
         factor = -old[col]
@@ -251,8 +224,8 @@ def _reduce(rows: dict, holders: dict, col: int, pivot: SparseRow) -> list[int]:
     return changed
 
 
-def _row_axpy(target: SparseRow, source: SparseRow, factor: GaussianRational) -> SparseRow:
-    """target + factor * source as a new row; factor must be nonzero."""
+def row_axpy(target: SparseRow, source: SparseRow, factor: GaussianRational) -> SparseRow:
+    """target + factor * source as a new row; factor and source's entries must be nonzero."""
     out = dict(target)
     for c, a in source.items():
         if c in out:
@@ -337,5 +310,5 @@ def trailing_echelon(vectors: Iterable[SparseRow]) -> dict[int, SparseRow]:
                 inv = vec[c].inverse()
                 rows[c] = {j: inv * a for j, a in vec.items()}
                 break
-            vec = _row_axpy(vec, row, -vec[c])
+            vec = row_axpy(vec, row, -vec[c])
     return rows

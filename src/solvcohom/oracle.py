@@ -38,8 +38,8 @@ from .cecomplex import (
     twist_at,
 )
 from .liealg import LieAlgebraData, RepresentationData
-from .linalg import ExactMatrix, SparseRow
-from .scalars import ZERO, GaussianRational
+from .linalg import ExactMatrix, SparseRow, row_axpy
+from .scalars import ONE, ZERO, GaussianRational
 from .weights import InvariantComplex, restrict_complex
 
 # (action terms, bracket terms) of one degree; see _degree_skeleton.
@@ -123,11 +123,7 @@ def _action_table(rep: RepresentationData, mu_at: Sequence[GaussianRational]) ->
         entries = []
         for l, row in enumerate(R.row_maps):
             if mu:
-                row = dict(row)
-                if value := row.get(l, ZERO) + mu:
-                    row[l] = value
-                else:
-                    del row[l]
+                row = row_axpy(row, {l: ONE}, mu)
             entries.extend((l, k, row[k]) for k in sorted(row))
         table.append(entries)
     return table
@@ -161,7 +157,7 @@ def _sector_differential(
                     del row[col]
                     continue
             row[col] = value
-    return ExactMatrix._of(len(rows), math.comb(n, p) * m, rows)
+    return ExactMatrix(len(rows), math.comb(n, p) * m, tuple(rows))
 
 
 def sector_cohomology_full(

@@ -288,5 +288,5 @@ def restrict_complex(ic: InvariantComplex, tag_ids: Iterable[int]) -> FiniteComp
         rows: list[dict] = [{} for _ in range(dims[p + 1])]
         for (r, c), v in entries.items():
             rows[pos[p + 1][r]][pos[p][c]] = v
-        differentials.append(ExactMatrix._of(dims[p + 1], dims[p], rows))
+        differentials.append(ExactMatrix(dims[p + 1], dims[p], tuple(rows)))
     return FiniteComplex(tuple(dims), tuple(differentials))

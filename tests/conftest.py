@@ -4,10 +4,23 @@ import pytest
 
 from solvcohom import lattice
 from solvcohom.liealg import MODE_COMPLEX, LieAlgebraData
-from solvcohom.scalars import MINUS_ONE, ONE, ZERO
+from solvcohom.linalg import ExactMatrix
+from solvcohom.scalars import MINUS_ONE, ONE, ZERO, GaussianRational
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 EXPECTED_DIR = INSTANCE_DIR / "expected"
+
+
+def dense_matrix(rows, ncols=None):
+    """An ExactMatrix from dense rows of GaussianRationals or ints, zeros dropped.
+
+    ncols defaults to the length of the first row; a matrix without rows needs it.
+    """
+    rows = [[v if isinstance(v, GaussianRational) else GaussianRational(v) for v in r] for r in rows]
+    ncols = len(rows[0]) if ncols is None else ncols
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("row data does not match the declared shape")
+    return ExactMatrix(len(rows), ncols, tuple({j: v for j, v in enumerate(r) if v} for r in rows))
 
 
 def bracket_entries(g):

@@ -259,4 +259,6 @@ def matrix_inverse(matrix: ExactMatrix) -> ExactMatrix:
             if r != col and aug[r][col]:
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return ExactMatrix(n, n, [row[n:] for row in aug])
+    return ExactMatrix.from_entries(
+        n, n, {(i, j): a for i, row in enumerate(aug) for j, a in enumerate(row[n:])}
+    )

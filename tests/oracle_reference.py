@@ -17,7 +17,7 @@ from subset_reference import degree_basis
 
 from solvcohom.cecomplex import twist_at
 from solvcohom.liealg import LieAlgebraData, RepresentationData
-from solvcohom.linalg import ExactMatrix, SparseRow, _row_axpy
+from solvcohom.linalg import ExactMatrix, SparseRow, row_axpy
 from solvcohom.oracle import DegreeSkeleton, _alternating_evaluation
 from solvcohom.scalars import ZERO, GaussianRational
 
@@ -49,12 +49,12 @@ def reference_eliminate(
         new_rows = []
         for r in rows:
             if pivot_col in r:
-                r = _row_axpy(r, row, -r[pivot_col])
+                r = row_axpy(r, row, -r[pivot_col])
             if r:
                 new_rows.append(r)
         rows = new_rows
         done = [
-            (pc, _row_axpy(r, row, -r[pivot_col]) if pivot_col in r else r)
+            (pc, row_axpy(r, row, -r[pivot_col]) if pivot_col in r else r)
             for pc, r in done
         ]
         done.append((pivot_col, row))

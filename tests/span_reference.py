@@ -14,7 +14,7 @@ from typing import Mapping
 
 from solvcohom.cecomplex import FiniteComplex
 from solvcohom.liealg import LieAlgebraData
-from solvcohom.linalg import SparseRow, _row_axpy, kernel_basis, rank_and_kernel
+from solvcohom.linalg import SparseRow, row_axpy, kernel_basis, rank_and_kernel
 from solvcohom.scalars import ONE, GaussianRational
 
 
@@ -33,7 +33,7 @@ class SpanTracker:
         current = {j: a for j, a in vec.items() if a}
         for pc, row in self.rows:
             if pc in current:
-                current = _row_axpy(current, row, -current[pc])
+                current = row_axpy(current, row, -current[pc])
         if not current:
             return False
         pivot_col = min(current)
@@ -42,7 +42,7 @@ class SpanTracker:
         new_rows = []
         for pc, row in self.rows:
             if pivot_col in row:
-                row = _row_axpy(row, current, -row[pivot_col])
+                row = row_axpy(row, current, -row[pivot_col])
             new_rows.append((pc, row))
         new_rows.append((pivot_col, current))
         self.rows = new_rows

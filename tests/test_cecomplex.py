@@ -4,7 +4,7 @@ import textwrap
 
 import pytest
 from ce_reference import ce_differential, monomial_label, wedge_insert_sign
-from conftest import INSTANCE_DIR
+from conftest import INSTANCE_DIR, dense_matrix
 from span_reference import greedy_lower_central_series_dims, greedy_representatives
 from subset_reference import degree_basis, subset_mask
 
@@ -271,8 +271,8 @@ def test_records_refuse_assignment(name, field):
 
 
 def test_check_complex_catches_bad_differential():
-    d0 = ExactMatrix(1, 1, [[ONE]])
-    d1 = ExactMatrix(1, 1, [[ONE]])
+    d0 = dense_matrix([[ONE]])
+    d1 = dense_matrix([[ONE]])
     fc = FiniteComplex((1, 1, 1), (d0, d1))
     with pytest.raises(ValidationFailure, match="degree 0"):
         fc.check_complex()
@@ -287,8 +287,8 @@ def test_check_complex_stops_at_the_first_nonzero_row(monkeypatch):
         calls.append(row)
         return row_times(row, matrix)
 
-    d0 = ExactMatrix(2, 1, [[ONE], [ONE]])
-    d1 = ExactMatrix(2, 2, [[ONE, ZERO], [ONE, MINUS_ONE]])
+    d0 = dense_matrix([[ONE], [ONE]])
+    d1 = dense_matrix([[ONE, ZERO], [ONE, MINUS_ONE]])
     fc = FiniteComplex((1, 2, 2), (d0, d1))
     monkeypatch.setattr(cecomplex, "row_times", counted)
     with pytest.raises(ValidationFailure, match="not a complex: d.d != 0 starting at degree 0"):
@@ -305,7 +305,7 @@ def test_check_complex_survives_optimize_flag():
         from solvcohom.scalars import ONE
 
         assert False, "asserts must be stripped under -O"
-        d = ExactMatrix(1, 1, [[ONE]])
+        d = ExactMatrix(1, 1, ({0: ONE},))
         try:
             FiniteComplex((1, 1, 1), (d, d)).check_complex()
         except ValidationFailure as exc:
@@ -321,10 +321,10 @@ def test_check_complex_survives_optimize_flag():
 
 def _fails_at_degrees_0_and_2():
     # d1 d0 != 0 and d3 d2 != 0, but d2 d1 == 0.
-    d0 = ExactMatrix(1, 1, [[ONE]])
-    d1 = ExactMatrix(2, 1, [[ONE], [ZERO]])
-    d2 = ExactMatrix(1, 2, [[ZERO, ONE]])
-    d3 = ExactMatrix(1, 1, [[ONE]])
+    d0 = dense_matrix([[ONE]])
+    d1 = dense_matrix([[ONE], [ZERO]])
+    d2 = dense_matrix([[ZERO, ONE]])
+    d3 = dense_matrix([[ONE]])
     return FiniteComplex((1, 1, 2, 1, 1), (d0, d1, d2, d3))
 
 
@@ -345,7 +345,7 @@ def test_cohomology_checks_d_d_under_optimize_flag():
         from solvcohom.scalars import ONE
 
         assert False, "asserts must be stripped under -O"
-        d = ExactMatrix(1, 1, [[ONE]])
+        d = ExactMatrix(1, 1, ({0: ONE},))
         for representatives in (False, True):
             try:
                 cohomology(FiniteComplex((1, 1, 1, 1), (d, d, d)), representatives)
@@ -376,8 +376,8 @@ def test_cohomology_of_a_complex_multiplies_no_differentials(split_6d, monkeypat
 def test_a_wrong_certified_kernel_on_a_complex_raises_certificate_error(monkeypatch):
     # d1 d0 == 0, but a wrong reduced row of d1, returned past its own
     # certificate, puts d0 outside the kernel it claims.
-    d0 = ExactMatrix(2, 1, [[ONE], [ONE]])
-    d1 = ExactMatrix(1, 2, [[ONE, MINUS_ONE]])
+    d0 = dense_matrix([[ONE], [ONE]])
+    d1 = dense_matrix([[ONE, MINUS_ONE]])
     real = cecomplex.rank_and_kernel
 
     def wrong(matrix, skip_rows):

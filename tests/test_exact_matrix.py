@@ -5,6 +5,7 @@ compared with the same operation on dense Python lists, on sparse random
 matrices that include empty shapes.
 """
 import pytest
+from conftest import dense_matrix
 from hypothesis import example, given
 from hypothesis import strategies as st
 from oracle_reference import reference_eliminate
@@ -45,9 +46,10 @@ def ref_identity(n):
 @given(shaped())
 def test_rows_view_round_trips_through_the_dense_constructor(case):
     nrows, ncols, rows = case
-    m = ExactMatrix(nrows, ncols, rows)
+    m = dense_matrix(rows, ncols)
+    assert (m.nrows, m.ncols) == (nrows, ncols)
     assert [list(r) for r in m.rows] == rows
-    assert ExactMatrix(m.nrows, m.ncols, m.rows) == m
+    assert dense_matrix(m.rows, m.ncols) == m
     for i, row in enumerate(rows):
         for j, value in enumerate(row):
             assert m.row_maps[i].get(j, ZERO) == value
@@ -60,7 +62,7 @@ def test_from_entries_matches_the_dense_constructor(case):
     without_zeros = {key: v for key, v in with_zeros.items() if v}
     a = ExactMatrix.from_entries(nrows, ncols, with_zeros)
     b = ExactMatrix.from_entries(nrows, ncols, without_zeros)
-    assert a == b == ExactMatrix(nrows, ncols, rows)
+    assert a == b == dense_matrix(rows, ncols)
     assert all(v for r in a.row_maps for v in r.values())
 
 
@@ -69,17 +71,17 @@ def test_matmul(data):
     nrows, inner, ncols = data.draw(dims), data.draw(dims), data.draw(dims)
     a = data.draw(dense(nrows, inner))
     b = data.draw(dense(inner, ncols))
-    product = ExactMatrix(nrows, inner, a) @ ExactMatrix(inner, ncols, b)
-    assert product == ExactMatrix(nrows, ncols, ref_matmul(a, b, inner, ncols))
+    product = dense_matrix(a, inner) @ dense_matrix(b, ncols)
+    assert product == dense_matrix(ref_matmul(a, b, inner, ncols), ncols)
 
 
 @given(shaped())
 def test_transpose(case):
     nrows, ncols, rows = case
-    t = ExactMatrix(nrows, ncols, rows).transpose()
+    t = dense_matrix(rows, ncols).transpose()
     assert (t.nrows, t.ncols) == (ncols, nrows)
     flipped = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
-    assert t == ExactMatrix(ncols, nrows, flipped)
+    assert t == dense_matrix(flipped, nrows)
 
 
 @given(st.data())
@@ -87,14 +89,14 @@ def test_apply(data):
     nrows, ncols, rows = data.draw(shaped())
     vec = data.draw(st.lists(scalars, min_size=ncols, max_size=ncols))
     expected = [[sum((a * x for a, x in zip(r, vec)), ZERO)] for r in rows]
-    product = ExactMatrix(nrows, ncols, rows) @ ExactMatrix(ncols, 1, [[x] for x in vec])
-    assert product == ExactMatrix(nrows, 1, expected)
+    product = dense_matrix(rows, ncols) @ dense_matrix([[x] for x in vec], 1)
+    assert product == dense_matrix(expected, 1)
 
 
 @given(shaped())
 def test_is_zero(case):
     nrows, ncols, rows = case
-    assert ExactMatrix(nrows, ncols, rows).is_zero() == all(not x for r in rows for x in r)
+    assert dense_matrix(rows, ncols).is_zero() == all(not x for r in rows for x in r)
 
 
 @st.composite
@@ -122,14 +124,14 @@ def ref_is_nilpotent(n, rows):
 @given(square())
 def test_is_nilpotent_matches_the_dense_power(case):
     n, rows = case
-    assert ExactMatrix(n, n, rows).is_nilpotent() == ref_is_nilpotent(n, rows)
+    assert dense_matrix(rows, n).is_nilpotent() == ref_is_nilpotent(n, rows)
 
 
 @given(square())
 def test_split_diagonal_matches_the_dense_residue(case):
     n, rows = case
     residue = [[ZERO if i == j else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
-    assert ExactMatrix(n, n, rows).split_diagonal() == (
+    assert dense_matrix(rows, n).split_diagonal() == (
         [rows[i][i] for i in range(n)],
         ref_is_nilpotent(n, residue),
     )
@@ -137,9 +139,9 @@ def test_split_diagonal_matches_the_dense_residue(case):
 
 @given(st.integers(0, 4))
 def test_zero_and_identity(n):
-    assert ExactMatrix.zero(n, n + 1) == ExactMatrix(n, n + 1, [[ZERO] * (n + 1)] * n)
+    assert ExactMatrix.zero(n, n + 1) == dense_matrix([[ZERO] * (n + 1)] * n, n + 1)
     identity = ExactMatrix.from_entries(n, n, {(i, i): ONE for i in range(n)})
-    assert identity == ExactMatrix(n, n, ref_identity(n))
+    assert identity == dense_matrix(ref_identity(n), n)
 
 
 @pytest.mark.parametrize("key", [(-1, 0), (2, 0), (0, -1), (0, 3)])
@@ -151,7 +153,7 @@ def test_out_of_shape_indices_are_rejected(key):
 @given(shaped())
 def test_rank_agrees_between_pivot_strategies(case):
     nrows, ncols, rows = case
-    m = ExactMatrix(nrows, ncols, rows)
+    m = dense_matrix(rows, ncols)
     r, reduced = rank_and_kernel(m)
     kern = kernel_basis(m.ncols, reduced)
     assert r == len(reference_eliminate(m, "sequential")[0])

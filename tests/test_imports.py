@@ -1,6 +1,7 @@
 """Every module-level import in the package and in the tests is used by
 its module, every module-level function or class is read by some
-package module, and the package has no assert statement.
+package module, no package module imports another's underscore name, and
+the package has no assert statement.
 
 A name counts as used when the module reads it anywhere, or lists it in
 __all__ (the package's re-exports). A definition counts as read when some
@@ -17,8 +18,10 @@ tables and the command-line parser: a cache that outlives a command
 makes warm answers in one process cheaper than a real command-line run.
 A value type whose constructor only checks and stores its arguments is a
 frozen dataclass; a hand-written __setattr__ is kept only by the types
-that skip __init__ on hot paths (GaussianRational, ExactMatrix) or derive
-their stored state from their input (LieAlgebraData).
+that skip __init__ on hot paths (GaussianRational) or derive their stored
+state from their input (LieAlgebraData). A name that starts with an
+underscore is private to its module: a definition other modules need is
+public, as linalg.row_axpy is.
 """
 import ast
 import re
@@ -217,6 +220,32 @@ def test_the_check_sees_a_hand_written_setattr():
     assert setattr_classes(source) == ["B", "C"]
 
 
-def test_hand_written_setattr_is_exactly_the_three_kept_types():
+def test_hand_written_setattr_is_exactly_the_two_kept_types():
     found = {name for path in PACKAGE.glob("*.py") for name in setattr_classes(path.read_text())}
-    assert found == {"GaussianRational", "ExactMatrix", "LieAlgebraData"}
+    assert found == {"GaussianRational", "LieAlgebraData"}
+
+
+def private_imports(source: str) -> list[str]:
+    """Each underscore name the source imports from a package module."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "solvcohom")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_the_check_sees_a_private_import():
+    source = (
+        "from __future__ import annotations\nfrom .linalg import ExactMatrix, _row_axpy\n"
+        "from solvcohom.oracle import _signed\nfrom os import _exit\n"
+        "def f():\n    from . import _lazy\n    from .cli import main as _main\n"
+    )
+    assert private_imports(source) == ["_row_axpy", "_signed", "_lazy"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_is_imported_from_another_module(path):
+    assert private_imports(path.read_text()) == []

@@ -260,7 +260,7 @@ def test_unipotence_violation_detected(heisenberg):
     rep = RepresentationData(
         1,
         (
-            ExactMatrix(1, 1, [[ONE]]),
+            ExactMatrix(1, 1, ({0: ONE},)),
             ExactMatrix.zero(1, 1),
             ExactMatrix.zero(1, 1),
         ),

@@ -4,6 +4,7 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from conftest import dense_matrix
 from hypothesis import given
 from hypothesis import strategies as st
 from jordan_reference import matrix_inverse
@@ -17,13 +18,8 @@ from solvcohom.linalg import ExactMatrix, kernel_basis, rank_and_kernel, trailin
 from solvcohom.scalars import I, ONE, ZERO, GaussianRational
 
 
-def mat(rows):
-    entries = [[GaussianRational(e) for e in row] for row in rows]
-    return ExactMatrix(len(rows), len(rows[0]), entries)
-
-
 def column(vec):
-    return ExactMatrix(len(vec), 1, [[c] for c in vec])
+    return dense_matrix([[c] for c in vec], 1)
 
 
 def rank_kernel(m, skip_rows=frozenset()):
@@ -38,7 +34,7 @@ def sparse_column(vec, width):
 
 
 def test_constructors_and_entry():
-    m = mat([[1, 2], [3, 4]])
+    m = dense_matrix([[1, 2], [3, 4]])
     assert m.nrows == 2 and m.ncols == 2
     assert m.row_maps[1].get(0, ZERO) == GaussianRational(3)
     assert ExactMatrix.zero(2, 3).is_zero()
@@ -49,29 +45,29 @@ def test_constructors_and_entry():
 
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
-        mat([[1, 2]]) @ mat([[1, 2]])
+        dense_matrix([[1, 2]]) @ dense_matrix([[1, 2]])
 
 
 def test_arithmetic():
-    a = mat([[1, 2], [3, 4]])
-    b = mat([[0, 1], [1, 0]])
-    assert a @ b == mat([[2, 1], [4, 3]])
-    assert a.transpose() == mat([[1, 3], [2, 4]])
+    a = dense_matrix([[1, 2], [3, 4]])
+    b = dense_matrix([[0, 1], [1, 0]])
+    assert a @ b == dense_matrix([[2, 1], [4, 3]])
+    assert a.transpose() == dense_matrix([[1, 3], [2, 4]])
 
 
 def test_apply():
-    a = mat([[1, 2], [3, 4]])
+    a = dense_matrix([[1, 2], [3, 4]])
     assert a @ column((ONE, ZERO)) == column((GaussianRational(1), GaussianRational(3)))
 
 
 def test_nilpotence():
-    n = mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    n = dense_matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert n.is_nilpotent()
-    assert not mat([[1, 0], [0, 0]]).is_nilpotent()
+    assert not dense_matrix([[1, 0], [0, 0]]).is_nilpotent()
 
 
 def test_rank_and_kernel_hand_cases():
-    m = mat([[1, 2, 3], [2, 4, 6]])  # rank 1
+    m = dense_matrix([[1, 2, 3], [2, 4, 6]])  # rank 1
     r, kern = rank_kernel(m)
     assert r == 1
     assert len(kern) == 2
@@ -89,25 +85,25 @@ def test_rank_and_kernel_hand_cases():
 
 def test_rank_with_gaussian_entries():
     # Second column is i times the first: rank 1.
-    m = ExactMatrix(2, 2, [[ONE, I], [I, GaussianRational(-1)]])
+    m = dense_matrix([[ONE, I], [I, GaussianRational(-1)]])
     assert rank_and_kernel(m)[0] == 1
 
 
 def test_pivot_strategies_agree():
     # The sparsity-first rank equals the reference's row-order elimination.
-    m = mat([[0, 2, 1], [1, 0, 0], [0, 4, 2]])
+    m = dense_matrix([[0, 2, 1], [1, 0, 0], [0, 4, 2]])
     r, kern = rank_kernel(m)
     assert r == len(reference_eliminate(m, "sequential")[0]) == 2
     assert len(kern) == 1
 
 
 def test_matrix_inverse():
-    a = mat([[1, 2], [3, 4]])
-    assert matrix_inverse(a) @ a == mat([[1, 0], [0, 1]])
-    b = ExactMatrix(2, 2, [[I, ZERO], [ONE, ONE]])
-    assert b @ matrix_inverse(b) == mat([[1, 0], [0, 1]])
+    a = dense_matrix([[1, 2], [3, 4]])
+    assert matrix_inverse(a) @ a == dense_matrix([[1, 0], [0, 1]])
+    b = dense_matrix([[I, ZERO], [ONE, ONE]])
+    assert b @ matrix_inverse(b) == dense_matrix([[1, 0], [0, 1]])
     with pytest.raises(ZeroDivisionError):
-        matrix_inverse(mat([[1, 2], [2, 4]]))
+        matrix_inverse(dense_matrix([[1, 2], [2, 4]]))
 
 
 def test_trailing_echelon():
@@ -139,7 +135,7 @@ def small_matrices(draw):
         [GaussianRational(draw(entries), draw(entries)) for _ in range(ncols)]
         for _ in range(nrows)
     ]
-    return ExactMatrix(nrows, ncols, rows)
+    return dense_matrix(rows)
 
 
 @given(small_matrices())
@@ -179,7 +175,7 @@ def tie_heavy_matrices(draw):
     pool = draw(st.lists(pool_row(), min_size=1, max_size=6))
     picks = draw(st.lists(st.integers(0, len(pool)), max_size=14))
     zero_row = [ZERO] * ncols
-    return ExactMatrix(len(picks), ncols, [pool[k] if k < len(pool) else zero_row for k in picks])
+    return dense_matrix([pool[k] if k < len(pool) else zero_row for k in picks], ncols)
 
 
 @given(tie_heavy_matrices())
@@ -220,7 +216,7 @@ def fraction_matrices(draw):
          for _ in range(ncols)]
         for _ in range(nrows)
     ]
-    return ExactMatrix(nrows, ncols, rows)
+    return dense_matrix(rows)
 
 
 @given(st.one_of(tie_heavy_matrices(), fraction_matrices()))
@@ -276,7 +272,7 @@ def _perturb_free_entry(eliminate):
 def test_sabotaged_elimination_fails_its_certificate(monkeypatch, sabotage, message):
     monkeypatch.setattr(linalg, "_eliminate", sabotage(linalg._eliminate))
     with pytest.raises(CertificateError, match=message):
-        rank_and_kernel(mat([[1, 2, 0], [0, 1, 1]]))
+        rank_and_kernel(dense_matrix([[1, 2, 0], [0, 1, 1]]))
 
 
 def _cleared_row_complex(cleared_row):
@@ -285,8 +281,8 @@ def _cleared_row_complex(cleared_row):
     So row 0 of d_1 is the row clearing skips. It is a complex exactly
     when that row is minus row 1, [-1, 0]; d_0 is zero.
     """
-    d1 = mat([cleared_row, [1, 0]])
-    return FiniteComplex((1, 2, 2, 1), (ExactMatrix.zero(2, 1), d1, mat([[1, 1]])))
+    d1 = dense_matrix([cleared_row, [1, 0]])
+    return FiniteComplex((1, 2, 2, 1), (ExactMatrix.zero(2, 1), d1, dense_matrix([[1, 1]])))
 
 
 def test_d_d_failing_through_a_cleared_row_raises_in_cohomology():
@@ -310,7 +306,7 @@ def test_skipping_a_row_outside_the_span_fails_its_certificate(skip_rows):
     # the skip set clearing hands to d_0 = identity, and d_1 d_0 = d_1 != 0.
     identity = ExactMatrix.from_entries(3, 3, {(i, i): ONE for i in range(3)})
     assert rank_and_kernel(identity, skip_rows)[0] == 3 - len(skip_rows)
-    d1 = ExactMatrix._of(len(skip_rows), 3, [identity.row_maps[j] for j in sorted(skip_rows)])
+    d1 = ExactMatrix(len(skip_rows), 3, tuple(identity.row_maps[j] for j in sorted(skip_rows)))
     complex_ = FiniteComplex((3, 3, len(skip_rows)), (identity, d1))
     message = "^not a complex: d.d != 0 starting at degree 0$"
     for representatives in (False, True):
@@ -330,10 +326,10 @@ class _UnreadableRow(dict):
 
 def test_skipped_rows_are_never_read():
     # Row 1 is twice row 0 and row 3 is row 0 plus row 2.
-    m = mat([[1, 2, 0, 1], [2, 4, 0, 2], [0, 1, 1, 0], [1, 3, 1, 1]])
+    m = dense_matrix([[1, 2, 0, 1], [2, 4, 0, 2], [0, 1, 1, 0], [1, 3, 1, 1]])
     rows = [_UnreadableRow(r) if i in (1, 3) else r for i, r in enumerate(m.row_maps)]
-    r, reduced = rank_and_kernel(ExactMatrix._of(4, 4, rows), {1, 3})
-    want_r, want_reduced = rank_and_kernel(ExactMatrix._of(2, 4, [rows[0], rows[2]]))
+    r, reduced = rank_and_kernel(ExactMatrix(4, 4, tuple(rows)), {1, 3})
+    want_r, want_reduced = rank_and_kernel(ExactMatrix(2, 4, (rows[0], rows[2])))
     assert r == want_r == 2
     assert reduced == want_reduced
 
@@ -341,7 +337,7 @@ def test_skipped_rows_are_never_read():
 @pytest.mark.parametrize("skip_rows", [set(), {1}, {3}, {1, 3}, {0, 3}])
 def test_skipping_rows_in_the_span_keeps_the_rank(skip_rows):
     # Row 1 is twice row 0 and row 3 is row 0 plus row 2.
-    m = mat([[1, 2, 0, 1], [2, 4, 0, 2], [0, 1, 1, 0], [1, 3, 1, 1]])
+    m = dense_matrix([[1, 2, 0, 1], [2, 4, 0, 2], [0, 1, 1, 0], [1, 3, 1, 1]])
     r, kern = rank_kernel(m, skip_rows)
     assert r == 2 and len(kern) == 2
     for v in kern:
@@ -363,12 +359,12 @@ def test_kernel_certificate_survives_optimize_flag():
         from solvcohom import linalg
         from solvcohom.errors import CertificateError
         from solvcohom.linalg import ExactMatrix
-        from solvcohom.scalars import ONE, ZERO, GaussianRational
+        from solvcohom.scalars import ONE, GaussianRational
 
         assert False, "asserts must be stripped under -O"
         eliminate = linalg._eliminate
         linalg._eliminate = lambda m, skip: tuple(x[:-1] for x in eliminate(m, skip))
-        m = ExactMatrix(2, 2, [[ONE, GaussianRational(2)], [ZERO, ONE]])
+        m = ExactMatrix.from_entries(2, 2, {(0, 0): ONE, (0, 1): GaussianRational(2), (1, 1): ONE})
         try:
             linalg.rank_and_kernel(m)
         except CertificateError:
@@ -396,7 +392,7 @@ def test_perturbed_reduced_row_fails_under_optimize_flag():
 
         linalg._eliminate = perturbed
         try:
-            linalg.rank_and_kernel(ExactMatrix(1, 2, [[ONE, GaussianRational(2)]]))
+            linalg.rank_and_kernel(ExactMatrix(1, 2, ({0: ONE, 1: GaussianRational(2)},)))
         except CertificateError as exc:
             print(exc)
         """
@@ -409,11 +405,11 @@ def test_d_d_failing_through_a_cleared_row_raises_under_optimize_flag():
         from solvcohom.cecomplex import FiniteComplex, cohomology
         from solvcohom.errors import ValidationFailure
         from solvcohom.linalg import ExactMatrix
-        from solvcohom.scalars import ONE, ZERO
+        from solvcohom.scalars import ONE
 
         assert False, "asserts must be stripped under -O"
-        d1 = ExactMatrix(2, 2, [[ZERO, ONE], [ONE, ZERO]])
-        d2 = ExactMatrix(1, 2, [[ONE, ONE]])
+        d1 = ExactMatrix(2, 2, ({1: ONE}, {0: ONE}))
+        d2 = ExactMatrix(1, 2, ({0: ONE, 1: ONE},))
         complex_ = FiniteComplex((1, 2, 2, 1), (ExactMatrix.zero(2, 1), d1, d2))
         try:
             cohomology(complex_)
@@ -430,7 +426,7 @@ def _combination(draw, vectors, width):
     """A dense row: a drawn combination of one or two of the sparse vectors."""
     row = {}
     for v in draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=2)):
-        row = linalg._row_axpy(row, v, draw(nonzero_coefficients))
+        row = linalg.row_axpy(row, v, draw(nonzero_coefficients))
     return [row.get(j, ZERO) for j in range(width)]
 
 
@@ -449,7 +445,7 @@ def cochain_complexes(draw):
     if nonzero:
         rows += [_combination(draw, nonzero, base.ncols) for _ in range(draw(st.integers(0, 3)))]
     rows = draw(st.permutations(rows))
-    diffs = [ExactMatrix(len(rows), base.ncols, rows)]
+    diffs = [dense_matrix(rows, base.ncols)]
     for _ in range(draw(st.integers(1, 3))):
         prev = diffs[-1]
         left = reference_kernel(prev.transpose())  # rows r with r @ prev == 0
@@ -459,7 +455,7 @@ def cochain_complexes(draw):
             pool = [_combination(draw, left, prev.nrows) for _ in range(draw(st.integers(1, 4)))]
         picks = draw(st.lists(st.integers(0, len(pool)), max_size=8))
         rows = [pool[k] if k < len(pool) else zero_row for k in picks]
-        diffs.append(ExactMatrix(len(rows), prev.nrows, rows))
+        diffs.append(dense_matrix(rows, prev.nrows))
     return diffs
 
 
@@ -500,7 +496,7 @@ def perturbed_complexes(draw):
         rows = [list(r) for r in d.rows]
         i, j = draw(st.integers(0, d.nrows - 1)), draw(st.integers(0, d.ncols - 1))
         rows[i][j] += draw(nonzero_coefficients)
-        diffs[p] = ExactMatrix(d.nrows, d.ncols, rows)
+        diffs[p] = dense_matrix(rows, d.ncols)
     return diffs
 
 

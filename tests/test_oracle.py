@@ -198,7 +198,7 @@ def test_action_table_adds_mu_on_the_diagonal(split_3d):
     # mu(e1) = 1 cancels R(e1)[0, 0] = -1, and lands on the empty
     # diagonals of rows 1 and 2; the table lists (l, k) in order and
     # holds no zero.
-    r = ExactMatrix(3, 3, [[MINUS_ONE, ONE, ZERO], [ZERO, ZERO, GaussianRational(5)], [ZERO] * 3])
+    r = ExactMatrix(3, 3, ({0: MINUS_ONE, 1: ONE}, {2: GaussianRational(5)}, {}))
     zero = ExactMatrix.zero(3, 3)
     rep = RepresentationData(3, (r, zero, zero))
     rho = _action_table(rep, twist_at(split_3d, (ONE,)))

@@ -11,6 +11,7 @@ from ce_reference import (
 )
 from conftest import (
     INSTANCE_DIR,
+    dense_matrix,
     make_heisenberg,
     make_heisenberg_power,
     make_split_3d,
@@ -50,16 +51,11 @@ from solvcohom.weights import (
 )
 
 
-def mat(rows):
-    entries = [[GaussianRational(e) for e in row] for row in rows]
-    return ExactMatrix(len(rows), len(rows[0]), entries)
-
-
 def test_char_poly():
     # x^2 - 3x + 2 for [[1,1],[0,2]]; coefficients ascending.
-    assert char_poly(mat([[1, 1], [0, 2]])) == (GaussianRational(2), GaussianRational(-3), ONE)
-    assert char_poly(mat([[0, 1], [0, 0]])) == (ZERO, ZERO, ONE)
-    assert char_poly(mat([[1]])) == (MINUS_ONE, ONE)
+    assert char_poly(dense_matrix([[1, 1], [0, 2]])) == (GaussianRational(2), GaussianRational(-3), ONE)
+    assert char_poly(dense_matrix([[0, 1], [0, 0]])) == (ZERO, ZERO, ONE)
+    assert char_poly(dense_matrix([[1]])) == (MINUS_ONE, ONE)
 
 
 def jc_checks(M):
@@ -71,44 +67,44 @@ def jc_checks(M):
 
 
 def test_jordan_chevalley_distinct_eigenvalues():
-    M = mat([[1, 1], [0, 2]])
+    M = dense_matrix([[1, 1], [0, 2]])
     S, N = jc_checks(M)
     assert N.is_zero()  # already semisimple
     assert S == M
 
 
 def test_jordan_chevalley_jordan_block():
-    M = mat([[1, 1], [0, 1]])
+    M = dense_matrix([[1, 1], [0, 1]])
     S, N = jc_checks(M)
-    assert S == mat([[1, 0], [0, 1]])
-    assert N == mat([[0, 1], [0, 0]])
+    assert S == dense_matrix([[1, 0], [0, 1]])
+    assert N == dense_matrix([[0, 1], [0, 0]])
 
 
 def test_jordan_chevalley_nilpotent():
-    M = mat([[0, 1], [0, 0]])
+    M = dense_matrix([[0, 1], [0, 0]])
     S, N = jc_checks(M)
     assert S.is_zero()
     assert N == M
 
 
 def test_jordan_chevalley_mixed_3x3():
-    M = mat([[2, 1, 0], [0, 2, 0], [0, 0, 3]])
+    M = dense_matrix([[2, 1, 0], [0, 2, 0], [0, 0, 3]])
     S, N = jc_checks(M)
-    assert S == mat([[2, 0, 0], [0, 2, 0], [0, 0, 3]])
-    assert N == mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    assert S == dense_matrix([[2, 0, 0], [0, 2, 0], [0, 0, 3]])
+    assert N == dense_matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
 
 
 def test_jordan_chevalley_splits_over_gaussians():
     # x^2 + 1 = (x - i)(x + i): semisimple over Q(i).
-    M = mat([[0, 1], [-1, 0]])
+    M = dense_matrix([[0, 1], [-1, 0]])
     S, N = jc_checks(M)
     assert N.is_zero()
 
 
 def test_jordan_chevalley_similarity_invariance():
     # Conjugating a split matrix keeps the decomposition conjugated.
-    P = mat([[1, 1], [0, 1]])
-    D = ExactMatrix(2, 2, [[I, ZERO], [ZERO, GaussianRational(0, -1)]])
+    P = dense_matrix([[1, 1], [0, 1]])
+    D = dense_matrix([[I, ZERO], [ZERO, GaussianRational(0, -1)]])
     M = P @ D @ matrix_inverse(P)
     S, N = jc_checks(M)
     assert N.is_zero()
@@ -118,7 +114,7 @@ def test_jordan_chevalley_similarity_invariance():
 def test_extend_scalars_error_names_factor():
     # x^2 - 2 is irreducible over Q(i).
     with pytest.raises(ExtendScalarsError) as err:
-        jordan_chevalley_additive(mat([[0, 1], [2, 0]]))
+        jordan_chevalley_additive(dense_matrix([[0, 1], [2, 0]]))
     assert "x**2 - 2" in str(err.value)
     assert "extend scalars" in str(err.value)
 
@@ -132,12 +128,12 @@ def test_jordan_certificate_survives_optimize_flag():
         import jordan_reference
         from solvcohom.errors import CertificateError
         from solvcohom.linalg import ExactMatrix
-        from solvcohom.scalars import ONE, ZERO, GaussianRational
+        from solvcohom.scalars import ONE, GaussianRational
 
         assert False, "asserts must be stripped under -O"
         jordan_reference._factor_linear_over_q_i = lambda p: [(ONE, 1), (GaussianRational(2), 1)]
         jordan_reference._inverse_mod = lambda a, modulus: (ONE,)
-        m = ExactMatrix(2, 2, [[ONE, ZERO], [ZERO, GaussianRational(2)]])
+        m = ExactMatrix.from_entries(2, 2, {(0, 0): ONE, (1, 1): GaussianRational(2)})
         try:
             jordan_reference.jordan_chevalley_additive(m)
         except CertificateError as err:
