@@ -7,7 +7,8 @@ real-complexified, "dolbeault" instances are complex.
 
 Structural problems raise InstanceParseError (CLI exit code 2): among
 them a file that is not UTF-8, JSON nested too deeply to parse, a
-number with more digits than Python converts to an integer, every
+number with more digits than Python converts to an integer, a scalar
+that is not a JSON string (named in JSON spelling), every
 key that names no basis vector, a flag ("trivial", "adjoint", "infer")
 that is not a JSON boolean, a dim given as true or false, a
 bracket entry [x, y, z, c] whose (x, y, z) repeats an earlier one, and
@@ -97,6 +98,13 @@ def _flag(block: dict, key: str, what: str) -> bool:
     return value
 
 
+def _text(value, what: str) -> str:
+    """A scalar's text: JSON gives every scalar as a string."""
+    if not isinstance(value, str):
+        raise InstanceParseError(f"{what} must be a string, not {json.dumps(value)}")
+    return value
+
+
 def _name_index(basis: tuple[str, ...], name, context) -> int:
     if name not in basis:
         raise InstanceParseError(f"unknown basis name {name!r} in {context}")
@@ -125,7 +133,9 @@ def _parse_weight(
             raise InstanceParseError(
                 f"{name!r} is not a complement coordinate in {context}"
             )
-        coords[by_name[name]] = parse_gaussian(str(text))
+        coords[by_name[name]] = parse_gaussian(
+            _text(text, f"weight coordinate {name!r} in {context}")
+        )
     return tuple(coords)
 
 
@@ -158,7 +168,8 @@ def parse_instance(data: dict) -> InstanceFile:
                 f"repeated bracket entry [{basis[i]}, {basis[j]}, {basis[k]}]"
             )
         seen.add((i, j, k))
-        brackets.append((i, j, k, parse_gaussian(str(entry[3]))))
+        coeff = _text(entry[3], f"bracket coefficient of [{basis[i]}, {basis[j]}, {basis[k]}]")
+        brackets.append((i, j, k, parse_gaussian(coeff)))
     nilradical = _name_list(basis, alg, "nilradical")
     complement = _name_list(basis, alg, "complement")
     conjugation = None
@@ -226,8 +237,9 @@ def _parse_representation(data, g: LieAlgebraData) -> RepresentationSpec:
                 f"matrix for {g.basis[j]} must be {m}x{m}"
             )
         # "0" skips the parser; every zero is dropped.
+        what = f"matrix entry of {g.basis[j]}"
         row_maps = tuple(
-            {c: v for c, e in enumerate(row) if e != "0" and (v := parse_gaussian(str(e)))}
+            {c: v for c, e in enumerate(row) if e != "0" and (v := parse_gaussian(_text(e, what)))}
             for row in rows
         )
         matrices.append(ExactMatrix(m, m, row_maps))
@@ -292,8 +304,8 @@ def _parse_lattice(data, g: LieAlgebraData) -> LatticeData:
             raise InstanceParseError("each generator must be an object")
         coords = []
         for j in g.complement:
-            text = gen.get(g.basis[j], "0")
-            coords.append(parse_period(str(text), names))
+            text = _text(gen.get(g.basis[j], "0"), f"generator coordinate {g.basis[j]!r}")
+            coords.append(parse_period(text, names))
         for key in gen:
             if key not in {g.basis[j] for j in g.complement}:
                 raise InstanceParseError(

@@ -511,6 +511,36 @@ def test_parse_errors_exit_two_with_their_message(name, mutate, message, tmp_pat
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# Where instance files hold a Q(i) or period scalar: (document, mutation
+# putting a value there, what the error message calls it).
+SCALAR_PLACES = {
+    "bracket": ("heisenberg3", lambda v: _set(BRACKET_COEFFICIENT, v),
+                "bracket coefficient of [x, y, z]"),
+    "matrix": ("heisenberg3",
+               lambda v: _set(("representation",), {"dim": 1, "matrices": {"x": [[v]]}}),
+               "matrix entry of x"),
+    "weight": ("example-7-2-pi", lambda v: _set(("weights",), {"algebra": {"e2": {"e1": v}}}),
+               "weight coordinate 'e1' in algebra weights"),
+    "period": ("example-7-2-pi", lambda v: _set(PERIOD, v), "generator coordinate 'e1'"),
+}
+
+
+@pytest.mark.parametrize("place", SCALAR_PLACES)
+@pytest.mark.parametrize(
+    "value,spelling",
+    [(True, "true"), (None, "null"), ({"x": 1}, '{"x": 1}'), (2, "2"), (0, "0")],
+    ids=["true", "null", "object", "number", "zero"],
+)
+def test_non_string_scalars_exit_two_in_json_spelling(place, value, spelling, tmp_path, capsys):
+    name, mutate, what = SCALAR_PLACES[place]
+    doc = json.loads((INSTANCE_DIR / f"{name}.json").read_text())
+    mutate(value)(doc)
+    path = tmp_path / "non-string.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {what} must be a string, not {spelling}\n"
+
+
 def _symbols(*declarations):
     return _set(("lattice", "symbols"), list(declarations))
 

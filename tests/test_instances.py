@@ -170,7 +170,7 @@ def test_omitted_matrices_are_zero():
     assert len(inst.representation.matrices) == 2
 
 
-@pytest.mark.parametrize("zero", [0, "0"])
+@pytest.mark.parametrize("zero", ["0", "0/3"])
 def test_zero_matrix_entries_load_as_zero(zero):
     data = minimal()
     data["representation"] = {"dim": 2, "matrices": {"x": [[zero, "1"], [zero, "-1/2"]]}}
@@ -181,9 +181,8 @@ def test_zero_matrix_entries_load_as_zero(zero):
 @pytest.mark.parametrize(
     "entry,message",
     [
-        # JSON reads 1e308 as a float; its text "1e+308" splits at the sign.
-        (1e308, r"^not a rational literal: '1e\+308'$"),
         ("1/0+i", r"^zero denominator in '1/0\+i'$"),
+        ("1/2+3x", r"^not a rational literal: '1/2\+3x'$"),
     ],
 )
 def test_scalar_errors_name_the_whole_literal(entry, message):
