@@ -180,6 +180,14 @@ def period_values(draw):
 
 
 @given(period_values())
+def test_conjugate_involution(v):
+    # A real point needs each coordinate of the pair to be the other's
+    # conjugate, so the package conjugates v and its conjugate back.
+    conjugate = package_value(reference_conjugate(named_coords(v)), SYMBOLS)
+    assert validate_lattice(make_split_6d(), LatticeData(SYMBOLS, ((v, conjugate),))) == ()
+
+
+@given(period_values())
 def test_round_trip_through_text(v):
     assert parse_period(text(v), NAMES) == v
 
