@@ -330,12 +330,18 @@ def _in_certified_kernel(d: ExactMatrix, reduced: dict[int, SparseRow]) -> bool:
     one per free column f, that call has certified. A column v of d is
     sum_f v[f] K_f exactly when v[pc] + sum_f R_pc[f] v[f] == 0 for every
     pc: row pc of d plus the R_pc[f]-weighted free rows f of d vanishes.
-    R_pc is not read at pivot columns. Then the next differential
-    annihilates d, and d's rows at the pivot columns lie in the span of
-    its other rows, which is what clearing assumes.
+    R_pc is not read at pivot columns. When R_pc is {pc: 1}, holding no
+    free entry, the equation is exactly "row pc of d is empty", and is
+    tested that way. Then the next differential annihilates d, and d's
+    rows at the pivot columns lie in the span of its other rows, which is
+    what clearing assumes.
     """
     rows = d.row_maps
     for pc, reduced_row in reduced.items():
+        if len(reduced_row) == 1:
+            if rows[pc]:
+                return False
+            continue
         acc = dict(rows[pc])
         for f, a in reduced_row.items():
             if f not in reduced:

@@ -9,7 +9,10 @@ oracle sectors), which is what makes that pay.
 Rank and kernel are computed by exact Gauss-Jordan elimination on the
 sparse rows. The pivot is sparsity-first, which keeps fill-in low: least
 (row length, row id), then least (open-row count, column); a heap and
-column indexes only find it faster. rank_and_kernel returns the reduced
+column indexes only find it faster. The open rows are indexed at all
+their columns; a finished row only at the columns that some open row
+still holds, since no other column can become a pivot (see _eliminate).
+Each lead is inverted once per call. rank_and_kernel returns the reduced
 rows keyed by pivot column; kernel_basis reads the kernel off them as
 sparse rows, one per free column, for the callers that need vectors.
 The kernel certificate is checked row by row: every row it eliminates,
@@ -151,48 +154,71 @@ def _eliminate(
     least (open-row count, column). A heap of (row length, row id) entries,
     stale ones skipped, and column -> row id indexes only find that pivot
     and its rows faster.
+
+    A finished row is indexed (done_holders) only at the columns that some
+    open row still holds once its pivot column is cleared. That loses
+    nothing: open rows gain columns only from pivot rows, and a pivot row
+    is an open row when it is picked, so the union of the open rows'
+    columns never grows. A column that no open row holds can never become
+    a pivot, so no finished row is reduced there. Back-reduction still
+    indexes every column it adds to a finished row; an extra index entry
+    is harmless. A row of length 1 becomes {pivot: 1} without a lead test;
+    any other lead is inverted once per distinct value, in a dict local
+    to the call.
     """
-    open_rows = {
-        rid: r for rid, r in enumerate(matrix.row_maps) if r and rid not in skip_rows
-    }
+    open_rows: dict[int, SparseRow] = {}
+    heap = []
     holders = defaultdict(set)  # column -> ids of the open rows holding it
-    for rid, r in open_rows.items():
-        for c in r:
-            holders[c].add(rid)
-    heap = [(len(r), rid) for rid, r in open_rows.items()]
+    for rid, r in enumerate(matrix.row_maps):
+        if r and rid not in skip_rows:
+            open_rows[rid] = r
+            heap.append((len(r), rid))
+            for c in r:
+                holders[c].add(rid)
     heapq.heapify(heap)
     done: dict[int, SparseRow] = {}  # pivot column -> row, in pivot order
     done_holders = defaultdict(set)  # column -> pivot columns of done rows
+    inverses: dict[GaussianRational, GaussianRational] = {}
     while heap:
         length, rid = heapq.heappop(heap)
         row = open_rows.get(rid)
         if not row or len(row) != length:
             continue  # stale: the row is done, zeroed or of a new length
         del open_rows[rid]
-        pivot_col, count = -1, 0
-        for c in row:
-            h = holders[c]
-            h.discard(rid)
-            if pivot_col < 0 or len(h) < count or (len(h) == count and c < pivot_col):
-                pivot_col, count = c, len(h)
         if length == 1:
+            (pivot_col,) = row
+            h = holders[pivot_col]
+            h.discard(rid)
+            count = len(h)
             row = {pivot_col: ONE}
-        elif (lead := row[pivot_col]) == MINUS_ONE:
-            row = {c: -a for c, a in row.items()}
-        elif lead != ONE:
-            inv = lead.inverse()
-            row = {c: ONE if c == pivot_col else inv * a for c, a in row.items()}
+        else:
+            pivot_col, count = -1, 0
+            for c in row:
+                h = holders[c]
+                h.discard(rid)
+                if pivot_col < 0 or len(h) < count or (len(h) == count and c < pivot_col):
+                    pivot_col, count = c, len(h)
+            lead = row[pivot_col]
+            if lead == MINUS_ONE:
+                row = {c: -a for c, a in row.items()}
+            elif lead != ONE:
+                inv = inverses.get(lead)
+                if inv is None:
+                    inv = inverses[lead] = lead.inverse()
+                row = {c: ONE if c == pivot_col else inv * a for c, a in row.items()}
         # Reduce the open rows and the finished ones that hold the pivot
         # column, so it survives in exactly one row (Jordan form rows).
         if count:
             for rid in _reduce(open_rows, holders, pivot_col, row):
                 if open_rows[rid]:
                     heapq.heappush(heap, (len(open_rows[rid]), rid))
-        if done_holders[pivot_col]:
+        if done_holders.get(pivot_col):
             _reduce(done, done_holders, pivot_col, row)
         done[pivot_col] = row
-        for c in row:
-            done_holders[c].add(pivot_col)
+        if length > 1:  # else row holds only pivot_col, which no open row holds now
+            for c in row:
+                if holders[c]:
+                    done_holders[c].add(pivot_col)
     return list(done.items()), list(done)
 
 

@@ -991,6 +991,27 @@ def test_stdout_matches_frozen_snapshot(name, command, capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("name,cohom", SHIPPED_COMMANDS)
+def test_commands_leave_the_bracket_table_unchanged(name, cohom, monkeypatch, capsys):
+    # LieAlgebraData.bracket hands out its stored rows, so no command may
+    # mutate what it returns.
+    loaded = []
+
+    def recording_load(path):
+        inst = load_instance(path)
+        loaded.append((inst.algebra, inst.algebra.bracket_table()))
+        return inst
+
+    monkeypatch.setattr(cli, "load_instance", recording_load)
+    commands = [["validate"], [cohom], [cohom, "--representatives"],
+                ["conditions"], ["oracle"], ["nilshadow"]]
+    for command, *flags in commands:
+        assert run([command, path_of(name), *flags]) == 0
+    assert len(loaded) == len(commands)
+    for algebra, table in loaded:
+        assert algebra.bracket_table() == table
+
+
 # A nilpotent algebra whose shadow is itself, with a two-term bracket.
 TWO_TERM = {
     "name": "two-term",

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import dense_matrix
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from jordan_reference import matrix_inverse
 from oracle_reference import reference_eliminate
@@ -179,6 +179,12 @@ def tie_heavy_matrices(draw):
 
 
 @given(tie_heavy_matrices())
+# Row 0 pivots at 0 and finishes while row 1 still holds column 1; row 1
+# then pivots at 1, which must clear column 1 from row 0.
+@example(dense_matrix([[1, 1, 0, 0], [0, 2, 1, 1]]))
+# Row 0 pivots at 0; reducing row 1 by it cancels column 1 there, so
+# column 1 leaves every open row while row 0 still holds it.
+@example(dense_matrix([[1, 1, 0], [1, 1, 3]]))
 def test_eliminate_equals_rescanning_reference(m):
     # Same pivots in the same order, and the same fully reduced rows,
     # down to the key order of each row.
@@ -187,6 +193,28 @@ def test_eliminate_equals_rescanning_reference(m):
     assert pivot_cols == ref_pivot_cols
     assert done == ref_done
     assert [list(row) for _, row in done] == [list(row) for _, row in ref_done]
+
+
+def test_each_lead_is_inverted_once_per_call(monkeypatch):
+    # Leads 2, 2, 3, -1 and 1, each at the row's first column.
+    m = dense_matrix([[2, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+                      [0, 0, 2, 1, 0, 0, 0, 0, 0, 0],
+                      [0, 0, 0, 0, 3, 1, 0, 0, 0, 0],
+                      [0, 0, 0, 0, 0, 0, -1, 1, 0, 0],
+                      [0, 0, 0, 0, 0, 0, 0, 0, 1, 1]])
+    ref_done, _ = reference_eliminate(m, "sparsity")
+    inverted = []
+    inverse = GaussianRational.inverse
+
+    def counted(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(GaussianRational, "inverse", counted)
+    assert linalg._eliminate(m)[0] == ref_done
+    assert inverted == [GaussianRational(2), GaussianRational(3)]
+    assert linalg._eliminate(m)[0] == ref_done
+    assert inverted == [GaussianRational(2), GaussianRational(3)] * 2
 
 
 def reference_kernel(m):

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from solvcohom.errors import ScalarParseError
@@ -227,6 +228,48 @@ def test_hash_is_the_hash_of_the_parts(x):
     assert hash(v) == hash((v.re, v.im)) == hash(x)
 
 
+def canonical_triple(re_f, im_f):
+    """(a, b, d) with (a + b*i)/d == re_f + im_f*i, d > 0 and gcd(a, b, d) == 1."""
+    d = re_f.denominator * im_f.denominator // gcd(re_f.denominator, im_f.denominator)
+    return (int(re_f * d), int(im_f * d), d)
+
+
+small_integers = st.integers(-6, 6).map(Fraction)
+gaussian_integer_pairs = st.tuples(small_integers, small_integers)
+
+
+@given(
+    st.one_of(
+        st.tuples(gaussian_integer_pairs, gaussian_integer_pairs),
+        st.tuples(gaussian_integer_pairs, pairs),
+        st.tuples(pairs, gaussian_integer_pairs),
+    )
+)
+# Results that cancel: both parts, one part, or down to a Gaussian integer.
+@example(((Fraction(3), Fraction(-2)), (Fraction(3), Fraction(-2))))
+@example(((Fraction(0), Fraction(1)), (Fraction(0), Fraction(-1))))
+@example(((Fraction(1, 2), Fraction(1)), (Fraction(1, 2), Fraction(1))))
+@example(((Fraction(1, 2), Fraction(4)), (Fraction(-1, 2), Fraction(4))))
+@example(((Fraction(5), Fraction(2, 3)), (Fraction(0), Fraction(2, 3))))
+@example(((Fraction(5), Fraction(2, 3)), (Fraction(0), Fraction(0))))
+def test_sums_differences_and_products_store_the_canonical_triple(xy):
+    # Gaussian integers take a path that skips the gcd; mixed operands do not.
+    x, y = xy
+    a, b = GaussianRational(*x), GaussianRational(*y)
+    assert (a + b)._abd == canonical_triple(x[0] + y[0], x[1] + y[1])
+    assert (a - b)._abd == canonical_triple(x[0] - y[0], x[1] - y[1])
+    assert (a * b)._abd == canonical_triple(*ref_mul(x, y))
+
+
+@given(pairs, pairs)
+def test_not_equal_is_not_equal(x, y):
+    a, b = GaussianRational(*x), GaussianRational(*y)
+    assert (a != b) == (not a == b) == (x != y)
+    assert (a != GaussianRational(*x)) is False
+    for other in (x, "1", 1, None):
+        assert (a != other) is True and (a == other) is False
+
+
 def test_unreduced_and_mixed_inputs_are_canonical():
     half = GaussianRational(Fraction(2, 4), 0)
     assert half == GaussianRational(Fraction(1, 2)) == parse_gaussian("1/2")
@@ -268,5 +311,5 @@ def test_each_operation_is_one_counted_call(monkeypatch):
         expr()
         assert counts == {name: 1}
     counts.clear()
-    a.conjugate(), a == b, hash(a), a.sort_key(), str(a)
+    a.conjugate(), a == b, a != b, hash(a), a.sort_key(), str(a)
     assert counts == {}
