@@ -113,17 +113,12 @@ class LieAlgebraData:
         return out
 
     def bracket(self, i: int, j: int) -> dict[int, GaussianRational]:
-        """[X_i, X_j] as a sparse coefficient vector; read-only.
-
-        For a pair stored as given this is the stored row itself, like
-        ExactMatrix.row_maps: it must not be mutated. Only the reversed
-        order builds a new dict.
-        """
+        """[X_i, X_j] as a sparse coefficient vector."""
         if i == j:
             return {}
         direct = self._table.get((i, j))
         if direct is not None:
-            return direct
+            return dict(direct)
         reverse = self._table.get((j, i))
         if reverse is not None:
             return {k: -c for k, c in reverse.items()}

@@ -12,9 +12,10 @@ sparse rows. The pivot is sparsity-first, which keeps fill-in low: least
 column indexes only find it faster. The open rows are indexed at all
 their columns; a finished row only at the columns that some open row
 still holds, since no other column can become a pivot (see _eliminate).
-Each lead is inverted once per call. rank_and_kernel returns the reduced
-rows keyed by pivot column; kernel_basis reads the kernel off them as
-sparse rows, one per free column, for the callers that need vectors.
+Each distinct lead is inverted once per call. rank_and_kernel returns
+the reduced rows keyed by pivot column; kernel_basis reads the kernel
+off them as sparse rows, one per free column, for the callers that
+need vectors.
 The kernel certificate is checked row by row: every row it eliminates,
 reduced against the pivot rows at its pivot columns, must leave nothing
 at any free column, which are exactly the equations "the matrix
@@ -162,9 +163,8 @@ def _eliminate(
     columns never grows. A column that no open row holds can never become
     a pivot, so no finished row is reduced there. Back-reduction still
     indexes every column it adds to a finished row; an extra index entry
-    is harmless. A row of length 1 becomes {pivot: 1} without a lead test;
-    any other lead is inverted once per distinct value, in a dict local
-    to the call.
+    is harmless. Each lead other than 1 and -1 is inverted once per
+    distinct value, in a dict local to the call.
     """
     open_rows: dict[int, SparseRow] = {}
     heap = []
@@ -185,27 +185,21 @@ def _eliminate(
         if not row or len(row) != length:
             continue  # stale: the row is done, zeroed or of a new length
         del open_rows[rid]
-        if length == 1:
-            (pivot_col,) = row
-            h = holders[pivot_col]
+        pivot_col, count = -1, 0
+        for c in row:
+            h = holders[c]
             h.discard(rid)
-            count = len(h)
+            if pivot_col < 0 or len(h) < count or (len(h) == count and c < pivot_col):
+                pivot_col, count = c, len(h)
+        if length == 1:
             row = {pivot_col: ONE}
-        else:
-            pivot_col, count = -1, 0
-            for c in row:
-                h = holders[c]
-                h.discard(rid)
-                if pivot_col < 0 or len(h) < count or (len(h) == count and c < pivot_col):
-                    pivot_col, count = c, len(h)
-            lead = row[pivot_col]
-            if lead == MINUS_ONE:
-                row = {c: -a for c, a in row.items()}
-            elif lead != ONE:
-                inv = inverses.get(lead)
-                if inv is None:
-                    inv = inverses[lead] = lead.inverse()
-                row = {c: ONE if c == pivot_col else inv * a for c, a in row.items()}
+        elif (lead := row[pivot_col]) == MINUS_ONE:
+            row = {c: -a for c, a in row.items()}
+        elif lead != ONE:
+            inv = inverses.get(lead)
+            if inv is None:
+                inv = inverses[lead] = lead.inverse()
+            row = {c: ONE if c == pivot_col else inv * a for c, a in row.items()}
         # Reduce the open rows and the finished ones that hold the pivot
         # column, so it survives in exactly one row (Jordan form rows).
         if count:
@@ -215,10 +209,9 @@ def _eliminate(
         if done_holders.get(pivot_col):
             _reduce(done, done_holders, pivot_col, row)
         done[pivot_col] = row
-        if length > 1:  # else row holds only pivot_col, which no open row holds now
-            for c in row:
-                if holders[c]:
-                    done_holders[c].add(pivot_col)
+        for c in row:
+            if holders[c]:
+                done_holders[c].add(pivot_col)
     return list(done.items()), list(done)
 
 

@@ -3,9 +3,7 @@
 Every scalar in the package lives here. There are no floats anywhere.
 A value is stored as three integers (a, b, d) meaning (a + b*i)/d, with
 d > 0 and gcd(a, b, d) = 1, so each value has exactly one stored form and
-arithmetic runs on Python integers with at most one gcd per result. A
-sum, difference or product of two Gaussian integers (d = 1) is canonical
-as it stands and is built without a gcd. The
+arithmetic runs on Python integers with at most one gcd per result. The
 parts are read as `fractions.Fraction` through `.re` and `.im`. Values
 whose computation would leave Q(i) must be rejected upstream, never
 coerced.
@@ -65,10 +63,6 @@ class GaussianRational:
         a, b, d = self._abd
         c, e, f = other._abd
         if d == f:
-            if d == 1:
-                out = _new(GaussianRational)
-                _set_abd(out, (a + c, b + e, 1))
-                return out
             return _reduced(a + c, b + e, d)
         return _reduced(a * f + c * d, b * f + e * d, d * f)
 
@@ -76,26 +70,16 @@ class GaussianRational:
         a, b, d = self._abd
         c, e, f = other._abd
         if d == f:
-            if d == 1:
-                out = _new(GaussianRational)
-                _set_abd(out, (a - c, b - e, 1))
-                return out
             return _reduced(a - c, b - e, d)
         return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __neg__(self) -> "GaussianRational":
         a, b, d = self._abd
-        out = _new(GaussianRational)
-        _set_abd(out, (-a, -b, d))
-        return out
+        return _make(-a, -b, d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
         a, b, d = self._abd
         c, e, f = other._abd
-        if d == f == 1:
-            out = _new(GaussianRational)
-            _set_abd(out, (a * c - b * e, a * e + b * c, 1))
-            return out
         return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
