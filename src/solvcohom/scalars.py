@@ -3,10 +3,12 @@
 Every scalar in the package lives here. There are no floats anywhere.
 A value is stored as three integers (a, b, d) meaning (a + b*i)/d, with
 d > 0 and gcd(a, b, d) = 1, so each value has exactly one stored form and
-arithmetic runs on Python integers with at most one gcd per result. The
-parts are read as `fractions.Fraction` through `.re` and `.im`. Values
-whose computation would leave Q(i) must be rejected upstream, never
-coerced.
+arithmetic runs on Python integers with at most one gcd per result. A
+sum, difference or product of two Gaussian integers (d = 1) is canonical
+as it stands, so it is wrapped with `_make` directly rather than passed
+through `_reduced`. The parts are read as `fractions.Fraction` through
+`.re` and `.im`. Values whose computation would leave Q(i) must be
+rejected upstream, never coerced.
 
 Text grammar (used by instance files and reports): a signed sum of terms,
 each term a rational `p` or `p/q`, the literal `i`, or `p*i` / `p/q*i`.
@@ -63,6 +65,8 @@ class GaussianRational:
         a, b, d = self._abd
         c, e, f = other._abd
         if d == f:
+            if d == 1:
+                return _make(a + c, b + e, 1)
             return _reduced(a + c, b + e, d)
         return _reduced(a * f + c * d, b * f + e * d, d * f)
 
@@ -70,6 +74,8 @@ class GaussianRational:
         a, b, d = self._abd
         c, e, f = other._abd
         if d == f:
+            if d == 1:
+                return _make(a - c, b - e, 1)
             return _reduced(a - c, b - e, d)
         return _reduced(a * f - c * d, b * f - e * d, d * f)
 
@@ -80,6 +86,8 @@ class GaussianRational:
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
         a, b, d = self._abd
         c, e, f = other._abd
+        if d == f == 1:
+            return _make(a * c - b * e, a * e + b * c, 1)
         return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
