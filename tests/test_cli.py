@@ -993,8 +993,8 @@ def test_stdout_matches_frozen_snapshot(name, command, capsys):
 
 @pytest.mark.parametrize("name,cohom", SHIPPED_COMMANDS)
 def test_commands_leave_the_bracket_table_unchanged(name, cohom, monkeypatch, capsys):
-    # LieAlgebraData.bracket hands out its stored rows, so no command may
-    # mutate what it returns.
+    # Every command reads the algebra it loaded and must leave its bracket
+    # table as it was.
     loaded = []
 
     def recording_load(path):

@@ -253,7 +253,7 @@ gaussian_integer_pairs = st.tuples(small_integers, small_integers)
 @example(((Fraction(5), Fraction(2, 3)), (Fraction(0), Fraction(2, 3))))
 @example(((Fraction(5), Fraction(2, 3)), (Fraction(0), Fraction(0))))
 def test_sums_differences_and_products_store_the_canonical_triple(xy):
-    # Gaussian integers take a path that skips the gcd; mixed operands do not.
+    # Two Gaussian integers are wrapped without _reduced; mixed operands are not.
     x, y = xy
     a, b = GaussianRational(*x), GaussianRational(*y)
     assert (a + b)._abd == canonical_triple(x[0] + y[0], x[1] + y[1])
