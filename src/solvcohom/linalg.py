@@ -272,7 +272,7 @@ def rank_and_kernel(
     done, _ = _eliminate(matrix, skip_rows)
     rank = len(done)
     reduced = dict(done)
-    nullity = sum(1 for f in range(matrix.ncols) if f not in reduced)
+    nullity = matrix.ncols - sum(1 for pc in reduced if 0 <= pc < matrix.ncols)
     if rank + nullity != matrix.ncols:
         raise CertificateError(f"rank {rank} + nullity {nullity} != {matrix.ncols} columns")
     for rid, row in enumerate(matrix.row_maps):

@@ -21,6 +21,11 @@ reads the nonzero entries of rho_mu off the module's sparse rows, with
 mu on the diagonal. The skeleton enumerates sources from the argument
 tuples of the formula, not from all (J, I) pairs; each x_I is still
 evaluated raw on its tuple.
+
+Characters come in conjugate pairs. Where the module's conjugation tau is
+known (sigma on the adjoint module, the identity on trivial coefficients,
+none for explicit matrices), the later sector of a pair is checked to be
+the earlier one's conjugate and takes its Betti numbers (verify_quasi_iso).
 """
 from __future__ import annotations
 
@@ -37,9 +42,9 @@ from .cecomplex import (
     mask_position,
     twist_at,
 )
-from .liealg import LieAlgebraData, RepresentationData
+from .liealg import LieAlgebraData, RepresentationData, trivial_representation
 from .linalg import ExactMatrix, SparseRow, row_axpy
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import ONE, ZERO, GaussianRational, is_signed_conjugate
 from .weights import InvariantComplex, restrict_complex
 
 # (action terms, bracket terms) of one degree; see _degree_skeleton.
@@ -49,6 +54,11 @@ DegreeSkeleton = tuple[
 # The nonzero entries (l, k, value) of rho_mu(X_j), one list per j.
 ActionEntries = list[tuple[int, int, GaussianRational]]
 ActionTable = list[ActionEntries]
+# Per cochain of one degree: its image's position, and whether s_I = -1.
+CochainMap = list[tuple[int, bool]]
+# One verify_quasi_iso call's pairing: cochain maps per degree, each later tag's earlier
+# partner, and each earlier tag's (differentials, Betti numbers) until its partner is checked.
+Pairs = tuple[list[CochainMap], dict[Weight, Weight], dict[Weight, Optional[tuple]]]
 
 
 def _alternating_evaluation(
@@ -160,24 +170,84 @@ def _sector_differential(
     return ExactMatrix(len(rows), math.comb(n, p) * m, tuple(rows))
 
 
+def _is_conjugate_image(
+    d: ExactMatrix, image: ExactMatrix, rows: CochainMap, cols: CochainMap
+) -> bool:
+    """Whether image = Phi d Phi^-1: each entry v of d at (r, c) is s_r s_c conj(v) at
+    (Phi r, Phi c), rows and cols mapping r and c, and row Phi r is as long as row r."""
+    for row, (target, flip) in zip(d.row_maps, rows):
+        other = image.row_maps[target]
+        if len(other) != len(row):
+            return False
+        for c, v in row.items():
+            col, negative = cols[c]
+            if not is_signed_conjugate(other.get(col, ZERO), v, flip != negative):
+                return False
+    return True
+
+
+def _conjugate_pairs(
+    g: LieAlgebraData, rep: RepresentationData, tags: Sequence[Weight]
+) -> Optional[Pairs]:
+    """Each tag mu paired with sigma-bar mu if that comes later in tags; None if none does."""
+    n, sigma, complement = g.dim, g.conjugation or {}, set(g.complement)
+    involution = set(sigma) == set(range(n)) and all(sigma.get(sigma[i]) == i for i in sigma)
+    if not involution or {sigma[j] for j in complement} != complement or not (
+        rep.adjoint and rep.m == n or rep == trivial_representation(g)
+    ):
+        return None
+    tid, later = {tag: t for t, tag in enumerate(tags)}, {}
+    for t, mu in enumerate(tags):
+        # (sigma-bar mu)_{sigma(j)} = conj(mu_j) at each complement index j.
+        at = dict(zip(g.complement, mu))
+        conjugate = tuple([at[sigma[j]].conjugate() for j in g.complement])
+        if tid.get(conjugate, -1) > t:
+            later[conjugate] = mu
+    if not later:  # sigma the identity, say: no map is built
+        return None
+    # Per degree p, (I, k) at mask_position(n, p)[I] * m + k goes to (sigma I, tau k),
+    # with s_I the sign of the sort of (sigma(i) for i in I ascending).
+    tau = [sigma[k] for k in range(n)] if rep.adjoint else [0]
+    maps = []
+    for p in range(n + 1):
+        cochains: CochainMap = []
+        for mask in degree_masks(n, p):
+            image = tuple([sigma[i] for i in range(n) if mask >> i & 1])
+            base = mask_position(n, p)[sum([1 << i for i in image])] * len(tau)
+            negative = _alternating_evaluation(tuple(sorted(image)), image) < 0
+            cochains.extend([(base + t, negative) for t in tau])
+        maps.append(cochains)
+    return maps, later, dict.fromkeys(later.values())
+
+
 def sector_cohomology_full(
     g: LieAlgebraData,
     rep: RepresentationData,
     mu: Optional[Weight],
     skeletons: Optional[list[DegreeSkeleton]] = None,
+    pairs: Optional[Pairs] = None,
 ) -> CohomologyResult:
     """Betti numbers of the full twisted complex for one weight covector.
 
     `skeletons`, from sector_skeleton(g), saves rebuilding the
     mu-independent part when many sectors of one algebra are computed.
+    `pairs` is local to one verify_quasi_iso call; see there.
     """
     n, m = g.dim, rep.m
     signed = _signed(_action_table(rep, twist_at(g, mu)))
     if skeletons is None:
         skeletons = sector_skeleton(g)
     diffs = tuple([_sector_differential(g, m, p, skeletons[p], signed) for p in range(n)])
+    maps, later, waiting = pairs or ([], {}, {})
+    if pairs and mu in later:
+        held, betti = waiting.pop(later[mu])
+        if all(_is_conjugate_image(d, diffs[p], maps[p + 1], maps[p]) for p, d in enumerate(held)):
+            return CohomologyResult(betti)
     dims = tuple([math.comb(n, p) * m for p in range(n + 1)])
-    return cohomology(FiniteComplex(dims, diffs))
+    result = cohomology(FiniteComplex(dims, diffs))
+    if pairs and mu in waiting:
+        waiting[mu] = (diffs, result.betti)
+    return result
 
 
 @dataclass(frozen=True)
@@ -201,13 +271,25 @@ class QuasiIsoReport:
 
 
 def verify_quasi_iso(ic: InvariantComplex) -> QuasiIsoReport:
-    """Compare every weight-tag block with its full sector, degree-wise."""
+    """Compare every weight-tag block with its full sector, degree-wise.
+
+    Every sector is built. Where tags mu and sigma-bar mu both occur, mu
+    first, mu's differentials D are held until sigma-bar mu's D' is built.
+    Phi(c x_I (x) v_k) = conj(c) s_I x_{sigma I} (x) v_{tau k} is a
+    conjugate-linear bijection, and _is_conjugate_image checks D' Phi =
+    Phi D entry by entry. Conjugation is a field automorphism of Q(i) and
+    signed permutations keep rank, so rank D'_p = rank D_p for every p:
+    sigma-bar mu takes mu's Betti numbers. D' D' = Phi (D D) Phi^-1 = 0,
+    so mu's kernel and d.d certificates cover it. If the check fails,
+    sigma-bar mu is eliminated like any other sector; nothing is raised.
+    """
     g, rep = ic.algebra, ic.representation
     skeletons = sector_skeleton(g)
+    pairs = _conjugate_pairs(g, rep, ic.tag_table)
     comparisons = []
     # tag_table is in weight_sort_key order, so ids run through the sorted tags.
     for tid, tag in enumerate(ic.tag_table):
         block_betti = cohomology(restrict_complex(ic, (tid,))).betti
-        full_betti = sector_cohomology_full(g, rep, tag, skeletons).betti
+        full_betti = sector_cohomology_full(g, rep, tag, skeletons, pairs).betti
         comparisons.append(SectorComparison(tag, block_betti, full_betti))
     return QuasiIsoReport(tuple(comparisons))

@@ -163,6 +163,12 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return _make(a, b, d)
 
 
+def is_signed_conjugate(w: GaussianRational, v: GaussianRational, negate: bool) -> bool:
+    """Whether w == (-conj(v) if negate else conj(v)); like ==, it builds no scalar."""
+    a, b, d = v._abd
+    return w._abd == ((-a, b, d) if negate else (a, -b, d))
+
+
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 MINUS_ONE = GaussianRational(-1)

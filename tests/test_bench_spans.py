@@ -58,3 +58,16 @@ def test_span_tracer_and_work_counter_wrap_derham_and_oracle(capsys):
     capsys.readouterr()
 
     assert [getattr(owner, attr) for owner, attr, _ in spans.SPAN_POINTS] == originals
+
+
+def test_oracle_on_example_7_1_generic_runs_every_sector_through_the_span_points(capsys):
+    # 21 tags, 9 of them later partners of a conjugate pair: every sector
+    # is an oracle.sector span, and 21 blocks plus 12 sectors are eliminated.
+    spans = _load_spans()
+    tracer = spans.SpanTracer()
+    with tracer:
+        assert solvcohom.cli.main(["oracle", str(INSTANCE_DIR / "example-7-1-generic.json")]) == 0
+    layers = [span[0] for span in tracer.spans]
+    assert layers.count("oracle.sector") == 21
+    assert layers.count("cecomplex.cohomology") == 33
+    capsys.readouterr()

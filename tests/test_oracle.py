@@ -6,16 +6,20 @@ from oracle_reference import (
     reference_degree_skeleton,
     reference_sector_differential,
 )
+from subset_reference import degree_basis, subset_position
 
 from solvcohom.cecomplex import twist_at
 from solvcohom.errors import ValidationFailure
 from solvcohom.instances import build_representation, build_weight_assignment, load_instance
 from solvcohom.liealg import RepresentationData, adjoint_representation, trivial_representation
 from solvcohom.linalg import ExactMatrix
+from solvcohom import oracle
 from solvcohom.oracle import (
     _action_table,
     _alternating_evaluation,
+    _conjugate_pairs,
     _degree_skeleton,
+    _is_conjugate_image,
     _sector_differential,
     _signed,
     sector_cohomology_full,
@@ -204,3 +208,157 @@ def test_action_table_adds_mu_on_the_diagonal(split_3d):
     rho = _action_table(rep, twist_at(split_3d, (ONE,)))
     assert rho == reference_action_table(split_3d, rep, (ONE,))
     assert rho[0] == [(0, 1, ONE), (1, 1, ONE), (1, 2, GaussianRational(5)), (2, 2, ONE)]
+
+
+def _conjugate_tag(g, mu):
+    at = dict(zip(g.complement, mu))
+    return tuple(at[g.conjugation[j]].conjugate() for j in g.complement)
+
+
+def _reference_cochain_map(g, m, tau, p):
+    """(image index, s_I) of each cochain (I, k), read off the tuple subsets."""
+    position = subset_position(g.dim, p)
+    out = []
+    for I in degree_basis(g.dim, p):
+        image = [g.conjugation[i] for i in I]
+        inversions = sum(a > b for x, a in enumerate(image) for b in image[x + 1 :])
+        base = position[tuple(sorted(image))] * m
+        out.extend((base + tau[k], (-1) ** inversions) for k in range(m))
+    return out
+
+
+def test_conjugate_sectors_follow_the_sign_rule_on_example_7_1_generic():
+    # Entry v of D_p(mu) at (J, l; I, k) is s_J s_I conj(v) at
+    # (sigma J, tau l; sigma I, tau k) of D_p(sigma-bar mu), on the
+    # rescanning references, for every ordered pair of distinct partners.
+    g, rep, w = _insertion_inputs("example-7-1-generic")
+    tags = build_invariant_complex(g, rep, w).tag_table
+    ordered = [(mu, _conjugate_tag(g, mu)) for mu in tags]
+    ordered = [(mu, nu) for mu, nu in ordered if nu != mu and nu in tags]
+    assert len(tags) == 21 and len(ordered) == 18
+    tau = [g.conjugation[k] for k in range(g.dim)]
+    cochain_maps = [_reference_cochain_map(g, rep.m, tau, p) for p in range(g.dim + 1)]
+    maps = _conjugate_pairs(g, rep, tags)[0]
+    assert maps == [[(t, s < 0) for t, s in cm] for cm in cochain_maps]
+    skeletons = [reference_degree_skeleton(g, p) for p in range(g.dim)]
+    sectors = {
+        mu: [
+            reference_sector_differential(
+                g, rep.m, p, skeletons[p], reference_action_table(g, rep, mu)
+            )
+            for p in range(g.dim)
+        ]
+        for mu in tags
+    }
+    for mu, nu in ordered:
+        for p, (d, image) in enumerate(zip(sectors[mu], sectors[nu])):
+            rows, cols = cochain_maps[p + 1], cochain_maps[p]
+            for r, row in enumerate(d.row_maps):
+                target, s_r = rows[r]
+                assert len(image.row_maps[target]) == len(row)
+                for c, v in row.items():
+                    col, s_c = cols[c]
+                    want = v.conjugate() if s_r * s_c > 0 else -v.conjugate()
+                    assert image.row_maps[target][col] == want
+            assert _is_conjugate_image(d, image, maps[p + 1], maps[p])
+
+
+def _count_eliminations(monkeypatch):
+    """The complexes that oracle.cohomology eliminates, blocks and sectors."""
+    seen = []
+    real = oracle.cohomology
+    monkeypatch.setattr(oracle, "cohomology", lambda c: seen.append(c) or real(c))
+    return seen
+
+
+@pytest.mark.parametrize(
+    "name,sectors",
+    [
+        ("example-7-1-generic", 12),
+        ("example-7-1-pi", 12),
+        ("example-7-2-generic", 3),
+        ("example-7-2-pi", 3),
+        ("heisenberg3", 1),
+        ("torus-complex-n3", 1),
+    ],
+)
+def test_conjugate_pairs_skip_one_elimination_each(monkeypatch, name, sectors):
+    # Each 7-1 instance has 9 pairs of distinct partners among its 21 tags;
+    # heisenberg3's conjugation is the identity and the others have none.
+    g, rep, w = _insertion_inputs(name)
+    ic = build_invariant_complex(g, rep, w)
+    unpaired = [sector_cohomology_full(g, rep, tag).betti for tag in ic.tag_table]
+    seen = _count_eliminations(monkeypatch)
+    report = verify_quasi_iso(ic)
+    assert len(seen) - len(ic.tag_table) == sectors
+    assert report.ok
+    assert [s.full_betti for s in report.sectors] == unpaired
+
+
+def test_a_mutated_partner_is_eliminated_on_its_own(monkeypatch):
+    # One entry (r, c) of degree 0 of a later partner is doubled. D_1 has
+    # no entry in column r, so the sector stays a complex; it must reach its
+    # own elimination rather than take its partner's Betti numbers.
+    g, rep, w = _insertion_inputs("example-7-1-generic")
+    ic = build_invariant_complex(g, rep, w)
+    maps, later, _ = _conjugate_pairs(g, rep, ic.tag_table)
+    nu = next(iter(later))
+    skeletons = sector_skeleton(g)
+
+    def differential(mu, p):
+        signed = _signed(_action_table(rep, twist_at(g, mu)))
+        return _sector_differential(g, rep.m, p, skeletons[p], signed)
+
+    d0, d1, partner_d0 = differential(nu, 0), differential(nu, 1), differential(later[nu], 0)
+    assert _is_conjugate_image(partner_d0, d0, maps[1], maps[0])
+    # An entry added anywhere is also refused: its row is longer than its preimage.
+    for i, row in enumerate(d0.row_maps):
+        extra = [dict(x) for x in d0.row_maps]
+        extra[i][next(c for c in range(d0.ncols) if c not in row)] = ONE
+        grown = ExactMatrix(d0.nrows, d0.ncols, tuple(extra))
+        assert not _is_conjugate_image(partner_d0, grown, maps[1], maps[0])
+    r, c = next(
+        (r, c)
+        for r, row in enumerate(d0.row_maps)
+        for c in row
+        if all(r not in row1 for row1 in d1.row_maps)
+    )
+    current, mutants = [], []
+    real_sector, real_differential = oracle.sector_cohomology_full, oracle._sector_differential
+
+    def tagged(g, rep, mu, *args):
+        current.append(mu)
+        return real_sector(g, rep, mu, *args)
+
+    def mutated(g, m, p, skeleton, signed):
+        d = real_differential(g, m, p, skeleton, signed)
+        if current[-1] == nu and p == 0:
+            rows = [dict(row) for row in d.row_maps]
+            rows[r][c] = rows[r][c] + rows[r][c]
+            d = ExactMatrix(d.nrows, d.ncols, tuple(rows))
+            mutants.append(d)
+        return d
+
+    monkeypatch.setattr(oracle, "sector_cohomology_full", tagged)
+    monkeypatch.setattr(oracle, "_sector_differential", mutated)
+    seen = _count_eliminations(monkeypatch)
+    verify_quasi_iso(ic)
+    assert len(mutants) == 1
+    assert not _is_conjugate_image(partner_d0, mutants[0], maps[1], maps[0])
+    assert len(seen) - len(ic.tag_table) == 13
+    assert any(complex_.differentials[0] is mutants[0] for complex_ in seen)
+
+
+def test_explicit_matrices_are_never_paired(monkeypatch):
+    # The adjoint module of example 7.1 as explicit matrices, with the
+    # algebra's conjugation table: no tau is known, so all 21 sectors are
+    # eliminated, and the report is the adjoint module's.
+    g, adjoint, w = _insertion_inputs("example-7-1-generic")
+    assert g.conjugation is not None
+    explicit = RepresentationData(adjoint.m, adjoint.matrices)
+    ic = build_invariant_complex(g, explicit, infer_weights(g, explicit))
+    assert _conjugate_pairs(g, explicit, ic.tag_table) is None
+    seen = _count_eliminations(monkeypatch)
+    report = verify_quasi_iso(ic)
+    assert len(seen) == 2 * len(ic.tag_table) == 42
+    assert report == verify_quasi_iso(build_invariant_complex(g, adjoint, w))

@@ -14,6 +14,7 @@ from solvcohom.scalars import (
     ZERO,
     GaussianRational,
     format_gaussian,
+    is_signed_conjugate,
     parse_gaussian,
 )
 
@@ -134,6 +135,16 @@ def test_parse_format_round_trip(v):
 def test_conjugation_is_multiplicative(a, b):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     assert a.conjugate().conjugate() == a
+
+
+@given(gaussians, gaussians, st.booleans(), st.sampled_from(["conj", "-conj", "same", "drawn"]))
+@example(ZERO, ONE, False, "drawn")
+@example(GaussianRational(3), ONE, True, "conj")
+@example(GaussianRational(0, 2), ONE, False, "-conj")
+def test_is_signed_conjugate_agrees_with_conjugate_and_negation(v, drawn, negate, pick):
+    # Drawn partners almost never match, so w is also formed from v.
+    w = {"conj": v.conjugate(), "-conj": -v.conjugate(), "same": v, "drawn": drawn}[pick]
+    assert is_signed_conjugate(w, v, negate) == (w == (-v.conjugate() if negate else v.conjugate()))
 
 
 @given(gaussians)
