@@ -18,9 +18,11 @@ Only rho_mu(X_j) depends on the sector. Everything else in the formula
 (which (J, I) blocks meet, the evaluation signs, the bracket scalars) is
 evaluated once per instance and degree as a skeleton, and each sector
 reads the nonzero entries of rho_mu off the module's sparse rows, with
-mu on the diagonal. The skeleton enumerates sources from the argument
-tuples of the formula, not from all (J, I) pairs; each x_I is still
-evaluated raw on its tuple.
+mu on the diagonal, into one table with their negatives. The skeleton
+enumerates sources from the argument tuples of the formula, not from all
+(J, I) pairs. Their arguments are distinct, so x_I is nonzero on a tuple
+only for I its sorted form, and is still evaluated raw on the tuple as
+the sign of that sort (_sort_sign).
 
 Characters come in conjugate pairs. Where the module's conjugation tau is
 known (sigma on the adjoint module, the identity on trivial coefficients,
@@ -51,9 +53,8 @@ from .weights import InvariantComplex, restrict_complex
 DegreeSkeleton = tuple[
     list[tuple[int, int, int, int]], dict[tuple[int, int], GaussianRational]
 ]
-# The nonzero entries (l, k, value) of rho_mu(X_j), one list per j.
+# The nonzero entries (l, k, value) of rho_mu(X_j) for one j.
 ActionEntries = list[tuple[int, int, GaussianRational]]
-ActionTable = list[ActionEntries]
 # Per cochain of one degree: its image's position, and whether s_I = -1.
 CochainMap = list[tuple[int, bool]]
 # One verify_quasi_iso call's pairing: cochain maps per degree, each later tag's earlier
@@ -61,20 +62,13 @@ CochainMap = list[tuple[int, bool]]
 Pairs = tuple[list[CochainMap], dict[Weight, Weight], dict[Weight, Optional[tuple]]]
 
 
-def _alternating_evaluation(
-    I: tuple[int, ...], arguments: tuple[int, ...]
-) -> int:
-    """x_I evaluated on (X_{a_0}, .., X_{a_{p-1}}): 0 or the permutation sign."""
-    if len(set(arguments)) != len(arguments):
-        return 0
-    if set(arguments) != set(I):
-        return 0
-    # Sign of the permutation sorting the argument tuple.
-    args = list(arguments)
+def _sort_sign(arguments: tuple[int, ...]) -> int:
+    """x_I on (X_{a_0}, .., X_{a_{p-1}}) for distinct a and I = sorted(a): the
+    sign of the permutation sorting the arguments, by the parity of their inversions."""
     sign = 1
-    for i in range(len(args)):
-        for j in range(i + 1, len(args)):
-            if args[i] > args[j]:
+    for i, a in enumerate(arguments):
+        for b in arguments[i + 1 :]:
+            if a > b:
                 sign = -sign
     return sign
 
@@ -87,7 +81,8 @@ def _degree_skeleton(g: LieAlgebraData, p: int) -> DegreeSkeleton:
     p-subset in degree_masks order; bracket terms {(jpos, ipos): c} stand
     for c * id in that block. x_I vanishes off the permutations of I, so
     each argument tuple of the formula, formed from the bits of J, has at
-    most one source I, its sorted form; x_I is still evaluated on the tuple.
+    most one source I, its sorted form, read off the tuple's bits; x_I is
+    still evaluated on the tuple.
     """
     position = mask_position(g.dim, p)
     action_terms: list[tuple[int, int, int, int]] = []
@@ -96,9 +91,7 @@ def _degree_skeleton(g: LieAlgebraData, p: int) -> DegreeSkeleton:
         J = tuple([j for j in range(g.dim) if mask >> j & 1])
         # Action term: sum_a (-1)^a rho(X_{j_a}) (x_I (x) v)(..drop a..).
         for a in range(p + 1):
-            arguments = J[:a] + J[a + 1 :]
-            I = tuple(sorted(arguments))
-            sign = _alternating_evaluation(I, arguments)
+            sign = _sort_sign(J[:a] + J[a + 1 :])
             action_terms.append((jpos, position[mask ^ 1 << J[a]], J[a], -sign if a % 2 else sign))
         # Bracket term: sum_{a<b} (-1)^{a+b} (x_I)( [X_a,X_b], ..drop.. ).
         scalars: dict[int, GaussianRational] = {}
@@ -109,10 +102,8 @@ def _degree_skeleton(g: LieAlgebraData, p: int) -> DegreeSkeleton:
                 for t, c in g.bracket(J[a], J[b]).items():
                     if t in rest:
                         continue
-                    arguments = (t,) + rest
-                    I = tuple(sorted(arguments))
-                    sign = parity * _alternating_evaluation(I, arguments)
-                    ipos = position[sum([1 << i for i in I])]
+                    sign = parity * _sort_sign((t,) + rest)
+                    ipos = position[mask ^ 1 << J[a] ^ 1 << J[b] | 1 << t]
                     scalars[ipos] = scalars.get(ipos, ZERO) + (c if sign > 0 else -c)
         for ipos in sorted(scalars):
             if scalars[ipos]:
@@ -126,8 +117,10 @@ def sector_skeleton(g: LieAlgebraData) -> list[DegreeSkeleton]:
     return [_degree_skeleton(g, p) for p in range(g.dim)]
 
 
-def _action_table(rep: RepresentationData, mu_at: Sequence[GaussianRational]) -> ActionTable:
-    """The nonzero entries (l, k, value) of rho_mu(X_j), one per j; mu_at = twist_at(g, mu)."""
+def _action_table(
+    rep: RepresentationData, mu_at: Sequence[GaussianRational]
+) -> list[tuple[ActionEntries, ActionEntries]]:
+    """(entries, negated entries) of rho_mu(X_j), one pair per j; mu_at = twist_at(g, mu)."""
     table = []
     for R, mu in zip(rep.matrices, mu_at):
         entries = []
@@ -135,13 +128,8 @@ def _action_table(rep: RepresentationData, mu_at: Sequence[GaussianRational]) ->
             if mu:
                 row = row_axpy(row, {l: ONE}, mu)
             entries.extend((l, k, row[k]) for k in sorted(row))
-        table.append(entries)
+        table.append((entries, [(l, k, -v) for l, k, v in entries]))
     return table
-
-
-def _signed(rho: ActionTable) -> list[tuple[ActionEntries, ActionEntries]]:
-    """(entries, negated entries) per j, formed once per sector."""
-    return [(entries, [(l, k, -v) for l, k, v in entries]) for entries in rho]
 
 
 def _sector_differential(
@@ -149,9 +137,9 @@ def _sector_differential(
     m: int,
     p: int,
     skeleton: DegreeSkeleton,
-    signed: list[tuple[ActionEntries, ActionEntries]],
+    rho: list[tuple[ActionEntries, ActionEntries]],
 ) -> ExactMatrix:
-    """Degree-p differential: the skeleton with _signed(_action_table(rep, mu_at)), m = rep.m."""
+    """Degree-p differential: the skeleton with _action_table(rep, mu_at), m = rep.m."""
     n = g.dim
     action_terms, bracket_terms = skeleton
     rows: list[SparseRow] = [{} for _ in range(math.comb(n, p + 1) * m)]
@@ -159,7 +147,7 @@ def _sector_differential(
         for k in range(m):
             rows[jpos * m + k][ipos * m + k] = scalar
     for jpos, ipos, j, sign in action_terms:
-        for l, k, value in signed[j][sign < 0]:
+        for l, k, value in rho[j][sign < 0]:
             row, col = rows[jpos * m + l], ipos * m + k
             if col in row:
                 value = row[col] + value
@@ -214,7 +202,7 @@ def _conjugate_pairs(
         for mask in degree_masks(n, p):
             image = tuple([sigma[i] for i in range(n) if mask >> i & 1])
             base = mask_position(n, p)[sum([1 << i for i in image])] * len(tau)
-            negative = _alternating_evaluation(tuple(sorted(image)), image) < 0
+            negative = _sort_sign(image) < 0
             cochains.extend([(base + t, negative) for t in tau])
         maps.append(cochains)
     return maps, later, dict.fromkeys(later.values())
@@ -224,28 +212,25 @@ def sector_cohomology_full(
     g: LieAlgebraData,
     rep: RepresentationData,
     mu: Optional[Weight],
-    skeletons: Optional[list[DegreeSkeleton]] = None,
+    skeletons: list[DegreeSkeleton],
     pairs: Optional[Pairs] = None,
 ) -> CohomologyResult:
     """Betti numbers of the full twisted complex for one weight covector.
 
-    `skeletons`, from sector_skeleton(g), saves rebuilding the
-    mu-independent part when many sectors of one algebra are computed.
+    `skeletons` is sector_skeleton(g), shared by every sector of g.
     `pairs` is local to one verify_quasi_iso call; see there.
     """
     n, m = g.dim, rep.m
-    signed = _signed(_action_table(rep, twist_at(g, mu)))
-    if skeletons is None:
-        skeletons = sector_skeleton(g)
-    diffs = tuple([_sector_differential(g, m, p, skeletons[p], signed) for p in range(n)])
+    rho = _action_table(rep, twist_at(g, mu))
+    diffs = tuple([_sector_differential(g, m, p, skeletons[p], rho) for p in range(n)])
     maps, later, waiting = pairs or ([], {}, {})
-    if pairs and mu in later:
+    if mu in later:
         held, betti = waiting.pop(later[mu])
         if all(_is_conjugate_image(d, diffs[p], maps[p + 1], maps[p]) for p, d in enumerate(held)):
             return CohomologyResult(betti)
     dims = tuple([math.comb(n, p) * m for p in range(n + 1)])
     result = cohomology(FiniteComplex(dims, diffs))
-    if pairs and mu in waiting:
+    if mu in waiting:
         waiting[mu] = (diffs, result.betti)
     return result
 

@@ -1,3 +1,4 @@
+import importlib.util
 import pathlib
 
 import pytest
@@ -9,6 +10,15 @@ from solvcohom.scalars import MINUS_ONE, ONE, ZERO, GaussianRational
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 EXPECTED_DIR = INSTANCE_DIR / "expected"
+
+
+def load_bench(name):
+    """bench/<name>.py, loaded by path as a module of its own (bench/ is not a package)."""
+    path = INSTANCE_DIR.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def dense_matrix(rows, ncols=None):

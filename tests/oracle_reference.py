@@ -2,9 +2,10 @@
 
 They are written without indexes: the elimination rescans every open
 row and every finished row at each pivot, the skeleton scans every
-(J, I) pair of a degree, the action table reads every entry of every
-rho_mu(X_j), and the sector differential collects (row, column) keyed
-entries before it makes rows. The package versions find the same pivots,
+(J, I) pair of a degree and evaluates x_I on every argument tuple in
+full, the action table reads every entry of every rho_mu(X_j), and the
+sector differential collects (row, column) keyed entries before it makes
+rows. The package versions find the same pivots,
 sources and entries through indexes; tests require the two to agree
 exactly, down to list and dict order. The elimination's "sequential"
 strategy (rows in order, least column first) has no package counterpart:
@@ -18,7 +19,7 @@ from subset_reference import degree_basis
 from solvcohom.cecomplex import twist_at
 from solvcohom.liealg import LieAlgebraData, RepresentationData
 from solvcohom.linalg import ExactMatrix, SparseRow, row_axpy
-from solvcohom.oracle import DegreeSkeleton, _alternating_evaluation
+from solvcohom.oracle import DegreeSkeleton
 from solvcohom.scalars import ZERO, GaussianRational
 
 
@@ -62,6 +63,26 @@ def reference_eliminate(
     return done, pivot_cols
 
 
+def alternating_evaluation(I: tuple[int, ...], arguments: tuple[int, ...]) -> int:
+    """x_I evaluated on (X_{a_0}, .., X_{a_{p-1}}): 0 off the permutations of I,
+    else the sign of the permutation, as the determinant of the delta matrix."""
+    if sorted(arguments) != sorted(I) or len(set(I)) != len(I):
+        return 0
+    # x_{i_0} ^ .. ^ x_{i_{p-1}} on the arguments is det[delta(i_r, a_c)], a
+    # permutation matrix here: count its cycles of even length.
+    where = {a: c for c, a in enumerate(arguments)}
+    sign, seen = 1, set()
+    for r in range(len(I)):
+        length, c = 0, r
+        while c not in seen:
+            seen.add(c)
+            c = where[I[c]]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
 def reference_degree_skeleton(g: LieAlgebraData, p: int) -> DegreeSkeleton:
     """The mu-independent part of the degree-p differential, pair by pair."""
     n = g.dim
@@ -75,7 +96,7 @@ def reference_degree_skeleton(g: LieAlgebraData, p: int) -> DegreeSkeleton:
             if len(J_set & set(I)) < p - 1:
                 continue
             for a in range(p + 1):
-                sign = _alternating_evaluation(I, J[:a] + J[a + 1 :])
+                sign = alternating_evaluation(I, J[:a] + J[a + 1 :])
                 if sign:
                     action_terms.append((jpos, ipos, J[a], -sign if a % 2 else sign))
             scalar = ZERO
@@ -86,7 +107,7 @@ def reference_degree_skeleton(g: LieAlgebraData, p: int) -> DegreeSkeleton:
                     )
                     parity = -1 if (a + b) % 2 else 1
                     for t, c in g.bracket(J[a], J[b]).items():
-                        sign = parity * _alternating_evaluation(I, (t,) + rest)
+                        sign = parity * alternating_evaluation(I, (t,) + rest)
                         if sign:
                             scalar = scalar + (c if sign > 0 else -c)
             if scalar:

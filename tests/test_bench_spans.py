@@ -5,24 +5,14 @@ docstring), so renaming or bypassing one of them breaks
 `bench/run.py --trace 1` without failing any other test. This runs both
 recorders around in-process CLI answers, as the harness does.
 """
-import importlib.util
-
-from conftest import INSTANCE_DIR
+from conftest import INSTANCE_DIR, load_bench
 
 import solvcohom.cli
 
-SPANS = INSTANCE_DIR.parent / "bench" / "spans.py"
 ANSWERS = [
     ["derham", str(INSTANCE_DIR / "example-7-1-generic.json")],
     ["oracle", str(INSTANCE_DIR / "heisenberg3.json")],
 ]
-
-
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _answer_codes():
@@ -31,7 +21,7 @@ def _answer_codes():
 
 
 def test_span_tracer_and_work_counter_wrap_derham_and_oracle(capsys):
-    spans = _load_spans()
+    spans = load_bench("spans")
     originals = [getattr(owner, attr) for owner, attr, _ in spans.SPAN_POINTS]
 
     tracer = spans.SpanTracer()
@@ -63,7 +53,7 @@ def test_span_tracer_and_work_counter_wrap_derham_and_oracle(capsys):
 def test_oracle_on_example_7_1_generic_runs_every_sector_through_the_span_points(capsys):
     # 21 tags, 9 of them later partners of a conjugate pair: every sector
     # is an oracle.sector span, and 21 blocks plus 12 sectors are eliminated.
-    spans = _load_spans()
+    spans = load_bench("spans")
     tracer = spans.SpanTracer()
     with tracer:
         assert solvcohom.cli.main(["oracle", str(INSTANCE_DIR / "example-7-1-generic.json")]) == 0

@@ -21,7 +21,9 @@ frozen dataclass; a hand-written __setattr__ is kept only by the types
 that skip __init__ on hot paths (GaussianRational) or derive their stored
 state from their input (LieAlgebraData). A name that starts with an
 underscore is private to its module: a definition other modules need is
-public, as linalg.row_axpy is.
+public, as linalg.row_axpy is. The oracle takes from the builder's
+modules, cecomplex and weights, only the names listed in ORACLE_SHARE,
+so it stays an independent check of them.
 """
 import ast
 import re
@@ -249,3 +251,55 @@ def test_the_check_sees_a_private_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_name_is_imported_from_another_module(path):
     assert private_imports(path.read_text()) == []
+
+
+# All that the oracle may take from the builder's modules (README,
+# "Verification"): the complex and elimination types, the subset order,
+# twist_at and the invariant complex's blocks; no differential code.
+ORACLE_SHARE = {
+    "cecomplex": {
+        "CohomologyResult",
+        "FiniteComplex",
+        "Weight",
+        "cohomology",
+        "degree_masks",
+        "mask_position",
+        "twist_at",
+    },
+    "weights": {"InvariantComplex", "restrict_complex"},
+}
+
+
+def builder_imports(source: str) -> list[str]:
+    """Each import from cecomplex or weights outside ORACLE_SHARE, as
+    module.name, or as the module's name when the module itself is imported."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name.split(".")[-1] for alias in node.names]
+            found += [module for module in modules if module in ORACLE_SHARE]
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or node.module.split(".")[0] == "solvcohom"
+        ):
+            module = (node.module or "").split(".")[-1]
+            names = [alias.name for alias in node.names]
+            if module in ORACLE_SHARE:
+                found += [f"{module}.{name}" for name in names if name not in ORACLE_SHARE[module]]
+            else:
+                found += [name for name in names if name in ORACLE_SHARE]
+    return found
+
+
+def test_the_check_sees_a_builder_import():
+    source = (
+        "from .cecomplex import cohomology, ce_kernel\nfrom .weights import restrict_complex\n"
+        "from . import weights\nfrom solvcohom.weights import build_invariant_complex\n"
+        "import solvcohom.cecomplex\nfrom .linalg import ExactMatrix\n"
+    )
+    assert builder_imports(source) == [
+        "cecomplex.ce_kernel", "weights", "weights.build_invariant_complex", "cecomplex"
+    ]
+
+
+def test_the_oracle_shares_no_builder_code():
+    assert builder_imports((PACKAGE / "oracle.py").read_text()) == []

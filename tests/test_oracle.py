@@ -1,7 +1,15 @@
+import itertools
+
 import pytest
 from ce_reference import ce_differential
-from conftest import INSTANCE_DIR, make_heisenberg_power, make_split_6d_plus_heisenberg
+from conftest import (
+    INSTANCE_DIR,
+    load_bench,
+    make_heisenberg_power,
+    make_split_6d_plus_heisenberg,
+)
 from oracle_reference import (
+    alternating_evaluation,
     reference_action_table,
     reference_degree_skeleton,
     reference_sector_differential,
@@ -10,18 +18,22 @@ from subset_reference import degree_basis, subset_position
 
 from solvcohom.cecomplex import twist_at
 from solvcohom.errors import ValidationFailure
-from solvcohom.instances import build_representation, build_weight_assignment, load_instance
+from solvcohom.instances import (
+    build_representation,
+    build_weight_assignment,
+    load_instance,
+    parse_instance,
+)
 from solvcohom.liealg import RepresentationData, adjoint_representation, trivial_representation
 from solvcohom.linalg import ExactMatrix
 from solvcohom import oracle
 from solvcohom.oracle import (
     _action_table,
-    _alternating_evaluation,
     _conjugate_pairs,
     _degree_skeleton,
     _is_conjugate_image,
     _sector_differential,
-    _signed,
+    _sort_sign,
     sector_cohomology_full,
     sector_skeleton,
     verify_quasi_iso,
@@ -31,30 +43,30 @@ from solvcohom.weights import build_invariant_complex, infer_weights
 
 
 def test_alternating_evaluation_signs():
-    assert _alternating_evaluation((0, 1), (0, 1)) == 1
-    assert _alternating_evaluation((0, 1), (1, 0)) == -1
-    assert _alternating_evaluation((0, 1, 2), (2, 0, 1)) == 1
-    assert _alternating_evaluation((0, 1, 2), (0, 2, 1)) == -1
-    assert _alternating_evaluation((), ()) == 1
+    assert alternating_evaluation((0, 1), (0, 1)) == 1
+    assert alternating_evaluation((0, 1), (1, 0)) == -1
+    assert alternating_evaluation((0, 1, 2), (2, 0, 1)) == 1
+    assert alternating_evaluation((0, 1, 2), (0, 2, 1)) == -1
+    assert alternating_evaluation((), ()) == 1
+    # The oracle's sign helper is the reference's evaluation on every
+    # permutation of range(k).
+    for k in range(6):
+        for arguments in itertools.permutations(range(k)):
+            assert _sort_sign(arguments) == alternating_evaluation(tuple(range(k)), arguments)
 
 
 def test_alternating_evaluation_degeneracies():
-    assert _alternating_evaluation((0, 1), (0, 0)) == 0
-    assert _alternating_evaluation((0, 1), (0, 2)) == 0
-    assert _alternating_evaluation((0,), (1,)) == 0
+    assert alternating_evaluation((0, 1), (0, 0)) == 0
+    assert alternating_evaluation((0, 1), (0, 2)) == 0
+    assert alternating_evaluation((0,), (1,)) == 0
 
 
 def test_full_sector_untwisted_heisenberg(heisenberg):
-    rep = trivial_representation(heisenberg)
-    result = sector_cohomology_full(heisenberg, rep, None)
+    rep, skeletons = trivial_representation(heisenberg), sector_skeleton(heisenberg)
+    result = sector_cohomology_full(heisenberg, rep, None, skeletons)
     assert result.betti == (1, 2, 2, 1)
-    zero = (ZERO for _ in heisenberg.complement)
-    assert sector_cohomology_full(heisenberg, rep, tuple(zero)).betti == (
-        1,
-        2,
-        2,
-        1,
-    )
+    zero = tuple(ZERO for _ in heisenberg.complement)
+    assert sector_cohomology_full(heisenberg, rep, zero, skeletons).betti == (1, 2, 2, 1)
 
 
 @pytest.mark.parametrize("twist", [(), (ONE, ONE)], ids=["short", "long"])
@@ -63,21 +75,16 @@ def test_full_sector_refuses_a_twist_of_the_wrong_width(split_3d, twist):
     # the long one must not be cut to the valid twist (1).
     rep = trivial_representation(split_3d)
     with pytest.raises(ValidationFailure, match="^weight covector length != complement size$"):
-        sector_cohomology_full(split_3d, rep, twist)
+        sector_cohomology_full(split_3d, rep, twist, sector_skeleton(split_3d))
 
 
 def test_full_sector_twisted_split_3d(split_3d):
-    rep = trivial_representation(split_3d)
-    assert sector_cohomology_full(split_3d, rep, (ZERO,)).betti == (1, 1, 1, 1)
+    rep, skeletons = trivial_representation(split_3d), sector_skeleton(split_3d)
+    assert sector_cohomology_full(split_3d, rep, (ZERO,), skeletons).betti == (1, 1, 1, 1)
     # Nonzero tags still carry cohomology here: d is not injective on the
     # twisted complex of this algebra.
-    assert sector_cohomology_full(split_3d, rep, (ONE,)).betti == (0, 1, 1, 0)
-    assert sector_cohomology_full(split_3d, rep, (MINUS_ONE,)).betti == (
-        0,
-        1,
-        1,
-        0,
-    )
+    assert sector_cohomology_full(split_3d, rep, (ONE,), skeletons).betti == (0, 1, 1, 0)
+    assert sector_cohomology_full(split_3d, rep, (MINUS_ONE,), skeletons).betti == (0, 1, 1, 0)
 
 
 def test_quasi_iso_split_3d(split_3d):
@@ -147,8 +154,7 @@ def _insertion_inputs(name):
 )
 def test_sector_differential_equals_insertion_formula(name):
     # Entry by entry, not only Betti numbers: the raw-evaluation oracle
-    # and the insertion-formula builder must produce the same matrices,
-    # with the shared skeleton and without it.
+    # and the insertion-formula builder must produce the same matrices.
     g, rep, w = _insertion_inputs(name)
     ic = build_invariant_complex(g, rep, w)
     skeletons = sector_skeleton(g)
@@ -156,10 +162,7 @@ def test_sector_differential_equals_insertion_formula(name):
         rho = _action_table(rep, twist_at(g, tag))
         for p in range(g.dim):
             expected = ce_differential(g, rep, tag, p)
-            assert _sector_differential(g, rep.m, p, skeletons[p], _signed(rho)) == expected
-        shared = sector_cohomology_full(g, rep, tag, skeletons)
-        alone = sector_cohomology_full(g, rep, tag)
-        assert shared.betti == alone.betti
+            assert _sector_differential(g, rep.m, p, skeletons[p], rho) == expected
 
 
 @pytest.mark.parametrize(
@@ -188,26 +191,35 @@ def test_sector_rows_equal_entry_keyed_reference(name):
     skeletons = sector_skeleton(g)
     for tag in ic.tag_table:
         rho = _action_table(rep, twist_at(g, tag))
-        assert rho == reference_action_table(g, rep, tag)
+        reference = reference_action_table(g, rep, tag)
+        assert rho == _with_negatives(reference)
         for p in range(g.dim):
-            got = _sector_differential(g, rep.m, p, skeletons[p], _signed(rho))
-            want = reference_sector_differential(g, rep.m, p, skeletons[p], rho)
+            got = _sector_differential(g, rep.m, p, skeletons[p], rho)
+            want = reference_sector_differential(g, rep.m, p, skeletons[p], reference)
             assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
             assert [list(r.items()) for r in got.row_maps] == [
                 list(r.items()) for r in want.row_maps
             ]
 
 
+def _with_negatives(table):
+    """(entries, negated entries) per j of a reference action table."""
+    return [(entries, [(l, k, -v) for l, k, v in entries]) for entries in table]
+
+
 def test_action_table_adds_mu_on_the_diagonal(split_3d):
     # mu(e1) = 1 cancels R(e1)[0, 0] = -1, and lands on the empty
     # diagonals of rows 1 and 2; the table lists (l, k) in order and
-    # holds no zero.
+    # holds no zero, and each j's negated entries follow them.
     r = ExactMatrix(3, 3, ({0: MINUS_ONE, 1: ONE}, {2: GaussianRational(5)}, {}))
     zero = ExactMatrix.zero(3, 3)
     rep = RepresentationData(3, (r, zero, zero))
     rho = _action_table(rep, twist_at(split_3d, (ONE,)))
-    assert rho == reference_action_table(split_3d, rep, (ONE,))
-    assert rho[0] == [(0, 1, ONE), (1, 1, ONE), (1, 2, GaussianRational(5)), (2, 2, ONE)]
+    assert rho == _with_negatives(reference_action_table(split_3d, rep, (ONE,)))
+    assert rho[0][0] == [(0, 1, ONE), (1, 1, ONE), (1, 2, GaussianRational(5)), (2, 2, ONE)]
+    assert rho[0][1] == [
+        (0, 1, MINUS_ONE), (1, 1, MINUS_ONE), (1, 2, GaussianRational(-5)), (2, 2, MINUS_ONE)
+    ]
 
 
 def _conjugate_tag(g, mu):
@@ -271,26 +283,47 @@ def _count_eliminations(monkeypatch):
     return seen
 
 
+def _product_inputs(spec):
+    """(algebra, module, weights) of bench/products.py factors joined by "+":
+    one factor as loaded, several as their Kunneth product at seed 1."""
+    products = load_bench("products")
+    factors = [products.load_factor(INSTANCE_DIR, f) for f in spec.split("+")]
+    data = factors[0] if len(factors) == 1 else products.product_instance(factors, 1, spec)
+    inst = parse_instance(data)
+    rep = build_representation(inst)
+    return inst.algebra, rep, build_weight_assignment(inst, rep)
+
+
 @pytest.mark.parametrize(
-    "name,sectors",
+    "spec,tags,sectors",
     [
-        ("example-7-1-generic", 12),
-        ("example-7-1-pi", 12),
-        ("example-7-2-generic", 3),
-        ("example-7-2-pi", 3),
-        ("heisenberg3", 1),
-        ("torus-complex-n3", 1),
+        pytest.param(spec, tags, sectors, id=f"{spec}-{sectors}")
+        for spec, tags, sectors in [
+            ("example-7-1-generic", 21, 12),
+            ("example-7-1-pi", 21, 12),
+            ("example-7-2-generic", 3, 3),
+            ("example-7-2-pi", 3, 3),
+            ("heisenberg3", 1, 1),
+            ("torus-complex-n3", 1, 1),
+            ("example-7-1-generic:trivial", 9, 6),
+            ("example-7-1-pi:trivial", 9, 6),
+            ("example-7-1-generic:trivial+heisenberg3:trivial", 9, 6),
+        ]
     ],
 )
-def test_conjugate_pairs_skip_one_elimination_each(monkeypatch, name, sectors):
-    # Each 7-1 instance has 9 pairs of distinct partners among its 21 tags;
-    # heisenberg3's conjugation is the identity and the others have none.
-    g, rep, w = _insertion_inputs(name)
+def test_conjugate_pairs_skip_one_elimination_each(monkeypatch, spec, tags, sectors):
+    # Each 7-1 instance has 9 pairs of distinct partners among its 21 tags,
+    # and 3 among its 9 on trivial coefficients, where tau is the identity,
+    # alone or times heisenberg3; heisenberg3's conjugation is the identity
+    # and the others have none.
+    g, rep, w = _product_inputs(spec)
     ic = build_invariant_complex(g, rep, w)
-    unpaired = [sector_cohomology_full(g, rep, tag).betti for tag in ic.tag_table]
+    skeletons = sector_skeleton(g)
+    unpaired = [sector_cohomology_full(g, rep, tag, skeletons).betti for tag in ic.tag_table]
     seen = _count_eliminations(monkeypatch)
     report = verify_quasi_iso(ic)
-    assert len(seen) - len(ic.tag_table) == sectors
+    assert len(ic.tag_table) == tags
+    assert len(seen) - tags == sectors
     assert report.ok
     assert [s.full_betti for s in report.sectors] == unpaired
 
@@ -306,8 +339,8 @@ def test_a_mutated_partner_is_eliminated_on_its_own(monkeypatch):
     skeletons = sector_skeleton(g)
 
     def differential(mu, p):
-        signed = _signed(_action_table(rep, twist_at(g, mu)))
-        return _sector_differential(g, rep.m, p, skeletons[p], signed)
+        rho = _action_table(rep, twist_at(g, mu))
+        return _sector_differential(g, rep.m, p, skeletons[p], rho)
 
     d0, d1, partner_d0 = differential(nu, 0), differential(nu, 1), differential(later[nu], 0)
     assert _is_conjugate_image(partner_d0, d0, maps[1], maps[0])
@@ -330,8 +363,8 @@ def test_a_mutated_partner_is_eliminated_on_its_own(monkeypatch):
         current.append(mu)
         return real_sector(g, rep, mu, *args)
 
-    def mutated(g, m, p, skeleton, signed):
-        d = real_differential(g, m, p, skeleton, signed)
+    def mutated(g, m, p, skeleton, rho):
+        d = real_differential(g, m, p, skeleton, rho)
         if current[-1] == nu and p == 0:
             rows = [dict(row) for row in d.row_maps]
             rows[r][c] = rows[r][c] + rows[r][c]

@@ -47,7 +47,7 @@ from solvcohom.liealg import (
     validate_representation,
 )
 from solvcohom.linalg import ExactMatrix
-from solvcohom.oracle import sector_cohomology_full
+from solvcohom.oracle import sector_cohomology_full, sector_skeleton
 from solvcohom.scalars import I, MINUS_ONE, ONE, ZERO, GaussianRational
 from solvcohom.weights import (
     WeightAssignment,
@@ -360,7 +360,7 @@ def test_abelian_nonzero_twist_has_no_cohomology(n, data):
     g = abelian(n)
     mu = tuple(data.draw(scalars, label=f"mu_{i}") for i in range(n))
     rep = trivial_representation(g)
-    betti = sector_cohomology_full(g, rep, mu).betti
+    betti = sector_cohomology_full(g, rep, mu, sector_skeleton(g)).betti
     if any(mu):
         assert betti == tuple(0 for _ in range(n + 1))
     else:

@@ -7,27 +7,18 @@ has kernels of up to 32,767 vectors over 6,435 columns in one degree, so
 dense kernel vectors would take over a GiB; sparse ones take a few MiB.
 The same process then chooses a representative for each of its classes.
 """
-import importlib.util
 import json
 import subprocess
 import sys
 import textwrap
 
-from conftest import EXPECTED_DIR, INSTANCE_DIR
+from conftest import EXPECTED_DIR, INSTANCE_DIR, load_bench
 
-PRODUCTS = INSTANCE_DIR.parent / "bench" / "products.py"
 PEAK_RSS_LIMIT_MIB = 200
 
 
-def _load_products():
-    spec = importlib.util.spec_from_file_location("bench_products", PRODUCTS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_dolbeault_on_example_7_2_pi_to_the_fifth(tmp_path):
-    products = _load_products()
+    products = load_bench("products")
     factor = products.load_factor(INSTANCE_DIR, "example-7-2-pi")
     instance = products.product_instance([factor] * 5, 1, "example-7-2-pi^5")
     path = tmp_path / "product.json"
