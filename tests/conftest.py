@@ -1,5 +1,6 @@
 import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -12,11 +13,30 @@ INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 EXPECTED_DIR = INSTANCE_DIR / "expected"
 
 
+# heisenberg3 in the basis x, y, y + z: ad(x) is nilpotent but has the
+# diagonal (0, -1, 1), so the coefficients of ce_kernel's diagonal table
+# do not vanish, though x lies in the nilradical and the weights are zero.
+SKEWED_HEISENBERG = {
+    "name": "heisenberg3-skewed",
+    "kind": "derham",
+    "algebra": {"dim": 3, "basis": ["x", "y", "z"],
+                "brackets": [["x", "y", "z", "1"], ["x", "y", "y", "-1"],
+                             ["x", "z", "z", "1"], ["x", "z", "y", "-1"]],
+                "nilradical": ["x", "y", "z"], "complement": []},
+    "representation": {"trivial": True},
+    "weights": {"infer": True},
+    "lattice": {"symbols": [], "generators": []},
+}
+
+
 def load_bench(name):
-    """bench/<name>.py, loaded by path as a module of its own (bench/ is not a package)."""
+    """bench/<name>.py, loaded by path as a module of its own (bench/ is not a package).
+
+    The module is registered in sys.modules before it runs, as dataclasses need.
+    """
     path = INSTANCE_DIR.parent / "bench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 

@@ -12,7 +12,13 @@ import tempfile
 import textwrap
 
 import pytest
-from conftest import EXPECTED_DIR, INSTANCE_DIR, make_heisenberg, make_split_6d_plus_heisenberg
+from conftest import (
+    EXPECTED_DIR,
+    INSTANCE_DIR,
+    SKEWED_HEISENBERG,
+    make_heisenberg,
+    make_split_6d_plus_heisenberg,
+)
 from emit_reference import emit_instance
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -1039,22 +1045,6 @@ def test_nilshadow_joins_the_terms_of_one_bracket(tmp_path, capsys):
             "lower_central_series": [4, 1, 0],
         },
     )
-
-
-# heisenberg3 in the basis x, y, y + z: ad(x) is nilpotent but has the
-# diagonal (0, -1, 1), so the coefficients of ce_kernel's diagonal table
-# do not vanish, though x lies in the nilradical and the weights are zero.
-SKEWED_HEISENBERG = {
-    "name": "heisenberg3-skewed",
-    "kind": "derham",
-    "algebra": {"dim": 3, "basis": ["x", "y", "z"],
-                "brackets": [["x", "y", "z", "1"], ["x", "y", "y", "-1"],
-                             ["x", "z", "z", "1"], ["x", "z", "y", "-1"]],
-                "nilradical": ["x", "y", "z"], "complement": []},
-    "representation": {"trivial": True},
-    "weights": {"infer": True},
-    "lattice": {"symbols": [], "generators": []},
-}
 
 
 def test_a_basis_not_adapted_to_the_nilradical_keeps_the_heisenberg_betti_numbers(
