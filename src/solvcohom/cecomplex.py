@@ -13,21 +13,19 @@ differential code path.
 Degree-p basis order: p-subsets I of the index set in lexicographic
 order, each an integer bitmask (degree_masks) followed by the module
 index k, so column (I, k) sits at mask_position(n, p)[I] * m + k.
-ce_kernel assembles the requested columns of a degree at once, each in
-one representation twisted by one of a list of weight covectors; wedge
-signs are popcounts. It forms only single terms: R_j[l, k] with l != k,
-which no twist touches, and the bracket terms c_{ab}^t with t not in
-{a, b}, once per subset for all its columns (I, k). The diagonal
-coefficient at (I + c, k), where the twist, R_c[k, k] and the c_{ct}^t
-of t in I meet, is read from a table per (twist, k, bracket part), the
-bracket part interned per subset bitmask by subset_sums. A column
-twisted by its own weight tag, as in the invariant complex, has that
-coefficient zero at every c in the complement when the weights are the
-diagonals of ad and R: the twist cancels them. At c in the nilradical
-the twist is zero, and a nilpotent ad(X_c) or R_c may still have a
-nonzero diagonal in a basis not adapted to it (heisenberg3 in the basis
-x, y, y + z). So the sum is always computed, which also keeps explicit
-weights and fixed twists exact.
+ce_kernel assembles the requested columns of a degree at once, each
+column (I, k) in the representation twisted by its own weight tag
+mu_{I,k}, as the invariant complex needs; wedge signs are popcounts. It
+forms only single terms: R_j[l, k] with l != k, which no twist touches,
+and the bracket terms c_{ab}^t with t not in {a, b}, once per subset for
+all its columns (I, k). The twist meets R_c[k, k] and the c_{ct}^t of t
+in I only in the diagonal coefficient at (I + c, k), and since the
+weights are the diagonals of ad and R it cancels them at every c in the
+complement, so no twist is ever formed. At c in the nilradical the twist
+is zero, and a nilpotent ad(X_c) or R_c may still have a nonzero
+diagonal in a basis not adapted to it (heisenberg3 in the basis
+x, y, y + z), so that coefficient is read from a table per (k, bracket
+part), the bracket part interned per subset bitmask by subset_sums.
 Entry order is promised at degrees 0 and 1 only, where the weight
 grading check reads it.
 """
@@ -36,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     CertificateError,
@@ -99,17 +97,6 @@ def subset_sums(
     return list(index), ids
 
 
-def twist_at(g: LieAlgebraData, twist: Optional[Weight]) -> tuple[GaussianRational, ...]:
-    """A twist (a covector over the complement, or None) per basis index."""
-    at = [ZERO] * g.dim
-    if twist is not None:
-        if len(twist) != len(g.complement):
-            raise ValidationFailure("weight covector length != complement size")
-        for j, x in zip(g.complement, twist):
-            at[j] = x
-    return tuple(at)
-
-
 def _one_form_differentials(
     g: LieAlgebraData,
 ) -> dict[int, list[tuple[int, int, GaussianRational]]]:
@@ -125,49 +112,56 @@ def _one_form_differentials(
 
 
 def ce_kernel(
-    g: LieAlgebraData, rep: RepresentationData, twists: Sequence[Optional[Weight]]
-) -> Callable[[dict[int, int], int], dict[tuple[int, int], GaussianRational]]:
-    """d with coefficients in rep twisted by each of the given covectors.
+    g: LieAlgebraData, rep: RepresentationData
+) -> Callable[[Iterable[int], int], dict[tuple[int, int], GaussianRational]]:
+    """d of the invariant complex: each column in rep twisted by its own tag.
 
-    kernel(column_twist, p) gives the nonzero entries {(row, col): coeff}
-    of d from degree p to p+1 on the columns in column_twist only, column
-    (I, k) taken in rep twisted by twists[column_twist[col]], a covector
-    over the complement or None (see twist_at). Entries come column by
-    column in the map's order. Within a column their order is promised at
+    kernel(columns, p) gives the nonzero entries {(row, col): coeff} of d
+    from degree p to p+1 on the given columns only, column (I, k) taken
+    in rep twisted by the weight tag mu_{I,k}. Entries come column by
+    column in the given order. Within a column their order is promised at
     degrees 0 and 1 only: term order, action terms (j, then l), then
     bracket terms (t, a, b).
 
     Only a diagonal entry, at (I + c, k) for c not in I, can sum more
     than one term: its action term (j = c, l = k) and the bracket terms
     of t in I with {a, b} = {c, t}. Its coefficient is
-    s * (R_c[k, k] + mu(X_c) - beta_I(c)), with s = (-1)^#{t in I : t < c}
-    and beta_I(c) = sum_{t in I} c_{ct}^t, and is read from a table per
-    (twist, k, beta_I), beta_I interned by subset_sums. Every other entry
-    is a single term, formed directly: R_j[l, k] with l != k, which does
-    not depend on the twist, and the bracket terms with t not in {a, b}.
+    s * (R_c[k, k] + mu_{I,k}(X_c) - beta_I(c)), with
+    s = (-1)^#{t in I : t < c} and beta_I(c) = sum_{t in I} c_{ct}^t.
+    The weights are the diagonals of ad and R (infer_weights reads them
+    there, validate_weight_assignment checks declared ones), so at c in
+    the complement R_c[k, k] = lambda'_k(X_c) and beta_I(c) =
+    sum_{t in I} lambda_t(X_c), and the coefficient is zero: the twist is
+    never formed. At c in the nilradical mu(X_c) = 0, but R_c[k, k] -
+    beta_I(c) need not vanish when the basis is not adapted to the
+    nilradical (heisenberg3 in the basis x, y, y + z); it is read from a
+    table per (k, beta_I), beta_I interned by subset_sums. Every other
+    entry is a single term, formed directly: R_j[l, k] with l != k, and
+    the bracket terms with t not in {a, b}.
 
     A column with a diagonal entry lists its entries by (phase, row):
     phase 0 holds those with an action term (R_j[l, k], and a diagonal
-    entry whose action part R_c[k, k] + mu(X_c) is nonzero), phase 1 the
-    rest. Degree 0 has no bracket terms, and at degree 1 the one t gives
-    its terms in row order, so this is term order there.
+    entry with R_c[k, k] nonzero), phase 1 the rest. Degree 0 has no
+    bracket terms, and at degree 1 the one t gives its terms in row
+    order, so this is term order there.
     """
     n, m = g.dim, rep.m
-    twisted = [twist_at(g, twist) for twist in twists]
     # Off the diagonal, per t: (bits of a and b, bits below a, bits below
     # b, coeff, -coeff). Inserting b then a into rest passes the members
     # of rest below each; b never counts against a because a < b.
-    # On it, lam[t][c] = c_{ct}^t: dx_t holds -c_{ab}^t at a < b.
+    # On it, lam[t][c] = c_{ct}^t at c in the nilradical: dx_t holds
+    # -c_{ab}^t at a < b.
+    complement = set(g.complement)
     dx: list[list] = [[] for _ in range(n)]
     lam: list[dict[int, GaussianRational]] = [{} for _ in range(n)]
     for t, terms in _one_form_differentials(g).items():
         for a, b, c in terms:
-            if a == t:
-                lam[t][b] = c
-            elif b == t:
-                lam[t][a] = -c
-            else:
+            if t not in (a, b):
                 dx[t].append((1 << a | 1 << b, (1 << a) - 1, (1 << b) - 1, c, -c))
+            elif a == t and b not in complement:
+                lam[t][b] = c
+            elif b == t and a not in complement:
+                lam[t][a] = -c
     # The t with such terms, ascending: (bit t, bits below t, terms).
     dx_ts = [(1 << t, (1 << t) - 1, terms) for t, terms in enumerate(dx) if terms]
     # R_j e_k off the diagonal, per k: (bit j, bits below j, terms,
@@ -186,41 +180,33 @@ def ce_kernel(
          for j in range(n) if off[j][k]]
         for k in range(m)
     ]
-    # The c that can carry a diagonal coefficient in column k: R_c[k, k],
-    # a twist (c in the complement) or some c_{ct}^t.
-    fixed = set(g.complement).union(*lam)
-    diag_cs = [sorted(fixed.union(r_diag[k])) for k in range(m)]
-    # beta of a mask, interned by subset_sums: parts[part_of[mask]].
+    # The c in the nilradical that can carry a diagonal coefficient in
+    # column k: R_c[k, k] or some c_{ct}^t.
+    diag_cs = [sorted(set(r_diag[k]).union(*lam) - complement) for k in range(m)]
+    # beta of a mask at those c, interned by subset_sums: parts[part_of[mask]].
     dense = [tuple([lam[t].get(c, ZERO) for c in range(n)]) for t in range(n)]
     parts, part_of = subset_sums(dense, n)
 
-    shifts: dict[tuple[int, int], list[tuple[int, GaussianRational]]] = {}
-    diagonals: dict[tuple[int, int, int], list] = {}
+    diagonals: dict[tuple[int, int], list] = {}
 
-    def diagonal(tid: int, k: int, pid: int) -> list:
+    def diagonal(k: int, pid: int) -> list:
         # (bit c, bits below c, coeff, -coeff, phase) for each c whose
         # diagonal coefficient is nonzero, before the sign s.
-        shift = shifts.get((tid, k))
-        if shift is None:
-            mu_at = twisted[tid]
-            shift = shifts[(tid, k)] = []
-            for c in diag_cs[k]:
-                mu, r = mu_at[c], r_diag[k].get(c)
-                shift.append((c, mu if r is None else r + mu if mu else r))
         part_c = parts[pid]
-        out = diagonals[(tid, k, pid)] = []
-        for c, a in shift:
+        out = diagonals[(k, pid)] = []
+        for c in diag_cs[k]:
+            a = r_diag[k].get(c, ZERO)
             total = a - part_c[c] if part_c[c] else a
             if total:
                 out.append((1 << c, (1 << c) - 1, total, -total, 0 if a else 1))
         return out
 
-    def kernel(column_twist: dict[int, int], p: int) -> dict[tuple[int, int], GaussianRational]:
+    def kernel(columns: Iterable[int], p: int) -> dict[tuple[int, int], GaussianRational]:
         masks = degree_masks(n, p)
         target = mask_position(n, p + 1)
         entries: dict[tuple[int, int], GaussianRational] = {}
         last = None
-        for col, tid in column_twist.items():
+        for col in columns:
             ipos, k = divmod(col, m)
             mask = masks[ipos]
             if ipos != last:
@@ -237,9 +223,9 @@ def ce_kernel(
                             if not rest & ab:
                                 odd = pos_t + (rest & below_b).bit_count() + (rest & below_a).bit_count()
                                 brackets.append((target[rest | ab] * m, neg if odd & 1 else c))
-            diag = diagonals.get((tid, k, pid))
+            diag = diagonals.get((k, pid))
             if diag is None:
-                diag = diagonal(tid, k, pid)
+                diag = diagonal(k, pid)
             live = [d for d in diag if not mask & d[0]] if diag else diag
             # Action terms (insert x_j, sign: members below j; apply R_j),
             # then bracket terms. No two share a key, so with no diagonal

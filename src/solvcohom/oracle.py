@@ -8,11 +8,12 @@ by raw evaluation of the differential convention,
                    + sum_{a<b} (-1)^{a+b} w([X_a,X_b], ..drop a,b..),
 
 entry by entry, sharing no differential code with the insertion-formula
-builder: only the matrix type, the subset order (degree_masks and
-mask_position) and twist_at, which places mu on the complement indices,
-are common. Its Betti numbers must agree degree by degree with the
-mu-block of the invariant complex; this is the finite certificate that
-the invariant complex computes the right cohomology.
+builder: only the matrix type and the subset order (degree_masks and
+mask_position) are common, and only this module forms a twist
+(twist_at, which places mu on the complement indices). Its Betti
+numbers must agree degree by degree with the mu-block of the invariant
+complex; this is the finite certificate that the invariant complex
+computes the right cohomology.
 
 Only rho_mu(X_j) depends on the sector. Everything else in the formula
 (which (J, I) blocks meet, the evaluation signs, the bracket scalars) is
@@ -42,8 +43,8 @@ from .cecomplex import (
     cohomology,
     degree_masks,
     mask_position,
-    twist_at,
 )
+from .errors import ValidationFailure
 from .liealg import LieAlgebraData, RepresentationData, trivial_representation
 from .linalg import ExactMatrix, SparseRow, row_axpy
 from .scalars import ONE, ZERO, GaussianRational, is_signed_conjugate
@@ -115,6 +116,17 @@ def _degree_skeleton(g: LieAlgebraData, p: int) -> DegreeSkeleton:
 def sector_skeleton(g: LieAlgebraData) -> list[DegreeSkeleton]:
     """The mu-independent part of every degree, shared by all sectors of g."""
     return [_degree_skeleton(g, p) for p in range(g.dim)]
+
+
+def twist_at(g: LieAlgebraData, twist: Optional[Weight]) -> tuple[GaussianRational, ...]:
+    """A twist (a covector over the complement, or None) per basis index."""
+    at = [ZERO] * g.dim
+    if twist is not None:
+        if len(twist) != len(g.complement):
+            raise ValidationFailure("weight covector length != complement size")
+        for j, x in zip(g.complement, twist):
+            at[j] = x
+    return tuple(at)
 
 
 def _action_table(

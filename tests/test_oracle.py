@@ -16,7 +16,6 @@ from oracle_reference import (
 )
 from subset_reference import degree_basis, subset_position
 
-from solvcohom.cecomplex import twist_at
 from solvcohom.errors import ValidationFailure
 from solvcohom.instances import (
     build_representation,
@@ -36,6 +35,7 @@ from solvcohom.oracle import (
     _sort_sign,
     sector_cohomology_full,
     sector_skeleton,
+    twist_at,
     verify_quasi_iso,
 )
 from solvcohom.scalars import MINUS_ONE, ONE, ZERO, GaussianRational

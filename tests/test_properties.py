@@ -18,6 +18,7 @@ from ce_reference import (
 )
 from conftest import (
     INSTANCE_DIR,
+    SKEWED_HEISENBERG,
     combine,
     kept_indices,
     make_heisenberg,
@@ -37,7 +38,12 @@ from solvcohom.cecomplex import (
     cohomology,
     subset_sums,
 )
-from solvcohom.instances import build_representation, build_weight_assignment, load_instance
+from solvcohom.instances import (
+    build_representation,
+    build_weight_assignment,
+    load_instance,
+    parse_instance,
+)
 from solvcohom.lattice import LatticeData, select_de_rham, select_dolbeault, validate_lattice
 from solvcohom.liealg import (
     LieAlgebraData,
@@ -173,19 +179,23 @@ def test_ce_differential_columns_equal_reference(name, data):
     assert kernel_columns(g, rep, mu, p) == expected
 
 
-# Small values, so that a twist often equals a partial sum of c_{ct}^t.
-_TWIST_VALUES = st.sampled_from(
+# Small values, so that a drawn R_c[k, k] often equals a partial sum of
+# c_{ct}^t.
+_ENTRY_VALUES = st.sampled_from(
     (ZERO, ONE, MINUS_ONE, GaussianRational(2), GaussianRational(-2), I, GaussianRational(1, 1))
 )
 
-# split_3d plus a central complement direction e4: a twist at X_e4 is a
-# diagonal coefficient with no R or bracket term beside it.
+# split_3d plus a central complement direction e4: the twist at X_e4
+# meets R_e4[k, k] with no bracket term beside it.
 # split_5d: e1 acts on e2, e3, e4 by 1, -1, 1 and e5 on e3 by 1. In column
 # e2*^e3*^e4*, the diagonal coefficient at e1*^e2*^e3*^e4* sums three
-# bracket terms, whose partial sums return to the action part twice
-# when that part is 0.
+# bracket terms and the twist, whose partial sums return to zero.
+# The kernel forms neither coefficient, and the reference must cancel
+# both. heisenberg3 in the basis x, y, y + z: ad(x) has the diagonal
+# (0, -1, 1) though x lies in the nilradical, so the kernel's tables fill.
 _KERNEL_ALGEBRAS = {
     **ALGEBRAS,
+    "heisenberg3-skewed": parse_instance(SKEWED_HEISENBERG).algebra,
     "split_3d+line": LieAlgebraData(
         dim=4,
         basis=("e1", "e2", "e3", "e4"),
@@ -238,62 +248,76 @@ def test_subset_sums_reuse_ids_across_zero_vectors_and_cancellation():
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_ce_kernel_entries_equal_bitmask_reference(name, data):
-    # The kernel forms only off-diagonal terms and reads each diagonal
-    # coefficient from tables; the reference forms every term and lets
-    # the sums cancel. The entries must agree on a drawn subset of a
-    # degree's columns in drawn order, twice from one kernel (the second
-    # call reads the filled tables), dict item order included at degrees
-    # 0 and 1, the only ones where the kernel promises it. Twists: one
-    # for every column, as ce_differential uses; one of a few drawn ones
-    # per column; each column's own tag, as build_invariant_complex uses,
-    # whose diagonal coefficients all vanish; or that tag shifted by a
-    # drawn covector, which is not the ad/R diagonal.
+    # The kernel twists each column by its own weight tag without forming
+    # it, forms only off-diagonal terms and reads each nilradical diagonal
+    # coefficient from tables; the reference forms every term in the
+    # module twisted by the tag and lets the sums cancel. The entries must
+    # agree on a drawn subset of a degree's columns in drawn order, twice
+    # from one kernel (the second call reads the filled tables), dict item
+    # order included at degrees 0 and 1, the only ones where the kernel
+    # promises it. Modules: the trivial or adjoint one with the tags of
+    # build_invariant_complex; or drawn, unvalidated matrices, nonzero
+    # diagonals in the nilradical included, whose weights are their
+    # diagonals, with the tags of reference_tag.
     g = _KERNEL_ALGEBRAS[name]
-    rep = data.draw(st.sampled_from([trivial_representation, adjoint_representation]))(g)
     p = data.draw(st.integers(0, g.dim - 1), label="p")
     rng = data.draw(st.randoms(use_true_random=False))
+    mode = data.draw(st.sampled_from(("own tag", "drawn module")), label="mode")
+    if mode == "own tag":
+        rep = data.draw(st.sampled_from([trivial_representation, adjoint_representation]))(g)
+        ic = build_invariant_complex(g, rep, infer_weights(g, rep))
+        twists, column_tag = ic.tag_table, dict(enumerate(ic.tag_ids[p]))
+    else:
+        m = data.draw(st.integers(1, 3), label="m")
+        matrices = []
+        for j in range(g.dim):
+            entries = data.draw(
+                st.dictionaries(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), _ENTRY_VALUES),
+                label=f"R_{j}",
+            )
+            matrices.append(ExactMatrix.from_entries(m, m, entries))
+        rep = RepresentationData(m, tuple(matrices))
+        w = WeightAssignment(
+            tuple([tuple([g.ad_matrix(j).row_maps[i].get(i, ZERO) for j in g.complement])
+                   for i in range(g.dim)]),
+            tuple([tuple([matrices[j].row_maps[k].get(k, ZERO) for j in g.complement])
+                   for k in range(m)]),
+            g.complement,
+        )
+        tags = [reference_tag(w, I, k) for I in degree_basis(g.dim, p) for k in range(m)]
+        twists = sorted(set(tags), key=weight_sort_key)
+        column_tag = {c: twists.index(tag) for c, tag in enumerate(tags)}
     columns = list(range(len(degree_basis(g.dim, p)) * rep.m))
     if data.draw(st.booleans(), label="subset"):
         columns = rng.sample(columns, rng.randint(0, len(columns)))
-    covector = st.tuples(*[_TWIST_VALUES] * len(g.complement))
-    mode = data.draw(st.sampled_from(("fixed", "drawn", "own tag", "shifted tag")), label="mode")
-    if mode in ("fixed", "drawn"):
-        count = 1 if mode == "fixed" else data.draw(st.integers(2, 3), label="count")
-        twists = [data.draw(covector, label="twist") for _ in range(count)]
-        column_twist = {c: rng.randrange(count) for c in columns}
-    else:
-        ic = build_invariant_complex(g, rep, infer_weights(g, rep))
-        shift = data.draw(covector, label="shift") if mode == "shifted tag" else None
-        twists = [
-            tag if shift is None else tuple(x + y for x, y in zip(tag, shift))
-            for tag in ic.tag_table
-        ]
-        column_twist = {c: ic.tag_ids[p][c] for c in columns}
-    expected = reference_ce_kernel(g, rep, twists)(column_twist, p)
-    kernel = ce_kernel(g, rep, twists)
+    expected = reference_ce_kernel(g, rep, twists)({c: column_tag[c] for c in columns}, p)
+    kernel = ce_kernel(g, rep)
     for _ in range(2):
-        entries = kernel(column_twist, p)
+        entries = kernel(columns, p)
         assert entries == expected
         if p <= 1:
             assert list(entries.items()) == list(expected.items())
 
 
 def test_ce_kernel_puts_a_diagonal_with_no_action_part_after_the_action_terms():
-    # Column e2* twisted by mu = (0, 1): the diagonal at e1*^e2* has action
-    # part R_{e1}[0, 0] + mu(X_e1) = 0 and bracket part c_{e1,e2}^{e2} = 1,
-    # so it follows the entry at e2*^e4* (action part mu(X_e4) = 1), though
-    # its row comes first. Term order at degree 1, as the reference gives.
-    g = _KERNEL_ALGEBRAS["split_3d+line"]
-    rep = trivial_representation(g)
-    twists = [(ZERO, ONE)]
-    column_twist = {degree_basis(4, 1).index((1,)): 0}
-    entries = ce_kernel(g, rep, twists)(column_twist, 1)
-    rows = degree_basis(4, 2)
-    assert [(rows[r], v) for (r, _), v in entries.items()] == [
-        ((1, 3), MINUS_ONE),
-        ((0, 1), MINUS_ONE),
+    # heisenberg3 in the basis x, y, y + z, adjoint module, column y* (x) x.
+    # The diagonal at x*^y* (x) x has action part R_x[x, x] = 0 and bracket
+    # part -c_{xy}^y = 1, with x in the nilradical, so it follows the
+    # action terms at y*^z* (x) y and y*^z* (x) z (from ad(z) x = y - z),
+    # though its row comes first. Term order at degree 1, as the reference
+    # gives in the untwisted module, the column's tag being ().
+    g = parse_instance(SKEWED_HEISENBERG).algebra
+    rep = adjoint_representation(g)
+    columns = [degree_basis(3, 1).index((1,)) * 3]
+    entries = ce_kernel(g, rep)(columns, 1)
+    rows = degree_basis(3, 2)
+    assert [(rows[r // 3], r % 3, v) for (r, _), v in entries.items()] == [
+        ((1, 2), 1, MINUS_ONE),
+        ((1, 2), 2, ONE),
+        ((0, 1), 0, ONE),
+        ((0, 2), 0, ONE),
     ]
-    expected = reference_ce_kernel(g, rep, twists)(column_twist, 1)
+    expected = reference_ce_kernel(g, rep, [None])(dict.fromkeys(columns, 0), 1)
     assert list(entries.items()) == list(expected.items())
 
 

@@ -159,12 +159,12 @@ def test_derham_builds_only_the_kept_columns_above_degree_one(monkeypatch, capsy
     calls = []
     ce_kernel = weights.ce_kernel
 
-    def recording(g, rep, twists):
-        kernel = ce_kernel(g, rep, twists)
+    def recording(g, rep):
+        kernel = ce_kernel(g, rep)
 
-        def record(column_twist, p):
-            calls.append((p, list(column_twist)))
-            return kernel(column_twist, p)
+        def record(columns, p):
+            calls.append((p, list(columns)))
+            return kernel(columns, p)
 
         return record
 
@@ -187,9 +187,9 @@ def test_restrict_complex_checks_every_entry_it_builds(split_3d):
     rep = trivial_representation(split_3d)
     ic = build_invariant_complex(split_3d, rep, infer_weights(split_3d, rep))
 
-    def leaky(column_twist, p):
-        entries = ic.kernel(column_twist, p)
-        if p == 1 and 1 in column_twist:
+    def leaky(columns, p):
+        entries = ic.kernel(columns, p)
+        if p == 1 and 1 in columns:
             entries[(1, 1)] = ONE
         return entries
 
