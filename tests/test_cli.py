@@ -497,6 +497,18 @@ def test_unreadable_bytes_exit_two_without_traceback(raw, message, tmp_path):
             _set(BRACKET_COEFFICIENT, "1" * 5000),
             "too many digits in a rational literal of length 5000",
         ),
+        (
+            "heisenberg3",
+            _set(("weights",), {"algebra": {"x": "1"}}),
+            "weight covector in algebra weights must be an object",
+        ),
+        (
+            # Every name the block uses resolves, so the repeat is what fails.
+            "heisenberg3",
+            _set(("algebra",), {"dim": 3, "basis": ["x", "y", "x"], "brackets": [],
+                                "nilradical": ["x", "y"], "complement": []}),
+            "basis names must be distinct and match dim",
+        ),
     ],
     ids=[
         "representation-not-object",
@@ -506,6 +518,8 @@ def test_unreadable_bytes_exit_two_without_traceback(raw, message, tmp_path):
         "representation-dim-0",
         "representation-dim-minus-1",
         "scalar-5000-digits",
+        "weight-covector-not-object",
+        "basis-repeated-name",
     ],
 )
 def test_parse_errors_exit_two_with_their_message(name, mutate, message, tmp_path, capsys):
@@ -1079,6 +1093,70 @@ def test_a_basis_not_adapted_to_the_nilradical_keeps_the_heisenberg_betti_number
         "sector-by-sector oracle for 'heisenberg3-skewed'\n"
         "  tag (): block [1, 2, 2, 1] vs full [1, 2, 2, 1] [ok]\n"
         "result: agree\n"
+    )
+
+
+def test_representative_terms_print_their_coefficients(tmp_path, capsys):
+    # A coefficient 1 prints as the bare label, -1 as a sign and any other
+    # as (c)*label. heisenberg3 with adjoint coefficients has -1 terms, and
+    # in the basis x, y, y + z a term with coefficient -2.
+    path = tmp_path / "adjoint.json"
+    path.write_text(json.dumps({
+        **json.loads((INSTANCE_DIR / "heisenberg3.json").read_text()),
+        "representation": {"adjoint": True},
+    }))
+    assert run(["derham", str(path), "--representatives"]) == 0
+    assert capsys.readouterr().out == (
+        "twisted de Rham cohomology of 'heisenberg3'\n"
+        "  degree  invariant dim  kept dim  betti\n"
+        "  0       3              3         1\n"
+        "  1       9              9         4\n"
+        "  2       9              9         5\n"
+        "  3       3              3         2\n"
+        "Euler characteristic: 0\n"
+        "H^0 representatives:\n"
+        "  1 (x) z\n"
+        "H^1 representatives:\n"
+        "  x* (x) y\n"
+        "  y* (x) x\n"
+        "  -x* (x) x + y* (x) y\n"
+        "  x* (x) x + z* (x) z\n"
+        "H^2 representatives:\n"
+        "  x*^y* (x) x\n"
+        "  x*^y* (x) y\n"
+        "  x*^z* (x) y\n"
+        "  y*^z* (x) x\n"
+        "  -x*^z* (x) x + y*^z* (x) y\n"
+        "H^3 representatives:\n"
+        "  x*^y*^z* (x) x\n"
+        "  x*^y*^z* (x) y\n"
+    )
+    path.write_text(json.dumps({**SKEWED_HEISENBERG, "representation": {"adjoint": True}}))
+    assert run(["derham", str(path), "--representatives"]) == 0
+    assert capsys.readouterr().out == (
+        "twisted de Rham cohomology of 'heisenberg3-skewed'\n"
+        "  degree  invariant dim  kept dim  betti\n"
+        "  0       3              3         1\n"
+        "  1       9              9         4\n"
+        "  2       9              9         5\n"
+        "  3       3              3         2\n"
+        "Euler characteristic: 0\n"
+        "H^0 representatives:\n"
+        "  -1 (x) y + 1 (x) z\n"
+        "H^1 representatives:\n"
+        "  x* (x) y\n"
+        "  x* (x) x + y* (x) y + -y* (x) z\n"
+        "  y* (x) x + z* (x) x\n"
+        "  (-2)*x* (x) x + y* (x) z + z* (x) y\n"
+        "H^2 representatives:\n"
+        "  x*^y* (x) y\n"
+        "  x*^y* (x) z\n"
+        "  x*^y* (x) x + x*^z* (x) x\n"
+        "  y*^z* (x) x\n"
+        "  x*^y* (x) x + y*^z* (x) y\n"
+        "H^3 representatives:\n"
+        "  x*^y*^z* (x) x\n"
+        "  x*^y*^z* (x) y\n"
     )
 
 
