@@ -165,16 +165,17 @@ def ce_kernel(
     # The t with such terms, ascending: (bit t, bits below t, terms).
     dx_ts = [(1 << t, (1 << t) - 1, terms) for t, terms in enumerate(dx) if terms]
     # R_j e_k off the diagonal, per k: (bit j, bits below j, terms,
-    # negated terms) for each j with such a term; r_diag[k][j] = R_j[k, k].
+    # negated terms) for each j with such a term; r_diag[k][j] = R_j[k, k]
+    # at j in the nilradical.
     off = [[[] for _ in range(m)] for _ in range(n)]
     r_diag: list[dict[int, GaussianRational]] = [{} for _ in range(m)]
     for j, R in enumerate(rep.matrices):
         for l, row in enumerate(R.row_maps):
             for k, v in row.items():
-                if k == l:
-                    r_diag[k][j] = v
-                else:
+                if k != l:
                     off[j][k].append((l, v))
+                elif j not in complement:
+                    r_diag[k][j] = v
     off_table = [
         [(1 << j, (1 << j) - 1, off[j][k], [(l, -v) for l, v in off[j][k]])
          for j in range(n) if off[j][k]]
@@ -182,7 +183,7 @@ def ce_kernel(
     ]
     # The c in the nilradical that can carry a diagonal coefficient in
     # column k: R_c[k, k] or some c_{ct}^t.
-    diag_cs = [sorted(set(r_diag[k]).union(*lam) - complement) for k in range(m)]
+    diag_cs = [sorted(set(r_diag[k]).union(*lam)) for k in range(m)]
     # beta of a mask at those c, interned by subset_sums: parts[part_of[mask]].
     dense = [tuple([lam[t].get(c, ZERO) for c in range(n)]) for t in range(n)]
     parts, part_of = subset_sums(dense, n)

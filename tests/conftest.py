@@ -8,6 +8,7 @@ from solvcohom import lattice
 from solvcohom.liealg import MODE_COMPLEX, LieAlgebraData
 from solvcohom.linalg import ExactMatrix
 from solvcohom.scalars import MINUS_ONE, ONE, ZERO, GaussianRational
+from solvcohom.weights import WeightAssignment
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 EXPECTED_DIR = INSTANCE_DIR / "expected"
@@ -39,6 +40,17 @@ def load_bench(name):
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def diagonal_weights(g, matrices):
+    """The weights of g and of a module with the given matrices: their diagonals."""
+    return WeightAssignment(
+        tuple([tuple([g.ad_matrix(j).row_maps[i].get(i, ZERO) for j in g.complement])
+               for i in range(g.dim)]),
+        tuple([tuple([matrices[j].row_maps[k].get(k, ZERO) for j in g.complement])
+               for k in range(matrices[0].nrows)]),
+        g.complement,
+    )
 
 
 def dense_matrix(rows, ncols=None):

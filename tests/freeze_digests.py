@@ -45,31 +45,23 @@ SKEWED_ADJOINT = {
 }
 
 
-def instances() -> dict[str, dict]:
-    """Every digested instance document, by name."""
+def answers() -> dict[str, tuple[dict, list[str]]]:
+    """Answer id -> (instance document, CLI arguments but the path and --json)."""
     products, run = load_bench("products"), load_bench("run")
-    docs = {}
-    for factors in [f for fs in run.PRODUCTS.values() for f in fs] + ORACLE_PRODUCTS:
-        name = run.product_name(factors)
+
+    def product(factors) -> dict:
         raw = [products.load_factor(INSTANCE_DIR, f) for f in factors]
-        docs[name] = products.product_instance(raw, SEED, name)
-    docs[SKEWED_ADJOINT["name"]] = SKEWED_ADJOINT
-    return docs
+        return products.product_instance(raw, SEED, run.product_name(factors))
 
-
-def answers(docs: dict[str, dict]) -> dict[str, tuple[str, list[str]]]:
-    """Answer id -> (instance name, CLI arguments other than the path and --json)."""
-    oracle_names = {load_bench("run").product_name(f) for f in ORACLE_PRODUCTS}
-    out = {}
-    for name, doc in docs.items():
-        runs = [[doc["kind"]], [doc["kind"], "--representatives"]]
-        if name in oracle_names:
-            runs = [["oracle"]]
-        elif name == SKEWED_ADJOINT["name"]:
-            runs.append(["oracle"])
-        for args in runs:
-            out[" ".join(args + [name])] = (name, args)
-    return out
+    runs = []
+    for factors in [f for fs in run.PRODUCTS.values() for f in fs]:
+        doc = product(factors)
+        runs += [(doc, [doc["kind"]]), (doc, [doc["kind"], "--representatives"])]
+    runs += [(product(factors), ["oracle"]) for factors in ORACLE_PRODUCTS]
+    runs += [
+        (SKEWED_ADJOINT, args) for args in (["derham"], ["derham", "--representatives"], ["oracle"])
+    ]
+    return {" ".join(args + [doc["name"]]): (doc, args) for doc, args in runs}
 
 
 def digest(path: Path, args: list[str], report: Path) -> dict:
@@ -87,17 +79,14 @@ def digest(path: Path, args: list[str], report: Path) -> dict:
 
 def digests(ids=None) -> dict[str, dict]:
     """The digests of the given answer ids (all of them by default)."""
-    docs = instances()
-    todo = answers(docs)
+    todo = answers()
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
+        path, report = Path(tmp) / "instance.json", Path(tmp) / "report.json"
         out = {}
         for answer in todo if ids is None else ids:
-            name, args = todo[answer]
-            path = work / f"{name}.json"
-            if not path.exists():
-                path.write_text(json.dumps(docs[name]))
-            out[answer] = digest(path, args, work / "report.json")
+            doc, args = todo[answer]
+            path.write_text(json.dumps(doc))
+            out[answer] = digest(path, args, report)
     return out
 
 

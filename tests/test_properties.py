@@ -20,6 +20,7 @@ from conftest import (
     INSTANCE_DIR,
     SKEWED_HEISENBERG,
     combine,
+    diagonal_weights,
     kept_indices,
     make_heisenberg,
     make_split_3d,
@@ -270,20 +271,11 @@ def test_ce_kernel_entries_equal_bitmask_reference(name, data):
     else:
         m = data.draw(st.integers(1, 3), label="m")
         matrices = []
+        position = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
         for j in range(g.dim):
-            entries = data.draw(
-                st.dictionaries(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), _ENTRY_VALUES),
-                label=f"R_{j}",
-            )
+            entries = data.draw(st.dictionaries(position, _ENTRY_VALUES), label=f"R_{j}")
             matrices.append(ExactMatrix.from_entries(m, m, entries))
-        rep = RepresentationData(m, tuple(matrices))
-        w = WeightAssignment(
-            tuple([tuple([g.ad_matrix(j).row_maps[i].get(i, ZERO) for j in g.complement])
-                   for i in range(g.dim)]),
-            tuple([tuple([matrices[j].row_maps[k].get(k, ZERO) for j in g.complement])
-                   for k in range(m)]),
-            g.complement,
-        )
+        rep, w = RepresentationData(m, tuple(matrices)), diagonal_weights(g, matrices)
         tags = [reference_tag(w, I, k) for I in degree_basis(g.dim, p) for k in range(m)]
         twists = sorted(set(tags), key=weight_sort_key)
         column_tag = {c: twists.index(tag) for c, tag in enumerate(tags)}

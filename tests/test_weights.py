@@ -12,6 +12,7 @@ from ce_reference import (
 from conftest import (
     INSTANCE_DIR,
     dense_matrix,
+    diagonal_weights,
     make_heisenberg,
     make_heisenberg_power,
     make_split_3d,
@@ -404,22 +405,11 @@ def test_weight_grading_witness_is_a_diagonal_with_no_action_part():
     )
 
 
-def _diagonal_weights(g, matrices):
-    """The weights of g and of a module with the given matrices: their diagonals."""
-    return WeightAssignment(
-        tuple([tuple([g.ad_matrix(j).row_maps[i].get(i, ZERO) for j in g.complement])
-               for i in range(g.dim)]),
-        tuple([tuple([matrices[j].row_maps[k].get(k, ZERO) for j in g.complement])
-               for k in range(matrices[0].nrows)]),
-        g.complement,
-    )
-
-
 def _split_3d_case(r_e1):
     """split_3d with R(e1) given by its entries, R(e2) = R(e3) = 0, m = 2."""
     matrices = (ExactMatrix.from_entries(2, 2, r_e1),) + (ExactMatrix.zero(2, 2),) * 2
     rep = RepresentationData(2, matrices)
-    return "split_3d", rep, _diagonal_weights(make_split_3d(), matrices)
+    return "split_3d", rep, diagonal_weights(make_split_3d(), matrices)
 
 _GRADING_ALGEBRAS = {
     "split_3d": make_split_3d(),
@@ -454,7 +444,7 @@ def grading_cases(draw):
                 if shape == "full" or (shape == "diagonal" and l == k):
                     entries[(l, k)] = draw(st.sampled_from(_ENTRIES))
         matrices.append(ExactMatrix.from_entries(m, m, entries))
-    return name, RepresentationData(m, tuple(matrices)), _diagonal_weights(g, matrices)
+    return name, RepresentationData(m, tuple(matrices)), diagonal_weights(g, matrices)
 
 
 def _grading_verdict(check, g, rep, w):
