@@ -128,8 +128,8 @@ def ce_kernel(
     of t in I with {a, b} = {c, t}. Its coefficient is
     s * (R_c[k, k] + mu_{I,k}(X_c) - beta_I(c)), with
     s = (-1)^#{t in I : t < c} and beta_I(c) = sum_{t in I} c_{ct}^t.
-    The weights are the diagonals of ad and R (infer_weights reads them
-    there, validate_weight_assignment checks declared ones), so at c in
+    The weights are the diagonals of ad and R (build_invariant_complex
+    refuses any others), so at c in
     the complement R_c[k, k] = lambda'_k(X_c) and beta_I(c) =
     sum_{t in I} lambda_t(X_c), and the coefficient is zero: the twist is
     never formed. At c in the nilradical mu(X_c) = 0, but R_c[k, k] -

@@ -9,7 +9,7 @@ carries lambda'_k. The weight tag of a basis monomial x_I (x) v_k is
 The invariant complex has one basis element per (I, k); its differential
 applies the Chevalley-Eilenberg formula in the module twisted by the
 column's own tag, through cecomplex.ce_kernel, which never forms the
-twist: the weights are the diagonals of ad and R, where it cancels.
+twist: the weights must be the diagonals of ad and R, where it cancels.
 That the result never crosses between distinct tags is exactly weight
 additivity of the input data, checked on degrees 0 and 1 (which decide
 it, and whose entry order names the first violation) and on every entry
@@ -211,23 +211,22 @@ def build_invariant_complex(
     """Tag the invariant complex and certify its weight grading.
 
     Column (I, k) is differentiated in the module twisted by its own tag,
-    which ce_kernel forms without the tags: w must be the diagonals of ad
-    and R (infer_weights, validate_weight_assignment). Only degrees 0 and
-    1 are built here, all their columns, for the grading check. The
-    coefficient of d(x_I (x) v_k) at (J, l) is affine in I's indicator
-    (R_j[l, k]; R_j[k, k] minus c_{jt}^t over t in I, j in the
-    nilradical; or +-c_{ab}^t, {t} = I - J) and its tag jump depends only
-    on J - I, I - J, k and l, so degrees 0 and 1 pass exactly when all
-    degrees do, and hold the first violation in (degree, column, term)
-    order; the kernel promises term order there.
-
-    The algebra part of a tag is interned by subset_sums, and each tag is
-    that part minus lambda'_k, formed once per (algebra part, k) with no
-    zero operand. The distinct tags are sorted by weight_sort_key, and
-    the per-degree ids index that table.
+    which ce_kernel forms without the tags: weights off the diagonals of
+    ad and R raise ValidationFailure. Only degrees 0 and 1 are built
+    here, all their columns, for the grading check. The coefficient of
+    d(x_I (x) v_k) at (J, l) is affine in I's indicator (R_j[l, k];
+    R_j[k, k] minus c_{jt}^t over t in I, j in the nilradical; or
+    +-c_{ab}^t, {t} = I - J) and its tag jump depends only on J - I,
+    I - J, k and l, so degrees 0 and 1 pass exactly when all degrees do,
+    and hold the first violation in (degree, column, term) order; the
+    kernel promises term order there.
     """
+    for issue in validate_weight_assignment(g, rep, w):
+        if not issue.code.endswith("-residue"):
+            raise ValidationFailure(issue.message)
     n = g.dim
     alg_table, alg = subset_sums(w.algebra_weights, len(w.complement))
+    # Each tag is its interned algebra part minus lambda'_k, no zero operand.
     tags = [
         [tuple([x - y if x and y else -y if y else x for x, y in zip(base, lam)])
          for lam in w.rep_weights]

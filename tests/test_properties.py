@@ -423,11 +423,13 @@ def test_tag_table_matches_weights_on_shipped_instances(name):
 @given(data=st.data())
 def test_tag_table_matches_weights_on_drawn_weights(name, data):
     # Any linear image A*lambda of the inferred weights, with the module
-    # weights shifted by a common covector s, is still additive, so the
-    # build succeeds; a singular A merges tags.
+    # weights shifted by a common covector s, is still additive; a
+    # singular A merges tags. The build takes only the ad and R diagonals
+    # as weights, so the abelian complement acts on the abelian
+    # nilradical by the drawn algebra weights, and the module is the
+    # adjoint one with R(X_c) shifted by s(X_c).
     g = ALGEBRAS[name]
-    rep = adjoint_representation(g)
-    inferred = infer_weights(g, rep)
+    inferred = infer_weights(g, adjoint_representation(g))
     width = len(g.complement)
     A = [[data.draw(scalars) for _ in range(width)] for _ in range(width)]
     s = [data.draw(scalars) for _ in range(width)]
@@ -444,7 +446,27 @@ def test_tag_table_matches_weights_on_drawn_weights(name, data):
         tuple(image(lam, s) for lam in inferred.rep_weights),
         g.complement,
     )
-    check_tag_table(build_invariant_complex(g, rep, w))
+    drawn = LieAlgebraData(
+        dim=g.dim,
+        basis=g.basis,
+        brackets=[
+            (c, i, i, w.algebra_weights[i][pos])
+            for pos, c in enumerate(g.complement)
+            for i in sorted(g.nilradical)
+            if w.algebra_weights[i][pos]
+        ],
+        nilradical=g.nilradical,
+        complement=g.complement,
+        mode=g.mode,
+    )
+    matrices = []
+    for j, R in enumerate(adjoint_representation(drawn).matrices):
+        entries = {(l, k): v for l, row in enumerate(R.row_maps) for k, v in row.items()}
+        if j in g.complement:
+            for k in range(g.dim):
+                entries[(k, k)] = entries.get((k, k), ZERO) + s[g.complement.index(j)]
+        matrices.append(ExactMatrix.from_entries(g.dim, g.dim, entries))
+    check_tag_table(build_invariant_complex(drawn, RepresentationData(g.dim, tuple(matrices)), w))
 
 
 def _diagonal_module(g, data):

@@ -295,12 +295,12 @@ def test_invariant_complex_tags(split_6d):
 
 
 def test_weight_grading_violation_raises(split_3d):
-    # R(e1) maps v2 to v1 while the declared module weights put them on
-    # different weight lines.
+    # R(e1) maps v2 to v1 + v2, so its diagonal puts v1 and v2 on the
+    # weight lines 0 and 1, which R(e1) v2 crosses.
     rep = RepresentationData(
         2,
         (
-            ExactMatrix.from_entries(2, 2, {(0, 1): ONE}),
+            ExactMatrix.from_entries(2, 2, {(0, 1): ONE, (1, 1): ONE}),
             ExactMatrix.zero(2, 2),
             ExactMatrix.zero(2, 2),
         ),
@@ -319,20 +319,45 @@ def test_weight_grading_violation_raises(split_3d):
     )
 
 
+def test_weight_grading_witness_in_degree_one():
+    # [t, x] = x, [t, y] = x + 2y: ad(t) minus its diagonal (0, 1, 2) is
+    # nilpotent, so the weights are the diagonals and pass validation.
+    # With trivial coefficients d vanishes on degree 0, and d(x*) holds
+    # -t*^y* from c_{ty}^x, which crosses from weight 1 to weight 2.
+    g = LieAlgebraData(
+        dim=3,
+        basis=("t", "x", "y"),
+        brackets=[(0, 1, 1, ONE), (0, 2, 1, ONE), (0, 2, 2, GaussianRational(2))],
+        nilradical=[1, 2],
+        complement=[0],
+    )
+    rep = trivial_representation(g)
+    w = infer_weights(g, rep)
+    assert validate_weight_assignment(g, rep, w) == ()
+    witness = (
+        "weight grading violated: d(x* (x) 1) hits t*^y* (x) 1 "
+        "across tags (1) -> (2); invalid weight data"
+    )
+    assert _grading_verdict(build_invariant_complex, g, rep, w) == witness
+    assert _grading_verdict(reference_grading_check, g, rep, w) == witness
+
+
 def _off_diagonal_verdicts(g, rep, w):
     """For weights off the ad/R diagonals: validate_weight_assignment's
-    codes, the twisted reference's grading verdict and the build's.
+    codes, the twisted reference's grading verdict and the build's refusal.
 
     The build's kernel forms no twist: on weights that are the diagonals
     the twist cancels every diagonal coefficient at a complement
     direction, so the kernel forms none. Off the diagonals those
-    coefficients are the reference's witnesses, and the build, which
-    never sees them, relies on validation to refuse such weights.
+    coefficients are the reference's witnesses, which the build never
+    sees, so it refuses such weights before its grading check.
     """
+    with pytest.raises(ValidationFailure) as refused:
+        build_invariant_complex(g, rep, w)
     return (
         [issue.code for issue in validate_weight_assignment(g, rep, w)],
         _grading_verdict(reference_grading_check, g, rep, w),
-        _grading_verdict(build_invariant_complex, g, rep, w),
+        str(refused.value),
     )
 
 
@@ -361,7 +386,7 @@ def test_weight_grading_witness_is_a_bracket_term(split_3d):
         ["weights-ad-diagonal"],
         "weight grading violated: d(e2* (x) u1) hits e1*^e2* (x) u1 "
         "across tags (0) -> (1); invalid weight data",
-        None,
+        "algebra weights disagree with the diagonal of ad(e1)",
     )
 
 
@@ -388,7 +413,7 @@ def test_weight_grading_witness_is_a_diagonal_with_an_action_part():
         ["weights-ad-diagonal"] * 2,
         "weight grading violated: d(v1* (x) 1) hits v1*^v5* (x) 1 "
         "across tags (2, 1) -> (3, 1); invalid weight data",
-        None,
+        "algebra weights disagree with the diagonal of ad(v5)",
     )
 
 
@@ -401,7 +426,7 @@ def test_weight_grading_witness_is_a_diagonal_with_no_action_part():
         ["weights-ad-diagonal"] * 2,
         "weight grading violated: d(v1* (x) 1) hits v1*^v5* (x) 1 "
         "across tags (0, 0) -> (1, 0); invalid weight data",
-        None,
+        "algebra weights disagree with the diagonal of ad(v5)",
     )
 
 
