@@ -103,14 +103,15 @@ class LieAlgebraData:
         )
 
     def bracket_table(self) -> dict[tuple[int, int], tuple[tuple[int, GaussianRational], ...]]:
-        """Canonical (i < j only) view of the structure constants."""
-        out = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                b = self.bracket(i, j)
-                if b:
-                    out[(i, j)] = tuple(sorted(b.items()))
-        return out
+        """Canonical (i < j only, in key order) view of the structure constants:
+        bracket(i, j) for each pair where it is nonzero, read off one walk of the table."""
+        rows = {}
+        for (i, j), row in self._table.items():
+            if i < j:
+                rows[(i, j)] = row
+            elif i > j and (j, i) not in self._table:
+                rows[(j, i)] = {k: -c for k, c in row.items()}
+        return {pair: tuple(sorted(row.items())) for pair, row in sorted(rows.items()) if row}
 
     def bracket(self, i: int, j: int) -> dict[int, GaussianRational]:
         """[X_i, X_j] as a sparse coefficient vector."""

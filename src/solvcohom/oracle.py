@@ -25,10 +25,16 @@ enumerates sources from the argument tuples of the formula, not from all
 only for I its sorted form, and is still evaluated raw on the tuple as
 the sign of that sort (_sort_sign).
 
-Characters come in conjugate pairs. Where the module's conjugation tau is
-known (sigma on the adjoint module, the identity on trivial coefficients,
-none for explicit matrices), the later sector of a pair is checked to be
-the earlier one's conjugate and takes its Betti numbers (verify_quasi_iso).
+Sectors come in orbits. A signed permutation pi of the basis that keeps
+the complement and the brackets, applied linearly, or the conjugation
+sigma, applied conjugate-linearly, maps the sector of mu to the sector of
+pi.mu by a signed permutation of the cochains. On the adjoint and the
+trivial module (tau is pi there, and the identity) the tags are closed
+into orbits under such generators (_sector_orbits): sigma, and the
+automorphisms that a search over the components of the bracket graph
+finds. Only each orbit's first sector is eliminated; every other sector
+is built and checked entry by entry to be the image of the first, and
+takes its Betti numbers only if it is (verify_quasi_iso).
 """
 from __future__ import annotations
 
@@ -47,7 +53,7 @@ from .cecomplex import (
 from .errors import ValidationFailure
 from .liealg import LieAlgebraData, RepresentationData, trivial_representation
 from .linalg import ExactMatrix, SparseRow, row_axpy
-from .scalars import ONE, ZERO, GaussianRational, is_signed_conjugate
+from .scalars import ONE, ZERO, GaussianRational, is_signed_image
 from .weights import InvariantComplex, restrict_complex
 
 # (action terms, bracket terms) of one degree; see _degree_skeleton.
@@ -56,11 +62,13 @@ DegreeSkeleton = tuple[
 ]
 # The nonzero entries (l, k, value) of rho_mu(X_j) for one j.
 ActionEntries = list[tuple[int, int, GaussianRational]]
-# Per cochain of one degree: its image's position, and whether s_I = -1.
-CochainMap = list[tuple[int, bool]]
-# One verify_quasi_iso call's pairing: cochain maps per degree, each later tag's earlier
-# partner, and each earlier tag's (differentials, Betti numbers) until its partner is checked.
-Pairs = tuple[list[CochainMap], dict[Weight, Weight], dict[Weight, Optional[tuple]]]
+# A signed permutation of the basis: (image, whether the sign is -1) per index.
+SignedPermutation = tuple[tuple[int, bool], ...]
+# Per degree p, the code 2 * Phi(c) + [s_c = -1] of each cochain c = (I, k), at
+# mask_position(n, p)[I] * m + k, under a cochain map Phi of signed permutations.
+CochainMap = list[list[int]]
+# The most nodes _linear_automorphisms visits for one instance.
+SEARCH_NODES = 4096
 
 
 def _sort_sign(arguments: tuple[int, ...]) -> int:
@@ -170,54 +178,261 @@ def _sector_differential(
     return ExactMatrix(len(rows), math.comb(n, p) * m, tuple(rows))
 
 
-def _is_conjugate_image(
-    d: ExactMatrix, image: ExactMatrix, rows: CochainMap, cols: CochainMap
+def _root(root: list[int], i: int) -> int:
+    """i's class in the union-find forest root."""
+    while root[i] != i:
+        i = root[i]
+    return i
+
+
+def _linear_automorphisms(g: LieAlgebraData) -> tuple[list[SignedPermutation], int]:
+    """Signed permutations of the basis that keep the complement and the brackets,
+    and the search nodes spent finding them (at most SEARCH_NODES).
+
+    The components of the bracket graph (i, j and k joined for each nonzero
+    c_ij^k) are the ideals of a direct sum. Only a component that holds a
+    complement index moves a tag, so only those are searched: for each, one
+    automorphism per action on its complement indices, and for each
+    consecutive pair of isomorphic ones an isomorphism, extended to the swap
+    of the two. Each fixes every index outside the components it maps.
+    Images are tried among the indices with the same bracket counts; once
+    the search has spent SEARCH_NODES nodes, it returns what it has found.
+    """
+    n, complement = g.dim, set(g.complement)
+    brackets: dict[tuple[int, int], dict[int, GaussianRational]] = {}
+    # An automorphism keeps whether an index is in the complement, how many
+    # nonzero brackets it enters, and how many bracket terms it is the target of.
+    pairs, targets = [0] * n, [0] * n
+    for (i, j), terms in g.bracket_table().items():
+        brackets[(i, j)] = dict(terms)
+        brackets[(j, i)] = {k: -c for k, c in terms}
+        pairs[i] += 1
+        pairs[j] += 1
+        for k, _ in terms:
+            targets[k] += 1
+    signature = [(i in complement, pairs[i], targets[i]) for i in range(n)]
+    root = list(range(n))
+    for (i, j), terms in brackets.items():
+        for k in (j, *terms):
+            root[_root(root, k)] = _root(root, i)
+    parts: dict[int, list[int]] = {}
+    for i in range(n):
+        parts.setdefault(_root(root, i), []).append(i)
+    budget = [SEARCH_NODES]
+
+    def maps(source: list[int], target: list[int], first_only: bool) -> list[dict]:
+        """Bracket-keeping signed bijections source -> target, one per action on
+        the complement indices, or only the first found."""
+        order = sorted(source, key=lambda i: (i not in complement, i))
+        at = {i: x for x, i in enumerate(order)}
+        # ready[x]: the pairs whose bracket is compared once order[: x + 1] is mapped.
+        ready: list[list[tuple[int, int]]] = [[] for _ in order]
+        for x, a in enumerate(order):
+            for b in order[:x]:
+                ready[max([x] + [at[k] for k in brackets.get((a, b), ())])].append((a, b))
+        options = [[j for j in target if signature[j] == signature[i]] for i in order]
+        image: dict[int, tuple[int, bool]] = {}
+        used: set[int] = set()
+        found: list[dict] = []
+
+        def keeps(a: int, b: int) -> bool:
+            (pa, na), (pb, nb) = image[a], image[b]
+            want = {}
+            for k, c in brackets.get((a, b), {}).items():
+                pk, nk = image[k]
+                want[pk] = -c if na ^ nb ^ nk else c
+            return brackets.get((pa, pb), {}) == want
+
+        def extend(x: int) -> bool:
+            if x == len(order):
+                found.append(dict(image))
+                return True
+            hit = False
+            for j in options[x]:
+                if j in used:
+                    continue
+                used.add(j)
+                for negative in (False, True):
+                    if not budget[0]:
+                        break
+                    budget[0] -= 1
+                    image[order[x]] = (j, negative)
+                    if all([keeps(a, b) for a, b in ready[x]]) and extend(x + 1):
+                        # Past the complement, one completion is enough.
+                        if first_only or order[x] not in complement:
+                            used.discard(j)
+                            return True
+                        hit = True
+                used.discard(j)
+            return hit
+
+        extend(0)
+        return found
+
+    identity = [(i, False) for i in range(n)]
+    perms: list[SignedPermutation] = []
+    # (signature multiset, latest component) per isomorphism class met so far.
+    tails: list[tuple[list, list[int]]] = []
+    for part in parts.values():
+        if complement.isdisjoint(part):
+            continue
+        for found in maps(part, part, False):
+            perm = list(identity)
+            for i, value in found.items():
+                perm[i] = value
+            perms.append(tuple(perm))
+        key = sorted([signature[i] for i in part])
+        for c, (other, tail) in enumerate(tails):
+            if other == key and (iso := maps(tail, part, True)):
+                perm = list(identity)
+                for i, (j, negative) in iso[0].items():
+                    perm[i], perm[j] = (j, negative), (i, negative)
+                perms.append(tuple(perm))
+                tails[c] = (key, part)
+                break
+        else:
+            tails.append((key, part))
+    return perms, SEARCH_NODES - budget[0]
+
+
+def _tag_image(perm: SignedPermutation, conjugate: bool, complement: tuple, mu: Weight) -> Weight:
+    """pi . mu: (pi . mu)_{pi(j)} = +-mu_j, conjugated if conjugate, at each complement j."""
+    at = {}
+    for j, x in zip(complement, mu):
+        image, negative = perm[j]
+        x = x.conjugate() if conjugate else x
+        at[image] = -x if negative else x
+    return tuple([at[j] for j in complement])
+
+
+def _cochain_maps(n: int, perm: SignedPermutation, tau: SignedPermutation) -> CochainMap:
+    """Phi(x_I (x) v_k) = s_I s_k x_{pi I} (x) v_{tau k}, as codes per degree.
+
+    x_I composed with pi^-1 is s_I x_{pi I}, s_I the product of the signs of
+    pi on I and of the sign of the sort of (pi(i) for i in I ascending). Both
+    are built up over the masks, lowest bit first; the inversions that the
+    lowest index i of a mask adds are the later indices of the mask that pi
+    sends below pi(i).
+    """
+    bits = [1 << j for j, _ in perm]
+    below = [sum([1 << b for b in range(i + 1, n) if perm[b][0] < perm[i][0]]) for i in range(n)]
+    image, odd = [0] * (1 << n), [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        i, rest = low.bit_length() - 1, mask ^ low
+        image[mask] = image[rest] | bits[i]
+        odd[mask] = odd[rest] ^ perm[i][1] ^ ((below[i] & rest).bit_count() & 1)
+    maps = []
+    for p in range(n + 1):
+        position, codes = mask_position(n, p), []
+        for mask in degree_masks(n, p):
+            base, s = position[image[mask]] * len(tau), odd[mask]
+            codes.extend([2 * (base + t) + (s ^ negative) for t, negative in tau])
+        maps.append(codes)
+    return maps
+
+
+@dataclass
+class SectorOrbits:
+    """One verify_quasi_iso call's pairing of sectors; see there.
+
+    order lists the tags orbit by orbit, each orbit's first tag and then
+    its other members breadth first. generators holds each kept
+    generator's cochain maps and whether it is conjugate-linear. Each later
+    member of an orbit has its (parent tag, generator) in path. held is the
+    (differentials, Betti numbers) of the first sector of the orbit in hand.
+    """
+
+    order: list[Weight]
+    generators: list[tuple[CochainMap, bool]]
+    path: dict[Weight, tuple[Weight, int]]
+    held: Optional[tuple[tuple[ExactMatrix, ...], tuple[int, ...]]] = None
+
+
+def _sector_orbits(
+    g: LieAlgebraData, rep: RepresentationData, tags: Sequence[Weight]
+) -> Optional[SectorOrbits]:
+    """tags in orbits under the pairing generators; None where nothing is paired.
+
+    The generators are sigma, conjugate-linear, where the conjugation table
+    is an involution that keeps the complement, then _linear_automorphisms.
+    Each is kept only if it merges two classes of tags. Only the adjoint and
+    the trivial module are paired, tau being pi and the identity there.
+    """
+    n = g.dim
+    if len(tags) < 2 or not (rep.adjoint and rep.m == n or rep == trivial_representation(g)):
+        return None
+    sigma, complement, generators = g.conjugation or {}, g.complement, []
+    if (
+        set(sigma) == set(range(n))
+        and all(sigma.get(sigma[i]) == i for i in sigma)
+        and {sigma[j] for j in complement} == set(complement)
+    ):
+        generators.append((tuple([(sigma[i], False) for i in range(n)]), True))
+    generators += [(perm, False) for perm in _linear_automorphisms(g)[0]]
+    tid = {tag: t for t, tag in enumerate(tags)}
+    root, kept = list(range(len(tags))), []
+    for perm, conjugate in generators:
+        images = [tid.get(_tag_image(perm, conjugate, complement, mu)) for mu in tags]
+        merged = False
+        for t, u in enumerate(images):
+            if u is not None and _root(root, t) != _root(root, u):
+                root[_root(root, u)] = _root(root, t)
+                merged = True
+        if merged:
+            kept.append((perm, conjugate, images))
+    if not kept:  # sigma the identity on tags, say: no map is built
+        return None
+    # Each orbit from its first tag, breadth first: a member's path is short.
+    first: dict[int, int] = {}
+    path = {}
+    for t in range(len(tags)):
+        if t in first:
+            continue
+        first[t], queue = t, [t]
+        for u in queue:
+            for x, (_, _, images) in enumerate(kept):
+                v = images[u]
+                if v is not None and v not in first:
+                    first[v] = t
+                    path[tags[v]] = (tags[u], x)
+                    queue.append(v)
+    trivial = ((0, False),)
+    return SectorOrbits(
+        [tags[t] for t in first],
+        [(_cochain_maps(n, perm, perm if rep.adjoint else trivial), c) for perm, c, _ in kept],
+        path,
+    )
+
+
+def _map_from_first(orbits: SectorOrbits, mu: Weight) -> tuple[CochainMap, bool]:
+    """Phi from mu's orbit's first sector to mu's, composed along mu's path."""
+    steps = []
+    while mu in orbits.path:
+        mu, x = orbits.path[mu]
+        steps.append(orbits.generators[x])
+    maps, conjugate = steps.pop()
+    for step, flip in reversed(steps):
+        maps = [[s[c >> 1] ^ (c & 1) for c in codes] for s, codes in zip(step, maps)]
+        conjugate ^= flip
+    return maps, conjugate
+
+
+def _is_image(
+    d: ExactMatrix, image: ExactMatrix, rows: list[int], cols: list[int], conjugate: bool
 ) -> bool:
-    """Whether image = Phi d Phi^-1: each entry v of d at (r, c) is s_r s_c conj(v) at
-    (Phi r, Phi c), rows and cols mapping r and c, and row Phi r is as long as row r."""
-    for row, (target, flip) in zip(d.row_maps, rows):
-        other = image.row_maps[target]
+    """Whether image = Phi d Phi^-1: each entry v of d at (r, c) is s_r s_c v, conjugated
+    if conjugate, at (Phi r, Phi c), rows and cols holding the codes of r and c, and
+    row Phi r is as long as row r."""
+    for row, r in zip(d.row_maps, rows):
+        other, odd = image.row_maps[r >> 1], r & 1
         if len(other) != len(row):
             return False
         for c, v in row.items():
-            col, negative = cols[c]
-            if not is_signed_conjugate(other.get(col, ZERO), v, flip != negative):
+            c = cols[c]
+            if not is_signed_image(other.get(c >> 1, ZERO), v, odd != c & 1, conjugate):
                 return False
     return True
-
-
-def _conjugate_pairs(
-    g: LieAlgebraData, rep: RepresentationData, tags: Sequence[Weight]
-) -> Optional[Pairs]:
-    """Each tag mu paired with sigma-bar mu if that comes later in tags; None if none does."""
-    n, sigma, complement = g.dim, g.conjugation or {}, set(g.complement)
-    involution = set(sigma) == set(range(n)) and all(sigma.get(sigma[i]) == i for i in sigma)
-    if not involution or {sigma[j] for j in complement} != complement or not (
-        rep.adjoint and rep.m == n or rep == trivial_representation(g)
-    ):
-        return None
-    tid, later = {tag: t for t, tag in enumerate(tags)}, {}
-    for t, mu in enumerate(tags):
-        # (sigma-bar mu)_{sigma(j)} = conj(mu_j) at each complement index j.
-        at = dict(zip(g.complement, mu))
-        conjugate = tuple([at[sigma[j]].conjugate() for j in g.complement])
-        if tid.get(conjugate, -1) > t:
-            later[conjugate] = mu
-    if not later:  # sigma the identity, say: no map is built
-        return None
-    # Per degree p, (I, k) at mask_position(n, p)[I] * m + k goes to (sigma I, tau k),
-    # with s_I the sign of the sort of (sigma(i) for i in I ascending).
-    tau = [sigma[k] for k in range(n)] if rep.adjoint else [0]
-    maps = []
-    for p in range(n + 1):
-        cochains: CochainMap = []
-        for mask in degree_masks(n, p):
-            image = tuple([sigma[i] for i in range(n) if mask >> i & 1])
-            base = mask_position(n, p)[sum([1 << i for i in image])] * len(tau)
-            negative = _sort_sign(image) < 0
-            cochains.extend([(base + t, negative) for t in tau])
-        maps.append(cochains)
-    return maps, later, dict.fromkeys(later.values())
 
 
 def sector_cohomology_full(
@@ -225,25 +440,35 @@ def sector_cohomology_full(
     rep: RepresentationData,
     mu: Optional[Weight],
     skeletons: list[DegreeSkeleton],
-    pairs: Optional[Pairs] = None,
+    orbits: Optional[SectorOrbits] = None,
 ) -> CohomologyResult:
     """Betti numbers of the full twisted complex for one weight covector.
 
     `skeletons` is sector_skeleton(g), shared by every sector of g.
-    `pairs` is local to one verify_quasi_iso call; see there.
+    `orbits` is local to one verify_quasi_iso call, which passes the tags in
+    orbits.order; see there.
     """
     n, m = g.dim, rep.m
     rho = _action_table(rep, twist_at(g, mu))
-    diffs = tuple([_sector_differential(g, m, p, skeletons[p], rho) for p in range(n)])
-    maps, later, waiting = pairs or ([], {}, {})
-    if mu in later:
-        held, betti = waiting.pop(later[mu])
-        if all(_is_conjugate_image(d, diffs[p], maps[p + 1], maps[p]) for p, d in enumerate(held)):
+    if orbits is not None and mu in orbits.path:
+        # Each degree is built, checked and dropped; a sector that fails the
+        # check is built again in full below.
+        held, betti = orbits.held
+        maps, conjugate = _map_from_first(orbits, mu)
+        if all(
+            _is_image(
+                d, _sector_differential(g, m, p, skeletons[p], rho), maps[p + 1], maps[p], conjugate
+            )
+            for p, d in enumerate(held)
+        ):
             return CohomologyResult(betti)
+    elif orbits is not None:
+        orbits.held = None  # mu starts an orbit, so the last one is done
+    diffs = tuple([_sector_differential(g, m, p, skeletons[p], rho) for p in range(n)])
     dims = tuple([math.comb(n, p) * m for p in range(n + 1)])
     result = cohomology(FiniteComplex(dims, diffs))
-    if mu in waiting:
-        waiting[mu] = (diffs, result.betti)
+    if orbits is not None and mu not in orbits.path:
+        orbits.held = (diffs, result.betti)
     return result
 
 
@@ -270,23 +495,34 @@ class QuasiIsoReport:
 def verify_quasi_iso(ic: InvariantComplex) -> QuasiIsoReport:
     """Compare every weight-tag block with its full sector, degree-wise.
 
-    Every sector is built. Where tags mu and sigma-bar mu both occur, mu
-    first, mu's differentials D are held until sigma-bar mu's D' is built.
-    Phi(c x_I (x) v_k) = conj(c) s_I x_{sigma I} (x) v_{tau k} is a
-    conjugate-linear bijection, and _is_conjugate_image checks D' Phi =
-    Phi D entry by entry. Conjugation is a field automorphism of Q(i) and
-    signed permutations keep rank, so rank D'_p = rank D_p for every p:
-    sigma-bar mu takes mu's Betti numbers. D' D' = Phi (D D) Phi^-1 = 0,
-    so mu's kernel and d.d certificates cover it. If the check fails,
-    sigma-bar mu is eliminated like any other sector; nothing is raised.
+    Let pi be an automorphism of g, a signed permutation of the basis that
+    keeps the complement, and tau a module map with tau rho(X) = rho(pi X)
+    tau. Then Phi(x_I (x) v_k) = s_I x_{pi I} (x) tau v_k, s_I from the signs
+    and the sort (_cochain_maps), is a chain isomorphism C(g, V_mu) ~=
+    C(g, V_{pi.mu}), (pi.mu)(pi X) = mu(X); made conjugate-linear, the same
+    holds for the conjugation sigma with (pi.mu)(pi X) = conj(mu(X)).
+
+    That argument chooses the pairs; it is not what certifies them. The
+    tags are closed into orbits under the generators of _sector_orbits, and
+    every sector is still built, orbit by orbit. Each orbit's first sector
+    is eliminated and its differentials D are held until the orbit is done. For each later member, Phi is composed
+    along the member's path of generators, and _is_image checks D' Phi =
+    Phi D entry by entry against the member's own D'. Phi is a bijection,
+    linear or conjugate-linear, and conjugation is a field automorphism of
+    Q(i), so rank D'_p = rank D_p for every p: the member takes the first's
+    Betti numbers, and D' D' = Phi (D D) Phi^-1 = 0 is covered by the
+    first's kernel and d.d certificates. A member that fails the check is
+    eliminated like any other sector; nothing is raised.
     """
     g, rep = ic.algebra, ic.representation
     skeletons = sector_skeleton(g)
-    pairs = _conjugate_pairs(g, rep, ic.tag_table)
+    orbits = _sector_orbits(g, rep, ic.tag_table)
+    # Orbit by orbit, so that one first sector's differentials are held at a time.
+    order = ic.tag_table if orbits is None else orbits.order
+    full = {tag: sector_cohomology_full(g, rep, tag, skeletons, orbits).betti for tag in order}
     comparisons = []
     # tag_table is in weight_sort_key order, so ids run through the sorted tags.
     for tid, tag in enumerate(ic.tag_table):
         block_betti = cohomology(restrict_complex(ic, (tid,))).betti
-        full_betti = sector_cohomology_full(g, rep, tag, skeletons, pairs).betti
-        comparisons.append(SectorComparison(tag, block_betti, full_betti))
+        comparisons.append(SectorComparison(tag, block_betti, full[tag]))
     return QuasiIsoReport(tuple(comparisons))

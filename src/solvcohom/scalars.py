@@ -163,10 +163,13 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return _make(a, b, d)
 
 
-def is_signed_conjugate(w: GaussianRational, v: GaussianRational, negate: bool) -> bool:
-    """Whether w == (-conj(v) if negate else conj(v)); like ==, it builds no scalar."""
+def is_signed_image(
+    w: GaussianRational, v: GaussianRational, negate: bool, conjugate: bool
+) -> bool:
+    """Whether w == +-v or +-conj(v), negated if negate and conjugated if conjugate;
+    like ==, it builds no scalar."""
     a, b, d = v._abd
-    return w._abd == ((-a, b, d) if negate else (a, -b, d))
+    return w._abd == (-a if negate else a, -b if negate != conjugate else b, d)
 
 
 ZERO = GaussianRational(0)

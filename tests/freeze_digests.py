@@ -5,7 +5,7 @@
 
 Each answer is one CLI command on one instance: derham or dolbeault, with
 and without --representatives, on the pipeline products of bench/run.py;
-oracle on three n=9-12 products; and derham, derham --representatives and
+oracle on four n=9-12 products; and derham, derham --representatives and
 oracle on heisenberg3 in the skewed basis x, y, y + z with adjoint
 coefficients, the one instance here whose nilradical operators have a
 nonzero diagonal. Products are bench/products.py's at seed 1. Its digest
@@ -35,6 +35,7 @@ DIGESTS = Path(__file__).resolve().parent / "digests.json"
 SEED = 1
 ORACLE_PRODUCTS = [
     ("example-7-1-generic:trivial", "heisenberg3:trivial"),
+    ("example-7-1-generic:trivial", "heisenberg3:trivial", "heisenberg3:trivial"),
     ("example-7-1-pi", "heisenberg3:trivial"),
     ("example-7-2-generic:trivial",) * 4,
 ]

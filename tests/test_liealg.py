@@ -299,3 +299,33 @@ def test_equality_by_bracket_table():
     b = make_heisenberg()
     assert a == b
     assert make_split_3d() != make_split_6d()
+
+
+def test_bracket_table_reads_each_pair_once_in_canonical_form():
+    # [x3,x0] is given only reversed, [x0,x1] in both orientations, and
+    # [x1,x2]'s two terms cancel; the table is bracket(i, j) for i < j
+    # wherever it is nonzero, keyed in order, terms sorted.
+    two = GaussianRational(2)
+    g = LieAlgebraData(
+        4,
+        ["x0", "x1", "x2", "x3"],
+        [
+            (3, 0, 2, ONE),
+            (1, 0, 3, MINUS_ONE),
+            (0, 1, 3, ONE),
+            (0, 1, 2, two),
+            (1, 2, 0, ONE),
+            (1, 2, 0, MINUS_ONE),
+        ],
+        [0, 1, 2, 3],
+        [],
+    )
+    table = g.bracket_table()
+    assert table == {(0, 1): ((2, two), (3, ONE)), (0, 3): ((2, MINUS_ONE),)}
+    assert list(table) == [(0, 1), (0, 3)]
+    assert table == {
+        (i, j): tuple(sorted(g.bracket(i, j).items()))
+        for i in range(4)
+        for j in range(i + 1, 4)
+        if g.bracket(i, j)
+    }

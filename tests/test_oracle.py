@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from ce_reference import ce_differential
@@ -23,15 +24,24 @@ from solvcohom.instances import (
     load_instance,
     parse_instance,
 )
-from solvcohom.liealg import RepresentationData, adjoint_representation, trivial_representation
+from solvcohom.liealg import (
+    LieAlgebraData,
+    RepresentationData,
+    adjoint_representation,
+    trivial_representation,
+)
 from solvcohom.linalg import ExactMatrix
 from solvcohom import oracle
 from solvcohom.oracle import (
+    SEARCH_NODES,
     _action_table,
-    _conjugate_pairs,
+    _cochain_maps,
     _degree_skeleton,
-    _is_conjugate_image,
+    _is_image,
+    _linear_automorphisms,
+    _map_from_first,
     _sector_differential,
+    _sector_orbits,
     _sort_sign,
     sector_cohomology_full,
     sector_skeleton,
@@ -227,16 +237,53 @@ def _conjugate_tag(g, mu):
     return tuple(at[g.conjugation[j]].conjugate() for j in g.complement)
 
 
-def _reference_cochain_map(g, m, tau, p):
-    """(image index, s_I) of each cochain (I, k), read off the tuple subsets."""
+def _linear_tag(g, perm, mu):
+    at = {perm[j][0]: -x if perm[j][1] else x for j, x in zip(g.complement, mu)}
+    return tuple(at[j] for j in g.complement)
+
+
+def _reference_cochain_map(g, m, perm, tau, p):
+    """(image index, s_I s_k) of each cochain (I, k), read off the tuple subsets:
+    perm and tau give each index's (image, whether its sign is -1)."""
     position = subset_position(g.dim, p)
     out = []
     for I in degree_basis(g.dim, p):
-        image = [g.conjugation[i] for i in I]
+        image = [perm[i][0] for i in I]
         inversions = sum(a > b for x, a in enumerate(image) for b in image[x + 1 :])
+        inversions += sum(perm[i][1] for i in I)
         base = position[tuple(sorted(image))] * m
-        out.extend((base + tau[k], (-1) ** inversions) for k in range(m))
+        out.extend((base + tau[k][0], (-1) ** (inversions + tau[k][1])) for k in range(m))
     return out
+
+
+def _reference_sectors(g, rep, tags):
+    skeletons = [reference_degree_skeleton(g, p) for p in range(g.dim)]
+    return {
+        mu: [
+            reference_sector_differential(
+                g, rep.m, p, skeletons[p], reference_action_table(g, rep, mu)
+            )
+            for p in range(g.dim)
+        ]
+        for mu in tags
+    }
+
+
+def _assert_sign_rule(sectors, ordered, cochain_maps, conjugate):
+    """Entry v of D_p(mu) at (J, l; I, k) is s_J s_l s_I s_k v, conjugated if
+    conjugate, at the images of (J, l) and (I, k) in D_p(nu), for each (mu, nu)."""
+    codes = [[2 * t + (s < 0) for t, s in cm] for cm in cochain_maps]
+    for mu, nu in ordered:
+        for p, (d, image) in enumerate(zip(sectors[mu], sectors[nu])):
+            rows, cols = cochain_maps[p + 1], cochain_maps[p]
+            for r, row in enumerate(d.row_maps):
+                target, s_r = rows[r]
+                assert len(image.row_maps[target]) == len(row)
+                for c, v in row.items():
+                    col, s_c = cols[c]
+                    w = v.conjugate() if conjugate else v
+                    assert image.row_maps[target][col] == (w if s_r * s_c > 0 else -w)
+            assert _is_image(d, image, codes[p + 1], codes[p], conjugate)
 
 
 def test_conjugate_sectors_follow_the_sign_rule_on_example_7_1_generic():
@@ -248,31 +295,49 @@ def test_conjugate_sectors_follow_the_sign_rule_on_example_7_1_generic():
     ordered = [(mu, _conjugate_tag(g, mu)) for mu in tags]
     ordered = [(mu, nu) for mu, nu in ordered if nu != mu and nu in tags]
     assert len(tags) == 21 and len(ordered) == 18
-    tau = [g.conjugation[k] for k in range(g.dim)]
-    cochain_maps = [_reference_cochain_map(g, rep.m, tau, p) for p in range(g.dim + 1)]
-    maps = _conjugate_pairs(g, rep, tags)[0]
-    assert maps == [[(t, s < 0) for t, s in cm] for cm in cochain_maps]
-    skeletons = [reference_degree_skeleton(g, p) for p in range(g.dim)]
-    sectors = {
-        mu: [
-            reference_sector_differential(
-                g, rep.m, p, skeletons[p], reference_action_table(g, rep, mu)
-            )
-            for p in range(g.dim)
+    sigma = tuple((g.conjugation[k], False) for k in range(g.dim))
+    cochain_maps = [_reference_cochain_map(g, rep.m, sigma, sigma, p) for p in range(g.dim + 1)]
+    maps = _cochain_maps(g.dim, sigma, sigma)
+    assert maps == [[2 * t + (s < 0) for t, s in cm] for cm in cochain_maps]
+    _assert_sign_rule(_reference_sectors(g, rep, tags), ordered, cochain_maps, True)
+
+
+def test_linear_sectors_follow_the_sign_rule_on_example_7_1_generic():
+    # The search finds, per component {v1, v3, v5} and {v2, v4, v6}, the
+    # identity and v5 -> -v5 (v6 -> -v6) with v1 <-> v3 (v2 <-> v4) up to
+    # sign, and the swap of the two. For each that moves a tag, entry v of
+    # D_p(mu) is s_J s_l s_I s_k v at the images in D_p(pi.mu), tau = pi.
+    g, rep, w = _insertion_inputs("example-7-1-generic")
+    tags = build_invariant_complex(g, rep, w).tag_table
+    perms, nodes = _linear_automorphisms(g)
+    assert len(perms) == 5 and 0 < nodes < SEARCH_NODES
+    assert sorted((perm[4], perm[5]) for perm in perms) == [
+        ((4, False), (5, False)),
+        ((4, False), (5, False)),
+        ((4, False), (5, True)),
+        ((4, True), (5, False)),
+        ((5, False), (4, False)),
+    ]
+    sectors = _reference_sectors(g, rep, tags)
+    moved = 0
+    for perm in perms:
+        # Each keeps the brackets: [pi X_i, pi X_j] = pi [X_i, X_j].
+        for i in range(g.dim):
+            for j in range(g.dim):
+                (pi, si), (pj, sj) = perm[i], perm[j]
+                image = {perm[k][0]: -c if perm[k][1] != (si != sj) else c
+                         for k, c in g.bracket(i, j).items()}
+                assert g.bracket(pi, pj) == image
+        ordered = [(mu, _linear_tag(g, perm, mu)) for mu in tags]
+        ordered = [(mu, nu) for mu, nu in ordered if nu != mu]
+        assert all(nu in tags for _, nu in ordered)
+        moved += bool(ordered)
+        cochain_maps = [_reference_cochain_map(g, rep.m, perm, perm, p) for p in range(g.dim + 1)]
+        assert _cochain_maps(g.dim, perm, perm) == [
+            [2 * t + (s < 0) for t, s in cm] for cm in cochain_maps
         ]
-        for mu in tags
-    }
-    for mu, nu in ordered:
-        for p, (d, image) in enumerate(zip(sectors[mu], sectors[nu])):
-            rows, cols = cochain_maps[p + 1], cochain_maps[p]
-            for r, row in enumerate(d.row_maps):
-                target, s_r = rows[r]
-                assert len(image.row_maps[target]) == len(row)
-                for c, v in row.items():
-                    col, s_c = cols[c]
-                    want = v.conjugate() if s_r * s_c > 0 else -v.conjugate()
-                    assert image.row_maps[target][col] == want
-            assert _is_conjugate_image(d, image, maps[p + 1], maps[p])
+        _assert_sign_rule(sectors, ordered, cochain_maps, False)
+    assert moved == 3
 
 
 def _count_eliminations(monkeypatch):
@@ -294,6 +359,19 @@ def _product_inputs(spec):
     return inst.algebra, rep, build_weight_assignment(inst, rep)
 
 
+def _assert_eliminations(monkeypatch, spec, tags, sectors):
+    g, rep, w = _product_inputs(spec)
+    ic = build_invariant_complex(g, rep, w)
+    skeletons = sector_skeleton(g)
+    unpaired = [sector_cohomology_full(g, rep, tag, skeletons).betti for tag in ic.tag_table]
+    seen = _count_eliminations(monkeypatch)
+    report = verify_quasi_iso(ic)
+    assert len(ic.tag_table) == tags
+    assert len(seen) - tags == sectors
+    assert report.ok
+    assert [s.full_betti for s in report.sectors] == unpaired
+
+
 @pytest.mark.parametrize(
     "spec,tags,sectors",
     [
@@ -312,44 +390,65 @@ def _product_inputs(spec):
     ],
 )
 def test_conjugate_pairs_skip_one_elimination_each(monkeypatch, spec, tags, sectors):
-    # Each 7-1 instance has 9 pairs of distinct partners among its 21 tags,
-    # and 3 among its 9 on trivial coefficients, where tau is the identity,
-    # alone or times heisenberg3; heisenberg3's conjugation is the identity
-    # and the others have none.
-    g, rep, w = _product_inputs(spec)
-    ic = build_invariant_complex(g, rep, w)
-    skeletons = sector_skeleton(g)
-    unpaired = [sector_cohomology_full(g, rep, tag, skeletons).betti for tag in ic.tag_table]
-    seen = _count_eliminations(monkeypatch)
-    report = verify_quasi_iso(ic)
-    assert len(ic.tag_table) == tags
-    assert len(seen) - tags == sectors
-    assert report.ok
-    assert [s.full_betti for s in report.sectors] == unpaired
+    # sigma alone, with the search finding nothing: each 7-1 instance has 9
+    # pairs of distinct partners among its 21 tags, and 3 among its 9 on
+    # trivial coefficients, where tau is the identity, alone or times
+    # heisenberg3; heisenberg3's conjugation is the identity and the others
+    # have none.
+    monkeypatch.setattr(oracle, "_linear_automorphisms", lambda g: ([], 0))
+    _assert_eliminations(monkeypatch, spec, tags, sectors)
 
 
-def test_a_mutated_partner_is_eliminated_on_its_own(monkeypatch):
-    # One entry (r, c) of degree 0 of a later partner is doubled. D_1 has
-    # no entry in column r, so the sector stays a complex; it must reach its
-    # own elimination rather than take its partner's Betti numbers.
-    g, rep, w = _insertion_inputs("example-7-1-generic")
-    ic = build_invariant_complex(g, rep, w)
-    maps, later, _ = _conjugate_pairs(g, rep, ic.tag_table)
-    nu = next(iter(later))
+@pytest.mark.parametrize(
+    "spec,tags,sectors",
+    [
+        pytest.param(spec, tags, sectors, id=f"{spec}-{sectors}")
+        for spec, tags, sectors in [
+            ("example-7-1-generic", 21, 5),
+            ("example-7-1-pi", 21, 5),
+            ("example-7-2-generic", 3, 2),
+            ("example-7-2-pi", 3, 2),
+            ("heisenberg3", 1, 1),
+            ("torus-complex-n3", 1, 1),
+            ("example-7-1-generic:trivial", 9, 3),
+            ("example-7-1-pi:trivial", 9, 3),
+            ("example-7-1-generic:trivial+heisenberg3:trivial", 9, 3),
+        ]
+    ],
+)
+def test_orbits_eliminate_one_sector_each(monkeypatch, spec, tags, sectors):
+    # One elimination per orbit. Example 7.1's 21 tags (a, b) fall into 5
+    # orbits under sigma (a, b) -> (b, a) and the negations of a and of b,
+    # its 9 trivial-coefficient tags into 3; example 7.2's e1 -> -e1,
+    # e2 <-> e3 pairs its tags (-1) and (1). heisenberg3 has no complement,
+    # so nothing of it moves a tag.
+    _assert_eliminations(monkeypatch, spec, tags, sectors)
+
+
+def _doubled_entry_is_eliminated(monkeypatch, ic, nu):
+    """Double one entry (r, c) of degree 0 of member nu's sector, where D_1
+    has no entry in column r, so the sector stays a complex: it must reach
+    its own elimination rather than take its orbit's Betti numbers."""
+    g, rep = ic.algebra, ic.representation
+    orbits = _sector_orbits(g, rep, ic.tag_table)
+    maps, conjugate = _map_from_first(orbits, nu)
+    first = nu
+    while first in orbits.path:
+        first = orbits.path[first][0]
     skeletons = sector_skeleton(g)
 
     def differential(mu, p):
         rho = _action_table(rep, twist_at(g, mu))
         return _sector_differential(g, rep.m, p, skeletons[p], rho)
 
-    d0, d1, partner_d0 = differential(nu, 0), differential(nu, 1), differential(later[nu], 0)
-    assert _is_conjugate_image(partner_d0, d0, maps[1], maps[0])
+    d0, d1, first_d0 = differential(nu, 0), differential(nu, 1), differential(first, 0)
+    assert _is_image(first_d0, d0, maps[1], maps[0], conjugate)
     # An entry added anywhere is also refused: its row is longer than its preimage.
     for i, row in enumerate(d0.row_maps):
         extra = [dict(x) for x in d0.row_maps]
         extra[i][next(c for c in range(d0.ncols) if c not in row)] = ONE
         grown = ExactMatrix(d0.nrows, d0.ncols, tuple(extra))
-        assert not _is_conjugate_image(partner_d0, grown, maps[1], maps[0])
+        assert not _is_image(first_d0, grown, maps[1], maps[0], conjugate)
     r, c = next(
         (r, c)
         for r, row in enumerate(d0.row_maps)
@@ -372,26 +471,83 @@ def test_a_mutated_partner_is_eliminated_on_its_own(monkeypatch):
             mutants.append(d)
         return d
 
-    monkeypatch.setattr(oracle, "sector_cohomology_full", tagged)
-    monkeypatch.setattr(oracle, "_sector_differential", mutated)
-    seen = _count_eliminations(monkeypatch)
-    verify_quasi_iso(ic)
-    assert len(mutants) == 1
-    assert not _is_conjugate_image(partner_d0, mutants[0], maps[1], maps[0])
-    assert len(seen) - len(ic.tag_table) == 13
-    assert any(complex_.differentials[0] is mutants[0] for complex_ in seen)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "sector_cohomology_full", tagged)
+        patch.setattr(oracle, "_sector_differential", mutated)
+        seen = _count_eliminations(patch)
+        verify_quasi_iso(ic)
+    # Degree 0 is built for the check, which fails, and again for the elimination.
+    assert len(mutants) == 2
+    assert not _is_image(first_d0, mutants[0], maps[1], maps[0], conjugate)
+    assert len(seen) - len(ic.tag_table) == 6
+    assert any(complex_.differentials[0] is mutants[1] for complex_ in seen)
+
+
+def test_a_mutated_partner_is_eliminated_on_its_own(monkeypatch):
+    # Two members of example 7.1's orbits, each one step from its orbit's
+    # first: one reached by sigma, conjugate-linearly, one by a linear
+    # generator. Either, mutated, is the sixth elimination, not the fifth.
+    g, rep, w = _insertion_inputs("example-7-1-generic")
+    ic = build_invariant_complex(g, rep, w)
+    orbits = _sector_orbits(g, rep, ic.tag_table)
+    steps = {
+        orbits.generators[x][1]: nu
+        for nu, (parent, x) in reversed(orbits.path.items())
+        if parent not in orbits.path
+    }
+    assert set(steps) == {True, False}
+    for nu in steps.values():
+        _doubled_entry_is_eliminated(monkeypatch, ic, nu)
 
 
 def test_explicit_matrices_are_never_paired(monkeypatch):
     # The adjoint module of example 7.1 as explicit matrices, with the
-    # algebra's conjugation table: no tau is known, so all 21 sectors are
-    # eliminated, and the report is the adjoint module's.
+    # algebra's conjugation table: no tau is known, so no search runs, all
+    # 21 sectors are eliminated, and the report is the adjoint module's.
     g, adjoint, w = _insertion_inputs("example-7-1-generic")
     assert g.conjugation is not None
     explicit = RepresentationData(adjoint.m, adjoint.matrices)
     ic = build_invariant_complex(g, explicit, infer_weights(g, explicit))
-    assert _conjugate_pairs(g, explicit, ic.tag_table) is None
+    searches = []
+    monkeypatch.setattr(oracle, "_linear_automorphisms", lambda g: searches.append(g))
+    assert _sector_orbits(g, explicit, ic.tag_table) is None
     seen = _count_eliminations(monkeypatch)
     report = verify_quasi_iso(ic)
     assert len(seen) == 2 * len(ic.tag_table) == 42
+    assert searches == []
+    monkeypatch.undo()
     assert report == verify_quasi_iso(build_invariant_complex(g, adjoint, w))
+
+
+def test_an_instance_with_one_tag_runs_no_search(monkeypatch):
+    g, rep, w = _insertion_inputs("heisenberg3")
+    ic = build_invariant_complex(g, rep, w)
+    assert len(ic.tag_table) == 1
+    searches = []
+    monkeypatch.setattr(oracle, "_linear_automorphisms", lambda g: searches.append(g))
+    assert verify_quasi_iso(ic).ok
+    assert searches == []
+
+
+def _abelian_n12():
+    # Six complement indices, each its own component of the bracket graph,
+    # all isomorphic: the search finds +-1 on each and five swaps.
+    return LieAlgebraData(12, [f"a{i}" for i in range(12)], [], range(6), range(6, 12))
+
+
+@pytest.mark.parametrize("name", ["abelian-n12", "heisenberg3:trivial^4"])
+def test_the_search_stays_within_its_node_budget(name):
+    g = _abelian_n12() if name == "abelian-n12" else make_heisenberg_power(4)
+    perms, nodes = _linear_automorphisms(g)
+    # heisenberg3 has no complement index, so no component is searched;
+    # test_quasi_iso_heisenberg_power_n12 pins its report.
+    assert (len(perms), nodes) == ((17, 17) if name == "abelian-n12" else (0, 0))
+    assert nodes < SEARCH_NODES
+    if name == "abelian-n12":
+        # One tag, so nothing is paired; d = 0, and the report is unchanged.
+        rep = trivial_representation(g)
+        report = verify_quasi_iso(build_invariant_complex(g, rep, infer_weights(g, rep)))
+        assert report.ok
+        assert [s.full_betti for s in report.sectors] == [
+            tuple(math.comb(12, p) for p in range(13))
+        ]
