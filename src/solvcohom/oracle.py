@@ -42,6 +42,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .automorphisms import SignedPermutation, find_root, linear_automorphisms
 from .cecomplex import (
     CohomologyResult,
     FiniteComplex,
@@ -62,13 +63,9 @@ DegreeSkeleton = tuple[
 ]
 # The nonzero entries (l, k, value) of rho_mu(X_j) for one j.
 ActionEntries = list[tuple[int, int, GaussianRational]]
-# A signed permutation of the basis: (image, whether the sign is -1) per index.
-SignedPermutation = tuple[tuple[int, bool], ...]
 # Per degree p, the code 2 * Phi(c) + [s_c = -1] of each cochain c = (I, k), at
 # mask_position(n, p)[I] * m + k, under a cochain map Phi of signed permutations.
 CochainMap = list[list[int]]
-# The most nodes _linear_automorphisms visits for one instance.
-SEARCH_NODES = 4096
 
 
 def _sort_sign(arguments: tuple[int, ...]) -> int:
@@ -178,123 +175,6 @@ def _sector_differential(
     return ExactMatrix(len(rows), math.comb(n, p) * m, tuple(rows))
 
 
-def _root(root: list[int], i: int) -> int:
-    """i's class in the union-find forest root."""
-    while root[i] != i:
-        i = root[i]
-    return i
-
-
-def _linear_automorphisms(g: LieAlgebraData) -> tuple[list[SignedPermutation], int]:
-    """Signed permutations of the basis that keep the complement and the brackets,
-    and the search nodes spent finding them (at most SEARCH_NODES).
-
-    The components of the bracket graph (i, j and k joined for each nonzero
-    c_ij^k) are the ideals of a direct sum. Only a component that holds a
-    complement index moves a tag, so only those are searched: for each, one
-    automorphism per action on its complement indices, and for each
-    consecutive pair of isomorphic ones an isomorphism, extended to the swap
-    of the two. Each fixes every index outside the components it maps.
-    Images are tried among the indices with the same bracket counts; once
-    the search has spent SEARCH_NODES nodes, it returns what it has found.
-    """
-    n, complement = g.dim, set(g.complement)
-    brackets: dict[tuple[int, int], dict[int, GaussianRational]] = {}
-    # An automorphism keeps whether an index is in the complement, how many
-    # nonzero brackets it enters, and how many bracket terms it is the target of.
-    pairs, targets = [0] * n, [0] * n
-    for (i, j), terms in g.bracket_table().items():
-        brackets[(i, j)] = dict(terms)
-        brackets[(j, i)] = {k: -c for k, c in terms}
-        pairs[i] += 1
-        pairs[j] += 1
-        for k, _ in terms:
-            targets[k] += 1
-    signature = [(i in complement, pairs[i], targets[i]) for i in range(n)]
-    root = list(range(n))
-    for (i, j), terms in brackets.items():
-        for k in (j, *terms):
-            root[_root(root, k)] = _root(root, i)
-    parts: dict[int, list[int]] = {}
-    for i in range(n):
-        parts.setdefault(_root(root, i), []).append(i)
-    budget = [SEARCH_NODES]
-
-    def maps(source: list[int], target: list[int], first_only: bool) -> list[dict]:
-        """Bracket-keeping signed bijections source -> target, one per action on
-        the complement indices, or only the first found."""
-        order = sorted(source, key=lambda i: (i not in complement, i))
-        at = {i: x for x, i in enumerate(order)}
-        # ready[x]: the pairs whose bracket is compared once order[: x + 1] is mapped.
-        ready: list[list[tuple[int, int]]] = [[] for _ in order]
-        for x, a in enumerate(order):
-            for b in order[:x]:
-                ready[max([x] + [at[k] for k in brackets.get((a, b), ())])].append((a, b))
-        options = [[j for j in target if signature[j] == signature[i]] for i in order]
-        image: dict[int, tuple[int, bool]] = {}
-        used: set[int] = set()
-        found: list[dict] = []
-
-        def keeps(a: int, b: int) -> bool:
-            (pa, na), (pb, nb) = image[a], image[b]
-            want = {}
-            for k, c in brackets.get((a, b), {}).items():
-                pk, nk = image[k]
-                want[pk] = -c if na ^ nb ^ nk else c
-            return brackets.get((pa, pb), {}) == want
-
-        def extend(x: int) -> bool:
-            if x == len(order):
-                found.append(dict(image))
-                return True
-            hit = False
-            for j in options[x]:
-                if j in used:
-                    continue
-                used.add(j)
-                for negative in (False, True):
-                    if not budget[0]:
-                        break
-                    budget[0] -= 1
-                    image[order[x]] = (j, negative)
-                    if all([keeps(a, b) for a, b in ready[x]]) and extend(x + 1):
-                        # Past the complement, one completion is enough.
-                        if first_only or order[x] not in complement:
-                            used.discard(j)
-                            return True
-                        hit = True
-                used.discard(j)
-            return hit
-
-        extend(0)
-        return found
-
-    identity = [(i, False) for i in range(n)]
-    perms: list[SignedPermutation] = []
-    # (signature multiset, latest component) per isomorphism class met so far.
-    tails: list[tuple[list, list[int]]] = []
-    for part in parts.values():
-        if complement.isdisjoint(part):
-            continue
-        for found in maps(part, part, False):
-            perm = list(identity)
-            for i, value in found.items():
-                perm[i] = value
-            perms.append(tuple(perm))
-        key = sorted([signature[i] for i in part])
-        for c, (other, tail) in enumerate(tails):
-            if other == key and (iso := maps(tail, part, True)):
-                perm = list(identity)
-                for i, (j, negative) in iso[0].items():
-                    perm[i], perm[j] = (j, negative), (i, negative)
-                perms.append(tuple(perm))
-                tails[c] = (key, part)
-                break
-        else:
-            tails.append((key, part))
-    return perms, SEARCH_NODES - budget[0]
-
-
 def _tag_image(perm: SignedPermutation, conjugate: bool, complement: tuple, mu: Weight) -> Weight:
     """pi . mu: (pi . mu)_{pi(j)} = +-mu_j, conjugated if conjugate, at each complement j."""
     at = {}
@@ -355,7 +235,7 @@ def _sector_orbits(
     """tags in orbits under the pairing generators; None where nothing is paired.
 
     The generators are sigma, conjugate-linear, where the conjugation table
-    is an involution that keeps the complement, then _linear_automorphisms.
+    is an involution that keeps the complement, then linear_automorphisms.
     Each is kept only if it merges two classes of tags. Only the adjoint and
     the trivial module are paired, tau being pi and the identity there.
     """
@@ -369,15 +249,15 @@ def _sector_orbits(
         and {sigma[j] for j in complement} == set(complement)
     ):
         generators.append((tuple([(sigma[i], False) for i in range(n)]), True))
-    generators += [(perm, False) for perm in _linear_automorphisms(g)[0]]
+    generators += [(perm, False) for perm in linear_automorphisms(g)[0]]
     tid = {tag: t for t, tag in enumerate(tags)}
     root, kept = list(range(len(tags))), []
     for perm, conjugate in generators:
         images = [tid.get(_tag_image(perm, conjugate, complement, mu)) for mu in tags]
         merged = False
         for t, u in enumerate(images):
-            if u is not None and _root(root, t) != _root(root, u):
-                root[_root(root, u)] = _root(root, t)
+            if u is not None and find_root(root, t) != find_root(root, u):
+                root[find_root(root, u)] = find_root(root, t)
                 merged = True
         if merged:
             kept.append((perm, conjugate, images))
@@ -505,9 +385,10 @@ def verify_quasi_iso(ic: InvariantComplex) -> QuasiIsoReport:
     That argument chooses the pairs; it is not what certifies them. The
     tags are closed into orbits under the generators of _sector_orbits, and
     every sector is still built, orbit by orbit. Each orbit's first sector
-    is eliminated and its differentials D are held until the orbit is done. For each later member, Phi is composed
-    along the member's path of generators, and _is_image checks D' Phi =
-    Phi D entry by entry against the member's own D'. Phi is a bijection,
+    is eliminated, and its differentials D are held until the orbit is
+    done. For each later member, Phi is composed along the member's path
+    of generators, and _is_image checks D' Phi = Phi D entry by entry
+    against the member's own D'. Phi is a bijection,
     linear or conjugate-linear, and conjugation is a field automorphism of
     Q(i), so rank D'_p = rank D_p for every p: the member takes the first's
     Betti numbers, and D' D' = Phi (D D) Phi^-1 = 0 is covered by the

@@ -17,6 +17,7 @@ from oracle_reference import (
 )
 from subset_reference import degree_basis, subset_position
 
+from solvcohom.automorphisms import SEARCH_NODES, linear_automorphisms
 from solvcohom.errors import ValidationFailure
 from solvcohom.instances import (
     build_representation,
@@ -33,12 +34,10 @@ from solvcohom.liealg import (
 from solvcohom.linalg import ExactMatrix
 from solvcohom import oracle
 from solvcohom.oracle import (
-    SEARCH_NODES,
     _action_table,
     _cochain_maps,
     _degree_skeleton,
     _is_image,
-    _linear_automorphisms,
     _map_from_first,
     _sector_differential,
     _sector_orbits,
@@ -309,7 +308,7 @@ def test_linear_sectors_follow_the_sign_rule_on_example_7_1_generic():
     # D_p(mu) is s_J s_l s_I s_k v at the images in D_p(pi.mu), tau = pi.
     g, rep, w = _insertion_inputs("example-7-1-generic")
     tags = build_invariant_complex(g, rep, w).tag_table
-    perms, nodes = _linear_automorphisms(g)
+    perms, nodes = linear_automorphisms(g)
     assert len(perms) == 5 and 0 < nodes < SEARCH_NODES
     assert sorted((perm[4], perm[5]) for perm in perms) == [
         ((4, False), (5, False)),
@@ -395,7 +394,7 @@ def test_conjugate_pairs_skip_one_elimination_each(monkeypatch, spec, tags, sect
     # trivial coefficients, where tau is the identity, alone or times
     # heisenberg3; heisenberg3's conjugation is the identity and the others
     # have none.
-    monkeypatch.setattr(oracle, "_linear_automorphisms", lambda g: ([], 0))
+    monkeypatch.setattr(oracle, "linear_automorphisms", lambda g: ([], 0))
     _assert_eliminations(monkeypatch, spec, tags, sectors)
 
 
@@ -509,7 +508,7 @@ def test_explicit_matrices_are_never_paired(monkeypatch):
     explicit = RepresentationData(adjoint.m, adjoint.matrices)
     ic = build_invariant_complex(g, explicit, infer_weights(g, explicit))
     searches = []
-    monkeypatch.setattr(oracle, "_linear_automorphisms", lambda g: searches.append(g))
+    monkeypatch.setattr(oracle, "linear_automorphisms", lambda g: searches.append(g))
     assert _sector_orbits(g, explicit, ic.tag_table) is None
     seen = _count_eliminations(monkeypatch)
     report = verify_quasi_iso(ic)
@@ -524,7 +523,7 @@ def test_an_instance_with_one_tag_runs_no_search(monkeypatch):
     ic = build_invariant_complex(g, rep, w)
     assert len(ic.tag_table) == 1
     searches = []
-    monkeypatch.setattr(oracle, "_linear_automorphisms", lambda g: searches.append(g))
+    monkeypatch.setattr(oracle, "linear_automorphisms", lambda g: searches.append(g))
     assert verify_quasi_iso(ic).ok
     assert searches == []
 
@@ -538,7 +537,7 @@ def _abelian_n12():
 @pytest.mark.parametrize("name", ["abelian-n12", "heisenberg3:trivial^4"])
 def test_the_search_stays_within_its_node_budget(name):
     g = _abelian_n12() if name == "abelian-n12" else make_heisenberg_power(4)
-    perms, nodes = _linear_automorphisms(g)
+    perms, nodes = linear_automorphisms(g)
     # heisenberg3 has no complement index, so no component is searched;
     # test_quasi_iso_heisenberg_power_n12 pins its report.
     assert (len(perms), nodes) == ((17, 17) if name == "abelian-n12" else (0, 0))
