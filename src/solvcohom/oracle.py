@@ -32,7 +32,7 @@ pi.mu by a signed permutation of the cochains. On the adjoint and the
 trivial module (tau is pi there, and the identity) the tags are closed
 into orbits under such generators (_sector_orbits): sigma, and the
 automorphisms that a search over the components of the bracket graph
-finds. Only each orbit's first sector is eliminated; every other sector
+finds (automorphisms.linear_automorphisms). Only each orbit's first sector is eliminated; every other sector
 is built and checked entry by entry to be the image of the first, and
 takes its Betti numbers only if it is (verify_quasi_iso).
 """
