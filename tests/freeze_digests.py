@@ -6,10 +6,12 @@
 Each answer is one CLI command on one instance: derham or dolbeault, with
 and without --representatives, on the pipeline products of bench/run.py;
 oracle on four n=9-12 products; and derham, derham --representatives and
-oracle on heisenberg3 in the skewed basis x, y, y + z with adjoint
-coefficients, the one instance here whose nilradical operators have a
-nonzero diagonal. Products are bench/products.py's at seed 1. Its digest
-is the exit code and the sha256 of its stdout and of its --json report.
+oracle on heisenberg3 in the skewed basis x, y, y + z, the one algebra
+here whose nilradical operators have a nonzero diagonal: with adjoint
+coefficients, and on two products of it (its cube with trivial
+coefficients, n=9, and its square with adjoint coefficients, n=6, m=9).
+Products are bench/products.py's at seed 1. Each answer's digest is the
+exit code and the sha256 of its stdout and of its --json report.
 
 With no arguments the script rewrites tests/digests.json, which
 tests/test_digests.py checks. Output is meant to stay byte-identical, so
@@ -44,6 +46,8 @@ SKEWED_ADJOINT = {
     "name": "heisenberg3-skewed-adjoint",
     "representation": {"adjoint": True},
 }
+SKEWED_PRODUCTS = [(SKEWED_HEISENBERG,) * 3, (SKEWED_ADJOINT,) * 2]
+SKEWED_ARGS = (["derham"], ["derham", "--representatives"], ["oracle"])
 
 
 def answers() -> dict[str, tuple[dict, list[str]]]:
@@ -59,9 +63,11 @@ def answers() -> dict[str, tuple[dict, list[str]]]:
         doc = product(factors)
         runs += [(doc, [doc["kind"]]), (doc, [doc["kind"], "--representatives"])]
     runs += [(product(factors), ["oracle"]) for factors in ORACLE_PRODUCTS]
-    runs += [
-        (SKEWED_ADJOINT, args) for args in (["derham"], ["derham", "--representatives"], ["oracle"])
+    skewed = [SKEWED_ADJOINT] + [
+        products.product_instance(list(factors), SEED, f"{factors[0]['name']}^{len(factors)}")
+        for factors in SKEWED_PRODUCTS
     ]
+    runs += [(doc, args) for doc in skewed for args in SKEWED_ARGS]
     return {" ".join(args + [doc["name"]]): (doc, args) for doc, args in runs}
 
 
