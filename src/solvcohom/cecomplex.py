@@ -15,18 +15,15 @@ order, each an integer bitmask (degree_masks) followed by the module
 index k, so column (I, k) sits at mask_position(n, p)[I] * m + k.
 ce_kernel assembles the requested columns of a degree at once, each
 column (I, k) in the representation twisted by its own weight tag
-mu_{I,k}, as the invariant complex needs; wedge signs are popcounts. It
-forms only single terms: R_j[l, k] with l != k, which no twist touches,
-and the bracket terms c_{ab}^t with t not in {a, b}, once per subset for
-all its columns (I, k). The twist meets R_c[k, k] and the c_{ct}^t of t
-in I only in the diagonal coefficient at (I + c, k), and since the
-weights are the diagonals of ad and R it cancels them at every c in the
-complement, so no twist is ever formed. At c in the nilradical the twist
-is zero, and a nilpotent ad(X_c) or R_c may still have a nonzero
-diagonal in a basis not adapted to it (heisenberg3 in the basis
-x, y, y + z), so that coefficient is read from a table per (k, bracket
-part), the bracket part interned per subset bitmask by subset_sums.
-Entry order is promised at degrees 0 and 1 only, where the weight
+mu_{I,k}, as the invariant complex needs; wedge signs are popcounts.
+The twist meets R_c[k, k] and the c_{ct}^t of t in I only in the
+diagonal coefficient at (I + c, k), and since the weights are the
+diagonals of ad and R it cancels them at every c in the complement, so
+no twist is ever formed and none of those terms either. At c in the
+nilradical the twist is zero, and a nilpotent ad(X_c) or R_c may still
+have a nonzero diagonal in a basis not adapted to it (heisenberg3 in the
+basis x, y, y + z), so those terms are formed and summed where they
+meet. Entry order is promised at degrees 0 and 1 only, where the weight
 grading check reads it.
 """
 from __future__ import annotations
@@ -72,14 +69,13 @@ def subset_sums(
 ) -> tuple[list[tuple[GaussianRational, ...]], list[int]]:
     """Interned subset sums: table[ids[mask]] = sum of vectors[t], t in mask.
 
-    The one interning rule for sums over a subset bitmask: the algebra
-    part of a weight tag, and the bracket part of a diagonal coefficient.
-    Every vector has width entries. table holds each distinct sum once,
-    zero first, and ids has 2**len(vectors) entries. With t the top bit,
-    sum[mask] = sum[mask without t] + vectors[t], each (id, t) sum formed
-    once. An all-zero vectors[t] adds no entry: the masks with bit t reuse
-    the ids of the masks without it. Entry-wise, a zero operand is never
-    added.
+    Its one use is the algebra part of a weight tag (weights.py), the sum
+    of the algebra weights over a subset bitmask. Every vector has width
+    entries. table holds each distinct sum once, zero first, and ids has
+    2**len(vectors) entries. With t the top bit, sum[mask] = sum[mask
+    without t] + vectors[t], each (id, t) sum formed once. An all-zero
+    vectors[t] adds no entry: the masks with bit t reuse the ids of the
+    masks without it. Entry-wise, a zero operand is never added.
     """
     index = {(ZERO,) * width: 0}
     ids = [0]
@@ -104,10 +100,9 @@ def _one_form_differentials(
     table: dict[int, list[tuple[int, int, GaussianRational]]] = {
         t: [] for t in range(g.dim)
     }
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            for t, c in g.bracket(i, j).items():
-                table[t].append((i, j, -c))
+    for (i, j), terms in g.bracket_table().items():
+        for t, c in terms:
+            table[t].append((i, j, -c))
     return table
 
 
@@ -119,88 +114,56 @@ def ce_kernel(
     kernel(columns, p) gives the nonzero entries {(row, col): coeff} of d
     from degree p to p+1 on the given columns only, column (I, k) taken
     in rep twisted by the weight tag mu_{I,k}. Entries come column by
-    column in the given order. Within a column their order is promised at
-    degrees 0 and 1 only: term order, action terms (j, then l), then
-    bracket terms (t, a, b).
+    column in the given order, each column's in term order: action terms
+    (j, then l), then bracket terms (t, a, b), a sum of terms at the
+    place of its first. That order is promised at degrees 0 and 1 only.
 
-    Only a diagonal entry, at (I + c, k) for c not in I, can sum more
-    than one term: its action term (j = c, l = k) and the bracket terms
-    of t in I with {a, b} = {c, t}. Its coefficient is
-    s * (R_c[k, k] + mu_{I,k}(X_c) - beta_I(c)), with
-    s = (-1)^#{t in I : t < c} and beta_I(c) = sum_{t in I} c_{ct}^t.
-    The weights are the diagonals of ad and R (build_invariant_complex
-    refuses any others), so at c in
-    the complement R_c[k, k] = lambda'_k(X_c) and beta_I(c) =
-    sum_{t in I} lambda_t(X_c), and the coefficient is zero: the twist is
-    never formed. At c in the nilradical mu(X_c) = 0, but R_c[k, k] -
-    beta_I(c) need not vanish when the basis is not adapted to the
-    nilradical (heisenberg3 in the basis x, y, y + z); it is read from a
-    table per (k, beta_I), beta_I interned by subset_sums. Every other
-    entry is a single term, formed directly: R_j[l, k] with l != k, and
-    the bracket terms with t not in {a, b}.
-
-    A column with a diagonal entry lists its entries by (phase, row):
-    phase 0 holds those with an action term (R_j[l, k], and a diagonal
-    entry with R_c[k, k] nonzero), phase 1 the rest. Degree 0 has no
-    bracket terms, and at degree 1 the one t gives its terms in row
-    order, so this is term order there.
+    The twist touches only the diagonal coefficient at (I + c, k), c not
+    in I, where the action term R_c[k, k] + mu_{I,k}(X_c) meets the
+    bracket terms c_{ct}^t of t in I. The weights are the diagonals of ad
+    and R (build_invariant_complex refuses any others), so at c in the
+    complement R_c[k, k] = lambda'_k(X_c) and c_{ct}^t = lambda_t(X_c),
+    and the coefficient is zero: none of those terms is formed, and the
+    twist never is. At c in the nilradical mu(X_c) = 0, but R_c[k, k] and
+    c_{ct}^t need not vanish when the basis is not adapted to the
+    nilradical (heisenberg3 in the basis x, y, y + z), so those terms are
+    formed, and a bracket term with t in {a, b} is added into the entry
+    it lands on, which is deleted if the sum is zero. No other term can
+    meet an earlier one: a bracket term with t not in {a, b} lands on
+    (I - t + a + b, k), off every action term's (I + j, l) and every
+    other bracket term's key. Degree 0 has no bracket terms, and at
+    degree 1 a row gets at most one diagonal bracket term, so there a sum
+    does not move.
     """
     n, m = g.dim, rep.m
-    # Off the diagonal, per t: (bits of a and b, bits below a, bits below
-    # b, coeff, -coeff). Inserting b then a into rest passes the members
-    # of rest below each; b never counts against a because a < b.
-    # On it, lam[t][c] = c_{ct}^t at c in the nilradical: dx_t holds
-    # -c_{ab}^t at a < b.
     complement = set(g.complement)
+    # Per t: (bits of a and b, bits from a to below b, coeff, -coeff,
+    # whether t is a or b). Inserting b then a into rest passes the members
+    # of rest below each (b never counts against a because a < b), so the
+    # members below a twice: the sign is the parity of those between a and
+    # b. A term with t in {a, b} is kept only when its other index is in
+    # the nilradical.
     dx: list[list] = [[] for _ in range(n)]
-    lam: list[dict[int, GaussianRational]] = [{} for _ in range(n)]
     for t, terms in _one_form_differentials(g).items():
         for a, b, c in terms:
-            if t not in (a, b):
-                dx[t].append((1 << a | 1 << b, (1 << a) - 1, (1 << b) - 1, c, -c))
-            elif a == t and b not in complement:
-                lam[t][b] = c
-            elif b == t and a not in complement:
-                lam[t][a] = -c
+            diagonal = t in (a, b)
+            if not diagonal or a + b - t not in complement:
+                dx[t].append((1 << a | 1 << b, (1 << b) - (1 << a), c, -c, diagonal))
     # The t with such terms, ascending: (bit t, bits below t, terms).
     dx_ts = [(1 << t, (1 << t) - 1, terms) for t, terms in enumerate(dx) if terms]
-    # R_j e_k off the diagonal, per k: (bit j, bits below j, terms,
-    # negated terms) for each j with such a term; r_diag[k][j] = R_j[k, k]
-    # at j in the nilradical.
-    off = [[[] for _ in range(m)] for _ in range(n)]
-    r_diag: list[dict[int, GaussianRational]] = [{} for _ in range(m)]
+    # R_j e_k, R_j[k, k] only at j in the nilradical, per k: (bit j, bits
+    # below j, terms, negated terms) for each j with such a term.
+    action = [[[] for _ in range(m)] for _ in range(n)]
     for j, R in enumerate(rep.matrices):
         for l, row in enumerate(R.row_maps):
             for k, v in row.items():
-                if k != l:
-                    off[j][k].append((l, v))
-                elif j not in complement:
-                    r_diag[k][j] = v
-    off_table = [
-        [(1 << j, (1 << j) - 1, off[j][k], [(l, -v) for l, v in off[j][k]])
-         for j in range(n) if off[j][k]]
+                if k != l or j not in complement:
+                    action[j][k].append((l, v))
+    action_table = [
+        [(1 << j, (1 << j) - 1, action[j][k], [(l, -v) for l, v in action[j][k]])
+         for j in range(n) if action[j][k]]
         for k in range(m)
     ]
-    # The c in the nilradical that can carry a diagonal coefficient in
-    # column k: R_c[k, k] or some c_{ct}^t.
-    diag_cs = [sorted(set(r_diag[k]).union(*lam)) for k in range(m)]
-    # beta of a mask at those c, interned by subset_sums: parts[part_of[mask]].
-    dense = [tuple([lam[t].get(c, ZERO) for c in range(n)]) for t in range(n)]
-    parts, part_of = subset_sums(dense, n)
-
-    diagonals: dict[tuple[int, int], list] = {}
-
-    def diagonal(k: int, pid: int) -> list:
-        # (bit c, bits below c, coeff, -coeff, phase) for each c whose
-        # diagonal coefficient is nonzero, before the sign s.
-        part_c = parts[pid]
-        out = diagonals[(k, pid)] = []
-        for c in diag_cs[k]:
-            a = r_diag[k].get(c, ZERO)
-            total = a - part_c[c] if part_c[c] else a
-            if total:
-                out.append((1 << c, (1 << c) - 1, total, -total, 0 if a else 1))
-        return out
 
     def kernel(columns: Iterable[int], p: int) -> dict[tuple[int, int], GaussianRational]:
         masks = degree_masks(n, p)
@@ -211,49 +174,35 @@ def ce_kernel(
             ipos, k = divmod(col, m)
             mask = masks[ipos]
             if ipos != last:
-                # d(x_I) = sum_t (-1)^{pos(t, I)} dx_t ^ x_{I - t}, for every
-                # k; here only its terms off the diagonal.
+                # d(x_I) = sum_t (-1)^{pos(t, I)} dx_t ^ x_{I - t}, for every k.
                 last = ipos
-                pid = part_of[mask]
                 brackets = []
                 for bit_t, below_t, terms in dx_ts:
                     if mask & bit_t:
                         rest = mask ^ bit_t
                         pos_t = (mask & below_t).bit_count()
-                        for ab, below_a, below_b, c, neg in terms:
+                        for ab, between, c, neg, diagonal in terms:
                             if not rest & ab:
-                                odd = pos_t + (rest & below_b).bit_count() + (rest & below_a).bit_count()
-                                brackets.append((target[rest | ab] * m, neg if odd & 1 else c))
-            diag = diagonals.get((k, pid))
-            if diag is None:
-                diag = diagonal(k, pid)
-            live = [d for d in diag if not mask & d[0]] if diag else diag
+                                odd = pos_t + (rest & between).bit_count()
+                                brackets.append(
+                                    (target[rest | ab] * m, neg if odd & 1 else c, diagonal)
+                                )
             # Action terms (insert x_j, sign: members below j; apply R_j),
-            # then bracket terms. No two share a key, so with no diagonal
-            # entry they are stored as they come.
-            if not live:
-                for bit, below, column, negated in off_table[k]:
-                    if not mask & bit:
-                        base = target[mask | bit] * m
-                        for l, v in negated if (mask & below).bit_count() & 1 else column:
-                            entries[(base + l, col)] = v
-                for base, v in brackets:
-                    entries[(base + k, col)] = v
-                continue
-            # Otherwise all are sorted by (phase, row).
-            terms = []
-            for bit, below, column, negated in off_table[k]:
+            # then bracket terms.
+            for bit, below, column, negated in action_table[k]:
                 if not mask & bit:
                     base = target[mask | bit] * m
                     for l, v in negated if (mask & below).bit_count() & 1 else column:
-                        terms.append((0, base + l, v))
-            terms += [(1, base + k, v) for base, v in brackets]
-            for bit, below, total, neg, phase in live:
-                v = neg if (mask & below).bit_count() & 1 else total
-                terms.append((phase, target[mask | bit] * m + k, v))
-            terms.sort()
-            for _, row, v in terms:
-                entries[(row, col)] = v
+                        entries[(base + l, col)] = v
+            for base, v, diagonal in brackets:
+                key = (base + k, col)
+                if diagonal and key in entries:
+                    if total := entries[key] + v:
+                        entries[key] = total
+                    else:
+                        del entries[key]
+                else:
+                    entries[key] = v
         return entries
 
     return kernel

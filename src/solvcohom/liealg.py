@@ -195,20 +195,9 @@ def validate_algebra(g: LieAlgebraData) -> tuple[ValidationIssue, ...]:
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                acc: dict[int, GaussianRational] = {}
-
-                def fold(a: int, b: int, c: int):
-                    for m, coeff in g.bracket(b, c).items():
-                        for target, inner in g.bracket(a, m).items():
-                            v = acc.get(target, ZERO) + coeff * inner
-                            if v:
-                                acc[target] = v
-                            else:
-                                acc.pop(target, None)
-
-                fold(i, j, k)
-                fold(j, k, i)
-                fold(k, i, j)
+                acc: SparseRow = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    acc = row_axpy(acc, g.bracket_vectors(a, g.bracket(b, c)), ONE)
                 if acc:
                     issues.append(
                         ValidationIssue(
@@ -220,17 +209,17 @@ def validate_algebra(g: LieAlgebraData) -> tuple[ValidationIssue, ...]:
                     )
 
     # All brackets must land in the nilradical span (ideal containing [g,g]).
-    for i in range(n):
-        for j in range(i + 1, n):
-            bad = [k for k in g.bracket(i, j) if k not in g.nilradical]
-            if bad:
-                issues.append(
-                    ValidationIssue(
-                        "nilradical-ideal",
-                        f"[{g.basis[i]},{g.basis[j]}] leaves the nilradical span",
-                        (i, j, tuple(bad)),
-                    )
+    # The witness lists the stray indices in the order the table holds them.
+    for i, j in g.bracket_table():
+        bad = [k for k in g.bracket(i, j) if k not in g.nilradical]
+        if bad:
+            issues.append(
+                ValidationIssue(
+                    "nilradical-ideal",
+                    f"[{g.basis[i]},{g.basis[j]}] leaves the nilradical span",
+                    (i, j, tuple(bad)),
                 )
+            )
 
     # Nilpotency certificate for the nilradical: per-generator ad nilpotent
     # plus a terminating lower central series.

@@ -17,9 +17,9 @@ built after; a violation raises WeightGradingError.
 
 Distinct tags are few next to basis elements, so the complex interns
 them: a sorted tag table plus one small integer id per basis element.
-The algebra part of a tag is interned by cecomplex.subset_sums, and
-the tag formed once per (algebra part, k); the grading check and the
-lattice selection work on ids. A basis element's label is formed only
+The algebra part of a tag is interned by cecomplex.subset_sums, whose
+one use this is, and the tag formed once per (algebra part, k); the
+grading check and the lattice selection work on ids. A basis element's label is formed only
 when something reads it, and above degree 1 only the blocks of the tags
 asked for are built (restrict_complex).
 """
@@ -104,7 +104,7 @@ def infer_weights(g: LieAlgebraData, rep: RepresentationData) -> WeightAssignmen
             if not nilpotent:
                 raise WeightInferenceError(
                     f"{op}({g.basis[j]}) minus its diagonal is not nilpotent; "
-                    "supply an adapted basis or explicit weights"
+                    "supply an adapted basis"
                 )
     return WeightAssignment(
         tuple([tuple([diag[i] for (diag, _), _ in splits]) for i in range(g.dim)]),

@@ -5,10 +5,11 @@ term of every column, diagonal ones included, each column in the module
 twisted by its own covector, and lets the sums cancel. The package
 kernel twists each column by its own weight tag, which it never forms:
 with the weights the diagonals of ad and R the twist cancels on the
-complement. It forms only the off-diagonal terms and reads each
-column's nilradical diagonal coefficients from tables, and tests
-require it to give the reference's entries under the tags, in the same
-order at degrees 0 and 1, where the package kernel promises it.
+complement, and so do the diagonal terms there, which it does not form
+either. It sums the diagonal terms at nilradical indices where they
+meet, and tests require it to give the reference's entries under the
+tags, in the same order at degrees 0 and 1, where the package kernel
+promises it.
 reference_ce_image is the insertion formula written directly on sorted
 index tuples, one column and one term at a time, with wedge signs
 counted by comparison and rho read entry by entry through apply_entry.

@@ -15,8 +15,9 @@ EXPECTED_DIR = INSTANCE_DIR / "expected"
 
 
 # heisenberg3 in the basis x, y, y + z: ad(x) is nilpotent but has the
-# diagonal (0, -1, 1), so the coefficients of ce_kernel's diagonal table
-# do not vanish, though x lies in the nilradical and the weights are zero.
+# diagonal (0, -1, 1), so ce_kernel forms diagonal terms at x and sums
+# them where they meet, though x lies in the nilradical and the weights
+# are zero.
 SKEWED_HEISENBERG = {
     "name": "heisenberg3-skewed",
     "kind": "derham",

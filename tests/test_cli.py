@@ -175,14 +175,14 @@ def _validate_issues(doc, tmp_path, capsys):
             [["0", "1"], ["1", "0"]],
             "weight-inference",
             "R(t) minus its diagonal is not nilpotent; "
-            "supply an adapted basis or explicit weights",
+            "supply an adapted basis",
             LINE,
         ),
         (
             [["0"]],
             "weight-inference",
             "ad(t) minus its diagonal is not nilpotent; "
-            "supply an adapted basis or explicit weights",
+            "supply an adapted basis",
             ROTATION,
         ),
     ],

@@ -23,7 +23,8 @@ state from their input (LieAlgebraData). A name that starts with an
 underscore is private to its module: a definition other modules need is
 public, as linalg.row_axpy is. The oracle takes from the builder's
 modules, cecomplex and weights, only the names listed in ORACLE_SHARE,
-so it stays an independent check of them.
+so it stays an independent check of them. No line of the package is
+longer than 100 characters.
 """
 import ast
 import re
@@ -302,3 +303,18 @@ def test_the_check_sees_a_builder_import():
 
 def test_the_oracle_shares_no_builder_code():
     assert builder_imports((PACKAGE / "oracle.py").read_text()) == []
+
+
+def long_lines(source: str, limit: int = 100) -> list[int]:
+    """The numbers of the lines longer than limit characters."""
+    return [n for n, line in enumerate(source.splitlines(), 1) if len(line) > limit]
+
+
+def test_the_check_sees_a_long_line():
+    assert long_lines("x = 1\ny = '" + "a" * 95 + "'\n") == [2]
+    assert long_lines("y = '" + "a" * 94 + "'\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_line_longer_than_100_characters(path):
+    assert long_lines(path.read_text()) == []

@@ -250,11 +250,11 @@ def test_subset_sums_reuse_ids_across_zero_vectors_and_cancellation():
 @given(data=st.data())
 def test_ce_kernel_entries_equal_bitmask_reference(name, data):
     # The kernel twists each column by its own weight tag without forming
-    # it, forms only off-diagonal terms and reads each nilradical diagonal
-    # coefficient from tables; the reference forms every term in the
-    # module twisted by the tag and lets the sums cancel. The entries must
-    # agree on a drawn subset of a degree's columns in drawn order, twice
-    # from one kernel (the second call reads the filled tables), dict item
+    # it, forms no term that the twist cancels and sums the nilradical
+    # diagonal terms where they meet; the reference forms every term in
+    # the module twisted by the tag and lets the sums cancel. The entries
+    # must agree on a drawn subset of a degree's columns in drawn order,
+    # twice from one kernel (a call must not change the next), dict item
     # order included at degrees 0 and 1, the only ones where the kernel
     # promises it. Modules: the trivial or adjoint one with the tags of
     # build_invariant_complex; or drawn, unvalidated matrices, nonzero
@@ -311,6 +311,30 @@ def test_ce_kernel_puts_a_diagonal_with_no_action_part_after_the_action_terms():
     ]
     expected = reference_ce_kernel(g, rep, [None])(dict.fromkeys(columns, 0), 1)
     assert list(entries.items()) == list(expected.items())
+
+
+def test_ce_kernel_sums_a_diagonal_at_its_action_term_and_drops_a_zero_sum():
+    # heisenberg3 in the basis x, y, y + z, adjoint module, degree 1. In
+    # column z* (x) z, R_x[z, z] = 1 meets the bracket term -c_{xz}^z = -1
+    # at x*^z* (x) z and the entry is gone, between the action term at
+    # x*^z* (x) y and the bracket term at x*^y* (x) z. In column z* (x) y,
+    # R_x[y, y] = -1 meets the same bracket term at x*^z* (x) y, and the
+    # sum -2 stays where the action term put it, before the action term at
+    # x*^z* (x) z and the bracket term at x*^y* (x) y.
+    g = parse_instance(SKEWED_HEISENBERG).algebra
+    rep = adjoint_representation(g)
+    rows = degree_basis(3, 2)
+    z_star = degree_basis(3, 1).index((2,)) * 3
+    want = {
+        2: [((0, 2), 1, MINUS_ONE), ((0, 1), 2, MINUS_ONE)],
+        1: [((0, 2), 1, GaussianRational(-2)), ((0, 2), 2, ONE), ((0, 1), 1, MINUS_ONE)],
+    }
+    for k, terms in want.items():
+        columns = [z_star + k]
+        entries = ce_kernel(g, rep)(columns, 1)
+        assert [(rows[r // 3], r % 3, v) for (r, _), v in entries.items()] == terms
+        expected = reference_ce_kernel(g, rep, [None])(dict.fromkeys(columns, 0), 1)
+        assert list(entries.items()) == list(expected.items())
 
 
 @settings(max_examples=40, deadline=None)

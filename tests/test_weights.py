@@ -525,10 +525,11 @@ def test_invariant_differentials_equal_column_reference(name):
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in INSTANCE_DIR.glob("*.json")))
 def test_second_kernel_pass_adds_no_scalars(name, monkeypatch):
-    # A work guard that needs no clock. Off the diagonal every entry is a
-    # single term, and each diagonal coefficient comes from tables the
-    # first pass fills, so a second pass over every column of every
-    # degree makes no scalar addition or subtraction.
+    # A work guard that needs no clock. The shipped bases are adapted to
+    # the nilradical, so the kernel keeps no diagonal bracket term and
+    # every entry is a single term: a pass over every column of every
+    # degree, the second as the first, makes no scalar addition or
+    # subtraction.
     inst = load_instance(str(INSTANCE_DIR / f"{name}.json"))
     g, rep = inst.algebra, build_representation(inst)
     ic = build_invariant_complex(g, rep, build_weight_assignment(inst, rep))
@@ -548,11 +549,11 @@ def test_second_kernel_pass_adds_no_scalars(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in INSTANCE_DIR.glob("*.json")))
 def test_build_adds_no_zero_operand(name, monkeypatch):
-    # A work guard that needs no clock. The tags' algebra parts and the
-    # kernel's bracket parts are subset sums that skip zero vectors and
-    # zero entries, and a tag subtracts a module weight only where both
-    # sides are nonzero, so no addition or subtraction in the build has a
-    # zero operand.
+    # A work guard that needs no clock. The tags' algebra parts are subset
+    # sums that skip zero vectors and zero entries, a tag subtracts a
+    # module weight only where both sides are nonzero, and the kernel adds
+    # a term only into a stored entry, which is nonzero, so no addition or
+    # subtraction in the build has a zero operand.
     inst = load_instance(str(INSTANCE_DIR / f"{name}.json"))
     g, rep = inst.algebra, build_representation(inst)
     w = build_weight_assignment(inst, rep)
