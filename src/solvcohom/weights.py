@@ -19,9 +19,9 @@ Distinct tags are few next to basis elements, so the complex interns
 them: a sorted tag table plus one small integer id per basis element.
 The algebra part of a tag is interned by cecomplex.subset_sums, whose
 one use this is, and the tag formed once per (algebra part, k); the
-grading check and the lattice selection work on ids. A basis element's label is formed only
-when something reads it, and above degree 1 only the blocks of the tags
-asked for are built (restrict_complex).
+grading check and the lattice selection work on ids. A basis element's
+label is formed only when something reads it, and above degree 1 only
+the blocks of the tags asked for are built (restrict_complex).
 """
 from __future__ import annotations
 

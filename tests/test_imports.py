@@ -305,9 +305,9 @@ def test_the_oracle_shares_no_builder_code():
     assert builder_imports((PACKAGE / "oracle.py").read_text()) == []
 
 
-def long_lines(source: str, limit: int = 100) -> list[int]:
-    """The numbers of the lines longer than limit characters."""
-    return [n for n, line in enumerate(source.splitlines(), 1) if len(line) > limit]
+def long_lines(source: str) -> list[int]:
+    """The numbers of the lines longer than 100 characters."""
+    return [n for n, line in enumerate(source.splitlines(), 1) if len(line) > 100]
 
 
 def test_the_check_sees_a_long_line():
