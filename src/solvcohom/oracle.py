@@ -2,7 +2,7 @@
 
 For every weight tag mu occurring in the invariant complex, the full
 Chevalley-Eilenberg complex of the module twisted by mu is rebuilt here
-by raw evaluation of the differential convention,
+(once per orbit, below) by raw evaluation of the differential convention,
 
     (dw)(X_0..X_p) = sum_a (-1)^a rho(X_a) w(..drop a..)
                    + sum_{a<b} (-1)^{a+b} w([X_a,X_b], ..drop a,b..),
@@ -28,14 +28,14 @@ the sign of that sort (_sort_sign).
 Sectors come in orbits. A signed permutation pi of the basis that keeps
 the complement and the brackets, applied linearly, or the conjugation
 sigma, applied conjugate-linearly, maps the sector of mu to the sector of
-pi.mu by a signed permutation of the cochains. On the adjoint and the
-trivial module (tau is pi there, and the identity) the tags are closed
-into orbits under such generators (_sector_orbits): sigma, and the
-automorphisms that a search over the components of the bracket graph
-finds (automorphisms.linear_automorphisms). Only each orbit's first
-sector is eliminated; every other sector is built and checked entry by
-entry to be the image of the first, and takes its Betti numbers only if
-it is (verify_quasi_iso).
+pi.mu by a signed permutation of the cochains, when the module map tau
+intertwines rho. On the adjoint and the trivial module (tau is pi there,
+and the identity) the tags are closed into orbits under such generators
+(_sector_orbits): sigma, and the automorphisms that a search over the
+components of the bracket graph finds (automorphisms.linear_automorphisms).
+Each generator is certified exactly on g and rho before it pairs anything
+(_certified). Only each orbit's first sector is built and eliminated;
+every other member takes its Betti numbers (verify_quasi_iso).
 """
 from __future__ import annotations
 
@@ -55,7 +55,7 @@ from .cecomplex import (
 from .errors import ValidationFailure
 from .liealg import LieAlgebraData, RepresentationData, trivial_representation
 from .linalg import ExactMatrix, SparseRow, row_axpy
-from .scalars import ONE, ZERO, GaussianRational, is_signed_image
+from .scalars import ONE, ZERO, GaussianRational
 from .weights import InvariantComplex, restrict_complex
 
 # (action terms, bracket terms) of one degree; see _degree_skeleton.
@@ -64,9 +64,6 @@ DegreeSkeleton = tuple[
 ]
 # The nonzero entries (l, k, value) of rho_mu(X_j) for one j.
 ActionEntries = list[tuple[int, int, GaussianRational]]
-# Per degree p, the code 2 * Phi(c) + [s_c = -1] of each cochain c = (I, k), at
-# mask_position(n, p)[I] * m + k, under a cochain map Phi of signed permutations.
-CochainMap = list[list[int]]
 
 
 def _sort_sign(arguments: tuple[int, ...]) -> int:
@@ -186,134 +183,81 @@ def _tag_image(perm: SignedPermutation, conjugate: bool, complement: tuple, mu: 
     return tuple([at[j] for j in complement])
 
 
-def _cochain_maps(n: int, perm: SignedPermutation, tau: SignedPermutation) -> CochainMap:
-    """Phi(x_I (x) v_k) = s_I s_k x_{pi I} (x) v_{tau k}, as codes per degree.
+def _certified(
+    g: LieAlgebraData, rep: RepresentationData, perm: SignedPermutation, conjugate: bool
+) -> bool:
+    """Whether pi = perm, applied linearly or conjugate-linearly, is a bijection
+    that keeps the complement and every bracket, with tau rho(X_j) tau^-1 =
+    rho(pi X_j) for every j; tau is pi on the adjoint module and the identity
+    on trivial coefficients. Exact, in O(#brackets + nnz rho)."""
+    n, complement = g.dim, g.complement
+    if sorted([i for i, _ in perm]) != list(range(n)):
+        return False
+    if sorted([perm[j][0] for j in complement]) != list(complement):
+        return False
 
-    x_I composed with pi^-1 is s_I x_{pi I}, s_I the product of the signs of
-    pi on I and of the sign of the sort of (pi(i) for i in I ascending). Both
-    are built up over the masks, lowest bit first; the inversions that the
-    lowest index i of a mask adds are the later indices of the mask that pi
-    sends below pi(i).
-    """
-    bits = [1 << j for j, _ in perm]
-    below = [sum([1 << b for b in range(i + 1, n) if perm[b][0] < perm[i][0]]) for i in range(n)]
-    image, odd = [0] * (1 << n), [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        i, rest = low.bit_length() - 1, mask ^ low
-        image[mask] = image[rest] | bits[i]
-        odd[mask] = odd[rest] ^ perm[i][1] ^ ((below[i] & rest).bit_count() & 1)
-    maps = []
-    for p in range(n + 1):
-        position, codes = mask_position(n, p), []
-        for mask in degree_masks(n, p):
-            base, s = position[image[mask]] * len(tau), odd[mask]
-            codes.extend([2 * (base + t) + (s ^ negative) for t, negative in tau])
-        maps.append(codes)
-    return maps
+    def image(terms, negative: bool, at: SignedPermutation) -> dict[int, GaussianRational]:
+        """+-pi applied to sparse terms through at, conjugated if conjugate."""
+        out = {}
+        for k, c in terms:
+            target, odd = at[k]
+            c = c.conjugate() if conjugate else c
+            out[target] = -c if negative ^ odd else c
+        return out
 
-
-@dataclass
-class SectorOrbits:
-    """One verify_quasi_iso call's pairing of sectors; see there.
-
-    order lists the tags orbit by orbit, each orbit's first tag and then
-    its other members breadth first. generators holds each kept
-    generator's cochain maps and whether it is conjugate-linear. Each later
-    member of an orbit has its (parent tag, generator) in path. held is the
-    (differentials, Betti numbers) of the first sector of the orbit in hand.
-    """
-
-    order: list[Weight]
-    generators: list[tuple[CochainMap, bool]]
-    path: dict[Weight, tuple[Weight, int]]
-    held: Optional[tuple[tuple[ExactMatrix, ...], tuple[int, ...]]] = None
+    for (i, j), terms in g.bracket_table().items():
+        # [pi X_i, pi X_j] = s_i s_j [X_pi(i), X_pi(j)] against pi [X_i, X_j].
+        (pi, si), (pj, sj) = perm[i], perm[j]
+        if g.bracket(pi, pj) != image(terms, si ^ sj, perm):
+            return False
+    tau = perm if rep.adjoint else ((0, False),)
+    for j, R in enumerate(rep.matrices):
+        # tau sends entry (l, k) to (tau l, tau k), signed; rho(pi X_j) is s_j rho(X_pi(j)).
+        pj, sj = perm[j]
+        want: list[dict] = [{} for _ in range(rep.m)]
+        for l, row in enumerate(R.row_maps):
+            tl, nl = tau[l]
+            want[tl] = image(row.items(), sj ^ nl, tau)
+        if tuple(want) != rep.matrices[pj].row_maps:
+            return False
+    return True
 
 
 def _sector_orbits(
     g: LieAlgebraData, rep: RepresentationData, tags: Sequence[Weight]
-) -> Optional[SectorOrbits]:
-    """tags in orbits under the pairing generators; None where nothing is paired.
+) -> dict[Weight, Weight]:
+    """Each paired tag's orbit's first tag (its earliest in tags); see verify_quasi_iso.
 
     The generators are sigma, conjugate-linear, where the conjugation table
-    is an involution that keeps the complement, then linear_automorphisms.
-    Each is kept only if it merges two classes of tags. Only the adjoint and
-    the trivial module are paired, tau being pi and the identity there.
+    covers the basis and keeps the complement, then linear_automorphisms.
+    One that moves a tag onto another is certified (_certified), and only
+    one that passes merges tags. Only the adjoint and the trivial module are
+    paired, tau being pi and the identity there.
     """
-    n = g.dim
+    n, complement, sigma = g.dim, g.complement, g.conjugation or {}
     if len(tags) < 2 or not (rep.adjoint and rep.m == n or rep == trivial_representation(g)):
-        return None
-    sigma, complement, generators = g.conjugation or {}, g.complement, []
-    if (
-        set(sigma) == set(range(n))
-        and all(sigma.get(sigma[i]) == i for i in sigma)
-        and {sigma[j] for j in complement} == set(complement)
-    ):
+        return {}
+    generators = []
+    if set(sigma) == set(range(n)) and {sigma[j] for j in complement} == set(complement):
         generators.append((tuple([(sigma[i], False) for i in range(n)]), True))
     generators += [(perm, False) for perm in linear_automorphisms(g)[0]]
     tid = {tag: t for t, tag in enumerate(tags)}
-    root, kept = list(range(len(tags))), []
+    root = list(range(len(tags)))
     for perm, conjugate in generators:
         images = [tid.get(_tag_image(perm, conjugate, complement, mu)) for mu in tags]
-        merged = False
-        for t, u in enumerate(images):
-            if u is not None and find_root(root, t) != find_root(root, u):
+        moved = [(t, u) for t, u in enumerate(images) if u is not None and u != t]
+        if moved and _certified(g, rep, perm, conjugate):
+            for t, u in moved:
                 root[find_root(root, u)] = find_root(root, t)
-                merged = True
-        if merged:
-            kept.append((perm, conjugate, images))
-    if not kept:  # sigma the identity on tags, say: no map is built
-        return None
-    # Each orbit from its first tag, breadth first: a member's path is short.
-    first: dict[int, int] = {}
-    path = {}
-    for t in range(len(tags)):
-        if t in first:
-            continue
-        first[t], queue = t, [t]
-        for u in queue:
-            for x, (_, _, images) in enumerate(kept):
-                v = images[u]
-                if v is not None and v not in first:
-                    first[v] = t
-                    path[tags[v]] = (tags[u], x)
-                    queue.append(v)
-    trivial = ((0, False),)
-    return SectorOrbits(
-        [tags[t] for t in first],
-        [(_cochain_maps(n, perm, perm if rep.adjoint else trivial), c) for perm, c, _ in kept],
-        path,
-    )
-
-
-def _map_from_first(orbits: SectorOrbits, mu: Weight) -> tuple[CochainMap, bool]:
-    """Phi from mu's orbit's first sector to mu's, composed along mu's path."""
-    steps = []
-    while mu in orbits.path:
-        mu, x = orbits.path[mu]
-        steps.append(orbits.generators[x])
-    maps, conjugate = steps.pop()
-    for step, flip in reversed(steps):
-        maps = [[s[c >> 1] ^ (c & 1) for c in codes] for s, codes in zip(step, maps)]
-        conjugate ^= flip
-    return maps, conjugate
-
-
-def _is_image(
-    d: ExactMatrix, image: ExactMatrix, rows: list[int], cols: list[int], conjugate: bool
-) -> bool:
-    """Whether image = Phi d Phi^-1: each entry v of d at (r, c) is s_r s_c v, conjugated
-    if conjugate, at (Phi r, Phi c), rows and cols holding the codes of r and c, and
-    row Phi r is as long as row r."""
-    for row, r in zip(d.row_maps, rows):
-        other, odd = image.row_maps[r >> 1], r & 1
-        if len(other) != len(row):
-            return False
-        for c, v in row.items():
-            c = cols[c]
-            if not is_signed_image(other.get(c >> 1, ZERO), v, odd != c & 1, conjugate):
-                return False
-    return True
+    first: dict[int, Weight] = {}
+    paired = {}
+    for t, tag in enumerate(tags):
+        r = find_root(root, t)
+        if r in first:
+            paired[tag] = first[r]
+        else:
+            first[r] = tag
+    return paired
 
 
 def sector_cohomology_full(
@@ -321,36 +265,15 @@ def sector_cohomology_full(
     rep: RepresentationData,
     mu: Optional[Weight],
     skeletons: list[DegreeSkeleton],
-    orbits: Optional[SectorOrbits] = None,
 ) -> CohomologyResult:
     """Betti numbers of the full twisted complex for one weight covector.
 
     `skeletons` is sector_skeleton(g), shared by every sector of g.
-    `orbits` is local to one verify_quasi_iso call, which passes the tags in
-    orbits.order; see there.
     """
     n, m = g.dim, rep.m
     rho = _action_table(rep, twist_at(g, mu))
-    if orbits is not None and mu in orbits.path:
-        # Each degree is built, checked and dropped; a sector that fails the
-        # check is built again in full below.
-        held, betti = orbits.held
-        maps, conjugate = _map_from_first(orbits, mu)
-        if all(
-            _is_image(
-                d, _sector_differential(g, m, p, skeletons[p], rho), maps[p + 1], maps[p], conjugate
-            )
-            for p, d in enumerate(held)
-        ):
-            return CohomologyResult(betti)
-    elif orbits is not None:
-        orbits.held = None  # mu starts an orbit, so the last one is done
     diffs = tuple([_sector_differential(g, m, p, skeletons[p], rho) for p in range(n)])
-    dims = tuple([math.comb(n, p) * m for p in range(n + 1)])
-    result = cohomology(FiniteComplex(dims, diffs))
-    if orbits is not None and mu not in orbits.path:
-        orbits.held = (diffs, result.betti)
-    return result
+    return cohomology(FiniteComplex(tuple([math.comb(n, p) * m for p in range(n + 1)]), diffs))
 
 
 @dataclass(frozen=True)
@@ -376,34 +299,42 @@ class QuasiIsoReport:
 def verify_quasi_iso(ic: InvariantComplex) -> QuasiIsoReport:
     """Compare every weight-tag block with its full sector, degree-wise.
 
-    Let pi be an automorphism of g, a signed permutation of the basis that
-    keeps the complement, and tau a module map with tau rho(X) = rho(pi X)
-    tau. Then Phi(x_I (x) v_k) = s_I x_{pi I} (x) tau v_k, s_I from the signs
-    and the sort (_cochain_maps), is a chain isomorphism C(g, V_mu) ~=
-    C(g, V_{pi.mu}), (pi.mu)(pi X) = mu(X); made conjugate-linear, the same
-    holds for the conjugation sigma with (pi.mu)(pi X) = conj(mu(X)).
+    Sectors are paired by functoriality. Let pi be a signed permutation of
+    the basis, pi X_j = s_j X_{pi(j)}, that keeps the complement and every
+    bracket, so an automorphism of g, and tau a signed permutation of the
+    module basis with tau rho(X_j) tau^-1 = rho(pi X_j) for every j. Put
+    (pi.mu)(pi X) = mu(X), so (pi.mu)_{pi(j)} = s_j mu_j. The twist carries
+    over, since tau commutes with the scalar mu_j: rho_{pi.mu}(pi X_j) =
+    rho(pi X_j) + mu_j = tau rho_mu(X_j) tau^-1. So Phi(x_I (x) v_k) =
+    s_I x_{pi I} (x) tau v_k, s_I from the signs and the sort, meets the
+    differential formula term by term, D' Phi = Phi D: it is a chain
+    isomorphism C(g, V_mu) ~= C(g, V_{pi.mu}). Made conjugate-linear, the
+    same holds for the conjugation sigma, with conj(mu_j) for mu_j; it keeps
+    ranks, conjugation being a field automorphism of Q(i). Either way
+    rank D'_p = rank D_p, and the Betti numbers agree.
 
-    That argument chooses the pairs; it is not what certifies them. The
-    tags are closed into orbits under the generators of _sector_orbits, and
-    every sector is still built, orbit by orbit. Each orbit's first sector
-    is eliminated, and its differentials D are held until the orbit is
-    done. For each later member, Phi is composed along the member's path
-    of generators, and _is_image checks D' Phi = Phi D entry by entry
-    against the member's own D'. Phi is a bijection,
-    linear or conjugate-linear, and conjugation is a field automorphism of
-    Q(i), so rank D'_p = rank D_p for every p: the member takes the first's
-    Betti numbers, and D' D' = Phi (D D) Phi^-1 = 0 is covered by the
-    first's kernel and d.d certificates. A member that fails the check is
-    eliminated like any other sector; nothing is raised.
+    What is checked is the input of that theorem, not built matrices.
+    _certified checks each generator exactly on g and rho themselves: a
+    bijection that keeps the complement and every bracket, and tau rho(X_j)
+    tau^-1 = rho(pi X_j) for every j (tau is pi on the adjoint module and
+    the identity on trivial coefficients). A generator that fails pairs
+    nothing. The tags are closed into orbits under the generators that pass
+    (_sector_orbits), and only each orbit's first sector is built and
+    eliminated, under its own kernel and d.d certificates. Every other
+    member is the image of the first under a composition of such Phi, and
+    takes the first's Betti numbers without being built.
     """
     g, rep = ic.algebra, ic.representation
     skeletons = sector_skeleton(g)
-    orbits = _sector_orbits(g, rep, ic.tag_table)
-    # Orbit by orbit, so that one first sector's differentials are held at a time.
-    order = ic.tag_table if orbits is None else orbits.order
-    full = {tag: sector_cohomology_full(g, rep, tag, skeletons, orbits).betti for tag in order}
+    first = _sector_orbits(g, rep, ic.tag_table)
+    # tag_table is in weight_sort_key order, so ids run through the sorted
+    # tags, and an orbit's first tag comes before its other members.
+    full: dict[Weight, tuple[int, ...]] = {}
+    for tag in ic.tag_table:
+        full[tag] = full[first[tag]] if tag in first else (
+            sector_cohomology_full(g, rep, tag, skeletons).betti
+        )
     comparisons = []
-    # tag_table is in weight_sort_key order, so ids run through the sorted tags.
     for tid, tag in enumerate(ic.tag_table):
         block_betti = cohomology(restrict_complex(ic, (tid,))).betti
         comparisons.append(SectorComparison(tag, block_betti, full[tag]))

@@ -163,15 +163,6 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return _make(a, b, d)
 
 
-def is_signed_image(
-    w: GaussianRational, v: GaussianRational, negate: bool, conjugate: bool
-) -> bool:
-    """Whether w == +-v or +-conj(v), negated if negate and conjugated if conjugate;
-    like ==, it builds no scalar."""
-    a, b, d = v._abd
-    return w._abd == (-a if negate else a, -b if negate != conjugate else b, d)
-
-
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 MINUS_ONE = GaussianRational(-1)

@@ -10,6 +10,11 @@ sources and entries through indexes; tests require the two to agree
 exactly, down to list and dict order. The elimination's "sequential"
 strategy (rows in order, least column first) has no package counterpart:
 tests compare ranks against it to show they do not depend on pivot order.
+
+The entry-by-entry pairing check lives here too. The oracle pairs sectors
+by a theorem applied to certified generators and builds no member sector;
+cochain_maps, orbit_paths, map_from_first and is_image let the tests build
+every member anyway and check that it is the image of its orbit's first.
 """
 from __future__ import annotations
 
@@ -18,8 +23,14 @@ from subset_reference import degree_basis
 
 from solvcohom.liealg import LieAlgebraData, RepresentationData
 from solvcohom.linalg import ExactMatrix, SparseRow, row_axpy
-from solvcohom.oracle import DegreeSkeleton, twist_at
+from solvcohom.automorphisms import SignedPermutation
+from solvcohom.cecomplex import Weight, degree_masks, mask_position
+from solvcohom.oracle import DegreeSkeleton, _tag_image, twist_at
 from solvcohom.scalars import ZERO, GaussianRational
+
+# Per degree p, the code 2 * Phi(c) + [s_c = -1] of each cochain c = (I, k), at
+# mask_position(n, p)[I] * m + k, under a cochain map Phi of signed permutations.
+CochainMap = list[list[int]]
 
 
 def reference_eliminate(
@@ -157,3 +168,95 @@ def reference_sector_differential(
             entries[key] = value
     nrows = len(degree_basis(n, p + 1)) * m
     return ExactMatrix.from_entries(nrows, len(degree_basis(n, p)) * m, entries)
+
+
+def is_signed_image(
+    w: GaussianRational, v: GaussianRational, negate: bool, conjugate: bool
+) -> bool:
+    """Whether w == +-v or +-conj(v), negated if negate and conjugated if conjugate;
+    like ==, it builds no scalar."""
+    a, b, d = v._abd
+    return w._abd == (-a if negate else a, -b if negate != conjugate else b, d)
+
+
+def cochain_maps(n: int, perm: SignedPermutation, tau: SignedPermutation) -> CochainMap:
+    """Phi(x_I (x) v_k) = s_I s_k x_{pi I} (x) v_{tau k}, as codes per degree.
+
+    x_I composed with pi^-1 is s_I x_{pi I}, s_I the product of the signs of
+    pi on I and of the sign of the sort of (pi(i) for i in I ascending). Both
+    are built up over the masks, lowest bit first; the inversions that the
+    lowest index i of a mask adds are the later indices of the mask that pi
+    sends below pi(i).
+    """
+    bits = [1 << j for j, _ in perm]
+    below = [sum([1 << b for b in range(i + 1, n) if perm[b][0] < perm[i][0]]) for i in range(n)]
+    image, odd = [0] * (1 << n), [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        i, rest = low.bit_length() - 1, mask ^ low
+        image[mask] = image[rest] | bits[i]
+        odd[mask] = odd[rest] ^ perm[i][1] ^ ((below[i] & rest).bit_count() & 1)
+    maps = []
+    for p in range(n + 1):
+        position, codes = mask_position(n, p), []
+        for mask in degree_masks(n, p):
+            base, s = position[image[mask]] * len(tau), odd[mask]
+            codes.extend([2 * (base + t) + (s ^ negative) for t, negative in tau])
+        maps.append(codes)
+    return maps
+
+
+def orbit_paths(
+    tags: list[Weight], generators: list[tuple[SignedPermutation, bool]], complement: tuple
+) -> dict[Weight, tuple[Weight, int]]:
+    """(parent tag, generator index) of each later member of an orbit, the
+    orbits grown breadth first from their earliest tags under (perm, conjugate)."""
+    tid = {tag: t for t, tag in enumerate(tags)}
+    seen: set[int] = set()
+    path = {}
+    for t in range(len(tags)):
+        if t in seen:
+            continue
+        seen.add(t)
+        queue = [t]
+        for u in queue:
+            for x, (perm, conjugate) in enumerate(generators):
+                v = tid.get(_tag_image(perm, conjugate, complement, tags[u]))
+                if v is not None and v not in seen:
+                    seen.add(v)
+                    path[tags[v]] = (tags[u], x)
+                    queue.append(v)
+    return path
+
+
+def map_from_first(
+    path: dict[Weight, tuple[Weight, int]], maps: list[tuple[CochainMap, bool]], mu: Weight
+) -> tuple[CochainMap, bool]:
+    """Phi from mu's orbit's first sector to mu's, composed along mu's path;
+    maps holds each generator's (cochain_maps, whether it is conjugate-linear)."""
+    steps = []
+    while mu in path:
+        mu, x = path[mu]
+        steps.append(maps[x])
+    composed, conjugate = steps.pop()
+    for step, flip in reversed(steps):
+        composed = [[s[c >> 1] ^ (c & 1) for c in codes] for s, codes in zip(step, composed)]
+        conjugate ^= flip
+    return composed, conjugate
+
+
+def is_image(
+    d: ExactMatrix, image: ExactMatrix, rows: list[int], cols: list[int], conjugate: bool
+) -> bool:
+    """Whether image = Phi d Phi^-1: each entry v of d at (r, c) is s_r s_c v, conjugated
+    if conjugate, at (Phi r, Phi c), rows and cols holding the codes of r and c, and
+    row Phi r is as long as row r."""
+    for row, r in zip(d.row_maps, rows):
+        other, odd = image.row_maps[r >> 1], r & 1
+        if len(other) != len(row):
+            return False
+        for c, v in row.items():
+            c = cols[c]
+            if not is_signed_image(other.get(c >> 1, ZERO), v, odd != c & 1, conjugate):
+                return False
+    return True

@@ -5,12 +5,20 @@ import pytest
 from ce_reference import ce_differential
 from conftest import (
     INSTANCE_DIR,
+    bracket_entries,
     load_bench,
     make_heisenberg_power,
     make_split_6d_plus_heisenberg,
 )
+from hypothesis import example, given
+from hypothesis import strategies as st
 from oracle_reference import (
     alternating_evaluation,
+    cochain_maps,
+    is_image,
+    is_signed_image,
+    map_from_first,
+    orbit_paths,
     reference_action_table,
     reference_degree_skeleton,
     reference_sector_differential,
@@ -30,15 +38,14 @@ from solvcohom.liealg import (
     RepresentationData,
     adjoint_representation,
     trivial_representation,
+    validate_representation,
 )
 from solvcohom.linalg import ExactMatrix
 from solvcohom import oracle
 from solvcohom.oracle import (
     _action_table,
-    _cochain_maps,
+    _certified,
     _degree_skeleton,
-    _is_image,
-    _map_from_first,
     _sector_differential,
     _sector_orbits,
     _sort_sign,
@@ -48,6 +55,10 @@ from solvcohom.oracle import (
     verify_quasi_iso,
 )
 from solvcohom.scalars import MINUS_ONE, ONE, ZERO, GaussianRational
+
+gaussians = st.builds(
+    GaussianRational, *[st.fractions(min_value=-50, max_value=50, max_denominator=12)] * 2
+)
 from solvcohom.weights import build_invariant_complex, infer_weights
 
 
@@ -268,13 +279,13 @@ def _reference_sectors(g, rep, tags):
     }
 
 
-def _assert_sign_rule(sectors, ordered, cochain_maps, conjugate):
+def _assert_sign_rule(sectors, ordered, reference, conjugate):
     """Entry v of D_p(mu) at (J, l; I, k) is s_J s_l s_I s_k v, conjugated if
     conjugate, at the images of (J, l) and (I, k) in D_p(nu), for each (mu, nu)."""
-    codes = [[2 * t + (s < 0) for t, s in cm] for cm in cochain_maps]
+    codes = [[2 * t + (s < 0) for t, s in cm] for cm in reference]
     for mu, nu in ordered:
         for p, (d, image) in enumerate(zip(sectors[mu], sectors[nu])):
-            rows, cols = cochain_maps[p + 1], cochain_maps[p]
+            rows, cols = reference[p + 1], reference[p]
             for r, row in enumerate(d.row_maps):
                 target, s_r = rows[r]
                 assert len(image.row_maps[target]) == len(row)
@@ -282,7 +293,7 @@ def _assert_sign_rule(sectors, ordered, cochain_maps, conjugate):
                     col, s_c = cols[c]
                     w = v.conjugate() if conjugate else v
                     assert image.row_maps[target][col] == (w if s_r * s_c > 0 else -w)
-            assert _is_image(d, image, codes[p + 1], codes[p], conjugate)
+            assert is_image(d, image, codes[p + 1], codes[p], conjugate)
 
 
 def test_conjugate_sectors_follow_the_sign_rule_on_example_7_1_generic():
@@ -295,10 +306,10 @@ def test_conjugate_sectors_follow_the_sign_rule_on_example_7_1_generic():
     ordered = [(mu, nu) for mu, nu in ordered if nu != mu and nu in tags]
     assert len(tags) == 21 and len(ordered) == 18
     sigma = tuple((g.conjugation[k], False) for k in range(g.dim))
-    cochain_maps = [_reference_cochain_map(g, rep.m, sigma, sigma, p) for p in range(g.dim + 1)]
-    maps = _cochain_maps(g.dim, sigma, sigma)
-    assert maps == [[2 * t + (s < 0) for t, s in cm] for cm in cochain_maps]
-    _assert_sign_rule(_reference_sectors(g, rep, tags), ordered, cochain_maps, True)
+    reference = [_reference_cochain_map(g, rep.m, sigma, sigma, p) for p in range(g.dim + 1)]
+    maps = cochain_maps(g.dim, sigma, sigma)
+    assert maps == [[2 * t + (s < 0) for t, s in cm] for cm in reference]
+    _assert_sign_rule(_reference_sectors(g, rep, tags), ordered, reference, True)
 
 
 def test_linear_sectors_follow_the_sign_rule_on_example_7_1_generic():
@@ -331,11 +342,11 @@ def test_linear_sectors_follow_the_sign_rule_on_example_7_1_generic():
         ordered = [(mu, nu) for mu, nu in ordered if nu != mu]
         assert all(nu in tags for _, nu in ordered)
         moved += bool(ordered)
-        cochain_maps = [_reference_cochain_map(g, rep.m, perm, perm, p) for p in range(g.dim + 1)]
-        assert _cochain_maps(g.dim, perm, perm) == [
-            [2 * t + (s < 0) for t, s in cm] for cm in cochain_maps
+        reference = [_reference_cochain_map(g, rep.m, perm, perm, p) for p in range(g.dim + 1)]
+        assert cochain_maps(g.dim, perm, perm) == [
+            [2 * t + (s < 0) for t, s in cm] for cm in reference
         ]
-        _assert_sign_rule(sectors, ordered, cochain_maps, False)
+        _assert_sign_rule(sectors, ordered, reference, False)
     assert moved == 3
 
 
@@ -424,79 +435,150 @@ def test_orbits_eliminate_one_sector_each(monkeypatch, spec, tags, sectors):
     _assert_eliminations(monkeypatch, spec, tags, sectors)
 
 
-def _doubled_entry_is_eliminated(monkeypatch, ic, nu):
-    """Double one entry (r, c) of degree 0 of member nu's sector, where D_1
-    has no entry in column r, so the sector stays a complex: it must reach
-    its own elimination rather than take its orbit's Betti numbers."""
-    g, rep = ic.algebra, ic.representation
-    orbits = _sector_orbits(g, rep, ic.tag_table)
-    maps, conjugate = _map_from_first(orbits, nu)
-    first = nu
-    while first in orbits.path:
-        first = orbits.path[first][0]
+def _spy_certificates(monkeypatch):
+    """(perm, conjugate, passed) of each generator the oracle certifies."""
+    calls = []
+
+    def spy(g, rep, perm, conjugate):
+        calls.append((perm, conjugate, _certified(g, rep, perm, conjugate)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(oracle, "_certified", spy)
+    return calls
+
+
+def _unpaired_report(monkeypatch, ic):
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_sector_orbits", lambda g, rep, tags: {})
+        return verify_quasi_iso(ic)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    sorted(p.stem for p in INSTANCE_DIR.glob("*.json"))
+    + ["example-7-1-generic:trivial+heisenberg3:trivial", "+".join(["example-7-2-generic:trivial"] * 4)],
+    ids=lambda spec: spec if spec.count("+") < 3 else "example-7-2-generic:trivial^4",
+)
+def test_every_member_sector_is_the_image_of_its_orbits_first(monkeypatch, spec):
+    # The check the oracle no longer makes: every member sector is built
+    # raw and compared entry by entry with Phi of its orbit's first sector,
+    # Phi composed along the member's path of certified generators. Every
+    # generator these instances offer passes its certificate.
+    g, rep, w = _product_inputs(spec)
+    tags = build_invariant_complex(g, rep, w).tag_table
+    calls = _spy_certificates(monkeypatch)
+    first = _sector_orbits(g, rep, tags)
+    assert all(passed for _, _, passed in calls)
+    generators = [(perm, conjugate) for perm, conjugate, _ in calls]
+    path = orbit_paths(list(tags), generators, g.complement)
+    assert path.keys() == first.keys()
+    tau = (lambda perm: perm) if rep.adjoint else (lambda perm: ((0, False),))
+    maps = [(cochain_maps(g.dim, perm, tau(perm)), conjugate) for perm, conjugate in generators]
     skeletons = sector_skeleton(g)
 
-    def differential(mu, p):
+    def differentials(mu):
         rho = _action_table(rep, twist_at(g, mu))
-        return _sector_differential(g, rep.m, p, skeletons[p], rho)
+        return [_sector_differential(g, rep.m, p, skeletons[p], rho) for p in range(g.dim)]
 
-    d0, d1, first_d0 = differential(nu, 0), differential(nu, 1), differential(first, 0)
-    assert _is_image(first_d0, d0, maps[1], maps[0], conjugate)
-    # An entry added anywhere is also refused: its row is longer than its preimage.
-    for i, row in enumerate(d0.row_maps):
-        extra = [dict(x) for x in d0.row_maps]
-        extra[i][next(c for c in range(d0.ncols) if c not in row)] = ONE
-        grown = ExactMatrix(d0.nrows, d0.ncols, tuple(extra))
-        assert not _is_image(first_d0, grown, maps[1], maps[0], conjugate)
-    r, c = next(
-        (r, c)
-        for r, row in enumerate(d0.row_maps)
-        for c in row
-        if all(r not in row1 for row1 in d1.row_maps)
-    )
-    current, mutants = [], []
-    real_sector, real_differential = oracle.sector_cohomology_full, oracle._sector_differential
+    held = {}
+    for nu in path:
+        root = nu
+        while root in path:
+            root = path[root][0]
+        assert root == first[nu]
+        if root not in held:
+            held[root] = differentials(root)
+        composed, conjugate = map_from_first(path, maps, nu)
+        for p, (d, image) in enumerate(zip(held[root], differentials(nu))):
+            assert is_image(d, image, composed[p + 1], composed[p], conjugate)
 
-    def tagged(g, rep, mu, *args):
-        current.append(mu)
-        return real_sector(g, rep, mu, *args)
 
-    def mutated(g, m, p, skeleton, rho):
-        d = real_differential(g, m, p, skeleton, rho)
-        if current[-1] == nu and p == 0:
-            rows = [dict(row) for row in d.row_maps]
-            rows[r][c] = rows[r][c] + rows[r][c]
-            d = ExactMatrix(d.nrows, d.ncols, tuple(rows))
-            mutants.append(d)
-        return d
+def _mutated_adjoint():
+    """example 7.1's algebra, its adjoint module, and that module with R(v1)
+    given the entry (v1, v6) = 1, flagged adjoint all the same."""
+    g, adjoint, _ = _insertion_inputs("example-7-1-generic")
+    rows = [dict(row) for row in adjoint.matrices[0].row_maps]
+    rows[0][5] = ONE
+    matrices = (ExactMatrix(6, 6, tuple(rows)),) + adjoint.matrices[1:]
+    return g, adjoint, RepresentationData(6, matrices, adjoint=True)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "sector_cohomology_full", tagged)
-        patch.setattr(oracle, "_sector_differential", mutated)
-        seen = _count_eliminations(patch)
-        verify_quasi_iso(ic)
-    # Degree 0 is built for the check, which fails, and again for the elimination.
-    assert len(mutants) == 2
-    assert not _is_image(first_d0, mutants[0], maps[1], maps[0], conjugate)
+
+def test_a_module_that_is_not_ad_refuses_every_generator(monkeypatch):
+    # R(v1) now maps v6 to v1 as well. R(v5) and R(v6) are unchanged, so
+    # the weights and the 21 tags are too, and the homomorphism law still
+    # holds: v1 and v6 differ in weight by what [v1, v5] and [v1, v6] ask.
+    # But the module is not ad: sigma, the two sign changes and the swap
+    # each send the entry where the module has none, or with the opposite
+    # sign. All four are refused, and every sector is eliminated.
+    g, adjoint, mutant = _mutated_adjoint()
+    assert validate_representation(g, mutant) == ()
+    calls = _spy_certificates(monkeypatch)
+    _sector_orbits(g, adjoint, build_invariant_complex(g, adjoint, infer_weights(g, adjoint)).tag_table)
+    assert [(conjugate, passed) for _, conjugate, passed in calls] == [
+        (True, True), (False, True), (False, True), (False, True)
+    ]
+    calls.clear()
+    ic = build_invariant_complex(g, mutant, infer_weights(g, mutant))
+    assert len(ic.tag_table) == 21
+    seen = _count_eliminations(monkeypatch)
+    report = verify_quasi_iso(ic)
+    assert [(conjugate, passed) for _, conjugate, passed in calls] == [
+        (True, False), (False, False), (False, False), (False, False)
+    ]
+    assert len(seen) == 2 * 21
+    assert report.ok
+    assert report == _unpaired_report(monkeypatch, ic)
+
+
+def test_a_flipped_bracket_sign_refuses_the_automorphism(monkeypatch):
+    # e1 -> -e1, e2 <-> e3 keeps [e1,e2] = e2 and [e1,e3] = -e3; with the
+    # second flipped to [e1,e3] = e3 it keeps neither.
+    g, rep, _ = _insertion_inputs("example-7-2-generic")
+    (pi,) = [perm for perm in linear_automorphisms(g)[0] if perm[0] == (0, True)]
+    assert pi == ((0, True), (2, False), (1, False)) and _certified(g, rep, pi, False)
+    flipped = LieAlgebraData(3, g.basis, [(0, 1, 1, ONE), (0, 2, 2, ONE)], [1, 2], [0])
+    assert not _certified(flipped, trivial_representation(flipped), pi, False)
+    # The same flip in the first factor of example-7-2-generic^2, under the
+    # generators found before the flip: 9 tags (a, b), a in {0, 1, 2} and
+    # b in {-1, 0, 1}, fall into 6 orbits under b -> -b alone.
+    g, rep, _ = _product_inputs("example-7-2-generic+example-7-2-generic")
+    perms, _ = linear_automorphisms(g)
+    entries = [(i, j, k, -c if (i, j, k) == (0, 2, 2) else c) for i, j, k, c in bracket_entries(g)]
+    assert entries != bracket_entries(g)
+    flipped = LieAlgebraData(6, g.basis, entries, g.nilradical, g.complement)
+    rep = trivial_representation(flipped)
+    ic = build_invariant_complex(flipped, rep, infer_weights(flipped, rep))
+    monkeypatch.setattr(oracle, "linear_automorphisms", lambda g: (perms, 0))
+    calls = _spy_certificates(monkeypatch)
+    seen = _count_eliminations(monkeypatch)
+    report = verify_quasi_iso(ic)
+    # The first factor's e1 -> -e1 now sends no tag onto another, so it is
+    # not certified; the second factor's is, and the swap is refused.
+    assert perms[3][4] == (4, True) and perms[4][0] == (4, False)
+    assert [(perm, passed) for perm, _, passed in calls] == [(perms[3], True), (perms[4], False)]
     assert len(seen) - len(ic.tag_table) == 6
-    assert any(complex_.differentials[0] is mutants[1] for complex_ in seen)
+    assert report == _unpaired_report(monkeypatch, ic)
 
 
-def test_a_mutated_partner_is_eliminated_on_its_own(monkeypatch):
-    # Two members of example 7.1's orbits, each one step from its orbit's
-    # first: one reached by sigma, conjugate-linearly, one by a linear
-    # generator. Either, mutated, is the sixth elimination, not the fifth.
-    g, rep, w = _insertion_inputs("example-7-1-generic")
-    ic = build_invariant_complex(g, rep, w)
-    orbits = _sector_orbits(g, rep, ic.tag_table)
-    steps = {
-        orbits.generators[x][1]: nu
-        for nu, (parent, x) in reversed(orbits.path.items())
-        if parent not in orbits.path
-    }
-    assert set(steps) == {True, False}
-    for nu in steps.values():
-        _doubled_entry_is_eliminated(monkeypatch, ic, nu)
+def test_a_conjugation_that_is_not_conjugate_equivariant_is_refused(monkeypatch):
+    # example 7.1 with [v3, v5] = 2 v3: sigma sends it to [v4, v6] = v4, not
+    # 2 v4, so sigma is refused, on the algebra and its adjoint module alike.
+    # The search still finds v6 -> -v6, v2 <-> v4, which pairs alone.
+    g, adjoint, _ = _insertion_inputs("example-7-1-generic")
+    sigma = tuple((g.conjugation[i], False) for i in range(g.dim))
+    assert _certified(g, adjoint, sigma, True)
+    entries = [(i, j, k, c + c if (i, j) == (2, 4) else c) for i, j, k, c in bracket_entries(g)]
+    mutant = LieAlgebraData(6, g.basis, entries, g.nilradical, g.complement, g.conjugation)
+    rep = adjoint_representation(mutant)
+    assert not _certified(mutant, rep, sigma, True)
+    assert not _certified(mutant, trivial_representation(mutant), sigma, True)
+    ic = build_invariant_complex(mutant, rep, infer_weights(mutant, rep))
+    calls = _spy_certificates(monkeypatch)
+    seen = _count_eliminations(monkeypatch)
+    report = verify_quasi_iso(ic)
+    assert [(conjugate, passed) for _, conjugate, passed in calls] == [(True, False), (False, True)]
+    assert len(seen) - len(ic.tag_table) < len(ic.tag_table)
+    assert report == _unpaired_report(monkeypatch, ic)
 
 
 def test_explicit_matrices_are_never_paired(monkeypatch):
@@ -509,7 +591,7 @@ def test_explicit_matrices_are_never_paired(monkeypatch):
     ic = build_invariant_complex(g, explicit, infer_weights(g, explicit))
     searches = []
     monkeypatch.setattr(oracle, "linear_automorphisms", lambda g: searches.append(g))
-    assert _sector_orbits(g, explicit, ic.tag_table) is None
+    assert _sector_orbits(g, explicit, ic.tag_table) == {}
     seen = _count_eliminations(monkeypatch)
     report = verify_quasi_iso(ic)
     assert len(seen) == 2 * len(ic.tag_table) == 42
@@ -550,3 +632,24 @@ def test_the_search_stays_within_its_node_budget(name):
         assert [s.full_betti for s in report.sectors] == [
             tuple(math.comb(12, p) for p in range(13))
         ]
+
+
+@given(
+    gaussians,
+    gaussians,
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from(["conj", "-conj", "same", "-same", "drawn"]),
+)
+@example(ZERO, ONE, False, True, "drawn")
+@example(GaussianRational(3), ONE, True, True, "conj")
+@example(GaussianRational(0, 2), ONE, False, True, "-conj")
+@example(GaussianRational(0, 2), ONE, False, False, "-same")
+@example(GaussianRational(3), ONE, True, False, "conj")
+def test_is_signed_conjugate_agrees_with_conjugate_and_negation(v, drawn, negate, conjugate, pick):
+    # is_signed_image, linear and conjugated. Drawn partners almost never
+    # match, so w is also formed from v.
+    w = {"conj": v.conjugate(), "-conj": -v.conjugate(), "same": v, "-same": -v, "drawn": drawn}
+    w = w[pick]
+    image = v.conjugate() if conjugate else v
+    assert is_signed_image(w, v, negate, conjugate) == (w == (-image if negate else image))
