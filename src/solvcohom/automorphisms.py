@@ -3,8 +3,9 @@
 A signed permutation pi of the basis sends X_i to +-X_{pi(i)}. It is an
 automorphism when [pi X_i, pi X_j] = pi [X_i, X_j] for every pair, which is
 compared exactly on the structure constants. The oracle pairs full
-sectors along such maps (oracle.verify_quasi_iso), and checks every pair
-it makes entry by entry, so a map found here is never trusted unchecked.
+sectors along such maps (oracle.verify_quasi_iso), and certifies each map
+on the algebra and its module before it pairs anything (oracle._certified),
+so a map found here is never trusted unchecked.
 """
 from __future__ import annotations
 

@@ -205,8 +205,9 @@ def _certified(
             out[target] = -c if negative ^ odd else c
         return out
 
+    # [pi X_i, pi X_j] = s_i s_j [X_pi(i), X_pi(j)] against pi [X_i, X_j]. The
+    # nonzero pairs then go to as many distinct nonzero pairs, so zero pairs to zero.
     for (i, j), terms in g.bracket_table().items():
-        # [pi X_i, pi X_j] = s_i s_j [X_pi(i), X_pi(j)] against pi [X_i, X_j].
         (pi, si), (pj, sj) = perm[i], perm[j]
         if g.bracket(pi, pj) != image(terms, si ^ sj, perm):
             return False
@@ -238,6 +239,7 @@ def _sector_orbits(
     if len(tags) < 2 or not (rep.adjoint and rep.m == n or rep == trivial_representation(g)):
         return {}
     generators = []
+    # _tag_image needs the complement kept; _certified checks it again.
     if set(sigma) == set(range(n)) and {sigma[j] for j in complement} == set(complement):
         generators.append((tuple([(sigma[i], False) for i in range(n)]), True))
     generators += [(perm, False) for perm in linear_automorphisms(g)[0]]

@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvcohom.errors import ValidationFailure
+from solvcohom.instances import parse_instance
 from solvcohom.liealg import (
     LieAlgebraData,
     RepresentationData,
@@ -16,7 +19,14 @@ from solvcohom.liealg import (
 from solvcohom.linalg import ExactMatrix
 from solvcohom.scalars import MINUS_ONE, ONE, ZERO, GaussianRational, I
 
-from conftest import bracket_entries, make_heisenberg, make_split_3d, make_split_6d
+from conftest import (
+    INSTANCE_DIR,
+    bracket_entries,
+    load_bench,
+    make_heisenberg,
+    make_split_3d,
+    make_split_6d,
+)
 
 
 def test_shipped_algebras_validate(heisenberg, split_3d, split_6d):
@@ -91,6 +101,61 @@ def test_jacobi_violation_detected():
     assert validate_algebra(g) == (
         ValidationIssue("jacobi", "Jacobi identity fails on (x1,x2,x3)", (0, 1, 2)),
     )
+
+
+def _jacobi_failures_of_every_triple(g):
+    """The triples i < j < k whose cyclic sum is nonzero, all C(n, 3) scanned."""
+    failures = []
+    for i, j, k in itertools.combinations(range(g.dim), 3):
+        acc = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for t, x in g.bracket(b, c).items():
+                for u, y in g.bracket(a, t).items():
+                    acc[u] = acc.get(u, ZERO) + x * y
+        if any(acc.values()):
+            failures.append((i, j, k))
+    return failures
+
+
+def test_jacobi_checks_the_triples_through_a_stored_pair_in_order():
+    # The algebra above, plus [x7,x4] = x1 stored after [x4,x7] cancelled to
+    # an empty row, and [x6,x1] = x3: bracket_table() lists no pair of
+    # (x4,x6,x7), yet Jacobi fails there through [x7,x4]. Every failing
+    # triple is found, in the order a scan of all triples gives.
+    g = LieAlgebraData(
+        7,
+        [f"x{i}" for i in range(1, 8)],
+        [(0, 1, 2, ONE), (0, 2, 3, ONE), (1, 2, 4, ONE), (0, 3, 4, ONE), (1, 3, 4, ONE),
+         (3, 6, 5, ONE), (3, 6, 5, MINUS_ONE), (6, 3, 0, ONE), (5, 0, 2, ONE)],
+        nilradical=range(7),
+        complement=[],
+    )
+    assert (3, 6) not in g.bracket_table()
+    issues = validate_algebra(g)
+    assert [i.code for i in issues] == ["antisymmetry"] + ["jacobi"] * 4 + ["nilradical-lcs"]
+    assert issues[1:5] == tuple(
+        ValidationIssue("jacobi", f"Jacobi identity fails on ({names})", triple)
+        for names, triple in [
+            ("x1,x2,x3", (0, 1, 2)),
+            ("x1,x2,x6", (0, 1, 5)),
+            ("x1,x3,x7", (0, 2, 6)),
+            ("x4,x6,x7", (3, 5, 6)),
+        ]
+    )
+    assert [i.witness for i in issues[1:5]] == _jacobi_failures_of_every_triple(g)
+
+
+def test_validate_calls_bracket_608_times_on_a_product(monkeypatch):
+    # example-7-1-generic:trivial^2 (n = 12, seed 1): 1,040 calls when the
+    # Jacobi check visited all 220 triples, 608 through the stored pairs only.
+    products = load_bench("products")
+    factor = products.load_factor(INSTANCE_DIR, "example-7-1-generic:trivial")
+    g = parse_instance(products.product_instance([factor] * 2, 1, "p")).algebra
+    calls = []
+    real = LieAlgebraData.bracket
+    monkeypatch.setattr(LieAlgebraData, "bracket", lambda g, i, j: calls.append(1) or real(g, i, j))
+    assert validate_algebra(g) == ()
+    assert len(calls) == 608
 
 
 def test_nilradical_must_be_ideal():

@@ -453,10 +453,15 @@ def _unpaired_report(monkeypatch, ic):
         return verify_quasi_iso(ic)
 
 
+MEMBER_SPECS = sorted(p.stem for p in INSTANCE_DIR.glob("*.json")) + [
+    "example-7-1-generic:trivial+heisenberg3:trivial",
+    "+".join(["example-7-2-generic:trivial"] * 4),
+]
+
+
 @pytest.mark.parametrize(
     "spec",
-    sorted(p.stem for p in INSTANCE_DIR.glob("*.json"))
-    + ["example-7-1-generic:trivial+heisenberg3:trivial", "+".join(["example-7-2-generic:trivial"] * 4)],
+    MEMBER_SPECS,
     ids=lambda spec: spec if spec.count("+") < 3 else "example-7-2-generic:trivial^4",
 )
 def test_every_member_sector_is_the_image_of_its_orbits_first(monkeypatch, spec):
@@ -493,27 +498,22 @@ def test_every_member_sector_is_the_image_of_its_orbits_first(monkeypatch, spec)
             assert is_image(d, image, composed[p + 1], composed[p], conjugate)
 
 
-def _mutated_adjoint():
-    """example 7.1's algebra, its adjoint module, and that module with R(v1)
-    given the entry (v1, v6) = 1, flagged adjoint all the same."""
+def test_a_module_that_is_not_ad_refuses_every_generator(monkeypatch):
+    # R(v1) also maps v6 to v1. It still raises the weight under R(v5) by
+    # one and keeps it under R(v6), so the module still validates, with
+    # the same weights and 21 tags. But it is not ad: sigma, the two sign
+    # changes and the swap each send the new entry where the module has
+    # none, or flip its sign. On the adjoint module all four pass; here all
+    # four are refused, and every sector is eliminated.
     g, adjoint, _ = _insertion_inputs("example-7-1-generic")
     rows = [dict(row) for row in adjoint.matrices[0].row_maps]
     rows[0][5] = ONE
     matrices = (ExactMatrix(6, 6, tuple(rows)),) + adjoint.matrices[1:]
-    return g, adjoint, RepresentationData(6, matrices, adjoint=True)
-
-
-def test_a_module_that_is_not_ad_refuses_every_generator(monkeypatch):
-    # R(v1) now maps v6 to v1 as well. R(v5) and R(v6) are unchanged, so
-    # the weights and the 21 tags are too, and the homomorphism law still
-    # holds: v1 and v6 differ in weight by what [v1, v5] and [v1, v6] ask.
-    # But the module is not ad: sigma, the two sign changes and the swap
-    # each send the entry where the module has none, or with the opposite
-    # sign. All four are refused, and every sector is eliminated.
-    g, adjoint, mutant = _mutated_adjoint()
+    mutant = RepresentationData(6, matrices, adjoint=True)
     assert validate_representation(g, mutant) == ()
     calls = _spy_certificates(monkeypatch)
-    _sector_orbits(g, adjoint, build_invariant_complex(g, adjoint, infer_weights(g, adjoint)).tag_table)
+    ic = build_invariant_complex(g, adjoint, infer_weights(g, adjoint))
+    _sector_orbits(g, adjoint, ic.tag_table)
     assert [(conjugate, passed) for _, conjugate, passed in calls] == [
         (True, True), (False, True), (False, True), (False, True)
     ]
