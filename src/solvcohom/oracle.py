@@ -329,14 +329,15 @@ def verify_quasi_iso(ic: InvariantComplex) -> QuasiIsoReport:
     g, rep = ic.algebra, ic.representation
     skeletons = sector_skeleton(g)
     first = _sector_orbits(g, rep, ic.tag_table)
-    # tag_table is in weight_sort_key order, so ids run through the sorted
-    # tags, and an orbit's first tag comes before its other members.
+    # An orbit's first tag is its earliest in tag_table, so it is done first.
     full: dict[Weight, tuple[int, ...]] = {}
     for tag in ic.tag_table:
-        full[tag] = full[first[tag]] if tag in first else (
-            sector_cohomology_full(g, rep, tag, skeletons).betti
-        )
+        if tag in first:
+            full[tag] = full[first[tag]]
+        else:
+            full[tag] = sector_cohomology_full(g, rep, tag, skeletons).betti
     comparisons = []
+    # tag_table is in weight_sort_key order, so ids run through the sorted tags.
     for tid, tag in enumerate(ic.tag_table):
         block_betti = cohomology(restrict_complex(ic, (tid,))).betti
         comparisons.append(SectorComparison(tag, block_betti, full[tag]))

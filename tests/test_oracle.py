@@ -477,8 +477,10 @@ def test_every_member_sector_is_the_image_of_its_orbits_first(monkeypatch, spec)
     generators = [(perm, conjugate) for perm, conjugate, _ in calls]
     path = orbit_paths(list(tags), generators, g.complement)
     assert path.keys() == first.keys()
-    tau = (lambda perm: perm) if rep.adjoint else (lambda perm: ((0, False),))
-    maps = [(cochain_maps(g.dim, perm, tau(perm)), conjugate) for perm, conjugate in generators]
+    maps = [
+        (cochain_maps(g.dim, perm, perm if rep.adjoint else ((0, False),)), conjugate)
+        for perm, conjugate in generators
+    ]
     skeletons = sector_skeleton(g)
 
     def differentials(mu):
