@@ -5,7 +5,7 @@
 
 Each answer is one CLI command on one instance: derham or dolbeault, with
 and without --representatives, on the pipeline products of bench/run.py;
-oracle on four n=9-12 products; and derham, derham --representatives and
+oracle on five n=9-15 products; and derham, derham --representatives and
 oracle on heisenberg3 in the skewed basis x, y, y + z, the one algebra
 here whose nilradical operators have a nonzero diagonal: with adjoint
 coefficients, and on two products of it (its cube with trivial
@@ -38,6 +38,7 @@ SEED = 1
 ORACLE_PRODUCTS = [
     ("example-7-1-generic:trivial", "heisenberg3:trivial"),
     ("example-7-1-generic:trivial", "heisenberg3:trivial", "heisenberg3:trivial"),
+    ("example-7-1-generic:trivial",) + ("heisenberg3:trivial",) * 3,
     ("example-7-1-pi", "heisenberg3:trivial"),
     ("example-7-2-generic:trivial",) * 4,
 ]
