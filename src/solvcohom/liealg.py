@@ -135,9 +135,10 @@ class LieAlgebraData:
         return out
 
     def ad_matrix(self, j: int) -> ExactMatrix:
-        """Matrix of ad(X_j) acting on column vectors in the given basis."""
+        """Matrix of ad(X_j) on column vectors, read off j's stored pairs in ascending i."""
         entries: dict[tuple[int, int], GaussianRational] = {}
-        for i in range(self.dim):
+        stored = {b if a == j else a for (a, b), row in self._table.items() if row and j in (a, b)}
+        for i in sorted(stored):
             for k, c in self.bracket(j, i).items():
                 entries[(k, i)] = c
         return ExactMatrix.from_entries(self.dim, self.dim, entries)
@@ -277,20 +278,20 @@ def validate_algebra(g: LieAlgebraData) -> tuple[ValidationIssue, ...]:
                         "conjugation must preserve the nilradical/complement split",
                     )
                 )
-            for i in range(n):
-                for j in range(i + 1, n):
-                    expected = {
-                        sigma[k]: c.conjugate() for k, c in g.bracket(i, j).items()
-                    }
-                    if g.bracket(sigma[i], sigma[j]) != expected:
-                        issues.append(
-                            ValidationIssue(
-                                "conjugation-brackets",
-                                "structure constants are not conjugation-equivariant "
-                                f"on ({g.basis[i]},{g.basis[j]})",
-                                (i, j),
-                            )
+            # A pair with no stored bracket whose image has none either holds.
+            inverse = {b: a for a, b in sigma.items()}
+            preimages = {tuple(sorted((inverse[a], inverse[b]))) for a, b in pairs}
+            for i, j in sorted(pairs | preimages):
+                expected = {sigma[k]: c.conjugate() for k, c in g.bracket(i, j).items()}
+                if g.bracket(sigma[i], sigma[j]) != expected:
+                    issues.append(
+                        ValidationIssue(
+                            "conjugation-brackets",
+                            "structure constants are not conjugation-equivariant "
+                            f"on ({g.basis[i]},{g.basis[j]})",
+                            (i, j),
                         )
+                    )
 
     return tuple(issues)
 

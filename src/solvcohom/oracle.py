@@ -15,15 +15,13 @@ numbers must agree degree by degree with the mu-block of the invariant
 complex; this is the finite certificate that the invariant complex
 computes the right cohomology.
 
-Only rho_mu(X_j) depends on the sector. Everything else in the formula
-(which (J, I) blocks meet, the evaluation signs, the bracket scalars) is
-evaluated once per instance and degree as a skeleton, and each sector
-reads the nonzero entries of rho_mu off the module's sparse rows, with
-mu on the diagonal, into one table with their negatives. The skeleton
-enumerates sources from the argument tuples of the formula, not from all
-(J, I) pairs. Their arguments are distinct, so x_I is nonzero on a tuple
-only for I its sorted form, and is still evaluated raw on the tuple as
-the sign of that sort (_sort_sign).
+Only rho_mu(X_j) depends on the sector. The bracket terms are evaluated
+once per instance (sector_skeleton), from the pairs inside each target J
+that have a nonzero bracket; x_I is evaluated raw on each term's argument
+tuple, as the sign of its sort (_sort_sign). The action terms are not
+stored: their one source is J without j_a, with the sign (-1)^a, proved
+(_sector_differential). Each sector reads the nonzero entries of rho_mu,
+with mu on the diagonal, into one table with their negatives.
 
 Sectors come in orbits. A signed permutation pi of the basis that keeps
 the complement and the brackets, applied linearly, or the conjugation
@@ -58,10 +56,8 @@ from .linalg import ExactMatrix, SparseRow, row_axpy
 from .scalars import ONE, ZERO, GaussianRational
 from .weights import InvariantComplex, restrict_complex
 
-# (action terms, bracket terms) of one degree; see _degree_skeleton.
-DegreeSkeleton = tuple[
-    list[tuple[int, int, int, int]], dict[tuple[int, int], GaussianRational]
-]
+# The bracket terms {J: [(ipos, c)]} of every degree, J a bitmask; see sector_skeleton.
+Skeleton = dict[int, list[tuple[int, GaussianRational]]]
 # The nonzero entries (l, k, value) of rho_mu(X_j) for one j.
 ActionEntries = list[tuple[int, int, GaussianRational]]
 
@@ -77,48 +73,37 @@ def _sort_sign(arguments: tuple[int, ...]) -> int:
     return sign
 
 
-def _degree_skeleton(g: LieAlgebraData, p: int) -> DegreeSkeleton:
-    """The mu-independent part of the degree-p differential, by raw evaluation.
-
-    Action terms (jpos, ipos, j, s) stand for s * rho(X_j) in the block of
-    target J and source I, the jpos-th (p+1)-subset and the ipos-th
-    p-subset in degree_masks order; bracket terms {(jpos, ipos): c} stand
-    for c * id in that block. x_I vanishes off the permutations of I, so
-    each argument tuple of the formula, formed from the bits of J, has at
-    most one source I, its sorted form, read off the tuple's bits; x_I is
-    still evaluated on the tuple.
+def sector_skeleton(g: LieAlgebraData) -> Skeleton:
+    """The mu-independent part of every degree, by raw evaluation: J (a bitmask)
+    lists (ipos, c) for c * id in the block of source I, the ipos-th subset in
+    degree_masks order, ascending and nonzero. Only the pairs inside J in
+    bracket_table() are visited; each (t, c) of theirs has at most one source,
+    the sorted argument tuple, and x_I is still evaluated on the tuple.
     """
-    position = mask_position(g.dim, p)
-    action_terms: list[tuple[int, int, int, int]] = []
-    bracket_terms: dict[tuple[int, int], GaussianRational] = {}
-    for jpos, mask in enumerate(degree_masks(g.dim, p + 1)):
-        J = tuple([j for j in range(g.dim) if mask >> j & 1])
-        # Action term: sum_a (-1)^a rho(X_{j_a}) (x_I (x) v)(..drop a..).
-        for a in range(p + 1):
-            sign = _sort_sign(J[:a] + J[a + 1 :])
-            action_terms.append((jpos, position[mask ^ 1 << J[a]], J[a], -sign if a % 2 else sign))
-        # Bracket term: sum_{a<b} (-1)^{a+b} (x_I)( [X_a,X_b], ..drop.. ).
-        scalars: dict[int, GaussianRational] = {}
-        for a in range(p + 1):
-            for b in range(a + 1, p + 1):
-                rest = J[:a] + J[a + 1 : b] + J[b + 1 :]
-                parity = -1 if (a + b) % 2 else 1
-                for t, c in g.bracket(J[a], J[b]).items():
-                    if t in rest:
+    n = g.dim
+    pairs = [(1 << i | 1 << j, i, j, terms) for (i, j), terms in g.bracket_table().items()]
+    skeleton: Skeleton = {}
+    for p in range(1, n):
+        position = mask_position(n, p)
+        for mask in degree_masks(n, p + 1):
+            scalars: dict[int, GaussianRational] = {}
+            for ij, i, j, terms in pairs:
+                if mask & ij != ij:
+                    continue
+                # X_i and X_j are arguments a < b, a and b the members of J below them.
+                a, b = (mask & (1 << i) - 1).bit_count(), (mask & (1 << j) - 1).bit_count()
+                rest = mask ^ ij
+                others = tuple([k for k in range(n) if rest >> k & 1])
+                for t, c in terms:
+                    if rest >> t & 1:
                         continue
-                    sign = parity * _sort_sign((t,) + rest)
-                    ipos = position[mask ^ 1 << J[a] ^ 1 << J[b] | 1 << t]
+                    sign = (-1) ** (a + b) * _sort_sign((t,) + others)
+                    ipos = position[rest | 1 << t]
                     scalars[ipos] = scalars.get(ipos, ZERO) + (c if sign > 0 else -c)
-        for ipos in sorted(scalars):
-            if scalars[ipos]:
-                bracket_terms[(jpos, ipos)] = scalars[ipos]
-    action_terms.sort()
-    return action_terms, bracket_terms
-
-
-def sector_skeleton(g: LieAlgebraData) -> list[DegreeSkeleton]:
-    """The mu-independent part of every degree, shared by all sectors of g."""
-    return [_degree_skeleton(g, p) for p in range(g.dim)]
+            entry = [(ipos, c) for ipos, c in sorted(scalars.items()) if c]
+            if entry:
+                skeleton[mask] = entry
+    return skeleton
 
 
 def twist_at(g: LieAlgebraData, twist: Optional[Weight]) -> tuple[GaussianRational, ...]:
@@ -151,25 +136,36 @@ def _sector_differential(
     g: LieAlgebraData,
     m: int,
     p: int,
-    skeleton: DegreeSkeleton,
+    skeleton: Skeleton,
     rho: list[tuple[ActionEntries, ActionEntries]],
 ) -> ExactMatrix:
-    """Degree-p differential: the skeleton with _action_table(rep, mu_at), m = rep.m."""
+    """Degree-p differential: the skeleton's bracket terms, then the action terms
+    with rho = _action_table(rep, mu_at), m = rep.m. Target J's action term
+    sum_a (-1)^a rho(X_{j_a}) (x_I (x) v)(..drop a..) has one source per a, J
+    without j_a: that tuple is sorted, so x_I is +1 on it and the sign is
+    (-1)^a. With a running down, the sources ascend in degree_masks order.
+    """
     n = g.dim
-    action_terms, bracket_terms = skeleton
+    position = mask_position(n, p)
     rows: list[SparseRow] = [{} for _ in range(math.comb(n, p + 1) * m)]
-    for (jpos, ipos), scalar in bracket_terms.items():
-        for k in range(m):
-            rows[jpos * m + k][ipos * m + k] = scalar
-    for jpos, ipos, j, sign in action_terms:
-        for l, k, value in rho[j][sign < 0]:
-            row, col = rows[jpos * m + l], ipos * m + k
-            if col in row:
-                value = row[col] + value
-                if not value:
-                    del row[col]
-                    continue
-            row[col] = value
+    for jpos, mask in enumerate(degree_masks(n, p + 1)):
+        block = rows[jpos * m : jpos * m + m]
+        for ipos, scalar in skeleton.get(mask, ()):
+            for k, row in enumerate(block):
+                row[ipos * m + k] = scalar
+        top = mask
+        for a in range(p, -1, -1):
+            j = top.bit_length() - 1
+            top ^= 1 << j
+            base = position[mask ^ 1 << j] * m
+            for l, k, value in rho[j][a % 2]:
+                row, col = block[l], base + k
+                if col in row:
+                    value = row[col] + value
+                    if not value:
+                        del row[col]
+                        continue
+                row[col] = value
     return ExactMatrix(len(rows), math.comb(n, p) * m, tuple(rows))
 
 
@@ -266,15 +262,15 @@ def sector_cohomology_full(
     g: LieAlgebraData,
     rep: RepresentationData,
     mu: Optional[Weight],
-    skeletons: list[DegreeSkeleton],
+    skeleton: Skeleton,
 ) -> CohomologyResult:
     """Betti numbers of the full twisted complex for one weight covector.
 
-    `skeletons` is sector_skeleton(g), shared by every sector of g.
+    `skeleton` is sector_skeleton(g), shared by every sector of g.
     """
     n, m = g.dim, rep.m
     rho = _action_table(rep, twist_at(g, mu))
-    diffs = tuple([_sector_differential(g, m, p, skeletons[p], rho) for p in range(n)])
+    diffs = tuple([_sector_differential(g, m, p, skeleton, rho) for p in range(n)])
     return cohomology(FiniteComplex(tuple([math.comb(n, p) * m for p in range(n + 1)]), diffs))
 
 
@@ -327,7 +323,7 @@ def verify_quasi_iso(ic: InvariantComplex) -> QuasiIsoReport:
     takes the first's Betti numbers without being built.
     """
     g, rep = ic.algebra, ic.representation
-    skeletons = sector_skeleton(g)
+    skeleton = sector_skeleton(g)
     first = _sector_orbits(g, rep, ic.tag_table)
     # An orbit's first tag is its earliest in tag_table, so it is done first.
     full: dict[Weight, tuple[int, ...]] = {}
@@ -335,7 +331,7 @@ def verify_quasi_iso(ic: InvariantComplex) -> QuasiIsoReport:
         if tag in first:
             full[tag] = full[first[tag]]
         else:
-            full[tag] = sector_cohomology_full(g, rep, tag, skeletons).betti
+            full[tag] = sector_cohomology_full(g, rep, tag, skeleton).betti
     comparisons = []
     # tag_table is in weight_sort_key order, so ids run through the sorted tags.
     for tid, tag in enumerate(ic.tag_table):

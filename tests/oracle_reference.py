@@ -25,9 +25,13 @@ from solvcohom.liealg import LieAlgebraData, RepresentationData
 from solvcohom.linalg import ExactMatrix, SparseRow, row_axpy
 from solvcohom.automorphisms import SignedPermutation
 from solvcohom.cecomplex import Weight, degree_masks, mask_position
-from solvcohom.oracle import DegreeSkeleton, _tag_image, twist_at
+from solvcohom.oracle import _tag_image, twist_at
 from solvcohom.scalars import ZERO, GaussianRational
 
+# (action terms (jpos, ipos, j, s), bracket terms {(jpos, ipos): c}) of one degree.
+ReferenceSkeleton = tuple[
+    list[tuple[int, int, int, int]], dict[tuple[int, int], GaussianRational]
+]
 # Per degree p, the code 2 * Phi(c) + [s_c = -1] of each cochain c = (I, k), at
 # mask_position(n, p)[I] * m + k, under a cochain map Phi of signed permutations.
 CochainMap = list[list[int]]
@@ -93,7 +97,7 @@ def alternating_evaluation(I: tuple[int, ...], arguments: tuple[int, ...]) -> in
     return sign
 
 
-def reference_degree_skeleton(g: LieAlgebraData, p: int) -> DegreeSkeleton:
+def reference_degree_skeleton(g: LieAlgebraData, p: int) -> ReferenceSkeleton:
     """The mu-independent part of the degree-p differential, pair by pair."""
     n = g.dim
     sources = degree_basis(n, p)
@@ -146,7 +150,7 @@ def reference_sector_differential(
     g: LieAlgebraData,
     m: int,
     p: int,
-    skeleton: DegreeSkeleton,
+    skeleton: ReferenceSkeleton,
     rho: list[list[tuple[int, int, GaussianRational]]],
 ) -> ExactMatrix:
     """Degree-p differential: the skeleton with rho, via (row, column) entries."""

@@ -145,9 +145,10 @@ def test_jacobi_checks_the_triples_through_a_stored_pair_in_order():
     assert [i.witness for i in issues[1:5]] == _jacobi_failures_of_every_triple(g)
 
 
-def test_validate_calls_bracket_608_times_on_a_product(monkeypatch):
+def test_validate_calls_bracket_404_times_on_a_product(monkeypatch):
     # example-7-1-generic:trivial^2 (n = 12, seed 1): 1,040 calls when the
-    # Jacobi check visited all 220 triples, 608 through the stored pairs only.
+    # Jacobi check visited all 220 triples, 608 through the stored pairs only,
+    # and 404 once the conjugation check and ad_matrix read only those pairs.
     products = load_bench("products")
     factor = products.load_factor(INSTANCE_DIR, "example-7-1-generic:trivial")
     g = parse_instance(products.product_instance([factor] * 2, 1, "p")).algebra
@@ -155,7 +156,41 @@ def test_validate_calls_bracket_608_times_on_a_product(monkeypatch):
     real = LieAlgebraData.bracket
     monkeypatch.setattr(LieAlgebraData, "bracket", lambda g, i, j: calls.append(1) or real(g, i, j))
     assert validate_algebra(g) == ()
-    assert len(calls) == 608
+    assert len(calls) == 404
+
+
+def _conjugation_failures_of_every_pair(g):
+    """The pairs i < j with sigma[X_i, X_j] != [X_sigma(i), X_sigma(j)], all scanned."""
+    sigma = g.conjugation
+    return [
+        (i, j)
+        for i, j in itertools.combinations(range(g.dim), 2)
+        if g.bracket(sigma[i], sigma[j])
+        != {sigma[k]: c.conjugate() for k, c in g.bracket(i, j).items()}
+    ]
+
+
+@pytest.mark.parametrize(
+    "sigma, involution",
+    [({0: 3, 3: 0, 1: 1, 2: 2}, True), ({0: 1, 1: 2, 2: 0, 3: 3}, False)],
+    ids=["swap", "cycle"],
+)
+def test_conjugation_check_visits_the_stored_pairs_and_their_preimages(sigma, involution):
+    # [x1,x2] = x3. The swap x1 <-> x4 fails on (x1,x2), and on (x2,x4),
+    # whose bracket is zero but whose image [x2,x1] is not. The cycle
+    # x1 -> x2 -> x3 -> x1 fails on (x1,x2) and on (x1,x3), the preimage of
+    # (x1,x2) under the cycle's inverse, not its image (x2,x3). Every
+    # failing pair is found, in the order a scan of all pairs gives.
+    g = LieAlgebraData(
+        4, ["x1", "x2", "x3", "x4"], [(0, 1, 2, ONE)], range(4), [], conjugation=sigma
+    )
+    issues = validate_algebra(g)
+    failures = [i.witness for i in issues if i.code == "conjugation-brackets"]
+    assert failures == _conjugation_failures_of_every_pair(g)
+    assert failures == ([(0, 1), (1, 3)] if involution else [(0, 1), (0, 2)])
+    assert [i.code for i in issues if i.code != "conjugation-brackets"] == (
+        [] if involution else ["conjugation-involution"] * 3
+    )
 
 
 def test_nilradical_must_be_ideal():

@@ -5,6 +5,7 @@ import pytest
 from ce_reference import ce_differential
 from conftest import (
     INSTANCE_DIR,
+    SKEWED_HEISENBERG,
     bracket_entries,
     load_bench,
     make_heisenberg_power,
@@ -26,6 +27,7 @@ from oracle_reference import (
 from subset_reference import degree_basis, subset_position
 
 from solvcohom.automorphisms import SEARCH_NODES, linear_automorphisms
+from solvcohom.cecomplex import degree_masks, mask_position
 from solvcohom.errors import ValidationFailure
 from solvcohom.instances import (
     build_representation,
@@ -45,7 +47,6 @@ from solvcohom import oracle
 from solvcohom.oracle import (
     _action_table,
     _certified,
-    _degree_skeleton,
     _sector_differential,
     _sector_orbits,
     _sort_sign,
@@ -82,11 +83,11 @@ def test_alternating_evaluation_degeneracies():
 
 
 def test_full_sector_untwisted_heisenberg(heisenberg):
-    rep, skeletons = trivial_representation(heisenberg), sector_skeleton(heisenberg)
-    result = sector_cohomology_full(heisenberg, rep, None, skeletons)
+    rep, skeleton = trivial_representation(heisenberg), sector_skeleton(heisenberg)
+    result = sector_cohomology_full(heisenberg, rep, None, skeleton)
     assert result.betti == (1, 2, 2, 1)
     zero = tuple(ZERO for _ in heisenberg.complement)
-    assert sector_cohomology_full(heisenberg, rep, zero, skeletons).betti == (1, 2, 2, 1)
+    assert sector_cohomology_full(heisenberg, rep, zero, skeleton).betti == (1, 2, 2, 1)
 
 
 @pytest.mark.parametrize("twist", [(), (ONE, ONE)], ids=["short", "long"])
@@ -99,12 +100,12 @@ def test_full_sector_refuses_a_twist_of_the_wrong_width(split_3d, twist):
 
 
 def test_full_sector_twisted_split_3d(split_3d):
-    rep, skeletons = trivial_representation(split_3d), sector_skeleton(split_3d)
-    assert sector_cohomology_full(split_3d, rep, (ZERO,), skeletons).betti == (1, 1, 1, 1)
+    rep, skeleton = trivial_representation(split_3d), sector_skeleton(split_3d)
+    assert sector_cohomology_full(split_3d, rep, (ZERO,), skeleton).betti == (1, 1, 1, 1)
     # Nonzero tags still carry cohomology here: d is not injective on the
     # twisted complex of this algebra.
-    assert sector_cohomology_full(split_3d, rep, (ONE,), skeletons).betti == (0, 1, 1, 0)
-    assert sector_cohomology_full(split_3d, rep, (MINUS_ONE,), skeletons).betti == (0, 1, 1, 0)
+    assert sector_cohomology_full(split_3d, rep, (ONE,), skeleton).betti == (0, 1, 1, 0)
+    assert sector_cohomology_full(split_3d, rep, (MINUS_ONE,), skeleton).betti == (0, 1, 1, 0)
 
 
 def test_quasi_iso_split_3d(split_3d):
@@ -157,69 +158,101 @@ def test_quasi_iso_heisenberg_power_n12():
     assert report.sectors[0].full_betti == tuple(expected)
 
 
+SKEWED = {
+    "heisenberg3-skewed": SKEWED_HEISENBERG,
+    "heisenberg3-skewed-adjoint": {**SKEWED_HEISENBERG, "representation": {"adjoint": True}},
+}
+
+
 def _insertion_inputs(name):
-    """(algebra, module, weights) of a shipped instance, or of the n = 9 sum."""
+    """(algebra, module, weights) of a shipped instance, of the n = 9 sum, or of
+    heisenberg3 in the skewed basis."""
     if name == "split_6d+heisenberg":
         g = make_split_6d_plus_heisenberg()
         rep = trivial_representation(g)
         return g, rep, infer_weights(g, rep)
-    inst = load_instance(str(INSTANCE_DIR / f"{name}.json"))
+    inst = parse_instance(SKEWED[name]) if name in SKEWED else load_instance(
+        str(INSTANCE_DIR / f"{name}.json")
+    )
     rep = build_representation(inst)
     return inst.algebra, rep, build_weight_assignment(inst, rep)
 
 
-@pytest.mark.parametrize(
-    "name",
-    sorted(p.stem for p in INSTANCE_DIR.glob("*.json")) + ["split_6d+heisenberg"],
-)
+SHIPPED = sorted(p.stem for p in INSTANCE_DIR.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", SHIPPED + ["split_6d+heisenberg"])
 def test_sector_differential_equals_insertion_formula(name):
     # Entry by entry, not only Betti numbers: the raw-evaluation oracle
     # and the insertion-formula builder must produce the same matrices.
     g, rep, w = _insertion_inputs(name)
     ic = build_invariant_complex(g, rep, w)
-    skeletons = sector_skeleton(g)
+    skeleton = sector_skeleton(g)
     for tag in ic.distinct_tags():
         rho = _action_table(rep, twist_at(g, tag))
         for p in range(g.dim):
             expected = ce_differential(g, rep, tag, p)
-            assert _sector_differential(g, rep.m, p, skeletons[p], rho) == expected
+            assert _sector_differential(g, rep.m, p, skeleton, rho) == expected
 
 
-@pytest.mark.parametrize(
-    "name", sorted(p.stem for p in INSTANCE_DIR.glob("*.json")) + ["split_6d+heisenberg"]
-)
+@pytest.mark.parametrize("name", SHIPPED + ["heisenberg3-skewed", "split_6d+heisenberg"])
 def test_skeleton_equals_pair_scanning_reference(name):
-    # Sources enumerated from the argument tuples must give what scanning
-    # every (J, I) pair gives, with the same list and dict order.
-    if name == "split_6d+heisenberg":
-        g = make_split_6d_plus_heisenberg()
-    else:
-        g = load_instance(str(INSTANCE_DIR / f"{name}.json")).algebra
+    # The bracket terms formed from the pairs in the bracket table must be
+    # what scanning every (J, I) pair gives, in the same order. The
+    # reference's action terms are the ones _sector_differential walks:
+    # source J without j_a, sign (-1)^a, sources ascending. Only the skewed
+    # basis has bracket terms with t in {a, b}.
+    g = _insertion_inputs(name)[0]
+    skeleton = sector_skeleton(g)
     for p in range(g.dim):
-        action_terms, bracket_terms = _degree_skeleton(g, p)
         ref_action_terms, ref_bracket_terms = reference_degree_skeleton(g, p)
-        assert action_terms == ref_action_terms
-        assert list(bracket_terms.items()) == list(ref_bracket_terms.items())
+        bracket_terms = [
+            ((jpos, ipos), c)
+            for jpos, mask in enumerate(degree_masks(g.dim, p + 1))
+            for ipos, c in skeleton.get(mask, ())
+        ]
+        assert bracket_terms == list(ref_bracket_terms.items())
+        position = mask_position(g.dim, p)
+        walked = []
+        for jpos, mask in enumerate(degree_masks(g.dim, p + 1)):
+            J = [j for j in range(g.dim) if mask >> j & 1]
+            for a in range(p, -1, -1):
+                walked.append((jpos, position[mask ^ 1 << J[a]], J[a], (-1) ** a))
+        assert walked == ref_action_terms
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in INSTANCE_DIR.glob("*.json")))
+@pytest.mark.parametrize("name", SHIPPED + list(SKEWED) + ["split_6d+heisenberg"])
 def test_sector_rows_equal_entry_keyed_reference(name):
-    # On every sector and degree: the same action table, and the same
-    # rows as the (row, column)-keyed reference builds, down to key order.
+    # On every sector and degree: the same action table, and the same rows
+    # as the (row, column)-keyed reference builds from the pair-scanning
+    # skeleton, down to key order. On the skewed basis, bracket terms land
+    # on action terms' entries and some sums drop out.
     g, rep, w = _insertion_inputs(name)
     ic = build_invariant_complex(g, rep, w)
-    skeletons = sector_skeleton(g)
+    skeleton = sector_skeleton(g)
+    reference_skeleton = [reference_degree_skeleton(g, p) for p in range(g.dim)]
     for tag in ic.tag_table:
         rho = _action_table(rep, twist_at(g, tag))
         reference = reference_action_table(g, rep, tag)
         assert rho == _with_negatives(reference)
         for p in range(g.dim):
-            got = _sector_differential(g, rep.m, p, skeletons[p], rho)
-            want = reference_sector_differential(g, rep.m, p, skeletons[p], reference)
+            got = _sector_differential(g, rep.m, p, skeleton, rho)
+            want = reference_sector_differential(g, rep.m, p, reference_skeleton[p], reference)
             assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
             assert [list(r.items()) for r in got.row_maps] == [
                 list(r.items()) for r in want.row_maps
             ]
+
+
+def test_skeleton_reads_brackets_from_the_table(monkeypatch):
+    # example-7-1-generic:trivial (x) heisenberg3:trivial, n = 9: the skeleton
+    # visits only the pairs that bracket_table() lists, and asks bracket() nothing.
+    g = _product_inputs("example-7-1-generic:trivial+heisenberg3:trivial")[0]
+    calls = []
+    real = LieAlgebraData.bracket
+    monkeypatch.setattr(LieAlgebraData, "bracket", lambda g, i, j: calls.append(1) or real(g, i, j))
+    skeleton = sector_skeleton(g)
+    assert skeleton and calls == []
 
 
 def _with_negatives(table):
@@ -372,8 +405,8 @@ def _product_inputs(spec):
 def _assert_eliminations(monkeypatch, spec, tags, sectors):
     g, rep, w = _product_inputs(spec)
     ic = build_invariant_complex(g, rep, w)
-    skeletons = sector_skeleton(g)
-    unpaired = [sector_cohomology_full(g, rep, tag, skeletons).betti for tag in ic.tag_table]
+    skeleton = sector_skeleton(g)
+    unpaired = [sector_cohomology_full(g, rep, tag, skeleton).betti for tag in ic.tag_table]
     seen = _count_eliminations(monkeypatch)
     report = verify_quasi_iso(ic)
     assert len(ic.tag_table) == tags
@@ -481,11 +514,11 @@ def test_every_member_sector_is_the_image_of_its_orbits_first(monkeypatch, spec)
         (cochain_maps(g.dim, perm, perm if rep.adjoint else ((0, False),)), conjugate)
         for perm, conjugate in generators
     ]
-    skeletons = sector_skeleton(g)
+    skeleton = sector_skeleton(g)
 
     def differentials(mu):
         rho = _action_table(rep, twist_at(g, mu))
-        return [_sector_differential(g, rep.m, p, skeletons[p], rho) for p in range(g.dim)]
+        return [_sector_differential(g, rep.m, p, skeleton, rho) for p in range(g.dim)]
 
     held = {}
     for nu in path:
