@@ -97,26 +97,27 @@ def period_names(symbols: Iterable[str]) -> dict[str, tuple[str, GaussianRationa
 def parse_period(text: str, names: Mapping[str, tuple[str, GaussianRational]]) -> Period:
     """Parse period text against the names of period_names."""
     value: Period = {}
-    for sign, body, term in signed_terms(text, "period"):
+    for negative, body, term in signed_terms(text, "period"):
         head, _, tail = body.partition("*")
         if body in names:
-            name, coeff = body, sign
+            name, coeff = body, ONE
         elif _RAT.match(body):
-            name, coeff = "1", sign * parse_rational(body, text)
+            name, coeff = "1", parse_rational(body, text)
         elif _RAT.match(head) and tail in names:
-            name, coeff = tail, sign * parse_rational(head, text)
+            name, coeff = tail, parse_rational(head, text)
         else:
             raise ScalarParseError(f"bad period term {term!r} in {text!r}")
         symbol, unit = names[name]
-        value[symbol] = value.get(symbol, ZERO) + unit * GaussianRational(coeff)
+        old = value.get(symbol, ZERO)
+        value[symbol] = old - unit * coeff if negative else old + unit * coeff
     return {s: c for s, c in value.items() if c}
 
 
 def in_2pi_i_integers(value: Period) -> bool:
     """True iff the value lies in 2*pi*i*Z: pi times i times an even integer."""
     for symbol, coeff in value.items():
-        im = coeff.im
-        if symbol != "pi" or coeff.re or im.denominator != 1 or im.numerator % 2:
+        a, b, d = coeff.triple
+        if symbol != "pi" or a or d != 1 or b % 2:
             return False
     return True
 
@@ -124,8 +125,9 @@ def in_2pi_i_integers(value: Period) -> bool:
 def imag_in_pi_integers(value: Period) -> bool:
     """True iff Im lies in pi*Z: integer Im on pi, real coefficients elsewhere."""
     for symbol, coeff in value.items():
-        im = coeff.im
-        if (im.denominator != 1) if symbol == "pi" else im:
+        _, b, d = coeff.triple
+        # Im is b/d, an integer iff d divides b.
+        if (b % d) if symbol == "pi" else b:
             return False
     return True
 
@@ -199,7 +201,7 @@ def evaluate_weight_on_generator(mu: Weight, generator: Sequence[Period]) -> Per
     """sum_j mu_j * delta_j as a period value, nonzero coefficients only."""
     acc: Period = {}
     for coeff, coord in zip(mu, generator):
-        if coeff:
+        if coord and coeff:
             acc = row_axpy(acc, coord, coeff)
     return acc
 
@@ -226,7 +228,7 @@ def char_unitary(mu: Weight, g: LieAlgebraData) -> Optional[bool]:
     pos = {j: p for p, j in enumerate(g.complement)}
     for j in g.complement:
         other = g.conjugation[j]
-        if mu[pos[j]] + mu[pos[other]].conjugate() != GaussianRational(0):
+        if mu[pos[j]] + mu[pos[other]].conjugate():
             return False
     return True
 

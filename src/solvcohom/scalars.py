@@ -6,9 +6,10 @@ d > 0 and gcd(a, b, d) = 1, so each value has exactly one stored form and
 arithmetic runs on Python integers with at most one gcd per result. A
 sum, difference or product of two Gaussian integers (d = 1) is canonical
 as it stands, so it is wrapped with `_make` directly rather than passed
-through `_reduced`. The parts are read as `fractions.Fraction` through
-`.re` and `.im`. Values whose computation would leave Q(i) must be
-rejected upstream, never coerced.
+through `_reduced`. Text is parsed into and printed from the triple,
+which other modules read as `triple`; `.re` and `.im` build the parts as
+`fractions.Fraction` for the tests and the benchmark counters. Values
+whose computation would leave Q(i) must be rejected upstream, never coerced.
 
 Text grammar (used by instance files and reports): a signed sum of terms,
 each term a rational `p` or `p/q`, the literal `i`, or `p*i` / `p/q*i`.
@@ -30,7 +31,7 @@ _TERM_SPLIT = re.compile(r"(?=[+-])")
 class GaussianRational:
     """An element of Q(i), immutable and hashable.
 
-    `_abd` is the canonical triple (a, b, d) described in the module
+    `_abd`, read as `triple`, is the canonical (a, b, d) of the module
     docstring. No method calls another arithmetic method, except that
     `inverse()` is `ONE / self`, so benchmark traces that wrap these
     methods count one call per operation.
@@ -48,6 +49,10 @@ class GaussianRational:
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    @property
+    def triple(self) -> tuple[int, int, int]:
+        return self._abd
 
     @property
     def re(self) -> Fraction:
@@ -169,30 +174,32 @@ MINUS_ONE = GaussianRational(-1)
 I = GaussianRational(0, 1)
 
 
-def parse_rational(text: str, literal: str = "") -> Fraction:
+def parse_rational(text: str, literal: str = "") -> GaussianRational:
     """A signed literal `p` or `p/q`; a zero denominator is a parse error.
 
     Errors name `literal`, the whole literal that text is a term of, if given.
     """
     if not _RAT.match(text):
         raise ScalarParseError(f"not a rational literal: {literal or text!r}")
+    num, _, den = text.partition("/")
     try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ScalarParseError(f"zero denominator in {literal or text!r}") from None
+        p, q = int(num), int(den or 1)
     except ValueError:
         # The literal matched _RAT, so only the integer digit limit is left.
         raise ScalarParseError(
             f"too many digits in a rational literal of length {len(text)}"
         ) from None
+    if not q:
+        raise ScalarParseError(f"zero denominator in {literal or text!r}")
+    return _reduced(p, 0, q)
 
 
-def signed_terms(text: str, noun: str) -> Iterator[tuple[Fraction, str, str]]:
-    """Yield (sign, body, term) for each term of a signed sum, spaces dropped.
+def signed_terms(text: str, noun: str) -> Iterator[tuple[bool, str, str]]:
+    """Yield (negative, body, term) for each term of a signed sum, spaces dropped.
 
-    sign is +1 or -1 and body is the term without its sign. An empty text,
-    or a sign with no term after it, is a ScalarParseError that names the
-    literal by `noun`, such as "scalar".
+    negative is True after a minus sign and body is the term without its
+    sign. An empty text, or a sign with no term after it, is a
+    ScalarParseError that names the literal by `noun`, such as "scalar".
     """
     compact = text.replace(" ", "")
     if not compact:
@@ -204,42 +211,40 @@ def signed_terms(text: str, noun: str) -> Iterator[tuple[Fraction, str, str]]:
         if not term or term in "+-":
             raise ScalarParseError(f"malformed {noun} literal: {text!r}")
         if term[0] in "+-":
-            yield Fraction(-1 if term[0] == "-" else 1), term[1:], term
+            yield term[0] == "-", term[1:], term
         else:
-            yield Fraction(1), term, term
+            yield False, term, term
 
 
 def parse_gaussian(text: str) -> GaussianRational:
     """Parse the exact text grammar for Q(i), e.g. "1/2-3*i"."""
-    re_part = Fraction(0)
-    im_part = Fraction(0)
-    for sign, body, _ in signed_terms(text, "scalar"):
+    value = ZERO
+    for negative, body, _ in signed_terms(text, "scalar"):
         if body == "i":
-            im_part += sign
+            term = I
         elif body.endswith("*i"):
-            im_part += sign * parse_rational(body[:-2], text)
+            term = I * parse_rational(body[:-2], text)
         else:
-            re_part += sign * parse_rational(body, text)
-    return GaussianRational(re_part, im_part)
+            term = parse_rational(body, text)
+        value = value - term if negative else value + term
+    return value
+
+
+def _quotient_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def format_gaussian(value: GaussianRational) -> str:
     """Canonical text form; parse_gaussian(format_gaussian(v)) == v."""
-    re_f, im_f = value.re, value.im
-    if not re_f and not im_f:
+    a, b, d = value._abd
+    if not a and not b:
         return "0"
     parts = []
-    if re_f:
-        parts.append(str(re_f))
-    if im_f:
-        if im_f == 1:
-            imag = "i"
-        elif im_f == -1:
-            imag = "-i"
-        else:
-            imag = f"{im_f}*i"
-        if parts and not imag.startswith("-"):
-            parts.append("+" + imag)
-        else:
-            parts.append(imag)
+    if a:
+        parts.append(_quotient_text(a, d))
+    if b:
+        imag = "i" if b == d else "-i" if b == -d else _quotient_text(b, d) + "*i"
+        parts.append("+" + imag if parts and imag[0] != "-" else imag)
     return "".join(parts)

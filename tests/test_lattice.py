@@ -20,7 +20,7 @@ from period_reference import (
     reference_scale,
 )
 
-from solvcohom import lattice
+from solvcohom import cli, lattice
 from solvcohom.cecomplex import cohomology
 from solvcohom.errors import ModeMismatchError, ValidationFailure
 from solvcohom.instances import build_representation, build_weight_assignment, load_instance
@@ -333,3 +333,26 @@ _coordinates = st.builds(
 def test_verdicts_equal_both_predicates_on_a_drawn_lattice(generators):
     lat = LatticeData(("a",), tuple(map(tuple, generators)))
     _check_verdicts(_split_6d_adjoint_ic(), lat)
+
+
+def test_the_per_tag_path_builds_no_fraction(monkeypatch):
+    # Parsing, both membership tests, unitarity and the tag report read
+    # the scalars' integer triples; only .re and .im build Fractions.
+    path = str(INSTANCE_DIR / "example-7-1-generic.json")
+    inst = load_instance(path)
+    _, _, ic = cli._pipeline(inst)
+    sel = select_de_rham(ic, inst.lattice)
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    assert ONE.re == 1 and len(built) == 1
+    built.clear()
+    load_instance(path)
+    lattice._verdicts(ic, inst.lattice)
+    cli._tag_summary(sel)
+    assert built == []

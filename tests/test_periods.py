@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 from conftest import combine, make_split_6d
-from hypothesis import given
+from fraction_reference import fraction_imag_in_pi_integers, fraction_in_2pi_i_integers
+from hypothesis import example, given
 from hypothesis import strategies as st
 from period_reference import (
     named_coords,
@@ -244,3 +245,44 @@ def test_agrees_with_the_name_keyed_reference(case, s, t):
     for value, named in ((v, ref), (combine((s, v)), scaled)):
         assert in_2pi_i_integers(value) == reference_in_2pi_i_integers(named)
         assert imag_in_pi_integers(value) == reference_imag_in_pi_integers(named)
+
+
+quarters = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+parts = st.one_of(st.just(Fraction(0)), quarters)
+
+
+@st.composite
+def membership_values(draw):
+    """Period values over "1", pi and a declared symbol, denominators 1 to 4.
+
+    pi alone is drawn often, and pi with a zero real part, so that both
+    membership tests also see values that pass.
+    """
+    pool = draw(st.sampled_from([("pi",), ("pi", "a"), ("1", "pi", "a")]))
+    value = {}
+    for symbol in draw(st.lists(st.sampled_from(pool), unique=True, max_size=3)):
+        re_part = draw(st.one_of(st.just(Fraction(0)), parts))
+        coeff = GaussianRational(re_part, draw(parts))
+        if coeff:
+            value[symbol] = coeff
+    return value
+
+
+@given(membership_values())
+# Im on pi an integer over d != 1, a real part on pi, an imaginary part on a
+# declared symbol or on "1", and the empty value.
+@example({"pi": GaussianRational(Fraction(1, 2), 2)})
+@example({"pi": GaussianRational(Fraction(1, 3), 3)})
+@example({"pi": GaussianRational(0, Fraction(3, 2))})
+@example({"pi": GaussianRational(0, -4)})
+@example({"pi": GaussianRational(Fraction(-1, 4))})
+@example({"a": GaussianRational(Fraction(1, 4))})
+@example({"a": GaussianRational(0, Fraction(1, 4)), "pi": GaussianRational(0, 2)})
+@example({"1": GaussianRational(0, 2)})
+@example({})
+def test_membership_tests_agree_with_the_fraction_reference(value):
+    trivial, ratio = in_2pi_i_integers(value), imag_in_pi_integers(value)
+    assert trivial == fraction_in_2pi_i_integers(value)
+    assert ratio == fraction_imag_in_pi_integers(value)
+    assert trivial == reference_in_2pi_i_integers(named_coords(value))
+    assert ratio == reference_imag_in_pi_integers(named_coords(value))

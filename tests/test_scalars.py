@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from fraction_reference import fraction_format_gaussian
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -259,6 +260,58 @@ def test_sums_differences_and_products_store_the_canonical_triple(xy):
     assert (a + b)._abd == canonical_triple(x[0] + y[0], x[1] + y[1])
     assert (a - b)._abd == canonical_triple(x[0] - y[0], x[1] - y[1])
     assert (a * b)._abd == canonical_triple(*ref_mul(x, y))
+
+
+@given(pairs)
+# gcd(a, d) > 1 or gcd(b, d) > 1 in the triple, +-i, pure imaginary and
+# negative parts.
+@example((Fraction(1, 2), Fraction(1, 4)))
+@example((Fraction(-5, 6), Fraction(3, 4)))
+@example((Fraction(0), Fraction(1)))
+@example((Fraction(0), Fraction(-1)))
+@example((Fraction(0), Fraction(-7, 3)))
+@example((Fraction(-2**80, 3), Fraction(0)))
+@example((Fraction(3, 2), Fraction(-1)))
+@example((Fraction(0), Fraction(0)))
+def test_format_matches_the_fraction_text(x):
+    v = GaussianRational(*x)
+    assert format_gaussian(v) == fraction_format_gaussian(v)
+
+
+def test_format_reduces_each_part_on_its_own():
+    v = parse_gaussian("2/4+1/4*i")
+    assert v.triple == (2, 1, 4)
+    assert format_gaussian(v) == "1/2+1/4*i"
+
+
+@pytest.mark.parametrize(
+    "text,triple",
+    [
+        ("2/4-6/8*i", (2, -3, 4)),
+        ("+0/3", (0, 0, 1)),
+        ("-i+i", (0, 0, 1)),
+        ("1/6+1/6-1/3*i-i", (1, -4, 3)),
+        ("-10/4*i+0*i", (0, -5, 2)),
+    ],
+)
+def test_parsed_scalars_store_the_canonical_triple(text, triple):
+    assert parse_gaussian(text).triple == triple
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [
+        ("2/4-6/8*i", {"1": (2, -3, 4)}),
+        ("+0/3", {}),
+        ("-i+i", {}),
+        ("a + 1/2*a - i*a + 1/3*i*a", {"a": (9, -4, 6)}),
+        ("pi - 2/4*pi + i*pi - 3/6*i*pi", {"pi": (1, 1, 2)}),
+        ("2*a - 4/2*a + 6/4*pi", {"pi": (3, 0, 2)}),
+    ],
+)
+def test_parsed_periods_store_the_canonical_triple(text, value):
+    parsed = parse_period(text, period_names(["a"]))
+    assert {s: c.triple for s, c in parsed.items()} == value
 
 
 @given(pairs, pairs)
