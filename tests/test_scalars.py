@@ -124,6 +124,8 @@ def test_format_canonical():
     assert format_gaussian(GaussianRational(0, -1)) == "-i"
     assert format_gaussian(GaussianRational(Fraction(1, 2), -3)) == "1/2-3*i"
     assert format_gaussian(GaussianRational(-1, Fraction(2, 7))) == "-1+2/7*i"
+    # Stored as (2 + i)/4, each part reduced on its own.
+    assert format_gaussian(GaussianRational(Fraction(1, 2), Fraction(1, 4))) == "1/2+1/4*i"
 
 
 @given(gaussians)
@@ -172,17 +174,6 @@ def ref_div(x, y):
     return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
 
 
-def ref_str(x):
-    re_f, im_f = x
-    if not re_f and not im_f:
-        return "0"
-    text = str(re_f) if re_f else ""
-    if im_f:
-        imag = {1: "i", -1: "-i"}.get(im_f, f"{im_f}*i")
-        text += imag if not text or imag.startswith("-") else "+" + imag
-    return text
-
-
 def as_pair(v):
     return (v.re, v.im)
 
@@ -207,7 +198,7 @@ def test_arithmetic_matches_fraction_reference(x, y):
     assert bool(a) == any(x)
     assert (a == b) == (x == y)
     assert (a.sort_key() < b.sort_key()) == (x < y)
-    assert str(a) == ref_str(x)
+    assert str(a) == fraction_format_gaussian(a)
     assert parse_gaussian(str(a)) == a
 
 
@@ -278,16 +269,11 @@ def test_format_matches_the_fraction_text(x):
     assert format_gaussian(v) == fraction_format_gaussian(v)
 
 
-def test_format_reduces_each_part_on_its_own():
-    v = parse_gaussian("2/4+1/4*i")
-    assert v.triple == (2, 1, 4)
-    assert format_gaussian(v) == "1/2+1/4*i"
-
-
 @pytest.mark.parametrize(
     "text,triple",
     [
         ("2/4-6/8*i", (2, -3, 4)),
+        ("2/4+1/4*i", (2, 1, 4)),
         ("+0/3", (0, 0, 1)),
         ("-i+i", (0, 0, 1)),
         ("1/6+1/6-1/3*i-i", (1, -4, 3)),
