@@ -5,7 +5,7 @@
 
 Each answer is one CLI command on one instance: derham or dolbeault, with
 and without --representatives, on the pipeline products of bench/run.py;
-oracle on five n=9-15 products; and derham, derham --representatives and
+oracle on six n=9-15 products; and derham, derham --representatives and
 oracle on heisenberg3 in the skewed basis x, y, y + z, the one algebra
 here whose nilradical operators have a nonzero diagonal: with adjoint
 coefficients, and on two products of it (its cube with trivial
@@ -41,6 +41,7 @@ ORACLE_PRODUCTS = [
     ("example-7-1-generic:trivial",) + ("heisenberg3:trivial",) * 3,
     ("example-7-1-pi", "heisenberg3:trivial"),
     ("example-7-2-generic:trivial",) * 4,
+    ("heisenberg3:trivial",) * 4,
 ]
 SKEWED_ADJOINT = {
     **SKEWED_HEISENBERG,
