@@ -17,8 +17,11 @@ computes the right cohomology.
 
 Only rho_mu(X_j) depends on the sector. The bracket terms are evaluated
 once per instance (sector_skeleton), from the pairs inside each target J
-that have a nonzero bracket; x_I is evaluated raw on each term's argument
-tuple, as the sign of its sort (_sort_sign). The action terms are not
+that have a nonzero bracket. A term c X_t of [X_{j_a}, X_{j_b}] has one
+source, I = rest + t for rest = J without j_a and j_b, and x_I on its
+argument tuple (X_t, sorted rest) is (-1)^popcount(rest below t). Raw
+evaluation of x_I on every (J, I) pair is in tests/oracle_reference.py,
+which the skeleton must equal key for key. The action terms are not
 stored: their one source is J without j_a, with the sign (-1)^a, proved
 (_sector_differential). Each sector reads the nonzero entries of rho_mu,
 with mu on the diagonal, into one table with their negatives.
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .automorphisms import SignedPermutation, find_root, linear_automorphisms
 from .cecomplex import (
@@ -62,58 +65,52 @@ Skeleton = dict[int, list[tuple[int, GaussianRational]]]
 ActionEntries = list[tuple[int, int, GaussianRational]]
 
 
-def _sort_sign(arguments: tuple[int, ...]) -> int:
-    """x_I on (X_{a_0}, .., X_{a_{p-1}}) for distinct a and I = sorted(a): the
-    sign of the permutation sorting the arguments, by the parity of their inversions."""
-    sign = 1
-    for i, a in enumerate(arguments):
-        for b in arguments[i + 1 :]:
-            if a > b:
-                sign = -sign
-    return sign
-
-
 def sector_skeleton(g: LieAlgebraData) -> Skeleton:
-    """The mu-independent part of every degree, by raw evaluation: J (a bitmask)
-    lists (ipos, c) for c * id in the block of source I, the ipos-th subset in
-    degree_masks order, ascending and nonzero. Only the pairs inside J in
-    bracket_table() are visited; each (t, c) of theirs has at most one source,
-    the sorted argument tuple, and x_I is still evaluated on the tuple.
+    """The mu-independent part of every degree: J (a bitmask) lists (ipos, c)
+    for c * id in the block of source I, the ipos-th subset in degree_masks
+    order, ascending and nonzero. Only the pairs inside J in bracket_table()
+    are visited; each (t, c) of theirs has at most one source, I = rest + t,
+    and x_I on (X_t, sorted rest) is (-1)^(members of rest below t).
     """
     n = g.dim
-    pairs = [(1 << i | 1 << j, i, j, terms) for (i, j), terms in g.bracket_table().items()]
+    # Per pair: (bits of i and j, bits below i, bits below j, and per term
+    # (bit t, bits below t, c, -c)).
+    pairs = [
+        (1 << i | 1 << j, (1 << i) - 1, (1 << j) - 1,
+         [(1 << t, (1 << t) - 1, c, -c) for t, c in terms])
+        for (i, j), terms in g.bracket_table().items()
+    ]
     skeleton: Skeleton = {}
     for p in range(1, n):
         position = mask_position(n, p)
         for mask in degree_masks(n, p + 1):
             scalars: dict[int, GaussianRational] = {}
-            for ij, i, j, terms in pairs:
+            for ij, below_i, below_j, terms in pairs:
                 if mask & ij != ij:
                     continue
                 # X_i and X_j are arguments a < b, a and b the members of J below them.
-                a, b = (mask & (1 << i) - 1).bit_count(), (mask & (1 << j) - 1).bit_count()
                 rest = mask ^ ij
-                others = tuple([k for k in range(n) if rest >> k & 1])
-                for t, c in terms:
-                    if rest >> t & 1:
+                ab = (mask & below_i).bit_count() + (mask & below_j).bit_count()
+                for bit, below, c, neg in terms:
+                    if rest & bit:
                         continue
-                    sign = (-1) ** (a + b) * _sort_sign((t,) + others)
-                    ipos = position[rest | 1 << t]
-                    scalars[ipos] = scalars.get(ipos, ZERO) + (c if sign > 0 else -c)
+                    ipos = position[rest | bit]
+                    odd = ab + (rest & below).bit_count()
+                    value = neg if odd & 1 else c
+                    scalars[ipos] = scalars[ipos] + value if ipos in scalars else value
             entry = [(ipos, c) for ipos, c in sorted(scalars.items()) if c]
             if entry:
                 skeleton[mask] = entry
     return skeleton
 
 
-def twist_at(g: LieAlgebraData, twist: Optional[Weight]) -> tuple[GaussianRational, ...]:
-    """A twist (a covector over the complement, or None) per basis index."""
+def twist_at(g: LieAlgebraData, twist: Weight) -> tuple[GaussianRational, ...]:
+    """A twist, a covector over the complement, per basis index."""
+    if len(twist) != len(g.complement):
+        raise ValidationFailure("weight covector length != complement size")
     at = [ZERO] * g.dim
-    if twist is not None:
-        if len(twist) != len(g.complement):
-            raise ValidationFailure("weight covector length != complement size")
-        for j, x in zip(g.complement, twist):
-            at[j] = x
+    for j, x in zip(g.complement, twist):
+        at[j] = x
     return tuple(at)
 
 
@@ -261,7 +258,7 @@ def _sector_orbits(
 def sector_cohomology_full(
     g: LieAlgebraData,
     rep: RepresentationData,
-    mu: Optional[Weight],
+    mu: Weight,
     skeleton: Skeleton,
 ) -> CohomologyResult:
     """Betti numbers of the full twisted complex for one weight covector.

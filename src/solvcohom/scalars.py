@@ -9,7 +9,8 @@ as it stands, so it is wrapped with `_make` directly rather than passed
 through `_reduced`. Text is parsed into and printed from the triple,
 which other modules read as `triple`; `.re` and `.im` build the parts as
 `fractions.Fraction` for the tests and the benchmark counters. Values
-whose computation would leave Q(i) must be rejected upstream, never coerced.
+whose computation would leave Q(i) must be rejected upstream, never coerced:
+the constructor takes int and Fraction parts only, not a bool, float or str.
 
 Text grammar (used by instance files and reports): a signed sum of terms,
 each term a rational `p` or `p/q`, the literal `i`, or `p*i` / `p/q*i`.
@@ -39,9 +40,10 @@ class GaussianRational:
 
     __slots__ = ("_abd",)
 
-    def __init__(self, re=0, im=0):
-        re = re if type(re) is Fraction else Fraction(re)
-        im = im if type(im) is Fraction else Fraction(im)
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
+        if any(isinstance(x, bool) or not isinstance(x, (int, Fraction)) for x in (re, im)):
+            raise TypeError("GaussianRational parts must be int or Fraction")
+        re, im = Fraction(re), Fraction(im)
         p, q = re.denominator, im.denominator
         # Both parts are reduced, so over d = lcm(p, q) the triple is too.
         d = p * q // gcd(p, q)

@@ -16,9 +16,9 @@ counted by comparison and rho read entry by entry through apply_entry.
 ce_differential is reference_ce_kernel's whole degree in one twisted
 module, as a matrix, for tests that take plain twisted complexes. Every
 function takes the representation and a twist covector over the
-complement (None for no twist), as the oracle's twist_at does. Subsets
-are enumerated in the tests' own order (subset_reference), so agreement
-with the package also checks its degree_masks order.
+complement, as the oracle's twist_at does. Subsets are enumerated in the
+tests' own order (subset_reference), so agreement with the package also
+checks its degree_masks order.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ def reference_tag(w: WeightAssignment, I: Sequence[int], k: int) -> tuple:
 
 
 def reference_ce_kernel(
-    g: LieAlgebraData, rep: RepresentationData, twists: Sequence[Optional[tuple]]
+    g: LieAlgebraData, rep: RepresentationData, twists: Sequence[tuple]
 ) -> Callable[[dict[int, int], int], dict[tuple[int, int], GaussianRational]]:
     """d with coefficients in rep twisted by each of the given covectors.
 
@@ -148,7 +148,7 @@ def apply_entry(
 
 
 def ce_differential(
-    g: LieAlgebraData, rep: RepresentationData, twist: Optional[tuple], p: int
+    g: LieAlgebraData, rep: RepresentationData, twist: tuple, p: int
 ) -> ExactMatrix:
     """Matrix of d from degree p to degree p+1 in one twisted module, lex order."""
     ncols = len(degree_basis(g.dim, p)) * rep.m
@@ -173,7 +173,7 @@ def wedge_insert_sign(element: int, others: tuple[int, ...]) -> int:
 def reference_ce_image(
     g: LieAlgebraData,
     rep: RepresentationData,
-    twist: Optional[tuple],
+    twist: tuple,
     I: tuple[int, ...],
     k: int,
 ) -> dict[tuple[tuple[int, ...], int], GaussianRational]:
@@ -217,7 +217,7 @@ def reference_ce_image(
 
 
 def kernel_columns(
-    g: LieAlgebraData, rep: RepresentationData, twist: Optional[tuple], p: int
+    g: LieAlgebraData, rep: RepresentationData, twist: tuple, p: int
 ) -> list[dict[tuple[tuple[int, ...], int], GaussianRational]]:
     """The columns of ce_differential at degree p, as reference_ce_image gives them."""
     m = rep.m
@@ -231,7 +231,7 @@ def kernel_columns(
 
 
 def kernel_column(
-    g: LieAlgebraData, rep: RepresentationData, twist: Optional[tuple], I: tuple[int, ...], k: int
+    g: LieAlgebraData, rep: RepresentationData, twist: tuple, I: tuple[int, ...], k: int
 ) -> dict[tuple[tuple[int, ...], int], GaussianRational]:
     """Column (I, k) of ce_differential."""
     return kernel_columns(g, rep, twist, len(I))[subset_position(g.dim, len(I))[I] * rep.m + k]

@@ -62,7 +62,7 @@ def test_wedge_insert_sign():
 
 def test_heisenberg_one_form_differential(heisenberg):
     # dz* = -x*^y*; dx* = dy* = 0.
-    d1 = ce_differential(heisenberg, trivial_representation(heisenberg), None, 1)
+    d1 = ce_differential(heisenberg, trivial_representation(heisenberg), (), 1)
     # Degree-2 rows in lex order: x^y, x^z, y^z.
     assert d1.row_maps[0].get(2, ZERO) == MINUS_ONE
     assert all(
@@ -72,7 +72,7 @@ def test_heisenberg_one_form_differential(heisenberg):
 
 def test_split_3d_one_form_signs(split_3d):
     # de2* = -e1*^e2*, de3* = +e1*^e3*.
-    d1 = ce_differential(split_3d, trivial_representation(split_3d), None, 1)
+    d1 = ce_differential(split_3d, trivial_representation(split_3d), (ZERO,), 1)
     assert d1.row_maps[0].get(1, ZERO) == MINUS_ONE
     assert d1.row_maps[1].get(2, ZERO) == ONE
     assert d1.row_maps[2].get(0, ZERO) == ZERO
@@ -174,7 +174,8 @@ def plain_ce_complex(g):
     """Untwisted Chevalley-Eilenberg complex with trivial coefficients."""
     rep = trivial_representation(g)
     dims = [len(degree_basis(g.dim, p)) for p in range(g.dim + 1)]
-    diffs = [ce_differential(g, rep, None, p) for p in range(g.dim)]
+    untwisted = (ZERO,) * len(g.complement)
+    diffs = [ce_differential(g, rep, untwisted, p) for p in range(g.dim)]
     return FiniteComplex(tuple(dims), tuple(diffs))
 
 

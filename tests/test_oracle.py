@@ -49,7 +49,6 @@ from solvcohom.oracle import (
     _certified,
     _sector_differential,
     _sector_orbits,
-    _sort_sign,
     sector_cohomology_full,
     sector_skeleton,
     twist_at,
@@ -69,11 +68,17 @@ def test_alternating_evaluation_signs():
     assert alternating_evaluation((0, 1, 2), (2, 0, 1)) == 1
     assert alternating_evaluation((0, 1, 2), (0, 2, 1)) == -1
     assert alternating_evaluation((), ()) == 1
-    # The oracle's sign helper is the reference's evaluation on every
-    # permutation of range(k).
+    # sector_skeleton's sign: x_I on (X_t, sorted rest), I = rest + t, is
+    # (-1)^popcount(rest & ((1 << t) - 1)), for every t and rest in range(k).
     for k in range(6):
-        for arguments in itertools.permutations(range(k)):
-            assert _sort_sign(arguments) == alternating_evaluation(tuple(range(k)), arguments)
+        for t in range(k):
+            others = [r for r in range(k) if r != t]
+            for size in range(k):
+                for rest in itertools.combinations(others, size):
+                    bits = sum(1 << r for r in rest)
+                    sign = -1 if (bits & (1 << t) - 1).bit_count() % 2 else 1
+                    I = tuple(sorted(rest + (t,)))
+                    assert alternating_evaluation(I, (t,) + rest) == sign
 
 
 def test_alternating_evaluation_degeneracies():
@@ -84,7 +89,7 @@ def test_alternating_evaluation_degeneracies():
 
 def test_full_sector_untwisted_heisenberg(heisenberg):
     rep, skeleton = trivial_representation(heisenberg), sector_skeleton(heisenberg)
-    result = sector_cohomology_full(heisenberg, rep, None, skeleton)
+    result = sector_cohomology_full(heisenberg, rep, (), skeleton)
     assert result.betti == (1, 2, 2, 1)
     zero = tuple(ZERO for _ in heisenberg.complement)
     assert sector_cohomology_full(heisenberg, rep, zero, skeleton).betti == (1, 2, 2, 1)
@@ -245,14 +250,21 @@ def test_sector_rows_equal_entry_keyed_reference(name):
 
 
 def test_skeleton_reads_brackets_from_the_table(monkeypatch):
-    # example-7-1-generic:trivial (x) heisenberg3:trivial, n = 9: the skeleton
-    # visits only the pairs that bracket_table() lists, and asks bracket() nothing.
-    g = _product_inputs("example-7-1-generic:trivial+heisenberg3:trivial")[0]
-    calls = []
+    # n = 9: the skeleton visits only the pairs that bracket_table() lists,
+    # and asks bracket() nothing. It adds only where two terms meet one
+    # source, which no two do on heisenberg3:trivial^3.
+    calls, adds = [], []
     real = LieAlgebraData.bracket
     monkeypatch.setattr(LieAlgebraData, "bracket", lambda g, i, j: calls.append(1) or real(g, i, j))
-    skeleton = sector_skeleton(g)
-    assert skeleton and calls == []
+    add = GaussianRational.__add__
+    monkeypatch.setattr(GaussianRational, "__add__", lambda x, y: adds.append(1) or add(x, y))
+    for spec in ["example-7-1-generic:trivial+heisenberg3:trivial", "+".join(["heisenberg3:trivial"] * 3)]:
+        g = _product_inputs(spec)[0]
+        calls.clear()
+        adds.clear()
+        skeleton = sector_skeleton(g)
+        assert skeleton and calls == []
+    assert adds == [], "an add on heisenberg3:trivial^3"
 
 
 def _with_negatives(table):

@@ -309,7 +309,7 @@ def test_ce_kernel_puts_a_diagonal_with_no_action_part_after_the_action_terms():
         ((0, 1), 0, ONE),
         ((0, 2), 0, ONE),
     ]
-    expected = reference_ce_kernel(g, rep, [None])(dict.fromkeys(columns, 0), 1)
+    expected = reference_ce_kernel(g, rep, [()])(dict.fromkeys(columns, 0), 1)
     assert list(entries.items()) == list(expected.items())
 
 
@@ -333,7 +333,7 @@ def test_ce_kernel_sums_a_diagonal_at_its_action_term_and_drops_a_zero_sum():
         columns = [z_star + k]
         entries = ce_kernel(g, rep)(columns, 1)
         assert [(rows[r // 3], r % 3, v) for (r, _), v in entries.items()] == terms
-        expected = reference_ce_kernel(g, rep, [None])(dict.fromkeys(columns, 0), 1)
+        expected = reference_ce_kernel(g, rep, [()])(dict.fromkeys(columns, 0), 1)
         assert list(entries.items()) == list(expected.items())
 
 

@@ -20,7 +20,7 @@ from solvcohom.instances import build_representation, build_weight_assignment, l
 from solvcohom.lattice import select_de_rham, select_dolbeault
 from solvcohom.liealg import MODE_REAL, adjoint_representation, trivial_representation
 from solvcohom.linalg import ExactMatrix
-from solvcohom.scalars import MINUS_ONE, ONE
+from solvcohom.scalars import MINUS_ONE, ONE, ZERO
 from solvcohom.weights import build_invariant_complex, infer_weights, restrict_complex
 
 
@@ -31,7 +31,7 @@ def _plain_ce_complex(g):
     labels = [[monomial_label(g, I, 0, ("1",)) for I in basis] for basis in bases]
     fc = FiniteComplex(
         tuple(len(basis) for basis in bases),
-        tuple(ce_differential(g, rep, None, p) for p in range(g.dim)),
+        tuple(ce_differential(g, rep, (ZERO,) * len(g.complement), p) for p in range(g.dim)),
     )
     return fc, labels
 

@@ -30,6 +30,15 @@ def test_constructor_and_parts():
     assert v.im == -3
 
 
+@pytest.mark.parametrize("part", [0.1, "1/3", True], ids=["float", "str", "bool"])
+def test_constructor_refuses_parts_other_than_int_and_fraction(part):
+    # A float would be stored as its binary expansion and a str parsed outside
+    # parse_gaussian's errors; a bool is an int by type only.
+    for args in [(part,), (0, part)]:
+        with pytest.raises(TypeError, match="^GaussianRational parts must be int or Fraction$"):
+            GaussianRational(*args)
+
+
 def test_immutability():
     v = GaussianRational(1)
     with pytest.raises(AttributeError):
