@@ -246,12 +246,15 @@ class FiniteComplex:
 
 @dataclass(frozen=True)
 class CohomologyResult:
-    """Betti numbers plus optional representative cocycles per degree.
+    """Betti numbers, pivot columns, and optional representative cocycles.
 
+    pivots[p] lists the pivot columns of d_p, one per unit of its rank, in
+    pivot order, so betti[p] = dims[p] - len(pivots[p]) - len(pivots[p-1]).
     A representative is a {basis index: nonzero coefficient} row.
     """
 
     betti: tuple[int, ...]
+    pivots: tuple[tuple[int, ...], ...]
     representatives: Optional[tuple[tuple[SparseRow, ...], ...]] = None
 
     def euler_characteristic(self) -> int:
@@ -311,6 +314,7 @@ def cohomology(
     the K_f are independent modulo coboundaries by construction; their
     count is certified against betti. Clearing is off then: it can change
     d_p's pivot columns, hence the free columns and which K_f are output.
+    Either way the result lists each d_p's pivot columns, as eliminated.
     """
     top = complex_.top_degree
     dims = complex_.dims
@@ -325,8 +329,9 @@ def cohomology(
         skip = () if representatives else reduced[p + 1].keys()
         ranks[p], reduced[p] = rank_and_kernel(complex_.differentials[p], skip)
     betti = tuple([dims[p] - ranks[p] - (ranks[p - 1] if p > 0 else 0) for p in range(top + 1)])
+    pivot_cols = tuple([tuple(reduced[p]) for p in range(top)])
     if not representatives:
-        return CohomologyResult(betti)
+        return CohomologyResult(betti, pivot_cols)
     reps: list[tuple[SparseRow, ...]] = []
     for p in range(top + 1):
         pivots = reduced[p]
@@ -339,7 +344,7 @@ def cohomology(
                 f"{len(chosen)} representatives for betti {betti[p]} at degree {p}"
             )
         reps.append(tuple(chosen))
-    return CohomologyResult(betti, tuple(reps))
+    return CohomologyResult(betti, pivot_cols, tuple(reps))
 
 
 def nilshadow(

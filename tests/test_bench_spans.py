@@ -52,12 +52,14 @@ def test_span_tracer_and_work_counter_wrap_derham_and_oracle(capsys):
 
 def test_oracle_on_example_7_1_generic_runs_every_sector_through_the_span_points(capsys):
     # 21 tags in 5 orbits: every sector built, one per orbit, is an
-    # oracle.sector span, and 21 blocks plus those 5 sectors are eliminated.
+    # oracle.sector span, and those 5 sectors plus one complex of all 21
+    # blocks, restricted once, are eliminated.
     spans = load_bench("spans")
     tracer = spans.SpanTracer()
     with tracer:
         assert solvcohom.cli.main(["oracle", str(INSTANCE_DIR / "example-7-1-generic.json")]) == 0
     layers = [span[0] for span in tracer.spans]
     assert layers.count("oracle.sector") == 5
-    assert layers.count("cecomplex.cohomology") == 26
+    assert layers.count("cecomplex.cohomology") == 6
+    assert layers.count("cecomplex.restrict") == 1
     capsys.readouterr()

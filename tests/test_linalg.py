@@ -514,6 +514,30 @@ def test_cleared_betti_numbers_equal_reference_ranks(diffs):
         assert [list(v) for v in kern] == [list(v) for v in want_kern]
 
 
+@given(cochain_complexes(), st.booleans())
+def test_pivot_columns_count_each_rank(diffs, representatives):
+    # cohomology lists each differential's pivot columns, as eliminated:
+    # one per unit of the reference rank, so they give the Betti numbers.
+    dims = [d.ncols for d in diffs] + [diffs[-1].nrows]
+    ranks = [len(reference_eliminate(d, "sparsity")[0]) for d in diffs]
+    result = cohomology(FiniteComplex(tuple(dims), tuple(diffs)), representatives)
+    pivots = result.pivots
+    assert [len(cols) for cols in pivots] == ranks
+    for d, cols in zip(diffs, pivots):
+        assert len(set(cols)) == len(cols) and all(0 <= c < d.ncols for c in cols)
+    counts = [len(cols) for cols in pivots] + [0]
+    assert result.betti == tuple(
+        dims[p] - counts[p] - (counts[p - 1] if p else 0) for p in range(len(dims))
+    )
+    # The pivots are rank_and_kernel's on the rows that cohomology keeps:
+    # all of them with representatives, else all but the next pivots.
+    skip = frozenset()
+    for p in reversed(range(len(diffs))):
+        _, reduced = rank_and_kernel(diffs[p], skip)
+        assert pivots[p] == tuple(reduced)
+        skip = frozenset() if representatives else reduced.keys()
+
+
 @st.composite
 def perturbed_complexes(draw):
     """A drawn cochain complex with one entry of one differential changed."""

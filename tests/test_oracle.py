@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -27,8 +28,8 @@ from oracle_reference import (
 from subset_reference import degree_basis, subset_position
 
 from solvcohom.automorphisms import SEARCH_NODES, linear_automorphisms
-from solvcohom.cecomplex import degree_masks, mask_position
-from solvcohom.errors import ValidationFailure
+from solvcohom.cecomplex import cohomology, degree_masks, mask_position
+from solvcohom.errors import ValidationFailure, WeightGradingError
 from solvcohom.instances import (
     build_representation,
     build_weight_assignment,
@@ -59,7 +60,7 @@ from solvcohom.scalars import MINUS_ONE, ONE, ZERO, GaussianRational
 gaussians = st.builds(
     GaussianRational, *[st.fractions(min_value=-50, max_value=50, max_denominator=12)] * 2
 )
-from solvcohom.weights import build_invariant_complex, infer_weights
+from solvcohom.weights import build_invariant_complex, infer_weights, restrict_complex
 
 
 def test_alternating_evaluation_signs():
@@ -396,7 +397,8 @@ def test_linear_sectors_follow_the_sign_rule_on_example_7_1_generic():
 
 
 def _count_eliminations(monkeypatch):
-    """The complexes that oracle.cohomology eliminates, blocks and sectors."""
+    """The complexes that oracle.cohomology eliminates: each sector built,
+    then one complex holding every block."""
     seen = []
     real = oracle.cohomology
     monkeypatch.setattr(oracle, "cohomology", lambda c: seen.append(c) or real(c))
@@ -422,7 +424,8 @@ def _assert_eliminations(monkeypatch, spec, tags, sectors):
     seen = _count_eliminations(monkeypatch)
     report = verify_quasi_iso(ic)
     assert len(ic.tag_table) == tags
-    assert len(seen) - tags == sectors
+    assert len(seen) - 1 == sectors
+    assert seen[-1].dims == tuple(len(ids) for ids in ic.tag_ids)
     assert report.ok
     assert [s.full_betti for s in report.sectors] == unpaired
 
@@ -478,6 +481,57 @@ def test_orbits_eliminate_one_sector_each(monkeypatch, spec, tags, sectors):
     # e2 <-> e3 pairs its tags (-1) and (1). heisenberg3 has no complement,
     # so nothing of it moves a tag.
     _assert_eliminations(monkeypatch, spec, tags, sectors)
+
+
+BLOCK_SPECS = sorted(p.stem for p in INSTANCE_DIR.glob("*.json")) + [
+    "example-7-1-generic:trivial+heisenberg3:trivial",
+    "+".join(["heisenberg3:trivial"] * 4),
+]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    BLOCK_SPECS,
+    ids=lambda spec: spec if spec.count("+") < 3 else "heisenberg3:trivial^4",
+)
+def test_every_block_equals_its_own_elimination(spec):
+    # Reference: each tag's block, built and eliminated alone, must give
+    # the Betti numbers that the oracle reads off one elimination of every
+    # block.
+    g, rep, w = _product_inputs(spec)
+    ic = build_invariant_complex(g, rep, w)
+    report = verify_quasi_iso(ic)
+    assert report.ok
+    assert [s.tag for s in report.sectors] == list(ic.tag_table)
+    assert [s.block_betti for s in report.sectors] == [
+        cohomology(restrict_complex(ic, (tid,))).betti for tid in range(len(ic.tag_table))
+    ]
+
+
+def test_a_kernel_entry_across_tags_above_degree_1_is_refused():
+    # Counting each block's rank off the pivot columns of its tag needs
+    # every entry to stay in its column's tag. A kernel that moves one
+    # degree-2 entry onto a degree-3 row of another tag, past the build's
+    # check of degrees 0 and 1, must make the oracle raise, not report.
+    g, rep, w = _product_inputs("example-7-1-generic")
+    ic = build_invariant_complex(g, rep, w)
+    target_ids = ic.tag_ids[3]
+    moved = []
+
+    def leaky(columns, p):
+        entries = ic.kernel(columns, p)
+        if p == 2 and entries and not moved:
+            (r, c), v = next(iter(entries.items()))
+            del entries[(r, c)]
+            away = next(i for i, t in enumerate(target_ids) if t != target_ids[r])
+            entries[(away, c)] = v
+            moved.append(c)
+        return entries
+
+    assert verify_quasi_iso(ic).ok
+    with pytest.raises(WeightGradingError, match="weight grading violated"):
+        verify_quasi_iso(dataclasses.replace(ic, kernel=leaky))
+    assert len(moved) == 1
 
 
 def _spy_certificates(monkeypatch):
@@ -572,7 +626,7 @@ def test_a_module_that_is_not_ad_refuses_every_generator(monkeypatch):
     assert [(conjugate, passed) for _, conjugate, passed in calls] == [
         (True, False), (False, False), (False, False), (False, False)
     ]
-    assert len(seen) == 2 * 21
+    assert len(seen) == 1 + 21
     assert report.ok
     assert report == _unpaired_report(monkeypatch, ic)
 
@@ -603,7 +657,7 @@ def test_a_flipped_bracket_sign_refuses_the_automorphism(monkeypatch):
     # not certified; the second factor's is, and the swap is refused.
     assert perms[3][4] == (4, True) and perms[4][0] == (4, False)
     assert [(perm, passed) for perm, _, passed in calls] == [(perms[3], True), (perms[4], False)]
-    assert len(seen) - len(ic.tag_table) == 6
+    assert len(seen) - 1 == 6
     assert report == _unpaired_report(monkeypatch, ic)
 
 
@@ -624,7 +678,7 @@ def test_a_conjugation_that_is_not_conjugate_equivariant_is_refused(monkeypatch)
     seen = _count_eliminations(monkeypatch)
     report = verify_quasi_iso(ic)
     assert [(conjugate, passed) for _, conjugate, passed in calls] == [(True, False), (False, True)]
-    assert len(seen) - len(ic.tag_table) < len(ic.tag_table)
+    assert len(seen) - 1 < len(ic.tag_table)
     assert report == _unpaired_report(monkeypatch, ic)
 
 
@@ -641,7 +695,7 @@ def test_explicit_matrices_are_never_paired(monkeypatch):
     assert _sector_orbits(g, explicit, ic.tag_table) == {}
     seen = _count_eliminations(monkeypatch)
     report = verify_quasi_iso(ic)
-    assert len(seen) == 2 * len(ic.tag_table) == 42
+    assert len(seen) == 1 + len(ic.tag_table) == 22
     assert searches == []
     monkeypatch.undo()
     assert report == verify_quasi_iso(build_invariant_complex(g, adjoint, w))
