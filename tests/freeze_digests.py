@@ -9,7 +9,8 @@ oracle on six n=9-15 products; and derham, derham --representatives and
 oracle on heisenberg3 in the skewed basis x, y, y + z, the one algebra
 here whose nilradical operators have a nonzero diagonal: with adjoint
 coefficients, and on two products of it (its cube with trivial
-coefficients, n=9, and its square with adjoint coefficients, n=6, m=9).
+coefficients, n=9, and its square with adjoint coefficients, n=6, m=9);
+and validate on two products made invalid by one change each (INVALID).
 Products are bench/products.py's at seed 1. Each answer's digest is the
 exit code and the sha256 of its stdout and of its --json report.
 
@@ -50,6 +51,17 @@ SKEWED_ADJOINT = {
 }
 SKEWED_PRODUCTS = [(SKEWED_HEISENBERG,) * 3, (SKEWED_ADJOINT,) * 2]
 SKEWED_ARGS = (["derham"], ["derham", "--representatives"], ["oracle"])
+# Product, name suffix, and the one change that makes it invalid: the
+# nilradical bracket [x0_1, x0_4] = x1_0, on which Jacobi fails on three
+# triples, and R(x1_1)[0, 3] = 1, on which the homomorphism law fails on
+# four pairs, one of them (x1_0, x1_2), whose two matrices are zero.
+INVALID = [
+    (("example-7-1-generic:trivial",) * 2, "-jacobi",
+     lambda doc: doc["algebra"]["brackets"].append(["x0_1", "x0_4", "x1_0", "1"])),
+    (("example-7-1-generic", "heisenberg3"), "-homomorphism",
+     lambda doc: doc["representation"]["matrices"].update(
+         x1_1=[["1" if (r, c) == (0, 3) else "0" for c in range(6)] for r in range(6)])),
+]
 
 
 def answers() -> dict[str, tuple[dict, list[str]]]:
@@ -70,6 +82,11 @@ def answers() -> dict[str, tuple[dict, list[str]]]:
         for factors in SKEWED_PRODUCTS
     ]
     runs += [(doc, args) for doc in skewed for args in SKEWED_ARGS]
+    for factors, suffix, change in INVALID:
+        doc = product(factors)
+        doc["name"] += suffix
+        change(doc)
+        runs.append((doc, ["validate"]))
     return {" ".join(args + [doc["name"]]): (doc, args) for doc, args in runs}
 
 

@@ -11,9 +11,13 @@ from pathlib import Path
 
 import freeze_digests
 
-# Small answers that still reach representatives, the oracle and the
-# skewed basis, rerun with assertions stripped.
+from solvcohom.instances import parse_instance, validate_instance
+
+# Small answers that still reach representatives, the oracle, the
+# skewed basis and the issue lists, rerun with assertions stripped.
 UNDER_O = [
+    "validate example-7-1-generic-trivial^2-jacobi",
+    "validate example-7-1-generic(x)heisenberg3-homomorphism",
     "derham --representatives heisenberg3-skewed-adjoint",
     "oracle heisenberg3-skewed-adjoint",
     "dolbeault --representatives example-7-2-pi^3",
@@ -27,6 +31,21 @@ def frozen() -> dict:
 
 def test_every_answer_matches_its_frozen_digest():
     assert freeze_digests.digests() == frozen()
+
+
+def test_the_invalid_products_fail_jacobi_and_the_homomorphism_law_on_several_witnesses():
+    # Their validate digests are the only ones that cover an issue list.
+    answers = freeze_digests.answers()
+    codes = {
+        suffix: [i.code for i in validate_instance(parse_instance(answers[answer][0]))]
+        for answer in answers
+        for _, suffix, _ in freeze_digests.INVALID
+        if answer.startswith("validate ") and answer.endswith(suffix)
+    }
+    assert codes == {
+        "-jacobi": ["jacobi"] * 3 + ["conjugation-brackets"],
+        "-homomorphism": ["rep-homomorphism"] * 4,
+    }
 
 
 def test_answers_under_python_O_match_their_frozen_digests():
