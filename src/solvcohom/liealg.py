@@ -7,6 +7,13 @@ Jacobi, the nilradical spanning a nilpotent ideal that contains all
 brackets, and (in real-complexified mode) conjugation compatibility.
 Validation never raises; it returns a tuple of issues, every violation
 with a witness.
+
+The checks visit only the stored structure. A bracket [X_a, X_t] is zero
+unless a is one of t's stored partners, so a Jacobi term [X_a, [X_b, X_c]]
+is formed only from a stored pair (b, c) and the partners of its terms;
+every other term is zero. A pair i < j with no stored bracket and a zero
+R_i or R_j has [R_i, R_j] = 0 = R([X_i, X_j]), so the homomorphism law
+skips it.
 """
 from __future__ import annotations
 
@@ -36,6 +43,8 @@ class LieAlgebraData:
     brackets is a sequence of (i, j, k, c) meaning [X_i, X_j] has
     coefficient c on X_k. Only one orientation of each pair needs to be
     supplied; if both appear they must be exact negations (validated).
+    _partners[i] lists, ascending, the j != i with a nonempty stored row
+    at (i, j) or (j, i): bracket(i, j) is zero for every other j.
     """
 
     __slots__ = (
@@ -46,6 +55,7 @@ class LieAlgebraData:
         "conjugation",
         "mode",
         "_table",
+        "_partners",
     )
 
     def __init__(
@@ -85,6 +95,12 @@ class LieAlgebraData:
         )
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "_table", table)
+        partners: list[set[int]] = [set() for _ in range(dim)]
+        for (i, j), row in table.items():
+            if row and i != j:
+                partners[i].add(j)
+                partners[j].add(i)
+        object.__setattr__(self, "_partners", tuple(tuple(sorted(p)) for p in partners))
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebraData is immutable")
@@ -135,10 +151,9 @@ class LieAlgebraData:
         return out
 
     def ad_matrix(self, j: int) -> ExactMatrix:
-        """Matrix of ad(X_j) on column vectors, read off j's stored pairs in ascending i."""
+        """Matrix of ad(X_j) on column vectors, read off j's stored partners in ascending i."""
         entries: dict[tuple[int, int], GaussianRational] = {}
-        stored = {b if a == j else a for (a, b), row in self._table.items() if row and j in (a, b)}
-        for i in sorted(stored):
+        for i in self._partners[j]:
             for k, c in self.bracket(j, i).items():
                 entries[(k, i)] = c
         return ExactMatrix.from_entries(self.dim, self.dim, entries)
@@ -192,16 +207,25 @@ def validate_algebra(g: LieAlgebraData) -> tuple[ValidationIssue, ...]:
                         )
                     )
 
-    # Jacobi, reported with the witnessing triple. A triple whose three pairs
-    # have no stored bracket, in either orientation, sums to zero, so only the
-    # triples through a stored pair are checked, in ascending order.
+    # Jacobi, reported with the witnessing triple, in ascending order. On a
+    # triple i < j < k the cyclic sum is [X_a, [X_b, X_c]] over (a, b, c) in
+    # (i, j, k), (j, k, i), (k, i, j): the inner bracket is taken descending
+    # when a is the middle index, ascending otherwise. A term is zero unless
+    # {b, c} is a stored pair and, for some t in [X_b, X_c], a is a stored
+    # partner of t, so only those products are summed, per triple.
     pairs = {(min(i, j), max(i, j)) for (i, j), row in g._table.items() if row and i != j}
-    triples = {tuple(sorted((a, b, c))) for a, b in pairs for c in range(n) if c not in (a, b)}
-    for i, j, k in sorted(triples):
-        acc: SparseRow = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            acc = row_axpy(acc, g.bracket_vectors(a, g.bracket(b, c)), ONE)
-        if acc:
+    sums: dict[tuple[int, int, int], SparseRow] = {}
+    for b, c in pairs:
+        for middle, inner in ((False, g.bracket(b, c)), (True, g.bracket(c, b))):
+            for t, x in inner.items():
+                for a in g._partners[t]:
+                    if a == b or a == c or (b < a < c) != middle:
+                        continue
+                    acc = sums.setdefault(tuple(sorted((a, b, c))), {})
+                    for u, y in g.bracket(a, t).items():
+                        acc[u] = acc.get(u, ZERO) + x * y
+    for (i, j, k), acc in sorted(sums.items()):
+        if any(acc.values()):
             issues.append(
                 ValidationIssue(
                     "jacobi",
@@ -362,9 +386,14 @@ def validate_representation(
     issues: list[ValidationIssue] = []
 
     # Homomorphism law, row by row: [R_i, R_j] - sum_k c_{ij}^k R_k = 0.
+    # A pair with no stored bracket and a zero matrix has both sides zero,
+    # so only the others are checked.
     R = rep.matrices
+    live = [not r.is_zero() for r in R]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
+            if not (live[i] and live[j]) and j not in g._partners[i]:
+                continue
             terms = g.bracket(i, j).items()
             for l in range(rep.m):
                 ij, ji = row_times(R[i].row_maps[l], R[j]), row_times(R[j].row_maps[l], R[i])

@@ -18,8 +18,10 @@ built after; a violation raises WeightGradingError.
 Distinct tags are few next to basis elements, so the complex interns
 them: a sorted tag table plus one small integer id per basis element.
 The algebra part of a tag is interned by cecomplex.subset_sums, whose
-one use this is, and the tag formed once per (algebra part, k); the
-grading check and the lattice selection work on ids. A basis element's
+one use this is, and the tag formed once per (algebra part, k) and
+hashed once, into a provisional id in first-seen order; the distinct
+tags are then sorted once and the ids remapped. The grading check and
+the lattice selection work on ids. A basis element's
 label is formed only when something reads it, and above degree 1 only
 the blocks of the tags asked for are built (restrict_complex).
 """
@@ -226,15 +228,24 @@ def build_invariant_complex(
             raise ValidationFailure(issue.message)
     n = g.dim
     alg_table, alg = subset_sums(w.algebra_weights, len(w.complement))
-    # Each tag is its interned algebra part minus lambda'_k, no zero operand.
-    tags = [
-        [tuple([x - y if x and y else -y if y else x for x, y in zip(base, lam)])
-         for lam in w.rep_weights]
+    # Each tag is its interned algebra part minus lambda'_k, no zero operand,
+    # hashed once into a provisional id; the distinct tags are sorted once
+    # (weight_sort_key is injective on tags, so none tie) and the ids remapped.
+    first_seen: dict[Weight, int] = {}
+    provisional = [
+        [first_seen.setdefault(
+            tuple([x - y if x and y else -y if y else x for x, y in zip(base, lam)]),
+            len(first_seen),
+        ) for lam in w.rep_weights]
         for base in alg_table
     ]
-    tag_table = tuple(sorted(set(chain.from_iterable(tags)), key=weight_sort_key))
-    tag_id = {tag: i for i, tag in enumerate(tag_table)}
-    by_alg = [[tag_id[tag] for tag in per] for per in tags]
+    distinct = list(first_seen)
+    order = sorted(range(len(distinct)), key=lambda i: weight_sort_key(distinct[i]))
+    tag_table = tuple([distinct[i] for i in order])
+    rank = [0] * len(order)
+    for new, old in enumerate(order):
+        rank[old] = new
+    by_alg = [[rank[i] for i in per] for per in provisional]
     tag_ids = tuple(
         tuple(chain.from_iterable([by_alg[alg[mask]] for mask in degree_masks(n, p)]))
         for p in range(n + 1)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solvcohom import liealg
 from solvcohom.errors import ValidationFailure
 from solvcohom.instances import parse_instance
 from solvcohom.liealg import (
@@ -145,18 +146,93 @@ def test_jacobi_checks_the_triples_through_a_stored_pair_in_order():
     assert [i.witness for i in issues[1:5]] == _jacobi_failures_of_every_triple(g)
 
 
-def test_validate_calls_bracket_404_times_on_a_product(monkeypatch):
-    # example-7-1-generic:trivial^2 (n = 12, seed 1): 1,040 calls when the
-    # Jacobi check visited all 220 triples, 608 through the stored pairs only,
-    # and 404 once the conjugation check and ad_matrix read only those pairs.
+def _product_of_two_example_7_1_generic():
+    """example-7-1-generic:trivial^2 at seed 1 (n = 12, 8 stored pairs, trivial module)."""
     products = load_bench("products")
     factor = products.load_factor(INSTANCE_DIR, "example-7-1-generic:trivial")
-    g = parse_instance(products.product_instance([factor] * 2, 1, "p")).algebra
+    inst = parse_instance(products.product_instance([factor] * 2, 1, "p"))
+    return inst.algebra, trivial_representation(inst.algebra)
+
+
+def test_validate_calls_bracket_112_times_on_a_product(monkeypatch):
+    # example-7-1-generic:trivial^2 (n = 12, seed 1): 1,040 calls when the
+    # Jacobi check visited all 220 triples, 608 through the stored pairs only,
+    # 404 once the conjugation check and ad_matrix read only those pairs,
+    # and 112 once Jacobi took only the nonzero products of stored brackets.
+    g, _ = _product_of_two_example_7_1_generic()
     calls = []
     real = LieAlgebraData.bracket
     monkeypatch.setattr(LieAlgebraData, "bracket", lambda g, i, j: calls.append(1) or real(g, i, j))
     assert validate_algebra(g) == ()
-    assert len(calls) == 404
+    assert len(calls) == 112
+
+
+def test_validate_representation_calls_row_times_twice_per_stored_pair(monkeypatch):
+    # The same product: every matrix of the trivial module is zero, so only
+    # the 8 pairs with a stored bracket are checked, one row each (132 calls
+    # when all 66 pairs were).
+    g, rep = _product_of_two_example_7_1_generic()
+    calls = []
+    real = liealg.row_times
+    monkeypatch.setattr(liealg, "row_times", lambda row, m: calls.append(1) or real(row, m))
+    assert validate_representation(g, rep) == ()
+    assert len(calls) == 16 == 2 * len(g.bracket_table())
+
+
+coefficients = st.sampled_from([ONE, MINUS_ONE, I, GaussianRational(2)])
+
+
+@st.composite
+def sparse_tables(draw, max_dim=6):
+    """A LieAlgebraData on a few drawn brackets, some stored in both
+    orientations (as negations or not) and some rows cancelled to empty."""
+    n = draw(st.integers(3, max_dim))
+    index = st.integers(0, n - 1)
+    entries = draw(st.lists(st.tuples(index, index, index, coefficients), max_size=8))
+    for i, j, k, c in list(entries):
+        how = draw(st.sampled_from(["once", "negated", "reversed", "conflicting"]))
+        if how == "negated":
+            entries.append((i, j, k, -c))
+        elif how == "reversed":
+            entries.append((j, i, k, -c))
+        elif how == "conflicting":
+            entries.append((j, i, draw(index), c))
+    nilradical = draw(st.sets(index))
+    return LieAlgebraData(
+        n, [f"x{i}" for i in range(1, n + 1)], entries, nilradical, set(range(n)) - nilradical
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_tables())
+def test_jacobi_issues_equal_the_scan_of_every_triple(g):
+    issues = [i for i in validate_algebra(g) if i.code == "jacobi"]
+    failures = _jacobi_failures_of_every_triple(g)
+    assert [i.witness for i in issues] == failures
+    assert [i.message for i in issues] == [
+        f"Jacobi identity fails on ({g.basis[i]},{g.basis[j]},{g.basis[k]})"
+        for i, j, k in failures
+    ]
+
+
+def _ad_matrix_by_table_scan(g, j):
+    """ad(X_j) read off a scan of the whole table for j's stored pairs."""
+    stored = {b if a == j else a for (a, b), row in g._table.items() if row and j in (a, b)}
+    entries = {}
+    for i in sorted(stored):
+        for k, c in g.bracket(j, i).items():
+            entries[(k, i)] = c
+    return ExactMatrix.from_entries(g.dim, g.dim, entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_tables())
+def test_ad_matrix_equals_the_table_scan(g):
+    # Entries and their order in each row, on tables with both orientations,
+    # cancelled rows and [X_i, X_i] entries.
+    for j in range(g.dim):
+        ad, ref = g.ad_matrix(j), _ad_matrix_by_table_scan(g, j)
+        assert [list(r.items()) for r in ad.row_maps] == [list(r.items()) for r in ref.row_maps]
 
 
 def _conjugation_failures_of_every_pair(g):
@@ -354,6 +430,29 @@ def test_homomorphism_check_matches_dense_arithmetic(data):
         f"[R({g.basis[i]}),R({g.basis[j]})] != R([{g.basis[i]},{g.basis[j]}])"
         for i, j in breaks
     ]
+
+
+@st.composite
+def sparse_modules(draw, g):
+    """A module of g of dimension 1-3, about half its matrices zero."""
+    m = draw(st.integers(1, 3))
+    cell = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+    matrices = []
+    for _ in range(g.dim):
+        cells = draw(st.one_of(st.just({}), st.dictionaries(cell, coefficients, max_size=3)))
+        matrices.append(ExactMatrix.from_entries(m, m, cells))
+    return RepresentationData(m, tuple(matrices))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_homomorphism_witnesses_equal_the_scan_of_every_pair(data):
+    # Pairs with no stored bracket and a zero matrix are skipped; the law
+    # must still fail on exactly the pairs a check of every pair names.
+    g = data.draw(st.one_of(sparse_tables(max_dim=5), st.sampled_from([make_heisenberg(), make_split_6d()])))
+    rep = data.draw(sparse_modules(g))
+    issues = [i.witness for i in validate_representation(g, rep) if i.code == "rep-homomorphism"]
+    assert issues == _dense_law_breaks(g, rep)
 
 
 def test_unipotence_violation_detected(heisenberg):

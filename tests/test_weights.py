@@ -12,6 +12,7 @@ from ce_reference import (
 from conftest import (
     INSTANCE_DIR,
     dense_matrix,
+    load_bench,
     diagonal_weights,
     make_heisenberg,
     make_heisenberg_power,
@@ -32,7 +33,12 @@ from subset_reference import degree_basis
 
 from solvcohom.cecomplex import module_basis_names
 from solvcohom.errors import ValidationFailure, WeightGradingError, WeightInferenceError
-from solvcohom.instances import build_representation, build_weight_assignment, load_instance
+from solvcohom.instances import (
+    build_representation,
+    build_weight_assignment,
+    load_instance,
+    parse_instance,
+)
 from solvcohom.liealg import (
     LieAlgebraData,
     RepresentationData,
@@ -566,6 +572,25 @@ def test_build_adds_no_zero_operand(name, monkeypatch):
     build_invariant_complex(g, rep, w)
     monkeypatch.undo()
     assert [(a, b) for a, b in calls if not a or not b] == []
+
+
+def test_build_hashes_each_tag_once_on_a_product(monkeypatch):
+    # A work guard that needs no clock, on example-7-1-generic:trivial^2
+    # (n = 12, seed 1, 81 distinct tags of width 4): subset_sums hashes 524
+    # scalars and the tags 324, once each. 1,496 when the tags were hashed
+    # by a set, a dict and a lookup pass.
+    products = load_bench("products")
+    factor = products.load_factor(INSTANCE_DIR, "example-7-1-generic:trivial")
+    inst = parse_instance(products.product_instance([factor] * 2, 1, "p"))
+    g, rep = inst.algebra, build_representation(inst)
+    w = build_weight_assignment(inst, rep)
+    calls = []
+    real = GaussianRational.__hash__
+    monkeypatch.setattr(GaussianRational, "__hash__", lambda c: calls.append(1) or real(c))
+    ic = build_invariant_complex(g, rep, w)
+    monkeypatch.undo()
+    assert len(ic.tag_table) == 81
+    assert len(calls) <= 848
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in INSTANCE_DIR.glob("*.json")))
