@@ -213,7 +213,7 @@ def validate_algebra(g: LieAlgebraData) -> tuple[ValidationIssue, ...]:
     # when a is the middle index, ascending otherwise. A term is zero unless
     # {b, c} is a stored pair and, for some t in [X_b, X_c], a is a stored
     # partner of t, so only those products are summed, per triple.
-    pairs = {(min(i, j), max(i, j)) for (i, j), row in g._table.items() if row and i != j}
+    pairs = {(i, j) for i in range(n) for j in g._partners[i] if i < j}
     sums: dict[tuple[int, int, int], SparseRow] = {}
     for b, c in pairs:
         for middle, inner in ((False, g.bracket(b, c)), (True, g.bracket(c, b))):
