@@ -449,7 +449,8 @@ def sparse_modules(draw, g):
 def test_homomorphism_witnesses_equal_the_scan_of_every_pair(data):
     # Pairs with no stored bracket and a zero matrix are skipped; the law
     # must still fail on exactly the pairs a check of every pair names.
-    g = data.draw(st.one_of(sparse_tables(max_dim=5), st.sampled_from([make_heisenberg(), make_split_6d()])))
+    fixtures = st.sampled_from([make_heisenberg(), make_split_6d()])
+    g = data.draw(st.one_of(sparse_tables(max_dim=5), fixtures))
     rep = data.draw(sparse_modules(g))
     issues = [i.witness for i in validate_representation(g, rep) if i.code == "rep-homomorphism"]
     assert issues == _dense_law_breaks(g, rep)
