@@ -10,7 +10,6 @@ so a map found here is never trusted unchecked.
 from __future__ import annotations
 
 from .liealg import LieAlgebraData
-from .scalars import GaussianRational
 
 # A signed permutation of the basis: (image, whether the sign is -1) per index.
 SignedPermutation = tuple[tuple[int, bool], ...]
@@ -40,22 +39,18 @@ def linear_automorphisms(g: LieAlgebraData) -> tuple[list[SignedPermutation], in
     the search has spent SEARCH_NODES nodes, it returns what it has found.
     """
     n, complement = g.dim, set(g.complement)
-    brackets: dict[tuple[int, int], dict[int, GaussianRational]] = {}
     # An automorphism keeps whether an index is in the complement, how many
     # nonzero brackets it enters, and how many bracket terms it is the target of.
     pairs, targets = [0] * n, [0] * n
+    root = list(range(n))
     for (i, j), terms in g.bracket_table().items():
-        brackets[(i, j)] = dict(terms)
-        brackets[(j, i)] = {k: -c for k, c in terms}
         pairs[i] += 1
         pairs[j] += 1
+        root[find_root(root, j)] = find_root(root, i)
         for k, _ in terms:
             targets[k] += 1
-    signature = [(i in complement, pairs[i], targets[i]) for i in range(n)]
-    root = list(range(n))
-    for (i, j), terms in brackets.items():
-        for k in (j, *terms):
             root[find_root(root, k)] = find_root(root, i)
+    signature = [(i in complement, pairs[i], targets[i]) for i in range(n)]
     parts: dict[int, list[int]] = {}
     for i in range(n):
         parts.setdefault(find_root(root, i), []).append(i)
@@ -70,7 +65,7 @@ def linear_automorphisms(g: LieAlgebraData) -> tuple[list[SignedPermutation], in
         ready: list[list[tuple[int, int]]] = [[] for _ in order]
         for x, a in enumerate(order):
             for b in order[:x]:
-                ready[max([x] + [at[k] for k in brackets.get((a, b), ())])].append((a, b))
+                ready[max([x] + [at[k] for k in g.bracket(a, b)])].append((a, b))
         options = [[j for j in target if signature[j] == signature[i]] for i in order]
         image: dict[int, tuple[int, bool]] = {}
         used: set[int] = set()
@@ -79,10 +74,10 @@ def linear_automorphisms(g: LieAlgebraData) -> tuple[list[SignedPermutation], in
         def keeps(a: int, b: int) -> bool:
             (pa, na), (pb, nb) = image[a], image[b]
             want = {}
-            for k, c in brackets.get((a, b), {}).items():
+            for k, c in g.bracket(a, b).items():
                 pk, nk = image[k]
                 want[pk] = -c if na ^ nb ^ nk else c
-            return brackets.get((pa, pb), {}) == want
+            return g.bracket(pa, pb) == want
 
         def extend(x: int) -> bool:
             if x == len(order):

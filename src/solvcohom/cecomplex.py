@@ -93,19 +93,6 @@ def subset_sums(
     return list(index), ids
 
 
-def _one_form_differentials(
-    g: LieAlgebraData,
-) -> dict[int, list[tuple[int, int, GaussianRational]]]:
-    """dx_t = -sum_{i<j} c_{ij}^t x_i^x_j, tabulated per t."""
-    table: dict[int, list[tuple[int, int, GaussianRational]]] = {
-        t: [] for t in range(g.dim)
-    }
-    for (i, j), terms in g.bracket_table().items():
-        for t, c in terms:
-            table[t].append((i, j, -c))
-    return table
-
-
 def ce_kernel(
     g: LieAlgebraData, rep: RepresentationData
 ) -> Callable[[Iterable[int], int], dict[tuple[int, int], GaussianRational]]:
@@ -137,18 +124,18 @@ def ce_kernel(
     """
     n, m = g.dim, rep.m
     complement = set(g.complement)
-    # Per t: (bits of a and b, bits from a to below b, coeff, -coeff,
-    # whether t is a or b). Inserting b then a into rest passes the members
-    # of rest below each (b never counts against a because a < b), so the
-    # members below a twice: the sign is the parity of those between a and
-    # b. A term with t in {a, b} is kept only when its other index is in
-    # the nilradical.
+    # Per t, for each term -c_{ab}^t x_a^x_b of dx_t, pairs ascending: (bits
+    # of a and b, bits from a to below b, coeff, -coeff, whether t is a or
+    # b). Inserting b then a into rest passes the members of rest below
+    # each (b never counts against a because a < b), so the members below a
+    # twice: the sign is the parity of those between a and b. A term with t
+    # in {a, b} is kept only when its other index is in the nilradical.
     dx: list[list] = [[] for _ in range(n)]
-    for t, terms in _one_form_differentials(g).items():
-        for a, b, c in terms:
+    for (a, b), terms in g.bracket_table().items():
+        for t, c in terms:
             diagonal = t in (a, b)
             if not diagonal or a + b - t not in complement:
-                dx[t].append((1 << a | 1 << b, (1 << b) - (1 << a), c, -c, diagonal))
+                dx[t].append((1 << a | 1 << b, (1 << b) - (1 << a), -c, c, diagonal))
     # The t with such terms, ascending: (bit t, bits below t, terms).
     dx_ts = [(1 << t, (1 << t) - 1, terms) for t, terms in enumerate(dx) if terms]
     # R_j e_k, R_j[k, k] only at j in the nilradical, per k: (bit j, bits

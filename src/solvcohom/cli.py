@@ -241,7 +241,7 @@ def cmd_nilshadow(args) -> int:
         "basis": list(names),
         "brackets": [
             [names[i], names[j], names[k], format_gaussian(c)]
-            for (i, j), row in sorted(shadow.bracket_table().items())
+            for (i, j), row in shadow.bracket_table().items()
             for k, c in row
         ],
         "lower_central_series": list(series),

@@ -8,9 +8,12 @@ brackets, and (in real-complexified mode) conjugation compatibility.
 Validation never raises; it returns a tuple of issues, every violation
 with a witness.
 
-The checks visit only the stored structure. A bracket [X_a, X_t] is zero
-unless a is one of t's stored partners, so a Jacobi term [X_a, [X_b, X_c]]
-is formed only from a stored pair (b, c) and the partners of its terms;
+Every reader takes the structure constants from one row map, built with
+the algebra: (i, j), i != j, goes to [X_i, X_j] wherever either
+orientation is stored, as stored or as the negated reverse. The checks
+visit only the stored structure. A bracket [X_a, X_t] is zero unless a
+is one of t's stored partners, so a Jacobi term [X_a, [X_b, X_c]] is
+formed only from a stored pair (b, c) and the partners of its terms;
 every other term is zero. A pair i < j with no stored bracket and a zero
 R_i or R_j has [R_i, R_j] = 0 = R([X_i, X_j]), so the homomorphism law
 skips it.
@@ -43,8 +46,13 @@ class LieAlgebraData:
     brackets is a sequence of (i, j, k, c) meaning [X_i, X_j] has
     coefficient c on X_k. Only one orientation of each pair needs to be
     supplied; if both appear they must be exact negations (validated).
-    _partners[i] lists, ascending, the j != i with a nonempty stored row
-    at (i, j) or (j, i): bracket(i, j) is zero for every other j.
+    _rows[(i, j)], i != j, is the row stored at (i, j), else the negated
+    row stored at (j, i). A pair stored in both orientations keeps both
+    rows as given, so an invalid table reads as stored and its conflict
+    shows to the antisymmetry check. _squares lists, in table order, the
+    i with a nonzero [X_i, X_i]. _partners[i] lists, ascending, the j != i
+    with a nonempty row at (i, j) or (j, i): bracket(i, j) is zero for
+    every other j.
     """
 
     __slots__ = (
@@ -54,7 +62,8 @@ class LieAlgebraData:
         "complement",
         "conjugation",
         "mode",
-        "_table",
+        "_rows",
+        "_squares",
         "_partners",
     )
 
@@ -94,12 +103,20 @@ class LieAlgebraData:
             None if conjugation is None else {int(a): int(b) for a, b in conjugation.items()},
         )
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "_table", table)
+        rows: dict[tuple[int, int], dict[int, GaussianRational]] = {}
+        squares = tuple(i for (i, j), row in table.items() if i == j and row)
         partners: list[set[int]] = [set() for _ in range(dim)]
         for (i, j), row in table.items():
-            if row and i != j:
+            if i == j:
+                continue
+            rows[(i, j)] = row
+            if (j, i) not in table:
+                rows[(j, i)] = {k: -c for k, c in row.items()}
+            if row:
                 partners[i].add(j)
                 partners[j].add(i)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_squares", squares)
         object.__setattr__(self, "_partners", tuple(tuple(sorted(p)) for p in partners))
 
     def __setattr__(self, name, value):
@@ -120,26 +137,16 @@ class LieAlgebraData:
 
     def bracket_table(self) -> dict[tuple[int, int], tuple[tuple[int, GaussianRational], ...]]:
         """Canonical (i < j only, in key order) view of the structure constants:
-        bracket(i, j) for each pair where it is nonzero, read off one walk of the table."""
-        rows = {}
-        for (i, j), row in self._table.items():
-            if i < j:
-                rows[(i, j)] = row
-            elif i > j and (j, i) not in self._table:
-                rows[(j, i)] = {k: -c for k, c in row.items()}
-        return {pair: tuple(sorted(row.items())) for pair, row in sorted(rows.items()) if row}
+        bracket(i, j) for each pair where it is nonzero, terms sorted."""
+        return {
+            (i, j): tuple(sorted(row.items()))
+            for (i, j), row in sorted(self._rows.items())
+            if i < j and row
+        }
 
     def bracket(self, i: int, j: int) -> dict[int, GaussianRational]:
-        """[X_i, X_j] as a sparse coefficient vector."""
-        if i == j:
-            return {}
-        direct = self._table.get((i, j))
-        if direct is not None:
-            return dict(direct)
-        reverse = self._table.get((j, i))
-        if reverse is not None:
-            return {k: -c for k, c in reverse.items()}
-        return {}
+        """[X_i, X_j] as a sparse coefficient vector, a copy of its row."""
+        return dict(self._rows.get((i, j), ()))
 
     def bracket_vectors(
         self, i: int, vec: Mapping[int, GaussianRational]
@@ -183,29 +190,23 @@ def validate_algebra(g: LieAlgebraData) -> tuple[ValidationIssue, ...]:
             )
         )
 
-    # Antisymmetry: [X_i, X_i] = 0 and the two orientations must agree.
-    for (i, j), row in g._table.items():
-        if i == j and row:
+    # Antisymmetry: [X_i, X_i] = 0 and the two orientations must agree. A
+    # pair stored in one orientation has its other row derived, so only a
+    # pair stored in both can fail.
+    for i in g._squares:
+        issues.append(
+            ValidationIssue("antisymmetry", f"[{g.basis[i]},{g.basis[i]}] is nonzero", (i, i))
+        )
+    for (i, j), row in sorted(g._rows.items()):
+        if i < j and row != {k: -c for k, c in g._rows[(j, i)].items()}:
             issues.append(
                 ValidationIssue(
-                    "antisymmetry", f"[{g.basis[i]},{g.basis[i]}] is nonzero", (i, i)
+                    "antisymmetry",
+                    f"[{g.basis[i]},{g.basis[j]}] and "
+                    f"[{g.basis[j]},{g.basis[i]}] are not negations",
+                    (i, j),
                 )
             )
-    for i in range(n):
-        for j in range(i + 1, n):
-            fwd = g._table.get((i, j))
-            rev = g._table.get((j, i))
-            if fwd is not None and rev is not None:
-                neg = {k: -c for k, c in rev.items()}
-                if fwd != neg:
-                    issues.append(
-                        ValidationIssue(
-                            "antisymmetry",
-                            f"[{g.basis[i]},{g.basis[j]}] and "
-                            f"[{g.basis[j]},{g.basis[i]}] are not negations",
-                            (i, j),
-                        )
-                    )
 
     # Jacobi, reported with the witnessing triple, in ascending order. On a
     # triple i < j < k the cyclic sum is [X_a, [X_b, X_c]] over (a, b, c) in
@@ -237,7 +238,7 @@ def validate_algebra(g: LieAlgebraData) -> tuple[ValidationIssue, ...]:
     # All brackets must land in the nilradical span (ideal containing [g,g]).
     # The witness lists the stray indices in the order the table holds them.
     for i, j in g.bracket_table():
-        bad = [k for k in g.bracket(i, j) if k not in g.nilradical]
+        bad = [k for k in g._rows[(i, j)] if k not in g.nilradical]
         if bad:
             issues.append(
                 ValidationIssue(
@@ -387,7 +388,8 @@ def validate_representation(
 
     # Homomorphism law, row by row: [R_i, R_j] - sum_k c_{ij}^k R_k = 0.
     # A pair with no stored bracket and a zero matrix has both sides zero,
-    # so only the others are checked.
+    # so only the others are checked. An empty row times a matrix is zero,
+    # so that product is not formed.
     R = rep.matrices
     live = [not r.is_zero() for r in R]
     for i in range(g.dim):
@@ -395,9 +397,9 @@ def validate_representation(
             if not (live[i] and live[j]) and j not in g._partners[i]:
                 continue
             terms = g.bracket(i, j).items()
-            for l in range(rep.m):
-                ij, ji = row_times(R[i].row_maps[l], R[j]), row_times(R[j].row_maps[l], R[i])
-                row = row_axpy(ij, ji, MINUS_ONE)
+            for l, (ri, rj) in enumerate(zip(R[i].row_maps, R[j].row_maps)):
+                ij = row_times(ri, R[j]) if ri else {}
+                row = row_axpy(ij, row_times(rj, R[i]) if rj else {}, MINUS_ONE)
                 for k, c in terms:
                     row = row_axpy(row, R[k].row_maps[l], -c)
                 if row:

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 from subset_reference import degree_basis, subset_mask, subset_position
 
-from solvcohom.cecomplex import _one_form_differentials, module_basis_names
+from solvcohom.cecomplex import module_basis_names
 from solvcohom.errors import WeightGradingError
 from solvcohom.liealg import LieAlgebraData, RepresentationData
 from solvcohom.linalg import ExactMatrix
@@ -44,6 +44,15 @@ def reference_tag(w: WeightAssignment, I: Sequence[int], k: int) -> tuple:
     for pos, c in enumerate(w.rep_weights[k]):
         acc[pos] = acc[pos] - c
     return tuple(acc)
+
+
+def one_form_differentials(g: LieAlgebraData) -> list[list[tuple[int, int, GaussianRational]]]:
+    """dx_t = -sum_{a<b} c_{ab}^t x_a^x_b as (a, b, -c_{ab}^t) per t, pairs ascending."""
+    table: list[list[tuple[int, int, GaussianRational]]] = [[] for _ in range(g.dim)]
+    for (a, b), terms in g.bracket_table().items():
+        for t, c in terms:
+            table[t].append((a, b, -c))
+    return table
 
 
 def reference_ce_kernel(
@@ -64,7 +73,7 @@ def reference_ce_kernel(
     # b never counts against a because a < b.
     dx = [
         [(1 << a | 1 << b, (1 << a) - 1, (1 << b) - 1, c, -c) for a, b, c in terms]
-        for terms in _one_form_differentials(g).values()
+        for terms in one_form_differentials(g)
     ]
     # R_j e_k off the diagonal and R_j[k, k], read from the sparse rows.
     off = [[[] for _ in range(m)] for _ in range(n)]
@@ -178,7 +187,7 @@ def reference_ce_image(
     k: int,
 ) -> dict[tuple[tuple[int, ...], int], GaussianRational]:
     """d(x_I (x) v_k) as a sparse combination of (J, l) basis elements."""
-    dx_table = _one_form_differentials(g)
+    dx_table = one_form_differentials(g)
     mu_at = twist_at(g, twist)
     out: dict[tuple[tuple[int, ...], int], GaussianRational] = {}
 

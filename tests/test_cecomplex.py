@@ -7,6 +7,7 @@ from ce_reference import ce_differential, monomial_label, wedge_insert_sign
 from conftest import INSTANCE_DIR, dense_matrix
 from span_reference import greedy_lower_central_series_dims, greedy_representatives
 from subset_reference import degree_basis, subset_mask
+from test_imports import private_imports
 
 from solvcohom import cecomplex, linalg
 from solvcohom.cecomplex import (
@@ -58,6 +59,13 @@ def test_wedge_insert_sign():
     assert wedge_insert_sign(0, (1, 2)) == 1
     assert wedge_insert_sign(1, (0, 2)) == -1
     assert wedge_insert_sign(5, ()) == 1
+
+
+def test_the_reference_kernel_takes_no_private_name_from_the_package():
+    # ce_reference checks ce_kernel, so it reads the structure constants
+    # through bracket_table() and tabulates dx_t itself.
+    source = (INSTANCE_DIR.parent / "tests" / "ce_reference.py").read_text()
+    assert private_imports(source) == []
 
 
 def test_heisenberg_one_form_differential(heisenberg):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from solvcohom import liealg
 from solvcohom.errors import ValidationFailure
-from solvcohom.instances import parse_instance
+from solvcohom.instances import build_representation, parse_instance
 from solvcohom.liealg import (
     LieAlgebraData,
     RepresentationData,
@@ -146,45 +146,51 @@ def test_jacobi_checks_the_triples_through_a_stored_pair_in_order():
     assert [i.witness for i in issues[1:5]] == _jacobi_failures_of_every_triple(g)
 
 
-def _product_of_two_example_7_1_generic():
-    """example-7-1-generic:trivial^2 at seed 1 (n = 12, 8 stored pairs, trivial module)."""
+def _product(specs):
+    """The product of the given shipped factors at seed 1 (bench/products.py)."""
     products = load_bench("products")
-    factor = products.load_factor(INSTANCE_DIR, "example-7-1-generic:trivial")
-    inst = parse_instance(products.product_instance([factor] * 2, 1, "p"))
-    return inst.algebra, trivial_representation(inst.algebra)
+    factors = [products.load_factor(INSTANCE_DIR, spec) for spec in specs]
+    return parse_instance(products.product_instance(factors, 1, "p"))
 
 
-def test_validate_calls_bracket_112_times_on_a_product(monkeypatch):
+def test_validate_calls_bracket_104_times_on_a_product(monkeypatch):
     # example-7-1-generic:trivial^2 (n = 12, seed 1): 1,040 calls when the
     # Jacobi check visited all 220 triples, 608 through the stored pairs only,
     # 404 once the conjugation check and ad_matrix read only those pairs,
-    # and 112 once Jacobi took only the nonzero products of stored brackets.
-    g, _ = _product_of_two_example_7_1_generic()
+    # 112 once Jacobi took only the nonzero products of stored brackets,
+    # and 104 once the nilradical-ideal check read each stored row directly.
+    g = _product(["example-7-1-generic:trivial"] * 2).algebra
     calls = []
     real = LieAlgebraData.bracket
     monkeypatch.setattr(LieAlgebraData, "bracket", lambda g, i, j: calls.append(1) or real(g, i, j))
     assert validate_algebra(g) == ()
-    assert len(calls) == 112
+    assert len(calls) == 104
 
 
-def test_validate_representation_calls_row_times_twice_per_stored_pair(monkeypatch):
-    # The same product: every matrix of the trivial module is zero, so only
-    # the 8 pairs with a stored bracket are checked, one row each (132 calls
-    # when all 66 pairs were).
-    g, rep = _product_of_two_example_7_1_generic()
+@pytest.mark.parametrize(
+    "specs, products",
+    [(["example-7-1-generic:trivial"] * 2, 0), (["example-7-1-generic", "heisenberg3"], 40)],
+    ids=["trivial-squared", "times-heisenberg3"],
+)
+def test_validate_representation_forms_no_product_of_an_empty_row(specs, products, monkeypatch):
+    # Products at seed 1. The trivial module's matrices are all zero, so
+    # only the 8 stored pairs are checked and every row is empty: 16 calls
+    # when each checked row formed both products, 132 when all 66 pairs
+    # were checked. Times heisenberg3 (n = 9), 192 calls formed both.
+    inst = _product(specs)
     calls = []
     real = liealg.row_times
     monkeypatch.setattr(liealg, "row_times", lambda row, m: calls.append(1) or real(row, m))
-    assert validate_representation(g, rep) == ()
-    assert len(calls) == 16 == 2 * len(g.bracket_table())
+    assert validate_representation(inst.algebra, build_representation(inst)) == ()
+    assert len(calls) == products
 
 
 coefficients = st.sampled_from([ONE, MINUS_ONE, I, GaussianRational(2)])
 
 
 @st.composite
-def sparse_tables(draw, max_dim=6):
-    """A LieAlgebraData on a few drawn brackets, some stored in both
+def sparse_entries(draw, max_dim=6):
+    """(n, entries, nilradical) on a few drawn brackets, some stored in both
     orientations (as negations or not) and some rows cancelled to empty."""
     n = draw(st.integers(3, max_dim))
     index = st.integers(0, n - 1)
@@ -197,10 +203,86 @@ def sparse_tables(draw, max_dim=6):
             entries.append((j, i, k, -c))
         elif how == "conflicting":
             entries.append((j, i, draw(index), c))
-    nilradical = draw(st.sets(index))
+    return n, entries, draw(st.sets(index))
+
+
+def _algebra(n, entries, nilradical):
     return LieAlgebraData(
         n, [f"x{i}" for i in range(1, n + 1)], entries, nilradical, set(range(n)) - nilradical
     )
+
+
+def sparse_tables(max_dim=6):
+    """A LieAlgebraData on sparse_entries."""
+    return sparse_entries(max_dim).map(lambda drawn: _algebra(*drawn))
+
+
+def _stored_rows(entries):
+    """The rows as given: entries summed per ordered pair, zero sums dropped, in table order."""
+    table = {}
+    for i, j, k, c in entries:
+        row = table.setdefault((i, j), {})
+        acc = row.get(k, ZERO) + c
+        if acc:
+            row[k] = acc
+        else:
+            row.pop(k, None)
+    return table
+
+
+def _two_lookup_bracket(table, i, j):
+    """[X_i, X_j]: zero at i = j, else the row stored at (i, j), else the
+    negated row stored at (j, i), else zero."""
+    if i == j:
+        return {}
+    if (i, j) in table:
+        return dict(table[(i, j)])
+    return {k: -c for k, c in table.get((j, i), {}).items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_entries())
+def test_bracket_reads_the_stored_row_or_the_negated_reverse(drawn):
+    g, table = _algebra(*drawn), _stored_rows(drawn[1])
+    for i, j in itertools.product(range(g.dim), repeat=2):
+        ref = _two_lookup_bracket(table, i, j)
+        assert list(g.bracket(i, j).items()) == list(ref.items())
+    # A copy: changing it leaves the algebra as it was.
+    for i, j in table:
+        g.bracket(i, j)[0] = ONE
+        assert g.bracket(i, j) == _two_lookup_bracket(table, i, j)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_entries())
+def test_bracket_table_equals_the_walk_of_the_stored_rows(drawn):
+    g, table = _algebra(*drawn), _stored_rows(drawn[1])
+    rows = {}
+    for (i, j), row in table.items():
+        if i < j:
+            rows[(i, j)] = row
+        elif i > j and (j, i) not in table:
+            rows[(j, i)] = {k: -c for k, c in row.items()}
+    ref = {pair: tuple(sorted(row.items())) for pair, row in sorted(rows.items()) if row}
+    assert list(g.bracket_table().items()) == list(ref.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_entries())
+def test_antisymmetry_issues_equal_the_scan_of_every_pair(drawn):
+    # Nonzero [X_i, X_i] first, in table order, then every pair i < j
+    # stored in both orientations that are not negations, ascending.
+    g, table = _algebra(*drawn), _stored_rows(drawn[1])
+    witnesses = [(i, i) for (i, j), row in table.items() if i == j and row]
+    witnesses += [
+        (i, j)
+        for i, j in itertools.combinations(range(g.dim), 2)
+        if (i, j) in table
+        and (j, i) in table
+        and table[(i, j)] != {k: -c for k, c in table[(j, i)].items()}
+    ]
+    issues = [i.witness for i in validate_algebra(g) if i.code == "antisymmetry"]
+    assert issues == witnesses
 
 
 @settings(max_examples=300, deadline=None)
@@ -215,9 +297,9 @@ def test_jacobi_issues_equal_the_scan_of_every_triple(g):
     ]
 
 
-def _ad_matrix_by_table_scan(g, j):
-    """ad(X_j) read off a scan of the whole table for j's stored pairs."""
-    stored = {b if a == j else a for (a, b), row in g._table.items() if row and j in (a, b)}
+def _ad_matrix_by_table_scan(g, table, j):
+    """ad(X_j) read off a scan of the whole stored table for j's pairs."""
+    stored = {b if a == j else a for (a, b), row in table.items() if row and j in (a, b)}
     entries = {}
     for i in sorted(stored):
         for k, c in g.bracket(j, i).items():
@@ -226,12 +308,13 @@ def _ad_matrix_by_table_scan(g, j):
 
 
 @settings(max_examples=200, deadline=None)
-@given(sparse_tables())
-def test_ad_matrix_equals_the_table_scan(g):
+@given(sparse_entries())
+def test_ad_matrix_equals_the_table_scan(drawn):
     # Entries and their order in each row, on tables with both orientations,
     # cancelled rows and [X_i, X_i] entries.
+    g, table = _algebra(*drawn), _stored_rows(drawn[1])
     for j in range(g.dim):
-        ad, ref = g.ad_matrix(j), _ad_matrix_by_table_scan(g, j)
+        ad, ref = g.ad_matrix(j), _ad_matrix_by_table_scan(g, table, j)
         assert [list(r.items()) for r in ad.row_maps] == [list(r.items()) for r in ref.row_maps]
 
 
