@@ -12,10 +12,10 @@ differential code path.
 
 Degree-p basis order: p-subsets I of the index set in lexicographic
 order, each an integer bitmask (degree_masks) followed by the module
-index k, so column (I, k) sits at mask_position(n, p)[I] * m + k.
-ce_kernel assembles the requested columns of a degree at once, each
-column (I, k) in the representation twisted by its own weight tag
-mu_{I,k}, as the invariant complex needs; wedge signs are popcounts.
+index k. ce_kernel names column (I, k) by its key I * m + k instead, and
+assembles the requested columns at once, each column (I, k) in the
+representation twisted by its own weight tag mu_{I,k}, as the invariant
+complex needs; wedge signs are popcounts.
 The twist meets R_c[k, k] and the c_{ct}^t of t in I only in the
 diagonal coefficient at (I + c, k), and since the weights are the
 diagonals of ad and R it cancels them at every c in the complement, so
@@ -59,11 +59,6 @@ def degree_masks(n: int, p: int) -> tuple[int, ...]:
     return tuple(map(sum, combinations([1 << i for i in range(n)], p)))
 
 
-@lru_cache(maxsize=None)
-def mask_position(n: int, p: int) -> dict[int, int]:
-    return {mask: pos for pos, mask in enumerate(degree_masks(n, p))}
-
-
 def subset_sums(
     vectors: Sequence[Sequence[GaussianRational]], width: int
 ) -> tuple[list[tuple[GaussianRational, ...]], list[int]]:
@@ -95,15 +90,15 @@ def subset_sums(
 
 def ce_kernel(
     g: LieAlgebraData, rep: RepresentationData
-) -> Callable[[Iterable[int], int], dict[tuple[int, int], GaussianRational]]:
+) -> Callable[[Iterable[int]], dict[tuple[int, int], GaussianRational]]:
     """d of the invariant complex: each column in rep twisted by its own tag.
 
-    kernel(columns, p) gives the nonzero entries {(row, col): coeff} of d
-    from degree p to p+1 on the given columns only, column (I, k) taken
-    in rep twisted by the weight tag mu_{I,k}. Entries come column by
-    column in the given order, each column's in term order: action terms
-    (j, then l), then bracket terms (t, a, b), a sum of terms at the
-    place of its first. That order is promised at degrees 0 and 1 only.
+    kernel(columns) gives the nonzero entries {(row, col): coeff} of d on
+    the given columns only, x_I (x) v_k keyed I * m + k (I a bitmask),
+    column (I, k) taken in rep twisted by the weight tag mu_{I,k}. Entries
+    come column by column in the given order, each column's in term order:
+    action terms (j, then l), then bracket terms (t, a, b), a sum of terms
+    at the place of its first. That order is promised at degrees 0 and 1.
 
     The twist touches only the diagonal coefficient at (I + c, k), c not
     in I, where the action term R_c[k, k] + mu_{I,k}(X_c) meets the
@@ -152,17 +147,14 @@ def ce_kernel(
         for k in range(m)
     ]
 
-    def kernel(columns: Iterable[int], p: int) -> dict[tuple[int, int], GaussianRational]:
-        masks = degree_masks(n, p)
-        target = mask_position(n, p + 1)
+    def kernel(columns: Iterable[int]) -> dict[tuple[int, int], GaussianRational]:
         entries: dict[tuple[int, int], GaussianRational] = {}
         last = None
         for col in columns:
-            ipos, k = divmod(col, m)
-            mask = masks[ipos]
-            if ipos != last:
+            mask, k = divmod(col, m)
+            if mask != last:
                 # d(x_I) = sum_t (-1)^{pos(t, I)} dx_t ^ x_{I - t}, for every k.
-                last = ipos
+                last = mask
                 brackets = []
                 for bit_t, below_t, terms in dx_ts:
                     if mask & bit_t:
@@ -171,14 +163,12 @@ def ce_kernel(
                         for ab, between, c, neg, diagonal in terms:
                             if not rest & ab:
                                 odd = pos_t + (rest & between).bit_count()
-                                brackets.append(
-                                    (target[rest | ab] * m, neg if odd & 1 else c, diagonal)
-                                )
+                                brackets.append(((rest | ab) * m, neg if odd & 1 else c, diagonal))
             # Action terms (insert x_j, sign: members below j; apply R_j),
             # then bracket terms.
             for bit, below, column, negated in action_table[k]:
                 if not mask & bit:
-                    base = target[mask | bit] * m
+                    base = (mask | bit) * m
                     for l, v in negated if (mask & below).bit_count() & 1 else column:
                         entries[(base + l, col)] = v
             for base, v, diagonal in brackets:

@@ -8,15 +8,15 @@ real-complexified, "dolbeault" instances are complex.
 Structural problems raise InstanceParseError (CLI exit code 2): among
 them a file that is not UTF-8, JSON nested too deeply to parse, a
 number with more digits than Python converts to an integer, a scalar
-that is not a JSON string (named in JSON spelling), every
-key that names no basis vector, a flag ("trivial", "adjoint", "infer")
-that is not a JSON boolean, a dim given as true or false, a
-bracket entry [x, y, z, c] whose (x, y, z) repeats an earlier one, and
-a representation weight list whose length is not the module dimension.
-Mathematical violations are reported by validate_instance (exit code
-1). The package only reads instance files; the canonical writer that
-the shipped files are checked against is a test reference
-(tests/emit_reference.py).
+or a name that is not a JSON string (named in JSON spelling), every key
+that names no basis vector, a flag ("trivial", "adjoint", "infer") that
+is not a JSON boolean or stands beside another module, a dim given as
+true or false, a bracket entry [x, y, z, c] whose (x, y, z) repeats an
+earlier one, and a representation weight list whose length is not the
+module dimension. Mathematical violations are reported by
+validate_instance (exit code 1). The package only reads instance files;
+the canonical writer that the shipped files are checked against is a
+test reference (tests/emit_reference.py).
 """
 from __future__ import annotations
 
@@ -99,7 +99,7 @@ def _flag(block: dict, key: str, what: str) -> bool:
 
 
 def _text(value, what: str) -> str:
-    """A scalar's text: JSON gives every scalar as a string."""
+    """A scalar's or a name's text: JSON gives each as a string."""
     if not isinstance(value, str):
         raise InstanceParseError(f"{what} must be a string, not {json.dumps(value)}")
     return value
@@ -145,13 +145,12 @@ def parse_instance(data: dict) -> InstanceFile:
     kind = _expect(data, "kind", "instance")
     if kind not in (KIND_DERHAM, KIND_DOLBEAULT):
         raise InstanceParseError(f"unknown kind {kind!r}")
-    name = str(data.get("name", ""))
+    name = _text(data.get("name", ""), "instance name")
 
     alg = _expect(data, "algebra", "instance")
     dim = _expect(alg, "dim", "algebra")
-    basis = tuple(
-        str(b) for b in _expect_list(_expect(alg, "basis", "algebra"), "algebra basis")
-    )
+    names = _expect_list(_expect(alg, "basis", "algebra"), "algebra basis")
+    basis = tuple([_text(b, "basis name") for b in names])
     # type(), not isinstance: JSON true is a bool, and bool is an int.
     if type(dim) is not int or len(basis) != dim:
         raise InstanceParseError("algebra dim and basis list disagree")
@@ -210,12 +209,13 @@ def parse_instance(data: dict) -> InstanceFile:
 def _parse_representation(data, g: LieAlgebraData) -> RepresentationSpec:
     if not isinstance(data, dict):
         raise InstanceParseError("representation block must be an object")
-    trivial = _flag(data, "trivial", "representation")
-    adjoint = _flag(data, "adjoint", "representation")
-    if trivial:
-        return RepresentationSpec("trivial")
-    if adjoint:
-        return RepresentationSpec("adjoint", m=g.dim)
+    # A true flag names the whole module: nothing of another may stand beside it.
+    given = [key for key in ("trivial", "adjoint") if _flag(data, key, "representation")]
+    given += [key for key in ("dim", "matrices", "weights") if given and key in data]
+    if len(given) > 1:
+        raise InstanceParseError(f"representation block gives both {given[0]} and {given[1]}")
+    if given:
+        return RepresentationSpec(given[0], m=g.dim if given == ["adjoint"] else 1)
     m = _expect(data, "dim", "representation")
     if type(m) is not int or m < 1:
         raise InstanceParseError("representation dim must be a positive integer")
@@ -290,8 +290,8 @@ def _parse_lattice(data, g: LieAlgebraData) -> LatticeData:
         # A generator, so each declaration's own errors come in declaration order.
         symbols = declared_symbols(
             (
-                str(_expect(sd, "name", "symbol declaration")),
-                str(_expect(sd, "parity", "symbol declaration")),
+                _text(_expect(sd, "name", "symbol declaration"), "symbol name"),
+                _text(_expect(sd, "parity", "symbol declaration"), "symbol parity"),
             )
             for sd in _expect_list(data.get("symbols", []), "lattice symbols")
         )

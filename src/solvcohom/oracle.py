@@ -8,9 +8,9 @@ Chevalley-Eilenberg complex of the module twisted by mu is rebuilt here
                    + sum_{a<b} (-1)^{a+b} w([X_a,X_b], ..drop a,b..),
 
 entry by entry, sharing no differential code with the insertion-formula
-builder: only the matrix type and the subset order (degree_masks and
-mask_position) are common, and only this module forms a twist
-(twist_at, which places mu on the complement indices). Its Betti
+builder: only the matrix type and the subset order degree_masks are common
+(its inverse mask_position is this module's), and only this module forms
+a twist (twist_at, which places mu on the complement indices). Its Betti
 numbers must agree degree by degree with the mu-block of the invariant
 complex; this is the finite certificate that the invariant complex
 computes the right cohomology. All blocks are eliminated as one complex,
@@ -44,17 +44,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .automorphisms import SignedPermutation, find_root, linear_automorphisms
-from .cecomplex import (
-    CohomologyResult,
-    FiniteComplex,
-    Weight,
-    cohomology,
-    degree_masks,
-    mask_position,
-)
+from .cecomplex import CohomologyResult, FiniteComplex, Weight, cohomology, degree_masks
 from .errors import ValidationFailure
 from .liealg import LieAlgebraData, RepresentationData, trivial_representation
 from .linalg import ExactMatrix, SparseRow, row_axpy
@@ -65,6 +59,11 @@ from .weights import InvariantComplex, restrict_complex
 Skeleton = dict[int, list[tuple[int, GaussianRational]]]
 # The nonzero entries (l, k, value) of rho_mu(X_j) for one j.
 ActionEntries = list[tuple[int, int, GaussianRational]]
+
+
+@lru_cache(maxsize=None)
+def mask_position(n: int, p: int) -> dict[int, int]:
+    return {mask: pos for pos, mask in enumerate(degree_masks(n, p))}
 
 
 def sector_skeleton(g: LieAlgebraData) -> Skeleton:

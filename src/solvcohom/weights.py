@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from typing import Callable, Iterable
 
 from .cecomplex import (
@@ -51,7 +51,6 @@ from .liealg import (
     ValidationIssue,
 )
 from .linalg import ExactMatrix
-from .scalars import GaussianRational
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +158,11 @@ class InvariantComplex:
     label(p, i); names are formed when asked for, not stored. Tags are
     interned: tag_table lists the distinct tags in weight_sort_key order,
     and tag_ids[p][i] is the position in it of the tag of degree-p element
-    i. kernel is ce_kernel(algebra, representation): d on the given
-    columns, each in its own tag's twist. complex, the block of every
-    tag, and distinct_tags, an alias of tag_table, are read by no command:
-    they remain only for the counters of bench/spans.py, until the
-    benchmark counts from the selected blocks (ROADMAP item 6(a)).
+    i. kernel is ce_kernel(algebra, representation), d on the columns
+    given by key (mask * m + k). complex, the block of every tag, and
+    distinct_tags, an alias of tag_table, are read by no command: they
+    remain only for the counters of bench/spans.py, until the benchmark
+    counts from the selected blocks (ROADMAP item 6(a)).
     """
 
     tag_table: tuple[Weight, ...]
@@ -171,7 +170,7 @@ class InvariantComplex:
     algebra: LieAlgebraData
     representation: RepresentationData
     weights: WeightAssignment
-    kernel: Callable[[Iterable[int], int], dict] = field(repr=False, compare=False)
+    kernel: Callable[[Iterable[int]], dict] = field(repr=False, compare=False)
 
     @cached_property
     def complex(self) -> FiniteComplex:
@@ -252,51 +251,62 @@ def build_invariant_complex(
     )
 
     ic = InvariantComplex(tag_table, tag_ids, g, rep, w, ce_kernel(g, rep))
-    for p in range(min(n, 2)):
-        _graded_entries(ic, range(len(tag_ids[p])), p)
+    m = rep.m
+    keys = ([mask * m + k for mask in degree_masks(n, p) for k in range(m)] for p in range(3))
+    _graded_block(ic, zip(keys, tag_ids[:3]))
     return ic
-
-
-def _graded_entries(
-    ic: InvariantComplex, columns: Iterable[int], p: int
-) -> dict[tuple[int, int], GaussianRational]:
-    """ic.kernel's entries for the given columns, checked for the grading.
-
-    The first in the kernel's order that reaches a basis element of
-    another tag raises WeightGradingError. Only degrees 0 and 1 can
-    raise on a kernel built by build_invariant_complex, and there that
-    order is column, then term order.
-    """
-    source_ids, target_ids = ic.tag_ids[p], ic.tag_ids[p + 1]
-    entries = ic.kernel(columns, p)
-    for row, col in entries:
-        tid = source_ids[col]
-        if target_ids[row] != tid:
-            raise WeightGradingError(
-                "weight grading violated: d("
-                f"{ic.label(p, col)}) hits {ic.label(p + 1, row)} "
-                f"across tags {format_weight(ic.tag_table[tid])} -> "
-                f"{format_weight(ic.tag_table[target_ids[row]])}; invalid weight data"
-            )
-    return entries
 
 
 def restrict_complex(ic: InvariantComplex, tag_ids: Iterable[int]) -> FiniteComplex:
     """The block of the given tag ids, its basis in the global order.
 
     Only those tags' columns are formed, and every entry passes the
-    grading check, so it lands on a row of its column's tag: the block is
-    closed under d by construction.
+    grading check as it is placed (_graded_block), so it lands on a row
+    of its column's tag: the block is closed under d by construction.
     """
-    keep = ic.indices_with_tag_ids(tag_ids)
-    dims = [len(ks) for ks in keep]
-    pos = [{i: at for at, i in enumerate(ks)} for ks in keep]
-    differentials = []
-    for p in range(len(keep) - 1):
-        entries = _graded_entries(ic, keep[p], p)
-        # Kernel entries are nonzero, and graded ones land in the block.
-        rows: list[dict] = [{} for _ in range(dims[p + 1])]
-        for (r, c), v in entries.items():
-            rows[pos[p + 1][r]][pos[p][c]] = v
-        differentials.append(ExactMatrix(dims[p + 1], dims[p], tuple(rows)))
+    n, m = ic.algebra.dim, ic.representation.m
+    blocks = []
+    for p, (ids, kept) in enumerate(zip(ic.tag_ids, ic.indices_with_tag_ids(tag_ids))):
+        masks = degree_masks(n, p)
+        # With m = 1 a key is its mask, read without arithmetic.
+        keys = map(masks.__getitem__, kept) if m == 1 else [masks[i // m] * m + i % m for i in kept]
+        blocks.append((keys, [ids[i] for i in kept]))
+    return _graded_block(ic, blocks)
+
+
+def _graded_block(ic: InvariantComplex, blocks: Iterable) -> FiniteComplex:
+    """The complex on the p-th block's (keys, tag ids) in degree p.
+
+    One pass over ic.kernel's entries places each. The first in kernel
+    order whose row is off the block or of another tag than its column
+    raises WeightGradingError; with build_invariant_complex's kernel only
+    degrees 0 and 1 can, where that order is column, then term order.
+    """
+    dims, differentials = [], []
+    for p, (keys, tags) in enumerate(blocks):
+        place = dict(zip(keys, count()))
+        if p:
+            rows: list[dict] = [{} for _ in tags]
+            for (r, c), v in ic.kernel(sources).items():
+                col, row = sources[c], place.get(r)
+                if row is None or tags[row] != source_tags[col]:
+                    raise _grading_error(ic, p - 1, c, r)
+                rows[row][col] = v
+            differentials.append(ExactMatrix(len(tags), len(source_tags), tuple(rows)))
+        sources, source_tags = place, tags
+        dims.append(len(tags))
     return FiniteComplex(tuple(dims), tuple(differentials))
+
+
+def _grading_error(ic: InvariantComplex, p: int, col: int, row: int) -> WeightGradingError:
+    """The error for d's entry at (row, col), keys of degrees p and p + 1."""
+    m = ic.representation.m
+    (source, source_tag), (target, target_tag) = [
+        (ic.label(q, i), format_weight(ic.tag_table[ic.tag_ids[q][i]]))
+        for q, key in ((p, col), (p + 1, row))
+        for i in [degree_masks(ic.algebra.dim, q).index(key // m) * m + key % m]
+    ]
+    return WeightGradingError(
+        f"weight grading violated: d({source}) hits {target} "
+        f"across tags {source_tag} -> {target_tag}; invalid weight data"
+    )

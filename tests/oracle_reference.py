@@ -24,8 +24,8 @@ from subset_reference import degree_basis
 from solvcohom.liealg import LieAlgebraData, RepresentationData
 from solvcohom.linalg import ExactMatrix, SparseRow, row_axpy
 from solvcohom.automorphisms import SignedPermutation
-from solvcohom.cecomplex import Weight, degree_masks, mask_position
-from solvcohom.oracle import _tag_image, twist_at
+from solvcohom.cecomplex import Weight, degree_masks
+from solvcohom.oracle import _tag_image, mask_position, twist_at
 from solvcohom.scalars import ZERO, GaussianRational
 
 # (action terms (jpos, ipos, j, s), bracket terms {(jpos, ipos): c}) of one degree.

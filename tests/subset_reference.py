@@ -3,8 +3,10 @@
 degree_basis(n, p) lists the p-subsets of range(n) as sorted tuples in
 lexicographic order, and subset_position is its inverse. The package
 indexes subsets by bitmask only (cecomplex.degree_masks and
-mask_position); references built on these tuples therefore check that
-order rather than read it.
+oracle.mask_position); references built on these tuples therefore check
+that order rather than read it. ce_kernel names the cochain x_I (x) v_k
+by its key mask(I) * m + k; cochain_key and key_position translate
+between keys and positions in this order.
 """
 from __future__ import annotations
 
@@ -26,3 +28,20 @@ def subset_position(n: int, p: int) -> dict[tuple[int, ...], int]:
 def subset_mask(I: tuple[int, ...]) -> int:
     """The bitmask of a subset: bit i for x_i."""
     return sum(1 << i for i in I)
+
+
+def cochain_key(n: int, m: int, p: int, i: int) -> int:
+    """The key of the degree-p cochain at position i."""
+    return subset_mask(degree_basis(n, p)[i // m]) * m + i % m
+
+
+def key_position(n: int, m: int, key: int) -> int:
+    """The position of a cochain key in its degree."""
+    mask, k = divmod(key, m)
+    I = tuple(i for i in range(n) if mask >> i & 1)
+    return subset_position(n, len(I))[I] * m + k
+
+
+def positional(n: int, m: int, entries: dict) -> dict:
+    """Kernel entries {(row key, column key): v} at positions, in their order."""
+    return {(key_position(n, m, r), key_position(n, m, c)): v for (r, c), v in entries.items()}

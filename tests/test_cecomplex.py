@@ -14,7 +14,6 @@ from solvcohom.cecomplex import (
     FiniteComplex,
     cohomology,
     degree_masks,
-    mask_position,
     module_basis_names,
     nilshadow,
 )
@@ -36,21 +35,14 @@ def test_degree_basis_lex_order():
     assert degree_masks(3, 1) == (0b001, 0b010, 0b100)
     assert degree_masks(3, 2) == (0b011, 0b101, 0b110)
     assert degree_masks(4, 4) == (0b1111,)
-    pos = mask_position(4, 2)
-    assert pos[0b0011] == 0
-    assert pos[0b1100] == len(degree_masks(4, 2)) - 1
 
 
 def test_degree_masks_follow_the_combinations_reference():
     # Every degree up to n = 12: the package's masks are the reference's
-    # lexicographic tuples, and mask_position inverts them.
+    # lexicographic tuples.
     for n in range(13):
         for p in range(n + 1):
-            masks = degree_masks(n, p)
-            assert masks == tuple(subset_mask(I) for I in degree_basis(n, p))
-            position = mask_position(n, p)
-            assert len(position) == len(masks)
-            assert all(position[mask] == pos for pos, mask in enumerate(masks))
+            assert degree_masks(n, p) == tuple(subset_mask(I) for I in degree_basis(n, p))
 
 
 def test_wedge_insert_sign():

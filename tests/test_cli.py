@@ -574,7 +574,10 @@ IMAGINARY_A = {"name": "a", "parity": "imaginary"}
         (_symbols({"name": "a", "parity": "weird"}), "unknown parity 'weird'"),
         (_symbols(IMAGINARY_A), "imaginary symbol 'a' must be named i*<base>"),
         (_symbols({"name": "2a", "parity": "real"}), "bad symbol name '2a'"),
-        (_symbols({"name": 5, "parity": "real"}), "bad symbol name '5'"),
+        (_symbols({"name": 5, "parity": "real"}), "symbol name must be a string, not 5"),
+        (_symbols({"name": True, "parity": "real"}), "symbol name must be a string, not true"),
+        (_symbols({"name": None, "parity": "real"}), "symbol name must be a string, not null"),
+        (_symbols({"name": "a", "parity": None}), "symbol parity must be a string, not null"),
         (_symbols({"name": "i*", "parity": "imaginary"}), "bad symbol name ''"),
         (_symbols({"name": "pi", "parity": "real"}), "duplicate symbol 'pi'"),
         (_symbols({"name": "i", "parity": "real"}), "duplicate symbol 'i'"),
@@ -617,6 +620,9 @@ IMAGINARY_A = {"name": "a", "parity": "imaginary"}
         "imaginary-without-i",
         "bad-name",
         "bad-name-number",
+        "bad-name-true",
+        "bad-name-null",
+        "parity-null",
         "bad-name-empty-base",
         "builtin-pi",
         "builtin-i",
@@ -647,6 +653,48 @@ def test_lattice_block_errors_exit_two_with_their_message(mutate, message, tmp_p
     path.write_text(json.dumps(doc))
     assert run(["validate", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_non_string_names_exit_two_in_json_spelling(tmp_path, capsys):
+    # A basis name true, named "True" wherever the file refers to it, and
+    # an instance name null: neither is read as the text "True" or "None".
+    text = (INSTANCE_DIR / "heisenberg3.json").read_text().replace('"x"', '"True"')
+    doc = json.loads(text)
+    doc["algebra"]["basis"][0] = True
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps(doc))
+    assert run(["derham", str(path), "--representatives"]) == 2
+    assert capsys.readouterr() == ("", "error: basis name must be a string, not true\n")
+    doc = json.loads((INSTANCE_DIR / "heisenberg3.json").read_text())
+    doc["name"] = None
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: instance name must be a string, not null\n")
+
+
+@pytest.mark.parametrize(
+    "block,message",
+    [
+        ({"trivial": True, "adjoint": True}, "gives both trivial and adjoint"),
+        ({"trivial": True, "dim": 0, "matrices": 5}, "gives both trivial and dim"),
+        ({"adjoint": True, "matrices": {}}, "gives both adjoint and matrices"),
+        ({"adjoint": True, "weights": []}, "gives both adjoint and weights"),
+    ],
+    ids=["trivial-and-adjoint", "trivial-and-dim", "adjoint-and-matrices", "adjoint-and-weights"],
+)
+def test_a_representation_flag_beside_another_module_exits_two(block, message, tmp_path, capsys):
+    # A flag names the whole module, so no second flag and no key of an
+    # explicit block may stand beside it; a false flag is an absent one.
+    doc = json.loads((INSTANCE_DIR / "heisenberg3.json").read_text())
+    doc["representation"] = block
+    path = tmp_path / "representation.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "derham"):
+        assert run([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: representation block {message}\n"
+    doc["representation"] = {"trivial": False, "adjoint": True}
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 0
 
 
 def test_conjugation_on_a_dolbeault_instance_exits_one(tmp_path, capsys):
@@ -826,7 +874,12 @@ def test_oracle_catches_a_broken_builder(monkeypatch, capsys):
 
     def broken(g, rep):
         kernel = ce_kernel(g, rep)
-        return lambda columns, p: {} if p == 1 else kernel(columns, p)
+
+        def entries(columns):
+            columns = list(columns)
+            return {} if _degree(columns, rep.m) == 1 else kernel(columns)
+
+        return entries
 
     monkeypatch.setattr(weights, "ce_kernel", broken)
     assert run(["oracle", path_of("heisenberg3")]) == 3
@@ -855,6 +908,11 @@ def _run_outputs(tmp_path, capsys):
     return outputs
 
 
+def _degree(columns: list, m: int) -> int:
+    """The degree of a kernel call, the popcount of its first key's mask; -1 for none."""
+    return (columns[0] // m).bit_count() if columns else -1
+
+
 def _scramble_kernel_entries(monkeypatch, scramble):
     """Make every ce_kernel call above degree 1 return its entries reversed,
     or shuffled by a seeded generator. The list returned records, per call,
@@ -866,9 +924,10 @@ def _scramble_kernel_entries(monkeypatch, scramble):
     def scrambled(g, rep):
         kernel = ce_kernel(g, rep)
 
-        def entries(columns, p):
-            out = kernel(columns, p)
-            if p < 2:
+        def entries(columns):
+            columns = list(columns)
+            out = kernel(columns)
+            if _degree(columns, rep.m) < 2:
                 return out
             items = list(out.items())
             if scramble == "reversed":

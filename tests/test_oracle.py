@@ -25,10 +25,10 @@ from oracle_reference import (
     reference_degree_skeleton,
     reference_sector_differential,
 )
-from subset_reference import degree_basis, subset_position
+from subset_reference import cochain_key, degree_basis, key_position, subset_mask, subset_position
 
 from solvcohom.automorphisms import SEARCH_NODES, linear_automorphisms
-from solvcohom.cecomplex import cohomology, degree_masks, mask_position
+from solvcohom.cecomplex import cohomology, degree_masks
 from solvcohom.errors import ValidationFailure, WeightGradingError
 from solvcohom.instances import (
     build_representation,
@@ -50,6 +50,7 @@ from solvcohom.oracle import (
     _certified,
     _sector_differential,
     _sector_orbits,
+    mask_position,
     sector_cohomology_full,
     sector_skeleton,
     twist_at,
@@ -61,6 +62,18 @@ gaussians = st.builds(
     GaussianRational, *[st.fractions(min_value=-50, max_value=50, max_denominator=12)] * 2
 )
 from solvcohom.weights import build_invariant_complex, infer_weights, restrict_complex
+
+
+def test_mask_position_inverts_degree_masks():
+    pos = mask_position(4, 2)
+    assert pos[0b0011] == 0
+    assert pos[0b1100] == len(degree_masks(4, 2)) - 1
+    # Every degree up to n = 12, against the reference's lexicographic tuples.
+    for n in range(13):
+        for p in range(n + 1):
+            assert mask_position(n, p) == {
+                subset_mask(I): i for I, i in subset_position(n, p).items()
+            }
 
 
 def test_alternating_evaluation_signs():
@@ -515,16 +528,18 @@ def test_a_kernel_entry_across_tags_above_degree_1_is_refused():
     # check of degrees 0 and 1, must make the oracle raise, not report.
     g, rep, w = _product_inputs("example-7-1-generic")
     ic = build_invariant_complex(g, rep, w)
-    target_ids = ic.tag_ids[3]
+    n, m, target_ids = g.dim, rep.m, ic.tag_ids[3]
     moved = []
 
-    def leaky(columns, p):
-        entries = ic.kernel(columns, p)
-        if p == 2 and entries and not moved:
+    def leaky(columns):
+        columns = list(columns)
+        entries = ic.kernel(columns)
+        if entries and not moved and (columns[0] // m).bit_count() == 2:
             (r, c), v = next(iter(entries.items()))
             del entries[(r, c)]
-            away = next(i for i, t in enumerate(target_ids) if t != target_ids[r])
-            entries[(away, c)] = v
+            at = key_position(n, m, r)
+            away = next(i for i, t in enumerate(target_ids) if t != target_ids[at])
+            entries[(cochain_key(n, m, 3, away), c)] = v
             moved.append(c)
         return entries
 

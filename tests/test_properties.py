@@ -31,7 +31,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from period_reference import named_coords, package_value, reference_conjugate, reference_names
-from subset_reference import degree_basis
+from subset_reference import cochain_key, degree_basis, positional
 
 from solvcohom.cecomplex import (
     FiniteComplex,
@@ -252,11 +252,12 @@ def test_ce_kernel_entries_equal_bitmask_reference(name, data):
     # The kernel twists each column by its own weight tag without forming
     # it, forms no term that the twist cancels and sums the nilradical
     # diagonal terms where they meet; the reference forms every term in
-    # the module twisted by the tag and lets the sums cancel. The entries
-    # must agree on a drawn subset of a degree's columns in drawn order,
-    # twice from one kernel (a call must not change the next), dict item
-    # order included at degrees 0 and 1, the only ones where the kernel
-    # promises it. Modules: the trivial or adjoint one with the tags of
+    # the module twisted by the tag and lets the sums cancel. The entries,
+    # the kernel's keys read as positions (subset_reference), must agree
+    # on a drawn subset of a degree's columns in drawn order, twice from
+    # one kernel (a call must not change the next), dict item order
+    # included at degrees 0 and 1, the only ones where the kernel promises
+    # it. Modules: the trivial or adjoint one with the tags of
     # build_invariant_complex; or drawn, unvalidated matrices, nonzero
     # diagonals in the nilradical included, whose weights are their
     # diagonals, with the tags of reference_tag.
@@ -284,8 +285,9 @@ def test_ce_kernel_entries_equal_bitmask_reference(name, data):
         columns = rng.sample(columns, rng.randint(0, len(columns)))
     expected = reference_ce_kernel(g, rep, twists)({c: column_tag[c] for c in columns}, p)
     kernel = ce_kernel(g, rep)
+    keys = [cochain_key(g.dim, rep.m, p, c) for c in columns]
     for _ in range(2):
-        entries = kernel(columns, p)
+        entries = positional(g.dim, rep.m, kernel(keys))
         assert entries == expected
         if p <= 1:
             assert list(entries.items()) == list(expected.items())
@@ -301,7 +303,7 @@ def test_ce_kernel_puts_a_diagonal_with_no_action_part_after_the_action_terms():
     g = parse_instance(SKEWED_HEISENBERG).algebra
     rep = adjoint_representation(g)
     columns = [degree_basis(3, 1).index((1,)) * 3]
-    entries = ce_kernel(g, rep)(columns, 1)
+    entries = positional(3, 3, ce_kernel(g, rep)([cochain_key(3, 3, 1, c) for c in columns]))
     rows = degree_basis(3, 2)
     assert [(rows[r // 3], r % 3, v) for (r, _), v in entries.items()] == [
         ((1, 2), 1, MINUS_ONE),
@@ -331,7 +333,7 @@ def test_ce_kernel_sums_a_diagonal_at_its_action_term_and_drops_a_zero_sum():
     }
     for k, terms in want.items():
         columns = [z_star + k]
-        entries = ce_kernel(g, rep)(columns, 1)
+        entries = positional(3, 3, ce_kernel(g, rep)([cochain_key(3, 3, 1, c) for c in columns]))
         assert [(rows[r // 3], r % 3, v) for (r, _), v in entries.items()] == terms
         expected = reference_ce_kernel(g, rep, [()])(dict.fromkeys(columns, 0), 1)
         assert list(entries.items()) == list(expected.items())

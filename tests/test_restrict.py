@@ -11,7 +11,7 @@ from conftest import (
     ratio_char_trivial_on_lattice,
 )
 from restrict_reference import SelectionClosureError, reference_restrict_complex
-from subset_reference import degree_basis
+from subset_reference import cochain_key, degree_basis
 
 from solvcohom import cli, weights
 from solvcohom.cecomplex import FiniteComplex, cohomology
@@ -162,22 +162,22 @@ def test_derham_builds_only_the_kept_columns_above_degree_one(monkeypatch, capsy
     def recording(g, rep):
         kernel = ce_kernel(g, rep)
 
-        def record(columns, p):
-            calls.append((p, list(columns)))
-            return kernel(columns, p)
+        def record(columns):
+            calls.append(list(columns))
+            return kernel(columns)
 
         return record
 
     monkeypatch.setattr(weights, "ce_kernel", recording)
     assert cli.main(["derham", path]) == 0
     capsys.readouterr()
-    n = ic.algebra.dim
-    for p in range(n):
-        received = [cols for q, cols in calls if q == p]
-        if p < 2:
-            assert received == [everything[p], kept[p]]
-        else:
-            assert received == [kept[p]]
+    n, m = ic.algebra.dim, ic.representation.m
+    # The build's degrees 0 and 1, then the selection's degrees 0 to n - 1.
+    asked = everything[:2] + kept[:n]
+    degrees = [0, 1, *range(n)]
+    assert calls == [
+        [cochain_key(n, m, p, i) for i in cols] for p, cols in zip(degrees, asked)
+    ]
 
 
 def test_restrict_complex_checks_every_entry_it_builds(split_3d):
@@ -187,10 +187,13 @@ def test_restrict_complex_checks_every_entry_it_builds(split_3d):
     rep = trivial_representation(split_3d)
     ic = build_invariant_complex(split_3d, rep, infer_weights(split_3d, rep))
 
-    def leaky(columns, p):
-        entries = ic.kernel(columns, p)
-        if p == 1 and 1 in columns:
-            entries[(1, 1)] = ONE
+    e2, e1_e3 = cochain_key(3, 1, 1, 1), cochain_key(3, 1, 2, 1)
+
+    def leaky(columns):
+        columns = list(columns)
+        entries = ic.kernel(columns)
+        if e2 in columns:
+            entries[(e1_e3, e2)] = ONE
         return entries
 
     tid = ic.tag_ids[1][1]

@@ -1,4 +1,4 @@
-"""Scaling guards: two n = 15 products, each run in a process of its own.
+"""Scaling guards: three products, each run in a process of its own.
 
 example-7-2-pi^5 is the five-fold Künneth product of a shipped
 Dolbeault instance, built by bench/products.py (loaded by path and only
@@ -6,6 +6,11 @@ read, as test_bench_spans.py loads bench/spans.py). Its selected complex
 has kernels of up to 32,767 vectors over 6,435 columns in one degree, so
 dense kernel vectors would take over a GiB; sparse ones take a few MiB.
 The same process then chooses a representative for each of its classes.
+
+example-7-2-generic^7 (n = 21) keeps 0.8% of its 2^21 cochains. The
+builder keys a cochain by its mask, so it forms no position table of
+the subsets: the peak stays within the same bound, and the oracle's
+mask_position is never filled.
 
 example-7-1-generic:trivial (x) heisenberg3:trivial^3 runs the oracle on
 all 2^15 subsets. Its once-per-instance skeleton holds only the bracket
@@ -65,6 +70,33 @@ def test_dolbeault_on_example_7_2_pi_to_the_fifth(tmp_path):
     reps = json.loads(reps_out.read_text())
     assert reps["betti"] == betti
     assert [len(classes) for classes in reps["representatives"]] == betti
+    assert peak_kib < PEAK_RSS_LIMIT_MIB * 1024, f"peak RSS {peak_kib // 1024} MiB"
+
+
+def test_dolbeault_on_example_7_2_generic_to_the_seventh(tmp_path):
+    products = load_bench("products")
+    factor = products.load_factor(INSTANCE_DIR, "example-7-2-generic")
+    instance = products.product_instance([factor] * 7, 1, "example-7-2-generic^7")
+    path = tmp_path / "product.json"
+    path.write_text(products.dumps(instance))
+    out = tmp_path / "out.json"
+    factor_betti = json.loads(
+        (EXPECTED_DIR / "example-7-2-generic.dolbeault.json").read_text()
+    )["betti"]
+    script = textwrap.dedent(
+        f"""
+        import contextlib, io, re
+        from solvcohom import cli, oracle
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["dolbeault", {str(path)!r}, "--json", {str(out)!r}])
+        positions = oracle.mask_position.cache_info().currsize
+        """
+    ) + PEAK + "print(code, positions, peak)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, positions, peak_kib = map(int, proc.stdout.split())
+    assert (code, positions) == (0, 0)
+    assert json.loads(out.read_text())["betti"] == products.convolve(*[factor_betti] * 7)
     assert peak_kib < PEAK_RSS_LIMIT_MIB * 1024, f"peak RSS {peak_kib // 1024} MiB"
 
 

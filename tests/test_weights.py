@@ -29,7 +29,7 @@ from jordan_reference import (
     jordan_chevalley_additive,
     matrix_inverse,
 )
-from subset_reference import degree_basis
+from subset_reference import cochain_key, degree_basis
 
 from solvcohom.cecomplex import module_basis_names
 from solvcohom.errors import ValidationFailure, WeightGradingError, WeightInferenceError
@@ -539,15 +539,18 @@ def test_second_kernel_pass_adds_no_scalars(name, monkeypatch):
     inst = load_instance(str(INSTANCE_DIR / f"{name}.json"))
     g, rep = inst.algebra, build_representation(inst)
     ic = build_invariant_complex(g, rep, build_weight_assignment(inst, rep))
-    columns = [range(len(ids)) for ids in ic.tag_ids[:-1]]
-    first = [ic.kernel(cols, p) for p, cols in enumerate(columns)]
+    columns = [
+        [cochain_key(g.dim, rep.m, p, i) for i in range(len(ids))]
+        for p, ids in enumerate(ic.tag_ids[:-1])
+    ]
+    first = [ic.kernel(cols) for cols in columns]
     calls = []
     for method in ("__add__", "__sub__"):
         original = getattr(GaussianRational, method)
         monkeypatch.setattr(
             GaussianRational, method, lambda a, b, f=original: calls.append(a) or f(a, b)
         )
-    second = [ic.kernel(cols, p) for p, cols in enumerate(columns)]
+    second = [ic.kernel(cols) for cols in columns]
     monkeypatch.undo()
     assert len(calls) == 0
     assert [list(e.items()) for e in second] == [list(e.items()) for e in first]
