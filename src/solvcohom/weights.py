@@ -268,8 +268,7 @@ def restrict_complex(ic: InvariantComplex, tag_ids: Iterable[int]) -> FiniteComp
     blocks = []
     for p, (ids, kept) in enumerate(zip(ic.tag_ids, ic.indices_with_tag_ids(tag_ids))):
         masks = degree_masks(n, p)
-        # With m = 1 a key is its mask, read without arithmetic.
-        keys = map(masks.__getitem__, kept) if m == 1 else [masks[i // m] * m + i % m for i in kept]
+        keys = [masks[i // m] * m + i % m for i in kept]
         blocks.append((keys, [ids[i] for i in kept]))
     return _graded_block(ic, blocks)
 
