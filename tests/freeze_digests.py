@@ -4,7 +4,8 @@
     PYTHONPATH=src python3 -O tests/freeze_digests.py --print ID [ID ...]
 
 Each answer is one CLI command on one instance: derham or dolbeault, with
-and without --representatives, on the pipeline products of bench/run.py;
+and without --representatives, and conditions, on the pipeline products
+of bench/run.py;
 oracle on six n=9-15 products; and derham, derham --representatives and
 oracle on heisenberg3 in the skewed basis x, y, y + z, the one algebra
 here whose nilradical operators have a nonzero diagonal: with adjoint
@@ -76,6 +77,7 @@ def answers() -> dict[str, tuple[dict, list[str]]]:
     for factors in [f for fs in run.PRODUCTS.values() for f in fs]:
         doc = product(factors)
         runs += [(doc, [doc["kind"]]), (doc, [doc["kind"], "--representatives"])]
+        runs.append((doc, ["conditions"]))
     runs += [(product(factors), ["oracle"]) for factors in ORACLE_PRODUCTS]
     skewed = [SKEWED_ADJOINT] + [
         products.product_instance(list(factors), SEED, f"{factors[0]['name']}^{len(factors)}")
