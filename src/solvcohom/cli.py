@@ -26,6 +26,7 @@ import sys
 from dataclasses import asdict
 from functools import lru_cache
 from itertools import groupby
+from math import comb
 from pathlib import Path
 
 from .cecomplex import cohomology, nilshadow
@@ -145,10 +146,11 @@ def cmd_cohomology(args) -> int:
         ic, inst.lattice
     )
     result = cohomology(sel.complex, representatives=args.representatives)
+    n = inst.algebra.dim
     payload: dict = {
         "command": kind,
         "instance": inst.name,
-        "invariant_dimensions": [len(per) for per in ic.tag_ids],
+        "invariant_dimensions": [comb(n, p) * rep.m for p in range(n + 1)],
         "kept_dimensions": list(sel.complex.dims),
         "betti": list(result.betti),
         "euler_characteristic": result.euler_characteristic(),
@@ -158,10 +160,9 @@ def cmd_cohomology(args) -> int:
         hodge = dolbeault_hodge_table(inst.algebra.dim, result.betti)
         payload["hodge_numbers"] = [list(row) for row in hodge]
     if args.representatives:
-        kept = ic.indices_with_tag_ids(sel.kept)
         payload["representatives"] = []
-        for p, classes in enumerate(result.representatives):
-            labels = ic.labels(p, kept[p])
+        for (keys, _), classes in zip(ic.cochains(sel.kept), result.representatives):
+            labels = ic.labels(keys)
             payload["representatives"].append(
                 [[(labels[i], format_gaussian(vec[i])) for i in sorted(vec)] for vec in classes]
             )

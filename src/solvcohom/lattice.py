@@ -320,19 +320,16 @@ class ConditionReport:
 
 def check_conditions(ic: InvariantComplex, lat: LatticeData) -> ConditionReport:
     verdicts = _verdicts(ic, lat)
-    # Each tag is witnessed by its first basis element in (degree, index) order.
-    first: dict[int, tuple[int, int]] = {}
-    for p, per_degree in enumerate(ic.tag_ids):
-        for idx, t in enumerate(per_degree):
-            if t not in first:
-                first[t] = (p, idx)
+    m = ic.representation.m
     witnesses: list[ConditionWitness] = []
     diamond1 = True
     star = True
     diamond2: Optional[bool] = True
-    for t, (p, idx) in first.items():
+    # Each tag is witnessed by its first cochain in (degree, index) order.
+    for t, key in ic.first_cochains().items():
         v = verdicts[t]
-        label = ic.label(p, idx)
+        p = (key // m).bit_count()
+        label = ic.label(key)
         tag_text = format_weight(v.tag)
         if v.trivial_on_g != v.trivial_on_lattice:
             diamond1 = False

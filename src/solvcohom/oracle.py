@@ -341,9 +341,11 @@ def verify_quasi_iso(ic: InvariantComplex) -> QuasiIsoReport:
             full[tag] = sector_cohomology_full(g, rep, tag, skeleton).betti
     # Every block in one elimination. Per degree p and tag id: the cochains,
     # and d_p's pivot columns; ranks[-1] is empty, for d_top and d_{-1}.
-    blocks = cohomology(restrict_complex(ic, range(len(ic.tag_table))))
-    dims = [Counter(ids) for ids in ic.tag_ids]
-    ranks = [Counter([ids[c] for c in cols]) for ids, cols in zip(ic.tag_ids, blocks.pivots)]
+    everything = range(len(ic.tag_table))
+    blocks = cohomology(restrict_complex(ic, everything))
+    tag_ids = [tags for _, tags in ic.cochains(everything)]
+    dims = [Counter(tags) for tags in tag_ids]
+    ranks = [Counter([tags[c] for c in cols]) for tags, cols in zip(tag_ids, blocks.pivots)]
     ranks.append(Counter())
     comparisons = []
     # tag_table is in weight_sort_key order, so ids run through the sorted tags.

@@ -15,21 +15,28 @@ additivity of the input data, checked on degrees 0 and 1 (which decide
 it, and whose entry order names the first violation) and on every entry
 built after; a violation raises WeightGradingError.
 
-Distinct tags are few next to basis elements, so the complex interns
-them: a sorted tag table plus one small integer id per basis element.
-The algebra part of a tag is interned by cecomplex.subset_sums, whose
-one use this is, and the tag formed once per (algebra part, k) and
-hashed once, into a provisional id in first-seen order; the distinct
-tags are then sorted once and the ids remapped. The grading check and
-the lattice selection work on ids. A basis element's
-label is formed only when something reads it, and above degree 1 only
-the blocks of the tags asked for are built (restrict_complex).
+Distinct tags are few next to basis elements, and a tag depends only on
+k and on I restricted to the weighted directions W, those whose lambda_i
+is nonzero. So the complex keeps no tag per basis element: it interns
+the tags once per (subset S of W, k), as a sorted tag table plus ids.
+The algebra part of a tag is interned by cecomplex.subset_sums over the
+W weights, whose one use this is, and the tag formed once per (algebra
+part, k) and hashed once, into a provisional id in first-seen order;
+the distinct tags are then sorted once and the ids remapped. The
+grading check and the lattice selection work on ids. The cochains of
+the tags asked for are enumerated alone, as (S | Z, k) with (S, k) of
+such a tag and Z any subset of the unweighted directions, and sorted
+into the global order as integers (InvariantComplex.cochains); only
+their blocks are built (restrict_complex). A basis element's label is
+formed only when something reads it.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .cecomplex import (
@@ -152,21 +159,30 @@ def validate_weight_assignment(
 
 @dataclass(frozen=True)
 class InvariantComplex:
-    """Basis elements (I, k) of the invariant complex, one weight tag each.
+    """The invariant complex, tagged per subset of the weighted directions.
 
-    Degree-p element i is (degree_masks(n, p)[i // m], i % m), named
-    label(p, i); names are formed when asked for, not stored. Tags are
-    interned: tag_table lists the distinct tags in weight_sort_key order,
-    and tag_ids[p][i] is the position in it of the tag of degree-p element
-    i. kernel is ce_kernel(algebra, representation), d on the columns
-    given by key (mask * m + k). complex, the block of every tag, and
-    distinct_tags, an alias of tag_table, are read by no command: they
-    remain only for the counters of bench/spans.py, until the benchmark
-    counts from the selected blocks (ROADMAP item 6(a)).
+    The cochain x_I (x) v_k is named by its key I * m + k (I a bitmask),
+    of degree |I|, and label(key) names it. Its tag depends only on k and
+    on I & weighted, weighted being the bitmask of the directions whose
+    algebra weight is nonzero. So no list runs over every cochain: tags
+    are kept per (S, k), S a subset of weighted, and subset_tags maps
+    every S, doubling over weighted's directions ascending (subset_sums'
+    order, which _ranks follows), to the ids of the tags of (S, k) for k
+    in range(m): positions in tag_table, the distinct tags in
+    weight_sort_key order. tag_id(key) reads a cochain's tag from it.
+    cochains(tag_ids) enumerates the given tags' cochains alone, each (S
+    | Z, k) with Z a subset of the unweighted directions, in the global
+    order: degree, then degree_masks' order of the mask, then k.
+    kernel is ce_kernel(algebra, representation), d on the columns given
+    by key. complex, the block of every tag, and distinct_tags, an alias
+    of tag_table, are read by no command: they remain only for the
+    counters of bench/spans.py, until the benchmark counts from the
+    selected blocks (ROADMAP item 6(a)).
     """
 
     tag_table: tuple[Weight, ...]
-    tag_ids: tuple[tuple[int, ...], ...]
+    subset_tags: dict[int, tuple[int, ...]]
+    weighted: int
     algebra: LieAlgebraData
     representation: RepresentationData
     weights: WeightAssignment
@@ -183,27 +199,92 @@ class InvariantComplex:
         tails = tuple(f" (x) {name}" for name in module_basis_names(g, self.representation))
         return starred, tails
 
-    def labels(self, p: int, indices: Iterable[int]) -> list[str]:
-        """The names of the given degree-p elements, such as "x*^z* (x) u2"."""
+    def labels(self, keys: Iterable[int]) -> list[str]:
+        """The names of the cochains of the given keys, such as "x*^z* (x) u2"."""
         starred, tails = self._label_parts
-        m, masks = len(tails), degree_masks(len(starred), p)
+        m = len(tails)
         return [
-            ("^".join([name for j, name in enumerate(starred) if masks[i // m] >> j & 1]) or "1")
-            + tails[i % m]
-            for i in indices
+            ("^".join([name for j, name in enumerate(starred) if key // m >> j & 1]) or "1")
+            + tails[key % m]
+            for key in keys
         ]
 
-    def label(self, p: int, i: int) -> str:
-        return self.labels(p, (i,))[0]
+    def label(self, key: int) -> str:
+        return self.labels((key,))[0]
+
+    def tag_id(self, key: int) -> int:
+        m = self.representation.m
+        return self.subset_tags[key // m & self.weighted][key % m]
 
     def distinct_tags(self) -> tuple[Weight, ...]:
         return self.tag_table
 
-    def indices_with_tag_ids(self, tag_ids: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    def cochains(self, tag_ids: Iterable[int]) -> list[tuple[list[int], list[int]]]:
+        """Per degree, the keys of the given tags' cochains and their tag ids.
+
+        A kept cochain is (S | Z, k): (S, k) of a given tag, Z any subset
+        of the unweighted directions. Each is sorted as one integer, its
+        rank (_ranks) above its tag id. The rank of (S | Z, k) is the sum
+        of those of (S, k) and (Z, 0), so a kept cochain costs one
+        addition, the sort needs no key, and each degree is a slice of it.
+        """
+        n, m, full = self.algebra.dim, self.representation.m, (1 << self.algebra.dim) - 1
+        key_bits, tag_bits = (m << n).bit_length(), len(self.tag_table).bit_length()
         wanted = set(tag_ids)
-        return tuple(
-            tuple([i for i, t in enumerate(per) if t in wanted]) for per in self.tag_ids
-        )
+        ours = [
+            (rank << tag_bits) + t
+            for rank, t in zip(
+                _ranks(n, m, key_bits, self.weighted, m),
+                chain.from_iterable(self.subset_tags.values()),
+            )
+            if t in wanted
+        ]
+        # full << key_bits, added once, starts degree p at p << degree_bits.
+        others = [
+            ((full << key_bits) + rank) << tag_bits
+            for rank in _ranks(n, m, key_bits, full ^ self.weighted, 1)
+        ]
+        order = sorted([s + z for z in others for s in ours])
+        keys = [v >> tag_bits & ((1 << key_bits) - 1) for v in order]
+        tags = [v & ((1 << tag_bits) - 1) for v in order]
+        degree_bits = n + key_bits + tag_bits
+        cuts = [bisect_left(order, p << degree_bits) for p in range(n + 2)]
+        return [(keys[a:b], tags[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+    def first_cochains(self) -> dict[int, int]:
+        """Tag id -> key of its first cochain in (degree, index) order, in that order.
+
+        A tag's least degree is the least |S| of an (S, k) of that tag, as
+        Z only adds to it, so its first cochain is the (S, k) of least rank.
+        """
+        n, m = self.algebra.dim, self.representation.m
+        key_bits = (m << n).bit_length()
+        first: dict[int, int] = {}
+        ranks = _ranks(n, m, key_bits, self.weighted, m)
+        for rank, t in zip(ranks, chain.from_iterable(self.subset_tags.values())):
+            if t not in first or rank < first[t]:
+                first[t] = rank
+        key_mask = (1 << key_bits) - 1
+        return {t: rank & key_mask for t, rank in sorted(first.items(), key=itemgetter(1))}
+
+
+def _ranks(n: int, m: int, key_bits: int, directions: int, ks: int) -> list[int]:
+    """The ranks of the cochains (S, k), S every subset of the directions bitmask, k < ks.
+
+    The rank of the cochain (I, k) is (|I| << n) - rev(I) above its key
+    I * m + k, which takes key_bits bits; rev(I) reverses I's n bits (bit
+    i to bit n - 1 - i). Ranks ascend in the global order: by degree;
+    then by degree_masks' order, which for masks of one popcount is the
+    descending order of rev; then by k. Each term is additive over
+    disjoint subsets, so the list doubles over the directions ascending,
+    in subset_sums' order, with k innermost.
+    """
+    out = list(range(ks))
+    for i in range(n):
+        if directions >> i & 1:
+            step = (((1 << n) - (1 << (n - 1 - i))) << key_bits) + (m << i)
+            out += [x + step for x in out]
+    return out
 
 
 def build_invariant_complex(
@@ -225,8 +306,9 @@ def build_invariant_complex(
     for issue in validate_weight_assignment(g, rep, w):
         if not issue.code.endswith("-residue"):
             raise ValidationFailure(issue.message)
-    n = g.dim
-    alg_table, alg = subset_sums(w.algebra_weights, len(w.complement))
+    n, m = g.dim, rep.m
+    weighted = [i for i, lam in enumerate(w.algebra_weights) if any(lam)]
+    alg_table, alg = subset_sums([w.algebra_weights[i] for i in weighted], len(w.complement))
     # Each tag is its interned algebra part minus lambda'_k, no zero operand,
     # hashed once into a provisional id; the distinct tags are sorted once
     # (weight_sort_key is injective on tags, so none tie) and the ids remapped.
@@ -244,66 +326,50 @@ def build_invariant_complex(
     rank = [0] * len(order)
     for new, old in enumerate(order):
         rank[old] = new
-    by_alg = [[rank[i] for i in per] for per in provisional]
-    tag_ids = tuple(
-        tuple(chain.from_iterable([by_alg[alg[mask]] for mask in degree_masks(n, p)]))
-        for p in range(n + 1)
-    )
-
-    ic = InvariantComplex(tag_table, tag_ids, g, rep, w, ce_kernel(g, rep))
-    m = rep.m
-    keys = ([mask * m + k for mask in degree_masks(n, p) for k in range(m)] for p in range(3))
-    _graded_block(ic, zip(keys, tag_ids[:3]))
+    by_alg = [tuple([rank[i] for i in per]) for per in provisional]
+    masks = [0]
+    for i in weighted:
+        masks += [mask | 1 << i for mask in masks]
+    subset_tags = {mask: by_alg[a] for mask, a in zip(masks, alg)}
+    directions = sum(1 << i for i in weighted)
+    ic = InvariantComplex(tag_table, subset_tags, directions, g, rep, w, ce_kernel(g, rep))
+    tag = ic.tag_id
+    for p in (0, 1):
+        for row, col in ic.kernel([mask * m + k for mask in degree_masks(n, p) for k in range(m)]):
+            if tag(row) != tag(col):
+                raise _grading_error(ic, col, row)
     return ic
 
 
 def restrict_complex(ic: InvariantComplex, tag_ids: Iterable[int]) -> FiniteComplex:
     """The block of the given tag ids, its basis in the global order.
 
-    Only those tags' columns are formed, and every entry passes the
-    grading check as it is placed (_graded_block), so it lands on a row
-    of its column's tag: the block is closed under d by construction.
-    """
-    n, m = ic.algebra.dim, ic.representation.m
-    blocks = []
-    for p, (ids, kept) in enumerate(zip(ic.tag_ids, ic.indices_with_tag_ids(tag_ids))):
-        masks = degree_masks(n, p)
-        keys = [masks[i // m] * m + i % m for i in kept]
-        blocks.append((keys, [ids[i] for i in kept]))
-    return _graded_block(ic, blocks)
-
-
-def _graded_block(ic: InvariantComplex, blocks: Iterable) -> FiniteComplex:
-    """The complex on the p-th block's (keys, tag ids) in degree p.
-
-    One pass over ic.kernel's entries places each. The first in kernel
+    Only those tags' cochains are enumerated and their columns formed.
+    One pass over ic.kernel's entries places each; the first in kernel
     order whose row is off the block or of another tag than its column
-    raises WeightGradingError; with build_invariant_complex's kernel only
-    degrees 0 and 1 can, where that order is column, then term order.
+    raises WeightGradingError, so the block is closed under d by
+    construction.
     """
     dims, differentials = [], []
-    for p, (keys, tags) in enumerate(blocks):
+    for p, (keys, tags) in enumerate(ic.cochains(tag_ids)):
         place = dict(zip(keys, count()))
         if p:
-            rows: list[dict] = [{} for _ in tags]
+            rows: list[dict] = [{} for _ in keys]
             for (r, c), v in ic.kernel(sources).items():
                 col, row = sources[c], place.get(r)
                 if row is None or tags[row] != source_tags[col]:
-                    raise _grading_error(ic, p - 1, c, r)
+                    raise _grading_error(ic, c, r)
                 rows[row][col] = v
-            differentials.append(ExactMatrix(len(tags), len(source_tags), tuple(rows)))
+            differentials.append(ExactMatrix(len(keys), len(source_tags), tuple(rows)))
         sources, source_tags = place, tags
-        dims.append(len(tags))
+        dims.append(len(keys))
     return FiniteComplex(tuple(dims), tuple(differentials))
 
 
-def _grading_error(ic: InvariantComplex, p: int, col: int, row: int) -> WeightGradingError:
-    """The error for d's entry at (row, col), keys of degrees p and p + 1."""
-    m = ic.representation.m
+def _grading_error(ic: InvariantComplex, col: int, row: int) -> WeightGradingError:
+    """The error for d's entry at (row, col), both keys."""
     (source, source_tag), (target, target_tag) = [
-        (ic.label(q, i), format_weight(ic.tag_table[ic.tag_ids[q][i]]))
-        for q, key in ((p, col), (p + 1, row))
-        for i in [degree_masks(ic.algebra.dim, q).index(key // m) * m + key % m]
+        (ic.label(key), format_weight(ic.tag_table[ic.tag_id(key)])) for key in (col, row)
     ]
     return WeightGradingError(
         f"weight grading violated: d({source}) hits {target} "

@@ -1,9 +1,11 @@
 import importlib.util
 import pathlib
 import sys
+from math import comb
 
 import pytest
 from fraction_reference import fraction_imag_in_pi_integers, fraction_in_2pi_i_integers
+from subset_reference import cochain_key
 
 from solvcohom import lattice
 from solvcohom.liealg import MODE_COMPLEX, LieAlgebraData
@@ -72,9 +74,23 @@ def bracket_entries(g):
     return [(i, j, k, c) for (i, j), terms in g.bracket_table().items() for k, c in terms]
 
 
+def tag_ids(ic):
+    """Per degree, the tag id of every cochain, at its position."""
+    n, m = ic.algebra.dim, ic.representation.m
+    return [
+        [ic.tag_id(cochain_key(n, m, p, i)) for i in range(comb(n, p) * m)] for p in range(n + 1)
+    ]
+
+
+def tag_positions(ic, ids):
+    """Per degree, the positions of the cochains of the given tag ids."""
+    wanted = set(ids)
+    return tuple(tuple(i for i, t in enumerate(per) if t in wanted) for per in tag_ids(ic))
+
+
 def kept_indices(ic, sel):
     """Per degree, the basis indices of the tags a selection keeps."""
-    return ic.indices_with_tag_ids(sel.kept)
+    return tag_positions(ic, sel.kept)
 
 
 def char_trivial_on_lattice(mu, lat):
@@ -106,9 +122,7 @@ def combine(*terms):
 def zero_tag_indices(ic):
     """Per degree, the basis indices of tag zero."""
     zero = (ZERO,) * len(ic.weights.complement)
-    return ic.indices_with_tag_ids(
-        t for t, tag in enumerate(ic.tag_table) if tag == zero
-    )
+    return tag_positions(ic, [t for t, tag in enumerate(ic.tag_table) if tag == zero])
 
 
 def make_heisenberg():

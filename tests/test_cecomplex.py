@@ -6,7 +6,7 @@ import pytest
 from ce_reference import ce_differential, monomial_label, wedge_insert_sign
 from conftest import INSTANCE_DIR, dense_matrix
 from span_reference import greedy_lower_central_series_dims, greedy_representatives
-from subset_reference import degree_basis, subset_mask
+from subset_reference import cochain_key, degree_basis, subset_mask
 from test_imports import private_imports
 
 from solvcohom import cecomplex, linalg
@@ -408,7 +408,7 @@ def test_labels(heisenberg):
     n, m = heisenberg.dim, ad.m
     for p in range(n + 1):
         count = len(degree_basis(n, p)) * m
-        assert ic.labels(p, range(count)) == [
+        assert ic.labels([cochain_key(n, m, p, i) for i in range(count)]) == [
             monomial_label(heisenberg, degree_basis(n, p)[i // m], i % m, ad_names)
             for i in range(count)
         ]

@@ -181,13 +181,14 @@ def test_zero_tags_always_kept(split_6d_ic):
 
 
 def test_selection_scans_the_tag_ids_once(split_6d_ic, monkeypatch):
-    # restrict_complex's scan over every cochain is the selection's only one.
+    # restrict_complex's enumeration of the kept cochains is the
+    # selection's only one.
     calls = []
-    scan = InvariantComplex.indices_with_tag_ids
+    enumerate_kept = InvariantComplex.cochains
     monkeypatch.setattr(
         InvariantComplex,
-        "indices_with_tag_ids",
-        lambda ic, tag_ids: calls.append(1) or scan(ic, tag_ids),
+        "cochains",
+        lambda ic, tag_ids: calls.append(1) or enumerate_kept(ic, tag_ids),
     )
     select_de_rham(split_6d_ic, generic_lattice_6d())
     assert len(calls) == 1

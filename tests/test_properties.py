@@ -26,12 +26,13 @@ from conftest import (
     make_split_3d,
     make_split_6d,
     make_split_6d_plus_heisenberg,
+    tag_ids,
     zero_tag_indices,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from period_reference import named_coords, package_value, reference_conjugate, reference_names
-from subset_reference import cochain_key, degree_basis, positional
+from subset_reference import cochain_key, degree_basis, kept_cochains, positional
 
 from solvcohom.cecomplex import (
     FiniteComplex,
@@ -268,7 +269,7 @@ def test_ce_kernel_entries_equal_bitmask_reference(name, data):
     if mode == "own tag":
         rep = data.draw(st.sampled_from([trivial_representation, adjoint_representation]))(g)
         ic = build_invariant_complex(g, rep, infer_weights(g, rep))
-        twists, column_tag = ic.tag_table, dict(enumerate(ic.tag_ids[p]))
+        twists, column_tag = ic.tag_table, dict(enumerate(tag_ids(ic)[p]))
     else:
         m = data.draw(st.integers(1, 3), label="m")
         matrices = []
@@ -422,16 +423,17 @@ def check_tag_table(ic):
         ]
         for p in range(n + 1)
     ]
-    assert [[ic.tag_table[t] for t in per] for per in ic.tag_ids] == reference
+    assert [[ic.tag_table[t] for t in per] for per in tag_ids(ic)] == reference
     distinct = {t for per in reference for t in per}
     assert ic.distinct_tags() == tuple(sorted(distinct, key=weight_sort_key))
     for tid, tag in enumerate(ic.tag_table):
-        scan = tuple(
-            tuple(i for i, t in enumerate(per) if t == tag) for per in reference
-        )
-        assert ic.indices_with_tag_ids((tid,)) == scan
+        scan = [
+            [cochain_key(n, m, p, i) for i, t in enumerate(per) if t == tag]
+            for p, per in enumerate(reference)
+        ]
+        assert ic.cochains((tid,)) == [(keys, [tid] * len(keys)) for keys in scan]
     # An id past the table names no tag and selects nothing.
-    assert ic.indices_with_tag_ids((len(ic.tag_table),)) == tuple(() for _ in reference)
+    assert ic.cochains((len(ic.tag_table),)) == [([], []) for _ in reference]
 
 
 @pytest.mark.parametrize(
@@ -509,6 +511,51 @@ def _diagonal_module(g, data):
             ExactMatrix.from_entries(m, m, {(k, k): v for k, v in enumerate(diagonal) if v})
         )
     return RepresentationData(m, tuple(matrices))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kept_cochains_equal_the_filtered_subset_order(data):
+    # Complement directions act on an abelian nilradical by eigenvalues
+    # drawn from a pool with 0 and opposite values, so unweighted
+    # directions, repeated and cancelling weight sums are common, and the
+    # basis order interleaves complement and nilradical. The module is a
+    # drawn diagonal one (m = 1-3) and the kept tag ids a drawn set, with
+    # an id past the table allowed. The kept-only enumeration must give
+    # the keys, order and tag ids of filtering every subset, and each
+    # tag's first cochain must be the first the filter meets.
+    n = data.draw(st.integers(1, 6), label="n")
+    complement = data.draw(st.sets(st.integers(0, n - 1), max_size=2), label="complement")
+    nilradical = [i for i in range(n) if i not in complement]
+    pool = st.sampled_from([ZERO, ONE, MINUS_ONE, GaussianRational(2)])
+    brackets = [
+        (j, i, i, a)
+        for j in sorted(complement)
+        for i in nilradical
+        for a in [data.draw(pool, label=f"ad({j})[{i}]")]
+        if a
+    ]
+    g = LieAlgebraData(
+        dim=n,
+        basis=tuple(f"e{i}" for i in range(n)),
+        brackets=brackets,
+        nilradical=nilradical,
+        complement=complement,
+    )
+    rep = _diagonal_module(g, data)
+    w = infer_weights(g, rep)
+    ic = build_invariant_complex(g, rep, w)
+    kept = data.draw(st.sets(st.integers(0, len(ic.tag_table))), label="kept")
+
+    def tag_of(I, k):
+        return ic.tag_table.index(reference_tag(w, I, k))
+
+    assert ic.cochains(kept) == kept_cochains(n, rep.m, tag_of, kept)
+    first: dict[int, int] = {}
+    for keys, tags in kept_cochains(n, rep.m, tag_of, range(len(ic.tag_table))):
+        for key, t in zip(keys, tags):
+            first.setdefault(t, key)
+    assert list(ic.first_cochains().items()) == list(first.items())
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))

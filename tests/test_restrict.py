@@ -9,6 +9,8 @@ from conftest import (
     make_heisenberg_power,
     make_split_6d_plus_heisenberg,
     ratio_char_trivial_on_lattice,
+    tag_ids,
+    tag_positions,
 )
 from restrict_reference import SelectionClosureError, reference_restrict_complex
 from subset_reference import cochain_key, degree_basis
@@ -118,14 +120,15 @@ def test_restrict_complex_equals_restrict_after_build(name):
     make, args = _CASES[name]
     ic, lattices = make(*args)
     full = ic.complex
-    labels = [ic.labels(p, range(dim)) for p, dim in enumerate(full.dims)]
+    n, m = ic.algebra.dim, ic.representation.m
+    labels = [
+        ic.labels([cochain_key(n, m, p, i) for i in range(dim)]) for p, dim in enumerate(full.dims)
+    ]
 
     def check(tag_ids):
-        keep = [
-            tuple(i for i, t in enumerate(per) if t in tag_ids) for per in ic.tag_ids
-        ]
         _assert_same_complex(
-            restrict_complex(ic, tag_ids), reference_restrict_complex(full, keep, labels)
+            restrict_complex(ic, tag_ids),
+            reference_restrict_complex(full, tag_positions(ic, tag_ids), labels),
         )
 
     for tid in range(len(ic.tag_table)):
@@ -152,8 +155,8 @@ def test_derham_builds_only_the_kept_columns_above_degree_one(monkeypatch, capsy
     path = str(INSTANCE_DIR / "example-7-1-generic.json")
     ic, (lat,) = _shipped("example-7-1-generic")
     kept_tags = {t for t, tag in enumerate(ic.tag_table) if char_trivial_on_lattice(tag, lat)}
-    kept = [[i for i, t in enumerate(per) if t in kept_tags] for per in ic.tag_ids]
-    everything = [list(range(len(per))) for per in ic.tag_ids]
+    kept = tag_positions(ic, kept_tags)
+    everything = [list(range(len(per))) for per in tag_ids(ic)]
     assert 0 < sum(map(len, kept[2:])) < sum(map(len, everything[2:]))
 
     calls = []
@@ -173,7 +176,7 @@ def test_derham_builds_only_the_kept_columns_above_degree_one(monkeypatch, capsy
     capsys.readouterr()
     n, m = ic.algebra.dim, ic.representation.m
     # The build's degrees 0 and 1, then the selection's degrees 0 to n - 1.
-    asked = everything[:2] + kept[:n]
+    asked = everything[:2] + list(kept[:n])
     degrees = [0, 1, *range(n)]
     assert calls == [
         [cochain_key(n, m, p, i) for i in cols] for p, cols in zip(degrees, asked)
@@ -196,8 +199,8 @@ def test_restrict_complex_checks_every_entry_it_builds(split_3d):
             entries[(e1_e3, e2)] = ONE
         return entries
 
-    tid = ic.tag_ids[1][1]
-    assert ic.tag_ids[2][1] != tid
+    tid = ic.tag_id(e2)
+    assert ic.tag_id(e1_e3) != tid
     with pytest.raises(WeightGradingError) as info:
         restrict_complex(dataclasses.replace(ic, kernel=leaky), [tid])
     assert str(info.value) == (

@@ -8,9 +8,11 @@ dense kernel vectors would take over a GiB; sparse ones take a few MiB.
 The same process then chooses a representative for each of its classes.
 
 example-7-2-generic^7 (n = 21) keeps 0.8% of its 2^21 cochains. The
-builder keys a cochain by its mask, so it forms no position table of
-the subsets: the peak stays within the same bound, and the oracle's
-mask_position is never filled.
+builder keeps tags per subset of the 14 weighted directions and
+enumerates only the kept cochains, so it forms no list over every
+cochain and no table of every subset: degree_masks is filled for
+degrees 0 and 1 only, the oracle's mask_position never, and the peak
+stays within a bound of its own.
 
 example-7-1-generic:trivial (x) heisenberg3:trivial^3 runs the oracle on
 all 2^15 subsets. Its once-per-instance skeleton holds only the bracket
@@ -28,6 +30,7 @@ import textwrap
 from conftest import EXPECTED_DIR, INSTANCE_DIR, load_bench
 
 PEAK_RSS_LIMIT_MIB = 200
+N21_PEAK_RSS_LIMIT_MIB = 64
 ORACLE_PEAK_RSS_LIMIT_MIB = 50
 PEAK = """
 with open("/proc/self/status") as status:
@@ -91,13 +94,21 @@ def test_dolbeault_on_example_7_2_generic_to_the_seventh(tmp_path):
             code = cli.main(["dolbeault", {str(path)!r}, "--json", {str(out)!r}])
         positions = oracle.mask_position.cache_info().currsize
         """
-    ) + PEAK + "print(code, positions, peak)"
+    ) + PEAK + textwrap.dedent(
+        """
+        # With degrees 0 to 2 now cached, any other entry is a degree above 2.
+        from solvcohom.cecomplex import degree_masks
+        for p in range(3):
+            degree_masks(21, p)
+        print(code, positions, degree_masks.cache_info().currsize, peak)
+        """
+    )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    code, positions, peak_kib = map(int, proc.stdout.split())
-    assert (code, positions) == (0, 0)
+    code, positions, masks, peak_kib = map(int, proc.stdout.split())
+    assert (code, positions, masks) == (0, 0, 3)
     assert json.loads(out.read_text())["betti"] == products.convolve(*[factor_betti] * 7)
-    assert peak_kib < PEAK_RSS_LIMIT_MIB * 1024, f"peak RSS {peak_kib // 1024} MiB"
+    assert peak_kib < N21_PEAK_RSS_LIMIT_MIB * 1024, f"peak RSS {peak_kib // 1024} MiB"
 
 
 def test_oracle_on_example_7_1_generic_times_heisenberg3_cubed(tmp_path):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from math import comb
 
 import pytest
 from ce_reference import (
@@ -221,11 +222,11 @@ def test_weight_assignment_tag(split_6d):
     assert w.algebra_weights[0] == (ONE, ZERO)
     assert w.rep_weights[2] == (MINUS_ONE, ZERO)
     # tag(v1* ^ v2* (x) v3) = (1,0) + (0,1) - (-1,0) = (2, 1). In the
-    # invariant complex, v1* ^ v2* is the first subset of degree 2, so
-    # that element is 0 * 6 + 2; 1 (x) v5 is element 4 of degree 0.
+    # invariant complex, v1* ^ v2* is the mask 0b11, so that element's
+    # key is 0b11 * 6 + 2; 1 (x) v5 has the key 4.
     ic = build_invariant_complex(split_6d, rep, w)
-    assert ic.tag_table[ic.tag_ids[2][2]] == (GaussianRational(2), ONE)
-    assert ic.tag_table[ic.tag_ids[0][4]] == (ZERO, ZERO)
+    assert ic.tag_table[ic.tag_id(0b11 * 6 + 2)] == (GaussianRational(2), ONE)
+    assert ic.tag_table[ic.tag_id(4)] == (ZERO, ZERO)
 
 
 def test_infer_weights_trivial_rep(split_3d):
@@ -295,9 +296,9 @@ def test_invariant_complex_tags(split_6d):
     ic = build_invariant_complex(split_6d, rep, infer_weights(split_6d, rep))
     tags = ic.distinct_tags()
     assert len(tags) == 21
-    kept = ic.indices_with_tag_ids((tags.index((ZERO, ZERO)),))
+    kept = ic.cochains((tags.index((ZERO, ZERO)),))
     # The zero-tag block of degree 0 is {1 (x) v5, 1 (x) v6}.
-    assert kept[0] == (4, 5)
+    assert kept[0] == ([4, 5], [tags.index((ZERO, ZERO))] * 2)
 
 
 def test_weight_grading_violation_raises(split_3d):
@@ -540,8 +541,8 @@ def test_second_kernel_pass_adds_no_scalars(name, monkeypatch):
     g, rep = inst.algebra, build_representation(inst)
     ic = build_invariant_complex(g, rep, build_weight_assignment(inst, rep))
     columns = [
-        [cochain_key(g.dim, rep.m, p, i) for i in range(len(ids))]
-        for p, ids in enumerate(ic.tag_ids[:-1])
+        [cochain_key(g.dim, rep.m, p, i) for i in range(comb(g.dim, p) * rep.m)]
+        for p in range(g.dim)
     ]
     first = [ic.kernel(cols) for cols in columns]
     calls = []
@@ -604,10 +605,11 @@ def test_label_equals_monomial_label_on_shipped_instances(name):
     g, rep = inst.algebra, build_representation(inst)
     ic = build_invariant_complex(g, rep, build_weight_assignment(inst, rep))
     names = module_basis_names(g, rep)
-    for p, per in enumerate(ic.tag_ids):
+    for p in range(g.dim + 1):
         subsets = degree_basis(g.dim, p)
-        assert [ic.label(p, i) for i in range(len(per))] == [
-            monomial_label(g, subsets[i // rep.m], i % rep.m, names) for i in range(len(per))
+        count = len(subsets) * rep.m
+        assert [ic.label(cochain_key(g.dim, rep.m, p, i)) for i in range(count)] == [
+            monomial_label(g, subsets[i // rep.m], i % rep.m, names) for i in range(count)
         ]
 
 
