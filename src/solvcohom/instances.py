@@ -9,11 +9,13 @@ Structural problems raise InstanceParseError (CLI exit code 2): among
 them a file that is not UTF-8, JSON nested too deeply to parse, a
 number with more digits than Python converts to an integer, a scalar
 or a name that is not a JSON string (named in JSON spelling), every key
-that names no basis vector, a flag ("trivial", "adjoint", "infer") that
-is not a JSON boolean or stands beside another module, a dim given as
-true or false, a bracket entry [x, y, z, c] whose (x, y, z) repeats an
-earlier one, and a representation weight list whose length is not the
-module dimension. Mathematical violations are reported by
+that names no basis vector, a key that no block of the format has (in
+the instance, the algebra, the representation, weights and lattice
+blocks, or a symbol declaration), a flag ("trivial", "adjoint",
+"infer") that is not a JSON boolean or stands beside another module, a
+dim given as true or false, a bracket entry [x, y, z, c] whose (x, y,
+z) repeats an earlier one, and a representation weight list whose
+length is not the module dimension. Mathematical violations are reported by
 validate_instance (exit code 1). The package only reads instance files;
 the canonical writer that the shipped files are checked against is a
 test reference (tests/emit_reference.py).
@@ -90,6 +92,14 @@ def _expect_object(value, what):
     return value
 
 
+def _known_keys(block: dict, keys: tuple[str, ...], what: str) -> dict:
+    """The block, once each of its keys is one of keys: a misspelt key is no default."""
+    for key in block:
+        if key not in keys:
+            raise InstanceParseError(f"unknown key {key!r} in {what}")
+    return block
+
+
 def _flag(block: dict, key: str, what: str) -> bool:
     """A JSON boolean flag of a block; an absent key is false."""
     value = block.get(key, False)
@@ -142,6 +152,9 @@ def _parse_weight(
 def parse_instance(data: dict) -> InstanceFile:
     if not isinstance(data, dict):
         raise InstanceParseError("instance file must be a JSON object")
+    _known_keys(
+        data, ("name", "kind", "algebra", "representation", "weights", "lattice"), "instance"
+    )
     kind = _expect(data, "kind", "instance")
     if kind not in (KIND_DERHAM, KIND_DOLBEAULT):
         raise InstanceParseError(f"unknown kind {kind!r}")
@@ -149,6 +162,9 @@ def parse_instance(data: dict) -> InstanceFile:
 
     alg = _expect(data, "algebra", "instance")
     dim = _expect(alg, "dim", "algebra")
+    _known_keys(
+        alg, ("dim", "basis", "brackets", "nilradical", "complement", "conjugation"), "algebra"
+    )
     names = _expect_list(_expect(alg, "basis", "algebra"), "algebra basis")
     basis = tuple([_text(b, "basis name") for b in names])
     # type(), not isinstance: JSON true is a bool, and bool is an int.
@@ -209,6 +225,9 @@ def parse_instance(data: dict) -> InstanceFile:
 def _parse_representation(data, g: LieAlgebraData) -> RepresentationSpec:
     if not isinstance(data, dict):
         raise InstanceParseError("representation block must be an object")
+    _known_keys(
+        data, ("trivial", "adjoint", "dim", "matrices", "weights"), "representation block"
+    )
     # A true flag names the whole module: nothing of another may stand beside it.
     given = [key for key in ("trivial", "adjoint") if _flag(data, key, "representation")]
     given += [key for key in ("dim", "matrices", "weights") if given and key in data]
@@ -263,6 +282,7 @@ def _parse_rep_weights(raw, g: LieAlgebraData, m: int, what: str) -> tuple[Weigh
 def _parse_weights(data, g: LieAlgebraData, m: int) -> WeightsSpec:
     if not isinstance(data, dict):
         raise InstanceParseError("weights block must be an object")
+    _known_keys(data, ("infer", "algebra", "representation"), "weights block")
     if _flag(data, "infer", "weights"):
         return WeightsSpec(infer=True)
     alg_raw = _expect_object(_expect(data, "algebra", "weights"), "weights algebra")
@@ -286,14 +306,11 @@ def _parse_weights(data, g: LieAlgebraData, m: int) -> WeightsSpec:
 def _parse_lattice(data, g: LieAlgebraData) -> LatticeData:
     if not isinstance(data, dict):
         raise InstanceParseError("lattice block must be an object")
+    _known_keys(data, ("symbols", "generators"), "lattice block")
     try:
         # A generator, so each declaration's own errors come in declaration order.
         symbols = declared_symbols(
-            (
-                _text(_expect(sd, "name", "symbol declaration"), "symbol name"),
-                _text(_expect(sd, "parity", "symbol declaration"), "symbol parity"),
-            )
-            for sd in _expect_list(data.get("symbols", []), "lattice symbols")
+            _declaration(sd) for sd in _expect_list(data.get("symbols", []), "lattice symbols")
         )
     except ValidationFailure as exc:
         raise InstanceParseError(str(exc)) from exc
@@ -313,6 +330,14 @@ def _parse_lattice(data, g: LieAlgebraData) -> LatticeData:
                 )
         generators.append(tuple(coords))
     return LatticeData(symbols, tuple(generators))
+
+
+def _declaration(sd) -> tuple[str, str]:
+    """A symbol declaration's (name, parity)."""
+    name = _text(_expect(sd, "name", "symbol declaration"), "symbol name")
+    parity = _text(_expect(sd, "parity", "symbol declaration"), "symbol parity")
+    _known_keys(sd, ("name", "parity"), "symbol declaration")
+    return name, parity
 
 
 def load_instance(path: str | Path) -> InstanceFile:

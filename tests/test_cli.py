@@ -697,6 +697,38 @@ def test_a_representation_flag_beside_another_module_exits_two(block, message, t
     assert run(["validate", str(path)]) == 0
 
 
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (_set(("comment",), "x"), "unknown key 'comment' in instance"),
+        (_set(("algebra", "bracket"), []), "unknown key 'bracket' in algebra"),
+        (
+            _set(("representation",), {"dim": 1, "matrix": {"x": [["1"]]}}),
+            "unknown key 'matrix' in representation block",
+        ),
+        (_set(("weights", "inferred"), True), "unknown key 'inferred' in weights block"),
+        (_set(("lattice", "generator"), []), "unknown key 'generator' in lattice block"),
+        (
+            _set(("lattice", "symbols"), [{"name": "a", "parity": "real", "real": True}]),
+            "unknown key 'real' in symbol declaration",
+        ),
+    ],
+    ids=["instance", "algebra", "representation", "weights", "lattice", "symbol"],
+)
+def test_an_unknown_key_exits_two_naming_the_key_and_its_block(
+    mutate, message, tmp_path, capsys
+):
+    # A misspelt key would otherwise mean its default: "matrix" for
+    # "matrices" would make heisenberg3's module the zero one.
+    doc = json.loads((INSTANCE_DIR / "heisenberg3.json").read_text())
+    mutate(doc)
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "derham"):
+        assert run([command, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_conjugation_on_a_dolbeault_instance_exits_one(tmp_path, capsys):
     doc = json.loads((INSTANCE_DIR / "example-7-2-pi.json").read_text())
     doc["algebra"]["conjugation"] = {"e1": "e1"}
