@@ -65,9 +65,9 @@ def subset_sums(
     """Interned subset sums: table[ids[mask]] = sum of vectors[t], t in mask.
 
     Its one use is the algebra part of a weight tag (weights.py), the sum
-    of the algebra weights over a subset bitmask. Every vector has width
-    entries. table holds each distinct sum once, zero first, and ids has
-    2**len(vectors) entries. With t the top bit, sum[mask] = sum[mask
+    of the nonzero algebra weights over a subset bitmask. Every vector has
+    width entries. table holds each distinct sum once, zero first, and ids
+    has 2**len(vectors) entries. With t the top bit, sum[mask] = sum[mask
     without t] + vectors[t], each (id, t) sum formed once. An all-zero
     vectors[t] adds no entry: the masks with bit t reuse the ids of the
     masks without it. Entry-wise, a zero operand is never added.
@@ -75,16 +75,13 @@ def subset_sums(
     index = {(ZERO,) * width: 0}
     ids = [0]
     for v in vectors:
-        if any(v):
-            step = [
-                index.setdefault(
-                    tuple([x + y if x and y else x or y for x, y in zip(base, v)]), len(index)
-                )
-                for base in list(index)
-            ]
-            ids += [step[i] for i in ids]
-        else:
-            ids += ids
+        step = [
+            index.setdefault(
+                tuple([x + y if x and y else x or y for x, y in zip(base, v)]), len(index)
+            )
+            for base in list(index)
+        ]
+        ids += [step[i] for i in ids]
     return list(index), ids
 
 

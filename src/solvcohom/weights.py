@@ -16,19 +16,17 @@ it, and whose entry order names the first violation) and on every entry
 built after; a violation raises WeightGradingError.
 
 Distinct tags are few next to basis elements, and a tag depends only on
-k and on I restricted to the weighted directions W, those whose lambda_i
-is nonzero. So the complex keeps no tag per basis element: it interns
-the tags once per (subset S of W, k), as a sorted tag table plus ids.
-The algebra part of a tag is interned by cecomplex.subset_sums over the
-W weights, whose one use this is, and the tag formed once per (algebra
-part, k) and hashed once, into a provisional id in first-seen order;
-the distinct tags are then sorted once and the ids remapped. The
-grading check and the lattice selection work on ids. The cochains of
-the tags asked for are enumerated alone, as (S | Z, k) with (S, k) of
-such a tag and Z any subset of the unweighted directions, and sorted
-into the global order as integers (InvariantComplex.cochains); only
-their blocks are built (restrict_complex). A basis element's label is
-formed only when something reads it.
+k and on I restricted to the weighted directions, those whose lambda_i
+is nonzero; so the complex interns the tags once per (weighted subset,
+k), as a sorted tag table plus ids, and keeps none per basis element.
+The algebra part of a tag is interned by cecomplex.subset_sums, whose
+one use this is, and the tag formed once per (algebra part, k) and
+hashed once, into a provisional id in first-seen order; the distinct
+tags are then sorted once and the ids remapped. The grading check and
+the lattice selection work on ids. Only the cochains of the tags asked
+for are enumerated (InvariantComplex.cochains) and only their blocks
+built (restrict_complex); a basis element's label is formed only when
+something reads it.
 """
 from __future__ import annotations
 
@@ -159,25 +157,20 @@ def validate_weight_assignment(
 
 @dataclass(frozen=True)
 class InvariantComplex:
-    """The invariant complex, tagged per subset of the weighted directions.
+    """The invariant complex, its tags kept per subset of the weighted directions.
 
     The cochain x_I (x) v_k is named by its key I * m + k (I a bitmask),
-    of degree |I|, and label(key) names it. Its tag depends only on k and
-    on I & weighted, weighted being the bitmask of the directions whose
-    algebra weight is nonzero. So no list runs over every cochain: tags
-    are kept per (S, k), S a subset of weighted, and subset_tags maps
-    every S, doubling over weighted's directions ascending (subset_sums'
-    order, which _ranks follows), to the ids of the tags of (S, k) for k
-    in range(m): positions in tag_table, the distinct tags in
-    weight_sort_key order. tag_id(key) reads a cochain's tag from it.
-    cochains(tag_ids) enumerates the given tags' cochains alone, each (S
-    | Z, k) with Z a subset of the unweighted directions, in the global
-    order: degree, then degree_masks' order of the mask, then k.
-    kernel is ce_kernel(algebra, representation), d on the columns given
-    by key. complex, the block of every tag, and distinct_tags, an alias
-    of tag_table, are read by no command: they remain only for the
-    counters of bench/spans.py, until the benchmark counts from the
-    selected blocks (ROADMAP item 6(a)).
+    of degree |I|; label(key) names it and tag_id(key) gives its tag id,
+    a position in tag_table, the distinct tags in weight_sort_key order.
+    A tag depends only on k and on I & weighted, the directions of
+    nonzero algebra weight, so subset_tags maps each subset S of weighted,
+    in subset_sums' order, to the tag ids of (S, k) for k in range(m), and
+    no list runs over every cochain. cochains(tag_ids) enumerates the
+    given tags' cochains alone. kernel is ce_kernel(algebra,
+    representation), d on the columns given by key. complex, the block of
+    every tag, and distinct_tags, an alias of tag_table, are read by no
+    command: they remain only for the counters of bench/spans.py, until
+    the benchmark counts from the selected blocks (ROADMAP item 6(a)).
     """
 
     tag_table: tuple[Weight, ...]
@@ -331,8 +324,9 @@ def build_invariant_complex(
     for i in weighted:
         masks += [mask | 1 << i for mask in masks]
     subset_tags = {mask: by_alg[a] for mask, a in zip(masks, alg)}
-    directions = sum(1 << i for i in weighted)
-    ic = InvariantComplex(tag_table, subset_tags, directions, g, rep, w, ce_kernel(g, rep))
+    ic = InvariantComplex(
+        tag_table, subset_tags, sum(1 << i for i in weighted), g, rep, w, ce_kernel(g, rep)
+    )
     tag = ic.tag_id
     for p in (0, 1):
         for row, col in ic.kernel([mask * m + k for mask in degree_masks(n, p) for k in range(m)]):
