@@ -45,6 +45,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 from .automorphisms import SignedPermutation, find_root, linear_automorphisms
@@ -341,9 +342,14 @@ def verify_quasi_iso(ic: InvariantComplex) -> QuasiIsoReport:
             full[tag] = sector_cohomology_full(g, rep, tag, skeleton).betti
     # Every block in one elimination. Per degree p and tag id: the cochains,
     # and d_p's pivot columns; ranks[-1] is empty, for d_top and d_{-1}.
-    everything = range(len(ic.tag_table))
-    blocks = cohomology(restrict_complex(ic, everything))
-    tag_ids = [tags for _, tags in ic.cochains(everything)]
+    # The block of every tag holds every cochain in degree_masks order, then k.
+    blocks = cohomology(restrict_complex(ic, range(len(ic.tag_table))))
+    tag_ids = [
+        list(chain.from_iterable(
+            [ic.subset_tags[mask & ic.weighted] for mask in degree_masks(g.dim, p)]
+        ))
+        for p in range(g.dim + 1)
+    ]
     dims = [Counter(tags) for tags in tag_ids]
     ranks = [Counter([tags[c] for c in cols]) for tags, cols in zip(tag_ids, blocks.pivots)]
     ranks.append(Counter())
