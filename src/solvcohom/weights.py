@@ -224,22 +224,25 @@ class InvariantComplex:
         n, m, full = self.algebra.dim, self.representation.m, (1 << self.algebra.dim) - 1
         key_bits, tag_bits = (m << n).bit_length(), len(self.tag_table).bit_length()
         wanted = set(tag_ids)
-        ours = [
+        ours = sorted([
             (rank << tag_bits) + t
             for rank, t in zip(
                 _ranks(n, m, key_bits, self.weighted, m),
                 chain.from_iterable(self.subset_tags.values()),
             )
             if t in wanted
-        ]
+        ])
         # full << key_bits, added once, starts degree p at p << degree_bits.
-        others = [
+        others = sorted([
             ((full << key_bits) + rank) << tag_bits
             for rank in _ranks(n, m, key_bits, full ^ self.weighted, 1)
-        ]
-        order = sorted([s + z for z in others for s in ours])
-        keys = [v >> tag_bits & ((1 << key_bits) - 1) for v in order]
-        tags = [v & ((1 << tag_bits) - 1) for v in order]
+        ])
+        # Each of the shorter list's items adds one ascending run to the sort.
+        short, long = (ours, others) if len(ours) <= len(others) else (others, ours)
+        order = sorted([a + b for a in short for b in long])
+        key_mask, tag_mask = (1 << key_bits) - 1, (1 << tag_bits) - 1
+        keys = [v >> tag_bits & key_mask for v in order]
+        tags = [v & tag_mask for v in order]
         degree_bits = n + key_bits + tag_bits
         cuts = [bisect_left(order, p << degree_bits) for p in range(n + 2)]
         return [(keys[a:b], tags[a:b]) for a, b in zip(cuts, cuts[1:])]
