@@ -15,10 +15,10 @@ blocks, or a symbol declaration), a flag ("trivial", "adjoint",
 "infer") that is not a JSON boolean or stands beside another module, a
 dim given as true or false, a bracket entry [x, y, z, c] whose (x, y,
 z) repeats an earlier one, and a representation weight list whose
-length is not the module dimension. Mathematical violations are reported by
-validate_instance (exit code 1). The package only reads instance files;
-the canonical writer that the shipped files are checked against is a
-test reference (tests/emit_reference.py).
+length is not the module dimension. Mathematical violations are
+reported by validate_instance (exit code 1). The package only reads
+instance files; the canonical writer that the shipped files are checked
+against is a test reference (tests/emit_reference.py).
 """
 from __future__ import annotations
 
@@ -92,12 +92,11 @@ def _expect_object(value, what):
     return value
 
 
-def _known_keys(block: dict, keys: tuple[str, ...], what: str) -> dict:
-    """The block, once each of its keys is one of keys: a misspelt key is no default."""
+def _known_keys(block: dict, keys: tuple[str, ...], what: str) -> None:
+    """Refuse a key of the block not in keys, so a misspelt key never reads as its default."""
     for key in block:
         if key not in keys:
             raise InstanceParseError(f"unknown key {key!r} in {what}")
-    return block
 
 
 def _flag(block: dict, key: str, what: str) -> bool:
